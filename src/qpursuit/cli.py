@@ -143,22 +143,23 @@ def _cmd_reach(args) -> int:
 
 def _cmd_analyze_graph(args) -> int:
     g = graph_from_json(_load_json(args.graph))
+    connected = is_connected(g)
     report = {
         "n": g.n,
         "reflexive": g.is_reflexive,
         "undirected": g.is_undirected,
         "reversible": is_reversible(g),
-        "connected": is_connected(g),
+        "connected": connected,
     }
     board = g.is_undirected and g.is_reflexive
     if board:
-        report["corners"] = [[v, is_corner(g, v)] for v in range(g.n)
-                             if is_corner(g, v) is not None]
+        corners = [[v, is_corner(g, v)] for v in range(g.n)]
+        report["corners"] = [pair for pair in corners if pair[1] is not None]
         report["dominating_set"] = sorted(dominating_set(g))
         report["universal_vertex"] = universal_vertex(g)
-        if is_connected(g):
+        if connected:
             report["copwin_dismantle"] = is_copwin_dismantle(g)
-            report["copwin_game"] = solve_copwin_game(g) if g.n <= args.cap else None
+            report["copwin_game"] = solve_copwin_game(g, args.cap) if g.n <= args.cap else None
     _dump_json(report)
     return 0
 
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze-graph", help="classical analysis report")
     p_analyze.add_argument("graph")
     p_analyze.add_argument("--cap", type=int, default=10,
-                           help="largest size fed to the game solver")
+                           help="largest board (vertex count) handed to the game solver")
 
     p_repro = sub.add_parser("reproduce", help="re-run a canned worked example")
     p_repro.add_argument("case", nargs="?", choices=REPRODUCE_CASES)

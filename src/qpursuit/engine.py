@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Digraph, GraphError, neighbors
+from .graphs import Digraph, GraphError, dominates
 from .operators import (
     ATOL,
     ControlledOp,
@@ -395,10 +395,7 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy, roun
     for d in dset:
         if not 0 <= d < g.n:
             raise GraphError(f"dominating vertex {d} out of range")
-    covered = set()
-    for d in dset:
-        covered |= neighbors(g, d)
-    if covered != set(range(g.n)):
+    if not dominates(g, dset):
         raise GraphError(f"set {dset} does not dominate the graph")
 
     robber_move = _move_source(robber)

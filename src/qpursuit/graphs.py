@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,10 @@ class Digraph:
     Arcs are ordered pairs (u, v).  A loop (v, v) means the player standing
     at v may stay put, so game boards are always reflexive.  Undirected
     graphs are represented by symmetric arc sets.
+
+    A Digraph is immutable, so its adjacency lists and bitsets are built on
+    first use and cached on the instance; equality and hashing read only n
+    and arcs.
     """
 
     n: int
@@ -34,11 +39,35 @@ class Digraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"arc ({u}, {v}) references a vertex outside 0..{self.n - 1}")
 
-    @property
+    @cached_property
+    def out_adj(self) -> tuple:
+        """Sorted out-neighbour tuple S(v) of every vertex v."""
+        rows = [[] for _ in range(self.n)]
+        for u, v in self.arcs:
+            rows[u].append(v)
+        return tuple(tuple(sorted(row)) for row in rows)
+
+    @cached_property
+    def in_adj(self) -> tuple:
+        """Sorted in-neighbour tuple {u : (u, v) in arcs} of every vertex v."""
+        rows = [[] for _ in range(self.n)]
+        for u, v in self.arcs:
+            rows[v].append(u)
+        return tuple(tuple(sorted(row)) for row in rows)
+
+    @cached_property
+    def out_bits(self) -> tuple:
+        """S(v) of every vertex v as an int bitset, bit w set iff (v, w) is an arc."""
+        bits = [0] * self.n
+        for u, v in self.arcs:
+            bits[u] |= 1 << v
+        return tuple(bits)
+
+    @cached_property
     def is_reflexive(self) -> bool:
         return all((v, v) in self.arcs for v in range(self.n))
 
-    @property
+    @cached_property
     def is_undirected(self) -> bool:
         return all((v, u) in self.arcs for u, v in self.arcs)
 
@@ -89,19 +118,20 @@ def _check_vertex(g: Digraph, v: int):
 def neighbors(g: Digraph, v: int) -> set:
     """Out-neighbourhood S(v) = {w : (v, w) in arcs}; contains v itself on reflexive graphs."""
     _check_vertex(g, v)
-    return {w for u, w in g.arcs if u == v}
+    return set(g.out_adj[v])
 
 
-def _bfs_reach(g: Digraph, start: int, forward: bool) -> set:
+def _reach(start: int, *adjs) -> set:
+    """Vertices a BFS from start reaches along the union of the given adjacency lists."""
     seen = {start}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for a, b in g.arcs:
-            s, t = (a, b) if forward else (b, a)
-            if s == u and t not in seen:
-                seen.add(t)
-                queue.append(t)
+        for adj in adjs:
+            for t in adj[u]:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
     return seen
 
 
@@ -109,25 +139,16 @@ def is_reversible(g: Digraph) -> bool:
     """True iff there is a directed path between every ordered pair of vertices."""
     if g.n == 1:
         return True
-    return len(_bfs_reach(g, 0, True)) == g.n and len(_bfs_reach(g, 0, False)) == g.n
+    return len(_reach(0, g.out_adj)) == g.n and len(_reach(0, g.in_adj)) == g.n
 
 
 def is_connected(g: Digraph) -> bool:
     """Connectivity of the underlying undirected graph (arcs taken both ways)."""
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for a, b in g.arcs:
-            for s, t in ((a, b), (b, a)):
-                if s == u and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return len(seen) == g.n
+    return len(_reach(0, g.out_adj, g.in_adj)) == g.n
 
 
 def is_corner(g: Digraph, v: int):
-    """Return some u != v whose neighbourhood contains S(v), else None.
+    """Return the lowest u != v whose neighbourhood contains S(v), else None.
 
     Containment is non-strict, so every vertex of a reflexive clique is a
     corner; strict containment would wedge the dismantling of cliques.
@@ -135,9 +156,15 @@ def is_corner(g: Digraph, v: int):
     if not g.is_undirected:
         raise GraphError("corners are defined on undirected graphs")
     _check_vertex(g, v)
-    sv = neighbors(g, v)
-    for u in range(g.n):
-        if u != v and sv <= neighbors(g, u):
+    bits = g.out_bits
+    sv = bits[v]
+    if sv:
+        # u must be an in-neighbour of every w in S(v); scan the fewest of them.
+        candidates = min((g.in_adj[w] for w in g.out_adj[v]), key=len)
+    else:
+        candidates = range(g.n)
+    for u in candidates:
+        if u != v and sv & ~bits[u] == 0:
             return u
     return None
 
@@ -154,9 +181,7 @@ def is_copwin_dismantle(g: Digraph) -> bool:
     _require_board(g, "dismantling")
     if not is_connected(g):
         raise GraphError("dismantling needs a connected graph")
-    nb = [0] * g.n
-    for u, v in g.arcs:
-        nb[u] |= 1 << v
+    nb = g.out_bits
     alive = (1 << g.n) - 1
     count = g.n
     changed = True
@@ -166,7 +191,8 @@ def is_copwin_dismantle(g: Digraph) -> bool:
             if not alive >> v & 1:
                 continue
             sv = nb[v] & alive
-            rest = alive & ~(1 << v)
+            # On a reflexive board a u containing S(v) is itself in S(v).
+            rest = sv & ~(1 << v)
             while rest:
                 low = rest & -rest
                 u = low.bit_length() - 1
@@ -179,38 +205,19 @@ def is_copwin_dismantle(g: Digraph) -> bool:
     return count == 1
 
 
-def _copwin_fixpoint(a: np.ndarray):
-    """Monotone fixpoint of the winning regions (Cop to move, Robber to move)."""
-    n = a.shape[0]
-    eye = np.eye(n, dtype=bool)
-    au8 = a.astype(np.uint8)
-    wc = eye.copy()
-    wr = eye.copy()
-    while True:
-        # Robber to move at (c, r): caught already, or every r' in S(r) stays losing.
-        escapes = (~wc).astype(np.uint8) @ au8.T
-        wr_new = eye | (escapes == 0)
-        # Cop to move at (c, r): caught, or some c' in S(c) reaches a winning cell.
-        wc_new = eye | ((au8 @ wr_new.astype(np.uint8)) > 0)
-        if np.array_equal(wc_new, wc) and np.array_equal(wr_new, wr):
-            return wc, wr
-        wc, wr = wc_new, wr_new
-
-
 def solve_copwin_game(g: Digraph, cap: int = 10) -> bool:
     """Backward-induction oracle for the classical game.
 
     The Cop picks a start, the Robber answers seeing it, then they alternate
     single-arc moves with the Cop first.  True iff some Cop start wins
-    against every Robber answer.
+    against every Robber answer, i.e. some row of the Cop-to-move capture
+    times of copwin_value_tables is finite throughout.
     """
     _require_board(g, "the game solver")
     if not is_connected(g):
         raise GraphError("the game solver needs a connected graph")
-    if g.n > cap:
-        raise GraphError(f"game solver capped at {cap} vertices, got {g.n}")
-    wc, _ = _copwin_fixpoint(g.adjacency())
-    return bool(wc.all(axis=1).any())
+    vc, _ = copwin_value_tables(g, cap)
+    return bool(np.isfinite(vc).all(axis=1).any())
 
 
 def copwin_value_tables(g: Digraph, cap: int = 10):
@@ -227,12 +234,16 @@ def copwin_value_tables(g: Digraph, cap: int = 10):
     eye = np.eye(n, dtype=bool)
     vc = np.where(eye, 0.0, np.inf)
     vr = vc.copy()
+    # The reductions read broadcast views through a mask, so no n^3 array is built.
+    cube = (n, n, n)
     for _ in range(4 * n * n + 4):
         # Robber to move: he maximises the next Cop-to-move value over S(r).
-        worst = np.where(a[None, :, :], vc[:, None, :], -np.inf).max(axis=2)
+        worst = np.max(np.broadcast_to(vc[:, None, :], cube), axis=2,
+                       where=a[None, :, :], initial=-np.inf)
         vr_new = np.where(eye, 0.0, 1.0 + worst)
         # Cop to move: he minimises the next Robber-to-move value over S(c).
-        best = np.where(a[:, :, None], vr_new[None, :, :], np.inf).min(axis=1)
+        best = np.min(np.broadcast_to(vr_new[None, :, :], cube), axis=1,
+                      where=a[:, :, None], initial=np.inf)
         vc_new = np.where(eye, 0.0, 1.0 + best)
         if np.array_equal(vc_new, vc) and np.array_equal(vr_new, vr):
             break
@@ -240,11 +251,13 @@ def copwin_value_tables(g: Digraph, cap: int = 10):
     return vc, vr
 
 
-def _dominates(g: Digraph, ds) -> bool:
-    cover = set()
+def dominates(g: Digraph, ds) -> bool:
+    """True iff every vertex lies in S(d) for some d in ds."""
+    cover = 0
     for d in ds:
-        cover |= neighbors(g, d)
-    return len(cover) == g.n
+        _check_vertex(g, d)
+        cover |= g.out_bits[d]
+    return cover == (1 << g.n) - 1
 
 
 def dominating_set(g: Digraph, exact: bool = False) -> set:
@@ -259,23 +272,24 @@ def dominating_set(g: Digraph, exact: bool = False) -> set:
             raise GraphError("exact dominating set limited to 10 vertices")
         for k in range(1, g.n + 1):
             for combo in itertools.combinations(range(g.n), k):
-                if _dominates(g, combo):
+                if dominates(g, combo):
                     return set(combo)
-    uncovered = set(range(g.n))
+    bits = g.out_bits
+    uncovered = (1 << g.n) - 1
     chosen = set()
     while uncovered:
-        v = max(range(g.n), key=lambda u: (len(neighbors(g, u) & uncovered), -u))
+        v = max(range(g.n), key=lambda u: ((bits[u] & uncovered).bit_count(), -u))
         chosen.add(v)
-        uncovered -= neighbors(g, v)
+        uncovered &= ~bits[v]
     return chosen
 
 
 def universal_vertex(g: Digraph):
     """Lowest-index vertex adjacent to every vertex, or None."""
     _require_board(g, "universal vertex lookup")
-    everything = set(range(g.n))
-    for v in range(g.n):
-        if neighbors(g, v) == everything:
+    everything = (1 << g.n) - 1
+    for v, bits in enumerate(g.out_bits):
+        if bits == everything:
             return v
     return None
 
@@ -307,12 +321,7 @@ class SpanningTree:
 def spanning_tree(g: Digraph, root: int) -> SpanningTree:
     """BFS spanning tree over mutual arcs, lowest-index-first exploration."""
     _check_vertex(g, root)
-    sym = [[] for _ in range(g.n)]
-    for u, v in g.arcs:
-        if u != v and (v, u) in g.arcs:
-            sym[u].append(v)
-    for row in sym:
-        row.sort()
+    sym = [[v for v in g.out_adj[u] if v != u and g.out_bits[v] >> u & 1] for u in range(g.n)]
     parent = [-1] * g.n
     dist = [-1] * g.n
     parent[root] = root
@@ -354,7 +363,7 @@ def support_ball(g: Digraph, v: int, k: int) -> set:
     frontier = {v}
     ball = {v}
     for _ in range(k):
-        frontier = {w for u in frontier for w in neighbors(g, u)} - ball
+        frontier = {w for u in frontier for w in g.out_adj[u]} - ball
         if not frontier:
             break
         ball |= frontier

@@ -37,14 +37,22 @@ def graph_to_json(g: Digraph) -> dict:
     return {"n": g.n, "arcs": arcs, "undirected": undirected, "reflexive": reflexive}
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; booleans and non-integral numbers are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def graph_from_json(data: dict) -> Digraph:
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("graph JSON needs an object with an 'n' field")
-    n = int(data["n"])
+    n = _json_int(data["n"], "graph size n")
     arcs = data.get("arcs", [])
     if not all(isinstance(a, (list, tuple)) and len(a) == 2 for a in arcs):
         raise ValueError("graph arcs must be [u, v] pairs")
-    return digraph(n, [(int(u), int(v)) for u, v in arcs],
+    return digraph(n, [(_json_int(u, "arc endpoint"), _json_int(v, "arc endpoint"))
+                       for u, v in arcs],
                    undirected=bool(data.get("undirected", False)),
                    reflexive=bool(data.get("reflexive", False)))
 
@@ -127,7 +135,7 @@ def _init_from_json(spec, model: str, n: int):
 
 def _move_from_json(spec, model: str, g: Digraph):
     if model in (GameModel.CLASSICAL.value, UNFAIR_MODEL):
-        return int(spec)
+        return _json_int(spec, "a move of a deterministic model")
     if isinstance(spec, dict) and "control" in spec:
         return controlled_op_from_json(spec, g)
     return operator_from_json(spec)

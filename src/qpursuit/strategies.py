@@ -19,9 +19,9 @@ from .graphs import (
     GraphError,
     copwin_value_tables,
     cycle_graph,
+    dominates,
     dominating_set,
     neighbors,
-    solve_copwin_game,
     universal_vertex,
 )
 from .operators import (
@@ -194,10 +194,7 @@ def dominating_set_sweep(g: Digraph, dset=None) -> Strategy:
     if dset is None:
         dset = dominating_set(g)
     dset = sorted({int(d) for d in dset})
-    covered = set()
-    for d in dset:
-        covered |= neighbors(g, d)
-    if covered != set(range(g.n)):
+    if not dominates(g, dset):
         raise GraphError(f"set {dset} does not dominate the graph")
     return Strategy(role="cop", name="dominating_set_sweep",
                     params={"dominating_set": tuple(dset)})
@@ -210,18 +207,16 @@ def classical_pursuit(g: Digraph, cap: int = 10) -> Strategy:
     which drops by at least one per round, so capture lands within n*n rounds
     against every robber.
     """
-    if not solve_copwin_game(g, cap):
-        raise GraphError("graph is not cop-win")
     vc, vr = copwin_value_tables(g, cap)
-    a = g.adjacency()
     start = int(np.argmin(vc.max(axis=1)))
+    if not np.isfinite(vc[start]).all():
+        raise GraphError("graph is not cop-win")
 
     def move(ctx):
         c, r = ctx.cop_state, ctx.robber_state
         if c == r:
             return c
-        options = [c2 for c2 in range(g.n) if a[c, c2]]
-        return min(options, key=lambda c2: (vr[c2, r], c2))
+        return min(g.out_adj[c], key=lambda c2: (vr[c2, r], c2))
 
     return Strategy(init=start, move=move, role="cop", model=GameModel.CLASSICAL,
                     name="classical_pursuit")
@@ -230,7 +225,6 @@ def classical_pursuit(g: Digraph, cap: int = 10) -> Strategy:
 def classical_evader(g: Digraph, cap: int = 10) -> Strategy:
     """Adversarial robber from the same tables: always climb the capture time."""
     vc, _ = copwin_value_tables(g, cap)
-    a = g.adjacency()
 
     def init(ctx):
         c = ctx.cop_state
@@ -238,8 +232,7 @@ def classical_evader(g: Digraph, cap: int = 10) -> Strategy:
 
     def move(ctx):
         c, r = ctx.cop_state, ctx.robber_state
-        options = [r2 for r2 in range(g.n) if a[r, r2]]
-        return max(options, key=lambda r2: (vc[c, r2], -r2))
+        return max(g.out_adj[r], key=lambda r2: (vc[c, r2], -r2))
 
     return Strategy(init=init, move=move, role="robber", model=GameModel.CLASSICAL,
                     name="classical_evader")

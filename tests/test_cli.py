@@ -263,6 +263,38 @@ def test_analyze_graph_cap_and_directed(tmp_path, capsys):
     assert report["reversible"] is False and report["connected"] is True
 
 
+def test_analyze_graph_solves_boards_up_to_the_cap(tmp_path, capsys):
+    for g, copwin in ((path_graph(12), True), (cycle_graph(12), False)):
+        path = _write(tmp_path, "g.json", graph_to_json(g))
+        code, out, err = _run(capsys, ["analyze-graph", path, "--cap", "12"])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["copwin_game"] is copwin and report["copwin_dismantle"] is copwin
+
+
+def test_graph_json_rejects_booleans_and_fractions(tmp_path, capsys):
+    bad_graphs = (
+        {"n": 3, "arcs": [[0, True]], "undirected": True, "reflexive": True},
+        {"n": True, "arcs": [], "undirected": True, "reflexive": True},
+        {"n": 3, "arcs": [[0, 1.5]], "undirected": True, "reflexive": True},
+        {"n": 3.0, "arcs": [[0, 1]], "undirected": True, "reflexive": True},
+    )
+    for data in bad_graphs:
+        code, out, err = _run(capsys, ["analyze-graph", _write(tmp_path, "g.json", data)])
+        assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+
+
+def test_deterministic_moves_reject_booleans_and_fractions(tmp_path, capsys):
+    for model, move in (("classical", True), ("classical", 1.0),
+                        ("unfair_probabilistic", True)):
+        cop = {"init": 0} if model == "classical" else \
+            {"builtin": "dominating_set_sweep", "params": {"set": [1]}}
+        scenario = {"model": model, "graph": graph_to_json(path_graph(3)), "rounds": 1,
+                    "cop": cop, "robber": {"init": 2, "moves": [move]}}
+        code, _, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+        assert code == 1 and json.loads(err)["error"] == "ValueError"
+
+
 def test_reproduce_single_case(capsys):
     code, out, _ = _run(capsys, ["reproduce", "uniform-1-over-n"])
     assert code == 0

@@ -1,10 +1,11 @@
 """Graph constructors, the classical game analysis and the spanning-tree machinery."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpursuit import (
@@ -16,6 +17,7 @@ from qpursuit import (
     digraph,
     directed_cycle,
     disjoint_union,
+    dominates,
     dominating_set,
     is_connected,
     is_copwin_dismantle,
@@ -198,6 +200,15 @@ def test_dominating_set_always_covers(n, mask):
     assert set().union(*(neighbors(g, d) for d in ds)) == set(range(n))
 
 
+def test_dominates():
+    c5 = cycle_graph(5)
+    assert dominates(c5, [0, 2]) and dominates(c5, (2, 0, 2))
+    assert not dominates(c5, [0]) and not dominates(c5, [])
+    for bad in (5, -1):
+        with pytest.raises(GraphError):
+            dominates(c5, [0, bad])
+
+
 def test_universal_vertex():
     assert universal_vertex(star_graph(3)) == 0
     assert universal_vertex(path_graph(3)) == 1
@@ -274,3 +285,152 @@ def test_random_graph_with_universal_vertex(rng):
     for _ in range(5):
         g = random_graph_with_universal_vertex(6, rng)
         assert universal_vertex(g) is not None
+
+
+# Arc-scanning primitives as they stood before Digraph cached its adjacency;
+# the property test below holds the cached versions to them.
+
+
+def _ref_neighbors(g, v):
+    return {w for u, w in g.arcs if u == v}
+
+
+def _ref_bfs_reach(g, start, forward):
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for a, b in g.arcs:
+            s, t = (a, b) if forward else (b, a)
+            if s == u and t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
+def _ref_is_reversible(g):
+    if g.n == 1:
+        return True
+    return len(_ref_bfs_reach(g, 0, True)) == g.n and len(_ref_bfs_reach(g, 0, False)) == g.n
+
+
+def _ref_is_connected(g):
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for a, b in g.arcs:
+            for s, t in ((a, b), (b, a)):
+                if s == u and t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+    return len(seen) == g.n
+
+
+def _ref_is_corner(g, v):
+    sv = _ref_neighbors(g, v)
+    for u in range(g.n):
+        if u != v and sv <= _ref_neighbors(g, u):
+            return u
+    return None
+
+
+def _ref_support_ball(g, v, k):
+    frontier = {v}
+    ball = {v}
+    for _ in range(k):
+        frontier = {w for u in frontier for w in _ref_neighbors(g, u)} - ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
+
+
+def _ref_dominates(g, ds):
+    cover = set()
+    for d in ds:
+        cover |= _ref_neighbors(g, d)
+    return len(cover) == g.n
+
+
+def _ref_dominating_set(g):
+    uncovered = set(range(g.n))
+    chosen = set()
+    while uncovered:
+        v = max(range(g.n), key=lambda u: (len(_ref_neighbors(g, u) & uncovered), -u))
+        chosen.add(v)
+        uncovered -= _ref_neighbors(g, v)
+    return chosen
+
+
+def _ref_universal_vertex(g):
+    everything = set(range(g.n))
+    for v in range(g.n):
+        if _ref_neighbors(g, v) == everything:
+            return v
+    return None
+
+
+def _ref_is_copwin_dismantle(g):
+    nb = [0] * g.n
+    for u, v in g.arcs:
+        nb[u] |= 1 << v
+    alive = (1 << g.n) - 1
+    count = g.n
+    changed = True
+    while count > 1 and changed:
+        changed = False
+        for v in range(g.n):
+            if not alive >> v & 1:
+                continue
+            sv = nb[v] & alive
+            rest = alive & ~(1 << v)
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                if sv & ~(nb[u] & alive) == 0:
+                    alive &= ~(1 << v)
+                    count -= 1
+                    changed = True
+                    break
+                rest ^= low
+    return count == 1
+
+
+@st.composite
+def _digraphs(draw):
+    """Random digraphs on n <= 12: directed or symmetric, reflexive or not."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=n * n))
+    return digraph(n, arcs, undirected=draw(st.booleans()), reflexive=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+def test_cached_primitives_match_arc_scanning_reference(g):
+    fresh = Digraph(g.n, g.arcs)
+    for v in range(g.n):
+        assert neighbors(g, v) == _ref_neighbors(g, v)
+        for k in (0, 1, 2, g.n):
+            assert support_ball(g, v, k) == _ref_support_ball(g, v, k)
+    assert is_connected(g) == _ref_is_connected(g)
+    assert is_reversible(g) == _ref_is_reversible(g)
+    if g.is_undirected:
+        assert [is_corner(g, v) for v in range(g.n)] == \
+            [_ref_is_corner(g, v) for v in range(g.n)]
+    else:
+        with pytest.raises(GraphError):
+            is_corner(g, 0)
+    if g.is_undirected and g.is_reflexive:
+        ds = dominating_set(g)
+        assert ds == _ref_dominating_set(g)
+        assert dominates(g, ds)
+        for d in ds:
+            assert dominates(g, ds - {d}) == _ref_dominates(g, ds - {d})
+        assert universal_vertex(g) == _ref_universal_vertex(g)
+        if _ref_is_connected(g):
+            assert is_copwin_dismantle(g) == _ref_is_copwin_dismantle(g)
+    # the filled caches leave equality and hashing to n and arcs
+    assert "out_adj" in vars(g) and "out_adj" not in vars(fresh)
+    assert g == fresh and hash(g) == hash(fresh) and {g, fresh} == {fresh}

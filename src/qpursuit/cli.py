@@ -14,7 +14,6 @@ from .engine import (
     GameModel,
     Strategy,
     play,
-    play_unfair_probabilistic,
 )
 from .graphs import (
     GraphError,
@@ -36,6 +35,7 @@ from .operators import (
     ATOL_DERIVED,
     CertificationError,
     apply_sequence,
+    basis_state,
     is_graph_preserving_stochastic,
     is_graph_preserving_unitary,
     reach_sequence,
@@ -43,10 +43,9 @@ from .operators import (
     sample_graph_stochastic,
     sample_graph_unitary,
     sample_path3_unitary,
-    state_vector,
+    uniform_state,
 )
 from .scenario import (
-    UNFAIR_MODEL,
     graph_from_json,
     operator_from_json,
     operator_to_json,
@@ -55,7 +54,13 @@ from .scenario import (
     state_from_json,
     trace_to_json,
 )
-from .strategies import c4_antipodal_evasion, c4_unfair_cop, uniform_spread, universal_vertex_catch
+from .strategies import (
+    c4_antipodal_evasion,
+    c4_unfair_cop,
+    dominating_set_sweep,
+    uniform_spread,
+    universal_vertex_catch,
+)
 
 REPRODUCE_CASES = (
     "uniform-1-over-n",
@@ -89,10 +94,10 @@ def _fmt(x: float) -> str:
 def _cmd_run(args) -> int:
     data = _load_json(args.scenario)
     sc = scenario_from_json(data, base_dir=os.path.dirname(os.path.abspath(args.scenario)))
-    p, trace = run_scenario(sc)
-    if trace is not None and args.out:
+    trace = run_scenario(sc)
+    if args.out:
         _dump_json(trace_to_json(trace), args.out)
-    print(f"model={sc.model} t={sc.rounds} p_copwin={_fmt(p)}")
+    print(f"model={sc.model.value} t={sc.rounds} p_copwin={_fmt(trace.p_copwin)}")
     return 0
 
 
@@ -113,14 +118,9 @@ def _cmd_verify_op(args) -> int:
 
 def _parse_state(text: str, n: int) -> np.ndarray:
     if text == "uniform":
-        return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+        return uniform_state(n).amps
     if text.startswith("basis:"):
-        v = int(text.split(":", 1)[1])
-        if not 0 <= v < n:
-            raise ValueError(f"basis vertex {v} out of range")
-        vec = np.zeros(n, dtype=complex)
-        vec[v] = 1.0
-        return vec
+        return basis_state(n, int(text.split(":", 1)[1])).amps
     vec = state_from_json(json.loads(text))
     if vec.shape != (n,):
         raise ValueError(f"state has dimension {vec.shape[0]}, graph has {n} vertices")
@@ -207,7 +207,8 @@ def _reproduce_case(name: str, rng) -> list:
         robber = Strategy(init=int(rng.integers(g.n)), move=robber_move)
         k = 6
         bound = 1.0 - (1.0 - 1.0 / len(dset)) ** k
-        p = play_unfair_probabilistic(g, dset, robber, k)
+        p = play(GameModel.UNFAIR_PROBABILISTIC, g, dominating_set_sweep(g, dset), robber,
+                 k).p_copwin
         rows.append((name, bound, p, p >= bound - ATOL))
     elif name == "star-impossibility":
         worst = max(abs(u.matrix[1, 0]) * abs(u.matrix[1, 2])

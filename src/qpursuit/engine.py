@@ -1,9 +1,10 @@
-"""Game execution for the four models plus the unfair probabilistic pursuit.
+"""Game execution for the four fair models and the unfair probabilistic pursuit.
 
 Order of play is shared by every model: the Cop fixes his initial state,
 the Robber answers, and each round runs Cop's operation then Robber's.
-The final round stops after the Cop's operation, and only then is the
-capture probability evaluated; there is no mid-game measurement.
+In the four fair models the final round stops after the Cop's operation,
+and only then is the capture probability evaluated; there is no mid-game
+measurement.  The unfair pursuit lets the Robber move in the last round too.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from .operators import (
     GraphStochastic,
     GraphUnitary,
     QuantumState,
+    basis_state,
     is_graph_preserving_stochastic,
     is_graph_preserving_unitary,
     state_vector,
+    uniform_state,
 )
 
 
@@ -35,6 +38,7 @@ class GameModel(str, Enum):
     OPEN_PROBABILISTIC = "open_probabilistic"
     CLASSICAL_QUANTUM = "classical_quantum"
     QUANTUM_CONTROLLED = "quantum_controlled"
+    UNFAIR_PROBABILISTIC = "unfair_probabilistic"
 
 
 @dataclass
@@ -84,8 +88,9 @@ class Strategy:
     callable(MoveContext) -> operation, a list of per-round operations, or
     None for identity moves; a callable may also return None to fall back to
     the identity.  prepare: optional callable(PrepareContext) run before the
-    game; in the quantum controlled model it is the only place a strategy
-    sees its opponent.
+    game in every model; in the quantum controlled model it is the only
+    place a strategy sees its opponent.  params: builtin data such as the
+    unfair Cop's "dominating_set".
     """
 
     init: object = "uniform"
@@ -103,7 +108,8 @@ class GameTrace:
 
     history holds (stage, round, snapshot) with stage in {"init", "cop",
     "robber"}; snapshots are dicts of positions, probability vectors, local
-    amplitude vectors, or the joint state under key "joint".
+    amplitude vectors, the joint state under key "joint", or the unfair
+    pursuit's following mass and Robber vertex under "follow" and "robber".
     """
 
     model: GameModel
@@ -165,32 +171,33 @@ def _resolve_init(init, ctx):
     return init(ctx) if callable(init) and not isinstance(init, ControlledInit) else init
 
 
+def _vertex(init, n: int) -> int:
+    if not isinstance(init, (int, np.integer)) or not 0 <= init < n:
+        raise GameError(f"initial vertex {init!r} outside 0..{n - 1}")
+    return int(init)
+
+
 def _prob_vector(init, n: int) -> np.ndarray:
     if isinstance(init, str) and init == "uniform":
         return np.full(n, 1.0 / n)
     if isinstance(init, (int, np.integer)):
-        if not 0 <= init < n:
-            raise GameError(f"initial vertex {init} out of range")
         vec = np.zeros(n)
-        vec[init] = 1.0
+        vec[_vertex(init, n)] = 1.0
         return vec
     vec = np.asarray(init, dtype=float).reshape(-1)
-    if vec.shape != (n,) or abs(vec.sum() - 1.0) > ATOL or vec.min() < -ATOL:
+    # the comparisons are written so that a nan entry fails them
+    if vec.shape != (n,) or not (abs(vec.sum() - 1.0) <= ATOL and vec.min() >= -ATOL):
         raise GameError("initial distribution is not a probability vector of the right size")
     return vec
 
 
 def _amp_vector(init, n: int) -> np.ndarray:
     if isinstance(init, str) and init == "uniform":
-        return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+        return uniform_state(n).amps
     if isinstance(init, (int, np.integer)):
-        if not 0 <= init < n:
-            raise GameError(f"initial vertex {init} out of range")
-        vec = np.zeros(n, dtype=complex)
-        vec[init] = 1.0
-        return vec
+        return basis_state(n, init).amps
     vec = state_vector(init)
-    if vec.shape != (n,) or abs(np.linalg.norm(vec) - 1.0) > ATOL:
+    if vec.shape != (n,) or not abs(np.linalg.norm(vec) - 1.0) <= ATOL:  # nan fails too
         raise GameError("initial amplitudes are not a normalized vector of the right size")
     return vec
 
@@ -247,20 +254,30 @@ def qc_operation_joint(op, g: Digraph, mover: str) -> np.ndarray:
     return np.kron(m, np.eye(n))
 
 
-def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> GameTrace:
-    """Run one game; see the module docstring for the order of play."""
-    model = GameModel(model)
-    if rounds < 1:
-        raise GameError("a play needs at least one round")
-    _check_strategy(cop, "cop", model)
-    _check_strategy(robber, "robber", model)
-    if model is GameModel.CLASSICAL:
-        return _play_classical(g, cop, robber, rounds)
-    if model is GameModel.OPEN_PROBABILISTIC:
-        return _play_probabilistic(g, cop, robber, rounds)
-    if model is GameModel.CLASSICAL_QUANTUM:
-        return _play_classical_quantum(g, cop, robber, rounds)
-    return _play_quantum_controlled(g, cop, robber, rounds)
+def _arc_step(target, v: int, g: Digraph) -> int:
+    target = v if target is None else int(target)
+    if (v, target) not in g.arcs:
+        raise GameError(f"illegal move {v} -> {target}: no such arc")
+    return target
+
+
+def _matrix_step(certify):
+    """Move rule of a vector model: certify the operation, then apply it (None is the identity)."""
+    return lambda op, vec, g: vec if op is None else certify(op, g) @ vec
+
+
+# Per model with local states: initial-state parser (init, n), move rule
+# (op, state, g) -> state, and capture functional (robber, cop) -> float.
+_LOCAL_RULES = {
+    GameModel.CLASSICAL: (_vertex, _arc_step, lambda r, c: 1.0 if c == r else 0.0),
+    GameModel.OPEN_PROBABILISTIC: (_prob_vector, _matrix_step(_stochastic_matrix),
+                                   p_copwin_probabilistic),
+    GameModel.CLASSICAL_QUANTUM: (_amp_vector, _matrix_step(_unitary_matrix), p_copwin_separable),
+}
+
+
+def _copy(state):
+    return state.copy() if isinstance(state, np.ndarray) else state
 
 
 def _round_stages(rounds: int):
@@ -271,74 +288,48 @@ def _round_stages(rounds: int):
             yield k, "robber"
 
 
-def _play_classical(g, cop, robber, rounds):
-    cop_move = _move_source(cop)
-    robber_move = _move_source(robber)
-    ctx0 = MoveContext(0, "cop", g, rounds)
-    c = _resolve_init(cop.init, ctx0)
-    if not isinstance(c, (int, np.integer)) or not 0 <= c < g.n:
-        raise GameError("classical play needs an initial vertex for the cop")
-    r = _resolve_init(robber.init, MoveContext(0, "robber", g, rounds, cop_state=int(c)))
-    if not isinstance(r, (int, np.integer)) or not 0 <= r < g.n:
-        raise GameError("classical play needs an initial vertex for the robber")
-    c, r = int(c), int(r)
-    history = [("init", 0, {"cop": c, "robber": r})]
+def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> GameTrace:
+    """Run one game of any model; see the module docstring for the order of play.
+
+    Both strategies' prepare hooks run first.  The quantum controlled model
+    keeps one joint state and hides it from the move callbacks; the other
+    fair models keep one local state per player and show both.
+    """
+    model = GameModel(model)
+    _check_strategy(cop, "cop", model)
+    _check_strategy(robber, "robber", model)
+    for me, other, role in ((cop, robber, "cop"), (robber, cop, "robber")):
+        if me.prepare is not None:
+            me.prepare(PrepareContext(g, rounds, role, other))
+    if model is GameModel.UNFAIR_PROBABILISTIC:
+        return play_unfair_probabilistic(g, cop.params.get("dominating_set"), robber, rounds)
+    if rounds < 1:
+        raise GameError("a play needs at least one round")
+    moves = {"cop": _move_source(cop), "robber": _move_source(robber)}
+    joint = model is GameModel.QUANTUM_CONTROLLED
+    if joint:
+        state = {"joint": qc_initial_joint(g, cop, robber)}
+    else:
+        parse, step, capture = _LOCAL_RULES[model]
+        c = parse(_resolve_init(cop.init, MoveContext(0, "cop", g, rounds)), g.n)
+        r = parse(_resolve_init(robber.init, MoveContext(0, "robber", g, rounds,
+                                                         cop_state=_copy(c))), g.n)
+        state = {"cop": c, "robber": r}
+    history = [("init", 0, {key: _copy(s) for key, s in state.items()})]
     for k, mover in _round_stages(rounds):
-        ctx = MoveContext(k, mover, g, rounds, cop_state=c, robber_state=r)
-        if mover == "cop":
-            target = cop_move(ctx)
-            target = c if target is None else int(target)
-            if (c, target) not in g.arcs:
-                raise GameError(f"illegal cop move {c} -> {target}: no such arc")
-            c = target
+        if joint:
+            op = moves[mover](MoveContext(k, mover, g, rounds))
+            state["joint"] = qc_operation_joint(op, g, mover) @ state["joint"]
         else:
-            target = robber_move(ctx)
-            target = r if target is None else int(target)
-            if (r, target) not in g.arcs:
-                raise GameError(f"illegal robber move {r} -> {target}: no such arc")
-            r = target
-        history.append((mover, k, {"cop": c, "robber": r}))
-    return GameTrace(GameModel.CLASSICAL, rounds, 1.0 if c == r else 0.0, history)
-
-
-def _play_probabilistic(g, cop, robber, rounds):
-    cop_move = _move_source(cop)
-    robber_move = _move_source(robber)
-    pc = _prob_vector(_resolve_init(cop.init, MoveContext(0, "cop", g, rounds)), g.n)
-    pr = _prob_vector(
-        _resolve_init(robber.init, MoveContext(0, "robber", g, rounds, cop_state=pc.copy())), g.n
-    )
-    history = [("init", 0, {"cop": pc.copy(), "robber": pr.copy()})]
-    for k, mover in _round_stages(rounds):
-        ctx = MoveContext(k, mover, g, rounds, cop_state=pc.copy(), robber_state=pr.copy())
-        op = (cop_move if mover == "cop" else robber_move)(ctx)
-        m = np.eye(g.n) if op is None else _stochastic_matrix(op, g)
-        if mover == "cop":
-            pc = m @ pc
-        else:
-            pr = m @ pr
-        history.append((mover, k, {"cop": pc.copy(), "robber": pr.copy()}))
-    return GameTrace(GameModel.OPEN_PROBABILISTIC, rounds, p_copwin_probabilistic(pr, pc), history)
-
-
-def _play_classical_quantum(g, cop, robber, rounds):
-    cop_move = _move_source(cop)
-    robber_move = _move_source(robber)
-    sc = _amp_vector(_resolve_init(cop.init, MoveContext(0, "cop", g, rounds)), g.n)
-    sr = _amp_vector(
-        _resolve_init(robber.init, MoveContext(0, "robber", g, rounds, cop_state=sc.copy())), g.n
-    )
-    history = [("init", 0, {"cop": sc.copy(), "robber": sr.copy()})]
-    for k, mover in _round_stages(rounds):
-        ctx = MoveContext(k, mover, g, rounds, cop_state=sc.copy(), robber_state=sr.copy())
-        op = (cop_move if mover == "cop" else robber_move)(ctx)
-        m = np.eye(g.n, dtype=complex) if op is None else _unitary_matrix(op, g)
-        if mover == "cop":
-            sc = m @ sc
-        else:
-            sr = m @ sr
-        history.append((mover, k, {"cop": sc.copy(), "robber": sr.copy()}))
-    return GameTrace(GameModel.CLASSICAL_QUANTUM, rounds, p_copwin_separable(sr, sc), history)
+            op = moves[mover](MoveContext(k, mover, g, rounds, cop_state=_copy(state["cop"]),
+                                          robber_state=_copy(state["robber"])))
+            state[mover] = step(op, state[mover], g)
+        history.append((mover, k, {key: _copy(s) for key, s in state.items()}))
+    if joint:
+        p = p_copwin_joint(state["joint"], g.n)
+    else:
+        p = capture(state["robber"], state["cop"])
+    return GameTrace(model, rounds, p, history)
 
 
 def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy) -> np.ndarray:
@@ -361,40 +352,25 @@ def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy) -> np.ndarray:
     return np.kron(sr, sc)
 
 
-def _play_quantum_controlled(g, cop, robber, rounds):
-    if cop.prepare is not None:
-        cop.prepare(PrepareContext(g, rounds, "cop", robber))
-    if robber.prepare is not None:
-        robber.prepare(PrepareContext(g, rounds, "robber", cop))
-    cop_move = _move_source(cop)
-    robber_move = _move_source(robber)
-    joint = qc_initial_joint(g, cop, robber)
-    history = [("init", 0, {"joint": joint.copy()})]
-    for k, mover in _round_stages(rounds):
-        ctx = MoveContext(k, mover, g, rounds)
-        op = (cop_move if mover == "cop" else robber_move)(ctx)
-        joint = qc_operation_joint(op, g, mover) @ joint
-        history.append((mover, k, {"joint": joint.copy()}))
-    return GameTrace(GameModel.QUANTUM_CONTROLLED, rounds, p_copwin_joint(joint, g.n), history)
-
-
-def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy, rounds: int) -> float:
+def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
+                              rounds: int) -> GameTrace:
     """Open unfair pursuit: the Cop re-spreads on a dominating set and locks on.
 
     Each round the non-following mass spreads uniformly over the dominating
     set (a walk of at most n single-edge steps), every set vertex adjacent
     to the Robber pours its share onto his vertex, and mass that reached him
-    follows his later moves.  Returns the following mass after the given
-    number of rounds, which is at least 1 - (1 - 1/|D|)^rounds.
+    follows his later moves; then the Robber moves, in the last round too.
+    The trace's p_copwin is the following mass after the given number of
+    rounds, which is at least 1 - (1 - 1/|D|)^rounds.  Its snapshots are
+    {"follow": mass, "robber": vertex}, one per half-move.
     """
+    if cop_dominating is None:
+        raise GameError("the unfair model needs a cop strategy carrying a dominating set")
     if not g.is_undirected or not g.is_reflexive:
         raise GraphError("the unfair pursuit needs an undirected reflexive graph")
     if rounds < 0:
         raise GameError("negative round count")
     dset = sorted({int(d) for d in cop_dominating})
-    for d in dset:
-        if not 0 <= d < g.n:
-            raise GraphError(f"dominating vertex {d} out of range")
     if not dominates(g, dset):
         raise GraphError(f"set {dset} does not dominate the graph")
 
@@ -407,20 +383,17 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy, roun
             vec[d] += free / len(dset)
         return vec
 
-    r = _resolve_init(robber.init, MoveContext(0, "robber", g, rounds, cop_state=np.zeros(g.n)))
-    if not isinstance(r, (int, np.integer)) or not 0 <= r < g.n:
-        raise GameError("the unfair pursuit needs a deterministic robber vertex")
-    r = int(r)
+    r = _vertex(_resolve_init(robber.init, MoveContext(0, "robber", g, rounds,
+                                                       cop_state=np.zeros(g.n))), g.n)
     follow = 0.0
+    history = [("init", 0, {"follow": follow, "robber": r})]
     for k in range(1, rounds + 1):
         free = 1.0 - follow
         caught = sum(1 for d in dset if (d, r) in g.arcs)
         follow += free * caught / len(dset)
+        history.append(("cop", k, {"follow": follow, "robber": r}))
         free = 1.0 - follow
         ctx = MoveContext(k, "robber", g, rounds, cop_state=cop_mass(follow, free, r), robber_state=r)
-        target = robber_move(ctx)
-        target = r if target is None else int(target)
-        if (r, target) not in g.arcs:
-            raise GameError(f"illegal robber move {r} -> {target}: no such arc")
-        r = target
-    return follow
+        r = _arc_step(robber_move(ctx), r, g)
+        history.append(("robber", k, {"follow": follow, "robber": r}))
+    return GameTrace(GameModel.UNFAIR_PROBABILISTIC, rounds, follow, history)

@@ -110,9 +110,13 @@ def complete_graph(n: int) -> Digraph:
     return digraph(n, itertools.combinations(range(n), 2), undirected=True)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_vertex(g: Digraph, v: int):
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+    if not _is_int(v) or not 0 <= v < g.n:
+        raise GraphError(f"vertex {v!r} outside 0..{g.n - 1}")
 
 
 def neighbors(g: Digraph, v: int) -> set:
@@ -227,6 +231,8 @@ def copwin_value_tables(g: Digraph, cap: int = 10):
     The pursuit policy descends vr, an evader climbs vc.
     """
     _require_board(g, "the game solver")
+    if not _is_int(cap):
+        raise GraphError(f"the game solver's cap must be an integer, got {cap!r}")
     if g.n > cap:
         raise GraphError(f"game solver capped at {cap} vertices, got {g.n}")
     a = g.adjacency()

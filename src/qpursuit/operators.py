@@ -78,6 +78,8 @@ def quantum_state(amps, tau: float = ATOL) -> QuantumState:
 
 
 def basis_state(n: int, v: int) -> QuantumState:
+    if not 0 <= v < n:
+        raise ValueError(f"basis vertex {v} outside 0..{n - 1}")
     a = np.zeros(n, dtype=complex)
     a[v] = 1.0
     return QuantumState(a)

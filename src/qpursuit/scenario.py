@@ -10,18 +10,14 @@ import numpy as np
 
 from .engine import (
     ControlledInit,
-    GameError,
     GameModel,
     GameTrace,
     Strategy,
     play,
-    play_unfair_probabilistic,
 )
 from .graphs import Digraph, digraph
 from .operators import ControlledOp, controlled_op
 from .strategies import build_strategy
-
-UNFAIR_MODEL = "unfair_probabilistic"
 
 
 def graph_to_json(g: Digraph) -> dict:
@@ -71,15 +67,22 @@ def operator_to_json(matrix) -> dict:
 def operator_from_json(data: dict) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("operator JSON needs an object with an 'n' field")
-    n = int(data["n"])
+    n = _json_int(data["n"], "operator size n")
+    entries = data.get("entries", [])
+    # JSON rows and columns arrive as plain ints; bools and fractions are refused
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 4 and type(e[0]) is int and type(e[1]) is int
+            for e in entries):
+        raise ValueError("operator entries must be [row, col, re, im] with integer row and col")
+    a = np.array(entries, dtype=float).reshape(-1, 4)
+    if not np.isfinite(a[:, 2:]).all():  # numpy reads a JSON null as nan
+        raise ValueError("operator entry values must be finite numbers")
+    outside = ((a[:, :2] < 0) | (a[:, :2] >= n)).any(axis=1)
+    if outside.any():
+        r, c = entries[int(np.flatnonzero(outside)[0])][:2]
+        raise ValueError(f"operator entry ({r}, {c}) out of range")
     m = np.zeros((n, n), dtype=complex)
-    for entry in data.get("entries", []):
-        if len(entry) != 4:
-            raise ValueError("operator entries must be [row, col, re, im]")
-        r, c, re, im = entry
-        if not (0 <= int(r) < n and 0 <= int(c) < n):
-            raise ValueError(f"operator entry ({r}, {c}) out of range")
-        m[int(r), int(c)] = complex(float(re), float(im))
+    m[a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)] = a[:, 2] + 1j * a[:, 3]
     return m
 
 
@@ -92,6 +95,8 @@ def state_to_json(vec) -> list:
 
 def state_from_json(data) -> np.ndarray:
     a = np.asarray(data, dtype=float)
+    if not np.isfinite(a).all():  # numpy reads a JSON null as nan
+        raise ValueError("state entries must be finite numbers")
     if a.ndim == 2 and a.shape[1] == 2:
         return a[:, 0] + 1j * a[:, 1]
     if a.ndim == 1:
@@ -105,13 +110,19 @@ def controlled_op_to_json(op: ControlledOp) -> dict:
 
 
 def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
-    blocks = [operator_from_json(b) for b in data.get("blocks", [])]
+    blocks = data.get("blocks", [])
+    if not isinstance(blocks, list):
+        raise ValueError("controlled operator blocks must be a list")
+    blocks = [operator_from_json(b) for b in blocks]
     if len(blocks) != g.n:
         raise ValueError(f"controlled operator needs {g.n} blocks, got {len(blocks)}")
     return controlled_op(g, blocks, str(data.get("control", "")))
 
 
-def _init_from_json(spec, model: str, n: int):
+_DETERMINISTIC = (GameModel.CLASSICAL, GameModel.UNFAIR_PROBABILISTIC)
+
+
+def _init_from_json(spec, model: GameModel, n: int):
     if spec is None or spec == "uniform":
         return "uniform"
     if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
@@ -125,23 +136,23 @@ def _init_from_json(spec, model: str, n: int):
             chi[:, v] = col
         return ControlledInit(chi)
     if isinstance(spec, list):
-        if model == UNFAIR_MODEL or model == GameModel.CLASSICAL.value:
+        if model in _DETERMINISTIC:
             raise ValueError("deterministic models need an integer initial vertex")
-        if model == GameModel.OPEN_PROBABILISTIC.value:
+        if model is GameModel.OPEN_PROBABILISTIC:
             return np.asarray(spec, dtype=float)
         return state_from_json(spec)
     raise ValueError(f"unrecognised initial state spec: {spec!r}")
 
 
-def _move_from_json(spec, model: str, g: Digraph):
-    if model in (GameModel.CLASSICAL.value, UNFAIR_MODEL):
+def _move_from_json(spec, model: GameModel, g: Digraph):
+    if model in _DETERMINISTIC:
         return _json_int(spec, "a move of a deterministic model")
     if isinstance(spec, dict) and "control" in spec:
         return controlled_op_from_json(spec, g)
     return operator_from_json(spec)
 
 
-def strategy_from_json(spec, g: Digraph, model: str) -> Strategy:
+def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
     """Strategy from a builtin reference or an inline init + per-round moves spec."""
     if not isinstance(spec, dict):
         raise ValueError("strategy spec must be a JSON object")
@@ -150,6 +161,8 @@ def strategy_from_json(spec, g: Digraph, model: str) -> Strategy:
     init = _init_from_json(spec.get("init"), model, g.n)
     moves = spec.get("moves")
     if moves is not None:
+        if not isinstance(moves, list):
+            raise ValueError("strategy moves must be a list, one entry per round")
         moves = [_move_from_json(m, model, g) for m in moves]
     return Strategy(init=init, move=moves)
 
@@ -158,7 +171,7 @@ def strategy_from_json(spec, g: Digraph, model: str) -> Strategy:
 class Scenario:
     """One runnable game: board, model, round count and both declared strategies."""
 
-    model: str
+    model: GameModel
     graph: Digraph
     rounds: int
     cop: Strategy
@@ -173,42 +186,33 @@ def scenario_from_json(data: dict, base_dir: str = ".") -> Scenario:
     for key in ("model", "graph", "rounds", "cop", "robber"):
         if key not in data:
             raise ValueError(f"scenario JSON misses the '{key}' field")
-    model = str(data["model"])
-    if model != UNFAIR_MODEL:
-        GameModel(model)  # raises ValueError on unknown names
+    model = GameModel(str(data["model"]))  # raises ValueError on unknown names
     graph_spec = data["graph"]
     if isinstance(graph_spec, str):
         with open(os.path.join(base_dir, graph_spec), encoding="utf-8") as fh:
             graph_spec = json.load(fh)
     g = graph_from_json(graph_spec)
-    rounds = int(data["rounds"])
+    rounds = _json_int(data["rounds"], "rounds")
     cop = strategy_from_json(data["cop"], g, model)
     robber = strategy_from_json(data["robber"], g, model)
     return Scenario(model, g, rounds, cop, robber, data["cop"], data["robber"])
 
 
 def scenario_to_json(sc: Scenario) -> dict:
-    return {"model": sc.model, "graph": graph_to_json(sc.graph), "rounds": sc.rounds,
+    return {"model": sc.model.value, "graph": graph_to_json(sc.graph), "rounds": sc.rounds,
             "cop": sc.cop_spec, "robber": sc.robber_spec}
 
 
-def run_scenario(sc: Scenario):
-    """Execute a scenario; returns (p_copwin, trace-or-None)."""
-    if sc.model == UNFAIR_MODEL:
-        dset = sc.cop.params.get("dominating_set")
-        if dset is None:
-            raise GameError("the unfair model needs a cop strategy carrying a dominating set")
-        p = play_unfair_probabilistic(sc.graph, dset, sc.robber, sc.rounds)
-        return p, None
-    trace = play(sc.model, sc.graph, sc.cop, sc.robber, sc.rounds)
-    return trace.p_copwin, trace
+def run_scenario(sc: Scenario) -> GameTrace:
+    """Execute a scenario and return its trace."""
+    return play(sc.model, sc.graph, sc.cop, sc.robber, sc.rounds)
 
 
 def _snapshot_to_json(snap: dict) -> dict:
     out = {}
     for key, value in snap.items():
-        if isinstance(value, (int, np.integer)):
-            out[key] = int(value)
+        if np.ndim(value) == 0:  # a vertex or the unfair pursuit's following mass
+            out[key] = np.asarray(value).item()
         else:
             out[key] = state_to_json(value)
     return out

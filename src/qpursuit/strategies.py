@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .engine import (
@@ -46,7 +48,7 @@ def universal_vertex_catch(g: Digraph, vertex: int = None) -> Strategy:
     robber register holds; the joint state lands on the diagonal and the
     capture probability is 1 whatever separable state the Robber chose.
     """
-    hub = universal_vertex(g) if vertex is None else int(vertex)
+    hub = universal_vertex(g) if vertex is None else vertex
     if hub is None:
         raise GraphError("graph has no universal vertex")
     if neighbors(g, hub) != set(range(g.n)):
@@ -189,15 +191,17 @@ def c4_unfair_cop(g: Digraph) -> Strategy:
                     model=GameModel.QUANTUM_CONTROLLED, name="c4_unfair_cop")
 
 
-def dominating_set_sweep(g: Digraph, dset=None) -> Strategy:
-    """Package a dominating set as the unfair-pursuit cop policy."""
-    if dset is None:
-        dset = dominating_set(g)
-    dset = sorted({int(d) for d in dset})
+def dominating_set_sweep(g: Digraph, set=None) -> Strategy:
+    """Package a dominating set as the unfair-pursuit cop policy.
+
+    The parameter carries the name of its JSON key; by default the set is
+    the greedy dominating_set(g).
+    """
+    dset = dominating_set(g) if set is None else set
     if not dominates(g, dset):
-        raise GraphError(f"set {dset} does not dominate the graph")
-    return Strategy(role="cop", name="dominating_set_sweep",
-                    params={"dominating_set": tuple(dset)})
+        raise GraphError(f"set {sorted(dset)} does not dominate the graph")
+    return Strategy(role="cop", model=GameModel.UNFAIR_PROBABILISTIC, name="dominating_set_sweep",
+                    params={"dominating_set": tuple(sorted({int(d) for d in dset}))})
 
 
 def classical_pursuit(g: Digraph, cap: int = 10) -> Strategy:
@@ -249,14 +253,15 @@ BUILTINS = {
 
 
 def build_strategy(name: str, g: Digraph, params: dict = None) -> Strategy:
-    """Instantiate a builtin strategy by name with JSON-style parameters."""
+    """Instantiate a builtin strategy by name; the JSON params are its keyword arguments."""
     if name not in BUILTINS:
         raise GameError(f"unknown builtin strategy '{name}'; known: {sorted(BUILTINS)}")
-    params = dict(params or {})
-    if name == "universal_vertex_catch":
-        return universal_vertex_catch(g, params.get("vertex"))
-    if name == "dominating_set_sweep":
-        return dominating_set_sweep(g, params.get("set"))
-    if name == "classical_pursuit":
-        return classical_pursuit(g, params.get("cap", 10))
-    return BUILTINS[name](g)
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise GameError(f"params of builtin '{name}' must be an object, got {params!r}")
+    builder = BUILTINS[name]
+    try:
+        inspect.signature(builder).bind(g, **params)
+    except TypeError as exc:
+        raise GameError(f"builtin '{name}' does not take params {sorted(params)}: {exc}") from None
+    return builder(g, **params)

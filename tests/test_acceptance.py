@@ -200,7 +200,8 @@ def test_criterion_7_dominating_sweep_bound():
         a = g.adjacency()
 
         def check(walk, k):
-            p = play_unfair_probabilistic(g, dset, Strategy(init=walk[0], move=walk[1:]), k)
+            p = play_unfair_probabilistic(g, dset, Strategy(init=walk[0], move=walk[1:]),
+                                          k).p_copwin
             if p < bound[k] - 1e-9:
                 failures.append(f"graph {i} walk {walk}: p={p} below {bound[k]}")
 

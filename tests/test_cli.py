@@ -64,6 +64,29 @@ def test_run_unfair_sweep(tmp_path, capsys):
     assert out == "model=unfair_probabilistic t=3 p_copwin=0.875000000\n"
 
 
+README_SWEEP = {"model": "unfair_probabilistic",
+                "graph": {"n": 5, "arcs": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]],
+                          "undirected": True, "reflexive": True},
+                "rounds": 3,
+                "cop": {"builtin": "dominating_set_sweep", "params": {"set": [0, 2]}},
+                "robber": {"init": 4, "moves": [4, 4, 4]}}
+
+
+def test_run_unfair_sweep_writes_a_trace(tmp_path, capsys):
+    trace_path = tmp_path / "tr.json"
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "sweep.json", README_SWEEP),
+                                   "--out", str(trace_path)])
+    assert code == 0 and err == ""
+    printed = float(out.strip().rsplit("p_copwin=", 1)[1])
+    trace = json.loads(trace_path.read_text())
+    assert trace["model"] == "unfair_probabilistic" and trace["rounds"] == 3
+    assert f"{trace['p_copwin']:.9f}" == f"{printed:.9f}"
+    assert len(trace["history"]) == 1 + 2 * README_SWEEP["rounds"]
+    assert trace["history"][0] == {"stage": "init", "round": 0,
+                                   "state": {"follow": 0.0, "robber": 4}}
+    assert trace["history"][-1]["state"] == {"follow": trace["p_copwin"], "robber": 4}
+
+
 def test_run_universal_catch_with_trace(tmp_path, capsys):
     scenario = {"model": "quantum_controlled", "graph": graph_to_json(star_graph(3)),
                 "rounds": 1, "cop": {"builtin": "universal_vertex_catch"},
@@ -178,6 +201,50 @@ def test_verify_op_bad_input(tmp_path, capsys):
     short = _write(tmp_path, "short.json", {"n": 3, "entries": [[0, 0, 1.0]]})
     code, _, err = _run(capsys, ["verify-op", short, graph, "--unitary"])
     assert code == 1 and json.loads(err)["error"] == "ValueError"
+
+
+def test_operator_json_rejects_booleans_and_non_list_entries(tmp_path, capsys):
+    graph = _write(tmp_path, "k2.json", graph_to_json(complete_graph(2)))
+    boolean = _write(tmp_path, "bool.json",
+                     {"n": 2, "entries": [[True, False, 1, 0], [False, True, 1, 0]]})
+    code, out, err = _run(capsys, ["verify-op", boolean, graph, "--unitary"])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+    scalar = _write(tmp_path, "scalar.json", {"n": 2, "entries": [5]})
+    code, out, err = _run(capsys, ["verify-op", scalar, graph, "--unitary"])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+
+
+def test_controlled_move_rejects_non_list_blocks(tmp_path, capsys):
+    scenario = {"model": "quantum_controlled", "graph": graph_to_json(complete_graph(2)),
+                "rounds": 1, "cop": {"init": 0, "moves": [{"control": "robber", "blocks": 5}]},
+                "robber": {"init": 1}}
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+
+
+def test_run_rejects_null_numbers_and_non_list_moves(tmp_path, capsys):
+    g = graph_to_json(complete_graph(2))
+    null_amp = {"model": "classical_quantum", "graph": g, "rounds": 1,
+                "cop": {"init": [[1.0, 0.0], [0.0, None]]}, "robber": {"init": "uniform"}}
+    null_entry = {"model": "open_probabilistic", "graph": g, "rounds": 1,
+                  "cop": {"init": 0, "moves": [{"n": 2, "entries": [[0, 0, None, 0.0]]}]},
+                  "robber": {"init": 1}}
+    null_prob = {"model": "open_probabilistic", "graph": g, "rounds": 1,
+                 "cop": {"init": [1.0, None]}, "robber": {"init": 1}}
+    scalar_moves = {"model": "classical", "graph": g, "rounds": 1,
+                    "cop": {"init": 0, "moves": 1}, "robber": {"init": 1}}
+    for scenario, error in ((null_amp, "ValueError"), (null_entry, "ValueError"),
+                            (null_prob, "GameError"), (scalar_moves, "ValueError")):
+        code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+        assert code == 1 and out == "" and json.loads(err)["error"] == error
+
+
+def test_run_rejects_boolean_and_fractional_rounds(tmp_path, capsys):
+    for rounds in (2.9, True, 2.0):
+        scenario = {"model": "classical", "graph": graph_to_json(path_graph(3)),
+                    "rounds": rounds, "cop": {"init": 0}, "robber": {"init": 2}}
+        code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+        assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
 
 
 def test_reach_path3(tmp_path, capsys):

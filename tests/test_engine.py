@@ -1,7 +1,11 @@
 """Game execution: capture functionals, the four models, and the unfair pursuit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpursuit import (
     ControlledInit,
@@ -14,6 +18,7 @@ from qpursuit import (
     controlled_identity,
     cycle_graph,
     dominating_set,
+    dominating_set_sweep,
     neighbors,
     p_copwin_joint,
     p_copwin_probabilistic,
@@ -242,9 +247,9 @@ def test_unfair_pursuit_cycle5_staying_robber():
     g = cycle_graph(5)
     # only vertex 0 of the set touches the robber's corner, so he is found
     # with probability 1/2 per round
-    assert play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), 3) == 0.875
-    assert play_unfair_probabilistic(g, {0, 2}, Strategy(init=1), 1) == 1.0
-    assert play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), 0) == 0.0
+    assert play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), 3).p_copwin == 0.875
+    assert play_unfair_probabilistic(g, {0, 2}, Strategy(init=1), 1).p_copwin == 1.0
+    assert play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), 0).p_copwin == 0.0
 
 
 def test_unfair_pursuit_validates_input():
@@ -289,5 +294,92 @@ def test_unfair_pursuit_respects_the_dominating_bound(rng):
             options = sorted(neighbors(g, ctx.robber_state))
             return options[int(rng.integers(len(options)))]
 
-        p = play_unfair_probabilistic(g, dset, Strategy(init=int(rng.integers(n)), move=walk), k)
+        p = play_unfair_probabilistic(g, dset, Strategy(init=int(rng.integers(n)), move=walk),
+                                      k).p_copwin
         assert 1.0 - (1.0 - 1.0 / len(dset)) ** k - 1e-9 <= p <= 1.0 + 1e-12
+
+
+def test_unfair_pursuit_trace_layout():
+    g = cycle_graph(5)
+    trace = play("unfair_probabilistic", g, dominating_set_sweep(g, [0, 2]),
+                 Strategy(init=4, move=[3, 3, 4]), 3)
+    assert trace.model is GameModel.UNFAIR_PROBABILISTIC and trace.rounds == 3
+    # one vertex of {0, 2} touches the robber's closed neighbourhood every round
+    assert trace.history == [
+        ("init", 0, {"follow": 0.0, "robber": 4}),
+        ("cop", 1, {"follow": 0.5, "robber": 4}), ("robber", 1, {"follow": 0.5, "robber": 3}),
+        ("cop", 2, {"follow": 0.75, "robber": 3}), ("robber", 2, {"follow": 0.75, "robber": 3}),
+        ("cop", 3, {"follow": 0.875, "robber": 3}), ("robber", 3, {"follow": 0.875, "robber": 4}),
+    ]
+    assert trace.p_copwin == 0.875
+    with pytest.raises(GameError):  # a cop without a dominating set
+        play("unfair_probabilistic", g, Strategy(), Strategy(init=4), 1)
+
+
+def test_prepare_runs_in_every_model():
+    g = cycle_graph(5)
+    players = {
+        GameModel.CLASSICAL: (Strategy(init=0), Strategy(init=2)),
+        GameModel.OPEN_PROBABILISTIC: (Strategy(), Strategy()),
+        GameModel.CLASSICAL_QUANTUM: (Strategy(), Strategy()),
+        GameModel.QUANTUM_CONTROLLED: (Strategy(), Strategy()),
+        GameModel.UNFAIR_PROBABILISTIC: (dominating_set_sweep(g), Strategy(init=4)),
+    }
+    assert set(players) == set(GameModel)
+    for model, (cop, robber) in players.items():
+        seen = []
+
+        def record(ctx):
+            seen.append((ctx.role, ctx.rounds, ctx.opponent))
+
+        cop = dataclasses.replace(cop, prepare=record)
+        robber = dataclasses.replace(robber, prepare=record)
+        play(model, g, cop, robber, 2)
+        assert len(seen) == 2, model
+        assert seen[0][:2] == ("cop", 2) and seen[0][2] is robber
+        assert seen[1][:2] == ("robber", 2) and seen[1][2] is cop
+
+
+def _reference_final(start, ops):
+    vec = start
+    for m in ops:
+        vec = vec if m is None else m @ vec
+    return vec
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rounds=st.integers(1, 4))
+def test_play_matches_a_numpy_reference(seed, n, rounds):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, rng)
+
+    def moves(sampler, count):
+        # some rounds fall back to the identity move
+        return [None if rng.random() < 0.25 else sampler(g, rng).matrix for _ in range(count)]
+
+    cop_ops, robber_ops = moves(sample_graph_stochastic, rounds), \
+        moves(sample_graph_stochastic, rounds - 1)
+    pc0, pr0 = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    trace = play("open_probabilistic", g, Strategy(init=pc0, move=cop_ops),
+                 Strategy(init=pr0, move=robber_ops), rounds)
+    pc, pr = _reference_final(pc0, cop_ops), _reference_final(pr0, robber_ops)
+    assert len(trace.history) == 2 * rounds
+    assert np.allclose(trace.history[-1][2]["cop"], pc, atol=1e-12)
+    assert np.allclose(trace.history[-1][2]["robber"], pr, atol=1e-12)
+    assert np.isclose(trace.p_copwin, float(np.sum(pr * pc)), atol=1e-12)
+
+    cop_ops, robber_ops = moves(sample_graph_unitary, rounds), \
+        moves(sample_graph_unitary, rounds - 1)
+    sc0, sr0 = _random_amps(rng, n), _random_amps(rng, n)
+    cop, robber = Strategy(init=sc0, move=cop_ops), Strategy(init=sr0, move=robber_ops)
+    cq = play("classical_quantum", g, cop, robber, rounds)
+    sc, sr = _reference_final(sc0, cop_ops), _reference_final(sr0, robber_ops)
+    assert np.allclose(cq.history[-1][2]["cop"], sc, atol=1e-12)
+    assert np.allclose(cq.history[-1][2]["robber"], sr, atol=1e-12)
+    assert np.isclose(cq.p_copwin, float(np.sum(np.abs(sr * sc) ** 2)), atol=1e-12)
+
+    # product strategies give the same game in the quantum controlled model
+    qc = play("quantum_controlled", g, cop, robber, rounds)
+    assert np.isclose(qc.p_copwin, cq.p_copwin, atol=1e-12)
+    for (stage, rnd, local), (qstage, qrnd, joint) in zip(cq.history, qc.history):
+        assert (stage, rnd) == (qstage, qrnd)
+        assert np.allclose(joint["joint"], np.kron(local["robber"], local["cop"]), atol=1e-12)

@@ -87,6 +87,12 @@ def test_quantum_state_roundtrip_and_validation():
     assert np.allclose(uniform_state(4).amps, 0.5)
 
 
+def test_basis_state_checks_the_vertex_range():
+    for v in (-1, 3):  # -1 would otherwise index from the end and give |2>
+        with pytest.raises(ValueError):
+            basis_state(3, v)
+
+
 @pytest.mark.parametrize("g", [path_graph(3), cycle_graph(5), star_graph(4), directed_cycle(3)])
 def test_identity_is_always_graph_preserving(g):
     assert is_graph_preserving_unitary(np.eye(g.n), g).ok

@@ -206,3 +206,21 @@ def test_builtin_registry_routes_parameters():
         build_strategy("classical_pursuit", path_graph(5), {"cap": 3})
     with pytest.raises(GameError):
         build_strategy("no_such_plan", g)
+
+
+def test_builtin_params_must_be_known_integer_keywords():
+    with pytest.raises(GameError):  # a misspelt key is not silently dropped
+        build_strategy("classical_pursuit", path_graph(4), {"cpa": 64})
+    with pytest.raises(GameError):
+        build_strategy("uniform_spread", path_graph(4), {"cap": 3})
+    with pytest.raises(GameError):
+        build_strategy("classical_pursuit", path_graph(4), [["cap", 3]])
+    for cap in (True, 12.0):
+        with pytest.raises(GraphError):
+            build_strategy("classical_pursuit", path_graph(4), {"cap": cap})
+    for vertex in (True, 1.0, "1"):
+        with pytest.raises(GraphError):
+            build_strategy("universal_vertex_catch", complete_graph(3), {"vertex": vertex})
+    with pytest.raises(GraphError):  # {1, 3} dominates C5, but True is not vertex 1
+        build_strategy("dominating_set_sweep", cycle_graph(5), {"set": [True, 3]})
+    assert build_strategy("classical_pursuit", path_graph(12), {"cap": 12}).init == 5

@@ -18,6 +18,7 @@ from .graphs import Digraph, GraphError, dominates
 from .operators import (
     ATOL,
     ControlledOp,
+    GatherRotation,
     GraphStochastic,
     GraphUnitary,
     QuantumState,
@@ -221,7 +222,9 @@ def _stochastic_matrix(op, g: Digraph) -> np.ndarray:
 
 
 def _unitary_matrix(op, g: Digraph) -> np.ndarray:
-    m = op.matrix if isinstance(op, GraphUnitary) else np.asarray(op, dtype=complex)
+    if isinstance(op, (GraphUnitary, GatherRotation)):
+        op = op.matrix
+    m = np.asarray(op, dtype=complex)
     report = is_graph_preserving_unitary(m, g)
     if not report:
         raise GameError(f"illegal unitary move: {report}")

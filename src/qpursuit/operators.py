@@ -7,6 +7,7 @@ whenever (v, w) is not an arc".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ from .graphs import (
     spanning_tree,
 )
 
-# Certification and fidelity tolerance for dense double precision at n <= 256.
+# Certification and fidelity tolerance.  A gather's certificate is the residual
+# of one 2x2 block, which does not grow with n, so it holds at any board size;
+# dense certification (an n x n product m^H m) is documented for n <= 256.
 ATOL = 1e-9
 # Looser tolerance for inequalities derived from certified quantities.
 ATOL_DERIVED = 1e-8
@@ -190,7 +193,74 @@ def identity_stochastic(g: Digraph) -> GraphStochastic:
     return certify_stochastic(np.eye(g.n), g)
 
 
-def gather_unitary(g: Digraph, v: int, w: int, phi, target, tau: float = ATOL) -> GraphUnitary:
+_EYE2 = np.eye(2, dtype=complex)
+
+
+@dataclass(frozen=True, eq=False)
+class GatherRotation:
+    """Identity outside {v, w} and a 2x2 unitary block on rows and columns (v, w).
+
+    block[i, j] is the matrix entry at row (v, w)[i], column (v, w)[j].  Build
+    one with certify_gather.  apply copies the state and rotates two entries;
+    adjoint is O(1) in the board size.
+    """
+
+    graph: Digraph
+    v: int
+    w: int
+    block: np.ndarray
+
+    def apply(self, state) -> np.ndarray:
+        out = np.array(state_vector(state), dtype=complex)
+        pair = [self.v, self.w]
+        out[pair] = self.block @ out[pair]
+        return out
+
+    def adjoint(self) -> "GatherRotation":
+        """Conjugate-transposed block on the same pair, certified against the reverse graph."""
+        g = self.graph if self.graph.is_undirected else reverse_digraph(self.graph)
+        return certify_gather(g, self.v, self.w, self.block.conj().T)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix, built afresh on every access."""
+        m = np.eye(self.graph.n, dtype=complex)
+        m[np.ix_([self.v, self.w], [self.v, self.w])] = self.block
+        return m
+
+
+def certify_gather(g: Digraph, v: int, w: int, block, tau: float = ATOL) -> GatherRotation:
+    """Certify identity-plus-block in O(n) without building the dense matrix.
+
+    Every entry the block sets needs its arc, both loops and the arc pair
+    (v, w), (w, v) included, and every identity entry outside the block needs
+    its loop; the block must be unitary within tau.  On a reflexive graph with
+    that arc pair this is exactly the dense graph-preserving certificate, and
+    it is stricter elsewhere: a missing arc fails even under a zero entry.
+    """
+    b = np.array(block, dtype=complex)
+    if b.shape != (2, 2):
+        raise ValueError(f"gather block shape {b.shape} is not (2, 2)")
+    if v == w:
+        raise GraphError("gather needs two distinct vertices")
+    pair = (v, w)
+    violations = tuple((pair[i], pair[j], float(abs(b[i, j])))
+                       for i in range(2) for j in range(2) if (pair[j], pair[i]) not in g.arcs)
+    if not g.is_reflexive:
+        violations += tuple((u, u, 1.0) for u in range(g.n)
+                            if u not in pair and (u, u) not in g.arcs)
+    residual = float(np.abs(b.conj().T @ b - _EYE2).max())
+    report = OpReport(residual <= tau and not violations, violations, residual, "unitary")
+    if not report:
+        raise CertificationError(
+            f"gather on ({v}, {w}) is not a graph-preserving unitary: "
+            f"residual={report.residual:.3e}, {len(report.violations)} forbidden entries",
+            report,
+        )
+    return GatherRotation(g, v, w, b)
+
+
+def gather_unitary(g: Digraph, v: int, w: int, phi, target, tau: float = ATOL) -> GatherRotation:
     """Identity outside {v, w}, and on that block a rotation taking phi's part to target.
 
     Needs both arcs (v, w) and (w, v) plus all loops, so the embedded
@@ -204,20 +274,22 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target, tau: float = ATOL) -
     if not g.is_reflexive:
         raise GraphError("gather needs a reflexive graph")
     amps = state_vector(phi)
-    a = np.array([amps[v], amps[w]], dtype=complex)
-    b = np.array([target[0], target[1]], dtype=complex)
-    sa = float(np.linalg.norm(a))
-    sb = float(np.linalg.norm(b))
+    x0, x1 = complex(amps[v]), complex(amps[w])
+    y0, y1 = complex(target[0]), complex(target[1])
+    sa = math.hypot(abs(x0), abs(x1))
+    sb = math.hypot(abs(y0), abs(y1))
     if abs(sa * sa - sb * sb) > tau:
         raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
-    m = np.eye(g.n, dtype=complex)
+    block = _EYE2
     if sa > _ZERO_BLOCK:
-        ua = a / sa
-        ub = b / sb
-        ua_perp = np.array([-ua[1].conj(), ua[0].conj()])
-        ub_perp = np.array([-ub[1].conj(), ub[0].conj()])
-        m[np.ix_([v, w], [v, w])] = np.outer(ub, ua.conj()) + np.outer(ub_perp, ua_perp.conj())
-    return certify_unitary(m, g, tau)
+        # |b><a| + |b_perp><a_perp| with unit a = (x0, x1), b = (y0, y1) and
+        # a_perp = (-x1*, x0*), b_perp = (-y1*, y0*)
+        x0, x1, y0, y1 = x0 / sa, x1 / sa, y0 / sb, y1 / sb
+        block = [[y0 * x0.conjugate() + y1.conjugate() * x1,
+                  y0 * x1.conjugate() - y1.conjugate() * x0],
+                 [y1 * x0.conjugate() - y0.conjugate() * x1,
+                  y1 * x1.conjugate() + y0.conjugate() * x0]]
+    return certify_gather(g, v, w, block, tau)
 
 
 def _gather_chain(tree_graph: Digraph, tree, vec: np.ndarray, tau: float):
@@ -347,6 +419,8 @@ def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:
             u = assignment(v) if callable(assignment) else assignment[v]
         except (KeyError, IndexError):
             raise ValueError(f"assignment misses vertex {v}") from None
+        if isinstance(u, GatherRotation):
+            u = u.matrix
         if not isinstance(u, GraphUnitary):
             u = certify_unitary(u, g)
         elif u.matrix.shape != (g.n, g.n):

@@ -45,23 +45,28 @@ def graph_from_json(data: dict) -> Digraph:
         raise ValueError("graph JSON needs an object with an 'n' field")
     n = _json_int(data["n"], "graph size n")
     arcs = data.get("arcs", [])
-    if not all(isinstance(a, (list, tuple)) and len(a) == 2 for a in arcs):
+    if not isinstance(arcs, list) or not all(
+            isinstance(a, (list, tuple)) and len(a) == 2 for a in arcs):
         raise ValueError("graph arcs must be [u, v] pairs")
+    flags = {key: data.get(key, False) for key in ("undirected", "reflexive")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"graph field '{key}' must be true or false, got {value!r}")
     return digraph(n, [(_json_int(u, "arc endpoint"), _json_int(v, "arc endpoint"))
-                       for u, v in arcs],
-                   undirected=bool(data.get("undirected", False)),
-                   reflexive=bool(data.get("reflexive", False)))
+                       for u, v in arcs], **flags)
 
 
 def operator_to_json(matrix) -> dict:
+    """Non-zero entries as [row, col, re, im], in row-major order."""
     m = np.asarray(matrix, dtype=complex)
-    entries = []
-    for r in range(m.shape[0]):
-        for c in range(m.shape[1]):
-            z = m[r, c]
-            if z != 0:
-                entries.append([r, c, float(z.real), float(z.imag)])
+    rows, cols = np.nonzero(m)
+    vals = m[rows, cols]
+    entries = [list(e) for e in zip(rows.tolist(), cols.tolist(),
+                                    vals.real.tolist(), vals.imag.tolist())]
     return {"n": int(m.shape[0]), "entries": entries}
+
+
+_JSON_NUMBER = (int, float)
 
 
 def operator_from_json(data: dict) -> np.ndarray:
@@ -69,13 +74,16 @@ def operator_from_json(data: dict) -> np.ndarray:
         raise ValueError("operator JSON needs an object with an 'n' field")
     n = _json_int(data["n"], "operator size n")
     entries = data.get("entries", [])
-    # JSON rows and columns arrive as plain ints; bools and fractions are refused
+    # JSON rows and columns arrive as plain ints and values as numbers; bools,
+    # strings and fractional indices are refused
     if not isinstance(entries, list) or not all(
             isinstance(e, list) and len(e) == 4 and type(e[0]) is int and type(e[1]) is int
+            and type(e[2]) in _JSON_NUMBER and type(e[3]) in _JSON_NUMBER
             for e in entries):
-        raise ValueError("operator entries must be [row, col, re, im] with integer row and col")
+        raise ValueError("operator entries must be [row, col, re, im] with integer row and col "
+                         "and numeric re and im")
     a = np.array(entries, dtype=float).reshape(-1, 4)
-    if not np.isfinite(a[:, 2:]).all():  # numpy reads a JSON null as nan
+    if not np.isfinite(a[:, 2:]).all():  # Python's json reads NaN and Infinity literals
         raise ValueError("operator entry values must be finite numbers")
     outside = ((a[:, :2] < 0) | (a[:, :2] >= n)).any(axis=1)
     if outside.any():
@@ -128,6 +136,8 @@ def _init_from_json(spec, model: GameModel, n: int):
     if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
         return int(spec)
     if isinstance(spec, dict) and "controlled" in spec:
+        if not isinstance(spec["controlled"], list):
+            raise ValueError("a controlled preparation must be a list of columns")
         cols = [state_from_json(col) for col in spec["controlled"]]
         if len(cols) != n:
             raise ValueError(f"controlled preparation needs {n} columns")

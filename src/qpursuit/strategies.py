@@ -191,6 +191,9 @@ def c4_unfair_cop(g: Digraph) -> Strategy:
                     model=GameModel.QUANTUM_CONTROLLED, name="c4_unfair_cop")
 
 
+_VERTEX_COLLECTIONS = (list, tuple, set, frozenset)
+
+
 def dominating_set_sweep(g: Digraph, set=None) -> Strategy:
     """Package a dominating set as the unfair-pursuit cop policy.
 
@@ -198,6 +201,8 @@ def dominating_set_sweep(g: Digraph, set=None) -> Strategy:
     the greedy dominating_set(g).
     """
     dset = dominating_set(g) if set is None else set
+    if not isinstance(dset, _VERTEX_COLLECTIONS):
+        raise GraphError(f"dominating set must be a list of vertices, got {dset!r}")
     if not dominates(g, dset):
         raise GraphError(f"set {sorted(dset)} does not dominate the graph")
     return Strategy(role="cop", model=GameModel.UNFAIR_PROBABILISTIC, name="dominating_set_sweep",

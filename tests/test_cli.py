@@ -233,8 +233,11 @@ def test_run_rejects_null_numbers_and_non_list_moves(tmp_path, capsys):
                  "cop": {"init": [1.0, None]}, "robber": {"init": 1}}
     scalar_moves = {"model": "classical", "graph": g, "rounds": 1,
                     "cop": {"init": 0, "moves": 1}, "robber": {"init": 1}}
+    scalar_columns = {"model": "quantum_controlled", "graph": g, "rounds": 1,
+                      "cop": {"init": 0}, "robber": {"init": {"controlled": 5}}}
     for scenario, error in ((null_amp, "ValueError"), (null_entry, "ValueError"),
-                            (null_prob, "GameError"), (scalar_moves, "ValueError")):
+                            (null_prob, "GameError"), (scalar_moves, "ValueError"),
+                            (scalar_columns, "ValueError")):
         code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
         assert code == 1 and out == "" and json.loads(err)["error"] == error
 
@@ -351,6 +354,37 @@ def test_graph_json_rejects_booleans_and_fractions(tmp_path, capsys):
         assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
 
 
+def test_graph_json_rejects_non_boolean_flags_and_non_list_arcs(tmp_path, capsys):
+    for key, value in (("undirected", "no"), ("reflexive", 1), ("undirected", None),
+                       ("arcs", 5), ("arcs", None)):
+        scenario = dict(README_SWEEP, graph=dict(README_SWEEP["graph"], **{key: value}))
+        code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError" and key in record["message"]
+
+
+def test_verify_op_rejects_non_numeric_values(tmp_path, capsys):
+    graph = _write(tmp_path, "k2.json", graph_to_json(complete_graph(2)))
+    for entries in ([[0, 0, "1", 0], [1, 1, True, 0]], [[0, 0, 1.0, "0"], [1, 1, 1.0, 0.0]],
+                    [[0, 0, 1.0, False], [1, 1, 1.0, 0.0]]):
+        op = _write(tmp_path, "op.json", {"n": 2, "entries": entries})
+        code, out, err = _run(capsys, ["verify-op", op, graph, "--unitary"])
+        assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+    # integer values stay accepted
+    op = _write(tmp_path, "op.json", {"n": 2, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
+    code, out, _ = _run(capsys, ["verify-op", op, graph, "--unitary"])
+    assert code == 0 and out.startswith("PASS unitary")
+
+
+def test_sweep_rejects_a_set_that_is_not_a_list(tmp_path, capsys):
+    for dset in (5, "02", {"0": 1}, [0, "2"], [0, 2.0]):
+        scenario = dict(README_SWEEP, cop={"builtin": "dominating_set_sweep",
+                                           "params": {"set": dset}})
+        code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+        assert code == 1 and out == "" and json.loads(err)["error"] == "GraphError"
+
+
 def test_deterministic_moves_reject_booleans_and_fractions(tmp_path, capsys):
     for model, move in (("classical", True), ("classical", 1.0),
                         ("unfair_probabilistic", True)):
@@ -421,6 +455,29 @@ def test_operator_and_state_json_round_trip(rng):
     assert np.array_equal(state_from_json(json.loads(json.dumps(state_to_json(vec)))), vec)
     real = rng.dirichlet(np.ones(4))
     assert np.array_equal(state_from_json(json.loads(json.dumps(state_to_json(real)))), real)
+
+
+def _loop_operator_to_json(matrix):
+    """The per-entry scan operator_to_json used before it was vectorised, kept as the reference."""
+    m = np.asarray(matrix, dtype=complex)
+    entries = []
+    for r in range(m.shape[0]):
+        for c in range(m.shape[1]):
+            z = m[r, c]
+            if z != 0:
+                entries.append([r, c, float(z.real), float(z.imag)])
+    return {"n": int(m.shape[0]), "entries": entries}
+
+
+def test_operator_to_json_matches_the_entry_loop(rng):
+    for n in (1, 3, 8):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m[rng.random((n, n)) < 0.5] = 0.0
+        m[0, 0] = complex(-0.0, -0.0)  # a signed zero is still omitted
+        m[-1, 0] = complex(1.5, -0.0)  # and a signed zero part is kept as written
+        for matrix in (m, m.real, np.eye(n)):
+            fast, slow = operator_to_json(matrix), _loop_operator_to_json(matrix)
+            assert json.dumps(fast) == json.dumps(slow)
 
 
 def test_scenario_json_round_trip():

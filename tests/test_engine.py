@@ -12,13 +12,17 @@ from qpursuit import (
     GameError,
     GameModel,
     GraphError,
+    GraphUnitary,
     Strategy,
     complete_graph,
     constant_controlled_op,
     controlled_identity,
+    controlled_op,
     cycle_graph,
     dominating_set,
     dominating_set_sweep,
+    gather_unitary,
+    identity_unitary,
     neighbors,
     p_copwin_joint,
     p_copwin_probabilistic,
@@ -383,3 +387,20 @@ def test_play_matches_a_numpy_reference(seed, n, rounds):
     for (stage, rnd, local), (qstage, qrnd, joint) in zip(cq.history, qc.history):
         assert (stage, rnd) == (qstage, qrnd)
         assert np.allclose(joint["joint"], np.kron(local["robber"], local["cop"]), atol=1e-12)
+
+
+def test_gather_rotation_plays_as_a_move_and_as_a_controlled_block():
+    g = path_graph(3)
+    u = gather_unitary(g, 0, 1, [1.0, 0.0, 0.0], (0.0, 1.0))  # carries |0> onto |1>
+    trace = play("classical_quantum", g, Strategy(init=0, move=[u]), Strategy(init=1), 1)
+    assert trace.p_copwin == pytest.approx(1.0)
+    # a robber on vertex 1 triggers the gather; on 0 or 2 the cop stays put
+    op = controlled_op(g, [identity_unitary(g), u, identity_unitary(g)], control="robber")
+    assert isinstance(op.blocks[1], GraphUnitary)
+    assert np.array_equal(op.blocks[1].matrix, u.matrix)
+    for robber, expected in ((1, 1.0), (0, 1.0), (2, 0.0)):
+        qc = play("quantum_controlled", g, Strategy(init=0, move=[op]), Strategy(init=robber), 1)
+        assert qc.p_copwin == pytest.approx(expected)
+    # a bare gather is lifted to the constant controlled move
+    qc = play("quantum_controlled", g, Strategy(init=0, move=[u]), Strategy(init=1), 1)
+    assert qc.p_copwin == pytest.approx(1.0)

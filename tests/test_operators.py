@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpursuit import (
     ATOL,
     CertificationError,
+    GatherRotation,
     GraphError,
     GraphUnitary,
     QuantumState,
     apply_sequence,
     basis_state,
+    certify_gather,
     certify_stochastic,
     certify_unitary,
     complete_graph,
@@ -41,11 +43,13 @@ from qpursuit import (
     sample_graph_stochastic,
     sample_graph_unitary,
     sample_path3_unitary,
+    spanning_tree,
     star_graph,
     state_vector,
     transposition_unitary,
     uniform_state,
 )
+from qpursuit.operators import _SKIP, _ZERO_BLOCK
 
 # regression point for the 4-cycle collapse: polar amplitudes and free phases
 C4_AMPS = (0.6, 0.3, 0.48, -0.2, 0.64, 1.1)
@@ -248,6 +252,151 @@ def test_reach_random_instances_hold_bound_and_fidelity(rng):
             cur = u.apply(cur)
             assert abs(np.linalg.norm(cur) - 1.0) < 1e-9
         assert abs(np.vdot(psi, cur)) >= 1.0 - 1e-9
+
+
+def _dense_gather_unitary(g, v, w, phi, target, tau=ATOL):
+    """The dense gather that reach_sequence used before GatherRotation, kept as the oracle."""
+    if v == w:
+        raise GraphError("gather needs two distinct vertices")
+    if (v, w) not in g.arcs or (w, v) not in g.arcs:
+        raise GraphError(f"vertices {v} and {w} are not mutually adjacent")
+    if not g.is_reflexive:
+        raise GraphError("gather needs a reflexive graph")
+    amps = state_vector(phi)
+    a = np.array([amps[v], amps[w]], dtype=complex)
+    b = np.array([target[0], target[1]], dtype=complex)
+    sa = float(np.linalg.norm(a))
+    sb = float(np.linalg.norm(b))
+    if abs(sa * sa - sb * sb) > tau:
+        raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
+    m = np.eye(g.n, dtype=complex)
+    if sa > _ZERO_BLOCK:
+        ua = a / sa
+        ub = b / sb
+        ua_perp = np.array([-ua[1].conj(), ua[0].conj()])
+        ub_perp = np.array([-ub[1].conj(), ub[0].conj()])
+        m[np.ix_([v, w], [v, w])] = np.outer(ub, ua.conj()) + np.outer(ub_perp, ua_perp.conj())
+    return certify_unitary(m, g, tau)
+
+
+def _dense_reach_sequence(g, phi, psi, root=0, tau=ATOL):
+    """reach_sequence's fold-and-unfold chain built from dense gathers and dense adjoints."""
+    a, b = state_vector(phi), state_vector(psi)
+    tree = spanning_tree(g, root)
+    if abs(np.vdot(b, a)) >= 1.0 - tau:
+        return []
+    tree_graph = tree.as_digraph()
+
+    def fold(vec):
+        cur = vec.astype(complex).copy()
+        ops = []
+        for v in tree.order[:-1]:
+            w = tree.parent[v]
+            if abs(cur[v]) <= _SKIP:
+                continue
+            s = float(np.hypot(abs(cur[v]), abs(cur[w])))
+            u = _dense_gather_unitary(tree_graph, v, w, cur, (0.0, s), tau)
+            cur = u.apply(cur)
+            ops.append(u)
+        return ops
+
+    return fold(a) + [u.adjoint() for u in reversed(fold(b))]
+
+
+@st.composite
+def _transport_instances(draw):
+    n = draw(st.integers(2, 12))
+    g = random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                               draw(st.sampled_from((0.0, 0.3, 1.0))))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def state():
+        # drawn entry by entry, so exact zeros (skipped gathers) and equal states occur
+        vec = np.array(draw(st.lists(st.tuples(part, part), min_size=n, max_size=n)))
+        vec = vec[:, 0] + 1j * vec[:, 1]
+        assume(np.linalg.norm(vec) > 1e-3)
+        return vec / np.linalg.norm(vec)
+
+    phi = state()
+    psi = phi * np.exp(1j * draw(part)) if draw(st.integers(0, 4)) == 0 else state()
+    return g, phi, psi, draw(st.integers(0, n - 1)), draw(st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=200)
+@given(_transport_instances())
+def test_gather_chain_matches_the_dense_oracle(instance):
+    g, phi, psi, root, eps = instance
+    ops = reach_sequence(g, phi, psi, root)
+    dense = _dense_reach_sequence(g, phi, psi, root)
+    assert len(ops) == len(dense) <= 2 * g.n - 2
+    for u, d in zip(ops, dense):
+        assert isinstance(u, GatherRotation)
+        assert np.allclose(u.matrix, d.matrix, rtol=0.0, atol=1e-12)
+        assert np.allclose(u.adjoint().matrix, u.matrix.conj().T, rtol=0.0, atol=1e-12)
+        assert is_graph_preserving_unitary(u.matrix, g).ok
+    assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
+    # a lone gather toward a general target, not only the chain's (0, s) targets
+    tree = spanning_tree(g, root)
+    v = tree.order[0]
+    aim = psi[[v, tree.parent[v]]]
+    if np.linalg.norm(aim) > 1e-6:
+        target = aim * np.linalg.norm(phi[[v, tree.parent[v]]]) / np.linalg.norm(aim)
+        u = gather_unitary(g, v, tree.parent[v], phi, target)
+        d = _dense_gather_unitary(g, v, tree.parent[v], phi, target)
+        assert np.allclose(u.matrix, d.matrix, rtol=0.0, atol=1e-12)
+        assert np.allclose(u.apply(phi)[[v, tree.parent[v]]], target, rtol=0.0, atol=1e-12)
+    # a block scaled off the unit sphere is refused, built directly or through adjoint
+    forged = (1.0 + eps) * haar_unitary(2, np.random.default_rng(v))
+    with pytest.raises(CertificationError) as err:
+        certify_gather(g, v, tree.parent[v], forged)
+    assert err.value.report.residual > ATOL and not err.value.report.violations
+    with pytest.raises(CertificationError):
+        GatherRotation(g, v, tree.parent[v], forged).adjoint()
+
+
+def test_certify_gather_reports_missing_arcs_and_loops():
+    block = haar_unitary(2, np.random.default_rng(1))
+    g = path_graph(3)
+    with pytest.raises(CertificationError) as err:
+        certify_gather(g, 0, 2, block)
+    assert {(r, c) for r, c, _ in err.value.report.violations} == {(0, 2), (2, 0)}
+    loopless = digraph(3, [(0, 1), (1, 2)], undirected=True, reflexive=False)
+    with pytest.raises(CertificationError) as err:
+        certify_gather(loopless, 0, 1, block)
+    assert {(r, c) for r, c, _ in err.value.report.violations} == {(0, 0), (1, 1), (2, 2)}
+    with pytest.raises(GraphError):
+        certify_gather(g, 1, 1, block)
+    with pytest.raises(ValueError):
+        certify_gather(g, 0, 1, np.eye(3))
+    u = certify_gather(g, 0, 1, block)
+    assert is_graph_preserving_unitary(u.matrix, g).ok
+    assert u.matrix is not u.matrix  # materialised afresh, never cached
+    vec = uniform_state(3).amps
+    out = u.apply(vec)
+    assert np.allclose(out, u.matrix @ vec, atol=1e-15) and out is not vec
+
+
+def test_gather_adjoint_on_a_directed_board():
+    g = digraph(3, [(0, 1), (1, 0), (1, 2)], reflexive=True)
+    u = gather_unitary(g, 0, 1, [0.6, 0.8j, 0.0], (0.0, 1.0))
+    adj = u.adjoint()
+    assert adj.graph == reverse_digraph(g)
+    assert np.allclose(adj.matrix, u.matrix.conj().T)
+    assert np.allclose(adj.apply(u.apply([0.6, 0.8j, 0.0])), [0.6, 0.8j, 0.0], atol=1e-15)
+
+
+def test_reach_at_n512_holds_bound_and_fidelity():
+    n = 512
+    rng = np.random.default_rng(512)
+    g = random_connected_graph(n, rng, 3.0 / n)
+    phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phi /= np.linalg.norm(phi)
+    psi = uniform_state(n).amps
+    ops = reach_sequence(g, phi, psi)
+    assert 0 < len(ops) <= 2 * n - 2
+    assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
+    for u in (ops[0], ops[-1]):
+        assert is_graph_preserving_unitary(u.matrix, g).ok
 
 
 def test_reach_preconditions():

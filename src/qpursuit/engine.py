@@ -23,6 +23,7 @@ from .operators import (
     GraphUnitary,
     QuantumState,
     basis_state,
+    constant_controlled_op,
     is_graph_preserving_stochastic,
     is_graph_preserving_unitary,
     state_vector,
@@ -203,6 +204,13 @@ def _amp_vector(init, n: int) -> np.ndarray:
     return vec
 
 
+def _uncontrolled(spec, model: GameModel, role: str):
+    """spec itself; a controlled operation or preparation is refused where the model has none."""
+    if isinstance(spec, (ControlledOp, ControlledInit)):
+        raise GameError(f"the {role} cannot use a {type(spec).__name__} in the {model.value} model")
+    return spec
+
+
 def _check_strategy(strategy: Strategy, role: str, model: GameModel):
     if strategy.role is not None and strategy.role != role:
         raise GameError(f"strategy '{strategy.name or '?'}' is for the {strategy.role}, used as {role}")
@@ -231,15 +239,14 @@ def _unitary_matrix(op, g: Digraph) -> np.ndarray:
     return m
 
 
-def qc_operation_joint(op, g: Digraph, mover: str) -> np.ndarray:
-    """Joint matrix of a quantum controlled move, with legality checks.
+def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
+    """Joint state after one quantum controlled move, each block certified against g first.
 
     The mover's operation must be controlled on the opponent's register; a
-    bare GraphUnitary is lifted to the constant (local) controlled operation.
+    bare unitary is certified once and lifted to the constant controlled operation.
     """
-    n = g.n
     if op is None:
-        return np.eye(n * n, dtype=complex)
+        return joint
     expected_control = "robber" if mover == "cop" else "cop"
     if isinstance(op, ControlledOp):
         if op.control != expected_control:
@@ -250,11 +257,9 @@ def qc_operation_joint(op, g: Digraph, mover: str) -> np.ndarray:
             report = is_graph_preserving_unitary(block.matrix, g)
             if not report:
                 raise GameError(f"illegal controlled move, block {v}: {report}")
-        return op.joint
-    m = _unitary_matrix(op, g)
-    if mover == "cop":
-        return np.kron(np.eye(n), m)
-    return np.kron(m, np.eye(n))
+    else:
+        op = constant_controlled_op(g, GraphUnitary(_unitary_matrix(op, g), g), expected_control)
+    return op.apply(joint)
 
 
 def _arc_step(target, v: int, g: Digraph) -> int:
@@ -314,19 +319,20 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
         state = {"joint": qc_initial_joint(g, cop, robber)}
     else:
         parse, step, capture = _LOCAL_RULES[model]
-        c = parse(_resolve_init(cop.init, MoveContext(0, "cop", g, rounds)), g.n)
-        r = parse(_resolve_init(robber.init, MoveContext(0, "robber", g, rounds,
-                                                         cop_state=_copy(c))), g.n)
+        c = _resolve_init(cop.init, MoveContext(0, "cop", g, rounds))
+        c = parse(_uncontrolled(c, model, "cop"), g.n)
+        r = _resolve_init(robber.init, MoveContext(0, "robber", g, rounds, cop_state=_copy(c)))
+        r = parse(_uncontrolled(r, model, "robber"), g.n)
         state = {"cop": c, "robber": r}
     history = [("init", 0, {key: _copy(s) for key, s in state.items()})]
     for k, mover in _round_stages(rounds):
         if joint:
             op = moves[mover](MoveContext(k, mover, g, rounds))
-            state["joint"] = qc_operation_joint(op, g, mover) @ state["joint"]
+            state["joint"] = qc_step(op, state["joint"], g, mover)
         else:
             op = moves[mover](MoveContext(k, mover, g, rounds, cop_state=_copy(state["cop"]),
                                           robber_state=_copy(state["robber"])))
-            state[mover] = step(op, state[mover], g)
+            state[mover] = step(_uncontrolled(op, model, mover), state[mover], g)
         history.append((mover, k, {key: _copy(s) for key, s in state.items()}))
     if joint:
         p = p_copwin_joint(state["joint"], g.n)
@@ -338,7 +344,8 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
 def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy) -> np.ndarray:
     """Initial joint state (layout r*n + c) from the two declared initial specs."""
     n = g.n
-    sc = _amp_vector(_resolve_init(cop.init, MoveContext(0, "cop", g, 0)), n)
+    cinit = _resolve_init(cop.init, MoveContext(0, "cop", g, 0))
+    sc = _amp_vector(_uncontrolled(cinit, GameModel.QUANTUM_CONTROLLED, "cop"), n)
     rinit = _resolve_init(robber.init, MoveContext(0, "robber", g, 0))
     if isinstance(rinit, ControlledInit):
         chi = rinit.states
@@ -347,12 +354,8 @@ def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy) -> np.ndarray:
         norms = np.linalg.norm(chi, axis=0)
         if np.max(np.abs(norms - 1.0)) > ATOL:
             raise GameError("every column of a controlled preparation must be normalized")
-        joint = np.zeros(n * n, dtype=complex)
-        for c in range(n):
-            joint[np.arange(n) * n + c] = sc[c] * chi[:, c]
-        return joint
-    sr = _amp_vector(rinit, n)
-    return np.kron(sr, sc)
+        return (chi * sc).reshape(-1)
+    return np.outer(_amp_vector(rinit, n), sc).reshape(-1)
 
 
 def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,

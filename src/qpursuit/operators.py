@@ -406,7 +406,18 @@ class ControlledOp:
     blocks: tuple
     control: str
     graph: Digraph
-    joint: np.ndarray
+
+    def apply(self, joint) -> np.ndarray:
+        """Block v acts on row v (robber control) or column v of the (n, n) joint table."""
+        n = self.graph.n
+        spec = "rij,rj->ri" if self.control == "robber" else "cij,jc->ic"
+        return np.einsum(spec, np.stack([u.matrix for u in self.blocks]),
+                         state_vector(joint).reshape(n, n)).reshape(-1)
+
+    @property
+    def joint(self) -> np.ndarray:
+        """The dense n^2 x n^2 matrix of apply, built afresh on every access."""
+        return np.stack([self.apply(e) for e in np.eye(self.graph.n ** 2)], axis=1)
 
 
 def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:
@@ -419,23 +430,10 @@ def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:
             u = assignment(v) if callable(assignment) else assignment[v]
         except (KeyError, IndexError):
             raise ValueError(f"assignment misses vertex {v}") from None
-        if isinstance(u, GatherRotation):
-            u = u.matrix
-        if not isinstance(u, GraphUnitary):
-            u = certify_unitary(u, g)
-        elif u.matrix.shape != (g.n, g.n):
-            raise ValueError(f"block for vertex {v} has wrong size")
+        if not (isinstance(u, GraphUnitary) and u.graph == g):  # a foreign certificate is redone
+            u = certify_unitary(u.matrix if isinstance(u, (GraphUnitary, GatherRotation)) else u, g)
         blocks.append(u)
-    n = g.n
-    joint = np.zeros((n * n, n * n), dtype=complex)
-    for v, u in enumerate(blocks):
-        sel = np.zeros((n, n))
-        sel[v, v] = 1.0
-        if control == "robber":
-            joint += np.kron(sel, u.matrix)
-        else:
-            joint += np.kron(u.matrix, sel)
-    return ControlledOp(tuple(blocks), control, g, joint)
+    return ControlledOp(tuple(blocks), control, g)
 
 
 def constant_controlled_op(g: Digraph, u: GraphUnitary, control: str) -> ControlledOp:
@@ -449,14 +447,10 @@ def controlled_identity(g: Digraph, control: str) -> ControlledOp:
 def joint_as_union_matrix(op: ControlledOp) -> np.ndarray:
     """The joint matrix reindexed so the control register enumerates graph copies.
 
-    In this layout a controlled operation is block-diagonal and certifiable
-    against disjoint_union(g, n).
+    That is the joint matrix of the same blocks under robber control; in it a
+    controlled operation is block-diagonal and certifiable against disjoint_union(g, n).
     """
-    n = op.graph.n
-    if op.control == "robber":
-        return op.joint
-    perm = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return op.joint[np.ix_(perm, perm)]
+    return ControlledOp(op.blocks, "robber", op.graph).joint
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

@@ -13,7 +13,7 @@ from .engine import (
     MoveContext,
     Strategy,
     qc_initial_joint,
-    qc_operation_joint,
+    qc_step,
     _move_source,
 )
 from .graphs import (
@@ -140,10 +140,10 @@ class _AntipodalEvasion:
         while self.next_round <= upto:
             k = self.next_round
             cop_op = opp_move(MoveContext(k, "cop", self.g, self.rounds))
-            self.shadow = qc_operation_joint(cop_op, self.g, "cop") @ self.shadow
+            self.shadow = qc_step(cop_op, self.shadow, self.g, "cop")
             mine = self._respond()
             self.ops[k] = mine
-            self.shadow = mine.joint @ self.shadow
+            self.shadow = mine.apply(self.shadow)
             self.next_round += 1
 
     def move(self, ctx):

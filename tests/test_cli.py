@@ -10,6 +10,8 @@ import pytest
 from qpursuit import (
     Scenario,
     complete_graph,
+    controlled_op_from_json,
+    controlled_op_to_json,
     cycle_graph,
     digraph,
     directed_cycle,
@@ -20,6 +22,7 @@ from qpursuit import (
     operator_to_json,
     path_graph,
     random_connected_graph,
+    sample_controlled_op,
     scenario_from_json,
     scenario_to_json,
     star_graph,
@@ -137,6 +140,28 @@ def test_run_inline_controlled_move_and_preparation(tmp_path, capsys):
                 "robber": {"init": {"controlled": [[0.0, 1.0], [1.0, 0.0]]}}}
     code, out, _ = _run(capsys, ["run", _write(tmp_path, "sc2.json", scenario)])
     assert code == 0 and out.endswith("p_copwin=0.000000000\n")
+
+
+_CHASE = {"control": "robber",
+          "blocks": [{"n": 2, "entries": [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]},
+                     {"n": 2, "entries": [[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]}]}
+_PAIRED = {"controlled": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("model, cop, robber", [
+    ("classical_quantum", {"init": 0, "moves": [_CHASE]}, {"init": 1}),
+    ("open_probabilistic", {"init": 0, "moves": [_CHASE]}, {"init": 1}),
+    ("classical_quantum", {"init": "uniform"}, {"init": _PAIRED}),
+    ("open_probabilistic", {"init": "uniform"}, {"init": _PAIRED}),
+    ("quantum_controlled", {"init": _PAIRED}, {"init": 1}),
+], ids=["cq-move", "open-move", "cq-init", "open-init", "qc-cop-init"])
+def test_run_refuses_controlled_specs_outside_their_model(tmp_path, capsys, model, cop, robber):
+    scenario = {"model": model, "graph": graph_to_json(complete_graph(2)), "rounds": 1,
+                "cop": cop, "robber": robber}
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+    record = json.loads(err)
+    assert code == 1 and out == "" and record["error"] == "GameError"
+    assert model in record["message"]
 
 
 def test_run_error_paths(tmp_path, capsys):
@@ -455,6 +480,16 @@ def test_operator_and_state_json_round_trip(rng):
     assert np.array_equal(state_from_json(json.loads(json.dumps(state_to_json(vec)))), vec)
     real = rng.dirichlet(np.ones(4))
     assert np.array_equal(state_from_json(json.loads(json.dumps(state_to_json(real)))), real)
+
+
+def test_controlled_op_json_round_trip(rng):
+    g = cycle_graph(4)
+    for control in ("robber", "cop"):
+        op = sample_controlled_op(g, rng, control)
+        back = controlled_op_from_json(json.loads(json.dumps(controlled_op_to_json(op))), g)
+        assert back.control == control and len(back.blocks) == g.n
+        for got, sent in zip(back.blocks, op.blocks):
+            assert np.array_equal(got.matrix, sent.matrix)
 
 
 def _loop_operator_to_json(matrix):

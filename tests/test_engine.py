@@ -31,10 +31,11 @@ from qpursuit import (
     play,
     play_unfair_probabilistic,
     qc_initial_joint,
-    qc_operation_joint,
+    qc_step,
     random_connected_graph,
     sample_graph_stochastic,
     sample_graph_unitary,
+    transposition_unitary,
 )
 
 
@@ -206,16 +207,27 @@ def test_quantum_controlled_global_phase_invariance(rng):
     assert np.isclose(p1, p2, atol=1e-12)
 
 
-def test_qc_operation_joint_lifts_and_validates():
+def test_qc_step_lifts_and_validates():
     g = cycle_graph(4)
     u = sample_graph_unitary(g, np.random.default_rng(1))
-    assert np.allclose(qc_operation_joint(u, g, "cop"), np.kron(np.eye(4), u.matrix))
-    assert np.allclose(qc_operation_joint(u.matrix, g, "robber"), np.kron(u.matrix, np.eye(4)))
-    assert np.array_equal(qc_operation_joint(None, g, "cop"), np.eye(16))
+    x = _random_amps(np.random.default_rng(2), 16)
+    assert np.allclose(qc_step(u, x, g, "cop"), np.kron(np.eye(4), u.matrix) @ x)
+    assert np.allclose(qc_step(u.matrix, x, g, "robber"), np.kron(u.matrix, np.eye(4)) @ x)
+    assert np.array_equal(qc_step(None, x, g, "cop"), np.eye(16) @ x)
     cop_controlled = controlled_identity(g, "cop")
     with pytest.raises(GameError):  # a cop move must be controlled on the robber
-        qc_operation_joint(cop_controlled, g, "cop")
-    assert np.array_equal(qc_operation_joint(cop_controlled, g, "robber"), np.eye(16))
+        qc_step(cop_controlled, x, g, "cop")
+    assert np.array_equal(qc_step(cop_controlled, x, g, "robber"), np.eye(16) @ x)
+
+
+def test_quantum_controlled_play_certifies_every_block_on_its_board():
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    swap02 = transposition_unitary(k4, 0, 2)  # legal on K4, not on the 4-cycle
+    op = controlled_op(k4, [identity_unitary(k4)] * 3 + [swap02], control="robber")
+    with pytest.raises(GameError, match="block 3"):
+        play("quantum_controlled", c4, Strategy(init=0, move=[op]), Strategy(init=1), 1)
+    with pytest.raises(GameError):
+        play("quantum_controlled", c4, Strategy(init=0, move=[swap02]), Strategy(init=1), 1)
 
 
 def test_qc_initial_joint_layouts():
@@ -233,6 +245,21 @@ def test_qc_initial_joint_layouts():
         qc_initial_joint(g, Strategy(), Strategy(init=ControlledInit(np.eye(3) * 0.5)))
     with pytest.raises(GameError):
         qc_initial_joint(g, Strategy(), Strategy(init=ControlledInit(np.eye(2))))
+
+
+def test_qc_initial_joint_weights_each_column_by_the_cop_amplitude(rng):
+    n = 4
+    g = cycle_graph(n)
+    sc, sr = _random_amps(rng, n), _random_amps(rng, n)
+    chi = np.stack([_random_amps(rng, n) for _ in range(n)], axis=1)
+    joint = qc_initial_joint(g, Strategy(init=sc), Strategy(init=ControlledInit(chi)))
+    expected = np.zeros(n * n, dtype=complex)
+    for c in range(n):  # the per-column fill kept as the reference
+        expected[np.arange(n) * n + c] = sc[c] * chi[:, c]
+    # the factors are multiplied in the other order, which a fused multiply-add may round apart
+    assert np.allclose(joint, expected, rtol=0.0, atol=1e-15)
+    product = qc_initial_joint(g, Strategy(init=sc), Strategy(init=sr))
+    assert np.allclose(product, np.kron(sr, sc), rtol=0.0, atol=1e-15)
 
 
 def test_trace_records_every_half_move():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from qpursuit import (
@@ -35,6 +35,7 @@ from qpursuit import (
     is_graph_preserving_unitary,
     joint_as_union_matrix,
     path_graph,
+    qc_step,
     quantum_state,
     random_connected_graph,
     reach_sequence,
@@ -50,6 +51,10 @@ from qpursuit import (
     uniform_state,
 )
 from qpursuit.operators import _SKIP, _ZERO_BLOCK
+
+# Property tests below report their first failing example unshrunk: shrinking
+# the drawn boards and states took minutes and about 1 GB to reach a verdict.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 # regression point for the 4-cycle collapse: polar amplitudes and free phases
 C4_AMPS = (0.6, 0.3, 0.48, -0.2, 0.64, 1.1)
@@ -322,7 +327,7 @@ def _transport_instances(draw):
     return g, phi, psi, draw(st.integers(0, n - 1)), draw(st.floats(1e-6, 1.0))
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, phases=_NO_SHRINK)
 @given(_transport_instances())
 def test_gather_chain_matches_the_dense_oracle(instance):
     g, phi, psi, root, eps = instance
@@ -569,6 +574,60 @@ def test_controlled_joint_certifies_against_graph_copies(rng):
             assert np.allclose(op.joint.conj().T @ op.joint, np.eye(n * n), atol=1e-9)
             stacked = joint_as_union_matrix(op)
             assert is_graph_preserving_unitary(stacked, disjoint_union(g, n)).ok
+
+
+def test_controlled_op_certifies_blocks_from_another_board():
+    c4 = cycle_graph(4)
+    with pytest.raises(CertificationError):  # 0 and 2 are adjacent on K4, not on the 4-cycle
+        controlled_op(c4, [transposition_unitary(complete_graph(4), 0, 2)] * 4, "robber")
+    k4_swap = transposition_unitary(complete_graph(4), 0, 1)
+    op = controlled_op(c4, [k4_swap] * 4, "robber")
+    assert all(b.graph == c4 and np.array_equal(b.matrix, k4_swap.matrix) for b in op.blocks)
+    own = transposition_unitary(cycle_graph(4), 0, 1)  # an equal board: kept as it is
+    assert all(b is own for b in controlled_op(c4, [own] * 4, "cop").blocks)
+
+
+def _dense_joint(op):
+    """The kron assembly ControlledOp used to store as its joint matrix, kept as the reference."""
+    n = op.graph.n
+    joint = np.zeros((n * n, n * n), dtype=complex)
+    for v, u in enumerate(op.blocks):
+        sel = np.zeros((n, n))
+        sel[v, v] = 1.0
+        if op.control == "robber":
+            joint += np.kron(sel, u.matrix)
+        else:
+            joint += np.kron(u.matrix, sel)
+    return joint
+
+
+def _dense_lift(m, mover):
+    """The kron lift of a bare move onto the joint register, kept as the reference."""
+    n = m.shape[0]
+    if mover == "cop":
+        return np.kron(np.eye(n), m)
+    return np.kron(m, np.eye(n))
+
+
+@settings(max_examples=200, phases=_NO_SHRINK)
+@given(st.integers(1, 6), st.sampled_from(("robber", "cop")), st.integers(0, 2**32 - 1))
+def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, rng, rng.choice([0.0, 0.3, 1.0]))
+    op = sample_controlled_op(g, rng, control)
+    x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    x[rng.random(n * n) < 0.3] = 0.0
+    x /= np.linalg.norm(x) or 1.0
+    dense = _dense_joint(op)
+    assert set(vars(op)) == {"blocks", "control", "graph"}  # no stored joint matrix
+    assert np.allclose(op.apply(x), dense @ x, rtol=0.0, atol=1e-12)
+    assert np.allclose(op.joint, dense, rtol=0.0, atol=1e-12)
+    mover = "cop" if control == "robber" else "robber"
+    assert np.allclose(qc_step(op, x, g, mover), dense @ x, rtol=0.0, atol=1e-12)
+    u = sample_graph_unitary(g, rng)
+    for who in ("cop", "robber"):
+        assert np.allclose(qc_step(u, x, g, who), _dense_lift(u.matrix, who) @ x,
+                           rtol=0.0, atol=1e-12)
 
 
 def test_haar_unitary_statistics(rng):

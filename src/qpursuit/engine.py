@@ -14,18 +14,15 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Digraph, GraphError, dominates
+from .graphs import Digraph, GraphError, _is_int, dominates
 from .operators import (
     ATOL,
+    CertificationError,
     ControlledOp,
-    GatherRotation,
-    GraphStochastic,
-    GraphUnitary,
-    QuantumState,
     basis_state,
+    certify_stochastic,
+    certify_unitary,
     constant_controlled_op,
-    is_graph_preserving_stochastic,
-    is_graph_preserving_unitary,
     state_vector,
     uniform_state,
 )
@@ -220,30 +217,20 @@ def _check_strategy(strategy: Strategy, role: str, model: GameModel):
         )
 
 
-def _stochastic_matrix(op, g: Digraph) -> np.ndarray:
-    # validate before dropping any imaginary part, so complex junk is reported
-    m = op.matrix if isinstance(op, GraphStochastic) else np.asarray(op)
-    report = is_graph_preserving_stochastic(m, g)
-    if not report:
-        raise GameError(f"illegal stochastic move: {report}")
-    return np.asarray(m.real, dtype=float)
-
-
-def _unitary_matrix(op, g: Digraph) -> np.ndarray:
-    if isinstance(op, (GraphUnitary, GatherRotation)):
-        op = op.matrix
-    m = np.asarray(op, dtype=complex)
-    report = is_graph_preserving_unitary(m, g)
-    if not report:
-        raise GameError(f"illegal unitary move: {report}")
-    return m
+def _certified(build, *args):
+    """build(*args), with a failed certificate refused as an illegal move carrying its report."""
+    try:
+        return build(*args)
+    except CertificationError as exc:
+        raise GameError(f"illegal move: {exc}, {exc.report}") from exc
 
 
 def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
     """Joint state after one quantum controlled move, each block certified against g first.
 
-    The mover's operation must be controlled on the opponent's register; a
-    bare unitary is certified once and lifted to the constant controlled operation.
+    The mover's operation must be controlled on the opponent's register; one
+    built on another board has its blocks certified against g, and a bare
+    unitary is certified once and lifted to the constant controlled operation.
     """
     if op is None:
         return joint
@@ -253,34 +240,32 @@ def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
             raise GameError(
                 f"the {mover}'s controlled operation must have control='{expected_control}'"
             )
-        for v, block in enumerate(op.blocks):
-            report = is_graph_preserving_unitary(block.matrix, g)
-            if not report:
-                raise GameError(f"illegal controlled move, block {v}: {report}")
+        if op.graph != g:
+            op = _certified(ControlledOp, op.blocks, op.control, g)
     else:
-        op = constant_controlled_op(g, GraphUnitary(_unitary_matrix(op, g), g), expected_control)
+        op = constant_controlled_op(g, _certified(certify_unitary, op, g), expected_control)
     return op.apply(joint)
 
 
 def _arc_step(target, v: int, g: Digraph) -> int:
-    target = v if target is None else int(target)
-    if (v, target) not in g.arcs:
-        raise GameError(f"illegal move {v} -> {target}: no such arc")
-    return target
+    target = v if target is None else target
+    if not (_is_int(target) and (v, target) in g.arcs):  # a float or a bool names no vertex
+        raise GameError(f"illegal move {v} -> {target!r}: no such arc")
+    return int(target)
 
 
 def _matrix_step(certify):
     """Move rule of a vector model: certify the operation, then apply it (None is the identity)."""
-    return lambda op, vec, g: vec if op is None else certify(op, g) @ vec
+    return lambda op, vec, g: vec if op is None else _certified(certify, op, g).apply(vec)
 
 
 # Per model with local states: initial-state parser (init, n), move rule
 # (op, state, g) -> state, and capture functional (robber, cop) -> float.
 _LOCAL_RULES = {
     GameModel.CLASSICAL: (_vertex, _arc_step, lambda r, c: 1.0 if c == r else 0.0),
-    GameModel.OPEN_PROBABILISTIC: (_prob_vector, _matrix_step(_stochastic_matrix),
+    GameModel.OPEN_PROBABILISTIC: (_prob_vector, _matrix_step(certify_stochastic),
                                    p_copwin_probabilistic),
-    GameModel.CLASSICAL_QUANTUM: (_amp_vector, _matrix_step(_unitary_matrix), p_copwin_separable),
+    GameModel.CLASSICAL_QUANTUM: (_amp_vector, _matrix_step(certify_unitary), p_copwin_separable),
 }
 
 

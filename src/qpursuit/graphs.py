@@ -22,7 +22,7 @@ class Digraph:
     at v may stay put, so game boards are always reflexive.  Undirected
     graphs are represented by symmetric arc sets.
 
-    A Digraph is immutable, so its adjacency lists and bitsets are built on
+    A Digraph is immutable, so its adjacency lists, bitsets and matrix are built on
     first use and cached on the instance; equality and hashing read only n
     and arcs.
     """
@@ -71,12 +71,18 @@ class Digraph:
     def is_undirected(self) -> bool:
         return all((v, u) in self.arcs for u, v in self.arcs)
 
-    def adjacency(self) -> np.ndarray:
-        """Boolean matrix a with a[u, v] true iff (u, v) is an arc."""
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
+                           count=2 * len(self.arcs)).reshape(-1, 2)
         a = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.arcs:
-            a[u, v] = True
+        a[ends[:, 0], ends[:, 1]] = True
+        a.setflags(write=False)
         return a
+
+    def adjacency(self) -> np.ndarray:
+        """Read-only boolean matrix a with a[u, v] true iff (u, v) is an arc, built once."""
+        return self._adjacency
 
 
 def digraph(n, arcs, *, undirected=False, reflexive=True) -> Digraph:

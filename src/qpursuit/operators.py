@@ -73,9 +73,9 @@ class QuantumState:
         return self.amps.shape[0]
 
 
-def quantum_state(amps, tau: float = ATOL) -> QuantumState:
+def quantum_state(amps) -> QuantumState:
     a = np.asarray(amps, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(a) - 1.0) > tau:
+    if abs(np.linalg.norm(a) - 1.0) > ATOL:
         raise ValueError("state vector is not normalized")
     return QuantumState(a)
 
@@ -99,12 +99,26 @@ def state_vector(x) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1)
 
 
+def _seal(cert, field: str, a: np.ndarray, report: OpReport, failure: str):
+    """Freeze a and store it as cert.field if report passed, else raise CertificationError."""
+    if not report:
+        raise CertificationError(f"{failure}: residual={report.residual:.3e}, "
+                                 f"{len(report.violations)} forbidden entries", report)
+    a.setflags(write=False)
+    object.__setattr__(cert, field, a[...])  # a view of a read-only array cannot be unfrozen
+
+
 @dataclass(frozen=True, eq=False)
 class GraphUnitary:
-    """Unitary certified against a graph's zero pattern."""
+    """Unitary certified against a graph's zero pattern when built; the matrix is read-only."""
 
     matrix: np.ndarray
     graph: Digraph
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        _seal(self, "matrix", m, is_graph_preserving_unitary(m, self.graph),
+              "matrix is not a graph-preserving unitary")
 
     def apply(self, state) -> np.ndarray:
         return self.matrix @ state_vector(state)
@@ -116,18 +130,25 @@ class GraphUnitary:
 
 @dataclass(frozen=True, eq=False)
 class GraphStochastic:
-    """Column-stochastic matrix certified against a graph's zero pattern."""
+    """Column-stochastic matrix certified against a graph's zero pattern when built; read-only."""
 
     matrix: np.ndarray
     graph: Digraph
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix)  # checked with its imaginary part, stored without
+        _seal(self, "matrix", np.array(m.real, dtype=float),
+              is_graph_preserving_stochastic(m, self.graph),
+              "matrix is not a graph-preserving stochastic operation")
 
     def apply(self, dist) -> np.ndarray:
         return self.matrix @ np.asarray(dist, dtype=float)
 
 
-def _allowed_mask(g: Digraph) -> np.ndarray:
-    # allowed[w, v] iff (v, w) is an arc
-    return g.adjacency().T
+def _violations(m: np.ndarray, g: Digraph, tau: float) -> tuple:
+    """(w, v, |m[w, v]|) for every entry above tau whose arc (v, w) is missing."""
+    bad = (np.abs(m) > tau) & ~g.adjacency().T
+    return tuple((int(w), int(v), float(abs(m[w, v]))) for w, v in zip(*np.nonzero(bad)))
 
 
 def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
@@ -136,10 +157,7 @@ def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
     residual = float(np.max(np.abs(m.conj().T @ m - np.eye(g.n))))
-    bad = (np.abs(m) > tau) & ~_allowed_mask(g)
-    violations = tuple(
-        (int(w), int(v), float(abs(m[w, v]))) for w, v in zip(*np.nonzero(bad))
-    )
+    violations = _violations(m, g, tau)
     return OpReport(residual <= tau and not violations, violations, residual, "unitary")
 
 
@@ -156,33 +174,22 @@ def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport
     defect = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
     negativity = float(max(0.0, -m.min())) if m.size else 0.0
     residual = max(defect, negativity)
-    bad = (np.abs(m) > tau) & ~_allowed_mask(g)
-    violations = tuple(
-        (int(w), int(v), float(abs(m[w, v]))) for w, v in zip(*np.nonzero(bad))
-    )
+    violations = _violations(m, g, tau)
     return OpReport(residual <= tau and not violations, violations, residual, "stochastic")
 
 
-def certify_unitary(m, g: Digraph, tau: float = ATOL) -> GraphUnitary:
-    report = is_graph_preserving_unitary(m, g, tau)
-    if not report:
-        raise CertificationError(
-            f"matrix is not a graph-preserving unitary: residual={report.residual:.3e}, "
-            f"{len(report.violations)} forbidden entries",
-            report,
-        )
-    return GraphUnitary(np.asarray(m, dtype=complex).copy(), g)
+def certify_unitary(op, g: Digraph):
+    """op itself if it is a GraphUnitary or GatherRotation on g, else a GraphUnitary of its matrix."""
+    if isinstance(op, (GraphUnitary, GatherRotation)) and op.graph == g:
+        return op
+    return GraphUnitary(getattr(op, "matrix", op), g)
 
 
-def certify_stochastic(m, g: Digraph, tau: float = ATOL) -> GraphStochastic:
-    report = is_graph_preserving_stochastic(m, g, tau)
-    if not report:
-        raise CertificationError(
-            f"matrix is not a graph-preserving stochastic operation: "
-            f"residual={report.residual:.3e}, {len(report.violations)} forbidden entries",
-            report,
-        )
-    return GraphStochastic(np.asarray(m, dtype=float).copy(), g)
+def certify_stochastic(op, g: Digraph) -> GraphStochastic:
+    """op itself if it is a GraphStochastic on g, else a GraphStochastic of its matrix."""
+    if isinstance(op, GraphStochastic) and op.graph == g:
+        return op
+    return GraphStochastic(getattr(op, "matrix", op), g)
 
 
 def identity_unitary(g: Digraph) -> GraphUnitary:
@@ -200,15 +207,35 @@ _EYE2 = np.eye(2, dtype=complex)
 class GatherRotation:
     """Identity outside {v, w} and a 2x2 unitary block on rows and columns (v, w).
 
-    block[i, j] is the matrix entry at row (v, w)[i], column (v, w)[j].  Build
-    one with certify_gather.  apply copies the state and rotates two entries;
-    adjoint is O(1) in the board size.
+    block[i, j] is the matrix entry at row (v, w)[i], column (v, w)[j].
+    Building one certifies it in O(n), without the dense matrix: every entry
+    the block sets needs its arc (both loops and the arc pair included),
+    every identity entry outside it needs its loop, and the block must be
+    unitary within ATOL.  On a reflexive graph with that arc pair this is the
+    dense certificate; elsewhere it is stricter.  The block is read-only.
     """
 
     graph: Digraph
     v: int
     w: int
     block: np.ndarray
+
+    def __post_init__(self):
+        b = np.array(self.block, dtype=complex)
+        if b.shape != (2, 2):
+            raise ValueError(f"gather block shape {b.shape} is not (2, 2)")
+        v, w, g = self.v, self.w, self.graph
+        if v == w:
+            raise GraphError("gather needs two distinct vertices")
+        pair = (v, w)
+        violations = tuple((pair[i], pair[j], float(abs(b[i, j])))
+                           for i in range(2) for j in range(2) if (pair[j], pair[i]) not in g.arcs)
+        if not g.is_reflexive:
+            violations += tuple((u, u, 1.0) for u in range(g.n)
+                                if u not in pair and (u, u) not in g.arcs)
+        residual = float(np.abs(b.conj().T @ b - _EYE2).max())
+        report = OpReport(residual <= ATOL and not violations, violations, residual, "unitary")
+        _seal(self, "block", b, report, f"gather on ({v}, {w}) is not a graph-preserving unitary")
 
     def apply(self, state) -> np.ndarray:
         out = np.array(state_vector(state), dtype=complex)
@@ -219,7 +246,7 @@ class GatherRotation:
     def adjoint(self) -> "GatherRotation":
         """Conjugate-transposed block on the same pair, certified against the reverse graph."""
         g = self.graph if self.graph.is_undirected else reverse_digraph(self.graph)
-        return certify_gather(g, self.v, self.w, self.block.conj().T)
+        return GatherRotation(g, self.v, self.w, self.block.conj().T)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -229,38 +256,12 @@ class GatherRotation:
         return m
 
 
-def certify_gather(g: Digraph, v: int, w: int, block, tau: float = ATOL) -> GatherRotation:
-    """Certify identity-plus-block in O(n) without building the dense matrix.
-
-    Every entry the block sets needs its arc, both loops and the arc pair
-    (v, w), (w, v) included, and every identity entry outside the block needs
-    its loop; the block must be unitary within tau.  On a reflexive graph with
-    that arc pair this is exactly the dense graph-preserving certificate, and
-    it is stricter elsewhere: a missing arc fails even under a zero entry.
-    """
-    b = np.array(block, dtype=complex)
-    if b.shape != (2, 2):
-        raise ValueError(f"gather block shape {b.shape} is not (2, 2)")
-    if v == w:
-        raise GraphError("gather needs two distinct vertices")
-    pair = (v, w)
-    violations = tuple((pair[i], pair[j], float(abs(b[i, j])))
-                       for i in range(2) for j in range(2) if (pair[j], pair[i]) not in g.arcs)
-    if not g.is_reflexive:
-        violations += tuple((u, u, 1.0) for u in range(g.n)
-                            if u not in pair and (u, u) not in g.arcs)
-    residual = float(np.abs(b.conj().T @ b - _EYE2).max())
-    report = OpReport(residual <= tau and not violations, violations, residual, "unitary")
-    if not report:
-        raise CertificationError(
-            f"gather on ({v}, {w}) is not a graph-preserving unitary: "
-            f"residual={report.residual:.3e}, {len(report.violations)} forbidden entries",
-            report,
-        )
-    return GatherRotation(g, v, w, b)
+def certify_gather(g: Digraph, v: int, w: int, block) -> GatherRotation:
+    """The gather rotation with this block on (v, w), certified against g."""
+    return GatherRotation(g, v, w, block)
 
 
-def gather_unitary(g: Digraph, v: int, w: int, phi, target, tau: float = ATOL) -> GatherRotation:
+def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GatherRotation:
     """Identity outside {v, w}, and on that block a rotation taking phi's part to target.
 
     Needs both arcs (v, w) and (w, v) plus all loops, so the embedded
@@ -278,7 +279,7 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target, tau: float = ATOL) -
     y0, y1 = complex(target[0]), complex(target[1])
     sa = math.hypot(abs(x0), abs(x1))
     sb = math.hypot(abs(y0), abs(y1))
-    if abs(sa * sa - sb * sb) > tau:
+    if abs(sa * sa - sb * sb) > ATOL:
         raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
     block = _EYE2
     if sa > _ZERO_BLOCK:
@@ -289,10 +290,10 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target, tau: float = ATOL) -
                   y0 * x1.conjugate() - y1.conjugate() * x0],
                  [y1 * x0.conjugate() - y0.conjugate() * x1,
                   y1 * x1.conjugate() + y0.conjugate() * x0]]
-    return certify_gather(g, v, w, block, tau)
+    return GatherRotation(g, v, w, block)
 
 
-def _gather_chain(tree_graph: Digraph, tree, vec: np.ndarray, tau: float):
+def _gather_chain(tree_graph: Digraph, tree, vec: np.ndarray):
     """Fold vec into the tree root; returns the gathers and the folded vector."""
     cur = vec.astype(complex).copy()
     ops = []
@@ -301,13 +302,13 @@ def _gather_chain(tree_graph: Digraph, tree, vec: np.ndarray, tau: float):
         if abs(cur[v]) <= _SKIP:
             continue
         s = float(np.hypot(abs(cur[v]), abs(cur[w])))
-        u = gather_unitary(tree_graph, v, w, cur, (0.0, s), tau)
+        u = gather_unitary(tree_graph, v, w, cur, (0.0, s))
         cur = u.apply(cur)
         ops.append(u)
     return ops, cur
 
 
-def reach_sequence(g: Digraph, phi, psi, root: int = 0, tau: float = ATOL) -> list:
+def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     """Certified operator chain of length <= 2n - 2 mapping phi to psi up to global phase.
 
     Phase 1 walks the spanning-tree order gathering all of phi's amplitude
@@ -320,18 +321,18 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0, tau: float = ATOL) -> li
     if a.shape != (g.n,) or b.shape != (g.n,):
         raise ValueError("state dimension does not match the graph")
     for vec in (a, b):
-        if abs(np.linalg.norm(vec) - 1.0) > tau:
+        if abs(np.linalg.norm(vec) - 1.0) > ATOL:
             raise ValueError("reach needs normalized states")
     if not g.is_reflexive:
         raise GraphError("reach needs a reflexive graph")
     if not is_reversible(g):
         raise GraphError("reach needs a reversible graph")
     tree = spanning_tree(g, root)
-    if abs(np.vdot(b, a)) >= 1.0 - tau:
+    if abs(np.vdot(b, a)) >= 1.0 - ATOL:
         return []
     tree_graph = tree.as_digraph()
-    forward, _ = _gather_chain(tree_graph, tree, a, tau)
-    backward, _ = _gather_chain(tree_graph, tree, b, tau)
+    forward, _ = _gather_chain(tree_graph, tree, a)
+    backward, _ = _gather_chain(tree_graph, tree, b)
     return forward + [u.adjoint() for u in reversed(backward)]
 
 
@@ -365,8 +366,7 @@ def transposition_unitary(g: Digraph, v: int, w: int) -> GraphUnitary:
     return certify_unitary(m, g)
 
 
-def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0,
-                      tau: float = ATOL) -> GraphUnitary:
+def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> GraphUnitary:
     """4x4 unitary on the reflexive 4-cycle collapsing a three-vertex superposition onto |1>.
 
     amplitudes = (r_a, k_a, r_b, k_b, r_c, k_c) is the polar form of the
@@ -375,7 +375,7 @@ def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0,
     e^(i (k_c - psi))|1>; alpha is a free phase on the complementary block.
     """
     ra, ka, rb, kb, rc, kc = (float(x) for x in amplitudes)
-    if abs(ra * ra + rb * rb + rc * rc - 1.0) > tau:
+    if abs(ra * ra + rb * rb + rc * rc - 1.0) > ATOL:
         raise ValueError("source amplitudes must have unit norm")
 
     def e(x):
@@ -391,7 +391,7 @@ def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0,
         ],
         dtype=complex,
     )
-    return certify_unitary(m, cycle_graph(4), tau)
+    return certify_unitary(m, cycle_graph(4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,11 +401,27 @@ class ControlledOp:
     The joint layout is robber-major: index r * n + c.  control='robber'
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
+    Building one runs every block through certify_unitary against graph and
+    keeps it as a GraphUnitary; a bad block is named by its vertex.
     """
 
     blocks: tuple
     control: str
     graph: Digraph
+
+    def __post_init__(self):
+        if self.control not in ("cop", "robber"):
+            raise ValueError("control must be 'cop' or 'robber'")
+        if len(self.blocks) != self.graph.n:
+            raise ValueError(f"need {self.graph.n} blocks, got {len(self.blocks)}")
+        blocks = []
+        for v, u in enumerate(self.blocks):
+            try:  # apply stacks dense blocks, so a gather is certified as its dense matrix
+                blocks.append(certify_unitary(u.matrix if isinstance(u, GatherRotation) else u,
+                                              self.graph))
+            except CertificationError as exc:
+                raise CertificationError(f"block {v}: {exc}", exc.report) from None
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def apply(self, joint) -> np.ndarray:
         """Block v acts on row v (robber control) or column v of the (n, n) joint table."""
@@ -422,17 +438,12 @@ class ControlledOp:
 
 def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:
     """Block operator sum_v |v><v| (x) U(v) with every block certified against g."""
-    if control not in ("cop", "robber"):
-        raise ValueError("control must be 'cop' or 'robber'")
     blocks = []
     for v in range(g.n):
         try:
-            u = assignment(v) if callable(assignment) else assignment[v]
+            blocks.append(assignment(v) if callable(assignment) else assignment[v])
         except (KeyError, IndexError):
             raise ValueError(f"assignment misses vertex {v}") from None
-        if not (isinstance(u, GraphUnitary) and u.graph == g):  # a foreign certificate is redone
-            u = certify_unitary(u.matrix if isinstance(u, (GraphUnitary, GatherRotation)) else u, g)
-        blocks.append(u)
     return ControlledOp(tuple(blocks), control, g)
 
 
@@ -461,7 +472,7 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def sample_graph_unitary(g: Digraph, rng, tau: float = ATOL) -> GraphUnitary:
+def sample_graph_unitary(g: Digraph, rng) -> GraphUnitary:
     """Random certified member: a Haar 2x2 block on a random edge times diagonal phases."""
     if not g.is_reflexive:
         raise GraphError("sampler needs a reflexive graph")
@@ -471,7 +482,7 @@ def sample_graph_unitary(g: Digraph, rng, tau: float = ATOL) -> GraphUnitary:
         u, v = edges[int(rng.integers(len(edges)))]
         m[np.ix_([u, v], [u, v])] = haar_unitary(2, rng)
     m = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, g.n))) @ m
-    return certify_unitary(m, g, tau)
+    return certify_unitary(m, g)
 
 
 def sample_path3_unitary(rng) -> GraphUnitary:
@@ -493,7 +504,7 @@ def sample_path3_unitary(rng) -> GraphUnitary:
     return certify_unitary(m, path_graph(3))
 
 
-def sample_graph_stochastic(g: Digraph, rng, tau: float = ATOL) -> GraphStochastic:
+def sample_graph_stochastic(g: Digraph, rng) -> GraphStochastic:
     """Random column distributions, each supported on its vertex's out-neighbourhood."""
     m = np.zeros((g.n, g.n))
     for v in range(g.n):
@@ -501,8 +512,8 @@ def sample_graph_stochastic(g: Digraph, rng, tau: float = ATOL) -> GraphStochast
         if not targets:
             raise GraphError(f"vertex {v} has no out-neighbours")
         m[targets, v] = rng.dirichlet(np.ones(len(targets)))
-    return certify_stochastic(m, g, tau)
+    return certify_stochastic(m, g)
 
 
-def sample_controlled_op(g: Digraph, rng, control: str, tau: float = ATOL) -> ControlledOp:
-    return controlled_op(g, [sample_graph_unitary(g, rng, tau) for _ in range(g.n)], control)
+def sample_controlled_op(g: Digraph, rng, control: str) -> ControlledOp:
+    return controlled_op(g, [sample_graph_unitary(g, rng) for _ in range(g.n)], control)

@@ -16,7 +16,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, digraph
-from .operators import ControlledOp, controlled_op
+from .operators import ControlledOp
 from .strategies import build_strategy
 
 
@@ -121,10 +121,7 @@ def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
     blocks = data.get("blocks", [])
     if not isinstance(blocks, list):
         raise ValueError("controlled operator blocks must be a list")
-    blocks = [operator_from_json(b) for b in blocks]
-    if len(blocks) != g.n:
-        raise ValueError(f"controlled operator needs {g.n} blocks, got {len(blocks)}")
-    return controlled_op(g, blocks, str(data.get("control", "")))
+    return ControlledOp(tuple(map(operator_from_json, blocks)), str(data.get("control", "")), g)
 
 
 _DETERMINISTIC = (GameModel.CLASSICAL, GameModel.UNFAIR_PROBABILISTIC)

@@ -14,6 +14,7 @@ from qpursuit import (
     GraphError,
     GraphUnitary,
     Strategy,
+    certify_stochastic,
     complete_graph,
     constant_controlled_op,
     controlled_identity,
@@ -35,7 +36,9 @@ from qpursuit import (
     random_connected_graph,
     sample_graph_stochastic,
     sample_graph_unitary,
+    star_graph,
     transposition_unitary,
+    universal_vertex_catch,
 )
 
 
@@ -431,3 +434,57 @@ def test_gather_rotation_plays_as_a_move_and_as_a_controlled_block():
     # a bare gather is lifted to the constant controlled move
     qc = play("quantum_controlled", g, Strategy(init=0, move=[u]), Strategy(init=1), 1)
     assert qc.p_copwin == pytest.approx(1.0)
+
+
+def test_a_controlled_play_certifies_each_block_once(monkeypatch):
+    import qpursuit.engine
+    import qpursuit.operators
+
+    n = 32
+    g = star_graph(n - 1)
+    calls = []
+    dense = qpursuit.operators.is_graph_preserving_unitary
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].n)
+        return dense(*args, **kwargs)
+
+    for module in (qpursuit.operators, qpursuit.engine):  # wherever the check is bound
+        monkeypatch.setattr(module, "is_graph_preserving_unitary", spy, raising=False)
+    robber = Strategy(init=_random_amps(np.random.default_rng(3), n))
+    trace = play("quantum_controlled", g, universal_vertex_catch(g), robber, 1)
+    assert trace.p_copwin == pytest.approx(1.0)
+    assert calls == [n] * n  # one per block, when universal_vertex_catch builds it
+    # a bare unitary move is certified once, not once per block of its lift
+    swap = np.eye(n)[[1, 0] + list(range(2, n))]
+    calls.clear()
+    play("quantum_controlled", g, Strategy(init=0, move=[swap]), robber, 1)
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("model", ["classical_quantum", "open_probabilistic"])
+def test_a_certificate_from_another_board_is_refused_in_play(model):
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    if model == "classical_quantum":
+        legal, foreign = identity_unitary(k4), transposition_unitary(k4, 0, 2)
+    else:
+        spread = np.eye(4)
+        spread[:, 0] = [0.5, 0.0, 0.5, 0.0]  # 0 -> 2 is a K4 arc only
+        legal, foreign = certify_stochastic(np.eye(4), k4), certify_stochastic(spread, k4)
+    with pytest.raises(GameError, match="illegal"):
+        play(model, c4, Strategy(init=0, move=[foreign]), Strategy(init=1), 1)
+    with pytest.raises(GameError, match="illegal"):
+        play(model, c4, Strategy(init=0), Strategy(init=1, move=[foreign]), 2)
+    play(model, c4, Strategy(init=0, move=[legal]), Strategy(init=1), 1)
+
+
+def test_a_move_must_name_a_vertex_along_an_arc():
+    g = path_graph(3)
+    for move in (1.9, True, np.float64(1.0), "1"):
+        with pytest.raises(GameError, match="no such arc"):
+            play("classical", g, Strategy(init=0, move=[move]), Strategy(init=1), 1)
+    trace = play("classical", g, Strategy(init=0, move=[np.int64(1)]), Strategy(init=1), 1)
+    assert trace.p_copwin == 1.0
+    robber = Strategy(init=0, move=[controlled_identity(g, "cop")])
+    with pytest.raises(GameError, match="no such arc"):
+        play_unfair_probabilistic(g, [1], robber, 1)

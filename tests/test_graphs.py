@@ -73,6 +73,10 @@ def test_adjacency_matches_arcs():
     a = g.adjacency()
     assert a.dtype == bool and a[0, 1] and a[1, 0] and not a[0, 2]
     assert np.array_equal(a, a.T)
+    # built once per board and shared, so no caller may write into it
+    assert g.adjacency() is a and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 2] = True
 
 
 def test_neighbors_and_vertex_check():

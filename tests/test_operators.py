@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from qpursuit import (
     ATOL,
     CertificationError,
+    ControlledOp,
     GatherRotation,
     GraphError,
+    GraphStochastic,
     GraphUnitary,
     QuantumState,
     apply_sequence,
@@ -281,7 +283,7 @@ def _dense_gather_unitary(g, v, w, phi, target, tau=ATOL):
         ua_perp = np.array([-ua[1].conj(), ua[0].conj()])
         ub_perp = np.array([-ub[1].conj(), ub[0].conj()])
         m[np.ix_([v, w], [v, w])] = np.outer(ub, ua.conj()) + np.outer(ub_perp, ua_perp.conj())
-    return certify_unitary(m, g, tau)
+    return certify_unitary(m, g)
 
 
 def _dense_reach_sequence(g, phi, psi, root=0, tau=ATOL):
@@ -683,3 +685,67 @@ def test_sampled_operations_preserve_total_mass(seed):
     s = sample_graph_stochastic(g, rng)
     out = s.apply(rng.dirichlet(np.ones(n)))
     assert abs(out.sum() - 1.0) < 1e-12 and out.min() > -1e-15
+
+
+def test_certificates_cannot_be_forged_or_edited():
+    g = path_graph(3)
+    swap02 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+    with pytest.raises(CertificationError):
+        GraphUnitary(np.ones((3, 3)), g)
+    with pytest.raises(CertificationError):
+        GraphUnitary(swap02, g)
+    with pytest.raises(CertificationError):
+        GraphStochastic(np.full((3, 3), 1 / 3), g)
+    with pytest.raises(CertificationError):
+        GraphStochastic(np.eye(3) * (1 + 0.1j), g)
+    with pytest.raises(CertificationError):
+        GatherRotation(g, 0, 1, 2.0 * np.eye(2))
+    with pytest.raises(CertificationError):
+        GatherRotation(g, 0, 2, [[0, 1], [1, 0]])
+    ident = identity_unitary(g)
+    with pytest.raises(CertificationError, match="block 1"):
+        ControlledOp((ident, swap02, ident), "robber", g)
+    with pytest.raises(CertificationError, match="block 2"):
+        ControlledOp((ident, ident, transposition_unitary(complete_graph(3), 0, 2)), "cop", g)
+    with pytest.raises(ValueError):
+        ControlledOp((ident, ident), "robber", g)
+    # a certified matrix or block is read-only, and cannot be made writable again
+    u = sample_path3_unitary(np.random.default_rng(0))
+    s = identity_stochastic(g)
+    gather = gather_unitary(g, 0, 1, [1.0, 0.0, 0.0], (0.0, 1.0))
+    op = controlled_op(g, [ident, gather, ident], "robber")
+    for array in (u.matrix, s.matrix, gather.block, op.blocks[1].matrix):
+        with pytest.raises(ValueError):
+            array[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+    assert u.matrix[0, 0] != 5.0 and s.matrix[0, 0] == 1.0 and gather.block[0, 0] == 0.0
+
+
+def test_certify_trusts_a_certificate_only_on_its_own_board():
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    u = transposition_unitary(c4, 0, 1)
+    s = identity_stochastic(c4)
+    gather = gather_unitary(c4, 0, 1, [1.0, 0.0, 0.0, 0.0], (0.0, 1.0))
+    assert certify_unitary(u, c4) is u
+    assert certify_unitary(gather, c4) is gather
+    assert certify_stochastic(s, c4) is s
+    # a certificate from another board is certified again, and refused where illegal
+    moved = certify_unitary(u, k4)
+    assert moved is not u and moved.graph == k4 and np.array_equal(moved.matrix, u.matrix)
+    assert certify_stochastic(s, k4).graph == k4
+    with pytest.raises(CertificationError):
+        certify_unitary(transposition_unitary(k4, 0, 2), c4)
+    spread = np.zeros((4, 4))
+    spread[2, 0] = spread[1, 1] = spread[2, 2] = spread[3, 3] = 1.0  # 0 -> 2 is a K4 arc only
+    with pytest.raises(CertificationError):
+        certify_stochastic(certify_stochastic(spread, k4), c4)
+
+
+def test_certified_stochastic_checks_imaginary_parts_before_dropping_them():
+    g = complete_graph(2)
+    s = certify_stochastic(np.eye(2) + 0j, g)  # no complex-to-real cast warning
+    assert s.matrix.dtype == float and np.array_equal(s.matrix, np.eye(2))
+    with pytest.raises(CertificationError) as err:
+        certify_stochastic(np.eye(2) * (1 + 0.1j), g)
+    assert np.isclose(err.value.report.residual, 0.1)

@@ -171,7 +171,7 @@ def _resolve_init(init, ctx):
 
 
 def _vertex(init, n: int) -> int:
-    if not isinstance(init, (int, np.integer)) or not 0 <= init < n:
+    if not _is_int(init) or not 0 <= init < n:  # a bool names no vertex
         raise GameError(f"initial vertex {init!r} outside 0..{n - 1}")
     return int(init)
 
@@ -194,7 +194,7 @@ def _amp_vector(init, n: int) -> np.ndarray:
     if isinstance(init, str) and init == "uniform":
         return uniform_state(n).amps
     if isinstance(init, (int, np.integer)):
-        return basis_state(n, init).amps
+        return basis_state(n, _vertex(init, n)).amps
     vec = state_vector(init)
     if vec.shape != (n,) or not abs(np.linalg.norm(vec) - 1.0) <= ATOL:  # nan fails too
         raise GameError("initial amplitudes are not a normalized vector of the right size")
@@ -361,9 +361,9 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
         raise GraphError("the unfair pursuit needs an undirected reflexive graph")
     if rounds < 0:
         raise GameError("negative round count")
+    if not dominates(g, cop_dominating):  # checks each raw member is a vertex, before any int()
+        raise GraphError(f"set {cop_dominating!r} does not dominate the graph")
     dset = sorted({int(d) for d in cop_dominating})
-    if not dominates(g, dset):
-        raise GraphError(f"set {dset} does not dominate the graph")
 
     robber_move = _move_source(robber)
 

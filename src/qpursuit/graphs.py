@@ -364,7 +364,7 @@ def disjoint_union(g: Digraph, k: int) -> Digraph:
 
 
 def reverse_digraph(g: Digraph) -> Digraph:
-    return Digraph(g.n, frozenset((v, u) for u, v in g.arcs))
+    return g if g.is_undirected else Digraph(g.n, frozenset((v, u) for u, v in g.arcs))
 
 
 def support_ball(g: Digraph, v: int, k: int) -> set:

@@ -8,13 +8,15 @@ whenever (v, w) is not an arc".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graphs import (
     Digraph,
     GraphError,
+    _check_vertex,
+    _is_int,
     cycle_graph,
     directed_cycle,
     is_reversible,
@@ -81,8 +83,8 @@ def quantum_state(amps) -> QuantumState:
 
 
 def basis_state(n: int, v: int) -> QuantumState:
-    if not 0 <= v < n:
-        raise ValueError(f"basis vertex {v} outside 0..{n - 1}")
+    if not _is_int(v) or not 0 <= v < n:
+        raise ValueError(f"basis vertex {v!r} outside 0..{n - 1}")
     a = np.zeros(n, dtype=complex)
     a[v] = 1.0
     return QuantumState(a)
@@ -179,9 +181,9 @@ def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport
 
 
 def certify_unitary(op, g: Digraph):
-    """op itself if it is a GraphUnitary or GatherRotation on g, else a GraphUnitary of its matrix."""
-    if isinstance(op, (GraphUnitary, GatherRotation)) and op.graph == g:
-        return op
+    """op if it is a unitary certificate on g, else certified against g, a gather as a gather."""
+    if isinstance(op, (GraphUnitary, GatherRotation)):
+        return op if op.graph == g else replace(op, graph=g)
     return GraphUnitary(getattr(op, "matrix", op), g)
 
 
@@ -208,11 +210,10 @@ class GatherRotation:
     """Identity outside {v, w} and a 2x2 unitary block on rows and columns (v, w).
 
     block[i, j] is the matrix entry at row (v, w)[i], column (v, w)[j].
-    Building one certifies it in O(n), without the dense matrix: every entry
-    the block sets needs its arc (both loops and the arc pair included),
-    every identity entry outside it needs its loop, and the block must be
-    unitary within ATOL.  On a reflexive graph with that arc pair this is the
-    dense certificate; elsewhere it is stricter.  The block is read-only.
+    Building one certifies it in O(n), without the dense matrix, and with the
+    dense certificate's verdict and residual (_gather_report), so a gather
+    stands in for its .matrix wherever a GraphUnitary does.  The block is
+    read-only.
     """
 
     graph: Digraph
@@ -225,17 +226,12 @@ class GatherRotation:
         if b.shape != (2, 2):
             raise ValueError(f"gather block shape {b.shape} is not (2, 2)")
         v, w, g = self.v, self.w, self.graph
+        _check_vertex(g, v)
+        _check_vertex(g, w)
         if v == w:
             raise GraphError("gather needs two distinct vertices")
-        pair = (v, w)
-        violations = tuple((pair[i], pair[j], float(abs(b[i, j])))
-                           for i in range(2) for j in range(2) if (pair[j], pair[i]) not in g.arcs)
-        if not g.is_reflexive:
-            violations += tuple((u, u, 1.0) for u in range(g.n)
-                                if u not in pair and (u, u) not in g.arcs)
-        residual = float(np.abs(b.conj().T @ b - _EYE2).max())
-        report = OpReport(residual <= ATOL and not violations, violations, residual, "unitary")
-        _seal(self, "block", b, report, f"gather on ({v}, {w}) is not a graph-preserving unitary")
+        _seal(self, "block", b, _gather_report(b, g, v, w),
+              f"gather on ({v}, {w}) is not a graph-preserving unitary")
 
     def apply(self, state) -> np.ndarray:
         out = np.array(state_vector(state), dtype=complex)
@@ -245,8 +241,7 @@ class GatherRotation:
 
     def adjoint(self) -> "GatherRotation":
         """Conjugate-transposed block on the same pair, certified against the reverse graph."""
-        g = self.graph if self.graph.is_undirected else reverse_digraph(self.graph)
-        return GatherRotation(g, self.v, self.w, self.block.conj().T)
+        return replace(self, graph=reverse_digraph(self.graph), block=self.block.conj().T)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -256,9 +251,16 @@ class GatherRotation:
         return m
 
 
-def certify_gather(g: Digraph, v: int, w: int, block) -> GatherRotation:
-    """The gather rotation with this block on (v, w), certified against g."""
-    return GatherRotation(g, v, w, block)
+def _gather_report(b: np.ndarray, g: Digraph, v: int, w: int) -> OpReport:
+    """is_graph_preserving_unitary of the gather's dense matrix, without building it: the
+    product m^H m differs from the identity only on the block, whose entries above ATOL need arcs."""
+    pair = (v, w)
+    violations = tuple((pair[i], pair[j], float(abs(b[i, j]))) for i in range(2) for j in range(2)
+                       if abs(b[i, j]) > ATOL and (pair[j], pair[i]) not in g.arcs)
+    if not g.is_reflexive:
+        violations += tuple((u, u, 1.0) for u in range(g.n) if u not in pair and (u, u) not in g.arcs)
+    residual = float(np.abs(b.conj().T @ b - _EYE2).max())
+    return OpReport(residual <= ATOL and not violations, violations, residual, "unitary")
 
 
 def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GatherRotation:
@@ -354,16 +356,13 @@ def cycle_unitary(n: int, phases) -> GraphUnitary:
     return certify_unitary(m, directed_cycle(n))
 
 
-def transposition_unitary(g: Digraph, v: int, w: int) -> GraphUnitary:
-    """Swap of two mutually adjacent vertices, identity elsewhere; v == w gives identity."""
+def transposition_unitary(g: Digraph, v: int, w: int):
+    """Swap of two mutually adjacent vertices as a gather, identity elsewhere; v == w gives identity."""
     if v == w:
         return identity_unitary(g)
     if (v, w) not in g.arcs or (w, v) not in g.arcs:
         raise GraphError(f"transposition needs mutually adjacent vertices, got {v}, {w}")
-    m = np.eye(g.n, dtype=complex)
-    m[v, v] = m[w, w] = 0.0
-    m[v, w] = m[w, v] = 1.0
-    return certify_unitary(m, g)
+    return GatherRotation(g, v, w, [[0, 1], [1, 0]])
 
 
 def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> GraphUnitary:
@@ -401,8 +400,8 @@ class ControlledOp:
     The joint layout is robber-major: index r * n + c.  control='robber'
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
-    Building one runs every block through certify_unitary against graph and
-    keeps it as a GraphUnitary; a bad block is named by its vertex.
+    Building one runs every block through certify_unitary against graph, which
+    keeps its kind; a bad block is named by its vertex.
     """
 
     blocks: tuple
@@ -416,19 +415,19 @@ class ControlledOp:
             raise ValueError(f"need {self.graph.n} blocks, got {len(self.blocks)}")
         blocks = []
         for v, u in enumerate(self.blocks):
-            try:  # apply stacks dense blocks, so a gather is certified as its dense matrix
-                blocks.append(certify_unitary(u.matrix if isinstance(u, GatherRotation) else u,
-                                              self.graph))
+            try:
+                blocks.append(certify_unitary(u, self.graph))
             except CertificationError as exc:
                 raise CertificationError(f"block {v}: {exc}", exc.report) from None
         object.__setattr__(self, "blocks", tuple(blocks))
 
     def apply(self, joint) -> np.ndarray:
         """Block v acts on row v (robber control) or column v of the (n, n) joint table."""
-        n = self.graph.n
-        spec = "rij,rj->ri" if self.control == "robber" else "cij,jc->ic"
-        return np.einsum(spec, np.stack([u.matrix for u in self.blocks]),
-                         state_vector(joint).reshape(n, n)).reshape(-1)
+        table = np.array(state_vector(joint), dtype=complex).reshape((self.graph.n,) * 2)
+        lines = table if self.control == "robber" else table.T  # .T is a view: writes land in table
+        for v, u in enumerate(self.blocks):
+            lines[v] = u.apply(lines[v])
+        return table.reshape(-1)
 
     @property
     def joint(self) -> np.ndarray:

@@ -12,7 +12,6 @@ from qpursuit import (
     GameError,
     GameModel,
     GraphError,
-    GraphUnitary,
     Strategy,
     certify_stochastic,
     complete_graph,
@@ -292,6 +291,12 @@ def test_unfair_pursuit_validates_input():
         play_unfair_probabilistic(g, {0}, Strategy(init=4), 1)
     with pytest.raises(GraphError):
         play_unfair_probabilistic(g, {0, 7}, Strategy(init=4), 1)
+    for members in ([0.5, 2.7, 3.2], [True, 3], [1, True, 3], ["0", 2]):  # int() would read these
+        cop = Strategy(params={"dominating_set": members})
+        with pytest.raises(GraphError, match="outside"):
+            play("unfair_probabilistic", g, cop, Strategy(init=4), 1)
+    cop = Strategy(params={"dominating_set": [np.int64(0), 2]})
+    assert play("unfair_probabilistic", g, cop, Strategy(init=4), 3).p_copwin == 0.875
     with pytest.raises(GameError):
         play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), -1)
     with pytest.raises(GameError):
@@ -426,8 +431,7 @@ def test_gather_rotation_plays_as_a_move_and_as_a_controlled_block():
     assert trace.p_copwin == pytest.approx(1.0)
     # a robber on vertex 1 triggers the gather; on 0 or 2 the cop stays put
     op = controlled_op(g, [identity_unitary(g), u, identity_unitary(g)], control="robber")
-    assert isinstance(op.blocks[1], GraphUnitary)
-    assert np.array_equal(op.blocks[1].matrix, u.matrix)
+    assert op.blocks[1] is u  # a gather block is kept as it is, not densified
     for robber, expected in ((1, 1.0), (0, 1.0), (2, 0.0)):
         qc = play("quantum_controlled", g, Strategy(init=0, move=[op]), Strategy(init=robber), 1)
         assert qc.p_copwin == pytest.approx(expected)
@@ -443,23 +447,31 @@ def test_a_controlled_play_certifies_each_block_once(monkeypatch):
     n = 32
     g = star_graph(n - 1)
     calls = []
-    dense = qpursuit.operators.is_graph_preserving_unitary
 
-    def spy(*args, **kwargs):
-        calls.append(args[1].n)
-        return dense(*args, **kwargs)
+    def spy_on(name):  # the dense check, or the gather's
+        check = getattr(qpursuit.operators, name)
 
-    for module in (qpursuit.operators, qpursuit.engine):  # wherever the check is bound
-        monkeypatch.setattr(module, "is_graph_preserving_unitary", spy, raising=False)
+        def spy(*args, **kwargs):
+            calls.append((name, args[1].n))
+            return check(*args, **kwargs)
+
+        for module in (qpursuit.operators, qpursuit.engine):  # wherever the check is bound
+            monkeypatch.setattr(module, name, spy, raising=False)
+
+    spy_on("is_graph_preserving_unitary")
+    spy_on("_gather_report")
+    cop = universal_vertex_catch(g)
+    # one per block when it is built: the hub's identity is dense, the n - 1 swaps are gathers
+    assert calls == [("is_graph_preserving_unitary", n)] + [("_gather_report", n)] * (n - 1)
+    calls.clear()
     robber = Strategy(init=_random_amps(np.random.default_rng(3), n))
-    trace = play("quantum_controlled", g, universal_vertex_catch(g), robber, 1)
+    trace = play("quantum_controlled", g, cop, robber, 1)
     assert trace.p_copwin == pytest.approx(1.0)
-    assert calls == [n] * n  # one per block, when universal_vertex_catch builds it
+    assert calls == []  # and none when it is played
     # a bare unitary move is certified once, not once per block of its lift
     swap = np.eye(n)[[1, 0] + list(range(2, n))]
-    calls.clear()
     play("quantum_controlled", g, Strategy(init=0, move=[swap]), robber, 1)
-    assert calls == [n]
+    assert calls == [("is_graph_preserving_unitary", n)]
 
 
 @pytest.mark.parametrize("model", ["classical_quantum", "open_probabilistic"])
@@ -488,3 +500,15 @@ def test_a_move_must_name_a_vertex_along_an_arc():
     robber = Strategy(init=0, move=[controlled_identity(g, "cop")])
     with pytest.raises(GameError, match="no such arc"):
         play_unfair_probabilistic(g, [1], robber, 1)
+
+
+@pytest.mark.parametrize("model", [m.value for m in GameModel])
+def test_a_boolean_is_not_an_initial_vertex(model):
+    g = path_graph(3)
+    cop = dominating_set_sweep(g) if model == "unfair_probabilistic" else Strategy(init=1)
+    with pytest.raises(GameError, match="initial vertex True"):  # would be read as vertex 1
+        play(model, g, cop, Strategy(init=True, move=[1]), 1)
+    if model != "unfair_probabilistic":  # the unfair Cop has no initial vertex
+        with pytest.raises(GameError, match="initial vertex True"):
+            play(model, g, Strategy(init=True, move=[1]), Strategy(init=1), 1)
+    assert play(model, g, cop, Strategy(init=1), 1).p_copwin == 1.0

@@ -16,7 +16,6 @@ from qpursuit import (
     QuantumState,
     apply_sequence,
     basis_state,
-    certify_gather,
     certify_stochastic,
     certify_unitary,
     complete_graph,
@@ -52,7 +51,7 @@ from qpursuit import (
     transposition_unitary,
     uniform_state,
 )
-from qpursuit.operators import _SKIP, _ZERO_BLOCK
+from qpursuit.operators import _SKIP, _ZERO_BLOCK, _gather_report
 
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
@@ -102,6 +101,10 @@ def test_basis_state_checks_the_vertex_range():
     for v in (-1, 3):  # -1 would otherwise index from the end and give |2>
         with pytest.raises(ValueError):
             basis_state(3, v)
+    for v in (True, 1.0):  # a[True] = 1 would set every amplitude
+        with pytest.raises(ValueError, match="basis vertex"):
+            basis_state(3, v)
+    assert np.array_equal(basis_state(3, np.int64(2)).amps, [0, 0, 1])
 
 
 @pytest.mark.parametrize("g", [path_graph(3), cycle_graph(5), star_graph(4), directed_cycle(3)])
@@ -355,32 +358,82 @@ def test_gather_chain_matches_the_dense_oracle(instance):
     # a block scaled off the unit sphere is refused, built directly or through adjoint
     forged = (1.0 + eps) * haar_unitary(2, np.random.default_rng(v))
     with pytest.raises(CertificationError) as err:
-        certify_gather(g, v, tree.parent[v], forged)
+        GatherRotation(g, v, tree.parent[v], forged)
     assert err.value.report.residual > ATOL and not err.value.report.violations
     with pytest.raises(CertificationError):
         GatherRotation(g, v, tree.parent[v], forged).adjoint()
 
 
-def test_certify_gather_reports_missing_arcs_and_loops():
+def test_gather_rotation_reports_missing_arcs_and_loops():
     block = haar_unitary(2, np.random.default_rng(1))
     g = path_graph(3)
     with pytest.raises(CertificationError) as err:
-        certify_gather(g, 0, 2, block)
+        GatherRotation(g, 0, 2, block)
     assert {(r, c) for r, c, _ in err.value.report.violations} == {(0, 2), (2, 0)}
     loopless = digraph(3, [(0, 1), (1, 2)], undirected=True, reflexive=False)
     with pytest.raises(CertificationError) as err:
-        certify_gather(loopless, 0, 1, block)
+        GatherRotation(loopless, 0, 1, block)
     assert {(r, c) for r, c, _ in err.value.report.violations} == {(0, 0), (1, 1), (2, 2)}
     with pytest.raises(GraphError):
-        certify_gather(g, 1, 1, block)
+        GatherRotation(g, 1, 1, block)
     with pytest.raises(ValueError):
-        certify_gather(g, 0, 1, np.eye(3))
-    u = certify_gather(g, 0, 1, block)
+        GatherRotation(g, 0, 1, np.eye(3))
+    u = GatherRotation(g, 0, 1, block)
     assert is_graph_preserving_unitary(u.matrix, g).ok
     assert u.matrix is not u.matrix  # materialised afresh, never cached
     vec = uniform_state(3).amps
     out = u.apply(vec)
     assert np.allclose(out, u.matrix @ vec, atol=1e-15) and out is not vec
+
+
+@st.composite
+def _gather_instances(draw):
+    """A random digraph and a 2x2 block on a random pair: unitary or not, with exact zeros."""
+    n = draw(st.integers(2, 8))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    g = digraph(n, arcs, undirected=draw(st.booleans()), reflexive=draw(st.booleans()))
+    v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
+    b = {"haar": haar_unitary(2, rng), "diagonal": np.diag(phases),
+         "swap": np.diag(phases)[::-1]}[draw(st.sampled_from(("haar", "diagonal", "swap")))]
+    b = b * draw(st.sampled_from((1.0, 1.0 + 1e-12, 1.0 + 1e-6, 0.5)))
+    entry = draw(st.sampled_from((None, 0.0, 1e-10, 1e-8)))  # zero, or either side of ATOL
+    if entry is not None:
+        b.flat[draw(st.integers(0, 3))] = entry
+    return g, v, w, b
+
+
+@settings(max_examples=300, phases=_NO_SHRINK)
+@given(_gather_instances())
+def test_a_gather_certifies_exactly_as_its_dense_matrix(instance):
+    g, v, w, b = instance
+    m = np.eye(g.n, dtype=complex)
+    m[np.ix_([v, w], [v, w])] = b
+    dense = is_graph_preserving_unitary(m, g)
+    report = _gather_report(b, g, v, w)
+    assert report.ok == dense.ok
+    # the same residual up to rounding: the dense product may be summed with fused multiply-adds
+    assert report.residual == pytest.approx(dense.residual, rel=0.0, abs=1e-15)
+    assert sorted(report.violations) == sorted(dense.violations)
+    if dense.ok:
+        assert np.array_equal(GatherRotation(g, v, w, b).matrix, m)
+    else:
+        with pytest.raises(CertificationError) as err:
+            GatherRotation(g, v, w, b)
+        assert err.value.report == report
+
+
+def test_gather_vertices_must_be_vertices():
+    g = path_graph(3)
+    swap = [[0, 1], [1, 0]]
+    for v, w in ((True, 0), (1.0, 0), (0, np.float64(1.0)), (0, 3), (-1, 0)):
+        with pytest.raises(GraphError, match="outside"):  # True would act on vertex 1
+            GatherRotation(g, v, w, swap)
+    with pytest.raises(GraphError, match="outside"):
+        transposition_unitary(g, True, 0)
+    assert np.array_equal(GatherRotation(g, np.int64(1), 0, swap).matrix,
+                          transposition_unitary(g, 0, 1).matrix)
 
 
 def test_gather_adjoint_on_a_directed_board():
@@ -434,8 +487,14 @@ def test_cycle_unitary_two_vertices():
 def test_transposition_unitary():
     g = path_graph(3)
     u = transposition_unitary(g, 0, 1)
+    assert isinstance(u, GatherRotation) and np.array_equal(u.block, [[0, 1], [1, 0]])
     assert np.array_equal(u.matrix, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert np.array_equal(transposition_unitary(g, 1, 1).matrix, np.eye(3))
+    # a swap needs no loops on its own pair, only outside it, as its dense matrix does
+    bare = digraph(3, [(0, 1), (2, 2)], undirected=True, reflexive=False)
+    assert np.array_equal(transposition_unitary(bare, 0, 1).matrix, u.matrix)
+    with pytest.raises(CertificationError):
+        transposition_unitary(digraph(3, [(0, 1)], undirected=True, reflexive=False), 0, 1)
     with pytest.raises(GraphError):
         transposition_unitary(g, 0, 2)
 
@@ -543,7 +602,7 @@ def test_controlled_op_joint_layouts():
     op = controlled_op(g, [x, identity_unitary(g)], control="cop")
     expected = np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.array_equal(op.joint, expected)
-    assert all(isinstance(b, GraphUnitary) for b in op.blocks)
+    assert [type(b) for b in op.blocks] == [GatherRotation, GraphUnitary]
 
 
 def test_controlled_op_accepts_callables_and_raw_matrices():
@@ -585,6 +644,7 @@ def test_controlled_op_certifies_blocks_from_another_board():
     k4_swap = transposition_unitary(complete_graph(4), 0, 1)
     op = controlled_op(c4, [k4_swap] * 4, "robber")
     assert all(b.graph == c4 and np.array_equal(b.matrix, k4_swap.matrix) for b in op.blocks)
+    assert all(type(b) is GatherRotation for b in op.blocks)
     own = transposition_unitary(cycle_graph(4), 0, 1)  # an equal board: kept as it is
     assert all(b is own for b in controlled_op(c4, [own] * 4, "cop").blocks)
 
@@ -611,12 +671,22 @@ def _dense_lift(m, mover):
     return np.kron(m, np.eye(n))
 
 
+def _sample_block(g, rng):
+    """A dense member, a gather with a Haar block, or a transposition, on a random edge."""
+    edges = sorted((v, w) for v, w in g.arcs if v < w)
+    kind = int(rng.integers(3)) if edges else 0
+    if kind == 0:
+        return sample_graph_unitary(g, rng)
+    v, w = edges[int(rng.integers(len(edges)))]
+    return GatherRotation(g, v, w, haar_unitary(2, rng)) if kind == 1 else transposition_unitary(g, v, w)
+
+
 @settings(max_examples=200, phases=_NO_SHRINK)
 @given(st.integers(1, 6), st.sampled_from(("robber", "cop")), st.integers(0, 2**32 - 1))
 def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng, rng.choice([0.0, 0.3, 1.0]))
-    op = sample_controlled_op(g, rng, control)
+    op = controlled_op(g, [_sample_block(g, rng) for _ in range(n)], control)
     x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
     x[rng.random(n * n) < 0.3] = 0.0
     x /= np.linalg.norm(x) or 1.0
@@ -626,7 +696,7 @@ def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     assert np.allclose(op.joint, dense, rtol=0.0, atol=1e-12)
     mover = "cop" if control == "robber" else "robber"
     assert np.allclose(qc_step(op, x, g, mover), dense @ x, rtol=0.0, atol=1e-12)
-    u = sample_graph_unitary(g, rng)
+    u = _sample_block(g, rng)
     for who in ("cop", "robber"):
         assert np.allclose(qc_step(u, x, g, who), _dense_lift(u.matrix, who) @ x,
                            rtol=0.0, atol=1e-12)
@@ -713,8 +783,8 @@ def test_certificates_cannot_be_forged_or_edited():
     u = sample_path3_unitary(np.random.default_rng(0))
     s = identity_stochastic(g)
     gather = gather_unitary(g, 0, 1, [1.0, 0.0, 0.0], (0.0, 1.0))
-    op = controlled_op(g, [ident, gather, ident], "robber")
-    for array in (u.matrix, s.matrix, gather.block, op.blocks[1].matrix):
+    op = controlled_op(g, [ident, gather, u], "robber")
+    for array in (u.matrix, s.matrix, gather.block, op.blocks[1].block, op.blocks[2].matrix):
         with pytest.raises(ValueError):
             array[0, 0] = 5.0
         with pytest.raises(ValueError):
@@ -733,6 +803,9 @@ def test_certify_trusts_a_certificate_only_on_its_own_board():
     # a certificate from another board is certified again, and refused where illegal
     moved = certify_unitary(u, k4)
     assert moved is not u and moved.graph == k4 and np.array_equal(moved.matrix, u.matrix)
+    assert type(moved) is GatherRotation  # certified again as its own kind
+    dense = certify_unitary(u.matrix, c4)
+    assert type(certify_unitary(dense, k4)) is GraphUnitary
     assert certify_stochastic(s, k4).graph == k4
     with pytest.raises(CertificationError):
         certify_unitary(transposition_unitary(k4, 0, 2), c4)

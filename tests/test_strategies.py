@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpursuit import (
+    ATOL,
     GameError,
     GameModel,
     GraphError,
@@ -73,6 +74,14 @@ def test_universal_vertex_catch_always_wins(rng):
     # later rounds are identities, so the catch survives a longer game
     robber = Strategy(init=_random_amps(rng, g.n))
     assert np.isclose(play("quantum_controlled", g, plan, robber, 3).p_copwin, 1.0, atol=1e-12)
+
+
+def test_universal_vertex_catch_at_n512(rng):
+    n = 512  # every block but the hub's is a 2x2 swap, so the play stays O(n^2)
+    g = star_graph(n - 1)
+    trace = play("quantum_controlled", g, universal_vertex_catch(g),
+                 Strategy(init=_random_amps(rng, n)), 1)
+    assert abs(trace.p_copwin - 1.0) <= ATOL
 
 
 def test_universal_vertex_catch_accepts_an_explicit_hub(rng):

@@ -118,9 +118,12 @@ def _cmd_verify_op(args) -> int:
 
 def _parse_state(text: str, n: int) -> np.ndarray:
     if text == "uniform":
-        return uniform_state(n).amps
+        return uniform_state(n)
     if text.startswith("basis:"):
-        return basis_state(n, int(text.split(":", 1)[1])).amps
+        digits = text[len("basis:"):]
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes " 2", "+2", "1_0"
+            raise ValueError(f"basis vertex must be written in decimal digits, got {digits!r}")
+        return basis_state(n, int(digits))
     vec = state_from_json(json.loads(text))
     if vec.shape != (n,):
         raise ValueError(f"state has dimension {vec.shape[0]}, graph has {n} vertices")
@@ -166,7 +169,7 @@ def _cmd_analyze_graph(args) -> int:
 
 def _random_qc_cop(g, rng, rounds) -> Strategy:
     ops = [sample_controlled_op(g, rng, "robber") for _ in range(rounds)]
-    init = sample_graph_unitary(g, rng).apply(np.eye(g.n, dtype=complex)[:, 0])
+    init = sample_graph_unitary(g, rng).apply(basis_state(g.n, 0))
     return Strategy(init=init, move=ops)
 
 
@@ -182,7 +185,7 @@ def _reproduce_case(name: str, rng) -> list:
             rows.append((f"{name}[{model.value}]", 0.2, p, abs(p - 0.2) <= ATOL))
     elif name == "universal-vertex-1":
         g = star_graph(3)
-        state = sample_graph_unitary(g, rng).apply(np.eye(g.n, dtype=complex)[:, 1])
+        state = sample_graph_unitary(g, rng).apply(basis_state(g.n, 1))
         p = play(GameModel.QUANTUM_CONTROLLED, g, universal_vertex_catch(g),
                  Strategy(init=state), 1).p_copwin
         rows.append((name, 1.0, p, abs(p - 1.0) <= ATOL))
@@ -193,7 +196,7 @@ def _reproduce_case(name: str, rng) -> list:
         rows.append((name, 0.0, p, p <= 1e-12))
     elif name == "c4-unfair-3-4":
         g = cycle_graph(4)
-        state = sample_graph_unitary(g, rng).apply(np.eye(4, dtype=complex)[:, 2])
+        state = sample_graph_unitary(g, rng).apply(basis_state(4, 2))
         p = play(GameModel.QUANTUM_CONTROLLED, g, c4_unfair_cop(g), Strategy(init=state), 1).p_copwin
         rows.append((name, 0.75, p, abs(p - 0.75) <= ATOL))
     elif name == "theorem1-sweep":
@@ -216,8 +219,8 @@ def _reproduce_case(name: str, rng) -> list:
         rows.append((name, 0.0, worst, worst <= ATOL_DERIVED))
     elif name == "reach-bound":
         g = path_graph(6)
-        phi = np.eye(6, dtype=complex)[:, 0]
-        psi = np.eye(6, dtype=complex)[:, 5]
+        phi = basis_state(6, 0)
+        psi = basis_state(6, 5)
         ops = reach_sequence(g, phi, psi, root=0)
         fidelity = abs(np.vdot(psi, apply_sequence(ops, phi)))
         ok = g.n - 1 <= len(ops) <= 2 * g.n - 2 and fidelity >= 1.0 - ATOL

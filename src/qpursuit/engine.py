@@ -16,9 +16,10 @@ import numpy as np
 
 from .graphs import Digraph, GraphError, _is_int, dominates
 from .operators import (
-    ATOL,
     CertificationError,
     ControlledOp,
+    _is_distribution,
+    _is_unit,
     basis_state,
     certify_stochastic,
     certify_unitary,
@@ -81,9 +82,9 @@ class ControlledInit:
 class Strategy:
     """One player's declared plan.
 
-    init: a vertex index, a probability vector, a QuantumState (or raw
-    amplitude vector), the string "uniform", a callable producing one of
-    those, or a ControlledInit (quantum controlled Robber only).  move: a
+    init: a vertex index, a probability vector, an amplitude vector, the
+    string "uniform", a callable producing one of those, or a
+    ControlledInit (quantum controlled Robber only).  move: a
     callable(MoveContext) -> operation, a list of per-round operations, or
     None for identity moves; a callable may also return None to fall back to
     the identity.  prepare: optional callable(PrepareContext) run before the
@@ -122,7 +123,7 @@ def p_copwin_joint(joint, n: int) -> float:
     a = state_vector(joint)
     if a.shape[0] != n * n:
         raise ValueError(f"joint dimension {a.shape[0]} is not {n}^2")
-    if abs(np.linalg.norm(a) - 1.0) > ATOL:
+    if not _is_unit(a):
         raise ValueError("joint state is not normalized")
     return float(np.sum(np.abs(a.reshape(n, n).diagonal()) ** 2))
 
@@ -133,9 +134,8 @@ def p_copwin_separable(robber, cop) -> float:
     c = state_vector(cop)
     if r.shape != c.shape:
         raise ValueError("state dimensions differ")
-    for vec in (r, c):
-        if abs(np.linalg.norm(vec) - 1.0) > ATOL:
-            raise ValueError("states must be normalized")
+    if not (_is_unit(r) and _is_unit(c)):
+        raise ValueError("states must be normalized")
     return float(np.sum(np.abs(r * c) ** 2))
 
 
@@ -145,9 +145,8 @@ def p_copwin_probabilistic(p_robber, p_cop) -> float:
     pc = np.asarray(p_cop, dtype=float)
     if pr.shape != pc.shape:
         raise ValueError("distribution dimensions differ")
-    for vec in (pr, pc):
-        if abs(vec.sum() - 1.0) > ATOL or vec.min() < -ATOL:
-            raise ValueError("inputs must be probability vectors")
+    if not (_is_distribution(pr) and _is_distribution(pc)):
+        raise ValueError("inputs must be probability vectors")
     return float(pr @ pc)
 
 
@@ -180,23 +179,20 @@ def _prob_vector(init, n: int) -> np.ndarray:
     if isinstance(init, str) and init == "uniform":
         return np.full(n, 1.0 / n)
     if isinstance(init, (int, np.integer)):
-        vec = np.zeros(n)
-        vec[_vertex(init, n)] = 1.0
-        return vec
+        return basis_state(n, _vertex(init, n)).real
     vec = np.asarray(init, dtype=float).reshape(-1)
-    # the comparisons are written so that a nan entry fails them
-    if vec.shape != (n,) or not (abs(vec.sum() - 1.0) <= ATOL and vec.min() >= -ATOL):
+    if vec.shape != (n,) or not _is_distribution(vec):
         raise GameError("initial distribution is not a probability vector of the right size")
     return vec
 
 
 def _amp_vector(init, n: int) -> np.ndarray:
     if isinstance(init, str) and init == "uniform":
-        return uniform_state(n).amps
+        return uniform_state(n)
     if isinstance(init, (int, np.integer)):
-        return basis_state(n, _vertex(init, n)).amps
+        return basis_state(n, _vertex(init, n))
     vec = state_vector(init)
-    if vec.shape != (n,) or not abs(np.linalg.norm(vec) - 1.0) <= ATOL:  # nan fails too
+    if vec.shape != (n,) or not _is_unit(vec):
         raise GameError("initial amplitudes are not a normalized vector of the right size")
     return vec
 
@@ -336,8 +332,7 @@ def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy) -> np.ndarray:
         chi = rinit.states
         if chi.shape != (n, n):
             raise GameError(f"controlled preparation needs an {n}x{n} column table")
-        norms = np.linalg.norm(chi, axis=0)
-        if np.max(np.abs(norms - 1.0)) > ATOL:
+        if not _is_unit(chi, axis=0):
             raise GameError("every column of a controlled preparation must be normalized")
         return (chi * sc).reshape(-1)
     return np.outer(_amp_vector(rinit, n), sc).reshape(-1)

@@ -20,7 +20,8 @@ class Digraph:
 
     Arcs are ordered pairs (u, v).  A loop (v, v) means the player standing
     at v may stay put, so game boards are always reflexive.  Undirected
-    graphs are represented by symmetric arc sets.
+    graphs are represented by symmetric arc sets.  n and every arc endpoint
+    must be integers (_is_int); numpy integers are stored as int.
 
     A Digraph is immutable, so its adjacency lists, bitsets and matrix are built on
     first use and cached on the instance; equality and hashing read only n
@@ -31,13 +32,14 @@ class Digraph:
     arcs: frozenset
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphError("a graph needs at least one vertex")
-        arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        for u, v in arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"arc ({u}, {v}) references a vertex outside 0..{self.n - 1}")
+        n = self.n
+        if not (_is_int(n) and n >= 1):
+            raise GraphError(f"a graph needs a positive integer vertex count, got {n!r}")
+        for u, v in self.arcs:
+            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+                raise GraphError(f"arc ({u!r}, {v!r}) references a vertex outside 0..{n - 1}")
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs))
 
     @cached_property
     def out_adj(self) -> tuple:
@@ -45,14 +47,6 @@ class Digraph:
         rows = [[] for _ in range(self.n)]
         for u, v in self.arcs:
             rows[u].append(v)
-        return tuple(tuple(sorted(row)) for row in rows)
-
-    @cached_property
-    def in_adj(self) -> tuple:
-        """Sorted in-neighbour tuple {u : (u, v) in arcs} of every vertex v."""
-        rows = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            rows[v].append(u)
         return tuple(tuple(sorted(row)) for row in rows)
 
     @cached_property
@@ -72,7 +66,8 @@ class Digraph:
         return all((v, u) in self.arcs for u, v in self.arcs)
 
     @cached_property
-    def _adjacency(self) -> np.ndarray:
+    def adjacency(self) -> np.ndarray:
+        """Read-only boolean matrix a with a[u, v] true iff (u, v) is an arc."""
         ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
                            count=2 * len(self.arcs)).reshape(-1, 2)
         a = np.zeros((self.n, self.n), dtype=bool)
@@ -80,14 +75,10 @@ class Digraph:
         a.setflags(write=False)
         return a
 
-    def adjacency(self) -> np.ndarray:
-        """Read-only boolean matrix a with a[u, v] true iff (u, v) is an arc, built once."""
-        return self._adjacency
-
 
 def digraph(n, arcs, *, undirected=False, reflexive=True) -> Digraph:
     """Build a Digraph, optionally closing the arcs symmetrically and adding all loops."""
-    full = {(int(u), int(v)) for u, v in arcs}
+    full = {(u, v) for u, v in arcs}
     if undirected:
         full |= {(v, u) for u, v in full}
     if reflexive:
@@ -117,7 +108,8 @@ def complete_graph(n: int) -> Digraph:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """The one integer rule: a Python or numpy integer, not a bool (exact ints decide fast)."""
+    return type(x) is int or isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_vertex(g: Digraph, v: int):
@@ -131,30 +123,37 @@ def neighbors(g: Digraph, v: int) -> set:
     return set(g.out_adj[v])
 
 
-def _reach(start: int, *adjs) -> set:
-    """Vertices a BFS from start reaches along the union of the given adjacency lists."""
-    seen = {start}
+def _bfs(start: int, *adjs):
+    """BFS from start along the union of the adjacency lists, each scanned in order.
+
+    Returns (parent, dist); start is its own parent, unreached vertices get -1 in both.
+    """
+    parent = [-1] * len(adjs[0])
+    dist = [-1] * len(adjs[0])
+    parent[start] = start
+    dist[start] = 0
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for adj in adjs:
-            for t in adj[u]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return seen
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+    return parent, dist
 
 
 def is_reversible(g: Digraph) -> bool:
     """True iff there is a directed path between every ordered pair of vertices."""
-    if g.n == 1:
-        return True
-    return len(_reach(0, g.out_adj)) == g.n and len(_reach(0, g.in_adj)) == g.n
+    return min(_bfs(0, g.out_adj)[1] + _bfs(0, reverse_digraph(g).out_adj)[1]) >= 0
 
 
 def is_connected(g: Digraph) -> bool:
     """Connectivity of the underlying undirected graph (arcs taken both ways)."""
-    return len(_reach(0, g.out_adj, g.in_adj)) == g.n
+    rev = reverse_digraph(g)
+    adjs = (g.out_adj,) if rev is g else (g.out_adj, rev.out_adj)
+    return min(_bfs(0, *adjs)[1]) >= 0
 
 
 def is_corner(g: Digraph, v: int):
@@ -169,8 +168,8 @@ def is_corner(g: Digraph, v: int):
     bits = g.out_bits
     sv = bits[v]
     if sv:
-        # u must be an in-neighbour of every w in S(v); scan the fewest of them.
-        candidates = min((g.in_adj[w] for w in g.out_adj[v]), key=len)
+        # u must be a neighbour of every w in S(v); scan the fewest of them.
+        candidates = min((g.out_adj[w] for w in g.out_adj[v]), key=len)
     else:
         candidates = range(g.n)
     for u in candidates:
@@ -241,7 +240,7 @@ def copwin_value_tables(g: Digraph, cap: int = 10):
         raise GraphError(f"the game solver's cap must be an integer, got {cap!r}")
     if g.n > cap:
         raise GraphError(f"game solver capped at {cap} vertices, got {g.n}")
-    a = g.adjacency()
+    a = g.adjacency
     n = g.n
     eye = np.eye(n, dtype=bool)
     vc = np.where(eye, 0.0, np.inf)
@@ -333,19 +332,9 @@ class SpanningTree:
 def spanning_tree(g: Digraph, root: int) -> SpanningTree:
     """BFS spanning tree over mutual arcs, lowest-index-first exploration."""
     _check_vertex(g, root)
-    sym = [[v for v in g.out_adj[u] if v != u and g.out_bits[v] >> u & 1] for u in range(g.n)]
-    parent = [-1] * g.n
-    dist = [-1] * g.n
-    parent[root] = root
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sym[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                queue.append(v)
+    sym = g.out_adj if g.is_undirected else \
+        [[v for v in g.out_adj[u] if g.out_bits[v] >> u & 1] for u in range(g.n)]
+    parent, dist = _bfs(root, sym)
     if min(dist) < 0:
         raise GraphError("graph has no undirected spanning tree")
     order = sorted(range(g.n), key=lambda v: (-dist[v], v))
@@ -370,16 +359,9 @@ def reverse_digraph(g: Digraph) -> Digraph:
 def support_ball(g: Digraph, v: int, k: int) -> set:
     """Vertices reachable from v by at most k arcs."""
     _check_vertex(g, v)
-    if k < 0:
-        raise GraphError("negative step count")
-    frontier = {v}
-    ball = {v}
-    for _ in range(k):
-        frontier = {w for u in frontier for w in g.out_adj[u]} - ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
+    if not (_is_int(k) and k >= 0):
+        raise GraphError(f"step count must be a non-negative integer, got {k!r}")
+    return {w for w, d in enumerate(_bfs(v, g.out_adj)[1]) if 0 <= d <= k}
 
 
 def random_connected_graph(n: int, rng, extra_edge_prob: float = 0.3) -> Digraph:

@@ -64,41 +64,41 @@ class OpReport:
         return self.ok
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumState:
-    """Normalized complex amplitude vector over vertices (or vertex pairs)."""
-
-    amps: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
+def _is_unit(a, axis=None) -> bool:
+    """True iff a (each slice along axis, if given) has unit 2-norm within ATOL; nan, inf fail."""
+    with np.errstate(all="ignore"):  # a nan, inf or overflowing entry fails without a warning
+        return bool(np.all(np.abs(np.linalg.norm(a, axis=axis) - 1.0) <= ATOL))
 
 
-def quantum_state(amps) -> QuantumState:
-    a = np.asarray(amps, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(a) - 1.0) > ATOL:
+def _is_distribution(p) -> bool:
+    """True iff p sums to 1 within ATOL and has no entry below -ATOL; nan, inf fail."""
+    with np.errstate(all="ignore"):
+        return bool(abs(p.sum() - 1.0) <= ATOL and p.min() >= -ATOL)
+
+
+def state_vector(x) -> np.ndarray:
+    """Plain flat complex vector from an array-like."""
+    return np.asarray(x, dtype=complex).reshape(-1)
+
+
+def quantum_state(amps) -> np.ndarray:
+    """amps as a flat complex vector, refused unless it has unit norm."""
+    a = state_vector(amps)
+    if not _is_unit(a):
         raise ValueError("state vector is not normalized")
-    return QuantumState(a)
+    return a
 
 
-def basis_state(n: int, v: int) -> QuantumState:
+def basis_state(n: int, v: int) -> np.ndarray:
     if not _is_int(v) or not 0 <= v < n:
         raise ValueError(f"basis vertex {v!r} outside 0..{n - 1}")
     a = np.zeros(n, dtype=complex)
     a[v] = 1.0
-    return QuantumState(a)
+    return a
 
 
-def uniform_state(n: int) -> QuantumState:
-    return QuantumState(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
-
-
-def state_vector(x) -> np.ndarray:
-    """Plain complex vector from a QuantumState or array-like."""
-    if isinstance(x, QuantumState):
-        return x.amps
-    return np.asarray(x, dtype=complex).reshape(-1)
+def uniform_state(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
 def _seal(cert, field: str, a: np.ndarray, report: OpReport, failure: str):
@@ -149,7 +149,7 @@ class GraphStochastic:
 
 def _violations(m: np.ndarray, g: Digraph, tau: float) -> tuple:
     """(w, v, |m[w, v]|) for every entry above tau whose arc (v, w) is missing."""
-    bad = (np.abs(m) > tau) & ~g.adjacency().T
+    bad = (np.abs(m) > tau) & ~g.adjacency.T
     return tuple((int(w), int(v), float(abs(m[w, v]))) for w, v in zip(*np.nonzero(bad)))
 
 
@@ -281,7 +281,7 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GatherRotation:
     y0, y1 = complex(target[0]), complex(target[1])
     sa = math.hypot(abs(x0), abs(x1))
     sb = math.hypot(abs(y0), abs(y1))
-    if abs(sa * sa - sb * sb) > ATOL:
+    if not abs(sa * sa - sb * sb) <= ATOL:  # nan fails too
         raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
     block = _EYE2
     if sa > _ZERO_BLOCK:
@@ -322,9 +322,8 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     b = state_vector(psi)
     if a.shape != (g.n,) or b.shape != (g.n,):
         raise ValueError("state dimension does not match the graph")
-    for vec in (a, b):
-        if abs(np.linalg.norm(vec) - 1.0) > ATOL:
-            raise ValueError("reach needs normalized states")
+    if not (_is_unit(a) and _is_unit(b)):
+        raise ValueError("reach needs normalized states")
     if not g.is_reflexive:
         raise GraphError("reach needs a reflexive graph")
     if not is_reversible(g):
@@ -358,6 +357,8 @@ def cycle_unitary(n: int, phases) -> GraphUnitary:
 
 def transposition_unitary(g: Digraph, v: int, w: int):
     """Swap of two mutually adjacent vertices as a gather, identity elsewhere; v == w gives identity."""
+    _check_vertex(g, v)
+    _check_vertex(g, w)
     if v == w:
         return identity_unitary(g)
     if (v, w) not in g.arcs or (w, v) not in g.arcs:
@@ -374,7 +375,7 @@ def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> Graph
     e^(i (k_c - psi))|1>; alpha is a free phase on the complementary block.
     """
     ra, ka, rb, kb, rc, kc = (float(x) for x in amplitudes)
-    if abs(ra * ra + rb * rb + rc * rc - 1.0) > ATOL:
+    if not _is_unit((ra, rb, rc)):
         raise ValueError("source amplitudes must have unit norm")
 
     def e(x):

@@ -15,7 +15,7 @@ from .engine import (
     Strategy,
     play,
 )
-from .graphs import Digraph, digraph
+from .graphs import Digraph, _is_int, digraph
 from .operators import ControlledOp
 from .strategies import build_strategy
 
@@ -35,7 +35,7 @@ def graph_to_json(g: Digraph) -> dict:
 
 def _json_int(value, what: str) -> int:
     """An integer read from JSON; booleans and non-integral numbers are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -130,7 +130,7 @@ _DETERMINISTIC = (GameModel.CLASSICAL, GameModel.UNFAIR_PROBABILISTIC)
 def _init_from_json(spec, model: GameModel, n: int):
     if spec is None or spec == "uniform":
         return "uniform"
-    if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
+    if _is_int(spec):
         return int(spec)
     if isinstance(spec, dict) and "controlled" in spec:
         if not isinstance(spec["controlled"], list):
@@ -138,10 +138,7 @@ def _init_from_json(spec, model: GameModel, n: int):
         cols = [state_from_json(col) for col in spec["controlled"]]
         if len(cols) != n:
             raise ValueError(f"controlled preparation needs {n} columns")
-        chi = np.zeros((n, n), dtype=complex)
-        for v, col in enumerate(cols):
-            chi[:, v] = col
-        return ControlledInit(chi)
+        return ControlledInit(np.stack(cols, axis=1))
     if isinstance(spec, list):
         if model in _DETERMINISTIC:
             raise ValueError("deterministic models need an integer initial vertex")

@@ -68,13 +68,6 @@ def _require_c4(g: Digraph):
         raise GraphError("this strategy is specific to the reflexive 4-cycle on vertices 0..3")
 
 
-def _rotation_permutation(shift: int) -> np.ndarray:
-    p = np.zeros((4, 4))
-    for j in range(4):
-        p[(j + shift) % 4, j] = 1.0
-    return p
-
-
 def _recentred_collapse(g: Digraph, amps: np.ndarray, target: int) -> "GraphUnitary":
     """Certified unitary sending the normalized amps (supported off target+2) onto |target>.
 
@@ -83,7 +76,7 @@ def _recentred_collapse(g: Digraph, amps: np.ndarray, target: int) -> "GraphUnit
     onto the requested target.
     """
     shift = (target - 1) % 4
-    dd = np.array([amps[(j + shift) % 4] for j in range(4)])
+    dd = np.roll(amps, -shift)  # dd[j] = amps[j + shift]
     trio = np.linalg.norm(dd[:3])
     params = (
         abs(dd[0]) / trio, float(np.angle(dd[0])),
@@ -91,7 +84,7 @@ def _recentred_collapse(g: Digraph, amps: np.ndarray, target: int) -> "GraphUnit
         abs(dd[2]) / trio, float(np.angle(dd[2])),
     )
     base = gather_unitary_c4(params, 0.0, 0.0)
-    rot = _rotation_permutation(shift)
+    rot = np.roll(np.eye(4), shift, axis=0)  # the cycle rotation j -> j + shift
     return certify_unitary(rot @ base.matrix @ rot.T, g)
 
 
@@ -162,9 +155,7 @@ def c4_antipodal_evasion(g: Digraph) -> Strategy:
     """
     _require_c4(g)
     plan = _AntipodalEvasion(g)
-    chi = np.zeros((4, 4), dtype=complex)
-    for v in range(4):
-        chi[(v + 2) % 4, v] = 1.0
+    chi = np.roll(np.eye(4), 2, axis=0)  # column v is |v + 2>
     strategy = Strategy(init=ControlledInit(chi), move=plan.move, prepare=plan.prepare,
                         role="robber", model=GameModel.QUANTUM_CONTROLLED,
                         name="c4_antipodal_evasion")

@@ -105,7 +105,7 @@ def test_criterion_3_path_lightcone_lower_bound():
         ops = reach_sequence(g, basis_state(n, 0), basis_state(n, n - 1))
         if not n - 1 <= len(ops) <= 2 * n - 2:
             failures.append(f"n={n}: engine used {len(ops)} operations")
-        cur = basis_state(n, 0).amps
+        cur = basis_state(n, 0)
         for k, u in enumerate(ops):
             ball = support_ball(g, 0, k)
             if {v for v in range(n) if abs(cur[v]) > 1e-9} - ball:
@@ -115,7 +115,7 @@ def test_criterion_3_path_lightcone_lower_bound():
             cur = u.apply(cur)
         # arbitrary certified sequences obey the same lightcone
         for _ in range(10):
-            cur = basis_state(n, 0).amps
+            cur = basis_state(n, 0)
             for k in range(n - 2):
                 cur = sample_graph_unitary(g, rng).apply(cur)
             if abs(cur[n - 1]) > 1e-9 or {v for v in range(n) if abs(cur[v]) > 1e-9} - \
@@ -197,7 +197,7 @@ def test_criterion_7_dominating_sweep_bound():
         g = random_connected_graph(n, rng)
         dset = sorted(dominating_set(g))
         bound = [1.0 - (1.0 - 1.0 / len(dset)) ** k for k in range(7)]
-        a = g.adjacency()
+        a = g.adjacency
 
         def check(walk, k):
             p = play_unfair_probabilistic(g, dset, Strategy(init=walk[0], move=walk[1:]),
@@ -275,9 +275,9 @@ def test_criterion_9_structural_suite():
     if not np.allclose(v.matrix, C4_MATRIX, atol=1e-9):
         failures.append("collapse matrix entries drifted")
     image = v.apply(_c4_source_state(C4_AMPS))
-    if not np.allclose(image, C4_IMAGE_PHASE * basis_state(4, 1).amps, atol=1e-9):
+    if not np.allclose(image, C4_IMAGE_PHASE * basis_state(4, 1), atol=1e-9):
         failures.append("collapse image of the source state drifted")
-    if not np.allclose(v.apply(basis_state(4, 3).amps), C4_MATRIX[:, 3], atol=1e-9):
+    if not np.allclose(v.apply(basis_state(4, 3)), C4_MATRIX[:, 3], atol=1e-9):
         failures.append("collapse image of the spectator basis state drifted")
     assert _verdict(9, "identity and adjoints stay members, products need not",
                     not failures), failures[:3]

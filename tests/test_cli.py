@@ -142,6 +142,20 @@ def test_run_inline_controlled_move_and_preparation(tmp_path, capsys):
     assert code == 0 and out.endswith("p_copwin=0.000000000\n")
 
 
+
+@pytest.mark.parametrize("columns, error", [
+    ([[0.5]] * 4, "GameError"),  # a 1 x 4 table, refused by the engine's shape check
+    ([[0.5], [0.5, 0.5, 0.5, 0.5], [0.5], [0.5]], "ValueError"),  # columns that do not stack
+], ids=["one-entry", "ragged"])
+def test_run_refuses_controlled_preparation_columns_of_the_wrong_length(tmp_path, capsys,
+                                                                       columns, error):
+    # a one-entry column [0.5] would otherwise broadcast into the uniform column on n = 4
+    scenario = {"model": "quantum_controlled", "graph": graph_to_json(complete_graph(4)),
+                "rounds": 1, "cop": {"init": 0}, "robber": {"init": {"controlled": columns}}}
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+    assert code == 1 and out == "" and json.loads(err)["error"] == error
+
+
 _CHASE = {"control": "robber",
           "blocks": [{"n": 2, "entries": [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]},
                      {"n": 2, "entries": [[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]}]}
@@ -320,6 +334,19 @@ def test_reach_rejects_bad_boards_and_states(tmp_path, capsys):
     graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
     code, _, err = _run(capsys, ["reach", graph, "--from", "basis:9", "--to", "basis:1"])
     assert code == 1 and json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("spec", ["basis:1_0", "basis: 2 ", "basis:+2", "basis:-0", "basis:",
+                                  "basis:1.0", "basis:\uff12"])
+def test_reach_basis_vertex_is_plain_decimal_digits(tmp_path, capsys, spec):
+    # int() reads all but "" and "1.0": "1_0" as vertex 10, the full-width digit two as 2
+    graph = _write(tmp_path, "p12.json", graph_to_json(path_graph(12)))
+    code, out, err = _run(capsys, ["reach", graph, "--from", spec, "--to", "basis:2"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message":
+                               f"basis vertex must be written in decimal digits, got {spec[6:]!r}"}
+    code, out, _ = _run(capsys, ["reach", graph, "--from", "basis:10", "--to", "basis:2"])
+    assert code == 0 and out.endswith("fidelity=1.000000000\n")
 
 
 def test_analyze_graph_reports(tmp_path, capsys):

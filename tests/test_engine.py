@@ -22,6 +22,7 @@ from qpursuit import (
     dominating_set,
     dominating_set_sweep,
     gather_unitary,
+    gather_unitary_c4,
     identity_unitary,
     neighbors,
     p_copwin_joint,
@@ -32,6 +33,8 @@ from qpursuit import (
     play_unfair_probabilistic,
     qc_initial_joint,
     qc_step,
+    quantum_state,
+    reach_sequence,
     random_connected_graph,
     sample_graph_stochastic,
     sample_graph_unitary,
@@ -512,3 +515,49 @@ def test_a_boolean_is_not_an_initial_vertex(model):
         with pytest.raises(GameError, match="initial vertex True"):
             play(model, g, Strategy(init=True, move=[1]), Strategy(init=1), 1)
     assert play(model, g, cop, Strategy(init=1), 1).p_copwin == 1.0
+
+
+# Per kind, an amplitude pair and a distribution pair that every input check must refuse.
+_BAD_INPUTS = {
+    "nan": ([np.nan, 0.0], [np.nan, 1.0]),
+    "inf": ([np.inf, 0.0], [np.inf, -np.inf]),
+    "off-norm": ([0.6, 0.6], [0.6, 0.6]),
+}
+_P2 = path_graph(2)
+_E0 = [1.0, 0.0]
+
+
+def _column_table(col):
+    chi = np.eye(2, dtype=complex)
+    chi[:, 1] = col
+    return ControlledInit(chi)
+
+
+# entry point -> (call on a bad amplitude pair a and a bad distribution pair p, its error)
+_REFUSERS = {
+    "quantum_state": (lambda a, p: quantum_state(a), ValueError),
+    "reach_sequence phi": (lambda a, p: reach_sequence(_P2, a, _E0), ValueError),
+    "reach_sequence psi": (lambda a, p: reach_sequence(_P2, _E0, a), ValueError),
+    "gather_unitary": (lambda a, p: gather_unitary(_P2, 0, 1, a, _E0), ValueError),
+    "gather_unitary_c4": (lambda a, p: gather_unitary_c4((a[0], 0, a[1], 0, 0, 0)), ValueError),
+    "p_copwin_joint": (lambda a, p: p_copwin_joint(a + [0.0, 0.0], 2), ValueError),
+    "p_copwin_separable": (lambda a, p: p_copwin_separable(_E0, a), ValueError),
+    "p_copwin_probabilistic": (lambda a, p: p_copwin_probabilistic(p, _E0), ValueError),
+    "open_probabilistic init": (lambda a, p: play("open_probabilistic", _P2, Strategy(init=p),
+                                                  Strategy(init=0), 1), GameError),
+    "classical_quantum init": (lambda a, p: play("classical_quantum", _P2, Strategy(init=0),
+                                                 Strategy(init=a), 1), GameError),
+    "quantum_controlled init": (lambda a, p: play("quantum_controlled", _P2, Strategy(init=a),
+                                                  Strategy(init=0), 1), GameError),
+    "controlled preparation": (lambda a, p: play("quantum_controlled", _P2, Strategy(init=0),
+                                                 Strategy(init=_column_table(a)), 1), GameError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_INPUTS))
+@pytest.mark.parametrize("entry", sorted(_REFUSERS))
+def test_nan_inf_and_off_norm_inputs_are_refused(entry, kind):
+    call, error = _REFUSERS[entry]
+    with pytest.raises(error) as info:
+        call(*_BAD_INPUTS[kind])
+    assert type(info.value) is error

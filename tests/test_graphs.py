@@ -39,12 +39,28 @@ INF = np.inf
 
 
 def test_digraph_normalizes_and_validates():
-    g = Digraph(2, frozenset({(np.int64(0), np.int64(1)), (0, 0), (1, 1)}))
+    g = Digraph(np.int64(2), frozenset({(np.int64(0), np.int64(1)), (0, 0), (1, 1)}))
     assert (0, 1) in g.arcs and all(isinstance(x, int) for a in g.arcs for x in a)
+    assert type(g.n) is int
     with pytest.raises(GraphError):
         Digraph(0, frozenset())
     with pytest.raises(GraphError):
         Digraph(2, frozenset({(0, 2)}))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: digraph(3, [(0.7, 1.9)]),  # int() would build arc (0, 1)
+    lambda: digraph(3, [(0, np.float64(2.0))]),
+    lambda: Digraph(2.5, frozenset()),
+    lambda: Digraph(True, frozenset({(0, 0)})),
+    lambda: Digraph(2, frozenset({(0, True)})),
+    lambda: support_ball(path_graph(3), 0, 1.5),
+    lambda: support_ball(path_graph(3), 0, True),
+], ids=["fractional-arc", "float-arc", "fractional-n", "boolean-n", "boolean-arc",
+        "fractional-steps", "boolean-steps"])
+def test_sizes_vertices_and_step_counts_must_be_integers(build):
+    with pytest.raises(GraphError):
+        build()
 
 
 def test_digraph_factory_closures():
@@ -70,11 +86,11 @@ def test_named_graph_shapes():
 
 def test_adjacency_matches_arcs():
     g = path_graph(3)
-    a = g.adjacency()
+    a = g.adjacency
     assert a.dtype == bool and a[0, 1] and a[1, 0] and not a[0, 2]
     assert np.array_equal(a, a.T)
     # built once per board and shared, so no caller may write into it
-    assert g.adjacency() is a and not a.flags.writeable
+    assert g.adjacency is a and not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 2] = True
 
@@ -438,3 +454,34 @@ def test_cached_primitives_match_arc_scanning_reference(g):
     # the filled caches leave equality and hashing to n and arcs
     assert "out_adj" in vars(g) and "out_adj" not in vars(fresh)
     assert g == fresh and hash(g) == hash(fresh) and {g, fresh} == {fresh}
+
+
+def _np_hops(m):
+    """[h_0, ..., h_n]: h_k[u, w] is true iff w lies within k arcs of u along boolean matrix m."""
+    hops = [np.eye(len(m), dtype=bool)]
+    for _ in range(len(m)):
+        hops.append(hops[-1] | (hops[-1] @ m))
+    return hops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digraphs(), st.data())
+def test_bfs_readers_match_numpy_matrix_powers(g, data):
+    a = np.array(g.adjacency)
+    hops = _np_hops(a)
+    assert is_reversible(g) == hops[-1].all()
+    assert is_connected(g) == _np_hops(a | a.T)[-1][0].all()
+    for v in range(g.n):
+        for k in range(g.n + 1):
+            assert support_ball(g, v, k) == set(np.flatnonzero(hops[k][v]).tolist())
+    root = data.draw(st.integers(0, g.n - 1))
+    mutual = a & a.T & ~np.eye(g.n, dtype=bool)
+    within = np.array([h[root] for h in _np_hops(mutual)])  # within[k, w]: w within k of root
+    if not within[-1].all():
+        with pytest.raises(GraphError):
+            spanning_tree(g, root)
+        return
+    tree = spanning_tree(g, root)
+    assert list(tree.dist) == within.argmax(axis=0).tolist()
+    for v, p in enumerate(tree.parent):
+        assert p == root if v == root else mutual[p, v] and tree.dist[p] == tree.dist[v] - 1

@@ -13,7 +13,6 @@ from qpursuit import (
     GraphError,
     GraphStochastic,
     GraphUnitary,
-    QuantumState,
     apply_sequence,
     basis_state,
     certify_stochastic,
@@ -88,13 +87,13 @@ C4_IMAGE_PHASE = 0.9210609940028851 + 0.3894183423086505j
 
 def test_quantum_state_roundtrip_and_validation():
     s = quantum_state([1.0, 0.0])
-    assert isinstance(s, QuantumState) and s.dim == 2
+    assert isinstance(s, np.ndarray) and s.shape == (2,)
     assert np.array_equal(state_vector(s), [1.0 + 0j, 0.0 + 0j])
     assert np.array_equal(state_vector([0, 1j]), [0, 1j])
     with pytest.raises(ValueError):
         quantum_state([1.0, 1.0])
-    assert np.array_equal(basis_state(3, 1).amps, [0, 1, 0])
-    assert np.allclose(uniform_state(4).amps, 0.5)
+    assert np.array_equal(basis_state(3, 1), [0, 1, 0])
+    assert np.allclose(uniform_state(4), 0.5)
 
 
 def test_basis_state_checks_the_vertex_range():
@@ -104,7 +103,7 @@ def test_basis_state_checks_the_vertex_range():
     for v in (True, 1.0):  # a[True] = 1 would set every amplitude
         with pytest.raises(ValueError, match="basis vertex"):
             basis_state(3, v)
-    assert np.array_equal(basis_state(3, np.int64(2)).amps, [0, 0, 1])
+    assert np.array_equal(basis_state(3, np.int64(2)), [0, 0, 1])
 
 
 @pytest.mark.parametrize("g", [path_graph(3), cycle_graph(5), star_graph(4), directed_cycle(3)])
@@ -184,7 +183,7 @@ def test_gather_moves_block_amplitude():
     out = u.apply(phi)
     assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
     # partial gather keeps the untouched amplitude in place
-    phi = uniform_state(3).amps
+    phi = uniform_state(3)
     s = np.hypot(abs(phi[0]), abs(phi[1]))
     out = gather_unitary(g, 0, 1, phi, (0.0, s)).apply(phi)
     assert np.allclose(out, [0.0, s, phi[2]], atol=1e-12)
@@ -215,7 +214,7 @@ def test_reach_path3_basis_to_basis():
     ops = reach_sequence(g, basis_state(3, 0), basis_state(3, 2))
     assert len(ops) == 2
     out = apply_sequence(ops, basis_state(3, 0))
-    assert abs(np.vdot(basis_state(3, 2).amps, out)) >= 1.0 - 1e-9
+    assert abs(np.vdot(basis_state(3, 2), out)) >= 1.0 - 1e-9
     for u in ops:
         assert is_graph_preserving_unitary(u.matrix, g).ok
 
@@ -223,7 +222,7 @@ def test_reach_path3_basis_to_basis():
 def test_reach_trims_equal_states():
     g = cycle_graph(4)
     assert reach_sequence(g, uniform_state(4), uniform_state(4)) == []
-    phi = uniform_state(4).amps * np.exp(0.3j)  # global phase is free
+    phi = uniform_state(4) * np.exp(0.3j)  # global phase is free
     assert reach_sequence(g, phi, uniform_state(4)) == []
 
 
@@ -232,7 +231,7 @@ def test_reach_path6_endpoint_takes_minimum_length():
     ops = reach_sequence(g, basis_state(6, 0), basis_state(6, 5))
     assert len(ops) == 5
     out = apply_sequence(ops, basis_state(6, 0))
-    assert abs(np.vdot(basis_state(6, 5).amps, out)) >= 1.0 - 1e-9
+    assert abs(np.vdot(basis_state(6, 5), out)) >= 1.0 - 1e-9
 
 
 def test_reach_cycle4_uniform_to_basis():
@@ -240,7 +239,7 @@ def test_reach_cycle4_uniform_to_basis():
     ops = reach_sequence(g, uniform_state(4), basis_state(4, 1))
     assert 0 < len(ops) <= 2 * g.n - 2
     out = apply_sequence(ops, uniform_state(4))
-    assert abs(np.vdot(basis_state(4, 1).amps, out)) >= 1.0 - 1e-9
+    assert abs(np.vdot(basis_state(4, 1), out)) >= 1.0 - 1e-9
     # a root on the target vertex spends nothing on the unfold half
     short = reach_sequence(g, uniform_state(4), basis_state(4, 1), root=1)
     assert len(short) == g.n - 1
@@ -381,7 +380,7 @@ def test_gather_rotation_reports_missing_arcs_and_loops():
     u = GatherRotation(g, 0, 1, block)
     assert is_graph_preserving_unitary(u.matrix, g).ok
     assert u.matrix is not u.matrix  # materialised afresh, never cached
-    vec = uniform_state(3).amps
+    vec = uniform_state(3)
     out = u.apply(vec)
     assert np.allclose(out, u.matrix @ vec, atol=1e-15) and out is not vec
 
@@ -451,7 +450,7 @@ def test_reach_at_n512_holds_bound_and_fidelity():
     g = random_connected_graph(n, rng, 3.0 / n)
     phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     phi /= np.linalg.norm(phi)
-    psi = uniform_state(n).amps
+    psi = uniform_state(n)
     ops = reach_sequence(g, phi, psi)
     assert 0 < len(ops) <= 2 * n - 2
     assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
@@ -473,7 +472,7 @@ def test_reach_preconditions():
 
 def test_apply_sequence_empty_chain():
     phi = uniform_state(3)
-    assert np.array_equal(apply_sequence([], phi), phi.amps)
+    assert np.array_equal(apply_sequence([], phi), phi)
 
 
 def test_cycle_unitary_two_vertices():
@@ -499,6 +498,14 @@ def test_transposition_unitary():
         transposition_unitary(g, 0, 2)
 
 
+def test_transposition_checks_both_vertices_before_the_no_op():
+    g = path_graph(3)
+    # each pair compares equal, so a v == w shortcut taken first would return the identity
+    for v, w in ((True, 1), (0.0, 0), (1, 1.0), (-1, -1), (3, 3)):
+        with pytest.raises(GraphError, match="outside"):
+            transposition_unitary(g, v, w)
+
+
 def test_directed_cycle_mixed_column_patterns_collide():
     # each column of a member may hit only rows {v, v+1}; whenever some
     # column steps and the next one stays, both land in the same row, so
@@ -519,7 +526,7 @@ def test_directed_cycle_members_keep_basis_states_basis():
     n = 4
     g = directed_cycle(n)
     rng = np.random.default_rng(7)
-    state = basis_state(n, 0).amps
+    state = basis_state(n, 0)
     for _ in range(12):
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
         if rng.integers(2):
@@ -529,7 +536,7 @@ def test_directed_cycle_members_keep_basis_states_basis():
         state = u.apply(state)
         assert np.isclose(np.max(np.abs(state)), 1.0)
     # so chains of members never build the uniform superposition
-    assert abs(np.vdot(uniform_state(n).amps, state)) < 1.0 - 1e-9
+    assert abs(np.vdot(uniform_state(n), state)) < 1.0 - 1e-9
 
 
 def test_product_of_members_can_leave_the_set():

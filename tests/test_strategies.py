@@ -181,7 +181,7 @@ def test_classical_pursuit_beats_the_evader():
 def test_classical_pursuit_beats_every_walk():
     g = path_graph(4)
     cop = classical_pursuit(g)
-    a = g.adjacency()
+    a = g.adjacency
 
     def walks(prefix, depth):
         if depth == 0:

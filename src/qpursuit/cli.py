@@ -214,8 +214,8 @@ def _reproduce_case(name: str, rng) -> list:
                  k).p_copwin
         rows.append((name, bound, p, p >= bound - ATOL))
     elif name == "star-impossibility":
-        worst = max(abs(u.matrix[1, 0]) * abs(u.matrix[1, 2])
-                    for u in (sample_path3_unitary(rng) for _ in range(200)))
+        worst = max(abs(m[1, 0]) * abs(m[1, 2])
+                    for m in (sample_path3_unitary(rng).matrix for _ in range(200)))
         rows.append((name, 0.0, worst, worst <= ATOL_DERIVED))
     elif name == "reach-bound":
         g = path_graph(6)

@@ -284,6 +284,9 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
     keeps one joint state and hides it from the move callbacks; the other
     fair models keep one local state per player and show both.
     """
+    if not _is_int(rounds):
+        raise GameError(f"round count must be an integer, got {rounds!r}")
+    rounds = int(rounds)
     model = GameModel(model)
     _check_strategy(cop, "cop", model)
     _check_strategy(robber, "robber", model)
@@ -350,12 +353,13 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
     rounds, which is at least 1 - (1 - 1/|D|)^rounds.  Its snapshots are
     {"follow": mass, "robber": vertex}, one per half-move.
     """
+    if not (_is_int(rounds) and rounds >= 0):
+        raise GameError(f"round count must be a non-negative integer, got {rounds!r}")
+    rounds = int(rounds)
     if cop_dominating is None:
         raise GameError("the unfair model needs a cop strategy carrying a dominating set")
     if not g.is_undirected or not g.is_reflexive:
         raise GraphError("the unfair pursuit needs an undirected reflexive graph")
-    if rounds < 0:
-        raise GameError("negative round count")
     if not dominates(g, cop_dominating):  # checks each raw member is a vertex, before any int()
         raise GraphError(f"set {cop_dominating!r} does not dominate the graph")
     dset = sorted({int(d) for d in cop_dominating})

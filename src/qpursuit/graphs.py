@@ -33,11 +33,7 @@ class Digraph:
 
     def __post_init__(self):
         n = self.n
-        if not (_is_int(n) and n >= 1):
-            raise GraphError(f"a graph needs a positive integer vertex count, got {n!r}")
-        for u, v in self.arcs:
-            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
-                raise GraphError(f"arc ({u!r}, {v!r}) references a vertex outside 0..{n - 1}")
+        _check_arcs(n, self.arcs)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs))
 
@@ -76,9 +72,23 @@ class Digraph:
         return a
 
 
+def _check_arcs(n, arcs):
+    """GraphError unless n is a positive integer and every arc joins two of its vertices."""
+    if not (_is_int(n) and n >= 1):
+        raise GraphError(f"a graph needs a positive integer vertex count, got {n!r}")
+    for u, v in arcs:
+        if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+            raise GraphError(f"arc ({u!r}, {v!r}) references a vertex outside 0..{n - 1}")
+
+
 def digraph(n, arcs, *, undirected=False, reflexive=True) -> Digraph:
-    """Build a Digraph, optionally closing the arcs symmetrically and adding all loops."""
-    full = {(u, v) for u, v in arcs}
+    """Build a Digraph, optionally closing the arcs symmetrically and adding all loops.
+
+    n and the arcs are checked as given, before equal arcs such as (0, 1) and (0, 1.0) merge.
+    """
+    arcs = list(arcs)
+    _check_arcs(n, arcs)
+    full = set(arcs)
     if undirected:
         full |= {(v, u) for u, v in full}
     if reflexive:
@@ -343,8 +353,8 @@ def spanning_tree(g: Digraph, root: int) -> SpanningTree:
 
 def disjoint_union(g: Digraph, k: int) -> Digraph:
     """k disjoint copies of g; copy j occupies the vertex block [j*n, (j+1)*n)."""
-    if k < 1:
-        raise GraphError("disjoint union needs at least one copy")
+    if not (_is_int(k) and k >= 1):
+        raise GraphError(f"disjoint union needs a positive integer copy count, got {k!r}")
     arcs = set()
     for j in range(k):
         off = j * g.n

@@ -26,9 +26,9 @@ from .graphs import (
     spanning_tree,
 )
 
-# Certification and fidelity tolerance.  A gather's certificate is the residual
-# of one 2x2 block, which does not grow with n, so it holds at any board size;
-# dense certification (an n x n product m^H m) is documented for n <= 256.
+# Certification and fidelity tolerance.  A certificate's residual is that of its
+# k x k block, so a gather's (k = 2) holds at any board size; a dense block
+# (k = n, an n x n product b^H b) is documented for n <= 256.
 ATOL = 1e-9
 # Looser tolerance for inequalities derived from certified quantities.
 ATOL_DERIVED = 1e-8
@@ -112,22 +112,49 @@ def _seal(cert, field: str, a: np.ndarray, report: OpReport, failure: str):
 
 @dataclass(frozen=True, eq=False)
 class GraphUnitary:
-    """Unitary certified against a graph's zero pattern when built; the matrix is read-only."""
+    """Identity outside support and a unitary block on it, certified against graph when built.
 
-    matrix: np.ndarray
+    block[i, j] is the entry at row support[i], column support[j].  The default
+    support is every vertex (a dense matrix); a gather is a block on two
+    vertices, the identity an empty block.  The block is read-only.
+    """
+
+    block: np.ndarray
     graph: Digraph
+    support: tuple = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        _seal(self, "matrix", m, is_graph_preserving_unitary(m, self.graph),
-              "matrix is not a graph-preserving unitary")
+        g = self.graph
+        for v in () if self.support is None else self.support:
+            _check_vertex(g, v)
+        idx = np.arange(g.n) if self.support is None else np.array(self.support, dtype=np.intp)
+        support = tuple(idx.tolist())
+        if len(set(support)) < len(support):
+            raise GraphError(f"support {support} repeats a vertex")
+        b = np.array(self.block, dtype=complex)
+        if b.shape != (len(support),) * 2:
+            raise ValueError(f"block shape {b.shape} does not match {len(support)} support vertices")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_index", idx)  # support as an index array, for numpy
+        _seal(self, "block", b, _unitary_report(b, g, idx), "matrix is not a graph-preserving unitary")
 
     def apply(self, state) -> np.ndarray:
-        return self.matrix @ state_vector(state)
+        out = np.array(state_vector(state), dtype=complex)
+        if out.shape != (self.graph.n,):
+            raise ValueError(f"state dimension {out.size} does not match graph size {self.graph.n}")
+        out[self._index] = self.block @ out[self._index]
+        return out
 
     def adjoint(self) -> "GraphUnitary":
-        """Hermitian transpose, certified against the reverse graph."""
-        return certify_unitary(self.matrix.conj().T, reverse_digraph(self.graph))
+        """Conjugate-transposed block on the same support, certified against the reverse graph."""
+        return replace(self, graph=reverse_digraph(self.graph), block=self.block.conj().T)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix, built afresh on every access."""
+        m = np.eye(self.graph.n, dtype=complex)
+        m[self._index[:, None], self._index] = self.block
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +174,30 @@ class GraphStochastic:
         return self.matrix @ np.asarray(dist, dtype=float)
 
 
-def _violations(m: np.ndarray, g: Digraph, tau: float) -> tuple:
-    """(w, v, |m[w, v]|) for every entry above tau whose arc (v, w) is missing."""
-    bad = (np.abs(m) > tau) & ~g.adjacency.T
-    return tuple((int(w), int(v), float(abs(m[w, v]))) for w, v in zip(*np.nonzero(bad)))
+def _violations(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float) -> tuple:
+    """(w, v, |entry|) for each entry of b above tau whose arc (v, w) is missing, where row and
+    column i of b stand for vertex idx[i]; an empty block looks up no arc, so builds no adjacency."""
+    rows, cols = np.nonzero(np.abs(b) > tau)
+    if rows.size and not (legal := g.adjacency[idx[cols], idx[rows]]).all():
+        rows, cols = rows[~legal], cols[~legal]
+        # abs of each scalar entry: np.abs over the array may differ in the last bit
+        return tuple(zip(idx[rows].tolist(), idx[cols].tolist(), map(float, map(abs, b[rows, cols]))))
+    return ()
+
+
+def _unitary_report(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float = ATOL) -> OpReport:
+    """is_graph_preserving_unitary of the matrix that is b on vertices idx and the identity
+    elsewhere, without building it: its m^H m differs from the identity only on the block, and
+    its identity part needs the loops outside idx."""
+    defect = b.conj().T @ b
+    defect.flat[::len(idx) + 1] -= 1.0
+    residual = float(np.abs(defect).max(initial=0.0))
+    violations = _violations(b, g, idx, tau)
+    if not g.is_reflexive and len(idx) < g.n:
+        inside = set(idx.tolist())
+        violations += tuple((u, u, 1.0) for u in range(g.n)
+                            if u not in inside and (u, u) not in g.arcs)
+    return OpReport(residual <= tau and not violations, violations, residual, "unitary")
 
 
 def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
@@ -158,9 +205,7 @@ def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
     m = np.asarray(m, dtype=complex)
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
-    residual = float(np.max(np.abs(m.conj().T @ m - np.eye(g.n))))
-    violations = _violations(m, g, tau)
-    return OpReport(residual <= tau and not violations, violations, residual, "unitary")
+    return _unitary_report(m, g, np.arange(g.n), tau)
 
 
 def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport:
@@ -176,13 +221,13 @@ def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport
     defect = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
     negativity = float(max(0.0, -m.min())) if m.size else 0.0
     residual = max(defect, negativity)
-    violations = _violations(m, g, tau)
+    violations = _violations(m, g, np.arange(g.n), tau)
     return OpReport(residual <= tau and not violations, violations, residual, "stochastic")
 
 
-def certify_unitary(op, g: Digraph):
-    """op if it is a unitary certificate on g, else certified against g, a gather as a gather."""
-    if isinstance(op, (GraphUnitary, GatherRotation)):
+def certify_unitary(op, g: Digraph) -> GraphUnitary:
+    """op if it is a GraphUnitary on g, else certified against g, a certificate on its own support."""
+    if isinstance(op, GraphUnitary):
         return op if op.graph == g else replace(op, graph=g)
     return GraphUnitary(getattr(op, "matrix", op), g)
 
@@ -195,75 +240,15 @@ def certify_stochastic(op, g: Digraph) -> GraphStochastic:
 
 
 def identity_unitary(g: Digraph) -> GraphUnitary:
-    return certify_unitary(np.eye(g.n, dtype=complex), g)
+    """The empty block: certifies the loops in O(n) and stores no n x n matrix."""
+    return GraphUnitary(np.zeros((0, 0)), g, ())
 
 
 def identity_stochastic(g: Digraph) -> GraphStochastic:
     return certify_stochastic(np.eye(g.n), g)
 
 
-_EYE2 = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class GatherRotation:
-    """Identity outside {v, w} and a 2x2 unitary block on rows and columns (v, w).
-
-    block[i, j] is the matrix entry at row (v, w)[i], column (v, w)[j].
-    Building one certifies it in O(n), without the dense matrix, and with the
-    dense certificate's verdict and residual (_gather_report), so a gather
-    stands in for its .matrix wherever a GraphUnitary does.  The block is
-    read-only.
-    """
-
-    graph: Digraph
-    v: int
-    w: int
-    block: np.ndarray
-
-    def __post_init__(self):
-        b = np.array(self.block, dtype=complex)
-        if b.shape != (2, 2):
-            raise ValueError(f"gather block shape {b.shape} is not (2, 2)")
-        v, w, g = self.v, self.w, self.graph
-        _check_vertex(g, v)
-        _check_vertex(g, w)
-        if v == w:
-            raise GraphError("gather needs two distinct vertices")
-        _seal(self, "block", b, _gather_report(b, g, v, w),
-              f"gather on ({v}, {w}) is not a graph-preserving unitary")
-
-    def apply(self, state) -> np.ndarray:
-        out = np.array(state_vector(state), dtype=complex)
-        pair = [self.v, self.w]
-        out[pair] = self.block @ out[pair]
-        return out
-
-    def adjoint(self) -> "GatherRotation":
-        """Conjugate-transposed block on the same pair, certified against the reverse graph."""
-        return replace(self, graph=reverse_digraph(self.graph), block=self.block.conj().T)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n matrix, built afresh on every access."""
-        m = np.eye(self.graph.n, dtype=complex)
-        m[np.ix_([self.v, self.w], [self.v, self.w])] = self.block
-        return m
-
-
-def _gather_report(b: np.ndarray, g: Digraph, v: int, w: int) -> OpReport:
-    """is_graph_preserving_unitary of the gather's dense matrix, without building it: the
-    product m^H m differs from the identity only on the block, whose entries above ATOL need arcs."""
-    pair = (v, w)
-    violations = tuple((pair[i], pair[j], float(abs(b[i, j]))) for i in range(2) for j in range(2)
-                       if abs(b[i, j]) > ATOL and (pair[j], pair[i]) not in g.arcs)
-    if not g.is_reflexive:
-        violations += tuple((u, u, 1.0) for u in range(g.n) if u not in pair and (u, u) not in g.arcs)
-    residual = float(np.abs(b.conj().T @ b - _EYE2).max())
-    return OpReport(residual <= ATOL and not violations, violations, residual, "unitary")
-
-
-def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GatherRotation:
+def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:
     """Identity outside {v, w}, and on that block a rotation taking phi's part to target.
 
     Needs both arcs (v, w) and (w, v) plus all loops, so the embedded
@@ -283,7 +268,7 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GatherRotation:
     sb = math.hypot(abs(y0), abs(y1))
     if not abs(sa * sa - sb * sb) <= ATOL:  # nan fails too
         raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
-    block = _EYE2
+    block = [[1, 0], [0, 1]]
     if sa > _ZERO_BLOCK:
         # |b><a| + |b_perp><a_perp| with unit a = (x0, x1), b = (y0, y1) and
         # a_perp = (-x1*, x0*), b_perp = (-y1*, y0*)
@@ -292,7 +277,7 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GatherRotation:
                   y0 * x1.conjugate() - y1.conjugate() * x0],
                  [y1 * x0.conjugate() - y0.conjugate() * x1,
                   y1 * x1.conjugate() + y0.conjugate() * x0]]
-    return GatherRotation(g, v, w, block)
+    return GraphUnitary(block, g, (v, w))
 
 
 def _gather_chain(tree_graph: Digraph, tree, vec: np.ndarray):
@@ -355,7 +340,7 @@ def cycle_unitary(n: int, phases) -> GraphUnitary:
     return certify_unitary(m, directed_cycle(n))
 
 
-def transposition_unitary(g: Digraph, v: int, w: int):
+def transposition_unitary(g: Digraph, v: int, w: int) -> GraphUnitary:
     """Swap of two mutually adjacent vertices as a gather, identity elsewhere; v == w gives identity."""
     _check_vertex(g, v)
     _check_vertex(g, w)
@@ -363,7 +348,7 @@ def transposition_unitary(g: Digraph, v: int, w: int):
         return identity_unitary(g)
     if (v, w) not in g.arcs or (w, v) not in g.arcs:
         raise GraphError(f"transposition needs mutually adjacent vertices, got {v}, {w}")
-    return GatherRotation(g, v, w, [[0, 1], [1, 0]])
+    return GraphUnitary([[0, 1], [1, 0]], g, (v, w))
 
 
 def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> GraphUnitary:
@@ -402,7 +387,7 @@ class ControlledOp:
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
     Building one runs every block through certify_unitary against graph, which
-    keeps its kind; a bad block is named by its vertex.
+    keeps its support; a bad block is named by its vertex.
     """
 
     blocks: tuple

@@ -311,6 +311,23 @@ def test_unfair_pursuit_validates_input():
         play_unfair_probabilistic(directed_cycle(4), {0, 2}, Strategy(init=1), 1)
 
 
+@pytest.mark.parametrize("rounds", [True, 2.5, np.float64(1.0), "1"])
+def test_round_counts_must_be_integers(rounds):
+    g = cycle_graph(5)
+    seen = []
+    for model, cop in (("classical", Strategy(init=0)),
+                       ("unfair_probabilistic", dominating_set_sweep(g))):
+        cop = dataclasses.replace(cop, prepare=seen.append)
+        with pytest.raises(GameError, match="round count"):
+            play(model, g, cop, Strategy(init=4), rounds)
+    assert seen == []  # refused before any prepare hook runs
+    with pytest.raises(GameError, match="round count"):
+        play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), rounds)
+    for trace in (play("classical", g, Strategy(init=0), Strategy(init=4), np.int64(1)),
+                  play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), np.int64(1))):
+        assert type(trace.rounds) is int and trace.rounds == 1
+
+
 def test_unfair_pursuit_context_carries_cop_mass():
     g = cycle_graph(5)
     seen = []
@@ -451,21 +468,17 @@ def test_a_controlled_play_certifies_each_block_once(monkeypatch):
     g = star_graph(n - 1)
     calls = []
 
-    def spy_on(name):  # the dense check, or the gather's
-        check = getattr(qpursuit.operators, name)
+    check = qpursuit.operators._unitary_report
 
-        def spy(*args, **kwargs):
-            calls.append((name, args[1].n))
-            return check(*args, **kwargs)
+    def spy(*args, **kwargs):  # the one certificate check, for blocks of every support
+        calls.append((len(args[2]), args[1].n))
+        return check(*args, **kwargs)
 
-        for module in (qpursuit.operators, qpursuit.engine):  # wherever the check is bound
-            monkeypatch.setattr(module, name, spy, raising=False)
-
-    spy_on("is_graph_preserving_unitary")
-    spy_on("_gather_report")
+    for module in (qpursuit.operators, qpursuit.engine):  # wherever the check is bound
+        monkeypatch.setattr(module, "_unitary_report", spy, raising=False)
     cop = universal_vertex_catch(g)
-    # one per block when it is built: the hub's identity is dense, the n - 1 swaps are gathers
-    assert calls == [("is_graph_preserving_unitary", n)] + [("_gather_report", n)] * (n - 1)
+    # one per block when it is built: the hub's identity is an empty block, the n - 1 swaps gathers
+    assert calls == [(0, n)] + [(2, n)] * (n - 1)
     calls.clear()
     robber = Strategy(init=_random_amps(np.random.default_rng(3), n))
     trace = play("quantum_controlled", g, cop, robber, 1)
@@ -474,7 +487,7 @@ def test_a_controlled_play_certifies_each_block_once(monkeypatch):
     # a bare unitary move is certified once, not once per block of its lift
     swap = np.eye(n)[[1, 0] + list(range(2, n))]
     play("quantum_controlled", g, Strategy(init=0, move=[swap]), robber, 1)
-    assert calls == [("is_graph_preserving_unitary", n)]
+    assert calls == [(n, n)]
 
 
 @pytest.mark.parametrize("model", ["classical_quantum", "open_probabilistic"])

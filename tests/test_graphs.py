@@ -56,8 +56,14 @@ def test_digraph_normalizes_and_validates():
     lambda: Digraph(2, frozenset({(0, True)})),
     lambda: support_ball(path_graph(3), 0, 1.5),
     lambda: support_ball(path_graph(3), 0, True),
+    lambda: digraph(3, [(0, 1), (0, 1.0)]),  # a set would keep the int twin and drop the float
+    lambda: digraph(3, [(0, 1.0), (0, 1)]),
+    lambda: digraph(2.5, []),  # range(2.5) would raise a TypeError
+    lambda: disjoint_union(path_graph(2), True),  # would build one copy
+    lambda: disjoint_union(path_graph(2), 2.5),
 ], ids=["fractional-arc", "float-arc", "fractional-n", "boolean-n", "boolean-arc",
-        "fractional-steps", "boolean-steps"])
+        "fractional-steps", "boolean-steps", "float-arc-after-its-int-twin",
+        "float-arc-before-its-int-twin", "fractional-n-closed", "boolean-copies", "fractional-copies"])
 def test_sizes_vertices_and_step_counts_must_be_integers(build):
     with pytest.raises(GraphError):
         build()

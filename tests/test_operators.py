@@ -9,7 +9,6 @@ from qpursuit import (
     ATOL,
     CertificationError,
     ControlledOp,
-    GatherRotation,
     GraphError,
     GraphStochastic,
     GraphUnitary,
@@ -50,7 +49,7 @@ from qpursuit import (
     transposition_unitary,
     uniform_state,
 )
-from qpursuit.operators import _SKIP, _ZERO_BLOCK, _gather_report
+from qpursuit.operators import _SKIP, _ZERO_BLOCK
 
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
@@ -111,6 +110,7 @@ def test_identity_is_always_graph_preserving(g):
     assert is_graph_preserving_unitary(np.eye(g.n), g).ok
     assert is_graph_preserving_stochastic(np.eye(g.n), g).ok
     assert np.array_equal(identity_unitary(g).matrix, np.eye(g.n))
+    assert identity_unitary(g).block.shape == (0, 0) and identity_unitary(g).support == ()
     assert np.array_equal(identity_stochastic(g).matrix, np.eye(g.n))
 
 
@@ -264,7 +264,7 @@ def test_reach_random_instances_hold_bound_and_fidelity(rng):
 
 
 def _dense_gather_unitary(g, v, w, phi, target, tau=ATOL):
-    """The dense gather that reach_sequence used before GatherRotation, kept as the oracle."""
+    """The dense gather reach_sequence used before gathers were 2-vertex blocks, kept as the oracle."""
     if v == w:
         raise GraphError("gather needs two distinct vertices")
     if (v, w) not in g.arcs or (w, v) not in g.arcs:
@@ -339,7 +339,7 @@ def test_gather_chain_matches_the_dense_oracle(instance):
     dense = _dense_reach_sequence(g, phi, psi, root)
     assert len(ops) == len(dense) <= 2 * g.n - 2
     for u, d in zip(ops, dense):
-        assert isinstance(u, GatherRotation)
+        assert u.block.shape == (2, 2) and len(u.support) == 2
         assert np.allclose(u.matrix, d.matrix, rtol=0.0, atol=1e-12)
         assert np.allclose(u.adjoint().matrix, u.matrix.conj().T, rtol=0.0, atol=1e-12)
         assert is_graph_preserving_unitary(u.matrix, g).ok
@@ -357,27 +357,27 @@ def test_gather_chain_matches_the_dense_oracle(instance):
     # a block scaled off the unit sphere is refused, built directly or through adjoint
     forged = (1.0 + eps) * haar_unitary(2, np.random.default_rng(v))
     with pytest.raises(CertificationError) as err:
-        GatherRotation(g, v, tree.parent[v], forged)
+        GraphUnitary(forged, g, (v, tree.parent[v]))
     assert err.value.report.residual > ATOL and not err.value.report.violations
     with pytest.raises(CertificationError):
-        GatherRotation(g, v, tree.parent[v], forged).adjoint()
+        GraphUnitary(forged, g, (v, tree.parent[v])).adjoint()
 
 
 def test_gather_rotation_reports_missing_arcs_and_loops():
     block = haar_unitary(2, np.random.default_rng(1))
     g = path_graph(3)
     with pytest.raises(CertificationError) as err:
-        GatherRotation(g, 0, 2, block)
+        GraphUnitary(block, g, (0, 2))
     assert {(r, c) for r, c, _ in err.value.report.violations} == {(0, 2), (2, 0)}
     loopless = digraph(3, [(0, 1), (1, 2)], undirected=True, reflexive=False)
     with pytest.raises(CertificationError) as err:
-        GatherRotation(loopless, 0, 1, block)
+        GraphUnitary(block, loopless, (0, 1))
     assert {(r, c) for r, c, _ in err.value.report.violations} == {(0, 0), (1, 1), (2, 2)}
     with pytest.raises(GraphError):
-        GatherRotation(g, 1, 1, block)
+        GraphUnitary(block, g, (1, 1))
     with pytest.raises(ValueError):
-        GatherRotation(g, 0, 1, np.eye(3))
-    u = GatherRotation(g, 0, 1, block)
+        GraphUnitary(np.eye(3), g, (0, 1))
+    u = GraphUnitary(block, g, (0, 1))
     assert is_graph_preserving_unitary(u.matrix, g).ok
     assert u.matrix is not u.matrix  # materialised afresh, never cached
     vec = uniform_state(3)
@@ -386,41 +386,73 @@ def test_gather_rotation_reports_missing_arcs_and_loops():
 
 
 @st.composite
-def _gather_instances(draw):
-    """A random digraph and a 2x2 block on a random pair: unitary or not, with exact zeros."""
-    n = draw(st.integers(2, 8))
+def _block_instances(draw):
+    """A random digraph and a block on a random support: unitary or not, with exact zeros.
+
+    The support is the default (None), or a prefix of a random vertex order, so
+    empty, full and unsorted supports all occur.
+    """
+    n = draw(st.integers(1, 8))
     arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
     g = digraph(n, arcs, undirected=draw(st.booleans()), reflexive=draw(st.booleans()))
-    v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    support = None
+    if draw(st.integers(0, 3)) < 3:
+        support = tuple(draw(st.permutations(range(n)))[:draw(st.integers(0, n))])
+    k = n if support is None else len(support)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
-    b = {"haar": haar_unitary(2, rng), "diagonal": np.diag(phases),
-         "swap": np.diag(phases)[::-1]}[draw(st.sampled_from(("haar", "diagonal", "swap")))]
+    phases = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k)))
+    b = {"haar": haar_unitary(k, rng), "diagonal": phases,
+         "reversal": phases[::-1]}[draw(st.sampled_from(("haar", "diagonal", "reversal")))]
     b = b * draw(st.sampled_from((1.0, 1.0 + 1e-12, 1.0 + 1e-6, 0.5)))
     entry = draw(st.sampled_from((None, 0.0, 1e-10, 1e-8)))  # zero, or either side of ATOL
-    if entry is not None:
-        b.flat[draw(st.integers(0, 3))] = entry
-    return g, v, w, b
+    if entry is not None and k:
+        b.flat[draw(st.integers(0, k * k - 1))] = entry
+    return g, support, b
 
 
 @settings(max_examples=300, phases=_NO_SHRINK)
-@given(_gather_instances())
-def test_a_gather_certifies_exactly_as_its_dense_matrix(instance):
-    g, v, w, b = instance
+@given(_block_instances())
+def test_a_block_certifies_exactly_as_its_dense_matrix(instance):
+    g, support, b = instance
+    idx = list(range(g.n)) if support is None else list(support)
     m = np.eye(g.n, dtype=complex)
-    m[np.ix_([v, w], [v, w])] = b
+    m[np.ix_(idx, idx)] = b
     dense = is_graph_preserving_unitary(m, g)
-    report = _gather_report(b, g, v, w)
-    assert report.ok == dense.ok
-    # the same residual up to rounding: the dense product may be summed with fused multiply-adds
-    assert report.residual == pytest.approx(dense.residual, rel=0.0, abs=1e-15)
-    assert sorted(report.violations) == sorted(dense.violations)
-    if dense.ok:
-        assert np.array_equal(GatherRotation(g, v, w, b).matrix, m)
+    try:
+        u = GraphUnitary(b, g, support)
+    except CertificationError as err:
+        report = err.report
+        assert not dense.ok and not report.ok
+        assert sorted(report.violations) == sorted(dense.violations)
+        # the same residual up to rounding: the dense product may be summed with fused multiply-adds
+        assert report.residual == pytest.approx(dense.residual, rel=0.0, abs=1e-15)
     else:
-        with pytest.raises(CertificationError) as err:
-            GatherRotation(g, v, w, b)
-        assert err.value.report == report
+        assert dense.ok and u.support == tuple(idx)
+        assert np.array_equal(u.matrix, m)
+        vec = np.arange(1.0, g.n + 1.0) * (1.0 - 0.5j)
+        assert np.allclose(u.apply(vec), m @ vec, rtol=0.0, atol=1e-12)
+
+
+def test_identity_is_an_empty_block_that_certifies_the_loops():
+    loopless = digraph(4, [(0, 1), (1, 1), (2, 3)], reflexive=False)
+    with pytest.raises(CertificationError) as err:
+        identity_unitary(loopless)
+    dense = is_graph_preserving_unitary(np.eye(4), loopless)
+    assert err.value.report.violations == dense.violations == ((0, 0, 1.0), (2, 2, 1.0), (3, 3, 1.0))
+    # and it holds no array with an entry, on a board of any size
+    big = identity_unitary(path_graph(2048))
+    assert big.block.size == 0 and not any(np.size(x) for x in vars(big).values()
+                                           if isinstance(x, np.ndarray))
+    assert np.array_equal(big.apply(uniform_state(2048)), uniform_state(2048))
+
+
+def test_apply_refuses_a_state_of_another_dimension():
+    g = path_graph(3)
+    for u in (certify_unitary(np.eye(3), g), transposition_unitary(g, 0, 1), identity_unitary(g)):
+        assert np.array_equal(u.apply(uniform_state(3)), u.matrix @ uniform_state(3))
+        for n in (2, 4):  # a block on part of the board would otherwise act on any length
+            with pytest.raises(ValueError, match="dimension"):
+                u.apply(uniform_state(n))
 
 
 def test_gather_vertices_must_be_vertices():
@@ -428,11 +460,12 @@ def test_gather_vertices_must_be_vertices():
     swap = [[0, 1], [1, 0]]
     for v, w in ((True, 0), (1.0, 0), (0, np.float64(1.0)), (0, 3), (-1, 0)):
         with pytest.raises(GraphError, match="outside"):  # True would act on vertex 1
-            GatherRotation(g, v, w, swap)
+            GraphUnitary(swap, g, (v, w))
     with pytest.raises(GraphError, match="outside"):
         transposition_unitary(g, True, 0)
-    assert np.array_equal(GatherRotation(g, np.int64(1), 0, swap).matrix,
-                          transposition_unitary(g, 0, 1).matrix)
+    u = GraphUnitary(swap, g, (np.int64(1), 0))
+    assert u.support == (1, 0) and all(type(v) is int for v in u.support)
+    assert np.array_equal(u.matrix, transposition_unitary(g, 0, 1).matrix)
 
 
 def test_gather_adjoint_on_a_directed_board():
@@ -486,8 +519,9 @@ def test_cycle_unitary_two_vertices():
 def test_transposition_unitary():
     g = path_graph(3)
     u = transposition_unitary(g, 0, 1)
-    assert isinstance(u, GatherRotation) and np.array_equal(u.block, [[0, 1], [1, 0]])
+    assert u.support == (0, 1) and np.array_equal(u.block, [[0, 1], [1, 0]])
     assert np.array_equal(u.matrix, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert transposition_unitary(g, 1, 1).block.shape == (0, 0)
     assert np.array_equal(transposition_unitary(g, 1, 1).matrix, np.eye(3))
     # a swap needs no loops on its own pair, only outside it, as its dense matrix does
     bare = digraph(3, [(0, 1), (2, 2)], undirected=True, reflexive=False)
@@ -609,7 +643,7 @@ def test_controlled_op_joint_layouts():
     op = controlled_op(g, [x, identity_unitary(g)], control="cop")
     expected = np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.array_equal(op.joint, expected)
-    assert [type(b) for b in op.blocks] == [GatherRotation, GraphUnitary]
+    assert [b.support for b in op.blocks] == [(0, 1), ()]
 
 
 def test_controlled_op_accepts_callables_and_raw_matrices():
@@ -651,7 +685,7 @@ def test_controlled_op_certifies_blocks_from_another_board():
     k4_swap = transposition_unitary(complete_graph(4), 0, 1)
     op = controlled_op(c4, [k4_swap] * 4, "robber")
     assert all(b.graph == c4 and np.array_equal(b.matrix, k4_swap.matrix) for b in op.blocks)
-    assert all(type(b) is GatherRotation for b in op.blocks)
+    assert all(b.support == (0, 1) for b in op.blocks)
     own = transposition_unitary(cycle_graph(4), 0, 1)  # an equal board: kept as it is
     assert all(b is own for b in controlled_op(c4, [own] * 4, "cop").blocks)
 
@@ -685,7 +719,8 @@ def _sample_block(g, rng):
     if kind == 0:
         return sample_graph_unitary(g, rng)
     v, w = edges[int(rng.integers(len(edges)))]
-    return GatherRotation(g, v, w, haar_unitary(2, rng)) if kind == 1 else transposition_unitary(g, v, w)
+    return GraphUnitary(haar_unitary(2, rng), g, (v, w)) if kind == 1 else \
+        transposition_unitary(g, v, w)
 
 
 @settings(max_examples=200, phases=_NO_SHRINK)
@@ -776,9 +811,9 @@ def test_certificates_cannot_be_forged_or_edited():
     with pytest.raises(CertificationError):
         GraphStochastic(np.eye(3) * (1 + 0.1j), g)
     with pytest.raises(CertificationError):
-        GatherRotation(g, 0, 1, 2.0 * np.eye(2))
+        GraphUnitary(2.0 * np.eye(2), g, (0, 1))
     with pytest.raises(CertificationError):
-        GatherRotation(g, 0, 2, [[0, 1], [1, 0]])
+        GraphUnitary([[0, 1], [1, 0]], g, (0, 2))
     ident = identity_unitary(g)
     with pytest.raises(CertificationError, match="block 1"):
         ControlledOp((ident, swap02, ident), "robber", g)
@@ -786,17 +821,22 @@ def test_certificates_cannot_be_forged_or_edited():
         ControlledOp((ident, ident, transposition_unitary(complete_graph(3), 0, 2)), "cop", g)
     with pytest.raises(ValueError):
         ControlledOp((ident, ident), "robber", g)
-    # a certified matrix or block is read-only, and cannot be made writable again
+    # a certified block or stochastic matrix is read-only, and cannot be made writable again
     u = sample_path3_unitary(np.random.default_rng(0))
     s = identity_stochastic(g)
     gather = gather_unitary(g, 0, 1, [1.0, 0.0, 0.0], (0.0, 1.0))
     op = controlled_op(g, [ident, gather, u], "robber")
-    for array in (u.matrix, s.matrix, gather.block, op.blocks[1].block, op.blocks[2].matrix):
+    for array in (u.block, s.matrix, gather.block, op.blocks[1].block, op.blocks[2].block):
         with pytest.raises(ValueError):
             array[0, 0] = 5.0
         with pytest.raises(ValueError):
             array.setflags(write=True)
-    assert u.matrix[0, 0] != 5.0 and s.matrix[0, 0] == 1.0 and gather.block[0, 0] == 0.0
+    assert u.block[0, 0] != 5.0 and s.matrix[0, 0] == 1.0 and gather.block[0, 0] == 0.0
+    # .matrix is a fresh copy: writing to it leaves the certificate as it was
+    for cert in (u, gather, ident):
+        dense = cert.matrix
+        dense[0, 0] = 5.0
+        assert cert.matrix[0, 0] != 5.0 and not np.array_equal(cert.matrix, dense)
 
 
 def test_certify_trusts_a_certificate_only_on_its_own_board():
@@ -810,9 +850,9 @@ def test_certify_trusts_a_certificate_only_on_its_own_board():
     # a certificate from another board is certified again, and refused where illegal
     moved = certify_unitary(u, k4)
     assert moved is not u and moved.graph == k4 and np.array_equal(moved.matrix, u.matrix)
-    assert type(moved) is GatherRotation  # certified again as its own kind
+    assert moved.support == (0, 1)  # certified again on its own support
     dense = certify_unitary(u.matrix, c4)
-    assert type(certify_unitary(dense, k4)) is GraphUnitary
+    assert certify_unitary(dense, k4).support == (0, 1, 2, 3)
     assert certify_stochastic(s, k4).graph == k4
     with pytest.raises(CertificationError):
         certify_unitary(transposition_unitary(k4, 0, 2), c4)

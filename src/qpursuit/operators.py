@@ -27,8 +27,9 @@ from .graphs import (
 )
 
 # Certification and fidelity tolerance.  A certificate's residual is that of its
-# k x k block, so a gather's (k = 2) holds at any board size; a dense block
-# (k = n, an n x n product b^H b) is documented for n <= 256.
+# k x k block.  A gather's (k = 2) holds at any board size, and so does a layer of
+# disjoint gathers: its b^H b is block-diagonal, so its residual is its worst pair's.
+# A dense block (k = n, an n x n product b^H b) is documented for n <= 256.
 ATOL = 1e-9
 # Looser tolerance for inequalities derived from certified quantities.
 ATOL_DERIVED = 1e-8
@@ -268,40 +269,68 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:
     sb = math.hypot(abs(y0), abs(y1))
     if not abs(sa * sa - sb * sb) <= ATOL:  # nan fails too
         raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
-    block = [[1, 0], [0, 1]]
-    if sa > _ZERO_BLOCK:
-        # |b><a| + |b_perp><a_perp| with unit a = (x0, x1), b = (y0, y1) and
-        # a_perp = (-x1*, x0*), b_perp = (-y1*, y0*)
-        x0, x1, y0, y1 = x0 / sa, x1 / sa, y0 / sb, y1 / sb
-        block = [[y0 * x0.conjugate() + y1.conjugate() * x1,
-                  y0 * x1.conjugate() - y1.conjugate() * x0],
-                 [y1 * x0.conjugate() - y0.conjugate() * x1,
-                  y1 * x1.conjugate() + y0.conjugate() * x0]]
-    return GraphUnitary(block, g, (v, w))
+    return GraphUnitary(_gather_block(x0, x1, y0, y1), g, (v, w))
 
 
-def _gather_chain(tree_graph: Digraph, tree, vec: np.ndarray):
-    """Fold vec into the tree root; returns the gathers and the folded vector."""
-    cur = vec.astype(complex).copy()
+def _gather_block(x0: complex, x1: complex, y0: complex, y1: complex) -> list:
+    """The 2x2 rotation taking (x0, x1) to (y0, y1) of the same norm; the identity if that is ~0."""
+    sa = math.hypot(abs(x0), abs(x1))
+    if not sa > _ZERO_BLOCK:
+        return [[1, 0], [0, 1]]
+    sb = math.hypot(abs(y0), abs(y1))
+    # |b><a| + |b_perp><a_perp| with unit a = (x0, x1), b = (y0, y1) and
+    # a_perp = (-x1*, x0*), b_perp = (-y1*, y0*)
+    x0, x1, y0, y1 = x0 / sa, x1 / sa, y0 / sb, y1 / sb
+    return [[y0 * x0.conjugate() + y1.conjugate() * x1,
+             y0 * x1.conjugate() - y1.conjugate() * x0],
+            [y1 * x0.conjugate() - y0.conjugate() * x1,
+             y1 * x1.conjugate() + y0.conjugate() * x0]]
+
+
+def _fold_layers(tree_graph: Digraph, tree, vec: np.ndarray) -> list:
+    """Fold vec into the tree root; one GraphUnitary per layer of disjoint child-to-parent gathers.
+
+    A child folds iff its subtree carries amplitude above _SKIP.  The layers run the optimal
+    tree broadcast in reverse: b(v) = max over i of i + b(c_i), over v's folding children c_i
+    by decreasing b, the broadcast reaches c_i at step t(c_i) = t(v) + i, and c_i folds in
+    layer T - t(c_i) (0-based) with T = b(root), so after its own children and at most once
+    per vertex and layer.  Each pair's block is computed from the state before its layer.
+    """
+    mass = (np.abs(vec) ** 2).tolist()
+    kids = [[] for _ in mass]
+    b = [0] * len(mass)
+    for v in tree.order:  # children before parents
+        kids[v].sort(key=b.__getitem__, reverse=True)
+        b[v] = max((i + b[c] for i, c in enumerate(kids[v], 1)), default=0)
+        if v != tree.root and mass[v] > _SKIP * _SKIP:
+            mass[tree.parent[v]] += mass[v]
+            kids[tree.parent[v]].append(v)
+    t = [0] * len(mass)
+    layers = [[] for _ in range(b[tree.root])]
+    for v in reversed(tree.order):  # parents before children
+        for i, c in enumerate(kids[v], 1):
+            t[c] = t[v] + i
+            layers[b[tree.root] - t[c]] += (c, v)
+    cur = vec.astype(complex)
     ops = []
-    for v in tree.order[:-1]:
-        w = tree.parent[v]
-        if abs(cur[v]) <= _SKIP:
-            continue
-        s = float(np.hypot(abs(cur[v]), abs(cur[w])))
-        u = gather_unitary(tree_graph, v, w, cur, (0.0, s))
-        cur = u.apply(cur)
-        ops.append(u)
-    return ops, cur
+    for support in layers:
+        block = np.zeros((len(support),) * 2, dtype=complex)
+        for k in range(0, len(support), 2):
+            x0, x1 = complex(cur[support[k]]), complex(cur[support[k + 1]])
+            block[k:k + 2, k:k + 2] = _gather_block(x0, x1, 0.0, math.hypot(abs(x0), abs(x1)))
+        ops.append(GraphUnitary(block, tree_graph, tuple(support)))
+        cur = ops[-1].apply(cur)
+    return ops
 
 
 def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
-    """Certified operator chain of length <= 2n - 2 mapping phi to psi up to global phase.
+    """Certified layer sequence of length <= 2n - 2 mapping phi to psi up to global phase.
 
-    Phase 1 walks the spanning-tree order gathering all of phi's amplitude
-    into the root; phase 2 is the reversed adjoint chain of the same
-    construction run for psi.  Gathers over blocks carrying no amplitude are
-    dropped, so equal states yield an empty chain.
+    Phase 1 folds all of phi's amplitude into the root of a spanning tree,
+    one certified block of disjoint 2x2 gathers per layer; phase 2 is the
+    reversed adjoint sequence of the same fold run for psi.  Subtrees
+    carrying no amplitude are not folded, so equal states yield an empty
+    sequence.
     """
     a = state_vector(phi)
     b = state_vector(psi)
@@ -317,8 +346,8 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     if abs(np.vdot(b, a)) >= 1.0 - ATOL:
         return []
     tree_graph = tree.as_digraph()
-    forward, _ = _gather_chain(tree_graph, tree, a)
-    backward, _ = _gather_chain(tree_graph, tree, b)
+    forward = _fold_layers(tree_graph, tree, a)
+    backward = _fold_layers(tree_graph, tree, b)
     return forward + [u.adjoint() for u in reversed(backward)]
 
 

@@ -314,7 +314,7 @@ def test_reach_trivial_and_rooted(tmp_path, capsys):
     c4 = _write(tmp_path, "c4.json", graph_to_json(cycle_graph(4)))
     code, out, _ = _run(capsys, ["reach", c4, "--from", "uniform", "--to", "basis:1",
                                  "--root", "1", "--out", str(tmp_path / "ops.json")])
-    assert code == 0 and out == "length=3 bound=6 fidelity=1.000000000\n"
+    assert code == 0 and out == "length=2 bound=6 fidelity=1.000000000\n"
 
 
 def test_reach_inline_state_and_default_stdout(tmp_path, capsys):

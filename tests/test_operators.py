@@ -49,7 +49,8 @@ from qpursuit import (
     transposition_unitary,
     uniform_state,
 )
-from qpursuit.operators import _SKIP, _ZERO_BLOCK
+from qpursuit.graphs import _bfs
+from qpursuit.operators import _SKIP, _ZERO_BLOCK, _fold_layers, _unitary_report
 
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
@@ -240,9 +241,22 @@ def test_reach_cycle4_uniform_to_basis():
     assert 0 < len(ops) <= 2 * g.n - 2
     out = apply_sequence(ops, uniform_state(4))
     assert abs(np.vdot(basis_state(4, 1), out)) >= 1.0 - 1e-9
-    # a root on the target vertex spends nothing on the unfold half
+    # a root on the target vertex spends nothing on the unfold half, and the fold of its
+    # two-level tree takes two layers
     short = reach_sequence(g, uniform_state(4), basis_state(4, 1), root=1)
-    assert len(short) == g.n - 1
+    assert len(short) == 2
+
+
+def test_reach_folds_the_deepest_subtree_last():
+    # root 0 with a leaf 1 and a path 2-3-4: folding the leaf before the path's head takes
+    # four layers, the optimal broadcast order (path first from the root) three
+    g = digraph(5, [(0, 1), (0, 2), (2, 3), (3, 4)], undirected=True, reflexive=True)
+    phi, psi = uniform_state(5), basis_state(5, 0)
+    ops = reach_sequence(g, phi, psi)
+    assert len(ops) == 3 == _light_cone_bound(g, phi, psi)
+    pairs = [set(zip(u.support[::2], u.support[1::2])) for u in ops]
+    assert pairs == [{(4, 3)}, {(3, 2), (1, 0)}, {(2, 0)}]
+    assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
 
 
 def test_reach_random_instances_hold_bound_and_fidelity(rng):
@@ -333,19 +347,35 @@ def _transport_instances(draw):
 
 @settings(max_examples=200, phases=_NO_SHRINK)
 @given(_transport_instances())
-def test_gather_chain_matches_the_dense_oracle(instance):
+def test_gather_layers_match_the_dense_oracle(instance):
     g, phi, psi, root, eps = instance
     ops = reach_sequence(g, phi, psi, root)
     dense = _dense_reach_sequence(g, phi, psi, root)
-    assert len(ops) == len(dense) <= 2 * g.n - 2
-    for u, d in zip(ops, dense):
-        assert u.block.shape == (2, 2) and len(u.support) == 2
-        assert np.allclose(u.matrix, d.matrix, rtol=0.0, atol=1e-12)
+    assert len(ops) <= len(dense) <= 2 * g.n - 2
+    tree = spanning_tree(g, root)
+    tree_graph = tree.as_digraph()
+    folds = [_fold_layers(tree_graph, tree, x) for x in (phi, psi)]
+    if dense:
+        assert [(u.support, u.block.tolist()) for u in ops] == \
+            [(u.support, u.block.tolist()) for u in folds[0] + [f.adjoint() for f in folds[1][::-1]]]
+    for cur, layers in zip((phi, psi), folds):
+        for u in layers:
+            # disjoint child-to-parent tree edges, each block the dense gather of the state before
+            pairs = list(zip(u.support[::2], u.support[1::2]))
+            assert u.graph == tree_graph and len(set(u.support)) == len(u.support) == 2 * len(pairs)
+            assert all(tree.parent[c] == p != c for c, p in pairs)
+            expected = np.zeros_like(u.block)
+            for k, (c, p) in enumerate(pairs):
+                s = float(np.hypot(abs(cur[c]), abs(cur[p])))
+                d = _dense_gather_unitary(tree_graph, c, p, cur, (0.0, s))
+                expected[2 * k:2 * k + 2, 2 * k:2 * k + 2] = d.matrix[np.ix_([c, p], [c, p])]
+            assert np.allclose(u.block, expected, rtol=0.0, atol=1e-12)
+            cur = u.apply(cur)
+    for u in ops:
         assert np.allclose(u.adjoint().matrix, u.matrix.conj().T, rtol=0.0, atol=1e-12)
         assert is_graph_preserving_unitary(u.matrix, g).ok
     assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
-    # a lone gather toward a general target, not only the chain's (0, s) targets
-    tree = spanning_tree(g, root)
+    # a lone gather toward a general target, not only the layers' (0, s) targets
     v = tree.order[0]
     aim = psi[[v, tree.parent[v]]]
     if np.linalg.norm(aim) > 1e-6:
@@ -361,6 +391,39 @@ def test_gather_chain_matches_the_dense_oracle(instance):
     assert err.value.report.residual > ATOL and not err.value.report.violations
     with pytest.raises(CertificationError):
         GraphUnitary(forged, g, (v, tree.parent[v])).adjoint()
+
+
+def _light_cone_bound(g, phi, psi):
+    """Fewest graph-preserving operations that can map phi to psi within ATOL of fidelity.
+
+    One operation moves amplitude along at most one arc, so every vertex where psi's amplitude
+    exceeds 1e-4 (its loss alone costs more fidelity than ATOL) must lie within the sequence's
+    length of a vertex where phi's amplitude exceeds _SKIP (what a fold moves at all); the
+    mirror term bounds the adjoint sequence, which maps psi to phi.
+    """
+    d = [_bfs(v, g.out_adj)[1] for v in range(g.n)]  # d[v][w]: arcs on a shortest walk v -> w
+    live = [np.flatnonzero(np.abs(x) > _SKIP) for x in (phi, psi)]
+    must = [np.flatnonzero(np.abs(x) > 1e-4) for x in (phi, psi)]
+    forward = max((min(d[v][w] for v in live[0]) for w in must[1]), default=0)
+    mirror = max((min(d[v][w] for w in live[1]) for v in must[0]), default=0)
+    return max(forward, mirror)
+
+
+@settings(max_examples=200, phases=_NO_SHRINK)
+@given(_transport_instances(), st.data())
+def test_reach_length_is_at_least_the_light_cone_bound(instance, data):
+    g, phi, psi, root, _ = instance
+
+    def sparse(x):  # full supports make the bound 0, so drop a drawn set of vertices
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+        assume(np.linalg.norm(x[keep]) > 1e-3)
+        return np.where(keep, x, 0.0) / np.linalg.norm(x[keep])
+
+    phi, psi = sparse(phi), sparse(psi)
+    layered = len(reach_sequence(g, phi, psi, root))
+    bound = _light_cone_bound(g, phi, psi)
+    assert layered >= bound, (f"n={g.n}: {layered} layers below the light-cone bound {bound} "
+                              f"(sequential chain {len(_dense_reach_sequence(g, phi, psi, root))})")
 
 
 def test_gather_rotation_reports_missing_arcs_and_loops():
@@ -486,9 +549,20 @@ def test_reach_at_n512_holds_bound_and_fidelity():
     psi = uniform_state(n)
     ops = reach_sequence(g, phi, psi)
     assert 0 < len(ops) <= 2 * n - 2
+    assert len(ops) < n - 1
     assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
     for u in (ops[0], ops[-1]):
         assert is_graph_preserving_unitary(u.matrix, g).ok
+    # a layer's b^H b is block-diagonal (exact zeros between pairs), so its certified residual
+    # is its worst pair's 2x2 residual, up to the rounding of unit-size entries
+    for u in ops:
+        idx = np.array(u.support)
+        pair = np.kron(np.eye(idx.size // 2, dtype=bool), np.ones((2, 2), dtype=bool))
+        assert not (u.block.conj().T @ u.block)[~pair].any()
+        pairs = [_unitary_report(u.block[k:k + 2, k:k + 2], u.graph, idx[k:k + 2]).residual
+                 for k in range(0, idx.size, 2)]
+        residual = _unitary_report(u.block, u.graph, idx).residual
+        assert abs(residual - max(pairs)) <= 2 * np.finfo(float).eps
 
 
 def test_reach_preconditions():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,7 +80,7 @@ def _load_json(path: str):
 
 
 def _dump_json(data, path: str = None):
-    text = json.dumps(data, sort_keys=True, indent=2)
+    text = json.dumps(data, sort_keys=True)  # no indent: indent selects the pure-Python encoder
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -137,7 +138,7 @@ def _cmd_reach(args) -> int:
     ops = reach_sequence(g, phi, psi, root=args.root)
     fidelity = abs(np.vdot(psi, apply_sequence(ops, phi)))
     bound = 2 * g.n - 2
-    _dump_json([operator_to_json(u.matrix) for u in ops], args.out)
+    _dump_json([operator_to_json(u) for u in ops], args.out)
     print(f"length={len(ops)} bound={bound} fidelity={_fmt(fidelity)}")
     if len(ops) > bound or fidelity < 1.0 - ATOL:
         return 2
@@ -243,6 +244,7 @@ def _cmd_reproduce(args) -> int:
     return 0 if failures == 0 else 2
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qpursuit",
                                      description="Cop and Robber games on reflexive digraphs")

@@ -287,8 +287,9 @@ def _gather_block(x0: complex, x1: complex, y0: complex, y1: complex) -> list:
              y1 * x1.conjugate() + y0.conjugate() * x0]]
 
 
-def _fold_layers(tree_graph: Digraph, tree, vec: np.ndarray) -> list:
-    """Fold vec into the tree root; one GraphUnitary per layer of disjoint child-to-parent gathers.
+def _fold_layers(tree, vec: np.ndarray):
+    """Fold vec into the tree root; yields (support, block) per layer of disjoint child-to-parent
+    gathers, uncertified: reach_sequence certifies each layer it emits once.
 
     A child folds iff its subtree carries amplitude above _SKIP.  The layers run the optimal
     tree broadcast in reverse: b(v) = max over i of i + b(c_i), over v's folding children c_i
@@ -312,25 +313,23 @@ def _fold_layers(tree_graph: Digraph, tree, vec: np.ndarray) -> list:
             t[c] = t[v] + i
             layers[b[tree.root] - t[c]] += (c, v)
     cur = vec.astype(complex)
-    ops = []
     for support in layers:
         block = np.zeros((len(support),) * 2, dtype=complex)
         for k in range(0, len(support), 2):
             x0, x1 = complex(cur[support[k]]), complex(cur[support[k + 1]])
             block[k:k + 2, k:k + 2] = _gather_block(x0, x1, 0.0, math.hypot(abs(x0), abs(x1)))
-        ops.append(GraphUnitary(block, tree_graph, tuple(support)))
-        cur = ops[-1].apply(cur)
-    return ops
+        cur[support] = block @ cur[support]
+        yield tuple(support), block
 
 
 def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     """Certified layer sequence of length <= 2n - 2 mapping phi to psi up to global phase.
 
     Phase 1 folds all of phi's amplitude into the root of a spanning tree,
-    one certified block of disjoint 2x2 gathers per layer; phase 2 is the
-    reversed adjoint sequence of the same fold run for psi.  Subtrees
-    carrying no amplitude are not folded, so equal states yield an empty
-    sequence.
+    one block of disjoint 2x2 gathers per layer; phase 2 is the same fold
+    run for psi, reversed, each block conjugate-transposed.  Every layer is
+    certified once, against the tree's graph.  Subtrees carrying no
+    amplitude are not folded, so equal states yield an empty sequence.
     """
     a = state_vector(phi)
     b = state_vector(psi)
@@ -346,9 +345,9 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     if abs(np.vdot(b, a)) >= 1.0 - ATOL:
         return []
     tree_graph = tree.as_digraph()
-    forward = _fold_layers(tree_graph, tree, a)
-    backward = _fold_layers(tree_graph, tree, b)
-    return forward + [u.adjoint() for u in reversed(backward)]
+    fold = list(_fold_layers(tree, a))
+    unfold = [(support, block.conj().T) for support, block in reversed(list(_fold_layers(tree, b)))]
+    return [GraphUnitary(block, tree_graph, support) for support, block in fold + unfold]
 
 
 def apply_sequence(ops, state) -> np.ndarray:

@@ -16,7 +16,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _is_int, digraph
-from .operators import ControlledOp
+from .operators import ControlledOp, GraphUnitary
 from .strategies import build_strategy
 
 
@@ -56,14 +56,30 @@ def graph_from_json(data: dict) -> Digraph:
                        for u, v in arcs], **flags)
 
 
-def operator_to_json(matrix) -> dict:
-    """Non-zero entries as [row, col, re, im], in row-major order."""
-    m = np.asarray(matrix, dtype=complex)
-    rows, cols = np.nonzero(m)
-    vals = m[rows, cols]
+def operator_to_json(op) -> dict:
+    """Non-zero entries as [row, col, re, im], in row-major order.
+
+    op is a GraphUnitary, written from its block plus [u, u, 1.0, 0.0] for each vertex u outside
+    its support, or a matrix, which is the block on every vertex; no dense n x n matrix is built.
+    """
+    if isinstance(op, GraphUnitary):
+        n, idx, block = op.graph.n, op._index, op.block
+    else:
+        block = np.asarray(op, dtype=complex)
+        n = int(block.shape[0])
+        idx = np.arange(n)
+    outside = np.ones(n, dtype=bool)  # a mask: np.isin and np.setdiff1d would import numpy.ma
+    outside[idx] = False
+    loops = np.flatnonzero(outside)
+    r, c = np.nonzero(block)
+    rows = np.concatenate((idx[r], loops))
+    cols = np.concatenate((idx[c], loops))
+    vals = np.concatenate((block[r, c], np.ones(loops.size, dtype=complex)))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
     entries = [list(e) for e in zip(rows.tolist(), cols.tolist(),
                                     vals.real.tolist(), vals.imag.tolist())]
-    return {"n": int(m.shape[0]), "entries": entries}
+    return {"n": n, "entries": entries}
 
 
 _JSON_NUMBER = (int, float)
@@ -114,7 +130,7 @@ def state_from_json(data) -> np.ndarray:
 
 def controlled_op_to_json(op: ControlledOp) -> dict:
     return {"n": op.graph.n, "control": op.control,
-            "blocks": [operator_to_json(b.matrix) for b in op.blocks]}
+            "blocks": [operator_to_json(b) for b in op.blocks]}
 
 
 def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:

@@ -1,15 +1,22 @@
 """Command line surface: subcommands, exit codes, JSON formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qpursuit
 from qpursuit import (
+    GraphUnitary,
     Scenario,
     complete_graph,
+    controlled_op,
     controlled_op_from_json,
     controlled_op_to_json,
     cycle_graph,
@@ -17,6 +24,8 @@ from qpursuit import (
     directed_cycle,
     graph_from_json,
     graph_to_json,
+    haar_unitary,
+    identity_unitary,
     is_graph_preserving_unitary,
     operator_from_json,
     operator_to_json,
@@ -551,6 +560,46 @@ def test_operator_to_json_matches_the_entry_loop(rng):
             assert json.dumps(fast) == json.dumps(slow)
 
 
+_EXACT = (1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(-1.0, -0.0), complex(0.0, -1.0))
+
+
+@st.composite
+def _certified_blocks(draw):
+    """A GraphUnitary on a random board and a random (often unsorted) support: exact or Haar
+    phases, a Haar 2x2 on an edge inside the support, and signed zeros among its zero entries."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.4, 1.0))))
+    support = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    k = len(support)
+    block = np.diag([draw(st.sampled_from(_EXACT)) if draw(st.booleans())
+                     else np.exp(2j * np.pi * rng.random()) for _ in range(k)]).astype(complex)
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)
+             if (support[i], support[j]) in g.arcs]
+    if edges and draw(st.booleans()):
+        i, j = edges[draw(st.integers(0, len(edges) - 1))]
+        block[np.ix_([i, j], [i, j])] = haar_unitary(2, rng)
+    zeros = block == 0
+    signs = np.array(draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=2 * k * k,
+                                   max_size=2 * k * k))).reshape(2, k, k)
+    block.real[zeros], block.imag[zeros] = signs[0][zeros], signs[1][zeros]
+    return GraphUnitary(block, g, tuple(support))
+
+
+@given(_certified_blocks())
+def test_operators_are_written_from_their_blocks_byte_for_byte(u):
+    dense = u.matrix
+    text = json.dumps(operator_to_json(u))
+    assert text == json.dumps(operator_to_json(dense)) == json.dumps(_loop_operator_to_json(dense))
+    g = u.graph
+    op = controlled_op(g, [u if v % 2 else identity_unitary(g) for v in range(g.n)], "cop")
+    data = json.dumps(controlled_op_to_json(op))
+    assert data == json.dumps({"n": g.n, "control": "cop",
+                               "blocks": [_loop_operator_to_json(b.matrix) for b in op.blocks]})
+    # read back and written again it is the same, up to signed zeros, which the reader drops
+    assert controlled_op_to_json(controlled_op_from_json(json.loads(data), g)) == json.loads(data)
+
+
 def test_scenario_json_round_trip():
     data = {"model": "classical_quantum", "graph": graph_to_json(cycle_graph(4)),
             "rounds": 2, "cop": {"builtin": "uniform_spread"}, "robber": {"init": "uniform"}}
@@ -579,3 +628,50 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("ok=yes")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    c4 = _write(tmp_path, "c4.json", graph_to_json(cycle_graph(4)))
+    argv = ["reach", c4, "--from", "uniform", "--to", "basis:1"]
+    rooted = _run(capsys, argv + ["--root", "1"])
+    with pytest.raises(SystemExit):
+        main(["reach", c4, "--from", "uniform", "--root", "x"])
+    capsys.readouterr()
+    # the call after them reads neither the earlier root nor the refused one
+    after = _run(capsys, argv)
+    fresh = subprocess.run([sys.executable, "-m", "qpursuit", *argv],
+                           capture_output=True, text=True)
+    assert after == (fresh.returncode, fresh.stdout, fresh.stderr) == \
+        _run(capsys, argv + ["--root", "0"])
+    assert after[0] == rooted[0] == 0 and after[1] != rooted[1]
+    assert _run(capsys, ["--seed", "7", "reproduce", "c4-evasion-0"])[0] == 0
+    assert _run(capsys, ["reproduce", "--all"]) == _run(capsys, ["reproduce", "--all"]) == \
+        (0, PAPER_VERDICTS, "")
+
+
+# Runs the commands given as JSON through cli.main, then prints whether numpy.ma was imported.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+from qpursuit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_the_cli_never_imports_numpy_ma(tmp_path):
+    # numpy.ma is imported lazily by np.isin, np.setdiff1d and np.unique, and costs about 1 MiB
+    board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
+        24, np.random.default_rng(4), 0.2)))
+    scenario = _write(tmp_path, "sweep.json", README_SWEEP)
+    commands = [["reach", board, "--from", "basis:0", "--to", "uniform", "--out",
+                 str(tmp_path / "ops.json")],
+                ["analyze-graph", board],
+                ["run", scenario, "--out", str(tmp_path / "trace.json")],
+                ["reproduce", "--all"]]
+    src = str(Path(qpursuit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], False]

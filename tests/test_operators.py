@@ -354,7 +354,9 @@ def test_gather_layers_match_the_dense_oracle(instance):
     assert len(ops) <= len(dense) <= 2 * g.n - 2
     tree = spanning_tree(g, root)
     tree_graph = tree.as_digraph()
-    folds = [_fold_layers(tree_graph, tree, x) for x in (phi, psi)]
+    # the raw layers, certified here: the unfold's conjugate-transposed blocks equal the adjoints
+    folds = [[GraphUnitary(block, tree_graph, support) for support, block in _fold_layers(tree, x)]
+             for x in (phi, psi)]
     if dense:
         assert [(u.support, u.block.tolist()) for u in ops] == \
             [(u.support, u.block.tolist()) for u in folds[0] + [f.adjoint() for f in folds[1][::-1]]]
@@ -563,6 +565,25 @@ def test_reach_at_n512_holds_bound_and_fidelity():
                  for k in range(0, idx.size, 2)]
         residual = _unitary_report(u.block, u.graph, idx).residual
         assert abs(residual - max(pairs)) <= 2 * np.finfo(float).eps
+
+
+def test_reach_certifies_each_layer_once(monkeypatch):
+    import qpursuit.operators
+
+    calls = []
+    check = qpursuit.operators._unitary_report
+
+    def spy(*args, **kwargs):  # the one certificate check
+        calls.append(tuple(args[2].tolist()))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy)
+    rng = np.random.default_rng(64)
+    g = random_connected_graph(64, rng, 0.1)
+    phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    ops = reach_sequence(g, phi / np.linalg.norm(phi), uniform_state(64))
+    # fold and unfold layers alike, each once and in the order they are emitted
+    assert len(ops) > 2 and calls == [u.support for u in ops]
 
 
 def test_reach_preconditions():

@@ -26,11 +26,16 @@ from .graphs import (
     spanning_tree,
 )
 
-# Certification and fidelity tolerance.  A certificate's residual is that of its
-# k x k block.  A gather's (k = 2) holds at any board size, and so does a layer of
-# disjoint gathers: its b^H b is block-diagonal, so its residual is its worst pair's.
-# A dense block (k = n, an n x n product b^H b) is documented for n <= 256.
+# Certification and fidelity tolerance.  A certificate's residual is max |b^H b - I|
+# of its k x k block, and b^H b is exactly zero between two connected components of
+# b's non-zero pattern, so the residual is its worst component's.  A gather's (k = 2)
+# holds at any board size, and so does a layer of disjoint gathers or a move of phases
+# and 2x2 blocks on a matching.  A component on m columns sums m-term products, which
+# is documented for m <= 256.
 ATOL = 1e-9
+# Blocks on at most this many vertices take one k x k product b^H b: finding the
+# components costs more than the product there.
+_DENSE_MAX = 64
 # Looser tolerance for inequalities derived from certified quantities.
 ATOL_DERIVED = 1e-8
 # Below this block norm a gather rotation is underdetermined and we keep identity.
@@ -175,10 +180,16 @@ class GraphStochastic:
         return self.matrix @ np.asarray(dist, dtype=float)
 
 
-def _violations(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float) -> tuple:
+def _violations(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float, nonzero=None) -> tuple:
     """(w, v, |entry|) for each entry of b above tau whose arc (v, w) is missing, where row and
-    column i of b stand for vertex idx[i]; an empty block looks up no arc, so builds no adjacency."""
-    rows, cols = np.nonzero(np.abs(b) > tau)
+    column i of b stand for vertex idx[i]; an empty block looks up no arc, so builds no adjacency.
+    nonzero, if given, is np.nonzero(b), and only those entries are compared with tau."""
+    if nonzero is None:
+        rows, cols = np.nonzero(np.abs(b) > tau)
+    else:
+        rows, cols = nonzero
+        above = np.abs(b[rows, cols]) > tau
+        rows, cols = rows[above], cols[above]
     if rows.size and not (legal := g.adjacency[idx[cols], idx[rows]]).all():
         rows, cols = rows[~legal], cols[~legal]
         # abs of each scalar entry: np.abs over the array may differ in the last bit
@@ -186,14 +197,82 @@ def _violations(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float) -> tuple
     return ()
 
 
+def _gram_defect(a: np.ndarray) -> np.ndarray:
+    """max |a^H a - I| over the last two axes of a stack of blocks; nan or inf if an entry is."""
+    gram = np.matmul(a.conj().swapaxes(-1, -2), a)
+    cols = a.shape[-1]
+    gram.reshape(gram.shape[:-2] + (-1,))[..., ::cols + 1] -= 1.0
+    return np.abs(gram).max(axis=(-1, -2), initial=0.0)
+
+
+def _column_components(cols: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """Label of each of k columns, constant on each connected component of columns and one of its
+    columns, where two columns are joined when they share a row.  cols holds the columns of the
+    non-zero entries in row-major order, starts the index of each non-empty row's first entry.
+
+    Each pass hooks each column, and the column its label names, onto the least label in the
+    column's row, then jumps each column to its label's label (Shiloach-Vishkin).  Labels only
+    fall, so the passes stop: once every row holds one label, or every column reads label 0.
+    """
+    runs = np.diff(starts, append=cols.size)
+    label = np.arange(k)
+    while label.any():
+        seen = label[cols]
+        least = np.repeat(np.minimum.reduceat(seen, starts), runs)
+        if np.array_equal(seen, least):
+            break
+        np.minimum.at(label, seen, least)
+        np.minimum.at(label, cols, least)
+        label = label[label]
+    return label
+
+
+def _component_residual(b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """max |b^H b - I| from the products of b's components (see _column_components), given
+    b's non-zero entries: b^H b is exactly zero between two of them.  Same-shaped components
+    share one batched product, a lone component of its shape one 2-D product."""
+    k = b.shape[1]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    label = _column_components(cols, starts, k)
+    if not label.any():
+        return float(_gram_defect(b))
+    # a component's label is one of its columns; each non-empty row takes its columns' label, and
+    # an empty column is a component with no rows
+    roots = np.flatnonzero(label == np.arange(k))
+    row_label = label[cols[starts]]
+    width = np.bincount(label, minlength=k)[roots]
+    height = np.bincount(row_label, minlength=k)[roots]
+    by_col = np.argsort(label, kind="stable")
+    by_row = rows[starts][np.argsort(row_label, kind="stable")]
+    col_start = np.cumsum(width) - width
+    row_start = np.cumsum(height) - height
+    shape = height * (k + 1) + width
+    worst = []
+    for s in np.unique(shape):
+        pick = shape == s
+        h, w = divmod(int(s), k + 1)
+        r = by_row[row_start[pick][:, None] + np.arange(h)]
+        c = by_col[col_start[pick][:, None] + np.arange(w)]
+        a = b[r[:, :, None], c[:, None, :]]
+        worst.append(_gram_defect(a).max() if len(a) > 1 else _gram_defect(a[0]))
+    return float(np.max(worst))  # np.max keeps a nan, which the builtin max may drop
+
+
 def _unitary_report(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float = ATOL) -> OpReport:
     """is_graph_preserving_unitary of the matrix that is b on vertices idx and the identity
     elsewhere, without building it: its m^H m differs from the identity only on the block, and
-    its identity part needs the loops outside idx."""
-    defect = b.conj().T @ b
-    defect.flat[::len(idx) + 1] -= 1.0
-    residual = float(np.abs(defect).max(initial=0.0))
-    violations = _violations(b, g, idx, tau)
+    its identity part needs the loops outside idx.
+
+    A block on more than _DENSE_MAX vertices takes its residual per connected component of its
+    non-zero pattern, which finds the same maximum without the k x k product."""
+    nonzero = None
+    with np.errstate(all="ignore"):  # a nan or inf entry gives a residual that fails, not a warning
+        if len(idx) > _DENSE_MAX:
+            pattern = b != 0
+            if not pattern.all(axis=1).any():  # a full row would join every column
+                nonzero = np.nonzero(pattern)
+        residual = float(_gram_defect(b)) if nonzero is None else _component_residual(b, *nonzero)
+        violations = _violations(b, g, idx, tau, nonzero)
     if not g.is_reflexive and len(idx) < g.n:
         inside = set(idx.tolist())
         violations += tuple((u, u, 1.0) for u in range(g.n)
@@ -387,6 +466,11 @@ def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> Graph
     with r_a^2 + r_b^2 + r_c^2 = 1.  The image of that state is
     e^(i (k_c - psi))|1>; alpha is a free phase on the complementary block.
     """
+    return certify_unitary(_c4_collapse_matrix(amplitudes, psi, alpha), cycle_graph(4))
+
+
+def _c4_collapse_matrix(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> np.ndarray:
+    """The uncertified matrix of gather_unitary_c4, for callers that certify it on their own."""
     ra, ka, rb, kb, rc, kc = (float(x) for x in amplitudes)
     if not _is_unit((ra, rb, rc)):
         raise ValueError("source amplitudes must have unit norm")
@@ -404,7 +488,7 @@ def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> Graph
         ],
         dtype=complex,
     )
-    return certify_unitary(m, cycle_graph(4))
+    return m
 
 
 @dataclass(frozen=True, eq=False)

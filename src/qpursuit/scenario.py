@@ -106,15 +106,17 @@ def operator_from_json(data: dict) -> np.ndarray:
         r, c = entries[int(np.flatnonzero(outside)[0])][:2]
         raise ValueError(f"operator entry ({r}, {c}) out of range")
     m = np.zeros((n, n), dtype=complex)
-    m[a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)] = a[:, 2] + 1j * a[:, 3]
+    at = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)
+    m.real[at] = a[:, 2]  # each part as written: re + 1j * im would turn a -0.0 into 0.0
+    m.imag[at] = a[:, 3]
     return m
 
 
 def state_to_json(vec) -> list:
     a = np.asarray(vec)
     if np.iscomplexobj(a):
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [float(x) for x in a]
+        return np.stack((a.real, a.imag), axis=1).tolist()
+    return a.astype(float).tolist()
 
 
 def state_from_json(data) -> np.ndarray:

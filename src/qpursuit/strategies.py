@@ -30,9 +30,9 @@ from .operators import (
     ATOL,
     certify_unitary,
     controlled_op,
-    gather_unitary_c4,
     identity_unitary,
     transposition_unitary,
+    _c4_collapse_matrix,
 )
 
 
@@ -73,7 +73,7 @@ def _recentred_collapse(g: Digraph, amps: np.ndarray, target: int) -> "GraphUnit
 
     amps must live on the closed neighbourhood of target; the collapse matrix
     is written for target 1 and conjugated by the cycle rotation that moves 1
-    onto the requested target.
+    onto the requested target, and only the rotated matrix is certified, once, against g.
     """
     shift = (target - 1) % 4
     dd = np.roll(amps, -shift)  # dd[j] = amps[j + shift]
@@ -83,9 +83,8 @@ def _recentred_collapse(g: Digraph, amps: np.ndarray, target: int) -> "GraphUnit
         abs(dd[1]) / trio, float(np.angle(dd[1])),
         abs(dd[2]) / trio, float(np.angle(dd[2])),
     )
-    base = gather_unitary_c4(params, 0.0, 0.0)
     rot = np.roll(np.eye(4), shift, axis=0)  # the cycle rotation j -> j + shift
-    return certify_unitary(rot @ base.matrix @ rot.T, g)
+    return certify_unitary(rot @ _c4_collapse_matrix(params) @ rot.T, g)
 
 
 class _AntipodalEvasion:

@@ -32,6 +32,8 @@ from qpursuit import (
     path_graph,
     random_connected_graph,
     sample_controlled_op,
+    sample_graph_stochastic,
+    sample_graph_unitary,
     scenario_from_json,
     scenario_to_json,
     star_graph,
@@ -596,8 +598,8 @@ def test_operators_are_written_from_their_blocks_byte_for_byte(u):
     data = json.dumps(controlled_op_to_json(op))
     assert data == json.dumps({"n": g.n, "control": "cop",
                                "blocks": [_loop_operator_to_json(b.matrix) for b in op.blocks]})
-    # read back and written again it is the same, up to signed zeros, which the reader drops
-    assert controlled_op_to_json(controlled_op_from_json(json.loads(data), g)) == json.loads(data)
+    # read back and written again it is the same, byte for byte
+    assert json.dumps(controlled_op_to_json(controlled_op_from_json(json.loads(data), g))) == data
 
 
 def test_scenario_json_round_trip():
@@ -621,6 +623,40 @@ def test_trace_json_structure():
     quantum = play("classical_quantum", g, uniform_spread(g), uniform_spread(g), 1)
     encoded = trace_to_json(quantum)["history"][0]["state"]["cop"]
     assert state_from_json(encoded).shape == (3,)
+
+
+def _loop_state_to_json(vec):
+    """The per-scalar loop state_to_json used before it was vectorised, kept as the reference."""
+    a = np.asarray(vec)
+    if np.iscomplexobj(a):
+        return [[float(z.real), float(z.imag)] for z in a]
+    return [float(x) for x in a]
+
+
+def test_states_are_written_as_the_scalar_loop_wrote_them(rng):
+    n = 48
+    g = random_connected_graph(n, rng, 3.0 / n)
+    robber = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    robber[:4] = complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0), 0.0
+    moves = [sample_graph_unitary(g, rng).matrix for _ in range(3)]
+    quantum = play("classical_quantum", g, uniform_spread(g),
+                   Strategy(init=robber / np.linalg.norm(robber), move=moves), 3)
+    spread = rng.dirichlet(np.ones(n))
+    spread[:2] = -0.0, 0.0
+    walks = [sample_graph_stochastic(g, rng).matrix for _ in range(3)]
+    mixed = play("open_probabilistic", g, Strategy(init=spread / spread.sum(), move=walks),
+                 Strategy(init=0), 3)
+    states = [value for trace in (quantum, mixed) for _, _, snap in trace.history
+              for value in snap.values() if np.ndim(value)]
+    assert {np.iscomplexobj(v) for v in states} == {True, False}
+    for vec in states + [robber, spread, np.array([-0.0, 1.0 + 0.0j])]:
+        assert json.dumps(state_to_json(vec)) == json.dumps(_loop_state_to_json(vec))
+    for trace in (quantum, mixed):  # and so are whole traces, signed zeros included
+        data = trace_to_json(trace)
+        for entry, (_, _, snap) in zip(data["history"], trace.history):
+            assert json.dumps(entry["state"]) == json.dumps(
+                {key: _loop_state_to_json(v) if np.ndim(v) else np.asarray(v).item()
+                 for key, v in snap.items()})
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,8 @@
 """Graph-preserving operations: certification, gathers, reach chains, controlled blocks."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -50,7 +53,7 @@ from qpursuit import (
     uniform_state,
 )
 from qpursuit.graphs import _bfs
-from qpursuit.operators import _SKIP, _ZERO_BLOCK, _fold_layers, _unitary_report
+from qpursuit.operators import _DENSE_MAX, _SKIP, _ZERO_BLOCK, _fold_layers, _unitary_report
 
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
@@ -496,6 +499,122 @@ def test_a_block_certifies_exactly_as_its_dense_matrix(instance):
         assert np.array_equal(u.matrix, m)
         vec = np.arange(1.0, g.n + 1.0) * (1.0 - 0.5j)
         assert np.allclose(u.apply(vec), m @ vec, rtol=0.0, atol=1e-12)
+
+
+def _dense_residual_and_violations(b, g, idx, tau=ATOL):
+    """The single k x k product b^H b and the entry scan _unitary_report ran on every block
+    before it took the residual per component, kept as the reference."""
+    with np.errstate(all="ignore"):
+        defect = b.conj().T @ b
+        defect.flat[::len(idx) + 1] -= 1.0
+        residual = float(np.abs(defect).max(initial=0.0))
+    rows, cols = np.nonzero(np.abs(b) > tau)
+    bad = ~g.adjacency[idx[cols], idx[rows]]
+    rows, cols = rows[bad], cols[bad]
+    return residual, tuple(zip(idx[rows].tolist(), idx[cols].tolist(),
+                               map(float, map(abs, b[rows, cols]))))
+
+
+def _pairs_block(rng, order, pairs):
+    """Phases on len(order) vertices, then Haar 2x2 blocks on the first pairs pairs of order."""
+    b = np.diag(np.exp(2j * np.pi * rng.random(len(order))))
+    for i in range(0, 2 * pairs, 2):
+        b[np.ix_(order[i:i + 2], order[i:i + 2])] = haar_unitary(2, rng)
+    return b
+
+
+@st.composite
+def _patterned_blocks(draw):
+    """A k x k block on both sides of the size where certification starts taking components,
+    its board reflexive with an arc for each entry of the block bar a few: unitary blocks of
+    phases and 2x2 pairs, permuted block-diagonal, dense Haar or a chain of two layers of 2x2
+    rotations, or random entries on a sparse pattern; then maybe with an empty row or column
+    (a component with more rows than columns), scaled or with one entry 1e-12 to 1e-8 off."""
+    k = draw(st.one_of(st.integers(1, _DENSE_MAX), st.integers(_DENSE_MAX + 1, 160)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("pairs", "blocks", "haar", "chain", "sparse")))
+    if kind == "pairs":
+        b = _pairs_block(rng, rng.permutation(k), draw(st.integers(0, k // 2)))
+    elif kind == "blocks":
+        cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, draw(st.integers(0, 40))),
+                                  replace=False)) if k > 1 else []
+        b = np.zeros((k, k), dtype=complex)
+        for start, stop in zip([0, *cuts], [*cuts, k]):
+            b[start:stop, start:stop] = haar_unitary(stop - start, rng)
+        b = b[rng.permutation(k)][:, rng.permutation(k)]
+    elif kind == "haar":
+        b = haar_unitary(k, rng)
+    elif kind == "chain":
+        b = np.eye(k, dtype=complex)
+        for first in (0, 1):
+            layer = np.eye(k, dtype=complex)
+            for i in range(first, k - 1, 2):
+                layer[i:i + 2, i:i + 2] = haar_unitary(2, rng)
+            b = layer @ b
+        order = rng.permutation(k)
+        b = b[np.ix_(order, order)] if draw(st.booleans()) else b
+    else:
+        b = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) \
+            * (rng.random((k, k)) < draw(st.sampled_from((0.5, 1.5, 3.0))) / k)
+    cut = draw(st.sampled_from((None, 0, 1)))
+    if cut is not None:
+        np.moveaxis(b, cut, 0)[draw(st.integers(0, k - 1))] = 0.0
+    b = b * draw(st.sampled_from((1.0, 1.0 + 1e-12, 1.0 + 1e-6)))
+    off = draw(st.sampled_from((None, 1e-12, 1e-10, 1e-8)))  # on a zero it joins two components
+    if off is not None:
+        b.flat[draw(st.integers(0, k * k - 1))] += off
+    n = k + draw(st.integers(0, 2))
+    support = tuple(draw(st.permutations(range(n)))[:k]) if n > k or draw(st.booleans()) else None
+    idx = np.arange(n) if support is None else np.array(support)
+    rows, cols = np.nonzero(b)
+    arcs = list(zip(idx[cols].tolist(), idx[rows].tolist()))
+    for _ in range(min(len(arcs), draw(st.integers(0, 3)))):
+        arcs.pop(draw(st.integers(0, len(arcs) - 1)))
+    return b, digraph(n, arcs), support
+
+
+@settings(max_examples=150, phases=_NO_SHRINK)
+@given(_patterned_blocks())
+def test_component_residual_matches_the_single_product(instance):
+    b, g, support = instance
+    idx = np.arange(g.n) if support is None else np.array(support)
+    residual, violations = _dense_residual_and_violations(b, g, idx)
+    report = _unitary_report(b, g, idx)
+    assert report.violations == violations
+    # only the summation order inside a component differs
+    assert abs(report.residual - residual) <= 4 * np.finfo(float).eps * max(residual, 1.0)
+    assert report.ok == (residual <= ATOL and not violations)
+
+
+@pytest.mark.parametrize("k", [4, 8, _DENSE_MAX + 64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_nan_and_inf_entries_are_refused_without_a_warning(k, bad):
+    g = path_graph(k)
+    b = _pairs_block(np.random.default_rng(k), np.arange(k), k // 4)  # pairs on path edges
+    for at in ((k - 1, k - 1), (0, 0), (0, 1)):  # a lone phase, and either entry of a pair
+        bent = b.copy()
+        bent[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CertificationError) as err:
+                GraphUnitary(bent, g)
+            assert not is_graph_preserving_unitary(bent, g).ok
+        assert not err.value.report.residual <= ATOL
+
+
+def test_a_large_sparse_block_is_certified_without_its_gram():
+    k = 1024
+    b = _pairs_block(np.random.default_rng(k), np.arange(k), k // 2)
+    g = path_graph(k)
+    _unitary_report(b, g, np.arange(k))  # builds the board's cached adjacency, and numpy's own state
+    tracemalloc.start()
+    try:
+        report = _unitary_report(b, g, np.arange(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # its k x k product b^H b alone would take b.nbytes
+    assert report.ok and peak < b.nbytes // 8
 
 
 def test_identity_is_an_empty_block_that_certifies_the_loops():

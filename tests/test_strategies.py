@@ -126,6 +126,38 @@ def test_antipodal_evasion_blanks_random_cops():
         _assert_antipodal_support(trace)
 
 
+def test_each_c4_collapse_is_certified_once(monkeypatch, rng):
+    import qpursuit.operators
+    import qpursuit.strategies
+
+    reports, collapses = [], []
+    check, collapse = qpursuit.operators._unitary_report, qpursuit.strategies._recentred_collapse
+
+    def spy_check(b, *args, **kwargs):  # the one certificate check
+        reports.append(b.shape)
+        return check(b, *args, **kwargs)
+
+    def spy_collapse(*args):
+        collapses.append(args[2])
+        return collapse(*args)
+
+    monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy_check)
+    monkeypatch.setattr(qpursuit.strategies, "_recentred_collapse", spy_collapse)
+    g = cycle_graph(4)
+    for target in range(4):
+        amps = _random_amps(rng, 4)
+        amps[(target + 2) % 4] = 0.0
+        u = qpursuit.strategies._recentred_collapse(g, amps / np.linalg.norm(amps), target)
+        assert u.graph == g and reports == [(4, 4)] * (target + 1)
+    reports.clear()
+    collapses.clear()
+    # in play, against an idle Cop, every 4x4 block certified is a collapse, each certified once
+    trace = play("quantum_controlled", g, Strategy(init=_random_amps(rng, 4)),
+                 c4_antipodal_evasion(g), rounds=4)
+    assert trace.p_copwin <= 1e-12 and collapses
+    assert reports.count((4, 4)) == len(collapses)
+
+
 def test_antipodal_evasion_preconditions():
     with pytest.raises(GraphError):
         c4_antipodal_evasion(path_graph(4))

@@ -250,18 +250,23 @@ def _arc_step(target, v: int, g: Digraph) -> int:
     return int(target)
 
 
-def _matrix_step(certify):
-    """Move rule of a vector model: certify the operation, then apply it (None is the identity)."""
-    return lambda op, vec, g: vec if op is None else _certified(certify, op, g).apply(vec)
+# The vector models' move rules certify the operation, then apply it (None is the identity).
+# They look the certifier up when a move is played, so a wrapper put on this module's
+# certify_stochastic or certify_unitary later (a profiler's, a test's) sees every move.
+def _stochastic_step(op, dist: np.ndarray, g: Digraph) -> np.ndarray:
+    return dist if op is None else _certified(certify_stochastic, op, g).apply(dist)
+
+
+def _unitary_step(op, amps: np.ndarray, g: Digraph) -> np.ndarray:
+    return amps if op is None else _certified(certify_unitary, op, g).apply(amps)
 
 
 # Per model with local states: initial-state parser (init, n), move rule
 # (op, state, g) -> state, and capture functional (robber, cop) -> float.
 _LOCAL_RULES = {
     GameModel.CLASSICAL: (_vertex, _arc_step, lambda r, c: 1.0 if c == r else 0.0),
-    GameModel.OPEN_PROBABILISTIC: (_prob_vector, _matrix_step(certify_stochastic),
-                                   p_copwin_probabilistic),
-    GameModel.CLASSICAL_QUANTUM: (_amp_vector, _matrix_step(certify_unitary), p_copwin_separable),
+    GameModel.OPEN_PROBABILISTIC: (_prob_vector, _stochastic_step, p_copwin_probabilistic),
+    GameModel.CLASSICAL_QUANTUM: (_amp_vector, _unitary_step, p_copwin_separable),
 }
 
 

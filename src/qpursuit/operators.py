@@ -8,7 +8,7 @@ whenever (v, w) is not an arc".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,93 +107,368 @@ def uniform_state(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
-def _seal(cert, field: str, a: np.ndarray, report: OpReport, failure: str):
-    """Freeze a and store it as cert.field if report passed, else raise CertificationError."""
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """a made read-only, returned as a view: a view of a read-only array cannot be unfrozen."""
+    a.setflags(write=False)
+    return a[...]
+
+
+def _refuse(report: OpReport, failure: str):
+    """Raise CertificationError carrying report unless report passed."""
     if not report:
         raise CertificationError(f"{failure}: residual={report.residual:.3e}, "
                                  f"{len(report.violations)} forbidden entries", report)
-    a.setflags(write=False)
-    object.__setattr__(cert, field, a[...])  # a view of a read-only array cannot be unfrozen
 
 
 @dataclass(frozen=True, eq=False)
+class Entries:
+    """An n x n operator by its non-zero entries: vals[i] at row rows[i], column cols[i].
+
+    Kept in row-major order whatever the order given, with exact zeros dropped and the arrays
+    read-only; a position out of range or given twice is refused.  certify_stochastic takes
+    Entries in place of a dense matrix and builds no n x n array; certify_unitary does the
+    same past _DENSE_MAX vertices.
+    """
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        if not (_is_int(n) and n >= 0):
+            raise ValueError(f"operator size must be a non-negative integer, got {n!r}")
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise ValueError("entry rows and columns must be integers")
+        rows, cols = rows.astype(np.intp).reshape(-1), cols.astype(np.intp).reshape(-1)
+        vals = np.array(self.vals, dtype=complex if np.iscomplexobj(self.vals) else float)
+        vals = vals.reshape(-1)
+        if not rows.size == cols.size == vals.size:
+            raise ValueError("entries need one row, one column and one value each")
+        down, right = rows[1:] - rows[:-1], cols[1:] - cols[:-1]
+        if not ((down > 0) | ((down == 0) & (right > 0))).all():
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            twice = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+            if twice.any():
+                at = int(np.flatnonzero(twice)[0])
+                raise ValueError(f"operator entry ({rows[at]}, {cols[at]}) is repeated")
+        # rows are sorted now, so their range is their ends
+        if rows.size and (rows[0] < 0 or rows[-1] >= n or cols.min() < 0 or cols.max() >= n):
+            at = int(np.flatnonzero((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))[0])
+            raise ValueError(f"operator entry ({rows[at]}, {cols[at]}) out of range")
+        if np.count_nonzero(vals) < vals.size:  # exact zeros are dropped; a nan is kept
+            keep = vals != 0
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        for name, a in (("rows", rows), ("cols", cols), ("vals", vals)):
+            object.__setattr__(self, name, _sealed(a))
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n, self.n)
+
+    @classmethod
+    def of_matrix(cls, m) -> "Entries":
+        """The non-zero entries of a dense square matrix."""
+        m = np.asarray(m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix shape {m.shape} is not square")
+        rows, cols = np.nonzero(m)
+        return cls._checked(m.shape[0], rows, cols, m[rows, cols])
+
+    @classmethod
+    def _checked(cls, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "Entries":
+        """Entries of fresh arrays this module built already in the form __post_init__ makes:
+        row-major, in range, each position once and no zero value."""
+        e = object.__new__(cls)
+        for name, value in (("n", n), ("rows", _sealed(rows)), ("cols", _sealed(cols)),
+                            ("vals", _sealed(vals))):
+            object.__setattr__(e, name, value)
+        return e
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, built afresh."""
+        m = np.zeros(self.shape, dtype=self.vals.dtype)
+        m[self.rows, self.cols] = self.vals
+        return m
+
+
+def _column_components(cols: np.ndarray, starts: np.ndarray, line: np.ndarray,
+                       k: int) -> np.ndarray:
+    """Label of each of k columns, constant on each connected component of columns and one of its
+    columns, where two columns are joined when they share a row.  cols holds the columns of the
+    non-zero entries in row-major order, starts the index of each non-empty row's first entry
+    and line the number of each entry's row among the non-empty rows.
+
+    Each pass hooks each column, and the column its label names, onto the least label in the
+    column's row, then jumps each column to its label's label (Shiloach-Vishkin).  Labels only
+    fall, so the passes stop: once every row holds one label, or every column reads label 0.
+    """
+    label = np.arange(k)
+    while cols.size and label.any():
+        seen = label[cols]
+        least = np.minimum.reduceat(seen, starts)[line]
+        if (seen == least).all():
+            break
+        np.minimum.at(label, seen, least)
+        np.minimum.at(label, cols, least)
+        label = label[label]
+    return label
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int) -> tuple:
+    """The parts (see _Block) of the k x k block with these non-zero entries, in row-major order.
+
+    The components are renumbered so that those of one shape are consecutive, and every
+    component's rows x columns block is laid out in one buffer in that order: each shape's
+    stack is then one slice of it, as are its rows and columns of the sorted row and column lists.
+    """
+    first = np.ones(rows.size, dtype=bool)  # the first entry of each non-empty row
+    first[1:] = rows[1:] != rows[:-1]
+    starts, line = np.flatnonzero(first), np.cumsum(first) - 1  # line: each entry's row number
+    label = _column_components(cols, starts, line, k)
+    root = label == np.arange(k)
+    comp = (np.cumsum(root) - 1)[label]  # components numbered in the order of their labels
+    count = int(np.count_nonzero(root))
+    row_comp = comp[cols[starts]]
+    shape = np.bincount(row_comp, minlength=count) * (k + 1) + np.bincount(comp, minlength=count)
+    order = np.argsort(shape, kind="stable")
+    shape = shape[order]
+    number = np.empty(count, dtype=np.intp)
+    number[order] = np.arange(count)
+    comp, row_comp = number[comp], number[row_comp]
+    height, width = np.divmod(shape, k + 1)
+    by_col, by_row = np.argsort(comp, kind="stable"), np.argsort(row_comp, kind="stable")
+    col_start, row_start = np.cumsum(width) - width, np.cumsum(height) - height
+    col_pos = np.empty(k, dtype=np.intp)  # each column's place in its component, and each row's
+    col_pos[by_col] = np.arange(k) - col_start[comp[by_col]]
+    row_pos = np.empty(starts.size, dtype=np.intp)
+    row_pos[by_row] = np.arange(starts.size) - row_start[row_comp[by_row]]
+    size = height * width
+    offset = np.cumsum(size) - size
+    at = comp[cols]
+    buffer = np.zeros(int(size.sum()), dtype=complex)
+    buffer[offset[at] + row_pos[line] * width[at] + col_pos[cols]] = vals
+    line_rows = rows[starts][by_row]
+    parts = []
+    for i in np.flatnonzero(np.diff(shape, prepend=-1)).tolist():  # each shape's first component
+        h, w, m = int(height[i]), int(width[i]), int(np.count_nonzero(shape == shape[i]))
+        r0, c0, b0 = int(row_start[i]), int(col_start[i]), int(offset[i])
+        parts.append((line_rows[r0:r0 + m * h].reshape(m, h), by_col[c0:c0 + m * w].reshape(m, w),
+                      buffer[b0:b0 + m * h * w].reshape(m, h, w)))
+    return tuple(parts)
+
+
+class _Block:
+    """A k x k block stored as the connected components of its non-zero pattern, grouped by shape.
+
+    parts holds one (rows, cols, stack) per component shape: stack[i] is the block on rows
+    rows[i] and columns cols[i] (block coordinates, each ascending).  Two columns are in one
+    component when they share a row, so b^H b is exactly zero between components and b x mixes
+    entries only within one; an empty column is a component with no rows, an empty row lies in
+    none.  A block on at most _DENSE_MAX vertices, or with a full row, is kept whole as one
+    component: finding components costs more than the one k x k product there, and a full row
+    joins every column anyway.  No array of it leaves: what it returns is built afresh.
+    """
+
+    def __init__(self, k: int, parts: tuple):
+        self.k = k
+        self.parts = parts
+        # the block itself when it is kept whole, one component with its rows and columns in order
+        self.whole = parts[0][2][0] if len(parts) == 1 and parts[0][2].shape == (1, k, k) else None
+
+    @property
+    def shape(self) -> tuple:
+        return (self.k, self.k)
+
+    @classmethod
+    def split(cls, block) -> "_Block":
+        """block, Entries or a dense square array, split into its components."""
+        if isinstance(block, Entries):
+            k, rows, cols, vals = block.n, block.rows, block.cols, block.vals
+            if k <= _DENSE_MAX or (rows.size and np.bincount(rows).max() == k):
+                return cls._whole(block.dense().astype(complex, copy=False))
+        else:
+            block = np.asarray(block, dtype=complex)
+            k = block.shape[0]
+            if k <= _DENSE_MAX:
+                return cls._whole(block)
+            pattern = block != 0
+            if pattern.all(axis=1).any():
+                return cls._whole(block)
+            rows, cols = np.nonzero(pattern)
+            vals = block[rows, cols]
+        return cls(k, _components(rows, cols, vals, k))
+
+    @classmethod
+    def _whole(cls, b: np.ndarray) -> "_Block":
+        k = b.shape[0]
+        whole = np.arange(k)[None]
+        return cls(k, ((whole, whole, b[None]),) if k else ())
+
+    def residual(self) -> float:
+        """max |b^H b - I|, its worst component's; nan or inf if an entry is."""
+        if (b := self.whole) is not None:
+            return float(_gram_defect(b))
+        worst = [_gram_defect(s).max() if len(s) > 1 else _gram_defect(s[0])
+                 for _, _, s in self.parts]
+        return float(np.max(worst, initial=0.0))  # np.max keeps a nan; the builtin may drop it
+
+    def where(self, mask) -> tuple:
+        """(rows, cols, vals) in block coordinates of the entries where mask(stack) holds."""
+        if (b := self.whole) is not None:
+            rows, cols = np.nonzero(mask(b))
+            return rows, cols, b[rows, cols]
+        found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=complex),)]
+        for r, c, s in self.parts:
+            i, a, b = np.nonzero(mask(s))
+            found.append((r[i, a], c[i, b], s[i, a, b]))
+        return tuple(map(np.concatenate, zip(*found)))
+
+    def dense(self) -> np.ndarray:
+        if (b := self.whole) is not None:
+            return b.copy()
+        b = np.zeros(self.shape, dtype=complex)
+        for r, c, s in self.parts:
+            b[r[:, :, None], c[:, None, :]] = s
+        return b
+
+    def adjoint(self) -> "_Block":
+        """b^H: each component conjugate-transposed, its rows and columns swapped."""
+        return _Block(self.k, tuple((c, r, s.conj().swapaxes(1, 2)) for r, c, s in self.parts))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """b x for a vector x of length k; every row of a unitary block lies in a component."""
+        if (b := self.whole) is not None:
+            return b @ x
+        y = np.zeros_like(x)
+        for r, c, s in self.parts:
+            y[r] = np.matmul(s, x[c][..., None])[..., 0]
+        return y
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GraphUnitary:
     """Identity outside support and a unitary block on it, certified against graph when built.
 
-    block[i, j] is the entry at row support[i], column support[j].  The default
-    support is every vertex (a dense matrix); a gather is a block on two
-    vertices, the identity an empty block.  The block is read-only.
+    block is a dense array, block[i, j] being the entry at row support[i], column support[j],
+    or Entries in those block coordinates.  The default support is every vertex; a gather is a
+    block on two vertices, the identity an empty block.  The block is stored split into the
+    components of its non-zero pattern (see _Block), which certification and apply both read,
+    so a sparse move past _DENSE_MAX vertices is certified and applied in O(nnz); .block and
+    .matrix are built on read.
     """
 
-    block: np.ndarray
     graph: Digraph
-    support: tuple = None
+    support: tuple
 
-    def __post_init__(self):
-        g = self.graph
-        for v in () if self.support is None else self.support:
-            _check_vertex(g, v)
-        idx = np.arange(g.n) if self.support is None else np.array(self.support, dtype=np.intp)
+    def __init__(self, block, graph: Digraph, support=None):
+        for v in () if support is None else support:
+            _check_vertex(graph, v)
+        idx = np.arange(graph.n) if support is None else np.array(support, dtype=np.intp)
         support = tuple(idx.tolist())
         if len(set(support)) < len(support):
             raise GraphError(f"support {support} repeats a vertex")
-        b = np.array(self.block, dtype=complex)
-        if b.shape != (len(support),) * 2:
-            raise ValueError(f"block shape {b.shape} does not match {len(support)} support vertices")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_index", idx)  # support as an index array, for numpy
-        _seal(self, "block", b, _unitary_report(b, g, idx), "matrix is not a graph-preserving unitary")
+        if not isinstance(block, (_Block, Entries)):
+            block = np.array(block, dtype=complex)
+        if block.shape != (len(support),) * 2:
+            raise ValueError(f"block shape {block.shape} does not match "
+                             f"{len(support)} support vertices")
+        if not isinstance(block, _Block):
+            block = _Block.split(block)
+        _refuse(_unitary_report(block, graph, idx), "matrix is not a graph-preserving unitary")
+        for name, value in (("graph", graph), ("support", support), ("_index", idx),
+                            ("_block", block)):
+            object.__setattr__(self, name, value)
 
     def apply(self, state) -> np.ndarray:
         out = np.array(state_vector(state), dtype=complex)
         if out.shape != (self.graph.n,):
             raise ValueError(f"state dimension {out.size} does not match graph size {self.graph.n}")
-        out[self._index] = self.block @ out[self._index]
+        out[self._index] = self._block @ out[self._index]
         return out
 
     def adjoint(self) -> "GraphUnitary":
         """Conjugate-transposed block on the same support, certified against the reverse graph."""
-        return replace(self, graph=reverse_digraph(self.graph), block=self.block.conj().T)
+        return GraphUnitary(self._block.adjoint(), reverse_digraph(self.graph), self.support)
+
+    @property
+    def block(self) -> np.ndarray:
+        """The dense k x k block, built afresh on every read and read-only."""
+        return _sealed(self._block.dense())
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n matrix, built afresh on every access."""
+        """The dense n x n matrix, built afresh on every read."""
         m = np.eye(self.graph.n, dtype=complex)
-        m[self._index[:, None], self._index] = self.block
+        m[self._index[:, None], self._index] = self._block.dense()
         return m
 
+    @property
+    def entries(self) -> Entries:
+        """The n x n matrix's non-zero entries: the block's, and a 1 on each loop off support."""
+        n, idx = self.graph.n, self._index
+        rows, cols, vals = self._block.where(lambda s: s != 0)
+        outside = np.ones(n, dtype=bool)  # a mask: np.setdiff1d would import numpy.ma
+        outside[idx] = False
+        loops = np.flatnonzero(outside)
+        rows, cols = np.concatenate((idx[rows], loops)), np.concatenate((idx[cols], loops))
+        order = np.lexsort((cols, rows))
+        vals = np.concatenate((vals, np.ones(loops.size, dtype=complex)))
+        return Entries._checked(n, rows[order], cols[order], vals[order])
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class GraphStochastic:
-    """Column-stochastic matrix certified against a graph's zero pattern when built; read-only."""
+    """Column-stochastic operator certified against a graph's zero pattern when built.
 
-    matrix: np.ndarray
+    matrix is a dense array or Entries.  The operator is stored as its real non-zero entries,
+    which certification and apply read in O(nnz); .matrix is built on every read, read-only.
+    """
+
     graph: Digraph
+    entries: Entries
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix)  # checked with its imaginary part, stored without
-        _seal(self, "matrix", np.array(m.real, dtype=float),
-              is_graph_preserving_stochastic(m, self.graph),
-              "matrix is not a graph-preserving stochastic operation")
+    def __init__(self, matrix, graph: Digraph):
+        if not isinstance(matrix, Entries):
+            matrix = Entries.of_matrix(matrix)
+        if matrix.n != graph.n:
+            raise ValueError(f"matrix shape {matrix.shape} does not match graph size {graph.n}")
+        _refuse(_stochastic_report(matrix, graph),
+                "matrix is not a graph-preserving stochastic operation")
+        if np.iscomplexobj(matrix.vals):  # checked with its imaginary parts, stored without
+            keep = matrix.vals.real != 0
+            matrix = Entries._checked(matrix.n, matrix.rows[keep], matrix.cols[keep],
+                                      matrix.vals.real[keep])
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "entries", matrix)
 
     def apply(self, dist) -> np.ndarray:
-        return self.matrix @ np.asarray(dist, dtype=float)
+        p = np.asarray(dist, dtype=float)
+        if p.shape != (self.graph.n,):
+            raise ValueError(f"distribution dimension {p.size} does not match "
+                             f"graph size {self.graph.n}")
+        e = self.entries
+        return np.bincount(e.rows, weights=e.vals * p[e.cols], minlength=e.n)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix, built afresh on every read and read-only."""
+        return _sealed(self.entries.dense())
 
 
-def _violations(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float, nonzero=None) -> tuple:
-    """(w, v, |entry|) for each entry of b above tau whose arc (v, w) is missing, where row and
-    column i of b stand for vertex idx[i]; an empty block looks up no arc, so builds no adjacency.
-    nonzero, if given, is np.nonzero(b), and only those entries are compared with tau."""
-    if nonzero is None:
-        rows, cols = np.nonzero(np.abs(b) > tau)
-    else:
-        rows, cols = nonzero
-        above = np.abs(b[rows, cols]) > tau
-        rows, cols = rows[above], cols[above]
+def _violations(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, g: Digraph,
+                idx: np.ndarray) -> tuple:
+    """(w, v, |entry|) for each given entry whose arc (v, w) is missing, in row-major order, where
+    row and column i stand for vertex idx[i]; no entry looks up no arc, so builds no adjacency."""
     if rows.size and not (legal := g.adjacency[idx[cols], idx[rows]]).all():
-        rows, cols = rows[~legal], cols[~legal]
+        bad = np.flatnonzero(~legal)
+        bad = bad[np.lexsort((cols[bad], rows[bad]))]
         # abs of each scalar entry: np.abs over the array may differ in the last bit
-        return tuple(zip(idx[rows].tolist(), idx[cols].tolist(), map(float, map(abs, b[rows, cols]))))
+        return tuple(zip(idx[rows[bad]].tolist(), idx[cols[bad]].tolist(),
+                         map(float, map(abs, vals[bad]))))
     return ()
 
 
@@ -205,79 +480,43 @@ def _gram_defect(a: np.ndarray) -> np.ndarray:
     return np.abs(gram).max(axis=(-1, -2), initial=0.0)
 
 
-def _column_components(cols: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
-    """Label of each of k columns, constant on each connected component of columns and one of its
-    columns, where two columns are joined when they share a row.  cols holds the columns of the
-    non-zero entries in row-major order, starts the index of each non-empty row's first entry.
-
-    Each pass hooks each column, and the column its label names, onto the least label in the
-    column's row, then jumps each column to its label's label (Shiloach-Vishkin).  Labels only
-    fall, so the passes stop: once every row holds one label, or every column reads label 0.
-    """
-    runs = np.diff(starts, append=cols.size)
-    label = np.arange(k)
-    while label.any():
-        seen = label[cols]
-        least = np.repeat(np.minimum.reduceat(seen, starts), runs)
-        if np.array_equal(seen, least):
-            break
-        np.minimum.at(label, seen, least)
-        np.minimum.at(label, cols, least)
-        label = label[label]
-    return label
-
-
-def _component_residual(b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """max |b^H b - I| from the products of b's components (see _column_components), given
-    b's non-zero entries: b^H b is exactly zero between two of them.  Same-shaped components
-    share one batched product, a lone component of its shape one 2-D product."""
-    k = b.shape[1]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    label = _column_components(cols, starts, k)
-    if not label.any():
-        return float(_gram_defect(b))
-    # a component's label is one of its columns; each non-empty row takes its columns' label, and
-    # an empty column is a component with no rows
-    roots = np.flatnonzero(label == np.arange(k))
-    row_label = label[cols[starts]]
-    width = np.bincount(label, minlength=k)[roots]
-    height = np.bincount(row_label, minlength=k)[roots]
-    by_col = np.argsort(label, kind="stable")
-    by_row = rows[starts][np.argsort(row_label, kind="stable")]
-    col_start = np.cumsum(width) - width
-    row_start = np.cumsum(height) - height
-    shape = height * (k + 1) + width
-    worst = []
-    for s in np.unique(shape):
-        pick = shape == s
-        h, w = divmod(int(s), k + 1)
-        r = by_row[row_start[pick][:, None] + np.arange(h)]
-        c = by_col[col_start[pick][:, None] + np.arange(w)]
-        a = b[r[:, :, None], c[:, None, :]]
-        worst.append(_gram_defect(a).max() if len(a) > 1 else _gram_defect(a[0]))
-    return float(np.max(worst))  # np.max keeps a nan, which the builtin max may drop
-
-
-def _unitary_report(b: np.ndarray, g: Digraph, idx: np.ndarray, tau: float = ATOL) -> OpReport:
+def _unitary_report(b, g: Digraph, idx: np.ndarray, tau: float = ATOL) -> OpReport:
     """is_graph_preserving_unitary of the matrix that is b on vertices idx and the identity
     elsewhere, without building it: its m^H m differs from the identity only on the block, and
     its identity part needs the loops outside idx.
 
-    A block on more than _DENSE_MAX vertices takes its residual per connected component of its
-    non-zero pattern, which finds the same maximum without the k x k product."""
-    nonzero = None
+    b is a _Block, or a dense block that is split first; the residual is taken per component,
+    which finds the maximum of the one k x k product without it."""
+    if not isinstance(b, _Block):
+        b = _Block.split(b)
     with np.errstate(all="ignore"):  # a nan or inf entry gives a residual that fails, not a warning
-        if len(idx) > _DENSE_MAX:
-            pattern = b != 0
-            if not pattern.all(axis=1).any():  # a full row would join every column
-                nonzero = np.nonzero(pattern)
-        residual = float(_gram_defect(b)) if nonzero is None else _component_residual(b, *nonzero)
-        violations = _violations(b, g, idx, tau, nonzero)
+        residual = b.residual()
+        violations = _violations(*b.where(lambda s: np.abs(s) > tau), g, idx)
     if not g.is_reflexive and len(idx) < g.n:
         inside = set(idx.tolist())
         violations += tuple((u, u, 1.0) for u in range(g.n)
                             if u not in inside and (u, u) not in g.arcs)
     return OpReport(residual <= tau and not violations, violations, residual, "unitary")
+
+
+def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
+    """is_graph_preserving_stochastic of the operator with entries e, read from them in O(nnz):
+    column sums by bincount, the least entry, and the arcs of the entries above tau.  A complex
+    operator is first refused if an imaginary part exceeds tau or is nan."""
+    vals = e.vals
+    with np.errstate(all="ignore"):  # nan and inf give a residual that fails, not a warning
+        if np.iscomplexobj(vals):
+            imag = float(np.abs(vals.imag).max(initial=0.0))
+            if not imag <= tau:
+                return OpReport(False, (), imag, "stochastic")
+            vals = vals.real
+        sums = np.bincount(e.cols, weights=vals, minlength=e.n)
+        defect = float(np.abs(sums - 1.0).max(initial=0.0))
+        negativity = float(max(0.0, -vals.min())) if vals.size else 0.0
+        residual = max(defect, negativity)  # a nan entry makes its column sum, so defect, nan
+        above = np.abs(vals) > tau
+    violations = _violations(e.rows[above], e.cols[above], vals[above], g, np.arange(g.n))
+    return OpReport(residual <= tau and not violations, violations, residual, "stochastic")
 
 
 def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
@@ -293,29 +532,21 @@ def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport
     m = np.asarray(m)
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
-    if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag)) > tau:
-            return OpReport(False, (), float(np.max(np.abs(m.imag))), "stochastic")
-        m = m.real
-    m = m.astype(float)
-    defect = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-    negativity = float(max(0.0, -m.min())) if m.size else 0.0
-    residual = max(defect, negativity)
-    violations = _violations(m, g, np.arange(g.n), tau)
-    return OpReport(residual <= tau and not violations, violations, residual, "stochastic")
+    return _stochastic_report(Entries.of_matrix(m), g, tau)
 
 
 def certify_unitary(op, g: Digraph) -> GraphUnitary:
-    """op if it is a GraphUnitary on g, else certified against g, a certificate on its own support."""
+    """op if it is a GraphUnitary on g, else certified against g: a certificate on its own
+    support and components, a matrix or Entries on every vertex."""
     if isinstance(op, GraphUnitary):
-        return op if op.graph == g else replace(op, graph=g)
+        return op if op.graph == g else GraphUnitary(op._block, g, op.support)
     return GraphUnitary(getattr(op, "matrix", op), g)
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
-    """op itself if it is a GraphStochastic on g, else a GraphStochastic of its matrix."""
-    if isinstance(op, GraphStochastic) and op.graph == g:
-        return op
+    """op itself if it is a GraphStochastic on g, else certified against g."""
+    if isinstance(op, GraphStochastic):
+        return op if op.graph == g else GraphStochastic(op.entries, g)
     return GraphStochastic(getattr(op, "matrix", op), g)
 
 
@@ -325,7 +556,8 @@ def identity_unitary(g: Digraph) -> GraphUnitary:
 
 
 def identity_stochastic(g: Digraph) -> GraphStochastic:
-    return certify_stochastic(np.eye(g.n), g)
+    loops = np.arange(g.n)
+    return GraphStochastic(Entries._checked(g.n, loops, loops, np.ones(g.n)), g)
 
 
 def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:

@@ -16,7 +16,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _is_int, digraph
-from .operators import ControlledOp, GraphUnitary
+from .operators import ControlledOp, Entries, GraphUnitary
 from .strategies import build_strategy
 
 
@@ -59,57 +59,50 @@ def graph_from_json(data: dict) -> Digraph:
 def operator_to_json(op) -> dict:
     """Non-zero entries as [row, col, re, im], in row-major order.
 
-    op is a GraphUnitary, written from its block plus [u, u, 1.0, 0.0] for each vertex u outside
-    its support, or a matrix, which is the block on every vertex; no dense n x n matrix is built.
+    op is a GraphUnitary, written from the entries of its block plus [u, u, 1.0, 0.0] for each
+    vertex u outside its support, or a matrix; no dense n x n matrix is built.
     """
     if isinstance(op, GraphUnitary):
-        n, idx, block = op.graph.n, op._index, op.block
+        e = op.entries
     else:
-        block = np.asarray(op, dtype=complex)
-        n = int(block.shape[0])
-        idx = np.arange(n)
-    outside = np.ones(n, dtype=bool)  # a mask: np.isin and np.setdiff1d would import numpy.ma
-    outside[idx] = False
-    loops = np.flatnonzero(outside)
-    r, c = np.nonzero(block)
-    rows = np.concatenate((idx[r], loops))
-    cols = np.concatenate((idx[c], loops))
-    vals = np.concatenate((block[r, c], np.ones(loops.size, dtype=complex)))
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    entries = [list(e) for e in zip(rows.tolist(), cols.tolist(),
-                                    vals.real.tolist(), vals.imag.tolist())]
-    return {"n": n, "entries": entries}
+        e = Entries.of_matrix(np.asarray(op, dtype=complex))
+    entries = [list(x) for x in zip(e.rows.tolist(), e.cols.tolist(),
+                                    e.vals.real.tolist(), e.vals.imag.tolist())]
+    return {"n": e.n, "entries": entries}
 
 
-_JSON_NUMBER = (int, float)
-
-
-def operator_from_json(data: dict) -> np.ndarray:
+def _entries_from_json(data: dict) -> Entries:
+    """An operator's entries, read once into arrays (Entries sorts them and refuses a repeat)."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("operator JSON needs an object with an 'n' field")
     n = _json_int(data["n"], "operator size n")
     entries = data.get("entries", [])
     # JSON rows and columns arrive as plain ints and values as numbers; bools,
     # strings and fractional indices are refused
-    if not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 4 and type(e[0]) is int and type(e[1]) is int
-            and type(e[2]) in _JSON_NUMBER and type(e[3]) in _JSON_NUMBER
-            for e in entries):
+    if not isinstance(entries, list) or set(map(type, entries)) - {list} \
+            or set(map(len, entries)) - {4}:
+        raise ValueError("operator entries must be [row, col, re, im] lists")
+    rows, cols, re, im = zip(*entries) if entries else ((),) * 4
+    if (set(map(type, rows)) | set(map(type, cols))) - {int} \
+            or (set(map(type, re)) | set(map(type, im))) - {int, float}:
         raise ValueError("operator entries must be [row, col, re, im] with integer row and col "
                          "and numeric re and im")
-    a = np.array(entries, dtype=float).reshape(-1, 4)
-    if not np.isfinite(a[:, 2:]).all():  # Python's json reads NaN and Infinity literals
+    try:
+        rows, cols = (np.fromiter(a, dtype=np.intp, count=len(a)) for a in (rows, cols))
+        re, im = (np.fromiter(a, dtype=float, count=len(a)) for a in (re, im))
+    except OverflowError:  # an index or value beyond the machine range
+        raise ValueError("operator entries must be in range and finite") from None
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN and Infinity
         raise ValueError("operator entry values must be finite numbers")
-    outside = ((a[:, :2] < 0) | (a[:, :2] >= n)).any(axis=1)
-    if outside.any():
-        r, c = entries[int(np.flatnonzero(outside)[0])][:2]
-        raise ValueError(f"operator entry ({r}, {c}) out of range")
-    m = np.zeros((n, n), dtype=complex)
-    at = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp)
-    m.real[at] = a[:, 2]  # each part as written: re + 1j * im would turn a -0.0 into 0.0
-    m.imag[at] = a[:, 3]
-    return m
+    vals = np.empty(len(entries), dtype=complex)
+    # each part as written: re + 1j * im would turn a -0.0 into 0.0
+    vals.real, vals.imag = re, im
+    return Entries(n, rows, cols, vals)
+
+
+def operator_from_json(data: dict) -> np.ndarray:
+    """The dense complex matrix of an operator JSON object."""
+    return _entries_from_json(data).dense()
 
 
 def state_to_json(vec) -> list:
@@ -139,7 +132,7 @@ def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
     blocks = data.get("blocks", [])
     if not isinstance(blocks, list):
         raise ValueError("controlled operator blocks must be a list")
-    return ControlledOp(tuple(map(operator_from_json, blocks)), str(data.get("control", "")), g)
+    return ControlledOp(tuple(map(_entries_from_json, blocks)), str(data.get("control", "")), g)
 
 
 _DETERMINISTIC = (GameModel.CLASSICAL, GameModel.UNFAIR_PROBABILISTIC)
@@ -171,7 +164,7 @@ def _move_from_json(spec, model: GameModel, g: Digraph):
         return _json_int(spec, "a move of a deterministic model")
     if isinstance(spec, dict) and "control" in spec:
         return controlled_op_from_json(spec, g)
-    return operator_from_json(spec)
+    return _entries_from_json(spec)  # certified by the engine when it is played
 
 
 def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 import qpursuit
 from qpursuit import (
+    GameModel,
     GraphUnitary,
+    MoveContext,
     Scenario,
     complete_graph,
     controlled_op,
@@ -41,10 +44,12 @@ from qpursuit import (
     state_to_json,
     trace_to_json,
     uniform_spread,
+    universal_vertex_catch,
     play,
     Strategy,
 )
 from qpursuit.cli import main
+from qpursuit.scenario import strategy_from_json
 
 
 def _write(tmp_path, name, data):
@@ -240,6 +245,54 @@ def test_verify_op_stochastic(tmp_path, capsys):
     assert code == 2 and "forbidden entry" in out
 
 
+def _pinned_operators():
+    """The verify-op cases above plus two with non-zero residuals: a scaled 2x2 rotation and a
+    forbidden entry on a 70-vertex path (past the size where certificates take components),
+    and a lazy walk on C4 with one column off."""
+    swap = np.zeros((3, 3))
+    swap[0, 2] = swap[2, 0] = swap[1, 1] = 1.0
+    lazy = np.zeros((4, 4))
+    for c in range(4):
+        for r in (c, (c + 1) % 4, (c - 1) % 4):
+            lazy[r, c] = 1.0 / 3.0
+    off = lazy.copy()
+    off[0, 0], off[2, 0] = 0.34, 1e-3
+    big = np.eye(70, dtype=complex)
+    big[np.ix_([3, 4], [3, 4])] = np.array([[0.6, 0.8j], [0.8j, 0.6]]) * 1.001
+    big[60, 2] = 1e-3
+    p3, c4 = path_graph(3), cycle_graph(4)
+    return [
+        (np.eye(3), p3, ["--unitary"], 0, "PASS unitary residual=0.000e+00 violations=0\n"),
+        (swap, p3, ["--unitary"], 2, "FAIL unitary residual=0.000e+00 violations=2\n"
+         "  forbidden entry (0, 2) magnitude=1.000e+00\n"
+         "  forbidden entry (2, 0) magnitude=1.000e+00\n"),
+        (swap, p3, ["--unitary", "--tau", "2.0"], 0,
+         "PASS unitary residual=0.000e+00 violations=0\n"),
+        (lazy, c4, ["--stochastic"], 0, "PASS stochastic residual=0.000e+00 violations=0\n"),
+        (np.full((4, 4), 0.25), c4, ["--stochastic"], 2,
+         "FAIL stochastic residual=0.000e+00 violations=4\n"
+         "  forbidden entry (0, 2) magnitude=2.500e-01\n"
+         "  forbidden entry (1, 3) magnitude=2.500e-01\n"
+         "  forbidden entry (2, 0) magnitude=2.500e-01\n"
+         "  forbidden entry (3, 1) magnitude=2.500e-01\n"),
+        ({"n": 2, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]}, complete_graph(2), ["--unitary"], 0,
+         "PASS unitary residual=0.000e+00 violations=0\n"),
+        (big, path_graph(70), ["--unitary"], 2, "FAIL unitary residual=2.001e-03 violations=1\n"
+         "  forbidden entry (60, 2) magnitude=1.000e-03\n"),
+        (off, c4, ["--stochastic"], 2, "FAIL stochastic residual=7.667e-03 violations=1\n"
+         "  forbidden entry (2, 0) magnitude=1.000e-03\n"),
+    ]
+
+
+def test_verify_op_reports_are_pinned_byte_for_byte(tmp_path, capsys):
+    # the reports the dense reader and checks printed, whatever the reader now builds
+    for op, g, flags, status, report in _pinned_operators():
+        data = op if isinstance(op, dict) else operator_to_json(op)
+        argv = ["verify-op", _write(tmp_path, "op.json", data),
+                _write(tmp_path, "g.json", graph_to_json(g))] + flags
+        assert _run(capsys, argv)[:2] == (status, report)
+
+
 def test_verify_op_bad_input(tmp_path, capsys):
     graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
     mangled = tmp_path / "mangled.json"
@@ -253,6 +306,9 @@ def test_verify_op_bad_input(tmp_path, capsys):
     assert code == 1 and json.loads(err)["error"] == "ValueError"
 
 
+_REPEATED_ENTRY = {"n": 2, "entries": [[0, 0, 5.0, 0], [0, 0, 1.0, 0], [1, 1, 1.0, 0]]}
+
+
 def test_operator_json_rejects_booleans_and_non_list_entries(tmp_path, capsys):
     graph = _write(tmp_path, "k2.json", graph_to_json(complete_graph(2)))
     boolean = _write(tmp_path, "bool.json",
@@ -262,6 +318,16 @@ def test_operator_json_rejects_booleans_and_non_list_entries(tmp_path, capsys):
     scalar = _write(tmp_path, "scalar.json", {"n": 2, "entries": [5]})
     code, out, err = _run(capsys, ["verify-op", scalar, graph, "--unitary"])
     assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+    # a repeated position is refused by name, not read as its last value (the identity here)
+    repeated = _write(tmp_path, "repeated.json", _REPEATED_ENTRY)
+    code, out, err = _run(capsys, ["verify-op", repeated, graph, "--unitary"])
+    record = json.loads(err)
+    assert code == 1 and out == "" and record["error"] == "ValueError"
+    assert "(0, 0)" in record["message"] and "repeated" in record["message"]
+    # entries in any order are read alike
+    shuffled = _write(tmp_path, "shuffled.json", {"n": 2, "entries": [[1, 1, 1, 0], [0, 0, 1, 0]]})
+    code, out, _ = _run(capsys, ["verify-op", shuffled, graph, "--unitary"])
+    assert code == 0 and out.startswith("PASS unitary")
 
 
 def test_controlled_move_rejects_non_list_blocks(tmp_path, capsys):
@@ -281,11 +347,14 @@ def test_run_rejects_null_numbers_and_non_list_moves(tmp_path, capsys):
                   "robber": {"init": 1}}
     null_prob = {"model": "open_probabilistic", "graph": g, "rounds": 1,
                  "cop": {"init": [1.0, None]}, "robber": {"init": 1}}
+    repeated_entry = {"model": "classical_quantum", "graph": g, "rounds": 1,
+                      "cop": {"init": 0, "moves": [_REPEATED_ENTRY]}, "robber": {"init": 1}}
     scalar_moves = {"model": "classical", "graph": g, "rounds": 1,
                     "cop": {"init": 0, "moves": 1}, "robber": {"init": 1}}
     scalar_columns = {"model": "quantum_controlled", "graph": g, "rounds": 1,
                       "cop": {"init": 0}, "robber": {"init": {"controlled": 5}}}
     for scenario, error in ((null_amp, "ValueError"), (null_entry, "ValueError"),
+                            (repeated_entry, "ValueError"),
                             (null_prob, "GameError"), (scalar_moves, "ValueError"),
                             (scalar_columns, "ValueError")):
         code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
@@ -600,6 +669,74 @@ def test_operators_are_written_from_their_blocks_byte_for_byte(u):
                                "blocks": [_loop_operator_to_json(b.matrix) for b in op.blocks]})
     # read back and written again it is the same, byte for byte
     assert json.dumps(controlled_op_to_json(controlled_op_from_json(json.loads(data), g))) == data
+
+
+def _matching_move(g, rng):
+    """Operator JSON of phases with Haar 2x2 blocks on a greedy matching of g's edges, written
+    entry by entry: no n x n matrix is built."""
+    phases = np.exp(2j * np.pi * rng.random(g.n))
+    block, matched = {}, set()
+    for u, v in sorted(g.arcs):
+        if u < v and u not in matched and v not in matched:
+            matched |= {u, v}
+            h = haar_unitary(2, rng)
+            block.update({(u, u): h[0, 0], (u, v): h[0, 1], (v, u): h[1, 0], (v, v): h[1, 1]})
+    for v in set(range(g.n)) - matched:
+        block[(v, v)] = phases[v]
+    return {"n": g.n, "entries": [[r, c, z.real, z.imag] for (r, c), z in sorted(block.items())]}
+
+
+def _walk_move(g, rng):
+    """Operator JSON of a column-stochastic move, column v a Dirichlet draw over S(v)."""
+    entries = []
+    for v in range(g.n):
+        targets = g.out_adj[v]
+        for w, p in zip(targets, rng.dirichlet(np.ones(len(targets)))):
+            entries.append([w, v, float(p), 0.0])
+    return {"n": g.n, "entries": sorted(entries)}
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        result = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("model", ["classical_quantum", "open_probabilistic"])
+def test_a_move_read_from_json_is_certified_and_played_without_its_dense_matrix(model):
+    n = 1024
+    rng = np.random.default_rng(n)
+    g = random_connected_graph(n, rng, 3.0 / n)
+    g.adjacency  # the board's cached arc matrix is built once, before the move is read
+    move = json.loads(json.dumps(_matching_move(g, rng) if model == "classical_quantum"
+                                 else _walk_move(g, rng)))
+    spec = {"init": 0, "moves": [move]}
+
+    def read_and_play():
+        cop = strategy_from_json(spec, g, GameModel(model))
+        return play(model, g, cop, Strategy(init=1), 1)
+
+    trace, peak = _traced_peak(read_and_play)
+    state = trace.history[-1][2]["cop"]
+    assert np.isclose(np.sum(np.abs(state) ** 2 if model == "classical_quantum" else state), 1.0)
+    assert peak < n * n * 16 // 8  # one dense complex n x n matrix is 16 MiB
+
+
+def test_a_controlled_move_read_from_json_is_certified_without_dense_blocks():
+    n = 256
+    g = star_graph(n - 1)
+    entangler = universal_vertex_catch(g).move(MoveContext(1, "cop", g, 1))
+    data = json.loads(json.dumps(controlled_op_to_json(entangler)))
+    op, peak = _traced_peak(lambda: controlled_op_from_json(data, g))
+    # n dense blocks would take n^3 complex entries, 256 MiB here
+    assert peak < 16 * 2**20
+    robber = np.exp(2j * np.pi * np.random.default_rng(n).random(n)) / np.sqrt(n)
+    joint = op.apply(np.kron(robber, np.eye(n)[0]))
+    assert np.isclose(np.sum(np.abs(joint.reshape(n, n).diagonal()) ** 2), 1.0)
 
 
 def test_scenario_json_round_trip():

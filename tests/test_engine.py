@@ -490,6 +490,35 @@ def test_a_controlled_play_certifies_each_block_once(monkeypatch):
     assert calls == [(n, n)]
 
 
+def test_vector_moves_call_the_certifiers_bound_in_the_engine_when_played(monkeypatch, rng):
+    import qpursuit.engine
+
+    calls = []
+
+    def counting(name):
+        certify = getattr(qpursuit.engine, name)
+
+        def wrapper(op, g):
+            calls.append(name)
+            return certify(op, g)
+
+        return wrapper
+
+    # wrappers installed after the engine was imported, as a profiler installs them
+    for name in ("certify_unitary", "certify_stochastic"):
+        monkeypatch.setattr(qpursuit.engine, name, counting(name))
+    g = cycle_graph(5)
+    for model, sampler, init in (("classical_quantum", sample_graph_unitary, _random_amps(rng, 5)),
+                                 ("open_probabilistic", sample_graph_stochastic,
+                                  rng.dirichlet(np.ones(5)))):
+        calls.clear()
+        cop = Strategy(init=init, move=[sampler(g, rng).matrix, None, sampler(g, rng)])
+        robber = Strategy(init=0, move=[None, sampler(g, rng).matrix])
+        play(model, g, cop, robber, 3)
+        kind = "certify_unitary" if model == "classical_quantum" else "certify_stochastic"
+        assert calls == [kind] * 3  # one per move that is not the identity
+
+
 @pytest.mark.parametrize("model", ["classical_quantum", "open_probabilistic"])
 def test_a_certificate_from_another_board_is_refused_in_play(model):
     k4, c4 = complete_graph(4), cycle_graph(4)

@@ -12,9 +12,11 @@ from qpursuit import (
     ATOL,
     CertificationError,
     ControlledOp,
+    Entries,
     GraphError,
     GraphStochastic,
     GraphUnitary,
+    OpReport,
     apply_sequence,
     basis_state,
     certify_stochastic,
@@ -53,7 +55,15 @@ from qpursuit import (
     uniform_state,
 )
 from qpursuit.graphs import _bfs
-from qpursuit.operators import _DENSE_MAX, _SKIP, _ZERO_BLOCK, _fold_layers, _unitary_report
+from qpursuit.operators import (
+    _DENSE_MAX,
+    _SKIP,
+    _ZERO_BLOCK,
+    _Block,
+    _fold_layers,
+    _stochastic_report,
+    _unitary_report,
+)
 
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
@@ -584,6 +594,122 @@ def test_component_residual_matches_the_single_product(instance):
     # only the summation order inside a component differs
     assert abs(report.residual - residual) <= 4 * np.finfo(float).eps * max(residual, 1.0)
     assert report.ok == (residual <= ATOL and not violations)
+
+
+def _dense_stochastic_report(m, g, tau=ATOL):
+    """The dense check is_graph_preserving_stochastic ran on the n x n matrix before
+    certificates kept their entries, kept as the reference."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        if np.max(np.abs(m.imag)) > tau:
+            return OpReport(False, (), float(np.max(np.abs(m.imag))), "stochastic")
+        m = m.real
+    m = m.astype(float)
+    defect = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+    negativity = float(max(0.0, -m.min())) if m.size else 0.0
+    residual = max(defect, negativity)
+    rows, cols = np.nonzero(np.abs(m) > tau)
+    bad = ~g.adjacency[cols, rows]
+    violations = tuple(zip(rows[bad].tolist(), cols[bad].tolist(),
+                           map(float, map(abs, m[rows[bad], cols[bad]]))))
+    return OpReport(residual <= tau and not violations, violations, residual, "stochastic")
+
+
+@st.composite
+def _entry_operators(draw):
+    """An n x n operator as shuffled Entries and its dense matrix, n on both sides of the size
+    where unitary certificates take components: phases with 2x2 blocks on a matching, permuted
+    Haar blocks, a dense Haar unitary or Dirichlet columns (stochastic); then maybe with an
+    empty column and one entry 1e-12 or 1e-8 off, on a board with an arc for each entry bar
+    maybe one, with explicit and signed zeros among the entries."""
+    n = draw(st.one_of(st.integers(2, 12), st.integers(_DENSE_MAX + 1, 160)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("pairs", "blocks", "haar", "stochastic")))
+    if kind == "pairs":
+        m = _pairs_block(rng, rng.permutation(n), draw(st.integers(0, n // 2)))
+    elif kind == "blocks":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, draw(st.integers(0, 40))),
+                                  replace=False))
+        m = np.zeros((n, n), dtype=complex)
+        for start, stop in zip([0, *cuts], [*cuts, n]):
+            m[start:stop, start:stop] = haar_unitary(stop - start, rng)
+        m = m[rng.permutation(n)][:, rng.permutation(n)]
+    elif kind == "haar":
+        m = haar_unitary(n, rng)
+    else:
+        m = np.zeros((n, n))
+        for v in range(n):
+            targets = np.unique(np.append(rng.choice(n, size=draw(st.integers(0, 3))), v))
+            m[targets, v] = rng.dirichlet(np.ones(targets.size))
+        m = m.astype(complex) if draw(st.booleans()) else m
+    if draw(st.booleans()):
+        m[:, draw(st.integers(0, n - 1))] = 0.0
+    off = draw(st.sampled_from((None, 1e-12, 1e-8)))  # on a zero it adds an entry
+    if off is not None:
+        m.flat[draw(st.integers(0, n * n - 1))] += off
+    rows, cols = np.nonzero(m)
+    arcs = list(zip(cols.tolist(), rows.tolist()))
+    if arcs and draw(st.booleans()):
+        arcs.pop(draw(st.integers(0, len(arcs) - 1)))
+    zr, zc = np.nonzero(m == 0)
+    pick = rng.permutation(zr.size)[:draw(st.integers(0, 4))]
+    signed = (0.0, -0.0) + ((complex(-0.0, -0.0), complex(0.0, -0.0)) if m.dtype == complex else ())
+    zeros = np.array([draw(st.sampled_from(signed)) for _ in pick], dtype=m.dtype)
+    rows, cols = np.concatenate((rows, zr[pick])), np.concatenate((cols, zc[pick]))
+    vals = np.concatenate((m[np.nonzero(m)], zeros))
+    order = rng.permutation(rows.size)
+    return Entries(n, rows[order], cols[order], vals[order]), m, digraph(n, arcs), kind
+
+
+@settings(max_examples=150, phases=_NO_SHRINK)
+@given(_entry_operators())
+def test_an_entry_built_certificate_agrees_with_the_dense_check(instance):
+    entries, m, g, kind = instance
+    n = g.n
+    if kind == "stochastic":
+        certify, oracle = certify_stochastic, _dense_stochastic_report(m, g)
+        report = _stochastic_report(entries, g)
+    else:
+        residual, violations = _dense_residual_and_violations(m, g, np.arange(n))
+        certify = certify_unitary
+        oracle = OpReport(residual <= ATOL and not violations, violations, residual, "unitary")
+        report = _unitary_report(_Block.split(entries), g, np.arange(n))
+    assert report.ok == oracle.ok and report.violations == oracle.violations
+    # only the summation order inside a component differs
+    assert abs(report.residual - oracle.residual) <= 4 * np.finfo(float).eps * max(oracle.residual,
+                                                                                  1.0)
+    try:
+        cert = certify(entries, g)
+    except CertificationError as err:
+        assert not oracle.ok and err.report.violations == report.violations
+    else:
+        assert oracle.ok
+        x = np.arange(1.0, n + 1.0) * (1.0 if kind == "stochastic" else 1.0 - 0.5j)
+        assert np.allclose(cert.apply(x), m @ x, rtol=0.0, atol=1e-12)
+        assert np.array_equal(cert.matrix, m.real if kind == "stochastic" else m)
+
+
+@pytest.mark.parametrize("n", [4, _DENSE_MAX + 36])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf),
+                                 complex(0.5, np.nan)])
+def test_nan_and_inf_in_entries_are_refused_without_a_warning(n, bad):
+    g = path_graph(n)
+    unitary = _pairs_block(np.random.default_rng(n), np.arange(n), n // 4)  # pairs on path edges
+    stochastic = np.eye(n, dtype=complex)
+    for m, certify in ((unitary, certify_unitary), (stochastic, certify_stochastic)):
+        for at in ((n - 1, n - 1), (0, 0), (0, 1)):
+            rows, cols = np.nonzero(m)
+            vals = m[rows, cols]
+            hit = (rows == at[0]) & (cols == at[1])
+            if hit.any():
+                vals[hit] = bad
+            else:
+                rows, cols, vals = np.append(rows, at[0]), np.append(cols, at[1]), np.append(vals, bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CertificationError) as err:
+                    certify(Entries(n, rows, cols, vals), g)
+            assert not err.value.report.residual <= ATOL
 
 
 @pytest.mark.parametrize("k", [4, 8, _DENSE_MAX + 64])

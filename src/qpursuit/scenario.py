@@ -15,7 +15,7 @@ from .engine import (
     Strategy,
     play,
 )
-from .graphs import Digraph, _is_int, digraph
+from .graphs import Digraph, _int_digraph, _is_int
 from .operators import ControlledOp, Entries, GraphUnitary
 from .strategies import build_strategy
 
@@ -52,8 +52,13 @@ def graph_from_json(data: dict) -> Digraph:
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise ValueError(f"graph field '{key}' must be true or false, got {value!r}")
-    return digraph(n, [(_json_int(u, "arc endpoint"), _json_int(v, "arc endpoint"))
-                       for u, v in arcs], **flags)
+    us, vs = zip(*arcs) if arcs else ((), ())
+    # JSON endpoints arrive as plain ints, checked a column at a time; any other type is
+    # refused by name, or converted if it is a numpy integer
+    if (set(map(type, us)) | set(map(type, vs))) - {int}:
+        us, vs = zip(*[(_json_int(u, "arc endpoint"), _json_int(v, "arc endpoint"))
+                       for u, v in arcs])
+    return _int_digraph(n, us, vs, **flags)
 
 
 def operator_to_json(op) -> dict:

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpursuit
+from qpursuit import graphs
 from qpursuit import (
     GameModel,
     GraphUnitary,
@@ -484,6 +485,32 @@ def test_graph_json_rejects_booleans_and_fractions(tmp_path, capsys):
     for data in bad_graphs:
         code, out, err = _run(capsys, ["analyze-graph", _write(tmp_path, "g.json", data)])
         assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+    # each endpoint is checked once, and still named: by type first, then by range
+    for arcs, error, message in (
+            ([[0, "1"]], "ValueError", "arc endpoint must be an integer, got '1'"),
+            ([[None, 1]], "ValueError", "arc endpoint must be an integer, got None"),
+            ([[0, 1], [5, 1], [2, "x"]], "ValueError", "arc endpoint must be an integer, got 'x'"),
+            ([[0, -1]], "GraphError", "arc (0, -1) references a vertex outside 0..2"),
+            ([[0, 1], [0, 3], [4, 0]], "GraphError", "arc (0, 3) references a vertex outside 0..2"),
+            ([[0, 1, 2]], "ValueError", "graph arcs must be [u, v] pairs")):
+        data = {"n": 3, "arcs": arcs, "undirected": True, "reflexive": True}
+        code, out, err = _run(capsys, ["analyze-graph", _write(tmp_path, "g.json", data)])
+        assert (code, out, json.loads(err)) == (1, "", {"error": error, "message": message})
+
+
+@pytest.mark.parametrize("n", [40, 160])
+def test_analyze_graph_runs_one_bfs_on_a_connected_board(tmp_path, capsys, monkeypatch, n):
+    # connectivity is cached on the board, and reversibility of a symmetric board reads it
+    starts = []
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", lambda start, *adjs: starts.append(start) or bfs(start, *adjs))
+    board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
+        n, np.random.default_rng(n), 0.1)))
+    code, out, _ = _run(capsys, ["analyze-graph", board, "--cap", "48"])
+    report = json.loads(out)
+    assert code == 0 and report["connected"] and report["reversible"]
+    assert (report["copwin_game"] is None) == (n > 48)
+    assert starts == [0]
 
 
 def test_graph_json_rejects_non_boolean_flags_and_non_list_arcs(tmp_path, capsys):
@@ -822,24 +849,27 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         (0, PAPER_VERDICTS, "")
 
 
-# Runs the commands given as JSON through cli.main, then prints whether numpy.ma was imported.
+# Runs the commands given as JSON through cli.main, then prints which of numpy.ma, scipy and
+# networkx were imported.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 from qpursuit import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, "numpy.ma" in sys.modules]))
+print(json.dumps([codes, [m in sys.modules for m in ("numpy.ma", "scipy", "networkx")]]))
 """
 
 
 def test_the_cli_never_imports_numpy_ma(tmp_path):
-    # numpy.ma is imported lazily by np.isin, np.setdiff1d and np.unique, and costs about 1 MiB
+    # numpy.ma is imported lazily by np.isin, np.setdiff1d and np.unique, and costs about 1 MiB;
+    # scipy and networkx are not dependencies, so an import of either fails where only the
+    # test extra is installed
     board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
         24, np.random.default_rng(4), 0.2)))
     scenario = _write(tmp_path, "sweep.json", README_SWEEP)
     commands = [["reach", board, "--from", "basis:0", "--to", "uniform", "--out",
                  str(tmp_path / "ops.json")],
-                ["analyze-graph", board],
+                ["analyze-graph", board, "--cap", "48"],  # so the value tables run too
                 ["run", scenario, "--out", str(tmp_path / "trace.json")],
                 ["reproduce", "--all"]]
     src = str(Path(qpursuit.__file__).resolve().parents[1])
@@ -847,4 +877,4 @@ def test_the_cli_never_imports_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(commands)],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0], False]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], [False, False, False]]

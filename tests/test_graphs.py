@@ -34,6 +34,7 @@ from qpursuit import (
     support_ball,
     universal_vertex,
 )
+from qpursuit.scenario import graph_from_json
 
 INF = np.inf
 
@@ -204,6 +205,73 @@ def test_value_tables_finite_iff_copwin():
         copwin_value_tables(cycle_graph(11))
 
 
+def _dense_value_tables(g, cap=10):
+    """copwin_value_tables as masked reductions over broadcast (n, n, n) views: O(n^3) a sweep."""
+    if g.n > cap:
+        raise GraphError(f"game solver capped at {cap} vertices, got {g.n}")
+    a = g.adjacency
+    n = g.n
+    eye = np.eye(n, dtype=bool)
+    vc = np.where(eye, 0.0, np.inf)
+    vr = vc.copy()
+    cube = (n, n, n)
+    for _ in range(4 * n * n + 4):
+        worst = np.max(np.broadcast_to(vc[:, None, :], cube), axis=2,
+                       where=a[None, :, :], initial=-np.inf)
+        vr_new = np.where(eye, 0.0, 1.0 + worst)
+        best = np.min(np.broadcast_to(vr_new[None, :, :], cube), axis=1,
+                      where=a[:, :, None], initial=np.inf)
+        vc_new = np.where(eye, 0.0, 1.0 + best)
+        if np.array_equal(vc_new, vc) and np.array_equal(vr_new, vr):
+            break
+        vc, vr = vc_new, vr_new
+    return vc, vr
+
+
+@st.composite
+def _boards(draw, max_n):
+    """Undirected reflexive boards on 1..max_n vertices: paths, cycles, random trees and
+    denser random boards up to complete ones, boards with a universal vertex, and two
+    disjoint copies of a board."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(["path", "cycle", "tree", "random", "complete", "hub", "union"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "path" or kind == "cycle" and n < 3:
+        return path_graph(n)
+    if kind == "cycle":
+        return cycle_graph(n)  # not cop-win from n = 4 on
+    if kind == "complete":
+        return complete_graph(n)
+    if kind == "union":
+        return disjoint_union(random_connected_graph(max(n // 2, 1), rng, 0.2), 2)
+    p = {"tree": 0.0, "random": draw(st.floats(min_value=0.0, max_value=1.0)), "hub": 0.1}[kind]
+    sample = random_graph_with_universal_vertex if kind == "hub" else random_connected_graph
+    return sample(n, rng, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boards(40))
+def test_value_tables_match_the_dense_reduction(g):
+    vc, vr = copwin_value_tables(g, 40)
+    ref_vc, ref_vr = _dense_value_tables(g, 40)
+    # every cell, inf included, since max and min are exact
+    assert np.array_equal(vc, ref_vc) and np.array_equal(vr, ref_vr)
+
+
+def test_value_tables_on_boards_the_oracle_knows():
+    for g in (path_graph(1), cycle_graph(6), disjoint_union(path_graph(3), 2)):
+        assert all(map(np.array_equal, copwin_value_tables(g), _dense_value_tables(g)))
+    # cycle_graph(6) is not cop-win and the union is not connected: some cells stay inf
+    assert not np.isfinite(copwin_value_tables(cycle_graph(6))[0]).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boards(60))
+def test_greedy_dominating_set_matches_the_set_reference(g):
+    ds = dominating_set(g)
+    assert ds == _ref_dominating_set(g) and dominates(g, ds)
+
+
 def test_dominating_sets():
     assert dominating_set(star_graph(4)) == {0}
     assert dominating_set(path_graph(3)) == {1}
@@ -283,6 +351,32 @@ def test_disjoint_union_block_layout():
     assert disjoint_union(path_graph(3), 1) == path_graph(3)
     with pytest.raises(GraphError):
         disjoint_union(path_graph(2), 0)
+
+
+def test_internal_builders_match_the_public_constructor():
+    g = random_connected_graph(7, np.random.default_rng(3), 0.3)
+    tree = spanning_tree(g, 2)
+    tree_arcs = {(v, v) for v in range(7)} | {
+        a for v, p in enumerate(tree.parent) if p != v for a in ((v, p), (p, v))}
+    cases = [
+        (digraph(np.int64(3), [(np.int64(0), np.int64(1))], undirected=True),
+         3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)}),
+        (graph_from_json({"n": 3, "arcs": [[np.int64(0), 2]], "reflexive": True}),
+         3, {(0, 0), (1, 1), (2, 2), (0, 2)}),
+        (graph_from_json({"n": 2, "arcs": [[0, 1], [0, 1]]}), 2, {(0, 1)}),
+        (reverse_digraph(directed_cycle(3)), 3, {(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (0, 2)}),
+        (disjoint_union(g, np.int64(3)), 21,
+         {(u + 7 * j, v + 7 * j) for j in range(3) for u, v in g.arcs}),
+        (tree.as_digraph(), 7, tree_arcs),
+    ]
+    for h, n, arcs in cases:
+        ref = Digraph(n, frozenset(arcs))
+        assert h == ref and hash(h) == hash(ref)
+        assert type(h.n) is int and all(type(x) is int for a in h.arcs for x in a)
+    # a cached connectivity leaves equality and hashing to n and arcs
+    h = digraph(4, [(0, 1), (2, 3)], undirected=True)
+    assert not is_connected(h) and "is_connected" in vars(h)
+    assert h == Digraph(h.n, h.arcs) and hash(h) == hash(Digraph(h.n, h.arcs))
 
 
 def test_reverse_digraph():

@@ -23,7 +23,6 @@ from .graphs import (
     dominating_set,
     is_connected,
     is_copwin_dismantle,
-    is_corner,
     is_reversible,
     path_graph,
     random_connected_graph,
@@ -157,8 +156,7 @@ def _cmd_analyze_graph(args) -> int:
     }
     board = g.is_undirected and g.is_reflexive
     if board:
-        corners = [[v, is_corner(g, v)] for v in range(g.n)]
-        report["corners"] = [pair for pair in corners if pair[1] is not None]
+        report["corners"] = [[v, u] for v, u in enumerate(g.corners) if u is not None]
         report["dominating_set"] = sorted(dominating_set(g))
         report["universal_vertex"] = universal_vertex(g)
         if connected:

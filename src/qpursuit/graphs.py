@@ -23,9 +23,11 @@ class Digraph:
     graphs are represented by symmetric arc sets.  n and every arc endpoint
     must be integers (_is_int); numpy integers are stored as int.
 
-    A Digraph is immutable, so its adjacency lists, bitsets, matrix and
-    connectivity are computed on first use and cached on the instance;
-    equality and hashing read only n and arcs.
+    A Digraph is immutable, so its adjacency lists, bitsets, matrix,
+    connectivity and corner table are computed on first use and cached on
+    the instance; the builders of this module record the symmetry and
+    reflexivity they establish in the same cache.  Equality and hashing read
+    only n and arcs.
     """
 
     n: int
@@ -38,12 +40,14 @@ class Digraph:
         object.__setattr__(self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs))
 
     @classmethod
-    def _trusted(cls, n: int, arcs: frozenset) -> "Digraph":
+    def _trusted(cls, n: int, arcs: frozenset, **flags) -> "Digraph":
         """A Digraph of a plain-int n and plain-int arcs this module checked or built already
-        in 0..n-1, so __post_init__ is not run again."""
+        in 0..n-1, so __post_init__ is not run again.  flags (is_undirected, is_reflexive)
+        are facts of the arcs the builder knows by construction; they fill the cache."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "arcs", arcs)
+        g.__dict__.update(flags)
         return g
 
     @cached_property
@@ -76,6 +80,29 @@ class Digraph:
         rev = reverse_digraph(self)
         adjs = (self.out_adj,) if rev is self else (self.out_adj, rev.out_adj)
         return min(_bfs(0, *adjs)[1]) >= 0
+
+    @cached_property
+    def corners(self) -> tuple:
+        """is_corner(self, v) of every vertex v, in one pass over the adjacency lists.
+
+        u contains S(v) only if (u, w) is an arc for every w in S(v), so on a symmetric
+        graph u lies in S(w) for every such w.  When v has its loop, w = v gives the
+        candidates S(v) itself; otherwise the smallest S(w) is scanned, or every vertex
+        when S(v) is empty.  Both lists are sorted, so the first hit is the lowest u.
+        """
+        if not self.is_undirected:
+            raise GraphError("corners are defined on undirected graphs")
+        adj, bits = self.out_adj, self.out_bits
+        table = []
+        for v, sv in enumerate(bits):
+            if sv >> v & 1:
+                candidates = adj[v]
+            elif sv:
+                candidates = min((adj[w] for w in adj[v]), key=len)
+            else:
+                candidates = range(self.n)
+            table.append(_dominator(bits, v, sv, candidates))
+        return tuple(table)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -116,12 +143,16 @@ def _int_digraph(n: int, us, vs, *, undirected=False, reflexive=True) -> Digraph
 
 
 def _closure(n: int, arcs: set, undirected: bool, reflexive: bool) -> Digraph:
-    """The Digraph of checked plain-int arcs, closed symmetrically and with every loop as asked."""
+    """The Digraph of checked plain-int arcs, closed symmetrically and with every loop as asked;
+    a closure it makes is recorded on the result, so no arc scan has to find it again."""
+    flags = {}
     if undirected:
         arcs |= {(v, u) for u, v in arcs}
+        flags["is_undirected"] = True
     if reflexive:
         arcs.update(zip(range(n), range(n)))
-    return Digraph._trusted(n, frozenset(arcs))
+        flags["is_reflexive"] = True
+    return Digraph._trusted(n, frozenset(arcs), **flags)
 
 
 def path_graph(n: int) -> Digraph:
@@ -199,20 +230,19 @@ def is_corner(g: Digraph, v: int):
     """Return the lowest u != v whose neighbourhood contains S(v), else None.
 
     Containment is non-strict, so every vertex of a reflexive clique is a
-    corner; strict containment would wedge the dismantling of cliques.
+    corner; strict containment would wedge the dismantling of cliques.  The
+    answer is read from the board's corner table, Digraph.corners.
     """
     if not g.is_undirected:
         raise GraphError("corners are defined on undirected graphs")
     _check_vertex(g, v)
-    bits = g.out_bits
-    sv = bits[v]
-    if sv:
-        # u must be a neighbour of every w in S(v); scan the fewest of them.
-        candidates = min((g.out_adj[w] for w in g.out_adj[v]), key=len)
-    else:
-        candidates = range(g.n)
+    return g.corners[v]
+
+
+def _dominator(bits, v: int, sv: int, candidates):
+    """The first u != v of candidates whose bitset bits[u] contains the bitset sv, else None."""
     for u in candidates:
-        if u != v and sv & ~bits[u] == 0:
+        if u != v and not sv & ~bits[u]:
             return u
     return None
 
@@ -225,31 +255,38 @@ def _require_board(g: Digraph, op: str):
 
 
 def is_copwin_dismantle(g: Digraph) -> bool:
-    """Dismantle by repeated corner deletion; True iff a single vertex remains."""
+    """Dismantle by repeated corner deletion; True iff a single vertex remains.
+
+    A worklist seeded with the corner table: deleting v changes S(w) & alive only for
+    the live neighbours w of v, and removes v as a candidate only for them, so a vertex
+    that failed the test can become a corner only when a neighbour goes, and only those
+    are queued again.  The order of deletions does not change the verdict: deleting a
+    corner v with S(v) inside S(u) is a retraction (v to u), and a retract of a
+    dismantlable graph is dismantlable (Nowakowski & Winkler, Discrete Math. 43, 1983),
+    so every maximal sequence of deletions ends at one vertex exactly when one does.
+    """
     _require_board(g, "dismantling")
     if not is_connected(g):
         raise GraphError("dismantling needs a connected graph")
-    nb = g.out_bits
-    alive = (1 << g.n) - 1
+    adj, bits = g.out_adj, g.out_bits
+    queued = [u is not None for u in g.corners]
+    queue = deque(itertools.compress(range(g.n), queued))
+    alive = [True] * g.n  # the live vertices as a list, to filter candidates ...
+    live = (1 << g.n) - 1  # ... and as a bitset, to mask neighbourhoods
     count = g.n
-    changed = True
-    while count > 1 and changed:
-        changed = False
-        for v in range(g.n):
-            if not alive >> v & 1:
-                continue
-            sv = nb[v] & alive
-            # On a reflexive board a u containing S(v) is itself in S(v).
-            rest = sv & ~(1 << v)
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                if sv & ~(nb[u] & alive) == 0:
-                    alive &= ~(1 << v)
-                    count -= 1
-                    changed = True
-                    break
-                rest ^= low
+    while queue and count > 1:
+        v = queue.popleft()
+        queued[v] = False
+        # on a reflexive board a u containing S(v) & live is a live vertex of S(v)
+        if _dominator(bits, v, bits[v] & live, filter(alive.__getitem__, adj[v])) is None:
+            continue
+        alive[v] = False
+        live ^= 1 << v
+        count -= 1
+        for w in adj[v]:
+            if alive[w] and not queued[w]:
+                queued[w] = True
+                queue.append(w)
     return count == 1
 
 
@@ -268,6 +305,10 @@ def solve_copwin_game(g: Digraph, cap: int = 10) -> bool:
     return bool(np.isfinite(vc).all(axis=1).any())
 
 
+# Element budget of one gathered block in copwin_value_tables: 2**20 float64s, 8 MiB.
+_GATHER_BUDGET = 1 << 20
+
+
 def copwin_value_tables(g: Digraph, cap: int = 10):
     """Optimal capture times in half-moves for Cop-to-move and Robber-to-move cells.
 
@@ -277,6 +318,13 @@ def copwin_value_tables(g: Digraph, cap: int = 10):
     sweep yields the tables any exact reduction would.  The fixed point
     comes after a few sweeps: 1 to 13 on 200 random boards with n <= 40,
     counting the last sweep, which changes nothing.
+
+    A sweep gathers one table along the arcs, an (n, |arcs|) array in all,
+    a block of rows (or columns) at a time, each block at most
+    _GATHER_BUDGET elements (8 MiB) or one row of |arcs|, so the memory
+    beyond the four n x n tables is bounded by the budget rather than by
+    n·|arcs| (1 GiB on the complete board at n = 512).  Boards with
+    n·|arcs| <= 2**20, every board up to n = 101, take one block.
     """
     _require_board(g, "the game solver")
     if not _is_int(cap):
@@ -290,15 +338,21 @@ def copwin_value_tables(g: Digraph, cap: int = 10):
                        count=len(g.arcs))
     starts = np.zeros(n, dtype=np.intp)
     np.cumsum([len(s) for s in g.out_adj[:-1]], out=starts[1:])
+    step = max(1, _GATHER_BUDGET // len(cols))
+    blocks = [slice(b, b + step) for b in range(0, n, step)]
     eye = np.eye(n, dtype=bool)
     vc = np.where(eye, 0.0, np.inf)
     vr = vc.copy()
+    worst = np.empty((n, n))
+    best = np.empty((n, n))
     for _ in range(4 * n * n + 4):
         # Robber to move: he maximises the next Cop-to-move value over S(r).
-        worst = np.maximum.reduceat(vc[:, cols], starts, axis=1)
+        for b in blocks:
+            np.maximum.reduceat(vc[b, cols], starts, axis=1, out=worst[b])
         vr_new = np.where(eye, 0.0, 1.0 + worst)
         # Cop to move: he minimises the next Robber-to-move value over S(c).
-        best = np.minimum.reduceat(vr_new[cols, :], starts, axis=0)
+        for b in blocks:
+            np.minimum.reduceat(vr_new[cols, b], starts, axis=0, out=best[:, b])
         vc_new = np.where(eye, 0.0, 1.0 + best)
         if np.array_equal(vc_new, vc) and np.array_equal(vr_new, vr):
             break
@@ -337,7 +391,7 @@ def dominating_set(g: Digraph, exact: bool = False) -> set:
     left = g.n
     chosen = set()
     while left:
-        v = max(range(g.n), key=gain.__getitem__)  # the first maximum: ties go to the lowest index
+        v = gain.index(max(gain))  # the first maximum: ties go to the lowest index
         chosen.add(v)
         for w in adj[v]:
             if not covered[w]:
@@ -397,11 +451,15 @@ def disjoint_union(g: Digraph, k: int) -> Digraph:
         raise GraphError(f"disjoint union needs a positive integer copy count, got {k!r}")
     n = g.n
     return Digraph._trusted(int(k) * n, frozenset(
-        (u + j * n, v + j * n) for j in range(k) for u, v in g.arcs))
+        (u + j * n, v + j * n) for j in range(k) for u, v in g.arcs),
+        is_undirected=g.is_undirected, is_reflexive=g.is_reflexive)
 
 
 def reverse_digraph(g: Digraph) -> Digraph:
-    return g if g.is_undirected else Digraph._trusted(g.n, frozenset((v, u) for u, v in g.arcs))
+    if g.is_undirected:
+        return g
+    return Digraph._trusted(g.n, frozenset((v, u) for u, v in g.arcs),
+                            is_undirected=False, is_reflexive=g.is_reflexive)
 
 
 def support_ball(g: Digraph, v: int, k: int) -> set:

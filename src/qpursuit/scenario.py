@@ -45,8 +45,9 @@ def graph_from_json(data: dict) -> Digraph:
         raise ValueError("graph JSON needs an object with an 'n' field")
     n = _json_int(data["n"], "graph size n")
     arcs = data.get("arcs", [])
-    if not isinstance(arcs, list) or not all(
-            isinstance(a, (list, tuple)) and len(a) == 2 for a in arcs):
+    # plain lists and tuples pass by C-level scans of types and lengths; subclasses by isinstance
+    if not isinstance(arcs, list) or not (set(map(type, arcs)) <= {list, tuple} or all(
+            isinstance(a, (list, tuple)) for a in arcs)) or set(map(len, arcs)) - {2}:
         raise ValueError("graph arcs must be [u, v] pairs")
     flags = {key: data.get(key, False) for key in ("undirected", "reflexive")}
     for key, value in flags.items():

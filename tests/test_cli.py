@@ -1,5 +1,6 @@
 """Command line surface: subcommands, exit codes, JSON formats, determinism."""
 
+import functools
 import json
 import os
 import subprocess
@@ -511,6 +512,23 @@ def test_analyze_graph_runs_one_bfs_on_a_connected_board(tmp_path, capsys, monke
     assert code == 0 and report["connected"] and report["reversible"]
     assert (report["copwin_game"] is None) == (n > 48)
     assert starts == [0]
+
+
+def test_analyze_graph_builds_the_corner_table_once(tmp_path, capsys, monkeypatch):
+    # the report's corners and the dismantling read one table; no per-vertex is_corner call
+    built = []
+    table = graphs.Digraph.__dict__["corners"].func
+    spy = functools.cached_property(lambda g: built.append(g.n) or table(g))
+    spy.__set_name__(graphs.Digraph, "corners")
+    monkeypatch.setattr(graphs.Digraph, "corners", spy)
+    for module in (graphs, sys.modules[main.__module__]):
+        monkeypatch.setattr(module, "is_corner", lambda g, v: pytest.fail("is_corner called"),
+                            raising=False)
+    g = random_connected_graph(60, np.random.default_rng(7), 0.03)
+    code, out, _ = _run(capsys, ["analyze-graph", _write(tmp_path, "g.json", graph_to_json(g))])
+    report = json.loads(out)
+    assert code == 0 and built == [60] and "copwin_dismantle" in report and report["corners"]
+    assert report["corners"] == [[v, u] for v, u in enumerate(table(g)) if u is not None]
 
 
 def test_graph_json_rejects_non_boolean_flags_and_non_list_arcs(tmp_path, capsys):

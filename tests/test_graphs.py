@@ -1,6 +1,8 @@
 """Graph constructors, the classical game analysis and the spanning-tree machinery."""
 
+import collections
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpursuit import graphs
 from qpursuit import (
     Digraph,
     GraphError,
@@ -265,6 +268,97 @@ def test_value_tables_on_boards_the_oracle_knows():
     assert not np.isfinite(copwin_value_tables(cycle_graph(6))[0]).all()
 
 
+@pytest.mark.parametrize("budget", [1, 50, 700])
+def test_value_tables_in_blocks_match_the_dense_reduction(monkeypatch, budget):
+    # a small gather budget splits the sweeps into blocks of one or a few rows
+    monkeypatch.setattr(graphs, "_GATHER_BUDGET", budget)
+    rng = np.random.default_rng(budget)
+    for g in (cycle_graph(7), random_connected_graph(23, rng, 0.2),
+              random_graph_with_universal_vertex(17, rng), disjoint_union(path_graph(4), 3)):
+        assert all(map(np.array_equal, copwin_value_tables(g, 30), _dense_value_tables(g, 30)))
+
+
+def test_value_tables_on_the_complete_board_at_256_stay_within_their_gather_budget():
+    g = complete_graph(256)
+    tracemalloc.start()
+    try:
+        vc, vr = copwin_value_tables(g, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one gathered (n, |arcs|) array would be 128 MiB; an 8 MiB block plus the n x n tables
+    # measured 11.6 MiB
+    assert peak < 16 * 2**20
+    off = ~np.eye(256, dtype=bool)
+    assert (vc[off] == 1.0).all() and (vr[off] == 2.0).all() and not vc.diagonal().any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boards(60))
+def test_corner_table_and_dismantling_match_the_references(g):
+    ref = [_ref_is_corner(g, v) for v in range(g.n)]
+    assert list(g.corners) == ref == [is_corner(g, v) for v in range(g.n)]
+    if _ref_is_connected(g):
+        assert is_copwin_dismantle(g) == _ref_is_copwin_dismantle(g)
+    else:
+        with pytest.raises(GraphError):
+            is_copwin_dismantle(g)
+
+
+def _relabelled(n, edges, rng):
+    perm = rng.permutation(n).tolist()
+    return digraph(n, [(perm[u], perm[v]) for u, v in edges], undirected=True)
+
+
+@pytest.mark.parametrize("n", [2, 30, 120, 200])
+def test_boards_built_by_adding_dominated_vertices_dismantle(n):
+    # vertex x joins a part of S(u), u included, for an earlier u, so deleting the vertices
+    # newest first dismantles the board: when x goes, S(x) is that part and x, inside S(u)
+    rng = np.random.default_rng(n)
+    nbrs = [{0}]
+    for x in range(1, n):
+        u = int(rng.integers(x))
+        part = {w for w in nbrs[u] if rng.random() < 0.5} | {u}
+        for w in part:
+            nbrs[w].add(x)
+        nbrs.append(part | {x})
+    edges = [(x, w) for x in range(n) for w in nbrs[x] if w < x]
+    assert is_copwin_dismantle(_relabelled(n, edges, rng))
+
+
+@pytest.mark.parametrize("k,n", [(4, 4), (4, 5), (4, 40), (7, 90), (12, 200)])
+def test_cycles_with_pendant_trees_and_twins_do_not_dismantle(k, n):
+    # each later vertex hangs off an earlier one or is its twin (the same closed
+    # neighbourhood); both dismantle back onto the cycle, which has no corner from k = 4 on.
+    # A deleted twin contains what is left of its partner's neighbourhood, so a test that
+    # read dead vertices would go on to dismantle the cycle.
+    rng = np.random.default_rng(k * n)
+    nbrs = [{i, (i + 1) % k, (i - 1) % k} for i in range(k)]
+    for x in range(k, n):
+        u = int(rng.integers(x))
+        part = set(nbrs[u]) if x == 4 or rng.random() < 0.3 else {u}
+        for w in part:
+            nbrs[w].add(x)
+        nbrs.append(part | {x})
+    g = _relabelled(n, [(x, w) for x in range(n) for w in nbrs[x]], rng)
+    assert not is_copwin_dismantle(g)
+    assert g.corners == tuple(_ref_is_corner(g, v) for v in range(n))
+
+
+def test_corner_table_on_loopless_undirected_boards():
+    # without loops a dominator need not be adjacent to v; an isolated vertex is contained
+    # by every vertex, and every vertex contains it
+    for g in (digraph(5, [(0, 1), (1, 2), (2, 3)], undirected=True, reflexive=False),
+              digraph(4, [(0, 1), (0, 2), (0, 3), (1, 1)], undirected=True, reflexive=False),
+              digraph(3, [(0, 1)], undirected=True, reflexive=False),
+              digraph(1, [], reflexive=False)):
+        assert g.corners == tuple(_ref_is_corner(g, v) for v in range(g.n))
+    g = digraph(5, [(0, 1), (1, 2), (2, 3)], undirected=True, reflexive=False)
+    assert g.corners == (2, None, None, 1, 0)
+    with pytest.raises(GraphError):
+        directed_cycle(3).corners
+
+
 @settings(max_examples=150, deadline=None)
 @given(_boards(60))
 def test_greedy_dominating_set_matches_the_set_reference(g):
@@ -356,6 +450,7 @@ def test_disjoint_union_block_layout():
 def test_internal_builders_match_the_public_constructor():
     g = random_connected_graph(7, np.random.default_rng(3), 0.3)
     tree = spanning_tree(g, 2)
+    hub = random_graph_with_universal_vertex(6, np.random.default_rng(4))
     tree_arcs = {(v, v) for v in range(7)} | {
         a for v, p in enumerate(tree.parent) if p != v for a in ((v, p), (p, v))}
     cases = [
@@ -368,15 +463,38 @@ def test_internal_builders_match_the_public_constructor():
         (disjoint_union(g, np.int64(3)), 21,
          {(u + 7 * j, v + 7 * j) for j in range(3) for u, v in g.arcs}),
         (tree.as_digraph(), 7, tree_arcs),
+        (reverse_digraph(digraph(3, [(0, 1)], reflexive=False)), 3, {(1, 0)}),
+        (disjoint_union(directed_cycle(2), 2), 4, {(0, 0), (1, 1), (2, 2), (3, 3), (0, 1),
+                                                  (1, 0), (2, 3), (3, 2)}),
+        (hub, 6, hub.arcs),
     ]
+    flags = ("is_undirected", "is_reflexive")
     for h, n, arcs in cases:
         ref = Digraph(n, frozenset(arcs))
+        recorded = {f: vars(h)[f] for f in flags if f in vars(h)}
+        # a flag known by construction is the one an arc scan finds, and is not a field
+        assert recorded == {f: getattr(ref, f) for f in recorded}
         assert h == ref and hash(h) == hash(ref)
         assert type(h.n) is int and all(type(x) is int for a in h.arcs for x in a)
+    # closures record what they close, unions and reversals both flags; the public
+    # constructor leaves them to a scan
+    assert vars(cases[1][0]).keys() & set(flags) == {"is_reflexive"}
+    for h in (cases[0][0], cases[4][0], cases[5][0], cases[6][0], cases[7][0]):
+        assert set(flags) <= vars(h).keys()
+    assert not set(flags) & vars(Digraph(2, frozenset({(0, 1)}))).keys()
     # a cached connectivity leaves equality and hashing to n and arcs
     h = digraph(4, [(0, 1), (2, 3)], undirected=True)
     assert not is_connected(h) and "is_connected" in vars(h)
     assert h == Digraph(h.n, h.arcs) and hash(h) == hash(Digraph(h.n, h.arcs))
+
+
+def test_graph_json_arcs_are_pairs():
+    arc = collections.namedtuple("Arc", "u v")
+    g = graph_from_json({"n": 2, "arcs": [arc(0, 1), (1, 0), [0, 0]]})
+    assert g.arcs == {(0, 1), (1, 0), (0, 0)}
+    for arcs in ([5], [[0]], [(0, 1, 1)], [[0, 1], "01"], [None], [[0, 1], {0: 1, 1: 0}]):
+        with pytest.raises(ValueError, match=r"graph arcs must be \[u, v\] pairs"):
+            graph_from_json({"n": 2, "arcs": arcs})
 
 
 def test_reverse_digraph():

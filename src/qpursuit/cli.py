@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -48,7 +49,7 @@ from .operators import (
 from .scenario import (
     graph_from_json,
     operator_from_json,
-    operator_to_json,
+    operators_to_text,
     run_scenario,
     scenario_from_json,
     state_from_json,
@@ -79,7 +80,11 @@ def _load_json(path: str):
 
 
 def _dump_json(data, path: str = None):
-    text = json.dumps(data, sort_keys=True)  # no indent: indent selects the pure-Python encoder
+    # no indent: indent selects the pure-Python encoder
+    _write_text(json.dumps(data, sort_keys=True), path)
+
+
+def _write_text(text: str, path: str = None):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -137,7 +142,7 @@ def _cmd_reach(args) -> int:
     ops = reach_sequence(g, phi, psi, root=args.root)
     fidelity = abs(np.vdot(psi, apply_sequence(ops, phi)))
     bound = 2 * g.n - 2
-    _dump_json([operator_to_json(u) for u in ops], args.out)
+    _write_text(operators_to_text(ops), args.out)
     print(f"length={len(ops)} bound={bound} fidelity={_fmt(fidelity)}")
     if len(ops) > bound or fidelity < 1.0 - ATOL:
         return 2
@@ -242,11 +247,29 @@ def _cmd_reproduce(args) -> int:
     return 0 if failures == 0 else 2
 
 
+def _decimal(text: str) -> int:
+    """An integer option: ASCII digits, with an optional leading "-" so that negatives still
+    reach their range errors.  int() would also take " +1" and "0_2"."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be written in decimal digits, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """A finite tolerance >= 0: inf would pass any operator, nan hide every entry, and a
+    negative one flag zero entries."""
+    tau = float(text)
+    if not (math.isfinite(tau) and tau >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tau
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qpursuit",
                                      description="Cop and Robber games on reflexive digraphs")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument("--seed", type=_decimal, default=0, help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario JSON file")
@@ -259,18 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p_verify.add_mutually_exclusive_group(required=True)
     kind.add_argument("--unitary", action="store_true")
     kind.add_argument("--stochastic", action="store_true")
-    p_verify.add_argument("--tau", type=float, default=ATOL)
+    p_verify.add_argument("--tau", type=_tolerance, default=ATOL)
 
     p_reach = sub.add_parser("reach", help="operator sequence mapping one state to another")
     p_reach.add_argument("graph")
     p_reach.add_argument("--from", required=True, help='"uniform", "basis:V" or a JSON state')
     p_reach.add_argument("--to", required=True)
-    p_reach.add_argument("--root", type=int, default=0)
+    p_reach.add_argument("--root", type=_decimal, default=0)
     p_reach.add_argument("--out", help="write the operator JSON array here")
 
     p_analyze = sub.add_parser("analyze-graph", help="classical analysis report")
     p_analyze.add_argument("graph")
-    p_analyze.add_argument("--cap", type=int, default=10,
+    p_analyze.add_argument("--cap", type=_decimal, default=10,
                            help="largest board (vertex count) handed to the game solver")
 
     p_repro = sub.add_parser("reproduce", help="re-run a canned worked example")

@@ -365,9 +365,17 @@ class GraphUnitary:
     support: tuple
 
     def __init__(self, block, graph: Digraph, support=None):
-        for v in () if support is None else support:
-            _check_vertex(graph, v)
-        idx = np.arange(graph.n) if support is None else np.array(support, dtype=np.intp)
+        if support is None:
+            idx = np.arange(graph.n)
+        else:
+            support = tuple(support)
+            # plain ints in range pass by one C-level type scan and their ends; anything else
+            # is checked vertex by vertex, which names the first bad one
+            if set(map(type, support)) - {int} or support and not (
+                    0 <= min(support) and max(support) < graph.n):
+                for v in support:
+                    _check_vertex(graph, v)
+            idx = np.array(support, dtype=np.intp)
         support = tuple(idx.tolist())
         if len(set(support)) < len(support):
             raise GraphError(f"support {support} repeats a vertex")
@@ -405,19 +413,6 @@ class GraphUnitary:
         m = np.eye(self.graph.n, dtype=complex)
         m[self._index[:, None], self._index] = self._block.dense()
         return m
-
-    @property
-    def entries(self) -> Entries:
-        """The n x n matrix's non-zero entries: the block's, and a 1 on each loop off support."""
-        n, idx = self.graph.n, self._index
-        rows, cols, vals = self._block.where(lambda s: s != 0)
-        outside = np.ones(n, dtype=bool)  # a mask: np.setdiff1d would import numpy.ma
-        outside[idx] = False
-        loops = np.flatnonzero(outside)
-        rows, cols = np.concatenate((idx[rows], loops)), np.concatenate((idx[cols], loops))
-        order = np.lexsort((cols, rows))
-        vals = np.concatenate((vals, np.ones(loops.size, dtype=complex)))
-        return Entries._checked(n, rows[order], cols[order], vals[order])
 
 
 @dataclass(frozen=True, eq=False, init=False)

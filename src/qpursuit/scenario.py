@@ -62,19 +62,53 @@ def graph_from_json(data: dict) -> Digraph:
     return _int_digraph(n, us, vs, **flags)
 
 
-def operator_to_json(op) -> dict:
-    """Non-zero entries as [row, col, re, im], in row-major order.
-
-    op is a GraphUnitary, written from the entries of its block plus [u, u, 1.0, 0.0] for each
-    vertex u outside its support, or a matrix; no dense n x n matrix is built.
-    """
+def _row_major(op) -> tuple:
+    """(n, support, rows, cols, vals) of a GraphUnitary or a square matrix: its non-zero entries
+    in row-major order, rows and cols in vertex coordinates, and the rows it writes; a
+    GraphUnitary is the identity outside its support."""
     if isinstance(op, GraphUnitary):
-        e = op.entries
-    else:
-        e = Entries.of_matrix(np.asarray(op, dtype=complex))
-    entries = [list(x) for x in zip(e.rows.tolist(), e.cols.tolist(),
-                                    e.vals.real.tolist(), e.vals.imag.tolist())]
-    return {"n": e.n, "entries": entries}
+        idx = op._index
+        rows, cols, vals = op._block.where(lambda s: s != 0)
+        rows, cols = idx[rows], idx[cols]
+        order = np.lexsort((cols, rows))  # over the block's entries only
+        return op.graph.n, op.support, rows[order], cols[order], vals[order]
+    e = Entries.of_matrix(np.asarray(op, dtype=complex))
+    if not np.isfinite(e.vals).all():  # repr would write nan, which is not JSON
+        raise ValueError("operator entries must be finite to be written as JSON")
+    return e.n, range(e.n), e.rows, e.cols, e.vals
+
+
+def operators_to_text(ops) -> str:
+    """The JSON text of a list of operators, as json.dumps([operator_to_json(u) for u in ops],
+    sort_keys=True) writes it, each operator a GraphUnitary or a square matrix.
+
+    The entry [u, u, 1.0, 0.0] of each vertex is formatted once; each operator replaces only the
+    rows of its support, formatted from its non-zero entries with repr, which is json's own float
+    format (certified blocks are finite).  No dense n x n matrix and no per-entry list is built.
+    """
+    layers = [_row_major(op) for op in ops]
+    loops = [f"[{u}, {u}, 1.0, 0.0]" for u in range(max((x[0] for x in layers), default=0))]
+    out = []
+    for n, support, rows, cols, vals in layers:
+        line = loops[:n]
+        for u in support:
+            line[u] = ""
+        rows = rows.tolist()
+        for r, t in zip(rows, map("[{}, {}, {!r}, {!r}]".format, rows, cols.tolist(),
+                                  vals.real.tolist(), vals.imag.tolist())):
+            line[r] = f"{line[r]}, {t}" if line[r] else t
+        out.append(f'{{"entries": [{", ".join(filter(None, line))}], "n": {n}}}')
+    return f"[{', '.join(out)}]"
+
+
+def operator_to_json(op) -> dict:
+    """{"n", "entries"}: the non-zero entries as [row, col, re, im], in row-major order.
+
+    op is a GraphUnitary or a square matrix.  The object is read back from operators_to_text,
+    so the dict and the text the CLI writes cannot drift.
+    """
+    data = json.loads(operators_to_text([op]))[0]
+    return {"n": data["n"], "entries": data["entries"]}
 
 
 def _entries_from_json(data: dict) -> Entries:

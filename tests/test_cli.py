@@ -34,6 +34,7 @@ from qpursuit import (
     is_graph_preserving_unitary,
     operator_from_json,
     operator_to_json,
+    operators_to_text,
     path_graph,
     random_connected_graph,
     sample_controlled_op,
@@ -295,6 +296,21 @@ def test_verify_op_reports_are_pinned_byte_for_byte(tmp_path, capsys):
         assert _run(capsys, argv)[:2] == (status, report)
 
 
+@pytest.mark.parametrize("tau", ["inf", "nan", "-1"])
+def test_verify_op_tau_is_a_finite_tolerance(tmp_path, capsys, tau):
+    # residual 33 and a forbidden entry (2, 0) of magnitude 3: inf passed it, nan printed
+    # violations=0, and -1 listed the zero entry (0, 2) as forbidden
+    op = _write(tmp_path, "op.json", operator_to_json([[5.0, 0, 0], [0, 1.0, 0], [3.0, 0, 1.0]]))
+    graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify-op", op, graph, "--unitary", "--tau", tau])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code != 0 and out == ""
+    assert err.endswith(f"argument --tau: must be a finite number >= 0, got {tau!r}\n")
+    code, out, _ = _run(capsys, ["verify-op", op, graph, "--unitary", "--tau", "0"])
+    assert code == 2 and out.startswith("FAIL unitary residual=3.300e+01 violations=1\n")
+
+
 def test_verify_op_bad_input(tmp_path, capsys):
     graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
     mangled = tmp_path / "mangled.json"
@@ -429,6 +445,58 @@ def test_reach_basis_vertex_is_plain_decimal_digits(tmp_path, capsys, spec):
                                f"basis vertex must be written in decimal digits, got {spec[6:]!r}"}
     code, out, _ = _run(capsys, ["reach", graph, "--from", "basis:10", "--to", "basis:2"])
     assert code == 0 and out.endswith("fidelity=1.000000000\n")
+
+
+@pytest.mark.parametrize("option", ["--root", "--cap", "--seed"])
+@pytest.mark.parametrize("text", ["0_2", " +1", "+1", "1_0", " 2 ", "1.0", "", "\uff12"])
+def test_integer_options_are_plain_decimal_digits(tmp_path, capsys, option, text):
+    # int() reads all but "" and "1.0": "0_2" as 2, " +1" as 1, the full-width digit two as 2
+    graph = _write(tmp_path, "p12.json", graph_to_json(path_graph(12)))
+    argv = {"--root": ["reach", graph, "--from", "basis:0", "--to", "basis:2", "--root", text],
+            "--cap": ["analyze-graph", graph, "--cap", text],
+            "--seed": ["--seed", text, "reproduce", "star-impossibility"]}[option]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_info.value.code != 0 and out == ""
+    assert err.endswith(f"argument {option}: must be written in decimal digits, got {text!r}\n")
+
+
+def test_negative_integer_options_reach_their_range_errors(tmp_path, capsys):
+    graph = _write(tmp_path, "p12.json", graph_to_json(path_graph(12)))
+    code, _, err = _run(capsys, ["reach", graph, "--from", "basis:0", "--to", "basis:2",
+                                 "--root", "-1"])
+    assert code == 1 and json.loads(err) == {"error": "GraphError",
+                                             "message": "vertex -1 outside 0..11"}
+    code, _, err = _run(capsys, ["--seed", "-1", "reproduce", "star-impossibility"])
+    assert code == 1 and json.loads(err)["error"] == "ValueError"
+    code, out, _ = _run(capsys, ["analyze-graph", graph, "--cap", "-1"])
+    assert code == 0 and json.loads(out)["copwin_game"] is None
+    code, out, _ = _run(capsys, ["analyze-graph", graph, "--cap", "12"])
+    assert code == 0 and json.loads(out)["copwin_game"] is True
+
+
+def test_reach_layers_certify_on_the_board(tmp_path, capsys):
+    # each written layer is certified against the tree's graph, and tree arcs are board arcs
+    rng = np.random.default_rng(2024)
+    ops_path = tmp_path / "ops.json"
+    for n, p in ((2, 0.0), (5, 1.0), (9, 0.0), (16, 0.3), (40, 0.1), (70, 0.05)):
+        g = random_connected_graph(n, rng, p)
+        board = _write(tmp_path, "board.json", graph_to_json(g))
+        phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        phi[rng.random(n) < 0.3] = 0.0
+        phi[0] += 1.0
+        phi /= np.linalg.norm(phi)
+        for to in ("uniform", f"basis:{n - 1}"):
+            code, out, _ = _run(capsys, ["reach", board, "--from", json.dumps(state_to_json(phi)),
+                                         "--to", to, "--root", str(int(rng.integers(n))),
+                                         "--out", str(ops_path)])
+            layers = json.loads(ops_path.read_text())
+            assert code == 0 and out.startswith(f"length={len(layers)} ")
+            for layer in layers:
+                code, out, _ = _run(capsys, ["verify-op", _write(tmp_path, "layer.json", layer),
+                                             board, "--unitary"])
+                assert code == 0 and out.startswith("PASS unitary residual="), out
 
 
 def test_analyze_graph_reports(tmp_path, capsys):
@@ -681,11 +749,17 @@ _EXACT = (1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(-1.0, -0.0), complex(0
 
 @st.composite
 def _certified_blocks(draw):
-    """A GraphUnitary on a random board and a random (often unsorted) support: exact or Haar
-    phases, a Haar 2x2 on an edge inside the support, and signed zeros among its zero entries."""
+    """A GraphUnitary on a random board (see _certified_block)."""
     n = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.4, 1.0))))
+    return _certified_block(draw, g, rng)
+
+
+def _certified_block(draw, g, rng):
+    """A GraphUnitary on g and a random (often unsorted) support: exact or Haar phases, a Haar
+    2x2 on an edge inside the support, and signed zeros among its zero entries."""
+    n = g.n
     support = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
     k = len(support)
     block = np.diag([draw(st.sampled_from(_EXACT)) if draw(st.booleans())
@@ -714,6 +788,40 @@ def test_operators_are_written_from_their_blocks_byte_for_byte(u):
                                "blocks": [_loop_operator_to_json(b.matrix) for b in op.blocks]})
     # read back and written again it is the same, byte for byte
     assert json.dumps(controlled_op_to_json(controlled_op_from_json(json.loads(data), g))) == data
+
+
+def test_operator_to_json_refuses_what_json_cannot_hold():
+    for bad in ([[np.nan]], [[1.0, 0.0], [0.0, np.inf]], [[1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            operator_to_json(np.array(bad))
+
+
+@st.composite
+def _operator_sequences(draw):
+    """Operators on one board: certified blocks, their dense matrices and dense complex
+    matrices with signed zeros; the sequence may be empty."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.4, 1.0))))
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(("block", "matrix", "dense")), max_size=4)):
+        if kind == "dense":
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m[rng.random((n, n)) < 0.5] = complex(-0.0, -0.0)
+            m.imag[rng.random((n, n)) < 0.3] = -0.0
+            ops.append(m)
+        else:
+            u = _certified_block(draw, g, rng)
+            ops.append(u if kind == "block" else u.matrix)
+    return ops
+
+
+@given(_operator_sequences())
+def test_one_writer_gives_the_text_of_every_entry_writer(ops):
+    text = operators_to_text(ops)
+    assert text == json.dumps([operator_to_json(u) for u in ops], sort_keys=True)
+    dense = [u.matrix if isinstance(u, GraphUnitary) else u for u in ops]
+    assert text == json.dumps([_loop_operator_to_json(m) for m in dense], sort_keys=True)
 
 
 def _matching_move(g, rng):

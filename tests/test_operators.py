@@ -778,6 +778,33 @@ def test_gather_vertices_must_be_vertices():
     assert np.array_equal(u.matrix, transposition_unitary(g, 0, 1).matrix)
 
 
+def test_support_errors_name_the_first_bad_vertex(monkeypatch):
+    g, eye = path_graph(3), np.eye(3)
+    for support, message in (((0, True, 2), "vertex True outside 0..2"),
+                             ((0, 1.0, 2), "vertex 1.0 outside 0..2"),
+                             ((5, True, 0), "vertex 5 outside 0..2"),
+                             ((0, 1, 3), "vertex 3 outside 0..2"),
+                             ((-1, 1, 2), "vertex -1 outside 0..2"),
+                             ((0, np.int64(3), 1), f"vertex {np.int64(3)!r} outside 0..2"),
+                             ((2, 0, 2), "support (2, 0, 2) repeats a vertex"),
+                             ((2, np.int64(0), 2), "support (2, 0, 2) repeats a vertex")):
+        with pytest.raises(GraphError) as info:
+            GraphUnitary(eye, g, support)
+        assert str(info.value) == message
+    for support in ([np.int64(2), 0, 1], np.array([2, 0, 1]), range(2, -1, -1)):
+        u = GraphUnitary(eye, g, support)
+        assert u.support == tuple(int(v) for v in support)
+        assert all(type(v) is int for v in u.support)
+    # a support of plain ints is checked by one scan, not vertex by vertex
+    import qpursuit.operators
+
+    calls = []
+    monkeypatch.setattr(qpursuit.operators, "_check_vertex", lambda *args: calls.append(args))
+    GraphUnitary(eye, g, [2, 0, 1])
+    reach_sequence(g, basis_state(3, 0), uniform_state(3))
+    assert calls == []
+
+
 def test_gather_adjoint_on_a_directed_board():
     g = digraph(3, [(0, 1), (1, 0), (1, 2)], reflexive=True)
     u = gather_unitary(g, 0, 1, [0.6, 0.8j, 0.0], (0.0, 1.0))

@@ -107,12 +107,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_op(args) -> int:
-    matrix = operator_from_json(_load_json(args.operator))
+    entries = operator_from_json(_load_json(args.operator))
     g = graph_from_json(_load_json(args.graph))
     if args.stochastic:
-        report = is_graph_preserving_stochastic(matrix, g, args.tau)
+        report = is_graph_preserving_stochastic(entries, g, args.tau)
     else:
-        report = is_graph_preserving_unitary(matrix, g, args.tau)
+        report = is_graph_preserving_unitary(entries, g, args.tau)
     status = "PASS" if report.ok else "FAIL"
     print(f"{status} {report.kind} residual={report.residual:.3e} "
           f"violations={len(report.violations)}")

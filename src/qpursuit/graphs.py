@@ -369,20 +369,13 @@ def dominates(g: Digraph, ds) -> bool:
     return cover == (1 << g.n) - 1
 
 
-def dominating_set(g: Digraph, exact: bool = False) -> set:
+def dominating_set(g: Digraph) -> set:
     """A dominating set: every vertex is in the set or adjacent to a member.
 
-    Greedy maximum-coverage by default; exact=True searches the true minimum
-    (n <= 10 only).
+    Greedy maximum-coverage: each pick is the vertex covering the most uncovered vertices, the
+    lowest on a tie.  It need not be the smallest dominating set.
     """
     _require_board(g, "dominating sets")
-    if exact:
-        if g.n > 10:
-            raise GraphError("exact dominating set limited to 10 vertices")
-        for k in range(1, g.n + 1):
-            for combo in itertools.combinations(range(g.n), k):
-                if dominates(g, combo):
-                    return set(combo)
     adj = g.out_adj
     # gain[u] counts the uncovered vertices of S(u); on a symmetric board u covers w iff
     # u is in S(w), so covering w lowers the gain of each vertex of S(w)
@@ -462,14 +455,6 @@ def reverse_digraph(g: Digraph) -> Digraph:
                             is_undirected=False, is_reflexive=g.is_reflexive)
 
 
-def support_ball(g: Digraph, v: int, k: int) -> set:
-    """Vertices reachable from v by at most k arcs."""
-    _check_vertex(g, v)
-    if not (_is_int(k) and k >= 0):
-        raise GraphError(f"step count must be a non-negative integer, got {k!r}")
-    return {w for w, d in enumerate(_bfs(v, g.out_adj)[1]) if 0 <= d <= k}
-
-
 def random_connected_graph(n: int, rng, extra_edge_prob: float = 0.3) -> Digraph:
     """Random undirected reflexive connected graph: a random tree plus extra edges."""
     perm = [int(x) for x in rng.permutation(n)]
@@ -483,9 +468,3 @@ def random_connected_graph(n: int, rng, extra_edge_prob: float = 0.3) -> Digraph
                 edges.add((u, v))
     return digraph(n, edges, undirected=True)
 
-
-def random_graph_with_universal_vertex(n: int, rng, extra_edge_prob: float = 0.3) -> Digraph:
-    g = random_connected_graph(n, rng, extra_edge_prob)
-    hub = int(rng.integers(0, n))
-    return _closure(g.n, set(g.arcs) | {(hub, v) for v in range(g.n)},
-                    undirected=True, reflexive=True)

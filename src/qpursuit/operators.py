@@ -18,7 +18,6 @@ from .graphs import (
     _check_vertex,
     _is_int,
     cycle_graph,
-    directed_cycle,
     is_reversible,
     neighbors,
     path_graph,
@@ -87,14 +86,6 @@ def state_vector(x) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1)
 
 
-def quantum_state(amps) -> np.ndarray:
-    """amps as a flat complex vector, refused unless it has unit norm."""
-    a = state_vector(amps)
-    if not _is_unit(a):
-        raise ValueError("state vector is not normalized")
-    return a
-
-
 def basis_state(n: int, v: int) -> np.ndarray:
     if not _is_int(v) or not 0 <= v < n:
         raise ValueError(f"basis vertex {v!r} outside 0..{n - 1}")
@@ -125,9 +116,10 @@ class Entries:
     """An n x n operator by its non-zero entries: vals[i] at row rows[i], column cols[i].
 
     Kept in row-major order whatever the order given, with exact zeros dropped and the arrays
-    read-only; a position out of range or given twice is refused.  certify_stochastic takes
-    Entries in place of a dense matrix and builds no n x n array; certify_unitary does the
-    same past _DENSE_MAX vertices.
+    read-only; a position out of range or given twice is refused.  scenario.operator_from_json
+    reads a JSON operator into Entries.  certify_stochastic and is_graph_preserving_stochastic
+    take them in place of a dense matrix and build no n x n array; certify_unitary and
+    is_graph_preserving_unitary do the same past _DENSE_MAX vertices unless a row is full.
     """
 
     n: int
@@ -285,21 +277,16 @@ class _Block:
 
     @classmethod
     def split(cls, block) -> "_Block":
-        """block, Entries or a dense square array, split into its components."""
-        if isinstance(block, Entries):
-            k, rows, cols, vals = block.n, block.rows, block.cols, block.vals
-            if k <= _DENSE_MAX or (rows.size and np.bincount(rows).max() == k):
-                return cls._whole(block.dense().astype(complex, copy=False))
-        else:
+        """block, Entries or a dense square array, split into its components; a dense array past
+        _DENSE_MAX vertices is read as its Entries."""
+        if not isinstance(block, Entries):
             block = np.asarray(block, dtype=complex)
-            k = block.shape[0]
-            if k <= _DENSE_MAX:
+            if block.shape[0] <= _DENSE_MAX:
                 return cls._whole(block)
-            pattern = block != 0
-            if pattern.all(axis=1).any():
-                return cls._whole(block)
-            rows, cols = np.nonzero(pattern)
-            vals = block[rows, cols]
+            block = Entries.of_matrix(block)
+        k, rows, cols, vals = block.n, block.rows, block.cols, block.vals
+        if k <= _DENSE_MAX or (rows.size and np.bincount(rows).max() == k):
+            return cls._whole(block.dense().astype(complex, copy=False))
         return cls(k, _components(rows, cols, vals, k))
 
     @classmethod
@@ -515,19 +502,24 @@ def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
 
 
 def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
-    """Unitarity within tau plus zeros on all non-arcs, with a violation report."""
-    m = np.asarray(m, dtype=complex)
+    """Unitarity within tau plus zeros on all non-arcs, with a violation report.  m is a dense
+    matrix or Entries, checked without an n x n array past _DENSE_MAX vertices unless a row
+    is full."""
+    if not isinstance(m, Entries):
+        m = np.asarray(m, dtype=complex)
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
     return _unitary_report(m, g, np.arange(g.n), tau)
 
 
 def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport:
-    """Column-stochastic within tau plus zeros on all non-arcs."""
-    m = np.asarray(m)
+    """Column-stochastic within tau plus zeros on all non-arcs, read from the non-zero entries
+    of m, a dense matrix or Entries."""
+    if not isinstance(m, Entries):
+        m = Entries.of_matrix(m)
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
-    return _stochastic_report(Entries.of_matrix(m), g, tau)
+    return _stochastic_report(m, g, tau)
 
 
 def certify_unitary(op, g: Digraph) -> GraphUnitary:
@@ -548,11 +540,6 @@ def certify_stochastic(op, g: Digraph) -> GraphStochastic:
 def identity_unitary(g: Digraph) -> GraphUnitary:
     """The empty block: certifies the loops in O(n) and stores no n x n matrix."""
     return GraphUnitary(np.zeros((0, 0)), g, ())
-
-
-def identity_stochastic(g: Digraph) -> GraphStochastic:
-    loops = np.arange(g.n)
-    return GraphStochastic(Entries._checked(g.n, loops, loops, np.ones(g.n)), g)
 
 
 def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:
@@ -663,17 +650,6 @@ def apply_sequence(ops, state) -> np.ndarray:
     return cur
 
 
-def cycle_unitary(n: int, phases) -> GraphUnitary:
-    """Phased clockwise shift sum_i e^(i a_i)|i+1><i| on the reflexive directed n-cycle."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n,):
-        raise ValueError(f"need {n} phases, got shape {phases.shape}")
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        m[(i + 1) % n, i] = np.exp(1j * phases[i])
-    return certify_unitary(m, directed_cycle(n))
-
-
 def transposition_unitary(g: Digraph, v: int, w: int) -> GraphUnitary:
     """Swap of two mutually adjacent vertices as a gather, identity elsewhere; v == w gives identity."""
     _check_vertex(g, v)
@@ -754,11 +730,6 @@ class ControlledOp:
             lines[v] = u.apply(lines[v])
         return table.reshape(-1)
 
-    @property
-    def joint(self) -> np.ndarray:
-        """The dense n^2 x n^2 matrix of apply, built afresh on every access."""
-        return np.stack([self.apply(e) for e in np.eye(self.graph.n ** 2)], axis=1)
-
 
 def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:
     """Block operator sum_v |v><v| (x) U(v) with every block certified against g."""
@@ -773,19 +744,6 @@ def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:
 
 def constant_controlled_op(g: Digraph, u: GraphUnitary, control: str) -> ControlledOp:
     return controlled_op(g, [u] * g.n, control)
-
-
-def controlled_identity(g: Digraph, control: str) -> ControlledOp:
-    return constant_controlled_op(g, identity_unitary(g), control)
-
-
-def joint_as_union_matrix(op: ControlledOp) -> np.ndarray:
-    """The joint matrix reindexed so the control register enumerates graph copies.
-
-    That is the joint matrix of the same blocks under robber control; in it a
-    controlled operation is block-diagonal and certifiable against disjoint_union(g, n).
-    """
-    return ControlledOp(op.blocks, "robber", op.graph).joint
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

@@ -16,7 +16,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _int_digraph, _is_int
-from .operators import ControlledOp, Entries, GraphUnitary
+from .operators import ControlledOp, Entries
 from .strategies import build_strategy
 
 
@@ -62,37 +62,32 @@ def graph_from_json(data: dict) -> Digraph:
     return _int_digraph(n, us, vs, **flags)
 
 
-def _row_major(op) -> tuple:
-    """(n, support, rows, cols, vals) of a GraphUnitary or a square matrix: its non-zero entries
-    in row-major order, rows and cols in vertex coordinates, and the rows it writes; a
-    GraphUnitary is the identity outside its support."""
-    if isinstance(op, GraphUnitary):
-        idx = op._index
-        rows, cols, vals = op._block.where(lambda s: s != 0)
-        rows, cols = idx[rows], idx[cols]
-        order = np.lexsort((cols, rows))  # over the block's entries only
-        return op.graph.n, op.support, rows[order], cols[order], vals[order]
-    e = Entries.of_matrix(np.asarray(op, dtype=complex))
-    if not np.isfinite(e.vals).all():  # repr would write nan, which is not JSON
-        raise ValueError("operator entries must be finite to be written as JSON")
-    return e.n, range(e.n), e.rows, e.cols, e.vals
+def _row_major(u) -> tuple:
+    """(rows, cols, vals) of a GraphUnitary's block: its non-zero entries in row-major order,
+    rows and cols in vertex coordinates; outside its support it is the identity."""
+    idx = u._index
+    rows, cols, vals = u._block.where(lambda s: s != 0)
+    rows, cols = idx[rows], idx[cols]
+    order = np.lexsort((cols, rows))  # over the block's entries only
+    return rows[order], cols[order], vals[order]
 
 
 def operators_to_text(ops) -> str:
-    """The JSON text of a list of operators, as json.dumps([operator_to_json(u) for u in ops],
-    sort_keys=True) writes it, each operator a GraphUnitary or a square matrix.
+    """The JSON text of a list of GraphUnitary operators, each {"entries", "n"} with its non-zero
+    entries [row, col, re, im] in row-major order, as json.dumps(..., sort_keys=True) writes it.
 
     The entry [u, u, 1.0, 0.0] of each vertex is formatted once; each operator replaces only the
     rows of its support, formatted from its non-zero entries with repr, which is json's own float
     format (certified blocks are finite).  No dense n x n matrix and no per-entry list is built.
     """
-    layers = [_row_major(op) for op in ops]
-    loops = [f"[{u}, {u}, 1.0, 0.0]" for u in range(max((x[0] for x in layers), default=0))]
+    loops = [f"[{u}, {u}, 1.0, 0.0]" for u in range(max((op.graph.n for op in ops), default=0))]
     out = []
-    for n, support, rows, cols, vals in layers:
+    for op in ops:
+        n = op.graph.n
         line = loops[:n]
-        for u in support:
+        for u in op.support:
             line[u] = ""
+        rows, cols, vals = _row_major(op)
         rows = rows.tolist()
         for r, t in zip(rows, map("[{}, {}, {!r}, {!r}]".format, rows, cols.tolist(),
                                   vals.real.tolist(), vals.imag.tolist())):
@@ -101,18 +96,24 @@ def operators_to_text(ops) -> str:
     return f"[{', '.join(out)}]"
 
 
-def operator_to_json(op) -> dict:
-    """{"n", "entries"}: the non-zero entries as [row, col, re, im], in row-major order.
+def _numbers(column, what: str) -> np.ndarray:
+    """A column of JSON numbers as a float array.  Plain ints and floats pass one C-level type
+    scan; bools, strings and nulls are refused, not coerced, and so are values beyond the float
+    range, nan and inf (json reads NaN and Infinity)."""
+    if set(map(type, column)) - {int, float}:
+        raise ValueError(f"{what} must be JSON numbers")
+    try:
+        a = np.fromiter(column, dtype=float, count=len(column))
+        if np.isfinite(a).all():
+            return a
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{what} must be finite numbers")
 
-    op is a GraphUnitary or a square matrix.  The object is read back from operators_to_text,
-    so the dict and the text the CLI writes cannot drift.
-    """
-    data = json.loads(operators_to_text([op]))[0]
-    return {"n": data["n"], "entries": data["entries"]}
 
-
-def _entries_from_json(data: dict) -> Entries:
-    """An operator's entries, read once into arrays (Entries sorts them and refuses a repeat)."""
+def operator_from_json(data: dict) -> Entries:
+    """An operator's non-zero entries, read once into arrays (Entries sorts them and refuses a
+    repeat); .dense() is its matrix."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("operator JSON needs an object with an 'n' field")
     n = _json_int(data["n"], "operator size n")
@@ -123,26 +124,16 @@ def _entries_from_json(data: dict) -> Entries:
             or set(map(len, entries)) - {4}:
         raise ValueError("operator entries must be [row, col, re, im] lists")
     rows, cols, re, im = zip(*entries) if entries else ((),) * 4
-    if (set(map(type, rows)) | set(map(type, cols))) - {int} \
-            or (set(map(type, re)) | set(map(type, im))) - {int, float}:
-        raise ValueError("operator entries must be [row, col, re, im] with integer row and col "
-                         "and numeric re and im")
+    if (set(map(type, rows)) | set(map(type, cols))) - {int}:
+        raise ValueError("operator entry rows and columns must be JSON integers")
     try:
         rows, cols = (np.fromiter(a, dtype=np.intp, count=len(a)) for a in (rows, cols))
-        re, im = (np.fromiter(a, dtype=float, count=len(a)) for a in (re, im))
-    except OverflowError:  # an index or value beyond the machine range
-        raise ValueError("operator entries must be in range and finite") from None
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN and Infinity
-        raise ValueError("operator entry values must be finite numbers")
+    except OverflowError:  # an index beyond the machine range
+        raise ValueError("operator entry rows and columns must be in range") from None
     vals = np.empty(len(entries), dtype=complex)
     # each part as written: re + 1j * im would turn a -0.0 into 0.0
-    vals.real, vals.imag = re, im
+    vals.real, vals.imag = (_numbers(a, "operator entry values") for a in (re, im))
     return Entries(n, rows, cols, vals)
-
-
-def operator_from_json(data: dict) -> np.ndarray:
-    """The dense complex matrix of an operator JSON object."""
-    return _entries_from_json(data).dense()
 
 
 def state_to_json(vec) -> list:
@@ -153,26 +144,21 @@ def state_to_json(vec) -> list:
 
 
 def state_from_json(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
-    if not np.isfinite(a).all():  # numpy reads a JSON null as nan
-        raise ValueError("state entries must be finite numbers")
-    if a.ndim == 2 and a.shape[1] == 2:
-        return a[:, 0] + 1j * a[:, 1]
-    if a.ndim == 1:
-        return a.astype(complex)
-    raise ValueError("state JSON must be a flat list or a list of [re, im] pairs")
-
-
-def controlled_op_to_json(op: ControlledOp) -> dict:
-    return {"n": op.graph.n, "control": op.control,
-            "blocks": [operator_to_json(b) for b in op.blocks]}
+    """A complex vector from a flat list of JSON numbers or a list of [re, im] pairs of them."""
+    if isinstance(data, list) and data and set(map(type, data)) == {list} \
+            and set(map(len, data)) == {2}:
+        re, im = zip(*data)
+        return _numbers(re, "state entries") + 1j * _numbers(im, "state entries")
+    if not isinstance(data, list):
+        raise ValueError("state JSON must be a flat list or a list of [re, im] pairs")
+    return _numbers(data, "state entries").astype(complex)
 
 
 def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
     blocks = data.get("blocks", [])
     if not isinstance(blocks, list):
         raise ValueError("controlled operator blocks must be a list")
-    return ControlledOp(tuple(map(_entries_from_json, blocks)), str(data.get("control", "")), g)
+    return ControlledOp(tuple(map(operator_from_json, blocks)), str(data.get("control", "")), g)
 
 
 _DETERMINISTIC = (GameModel.CLASSICAL, GameModel.UNFAIR_PROBABILISTIC)
@@ -194,7 +180,7 @@ def _init_from_json(spec, model: GameModel, n: int):
         if model in _DETERMINISTIC:
             raise ValueError("deterministic models need an integer initial vertex")
         if model is GameModel.OPEN_PROBABILISTIC:
-            return np.asarray(spec, dtype=float)
+            return _numbers(spec, "initial distribution entries")
         return state_from_json(spec)
     raise ValueError(f"unrecognised initial state spec: {spec!r}")
 
@@ -204,7 +190,7 @@ def _move_from_json(spec, model: GameModel, g: Digraph):
         return _json_int(spec, "a move of a deterministic model")
     if isinstance(spec, dict) and "control" in spec:
         return controlled_op_from_json(spec, g)
-    return _entries_from_json(spec)  # certified by the engine when it is played
+    return operator_from_json(spec)  # certified by the engine when it is played
 
 
 def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
@@ -231,8 +217,6 @@ class Scenario:
     rounds: int
     cop: Strategy
     robber: Strategy
-    cop_spec: dict = None
-    robber_spec: dict = None
 
 
 def scenario_from_json(data: dict, base_dir: str = ".") -> Scenario:
@@ -250,12 +234,7 @@ def scenario_from_json(data: dict, base_dir: str = ".") -> Scenario:
     rounds = _json_int(data["rounds"], "rounds")
     cop = strategy_from_json(data["cop"], g, model)
     robber = strategy_from_json(data["robber"], g, model)
-    return Scenario(model, g, rounds, cop, robber, data["cop"], data["robber"])
-
-
-def scenario_to_json(sc: Scenario) -> dict:
-    return {"model": sc.model.value, "graph": graph_to_json(sc.graph), "rounds": sc.rounds,
-            "cop": sc.cop_spec, "robber": sc.robber_spec}
+    return Scenario(model, g, rounds, cop, robber)
 
 
 def run_scenario(sc: Scenario) -> GameTrace:

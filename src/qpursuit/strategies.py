@@ -221,22 +221,6 @@ def classical_pursuit(g: Digraph, cap: int = 10) -> Strategy:
                     name="classical_pursuit")
 
 
-def classical_evader(g: Digraph, cap: int = 10) -> Strategy:
-    """Adversarial robber from the same tables: always climb the capture time."""
-    vc, _ = copwin_value_tables(g, cap)
-
-    def init(ctx):
-        c = ctx.cop_state
-        return max(range(g.n), key=lambda r: (vc[c, r], -r))
-
-    def move(ctx):
-        c, r = ctx.cop_state, ctx.robber_state
-        return max(g.out_adj[r], key=lambda r2: (vc[c, r2], -r2))
-
-    return Strategy(init=init, move=move, role="robber", model=GameModel.CLASSICAL,
-                    name="classical_evader")
-
-
 BUILTINS = {
     "uniform_spread": uniform_spread,
     "universal_vertex_catch": universal_vertex_catch,

@@ -22,23 +22,22 @@ from qpursuit import (
     is_connected,
     is_copwin_dismantle,
     is_graph_preserving_unitary,
-    joint_as_union_matrix,
     path_graph,
     play,
     play_unfair_probabilistic,
     random_connected_graph,
-    random_graph_with_universal_vertex,
     reach_sequence,
     sample_controlled_op,
     sample_graph_stochastic,
     sample_graph_unitary,
     sample_path3_unitary,
     solve_copwin_game,
-    support_ball,
     uniform_spread,
     universal_vertex_catch,
 )
-from test_operators import C4_ALPHA, C4_AMPS, C4_IMAGE_PHASE, C4_MATRIX, C4_PSI, _c4_source_state
+from test_graphs import _ref_support_ball, random_graph_with_universal_vertex
+from test_operators import (C4_ALPHA, C4_AMPS, C4_IMAGE_PHASE, C4_MATRIX, C4_PSI, _c4_source_state,
+                            joint_as_union_matrix)
 
 
 def _verdict(number: int, name: str, ok: bool) -> bool:
@@ -107,7 +106,7 @@ def test_criterion_3_path_lightcone_lower_bound():
             failures.append(f"n={n}: engine used {len(ops)} operations")
         cur = basis_state(n, 0)
         for k, u in enumerate(ops):
-            ball = support_ball(g, 0, k)
+            ball = _ref_support_ball(g, 0, k)
             if {v for v in range(n) if abs(cur[v]) > 1e-9} - ball:
                 failures.append(f"n={n}: support escaped the {k}-ball")
             if k < n - 1 and abs(cur[n - 1]) > 1e-9:
@@ -119,7 +118,7 @@ def test_criterion_3_path_lightcone_lower_bound():
             for k in range(n - 2):
                 cur = sample_graph_unitary(g, rng).apply(cur)
             if abs(cur[n - 1]) > 1e-9 or {v for v in range(n) if abs(cur[v]) > 1e-9} - \
-                    support_ball(g, 0, max(n - 2, 0)):
+                    _ref_support_ball(g, 0, max(n - 2, 0)):
                 failures.append(f"n={n}: a random short sequence broke the lightcone")
     # the 2n-2 worst case being unbeatable is left unverified; only n-1 is forced
     assert _verdict(3, "path endpoint needs at least n-1 operations", not failures), failures[:3]

@@ -1,5 +1,6 @@
 """Command line surface: subcommands, exit codes, JSON formats, determinism."""
 
+import ast
 import functools
 import json
 import os
@@ -23,7 +24,6 @@ from qpursuit import (
     complete_graph,
     controlled_op,
     controlled_op_from_json,
-    controlled_op_to_json,
     cycle_graph,
     digraph,
     directed_cycle,
@@ -33,7 +33,6 @@ from qpursuit import (
     identity_unitary,
     is_graph_preserving_unitary,
     operator_from_json,
-    operator_to_json,
     operators_to_text,
     path_graph,
     random_connected_graph,
@@ -41,7 +40,6 @@ from qpursuit import (
     sample_graph_stochastic,
     sample_graph_unitary,
     scenario_from_json,
-    scenario_to_json,
     star_graph,
     state_from_json,
     state_to_json,
@@ -92,6 +90,39 @@ README_SWEEP = {"model": "unfair_probabilistic",
                 "rounds": 3,
                 "cop": {"builtin": "dominating_set_sweep", "params": {"set": [0, 2]}},
                 "robber": {"init": 4, "moves": [4, 4, 4]}}
+
+
+def _plain(x):
+    """x with sets sorted, sequences as lists and floats rounded to 9 places, for comparison."""
+    if isinstance(x, (set, frozenset)):
+        return sorted(map(_plain, x))
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in x]
+    if isinstance(x, (float, np.floating)):
+        return round(float(x), 9) + 0.0  # + 0.0 makes a -0.0 plain
+    return x
+
+
+def test_readme_quick_tour_runs_and_gives_what_it_says():
+    # every public name the tour imports must exist, and every expression line followed by a
+    # comment that starts with a Python literal ("True: ..." gives True) must give that value
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, checked = {}, 0
+    for stmt in ast.parse(block).body:
+        _, _, comment = lines[stmt.end_lineno - 1].partition("#")
+        try:
+            expected = ast.literal_eval(comment.split(":")[0].strip())
+        except (ValueError, SyntaxError):
+            expected = None
+        if isinstance(stmt, ast.Expr) and expected is not None:
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert _plain(got) == _plain(expected), ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked == 7
 
 
 def test_run_unfair_sweep_writes_a_trace(tmp_path, capsys):
@@ -220,12 +251,12 @@ def test_run_error_paths(tmp_path, capsys):
 
 def test_verify_op_pass_and_fail(tmp_path, capsys):
     graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
-    ident = _write(tmp_path, "eye.json", operator_to_json(np.eye(3)))
+    ident = _write(tmp_path, "eye.json", _loop_operator_to_json(np.eye(3)))
     code, out, _ = _run(capsys, ["verify-op", ident, graph, "--unitary"])
     assert code == 0 and out.startswith("PASS unitary") and "violations=0" in out
     swap = np.zeros((3, 3))
     swap[0, 2] = swap[2, 0] = swap[1, 1] = 1.0
-    swap_path = _write(tmp_path, "swap.json", operator_to_json(swap))
+    swap_path = _write(tmp_path, "swap.json", _loop_operator_to_json(swap))
     code, out, _ = _run(capsys, ["verify-op", swap_path, graph, "--unitary"])
     assert code == 2 and out.startswith("FAIL unitary") and "violations=2" in out
     assert "forbidden entry (0, 2)" in out and "forbidden entry (2, 0)" in out
@@ -240,10 +271,10 @@ def test_verify_op_stochastic(tmp_path, capsys):
     for c in range(4):
         for r in (c, (c + 1) % 4, (c - 1) % 4):
             lazy[r, c] = 1.0 / 3.0
-    ok_path = _write(tmp_path, "lazy.json", operator_to_json(lazy))
+    ok_path = _write(tmp_path, "lazy.json", _loop_operator_to_json(lazy))
     code, out, _ = _run(capsys, ["verify-op", ok_path, graph, "--stochastic"])
     assert code == 0 and out.startswith("PASS stochastic")
-    leaky = _write(tmp_path, "leaky.json", operator_to_json(np.full((4, 4), 0.25)))
+    leaky = _write(tmp_path, "leaky.json", _loop_operator_to_json(np.full((4, 4), 0.25)))
     code, out, _ = _run(capsys, ["verify-op", leaky, graph, "--stochastic"])
     assert code == 2 and "forbidden entry" in out
 
@@ -290,7 +321,7 @@ def _pinned_operators():
 def test_verify_op_reports_are_pinned_byte_for_byte(tmp_path, capsys):
     # the reports the dense reader and checks printed, whatever the reader now builds
     for op, g, flags, status, report in _pinned_operators():
-        data = op if isinstance(op, dict) else operator_to_json(op)
+        data = op if isinstance(op, dict) else _loop_operator_to_json(op)
         argv = ["verify-op", _write(tmp_path, "op.json", data),
                 _write(tmp_path, "g.json", graph_to_json(g))] + flags
         assert _run(capsys, argv)[:2] == (status, report)
@@ -300,7 +331,8 @@ def test_verify_op_reports_are_pinned_byte_for_byte(tmp_path, capsys):
 def test_verify_op_tau_is_a_finite_tolerance(tmp_path, capsys, tau):
     # residual 33 and a forbidden entry (2, 0) of magnitude 3: inf passed it, nan printed
     # violations=0, and -1 listed the zero entry (0, 2) as forbidden
-    op = _write(tmp_path, "op.json", operator_to_json([[5.0, 0, 0], [0, 1.0, 0], [3.0, 0, 1.0]]))
+    op = _write(tmp_path, "op.json",
+                _loop_operator_to_json([[5.0, 0, 0], [0, 1.0, 0], [3.0, 0, 1.0]]))
     graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
     with pytest.raises(SystemExit) as exit_info:
         main(["verify-op", op, graph, "--unitary", "--tau", tau])
@@ -309,6 +341,25 @@ def test_verify_op_tau_is_a_finite_tolerance(tmp_path, capsys, tau):
     assert err.endswith(f"argument --tau: must be a finite number >= 0, got {tau!r}\n")
     code, out, _ = _run(capsys, ["verify-op", op, graph, "--unitary", "--tau", "0"])
     assert code == 2 and out.startswith("FAIL unitary residual=3.300e+01 violations=1\n")
+
+
+@pytest.mark.parametrize("kind", ["unitary", "stochastic"])
+def test_verify_op_certifies_the_entries_as_read(tmp_path, capsys, kind):
+    # a one-swap move on a 2,048-vertex path: its dense complex matrix alone takes 64 MiB
+    n = 2048
+    graph = _write(tmp_path, "path.json", graph_to_json(path_graph(n)))
+    for swap, verdict in (((7, 8), "PASS {} residual=0.000e+00 violations=0\n"),
+                          ((7, 9), "FAIL {} residual=0.000e+00 violations=2\n"
+                                   "  forbidden entry (7, 9) magnitude=1.000e+00\n"
+                                   "  forbidden entry (9, 7) magnitude=1.000e+00\n")):
+        u, w = swap
+        entries = [[v, v, 1.0, 0.0] for v in range(n) if v not in swap] + [[u, w, 1, 0],
+                                                                            [w, u, 1, 0]]
+        op = _write(tmp_path, "op.json", {"n": n, "entries": entries})
+        (code, out, _), peak = _traced_peak(
+            lambda: _run(capsys, ["verify-op", op, graph, f"--{kind}"]))
+        assert (code, out) == (2 if verdict.startswith("FAIL") else 0, verdict.format(kind))
+        assert peak < 16 * 2**20
 
 
 def test_verify_op_bad_input(tmp_path, capsys):
@@ -373,10 +424,27 @@ def test_run_rejects_null_numbers_and_non_list_moves(tmp_path, capsys):
                       "cop": {"init": 0}, "robber": {"init": {"controlled": 5}}}
     for scenario, error in ((null_amp, "ValueError"), (null_entry, "ValueError"),
                             (repeated_entry, "ValueError"),
-                            (null_prob, "GameError"), (scalar_moves, "ValueError"),
+                            (null_prob, "ValueError"), (scalar_moves, "ValueError"),
                             (scalar_columns, "ValueError")):
         code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
         assert code == 1 and out == "" and json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("model, init, numbers", [
+    ("open_probabilistic", [True, False], [1, 0]),  # was read as the distribution [1, 0]
+    ("open_probabilistic", ["0.5", "0.5"], [0.5, 0.5]),
+    ("classical_quantum", ["1", "0"], [1, 0]),  # was read as |0>
+    ("classical_quantum", [[True, 0], [0, 0]], [[1, 0], [0, 0]]),
+    ("quantum_controlled", [1, False], [1, 0]),
+], ids=["boolean-distribution", "string-distribution", "string-amplitudes", "boolean-pair",
+        "boolean-amplitude"])
+def test_run_refuses_initial_states_that_are_not_numbers(tmp_path, capsys, model, init, numbers):
+    scenario = {"model": model, "graph": graph_to_json(complete_graph(2)), "rounds": 1,
+                "cop": {"init": init}, "robber": {"init": 1}}
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+    scenario["cop"]["init"] = numbers  # the same state written as numbers plays
+    assert _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])[0] == 0
 
 
 def test_run_rejects_boolean_and_fractional_rounds(tmp_path, capsys):
@@ -394,7 +462,7 @@ def test_reach_path3(tmp_path, capsys):
                                  "--out", str(ops_path)])
     assert code == 0
     assert out == "length=2 bound=4 fidelity=1.000000000\n"
-    matrices = [operator_from_json(item) for item in json.loads(ops_path.read_text())]
+    matrices = [operator_from_json(item).dense() for item in json.loads(ops_path.read_text())]
     assert len(matrices) == 2
     g = path_graph(3)
     cur = np.eye(3, dtype=complex)[:, 0]
@@ -445,6 +513,18 @@ def test_reach_basis_vertex_is_plain_decimal_digits(tmp_path, capsys, spec):
                                f"basis vertex must be written in decimal digits, got {spec[6:]!r}"}
     code, out, _ = _run(capsys, ["reach", graph, "--from", "basis:10", "--to", "basis:2"])
     assert code == 0 and out.endswith("fidelity=1.000000000\n")
+
+
+@pytest.mark.parametrize("state", ["[true, false, false]", '["1", "0", "0"]', "[1, null, 0]",
+                                   "[[true, 0], [0, 0], [0, 0]]", "[1, 0, " + "9" * 400 + "]",
+                                   "[[1, 0], [0, 0], 0]", "[[1, 0, 0], [0, 0, 0], [0, 0, 0]]"],
+                         ids=["booleans", "strings", "null", "boolean-pair", "400-digit-int",
+                              "pairs-and-a-number", "triples"])
+def test_reach_state_entries_must_be_json_numbers(tmp_path, capsys, state):
+    # numpy read [true, false, false] and ["1", "0", "0"] as |0>, and a 400-digit int overflowed
+    graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
+    code, out, err = _run(capsys, ["reach", graph, "--from", state, "--to", "basis:2"])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize("option", ["--root", "--cap", "--seed"])
@@ -703,7 +783,7 @@ def test_graph_json_round_trip(rng):
 def test_operator_and_state_json_round_trip(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m[0, 2] = 0.0
-    back = operator_from_json(json.loads(json.dumps(operator_to_json(m))))
+    back = operator_from_json(json.loads(json.dumps(_loop_operator_to_json(m)))).dense()
     assert np.array_equal(back, m)  # floats survive the text round trip exactly
     vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     assert np.array_equal(state_from_json(json.loads(json.dumps(state_to_json(vec)))), vec)
@@ -715,14 +795,14 @@ def test_controlled_op_json_round_trip(rng):
     g = cycle_graph(4)
     for control in ("robber", "cop"):
         op = sample_controlled_op(g, rng, control)
-        back = controlled_op_from_json(json.loads(json.dumps(controlled_op_to_json(op))), g)
+        back = controlled_op_from_json(json.loads(json.dumps(_controlled_op_json(op))), g)
         assert back.control == control and len(back.blocks) == g.n
         for got, sent in zip(back.blocks, op.blocks):
             assert np.array_equal(got.matrix, sent.matrix)
 
 
 def _loop_operator_to_json(matrix):
-    """The per-entry scan operator_to_json used before it was vectorised, kept as the reference."""
+    """Operator JSON of a dense matrix by a per-entry scan: the reference writer."""
     m = np.asarray(matrix, dtype=complex)
     entries = []
     for r in range(m.shape[0]):
@@ -733,15 +813,10 @@ def _loop_operator_to_json(matrix):
     return {"n": int(m.shape[0]), "entries": entries}
 
 
-def test_operator_to_json_matches_the_entry_loop(rng):
-    for n in (1, 3, 8):
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m[rng.random((n, n)) < 0.5] = 0.0
-        m[0, 0] = complex(-0.0, -0.0)  # a signed zero is still omitted
-        m[-1, 0] = complex(1.5, -0.0)  # and a signed zero part is kept as written
-        for matrix in (m, m.real, np.eye(n)):
-            fast, slow = operator_to_json(matrix), _loop_operator_to_json(matrix)
-            assert json.dumps(fast) == json.dumps(slow)
+def _controlled_op_json(op):
+    """Controlled operator JSON, its blocks written by operators_to_text."""
+    return {"n": op.graph.n, "control": op.control,
+            "blocks": json.loads(operators_to_text(op.blocks))}
 
 
 _EXACT = (1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(-1.0, -0.0), complex(0.0, -1.0))
@@ -778,50 +853,30 @@ def _certified_block(draw, g, rng):
 
 @given(_certified_blocks())
 def test_operators_are_written_from_their_blocks_byte_for_byte(u):
-    dense = u.matrix
-    text = json.dumps(operator_to_json(u))
-    assert text == json.dumps(operator_to_json(dense)) == json.dumps(_loop_operator_to_json(dense))
+    assert operators_to_text([u]) == json.dumps([_loop_operator_to_json(u.matrix)], sort_keys=True)
     g = u.graph
     op = controlled_op(g, [u if v % 2 else identity_unitary(g) for v in range(g.n)], "cop")
-    data = json.dumps(controlled_op_to_json(op))
-    assert data == json.dumps({"n": g.n, "control": "cop",
-                               "blocks": [_loop_operator_to_json(b.matrix) for b in op.blocks]})
+    data = json.dumps(_controlled_op_json(op), sort_keys=True)
+    assert data == json.dumps({"n": g.n, "control": "cop", "blocks": [
+        _loop_operator_to_json(b.matrix) for b in op.blocks]}, sort_keys=True)
     # read back and written again it is the same, byte for byte
-    assert json.dumps(controlled_op_to_json(controlled_op_from_json(json.loads(data), g))) == data
-
-
-def test_operator_to_json_refuses_what_json_cannot_hold():
-    for bad in ([[np.nan]], [[1.0, 0.0], [0.0, np.inf]], [[1.0, 0.0]]):
-        with pytest.raises(ValueError):
-            operator_to_json(np.array(bad))
+    back = controlled_op_from_json(json.loads(data), g)
+    assert json.dumps(_controlled_op_json(back), sort_keys=True) == data
 
 
 @st.composite
 def _operator_sequences(draw):
-    """Operators on one board: certified blocks, their dense matrices and dense complex
-    matrices with signed zeros; the sequence may be empty."""
+    """Certified operators on one board (see _certified_block); the sequence may be empty."""
     n = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.4, 1.0))))
-    ops = []
-    for kind in draw(st.lists(st.sampled_from(("block", "matrix", "dense")), max_size=4)):
-        if kind == "dense":
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            m[rng.random((n, n)) < 0.5] = complex(-0.0, -0.0)
-            m.imag[rng.random((n, n)) < 0.3] = -0.0
-            ops.append(m)
-        else:
-            u = _certified_block(draw, g, rng)
-            ops.append(u if kind == "block" else u.matrix)
-    return ops
+    return [_certified_block(draw, g, rng) for _ in range(draw(st.integers(0, 4)))]
 
 
 @given(_operator_sequences())
 def test_one_writer_gives_the_text_of_every_entry_writer(ops):
     text = operators_to_text(ops)
-    assert text == json.dumps([operator_to_json(u) for u in ops], sort_keys=True)
-    dense = [u.matrix if isinstance(u, GraphUnitary) else u for u in ops]
-    assert text == json.dumps([_loop_operator_to_json(m) for m in dense], sort_keys=True)
+    assert text == json.dumps([_loop_operator_to_json(u.matrix) for u in ops], sort_keys=True)
 
 
 def _matching_move(g, rng):
@@ -883,7 +938,7 @@ def test_a_controlled_move_read_from_json_is_certified_without_dense_blocks():
     n = 256
     g = star_graph(n - 1)
     entangler = universal_vertex_catch(g).move(MoveContext(1, "cop", g, 1))
-    data = json.loads(json.dumps(controlled_op_to_json(entangler)))
+    data = json.loads(json.dumps(_controlled_op_json(entangler)))
     op, peak = _traced_peak(lambda: controlled_op_from_json(data, g))
     # n dense blocks would take n^3 complex entries, 256 MiB here
     assert peak < 16 * 2**20
@@ -896,8 +951,9 @@ def test_scenario_json_round_trip():
     data = {"model": "classical_quantum", "graph": graph_to_json(cycle_graph(4)),
             "rounds": 2, "cop": {"builtin": "uniform_spread"}, "robber": {"init": "uniform"}}
     sc = scenario_from_json(data)
-    assert isinstance(sc, Scenario) and sc.rounds == 2
-    assert scenario_to_json(sc) == data
+    assert isinstance(sc, Scenario) and sc.rounds == 2 and sc.model.value == data["model"]
+    assert graph_to_json(sc.graph) == data["graph"]
+    assert sc.cop.name == "uniform_spread" and sc.robber.init == "uniform"
     with pytest.raises(ValueError):
         scenario_from_json({"model": "classical", "graph": graph_to_json(path_graph(2))})
 

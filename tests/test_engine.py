@@ -16,7 +16,6 @@ from qpursuit import (
     certify_stochastic,
     complete_graph,
     constant_controlled_op,
-    controlled_identity,
     controlled_op,
     cycle_graph,
     dominating_set,
@@ -33,7 +32,6 @@ from qpursuit import (
     play_unfair_probabilistic,
     qc_initial_joint,
     qc_step,
-    quantum_state,
     reach_sequence,
     random_connected_graph,
     sample_graph_stochastic,
@@ -219,7 +217,7 @@ def test_qc_step_lifts_and_validates():
     assert np.allclose(qc_step(u, x, g, "cop"), np.kron(np.eye(4), u.matrix) @ x)
     assert np.allclose(qc_step(u.matrix, x, g, "robber"), np.kron(u.matrix, np.eye(4)) @ x)
     assert np.array_equal(qc_step(None, x, g, "cop"), np.eye(16) @ x)
-    cop_controlled = controlled_identity(g, "cop")
+    cop_controlled = constant_controlled_op(g, identity_unitary(g), "cop")
     with pytest.raises(GameError):  # a cop move must be controlled on the robber
         qc_step(cop_controlled, x, g, "cop")
     assert np.array_equal(qc_step(cop_controlled, x, g, "robber"), np.eye(16) @ x)
@@ -542,7 +540,7 @@ def test_a_move_must_name_a_vertex_along_an_arc():
             play("classical", g, Strategy(init=0, move=[move]), Strategy(init=1), 1)
     trace = play("classical", g, Strategy(init=0, move=[np.int64(1)]), Strategy(init=1), 1)
     assert trace.p_copwin == 1.0
-    robber = Strategy(init=0, move=[controlled_identity(g, "cop")])
+    robber = Strategy(init=0, move=[constant_controlled_op(g, identity_unitary(g), "cop")])
     with pytest.raises(GameError, match="no such arc"):
         play_unfair_probabilistic(g, [1], robber, 1)
 
@@ -577,7 +575,6 @@ def _column_table(col):
 
 # entry point -> (call on a bad amplitude pair a and a bad distribution pair p, its error)
 _REFUSERS = {
-    "quantum_state": (lambda a, p: quantum_state(a), ValueError),
     "reach_sequence phi": (lambda a, p: reach_sequence(_P2, a, _E0), ValueError),
     "reach_sequence psi": (lambda a, p: reach_sequence(_P2, _E0, a), ValueError),
     "gather_unitary": (lambda a, p: gather_unitary(_P2, 0, 1, a, _E0), ValueError),

@@ -29,12 +29,10 @@ from qpursuit import (
     neighbors,
     path_graph,
     random_connected_graph,
-    random_graph_with_universal_vertex,
     reverse_digraph,
     solve_copwin_game,
     spanning_tree,
     star_graph,
-    support_ball,
     universal_vertex,
 )
 from qpursuit.scenario import graph_from_json
@@ -58,16 +56,14 @@ def test_digraph_normalizes_and_validates():
     lambda: Digraph(2.5, frozenset()),
     lambda: Digraph(True, frozenset({(0, 0)})),
     lambda: Digraph(2, frozenset({(0, True)})),
-    lambda: support_ball(path_graph(3), 0, 1.5),
-    lambda: support_ball(path_graph(3), 0, True),
     lambda: digraph(3, [(0, 1), (0, 1.0)]),  # a set would keep the int twin and drop the float
     lambda: digraph(3, [(0, 1.0), (0, 1)]),
     lambda: digraph(2.5, []),  # range(2.5) would raise a TypeError
     lambda: disjoint_union(path_graph(2), True),  # would build one copy
     lambda: disjoint_union(path_graph(2), 2.5),
 ], ids=["fractional-arc", "float-arc", "fractional-n", "boolean-n", "boolean-arc",
-        "fractional-steps", "boolean-steps", "float-arc-after-its-int-twin",
-        "float-arc-before-its-int-twin", "fractional-n-closed", "boolean-copies", "fractional-copies"])
+        "float-arc-after-its-int-twin", "float-arc-before-its-int-twin", "fractional-n-closed",
+        "boolean-copies", "fractional-copies"])
 def test_sizes_vertices_and_step_counts_must_be_integers(build):
     with pytest.raises(GraphError):
         build()
@@ -370,11 +366,8 @@ def test_dominating_sets():
     assert dominating_set(star_graph(4)) == {0}
     assert dominating_set(path_graph(3)) == {1}
     assert dominating_set(cycle_graph(5)) == {0, 2}
-    assert len(dominating_set(cycle_graph(5), exact=True)) == 2
     assert len(dominating_set(cycle_graph(6))) == 2
-    assert dominating_set(complete_graph(5), exact=True) == {0}
-    with pytest.raises(GraphError):
-        dominating_set(complete_graph(11), exact=True)
+    assert dominating_set(complete_graph(5)) == {0}
     with pytest.raises(GraphError):
         dominating_set(directed_cycle(4))
 
@@ -450,7 +443,6 @@ def test_disjoint_union_block_layout():
 def test_internal_builders_match_the_public_constructor():
     g = random_connected_graph(7, np.random.default_rng(3), 0.3)
     tree = spanning_tree(g, 2)
-    hub = random_graph_with_universal_vertex(6, np.random.default_rng(4))
     tree_arcs = {(v, v) for v in range(7)} | {
         a for v, p in enumerate(tree.parent) if p != v for a in ((v, p), (p, v))}
     cases = [
@@ -466,7 +458,6 @@ def test_internal_builders_match_the_public_constructor():
         (reverse_digraph(digraph(3, [(0, 1)], reflexive=False)), 3, {(1, 0)}),
         (disjoint_union(directed_cycle(2), 2), 4, {(0, 0), (1, 1), (2, 2), (3, 3), (0, 1),
                                                   (1, 0), (2, 3), (3, 2)}),
-        (hub, 6, hub.arcs),
     ]
     flags = ("is_undirected", "is_reflexive")
     for h, n, arcs in cases:
@@ -504,19 +495,25 @@ def test_reverse_digraph():
 
 
 def test_support_ball_growth():
+    # the ball the light-cone criterion reads
     g = path_graph(5)
-    assert support_ball(g, 0, 0) == {0}
-    assert support_ball(g, 0, 2) == {0, 1, 2}
-    assert support_ball(g, 0, 9) == {0, 1, 2, 3, 4}
-    assert support_ball(directed_cycle(4), 0, 1) == {0, 1}
-    with pytest.raises(GraphError):
-        support_ball(g, 0, -1)
+    assert _ref_support_ball(g, 0, 0) == {0}
+    assert _ref_support_ball(g, 0, 2) == {0, 1, 2}
+    assert _ref_support_ball(g, 0, 9) == {0, 1, 2, 3, 4}
+    assert _ref_support_ball(directed_cycle(4), 0, 1) == {0, 1}
 
 
 def test_random_connected_graph_properties(rng):
     for n in (1, 2, 5, 9):
         g = random_connected_graph(n, rng)
         assert g.n == n and g.is_reflexive and g.is_undirected and is_connected(g)
+
+
+def random_graph_with_universal_vertex(n, rng, extra_edge_prob=0.3):
+    """A random connected board plus the arcs that make one random vertex universal."""
+    g = random_connected_graph(n, rng, extra_edge_prob)
+    hub = int(rng.integers(0, n))
+    return digraph(n, set(g.arcs) | {(hub, v) for v in range(n)}, undirected=True)
 
 
 def test_random_graph_with_universal_vertex(rng):
@@ -650,8 +647,6 @@ def test_cached_primitives_match_arc_scanning_reference(g):
     fresh = Digraph(g.n, g.arcs)
     for v in range(g.n):
         assert neighbors(g, v) == _ref_neighbors(g, v)
-        for k in (0, 1, 2, g.n):
-            assert support_ball(g, v, k) == _ref_support_ball(g, v, k)
     assert is_connected(g) == _ref_is_connected(g)
     assert is_reversible(g) == _ref_is_reversible(g)
     if g.is_undirected:
@@ -691,7 +686,7 @@ def test_bfs_readers_match_numpy_matrix_powers(g, data):
     assert is_connected(g) == _np_hops(a | a.T)[-1][0].all()
     for v in range(g.n):
         for k in range(g.n + 1):
-            assert support_ball(g, v, k) == set(np.flatnonzero(hops[k][v]).tolist())
+            assert _ref_support_ball(g, v, k) == set(np.flatnonzero(hops[k][v]).tolist())
     root = data.draw(st.integers(0, g.n - 1))
     mutual = a & a.T & ~np.eye(g.n, dtype=bool)
     within = np.array([h[root] for h in _np_hops(mutual)])  # within[k, w]: w within k of root

@@ -23,24 +23,19 @@ from qpursuit import (
     certify_unitary,
     complete_graph,
     constant_controlled_op,
-    controlled_identity,
     controlled_op,
     cycle_graph,
-    cycle_unitary,
     digraph,
     directed_cycle,
     disjoint_union,
     gather_unitary,
     gather_unitary_c4,
     haar_unitary,
-    identity_stochastic,
     identity_unitary,
     is_graph_preserving_stochastic,
     is_graph_preserving_unitary,
-    joint_as_union_matrix,
     path_graph,
     qc_step,
-    quantum_state,
     random_connected_graph,
     reach_sequence,
     reverse_digraph,
@@ -61,6 +56,7 @@ from qpursuit.operators import (
     _ZERO_BLOCK,
     _Block,
     _fold_layers,
+    _is_unit,
     _stochastic_report,
     _unitary_report,
 )
@@ -68,6 +64,30 @@ from qpursuit.operators import (
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
 _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+def cycle_unitary(n, phases):
+    """Phased clockwise shift sum_i e^(i a_i)|i+1><i| on the reflexive directed n-cycle."""
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (n,):
+        raise ValueError(f"need {n} phases, got shape {phases.shape}")
+    m = np.zeros((n, n), dtype=complex)
+    m[(np.arange(n) + 1) % n, np.arange(n)] = np.exp(1j * phases)
+    return certify_unitary(m, directed_cycle(n))
+
+
+def joint_matrix(op):
+    """The dense n^2 x n^2 matrix of a ControlledOp's apply, one basis state per column."""
+    return np.stack([op.apply(e) for e in np.eye(op.graph.n ** 2)], axis=1)
+
+
+def joint_as_union_matrix(op):
+    """The joint matrix reindexed so the control register enumerates graph copies.
+
+    That is the joint matrix of the same blocks under robber control; in it a
+    controlled operation is block-diagonal and certifiable against disjoint_union(g, n).
+    """
+    return joint_matrix(ControlledOp(op.blocks, "robber", op.graph))
 
 # regression point for the 4-cycle collapse: polar amplitudes and free phases
 C4_AMPS = (0.6, 0.3, 0.48, -0.2, 0.64, 1.1)
@@ -99,12 +119,12 @@ C4_IMAGE_PHASE = 0.9210609940028851 + 0.3894183423086505j
 
 
 def test_quantum_state_roundtrip_and_validation():
-    s = quantum_state([1.0, 0.0])
-    assert isinstance(s, np.ndarray) and s.shape == (2,)
+    # a quantum state is a flat complex array of unit norm
+    s = state_vector([[1.0], [0.0]])
+    assert isinstance(s, np.ndarray) and s.shape == (2,) and _is_unit(s)
     assert np.array_equal(state_vector(s), [1.0 + 0j, 0.0 + 0j])
     assert np.array_equal(state_vector([0, 1j]), [0, 1j])
-    with pytest.raises(ValueError):
-        quantum_state([1.0, 1.0])
+    assert not _is_unit(state_vector([1.0, 1.0]))
     assert np.array_equal(basis_state(3, 1), [0, 1, 0])
     assert np.allclose(uniform_state(4), 0.5)
 
@@ -125,7 +145,7 @@ def test_identity_is_always_graph_preserving(g):
     assert is_graph_preserving_stochastic(np.eye(g.n), g).ok
     assert np.array_equal(identity_unitary(g).matrix, np.eye(g.n))
     assert identity_unitary(g).block.shape == (0, 0) and identity_unitary(g).support == ()
-    assert np.array_equal(identity_stochastic(g).matrix, np.eye(g.n))
+    assert np.array_equal(certify_stochastic(np.eye(g.n), g).matrix, np.eye(g.n))
 
 
 def test_unitary_check_reports_forbidden_entries():
@@ -1006,17 +1026,17 @@ def test_controlled_op_joint_layouts():
     x = transposition_unitary(g, 0, 1)
     op = controlled_op(g, [x, identity_unitary(g)], control="robber")
     expected = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex)
-    assert np.array_equal(op.joint, expected)
+    assert np.array_equal(joint_matrix(op), expected)
     op = controlled_op(g, [x, identity_unitary(g)], control="cop")
     expected = np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
-    assert np.array_equal(op.joint, expected)
+    assert np.array_equal(joint_matrix(op), expected)
     assert [b.support for b in op.blocks] == [(0, 1), ()]
 
 
 def test_controlled_op_accepts_callables_and_raw_matrices():
     g = path_graph(3)
     op = controlled_op(g, lambda v: np.eye(3), control="robber")
-    assert np.array_equal(op.joint, np.eye(9))
+    assert np.array_equal(joint_matrix(op), np.eye(9))
     with pytest.raises(ValueError):
         controlled_op(g, {0: np.eye(3), 1: np.eye(3)}, control="robber")
     with pytest.raises(ValueError):
@@ -1028,10 +1048,11 @@ def test_controlled_op_accepts_callables_and_raw_matrices():
 
 def test_controlled_identity_and_constant():
     g = cycle_graph(4)
-    assert np.array_equal(controlled_identity(g, "cop").joint, np.eye(16))
+    identity = constant_controlled_op(g, identity_unitary(g), "cop")
+    assert np.array_equal(joint_matrix(identity), np.eye(16))
     u = sample_graph_unitary(g, np.random.default_rng(3))
     op = constant_controlled_op(g, u, "robber")
-    assert np.allclose(op.joint, np.kron(np.eye(4), u.matrix))
+    assert np.allclose(joint_matrix(op), np.kron(np.eye(4), u.matrix))
 
 
 def test_controlled_joint_certifies_against_graph_copies(rng):
@@ -1040,7 +1061,8 @@ def test_controlled_joint_certifies_against_graph_copies(rng):
             n = int(rng.integers(2, 6))
             g = random_connected_graph(n, rng)
             op = sample_controlled_op(g, rng, control)
-            assert np.allclose(op.joint.conj().T @ op.joint, np.eye(n * n), atol=1e-9)
+            joint = joint_matrix(op)
+            assert np.allclose(joint.conj().T @ joint, np.eye(n * n), atol=1e-9)
             stacked = joint_as_union_matrix(op)
             assert is_graph_preserving_unitary(stacked, disjoint_union(g, n)).ok
 
@@ -1102,7 +1124,7 @@ def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     dense = _dense_joint(op)
     assert set(vars(op)) == {"blocks", "control", "graph"}  # no stored joint matrix
     assert np.allclose(op.apply(x), dense @ x, rtol=0.0, atol=1e-12)
-    assert np.allclose(op.joint, dense, rtol=0.0, atol=1e-12)
+    assert np.allclose(joint_matrix(op), dense, rtol=0.0, atol=1e-12)
     mover = "cop" if control == "robber" else "robber"
     assert np.allclose(qc_step(op, x, g, mover), dense @ x, rtol=0.0, atol=1e-12)
     u = _sample_block(g, rng)
@@ -1190,7 +1212,7 @@ def test_certificates_cannot_be_forged_or_edited():
         ControlledOp((ident, ident), "robber", g)
     # a certified block or stochastic matrix is read-only, and cannot be made writable again
     u = sample_path3_unitary(np.random.default_rng(0))
-    s = identity_stochastic(g)
+    s = certify_stochastic(np.eye(g.n), g)
     gather = gather_unitary(g, 0, 1, [1.0, 0.0, 0.0], (0.0, 1.0))
     op = controlled_op(g, [ident, gather, u], "robber")
     for array in (u.block, s.matrix, gather.block, op.blocks[1].block, op.blocks[2].block):
@@ -1209,7 +1231,7 @@ def test_certificates_cannot_be_forged_or_edited():
 def test_certify_trusts_a_certificate_only_on_its_own_board():
     k4, c4 = complete_graph(4), cycle_graph(4)
     u = transposition_unitary(c4, 0, 1)
-    s = identity_stochastic(c4)
+    s = certify_stochastic(np.eye(4), c4)
     gather = gather_unitary(c4, 0, 1, [1.0, 0.0, 0.0, 0.0], (0.0, 1.0))
     assert certify_unitary(u, c4) is u
     assert certify_unitary(gather, c4) is gather

@@ -13,9 +13,9 @@ from qpursuit import (
     build_strategy,
     c4_antipodal_evasion,
     c4_unfair_cop,
-    classical_evader,
     classical_pursuit,
     complete_graph,
+    copwin_value_tables,
     cycle_graph,
     dominating_set_sweep,
     path_graph,
@@ -199,6 +199,22 @@ def test_classical_pursuit_starts_at_the_centre():
         classical_pursuit(cycle_graph(4))
     with pytest.raises(GraphError):
         classical_pursuit(path_graph(5), cap=3)
+
+
+def classical_evader(g, cap=10):
+    """Adversarial robber from the value tables: always climb the capture time."""
+    vc, _ = copwin_value_tables(g, cap)
+
+    def init(ctx):
+        c = ctx.cop_state
+        return max(range(g.n), key=lambda r: (vc[c, r], -r))
+
+    def move(ctx):
+        c, r = ctx.cop_state, ctx.robber_state
+        return max(g.out_adj[r], key=lambda r2: (vc[c, r2], -r2))
+
+    return Strategy(init=init, move=move, role="robber", model=GameModel.CLASSICAL,
+                    name="classical_evader")
 
 
 def test_classical_pursuit_beats_the_evader():

@@ -299,19 +299,22 @@ class _Block:
         """max |b^H b - I|, its worst component's; nan or inf if an entry is."""
         if (b := self.whole) is not None:
             return float(_gram_defect(b))
-        worst = [_gram_defect(s).max() if len(s) > 1 else _gram_defect(s[0])
-                 for _, _, s in self.parts]
-        return float(np.max(worst, initial=0.0))  # np.max keeps a nan; the builtin may drop it
+        worst = [_gram_defect(s).max() for _, _, s in self.parts]
+        # np.max keeps a nan; the builtin may drop it
+        return float(worst[0] if len(worst) == 1 else np.max(worst, initial=0.0))
 
     def where(self, mask) -> tuple:
         """(rows, cols, vals) in block coordinates of the entries where mask(stack) holds."""
         if (b := self.whole) is not None:
             rows, cols = np.nonzero(mask(b))
             return rows, cols, b[rows, cols]
-        found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=complex),)]
+        found = []
         for r, c, s in self.parts:
             i, a, b = np.nonzero(mask(s))
             found.append((r[i, a], c[i, b], s[i, a, b]))
+        if len(found) == 1:
+            return found[0]
+        found.append((np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=complex),))
         return tuple(map(np.concatenate, zip(*found)))
 
     def dense(self) -> np.ndarray:
@@ -336,6 +339,26 @@ class _Block:
         return y
 
 
+def _support_index(graph: Digraph, support) -> tuple:
+    """(support, idx): the support as a tuple of ints and as an index array, every vertex if
+    support is None; a vertex off the board or repeated is refused."""
+    if support is None:
+        idx = np.arange(graph.n)
+    else:
+        support = tuple(support)
+        # plain ints in range pass by one C-level type scan and their ends; anything else
+        # is checked vertex by vertex, which names the first bad one
+        if set(map(type, support)) - {int} or support and not (
+                0 <= min(support) and max(support) < graph.n):
+            for v in support:
+                _check_vertex(graph, v)
+        idx = np.array(support, dtype=np.intp)
+    support = tuple(idx.tolist())
+    if len(set(support)) < len(support):
+        raise GraphError(f"support {support} repeats a vertex")
+    return support, idx
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class GraphUnitary:
     """Identity outside support and a unitary block on it, certified against graph when built.
@@ -352,20 +375,7 @@ class GraphUnitary:
     support: tuple
 
     def __init__(self, block, graph: Digraph, support=None):
-        if support is None:
-            idx = np.arange(graph.n)
-        else:
-            support = tuple(support)
-            # plain ints in range pass by one C-level type scan and their ends; anything else
-            # is checked vertex by vertex, which names the first bad one
-            if set(map(type, support)) - {int} or support and not (
-                    0 <= min(support) and max(support) < graph.n):
-                for v in support:
-                    _check_vertex(graph, v)
-            idx = np.array(support, dtype=np.intp)
-        support = tuple(idx.tolist())
-        if len(set(support)) < len(support):
-            raise GraphError(f"support {support} repeats a vertex")
+        support, idx = _support_index(graph, support)
         if not isinstance(block, (_Block, Entries)):
             block = np.array(block, dtype=complex)
         if block.shape != (len(support),) * 2:
@@ -374,9 +384,14 @@ class GraphUnitary:
         if not isinstance(block, _Block):
             block = _Block.split(block)
         _refuse(_unitary_report(block, graph, idx), "matrix is not a graph-preserving unitary")
+        self._fill(graph, support, idx, block)
+
+    def _fill(self, graph: Digraph, support: tuple, idx: np.ndarray, block: _Block):
+        """Set the fields; a certificate built bare and filled here skips the check."""
         for name, value in (("graph", graph), ("support", support), ("_index", idx),
                             ("_block", block)):
             object.__setattr__(self, name, value)
+        return self
 
     def apply(self, state) -> np.ndarray:
         out = np.array(state_vector(state), dtype=complex)
@@ -468,16 +483,19 @@ def _unitary_report(b, g: Digraph, idx: np.ndarray, tau: float = ATOL) -> OpRepo
     its identity part needs the loops outside idx.
 
     b is a _Block, or a dense block that is split first; the residual is taken per component,
-    which finds the maximum of the one k x k product without it."""
+    which finds the maximum of the one k x k product without it.  For a stack of m blocks
+    (see certify_blocks), idx is (m, k), one support a row, and b their block-diagonal sum,
+    each block a component: it holds iff each block's report would, loops checked per block."""
     if not isinstance(b, _Block):
         b = _Block.split(b)
     with np.errstate(all="ignore"):  # a nan or inf entry gives a residual that fails, not a warning
         residual = b.residual()
-        violations = _violations(*b.where(lambda s: np.abs(s) > tau), g, idx)
-    if not g.is_reflexive and len(idx) < g.n:
-        inside = set(idx.tolist())
-        violations += tuple((u, u, 1.0) for u in range(g.n)
-                            if u not in inside and (u, u) not in g.arcs)
+        violations = _violations(*b.where(lambda s: np.abs(s) > tau), g, idx.reshape(-1))
+    if not g.is_reflexive and idx.shape[-1] < g.n:
+        missing = [u for u in range(g.n) if (u, u) not in g.arcs]
+        for support in np.atleast_2d(idx).tolist():
+            inside = set(support)
+            violations += tuple((u, u, 1.0) for u in missing if u not in inside)
     return OpReport(residual <= tau and not violations, violations, residual, "unitary")
 
 
@@ -522,12 +540,63 @@ def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport
     return _stochastic_report(m, g, tau)
 
 
+def _block_and_support(op) -> tuple:
+    """What certify_unitary certifies of op: a certificate's block on its own support, else
+    op (or its .matrix), a matrix or Entries, on every vertex."""
+    return (op._block, op.support) if isinstance(op, GraphUnitary) else \
+        (getattr(op, "matrix", op), None)
+
+
 def certify_unitary(op, g: Digraph) -> GraphUnitary:
-    """op if it is a GraphUnitary on g, else certified against g: a certificate on its own
-    support and components, a matrix or Entries on every vertex."""
-    if isinstance(op, GraphUnitary):
-        return op if op.graph == g else GraphUnitary(op._block, g, op.support)
-    return GraphUnitary(getattr(op, "matrix", op), g)
+    """op if it is a GraphUnitary on g, else its block certified against g on its support."""
+    if isinstance(op, GraphUnitary) and op.graph == g:
+        return op
+    block, support = _block_and_support(op)
+    return GraphUnitary(block, g, support)
+
+
+def _stacked(items: dict, g: Digraph) -> dict:
+    """{i: certificate} for the items i: (block, support) that are whole blocks of one size,
+    0 < k <= _DENSE_MAX (dense arrays, Entries whose n is checked before they are densified,
+    or whole _Blocks), certified by one _unitary_report on a fresh stack per size; the items
+    of a stack that fails, and all others, are left for GraphUnitary to certify alone."""
+    sizes = {}
+    for i, (b, support) in items.items():
+        try:
+            support, idx = _support_index(g, support)
+        except (TypeError, ValueError):  # GraphError is one; alone, the block raises it in turn
+            continue
+        k = len(support)
+        if 0 < k <= _DENSE_MAX and (
+                isinstance(b, _Block) and b.k == k and b.whole is not None
+                or isinstance(b, Entries) and b.n == k
+                or isinstance(b, np.ndarray) and b.shape == (k, k) and b.dtype.kind in "biufc"):
+            sizes.setdefault(k, []).append((i, b, support, idx))
+    done = {}
+    for k, group in sizes.items():
+        stack = np.zeros((len(group), k, k), dtype=complex)
+        for s, (_, b, _, _) in zip(stack, group):
+            if isinstance(b, Entries):
+                s[b.rows, b.cols] = b.vals
+            else:
+                s[...] = b.whole if isinstance(b, _Block) else b
+        place = np.arange(stack.size // k).reshape(-1, k)  # each block's rows and columns
+        supports = np.stack([item[3] for item in group])
+        if _unitary_report(_Block(place.size, ((place, place, stack),)), g, supports):
+            for j, (i, _, support, idx) in enumerate(group):  # each kept whole, see _Block
+                block = _Block(k, ((place[:1], place[:1], stack[j:j + 1]),))
+                done[i] = object.__new__(GraphUnitary)._fill(g, support, idx, block)
+    return done
+
+
+def certify_blocks(blocks, g: Digraph, supports=None) -> list:
+    """[GraphUnitary(b, g, s) for each block b and support s], every support the whole board
+    by default.  Whole blocks of one size up to _DENSE_MAX are certified by one check on their
+    stack, which passes iff each would alone; the others, and all of a stack that fails, one
+    by one in order, so the first bad block raises exactly what it raises alone."""
+    items = dict(enumerate(zip(blocks, [None] * len(blocks) if supports is None else supports)))
+    done = _stacked(items, g)
+    return [done[i] if i in done else GraphUnitary(b, g, s) for i, (b, s) in items.items()]
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -701,8 +770,8 @@ class ControlledOp:
     The joint layout is robber-major: index r * n + c.  control='robber'
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
-    Building one runs every block through certify_unitary against graph, which
-    keeps its support; a bad block is named by its vertex.
+    Building one certifies every block against graph as certify_unitary does, whole small
+    blocks in stacks (see certify_blocks); a bad block is named by its vertex.
     """
 
     blocks: tuple
@@ -714,10 +783,12 @@ class ControlledOp:
             raise ValueError("control must be 'cop' or 'robber'")
         if len(self.blocks) != self.graph.n:
             raise ValueError(f"need {self.graph.n} blocks, got {len(self.blocks)}")
-        blocks = []
+        g, blocks = self.graph, []
+        done = _stacked({v: _block_and_support(u) for v, u in enumerate(self.blocks)
+                         if not (isinstance(u, GraphUnitary) and u.graph == g)}, g)
         for v, u in enumerate(self.blocks):
             try:
-                blocks.append(certify_unitary(u, self.graph))
+                blocks.append(done[v] if v in done else certify_unitary(u, g))
             except CertificationError as exc:
                 raise CertificationError(f"block {v}: {exc}", exc.report) from None
         object.__setattr__(self, "blocks", tuple(blocks))
@@ -746,12 +817,14 @@ def constant_controlled_op(g: Digraph, u: GraphUnitary, control: str) -> Control
     return controlled_op(g, [u] * g.n, control)
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Gaussian matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+def haar_unitary(dim: int, rng, stack: tuple = ()) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a complex Gaussian matrix; a stack of
+    them, of leading shape stack, by one batched QR."""
+    shape = (*stack, dim, dim)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def sample_graph_unitary(g: Digraph, rng) -> GraphUnitary:
@@ -767,23 +840,26 @@ def sample_graph_unitary(g: Digraph, rng) -> GraphUnitary:
     return certify_unitary(m, g)
 
 
-def sample_path3_unitary(rng) -> GraphUnitary:
-    """Random member over the path 0-1-2: one forced-zero branch plus a Haar block.
+def sample_path3_blocks(rng, count: int) -> np.ndarray:
+    """count random members over the path 0-1-2 as one (count, 3, 3) stack, uncertified:
+    one forced-zero branch plus a Haar block each.
 
     Column orthogonality on the path's zero pattern forces U[1,0] = 0 or
     U[1,2] = 0; each branch then splits into a lone phase and a free 2x2
     block, and the sampler draws both branches.
     """
-    h = haar_unitary(2, rng)
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    m = np.zeros((3, 3), dtype=complex)
-    if rng.integers(2):
-        m[0, 0] = phase
-        m[1:, 1:] = h
-    else:
-        m[:2, :2] = h
-        m[2, 2] = phase
-    return certify_unitary(m, path_graph(3))
+    h = haar_unitary(2, rng, (count,))
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+    high = rng.integers(2, size=count).astype(bool)
+    m = np.zeros((count, 3, 3), dtype=complex)
+    m[high, 0, 0], m[high, 1:, 1:] = phase[high], h[high]
+    m[~high, :2, :2], m[~high, 2, 2] = h[~high], phase[~high]
+    return m
+
+
+def sample_path3_unitary(rng) -> GraphUnitary:
+    """One random certified member over the path 0-1-2: sample_path3_blocks of one block."""
+    return certify_blocks(sample_path3_blocks(rng, 1), path_graph(3))[0]
 
 
 def sample_graph_stochastic(g: Digraph, rng) -> GraphStochastic:

@@ -28,10 +28,9 @@ from .graphs import (
 )
 from .operators import (
     ATOL,
-    certify_unitary,
+    certify_blocks,
     controlled_op,
     identity_unitary,
-    transposition_unitary,
     _c4_collapse_matrix,
 )
 
@@ -53,8 +52,13 @@ def universal_vertex_catch(g: Digraph, vertex: int = None) -> Strategy:
         raise GraphError("graph has no universal vertex")
     if neighbors(g, hub) != set(range(g.n)):
         raise GraphError(f"vertex {hub} is not universal")
-    entangler = controlled_op(g, [transposition_unitary(g, v, hub) for v in range(g.n)],
-                              control="robber")
+    if bad := [v for v in range(g.n) if (v, hub) not in g.arcs]:
+        raise GraphError(f"transposition needs mutually adjacent vertices, got {bad[0]}, {hub}")
+    # the swaps of (v, hub) and the hub's identity, an empty block
+    swap, none = np.array([[0, 1], [1, 0]]), np.zeros((0, 0))
+    blocks = certify_blocks([none if v == hub else swap for v in range(g.n)], g,
+                            [() if v == hub else (v, hub) for v in range(g.n)])
+    entangler = controlled_op(g, blocks, control="robber")
 
     def move(ctx):
         return entangler if ctx.round == 1 else None
@@ -68,12 +72,13 @@ def _require_c4(g: Digraph):
         raise GraphError("this strategy is specific to the reflexive 4-cycle on vertices 0..3")
 
 
-def _recentred_collapse(g: Digraph, amps: np.ndarray, target: int) -> "GraphUnitary":
-    """Certified unitary sending the normalized amps (supported off target+2) onto |target>.
+def _recentred_collapse(amps: np.ndarray, target: int) -> np.ndarray:
+    """Unitary matrix on the 4-cycle sending the normalized amps (supported off target+2) onto
+    |target>, uncertified: controlled_op certifies it with the other blocks of its move.
 
     amps must live on the closed neighbourhood of target; the collapse matrix
     is written for target 1 and conjugated by the cycle rotation that moves 1
-    onto the requested target, and only the rotated matrix is certified, once, against g.
+    onto the requested target.
     """
     shift = (target - 1) % 4
     dd = np.roll(amps, -shift)  # dd[j] = amps[j + shift]
@@ -84,7 +89,7 @@ def _recentred_collapse(g: Digraph, amps: np.ndarray, target: int) -> "GraphUnit
         abs(dd[2]) / trio, float(np.angle(dd[2])),
     )
     rot = np.roll(np.eye(4), shift, axis=0)  # the cycle rotation j -> j + shift
-    return certify_unitary(rot @ _c4_collapse_matrix(params) @ rot.T, g)
+    return rot @ _c4_collapse_matrix(params) @ rot.T
 
 
 class _AntipodalEvasion:
@@ -124,7 +129,7 @@ class _AntipodalEvasion:
                     "cop amplitude reached the robber's vertex: the conditional state "
                     "left the expected neighbourhood, which signals an illegal cop move"
                 )
-            blocks.append(_recentred_collapse(self.g, conditional, (c + 2) % 4))
+            blocks.append(_recentred_collapse(conditional, (c + 2) % 4))
         return controlled_op(self.g, blocks, control="cop")
 
     def _advance(self, upto: int):
@@ -171,7 +176,7 @@ def c4_unfair_cop(g: Digraph) -> Strategy:
     """
     _require_c4(g)
     uniform = np.full(4, 0.5, dtype=complex)
-    blocks = [_recentred_collapse(g, uniform, i) for i in range(4)]
+    blocks = [_recentred_collapse(uniform, i) for i in range(4)]
     op = controlled_op(g, blocks, control="robber")
 
     def move(ctx):

@@ -947,6 +947,19 @@ def test_a_controlled_move_read_from_json_is_certified_without_dense_blocks():
     assert np.isclose(np.sum(np.abs(joint.reshape(n, n).diagonal()) ** 2), 1.0)
 
 
+def test_a_controlled_block_of_a_huge_declared_size_is_refused_before_it_is_densified():
+    c4 = cycle_graph(4)
+    ident = {"n": 4, "entries": [[v, v, 1.0, 0.0] for v in range(4)]}
+    data = {"control": "robber", "blocks": [ident, ident, {"n": 1_000_000_000}, ident]}
+
+    def refuse():
+        with pytest.raises(ValueError, match=r"^block shape \(1000000000, 1000000000\) does not "
+                                             r"match 4 support vertices$"):
+            controlled_op_from_json(data, c4)
+
+    assert _traced_peak(refuse)[1] < 2**20
+
+
 def test_scenario_json_round_trip():
     data = {"model": "classical_quantum", "graph": graph_to_json(cycle_graph(4)),
             "rounds": 2, "cop": {"builtin": "uniform_spread"}, "robber": {"init": "uniform"}}

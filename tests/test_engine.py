@@ -469,14 +469,16 @@ def test_a_controlled_play_certifies_each_block_once(monkeypatch):
     check = qpursuit.operators._unitary_report
 
     def spy(*args, **kwargs):  # the one certificate check, for blocks of every support
-        calls.append((len(args[2]), args[1].n))
+        supports = np.atleast_2d(args[2])  # a stack of m blocks of k vertices: (m, k) supports
+        calls.append((supports.shape[1], args[1].n, supports.shape[0]))
         return check(*args, **kwargs)
 
     for module in (qpursuit.operators, qpursuit.engine):  # wherever the check is bound
         monkeypatch.setattr(module, "_unitary_report", spy, raising=False)
     cop = universal_vertex_catch(g)
-    # one per block when it is built: the hub's identity is an empty block, the n - 1 swaps gathers
-    assert calls == [(0, n)] + [(2, n)] * (n - 1)
+    # each block once when it is built: the n - 1 swaps are gathers, certified in one stack, and
+    # the hub's identity is an empty block, certified alone
+    assert calls == [(2, n, n - 1), (0, n, 1)]
     calls.clear()
     robber = Strategy(init=_random_amps(np.random.default_rng(3), n))
     trace = play("quantum_controlled", g, cop, robber, 1)
@@ -485,7 +487,7 @@ def test_a_controlled_play_certifies_each_block_once(monkeypatch):
     # a bare unitary move is certified once, not once per block of its lift
     swap = np.eye(n)[[1, 0] + list(range(2, n))]
     play("quantum_controlled", g, Strategy(init=0, move=[swap]), robber, 1)
-    assert calls == [(n, n)]
+    assert calls == [(n, n, 1)]
 
 
 def test_vector_moves_call_the_certifiers_bound_in_the_engine_when_played(monkeypatch, rng):

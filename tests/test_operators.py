@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qpursuit import (
     OpReport,
     apply_sequence,
     basis_state,
+    certify_blocks,
     certify_stochastic,
     certify_unitary,
     complete_graph,
@@ -529,6 +531,137 @@ def test_a_block_certifies_exactly_as_its_dense_matrix(instance):
         assert np.array_equal(u.matrix, m)
         vec = np.arange(1.0, g.n + 1.0) * (1.0 - 0.5j)
         assert np.allclose(u.apply(vec), m @ vec, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def _block_stacks(draw):
+    """A board and blocks on random supports, most of one size: unitary, scaled beyond ATOL,
+    with an entry on either side of ATOL (off the arcs or not) or a nan, dense or as Entries.
+
+    The board has every arc or random ones, and may miss loops, so blocks pass and fail
+    alike; a support covering the board is sometimes the default (None).
+    """
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs += [(u, u) for u in range(n) if draw(st.integers(0, 7))]  # a loop may be missing
+        g = digraph(n, arcs, reflexive=False)
+    else:
+        arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=3 * n))
+        g = digraph(n, arcs, undirected=draw(st.booleans()), reflexive=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # mostly one size and kind, the whole board half the time: a reversal there passes on a
+    # complete board of even size that misses loops
+    k = draw(st.sampled_from((n, draw(st.integers(1, n)))))
+    kinds = ("haar", "diagonal", "reversal")
+    kind = draw(st.sampled_from(kinds))
+    blocks, supports = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        size = k if draw(st.integers(0, 3)) else draw(st.integers(0, n))
+        support = tuple(draw(st.permutations(range(n)))[:size])
+        phases = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size)))
+        b = {"haar": haar_unitary(size, rng), "diagonal": phases, "reversal": phases[::-1]}[
+            kind if draw(st.integers(0, 3)) else draw(st.sampled_from(kinds))]
+        fault = draw(st.sampled_from((None,) * 5 + ("scale", "entry", "nan")))
+        if fault == "scale":
+            b = b * draw(st.sampled_from((1.0 + 1e-12, 1.0 + 1e-6)))
+        elif fault and size:
+            b.flat[draw(st.integers(0, size * size - 1))] = \
+                np.nan if fault == "nan" else draw(st.sampled_from((1e-10, 1e-8)))
+        blocks.append(Entries.of_matrix(b) if draw(st.booleans()) else b)
+        supports.append(None if size == n and draw(st.booleans()) else support)
+    return g, blocks, supports
+
+
+def _checked_alone(b, g, support):
+    """(certificate or None, report) of GraphUnitary(b, g, support) on its own."""
+    reports = []
+
+    def spy(*args):
+        reports.append(check(*args))
+        return reports[-1]
+
+    check = _unitary_report
+    with mock.patch("qpursuit.operators._unitary_report", spy):
+        try:
+            return GraphUnitary(b, g, support), reports[0]
+        except CertificationError as err:
+            assert err.report is reports[0]
+            return None, reports[0]
+
+
+@settings(max_examples=300, phases=_NO_SHRINK)
+@given(_block_stacks())
+def test_a_stack_certifies_each_block_exactly_as_it_certifies_alone(instance):
+    g, blocks, supports = instance
+    alone = [_checked_alone(b, g, s) for b, s in zip(blocks, supports)]
+    sizes = [g.n if s is None else len(s) for s in supports]
+    stacks = []  # (supports, report) of each check on a stack
+
+    def spy(b, graph, idx, *args):
+        report = _unitary_report(b, graph, idx, *args)
+        if idx.ndim == 2:
+            stacks.append((idx, report))
+        return report
+
+    with mock.patch("qpursuit.operators._unitary_report", spy):
+        try:
+            got = certify_blocks(blocks, g, supports)
+        except CertificationError as err:
+            got = err
+    # a stack's report is the union of its blocks' reports, its residual their worst, bit for bit
+    for idx, report in stacks:
+        group = [i for i, size in enumerate(sizes) if size == idx.shape[1]]
+        assert idx.tolist() == [list(range(g.n)) if supports[i] is None else list(supports[i])
+                                for i in group]
+        worst = np.max([alone[i][1].residual for i in group])
+        assert report.residual == worst or np.isnan(report.residual) and np.isnan(worst)
+        assert sorted(report.violations) == sorted(v for i in group for v in alone[i][1].violations)
+        assert report.ok == all(alone[i][1].ok for i in group)
+    assert len(stacks) == len({size for size in sizes if size})
+    failed = [i for i, (u, _) in enumerate(alone) if u is None]
+    if failed:  # the first bad block raises exactly what it raises alone
+        assert isinstance(got, CertificationError) and repr(got.report) == repr(alone[failed[0]][1])
+        with pytest.raises(CertificationError) as err:
+            GraphUnitary(blocks[failed[0]], g, supports[failed[0]])
+        assert str(got) == str(err.value)
+    else:
+        for u, (v, _) in zip(got, alone):
+            assert u.graph == g and u.support == v.support and np.array_equal(u.block, v.block)
+            x = np.arange(1.0, g.n + 1.0) * (1.0 - 0.5j)
+            assert np.array_equal(u.apply(x), v.apply(x))
+    # ControlledOp certifies its whole-board blocks the same way and names the first bad one
+    whole = [i for i, s in enumerate(supports) if s is None][:g.n]
+    if whole:
+        order = [whole[v % len(whole)] for v in range(g.n)]
+        bad = [v for v, i in enumerate(order) if alone[i][0] is None]
+        try:
+            op = ControlledOp(tuple(blocks[i] for i in order), "cop", g)
+        except CertificationError as err:
+            assert bad and str(err).startswith(f"block {bad[0]}: matrix is not a graph-preserving")
+            assert repr(err.report) == repr(alone[order[bad[0]]][1])
+        else:
+            assert not bad
+            assert all(np.array_equal(u.block, alone[i][0].block) for u, i in zip(op.blocks, order))
+
+
+def test_a_stack_checks_the_loops_outside_each_blocks_own_support():
+    # no loop at 0 or 3: the swap of 0 and 1 needs the loop at 3, the swap of 2 and 3 the loop
+    # at 0, so each fails alone, though their supports together cover both
+    g = digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v] + [(1, 1), (2, 2)],
+                reflexive=False)
+    swap = np.array([[0, 1], [1, 0]])
+    with pytest.raises(CertificationError) as err:
+        certify_blocks([swap, swap], g, [(0, 1), (2, 3)])
+    assert err.value.report.violations == ((3, 3, 1.0),)
+    with pytest.raises(CertificationError, match="block 1: ") as err:
+        ControlledOp((np.eye(4)[::-1],) + (GraphUnitary(swap, complete_graph(4), (2, 3)),) * 3,
+                     "robber", g)
+    assert err.value.report.violations == ((0, 0, 1.0),)
+    # a reversal of all four vertices needs no loop: it passes, and so does a stack of them
+    us = certify_blocks([np.eye(4)[::-1]] * 3, g)
+    assert all(np.array_equal(u.matrix, np.eye(4)[::-1]) for u in us)
 
 
 def _dense_residual_and_violations(b, g, idx, tau=ATOL):

@@ -130,32 +130,34 @@ def test_each_c4_collapse_is_certified_once(monkeypatch, rng):
     import qpursuit.operators
     import qpursuit.strategies
 
-    reports, collapses = [], []
+    reports, certified, collapses = [], [], []
     check, collapse = qpursuit.operators._unitary_report, qpursuit.strategies._recentred_collapse
 
-    def spy_check(b, *args, **kwargs):  # the one certificate check
-        reports.append(b.shape)
+    def spy_check(b, *args, **kwargs):  # the one certificate check, on one block or a stack
+        # the 4x4 blocks it certifies: a lone block is its one part, a stack's blocks its parts
+        blocks = [m for _, _, stack in b.parts for m in stack if m.shape == (4, 4)]
+        reports.append(len(blocks))
+        certified.extend(m.tobytes() for m in blocks)
         return check(b, *args, **kwargs)
 
     def spy_collapse(*args):
-        collapses.append(args[2])
-        return collapse(*args)
+        m = collapse(*args)
+        collapses.append(m.tobytes())
+        return m
 
     monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy_check)
     monkeypatch.setattr(qpursuit.strategies, "_recentred_collapse", spy_collapse)
     g = cycle_graph(4)
-    for target in range(4):
-        amps = _random_amps(rng, 4)
-        amps[(target + 2) % 4] = 0.0
-        u = qpursuit.strategies._recentred_collapse(g, amps / np.linalg.norm(amps), target)
-        assert u.graph == g and reports == [(4, 4)] * (target + 1)
+    c4_unfair_cop(g)  # four collapses, certified together by one check on their stack
+    assert reports == [4] and len(collapses) == 4 and sorted(certified) == sorted(collapses)
     reports.clear()
+    certified.clear()
     collapses.clear()
     # in play, against an idle Cop, every 4x4 block certified is a collapse, each certified once
     trace = play("quantum_controlled", g, Strategy(init=_random_amps(rng, 4)),
                  c4_antipodal_evasion(g), rounds=4)
     assert trace.p_copwin <= 1e-12 and collapses
-    assert reports.count((4, 4)) == len(collapses)
+    assert sorted(certified) == sorted(collapses) and len(reports) < len(collapses)
 
 
 def test_antipodal_evasion_preconditions():

@@ -104,7 +104,7 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     return a[...]
 
 
-def _refuse(report: OpReport, failure: str):
+def _refuse(report: OpReport, failure: str = "matrix is not a graph-preserving unitary"):
     """Raise CertificationError carrying report unless report passed."""
     if not report:
         raise CertificationError(f"{failure}: residual={report.residual:.3e}, "
@@ -293,7 +293,7 @@ class _Block:
     def _whole(cls, b: np.ndarray) -> "_Block":
         k = b.shape[0]
         whole = np.arange(k)[None]
-        return cls(k, ((whole, whole, b[None]),) if k else ())
+        return cls(k, ((whole, whole, b[None]),))
 
     def residual(self) -> float:
         """max |b^H b - I|, its worst component's; nan or inf if an entry is."""
@@ -312,10 +312,7 @@ class _Block:
         for r, c, s in self.parts:
             i, a, b = np.nonzero(mask(s))
             found.append((r[i, a], c[i, b], s[i, a, b]))
-        if len(found) == 1:
-            return found[0]
-        found.append((np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=complex),))
-        return tuple(map(np.concatenate, zip(*found)))
+        return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
     def dense(self) -> np.ndarray:
         if (b := self.whole) is not None:
@@ -339,11 +336,26 @@ class _Block:
         return y
 
 
-def _support_index(graph: Digraph, support) -> tuple:
-    """(support, idx): the support as a tuple of ints and as an index array, every vertex if
-    support is None; a vertex off the board or repeated is refused."""
+def _direct_sum(blocks: list) -> _Block:
+    """The block-diagonal sum of blocks in their order, its stacks of one component shape joined."""
+    shapes, at = {}, 0
+    for b in blocks:
+        for part in b.parts:
+            shapes.setdefault(part[2].shape[1:], []).append(part + (at,))
+        at += b.k
+    parts = []
+    for rows, cols, stacks, starts in (zip(*group) for group in shapes.values()):
+        shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each component's place
+        parts.append((np.concatenate(rows) + shift, np.concatenate(cols) + shift,
+                      np.concatenate(stacks)))
+    return _Block(at, tuple(parts))
+
+
+def _parsed(block, graph: Digraph, support) -> tuple:
+    """(support, idx, block) as a certificate holds them: support (every vertex if None) as ints
+    and as an index array, block as a _Block, a dense one copied; bad vertices or sizes refused."""
     if support is None:
-        idx = np.arange(graph.n)
+        idx, support = np.arange(graph.n), tuple(range(graph.n))
     else:
         support = tuple(support)
         # plain ints in range pass by one C-level type scan and their ends; anything else
@@ -353,10 +365,17 @@ def _support_index(graph: Digraph, support) -> tuple:
             for v in support:
                 _check_vertex(graph, v)
         idx = np.array(support, dtype=np.intp)
-    support = tuple(idx.tolist())
-    if len(set(support)) < len(support):
-        raise GraphError(f"support {support} repeats a vertex")
-    return support, idx
+        support = tuple(idx.tolist())
+        if len(set(support)) < len(support):
+            raise GraphError(f"support {support} repeats a vertex")
+    if not isinstance(block, (_Block, Entries)):
+        block = np.array(block, dtype=complex)
+    if block.shape != (len(support),) * 2:
+        raise ValueError(f"block shape {block.shape} does not match "
+                         f"{len(support)} support vertices")
+    if not isinstance(block, _Block):
+        block = _Block.split(block)
+    return support, idx, block
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -375,15 +394,8 @@ class GraphUnitary:
     support: tuple
 
     def __init__(self, block, graph: Digraph, support=None):
-        support, idx = _support_index(graph, support)
-        if not isinstance(block, (_Block, Entries)):
-            block = np.array(block, dtype=complex)
-        if block.shape != (len(support),) * 2:
-            raise ValueError(f"block shape {block.shape} does not match "
-                             f"{len(support)} support vertices")
-        if not isinstance(block, _Block):
-            block = _Block.split(block)
-        _refuse(_unitary_report(block, graph, idx), "matrix is not a graph-preserving unitary")
+        support, idx, block = _parsed(block, graph, support)
+        _refuse(_unitary_report(block, graph, idx))
         self._fill(graph, support, idx, block)
 
     def _fill(self, graph: Digraph, support: tuple, idx: np.ndarray, block: _Block):
@@ -477,24 +489,22 @@ def _gram_defect(a: np.ndarray) -> np.ndarray:
     return np.abs(gram).max(axis=(-1, -2), initial=0.0)
 
 
-def _unitary_report(b, g: Digraph, idx: np.ndarray, tau: float = ATOL) -> OpReport:
+def _unitary_report(b, g: Digraph, idx, tau: float = ATOL) -> OpReport:
     """is_graph_preserving_unitary of the matrix that is b on vertices idx and the identity
     elsewhere, without building it: its m^H m differs from the identity only on the block, and
     its identity part needs the loops outside idx.
 
-    b is a _Block, or a dense block that is split first; the residual is taken per component,
-    which finds the maximum of the one k x k product without it.  For a stack of m blocks
-    (see certify_blocks), idx is (m, k), one support a row, and b their block-diagonal sum,
-    each block a component: it holds iff each block's report would, loops checked per block."""
-    if not isinstance(b, _Block):
-        b = _Block.split(b)
+    b is a _Block (see _Block.split); the residual is taken per component, which finds the
+    maximum of the one k x k product without it.  For the direct sum of several blocks (see
+    certify_blocks), idx is the list of their supports' index arrays, in order, and the loops
+    outside each block's own support are checked: it holds iff each block's report would."""
+    supports = idx if isinstance(idx, list) else [idx]
     with np.errstate(all="ignore"):  # a nan or inf entry gives a residual that fails, not a warning
         residual = b.residual()
-        violations = _violations(*b.where(lambda s: np.abs(s) > tau), g, idx.reshape(-1))
-    if not g.is_reflexive and idx.shape[-1] < g.n:
+        violations = _violations(*b.where(lambda s: np.abs(s) > tau), g, np.concatenate(supports))
+    if not g.is_reflexive:
         missing = [u for u in range(g.n) if (u, u) not in g.arcs]
-        for support in np.atleast_2d(idx).tolist():
-            inside = set(support)
+        for inside in (set(s.tolist()) for s in supports if s.size < g.n):
             violations += tuple((u, u, 1.0) for u in missing if u not in inside)
     return OpReport(residual <= tau and not violations, violations, residual, "unitary")
 
@@ -527,7 +537,7 @@ def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
         m = np.asarray(m, dtype=complex)
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
-    return _unitary_report(m, g, np.arange(g.n), tau)
+    return _unitary_report(_Block.split(m), g, np.arange(g.n), tau)
 
 
 def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport:
@@ -555,48 +565,28 @@ def certify_unitary(op, g: Digraph) -> GraphUnitary:
     return GraphUnitary(block, g, support)
 
 
-def _stacked(items: dict, g: Digraph) -> dict:
-    """{i: certificate} for the items i: (block, support) that are whole blocks of one size,
-    0 < k <= _DENSE_MAX (dense arrays, Entries whose n is checked before they are densified,
-    or whole _Blocks), certified by one _unitary_report on a fresh stack per size; the items
-    of a stack that fails, and all others, are left for GraphUnitary to certify alone."""
-    sizes = {}
-    for i, (b, support) in items.items():
-        try:
-            support, idx = _support_index(g, support)
-        except (TypeError, ValueError):  # GraphError is one; alone, the block raises it in turn
-            continue
-        k = len(support)
-        if 0 < k <= _DENSE_MAX and (
-                isinstance(b, _Block) and b.k == k and b.whole is not None
-                or isinstance(b, Entries) and b.n == k
-                or isinstance(b, np.ndarray) and b.shape == (k, k) and b.dtype.kind in "biufc"):
-            sizes.setdefault(k, []).append((i, b, support, idx))
-    done = {}
-    for k, group in sizes.items():
-        stack = np.zeros((len(group), k, k), dtype=complex)
-        for s, (_, b, _, _) in zip(stack, group):
-            if isinstance(b, Entries):
-                s[b.rows, b.cols] = b.vals
-            else:
-                s[...] = b.whole if isinstance(b, _Block) else b
-        place = np.arange(stack.size // k).reshape(-1, k)  # each block's rows and columns
-        supports = np.stack([item[3] for item in group])
-        if _unitary_report(_Block(place.size, ((place, place, stack),)), g, supports):
-            for j, (i, _, support, idx) in enumerate(group):  # each kept whole, see _Block
-                block = _Block(k, ((place[:1], place[:1], stack[j:j + 1]),))
-                done[i] = object.__new__(GraphUnitary)._fill(g, support, idx, block)
-    return done
-
-
 def certify_blocks(blocks, g: Digraph, supports=None) -> list:
-    """[GraphUnitary(b, g, s) for each block b and support s], every support the whole board
-    by default.  Whole blocks of one size up to _DENSE_MAX are certified by one check on their
-    stack, which passes iff each would alone; the others, and all of a stack that fails, one
-    by one in order, so the first bad block raises exactly what it raises alone."""
-    items = dict(enumerate(zip(blocks, [None] * len(blocks) if supports is None else supports)))
-    done = _stacked(items, g)
-    return [done[i] if i in done else GraphUnitary(b, g, s) for i, (b, s) in items.items()]
+    """[GraphUnitary(b, g, s) for each block b and support s], every support the whole board by
+    default, by one check on the direct sum of the blocks, which passes iff each would alone.
+    If it fails, or a block is malformed, the blocks are certified one at a time in order, so the
+    first bad block raises exactly what it raises alone."""
+    supports = [None] * len(blocks) if supports is None else list(supports)
+    if len(supports) != len(blocks):
+        raise ValueError(f"{len(blocks)} blocks but {len(supports)} supports")
+    parsed, error = [], None
+    for b, s in zip(blocks, supports):
+        try:
+            parsed.append(_parsed(b, g, s))
+        except Exception as exc:  # raised in its turn, once the blocks before it are certified
+            error = exc
+            break
+    if error or parsed and not _unitary_report(_direct_sum([b for _, _, b in parsed]), g,
+                                               [idx for _, idx, _ in parsed]):
+        for _, idx, b in parsed:
+            _refuse(_unitary_report(b, g, idx))
+        if error:
+            raise error
+    return [object.__new__(GraphUnitary)._fill(g, *p) for p in parsed]
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -651,7 +641,8 @@ def _gather_block(x0: complex, x1: complex, y0: complex, y1: complex) -> list:
 
 def _fold_layers(tree, vec: np.ndarray):
     """Fold vec into the tree root; yields (support, block) per layer of disjoint child-to-parent
-    gathers, uncertified: reach_sequence certifies each layer it emits once.
+    gathers, uncertified: block is a _Block of one (m, 2, 2) stack, the gather of pair i on
+    support[2i:2i + 2], and reach_sequence certifies all layers it emits at once.
 
     A child folds iff its subtree carries amplitude above _SKIP.  The layers run the optimal
     tree broadcast in reverse: b(v) = max over i of i + b(c_i), over v's folding children c_i
@@ -676,11 +667,12 @@ def _fold_layers(tree, vec: np.ndarray):
             layers[b[tree.root] - t[c]] += (c, v)
     cur = vec.astype(complex)
     for support in layers:
-        block = np.zeros((len(support),) * 2, dtype=complex)
-        for k in range(0, len(support), 2):
-            x0, x1 = complex(cur[support[k]]), complex(cur[support[k + 1]])
-            block[k:k + 2, k:k + 2] = _gather_block(x0, x1, 0.0, math.hypot(abs(x0), abs(x1)))
-        cur[support] = block @ cur[support]
+        idx = np.array(support)
+        stack = np.array([_gather_block(x0, x1, 0.0, math.hypot(abs(x0), abs(x1)))
+                          for x0, x1 in cur[idx].reshape(-1, 2).tolist()], dtype=complex)
+        place = np.arange(idx.size).reshape(-1, 2)
+        block = _Block(idx.size, ((place, place, stack),))
+        cur[idx] = block @ cur[idx]
         yield tuple(support), block
 
 
@@ -689,8 +681,8 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
 
     Phase 1 folds all of phi's amplitude into the root of a spanning tree,
     one block of disjoint 2x2 gathers per layer; phase 2 is the same fold
-    run for psi, reversed, each block conjugate-transposed.  Every layer is
-    certified once, against the tree's graph.  Subtrees carrying no
+    run for psi, reversed, each block its adjoint.  The whole sequence is
+    certified by one check, against the tree's graph.  Subtrees carrying no
     amplitude are not folded, so equal states yield an empty sequence.
     """
     a = state_vector(phi)
@@ -706,10 +698,10 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     tree = spanning_tree(g, root)
     if abs(np.vdot(b, a)) >= 1.0 - ATOL:
         return []
-    tree_graph = tree.as_digraph()
-    fold = list(_fold_layers(tree, a))
-    unfold = [(support, block.conj().T) for support, block in reversed(list(_fold_layers(tree, b)))]
-    return [GraphUnitary(block, tree_graph, support) for support, block in fold + unfold]
+    layers = list(_fold_layers(tree, a))
+    layers += [(support, block.adjoint()) for support, block in list(_fold_layers(tree, b))[::-1]]
+    supports, blocks = zip(*layers)  # phi and psi differ, so at least one of them folds
+    return certify_blocks(blocks, tree.as_digraph(), supports)
 
 
 def apply_sequence(ops, state) -> np.ndarray:
@@ -770,8 +762,8 @@ class ControlledOp:
     The joint layout is robber-major: index r * n + c.  control='robber'
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
-    Building one certifies every block against graph as certify_unitary does, whole small
-    blocks in stacks (see certify_blocks); a bad block is named by its vertex.
+    Building one certifies every block against graph as certify_unitary does, all by one check
+    (see certify_blocks); a bad block is named by its vertex.
     """
 
     blocks: tuple
@@ -783,23 +775,30 @@ class ControlledOp:
             raise ValueError("control must be 'cop' or 'robber'")
         if len(self.blocks) != self.graph.n:
             raise ValueError(f"need {self.graph.n} blocks, got {len(self.blocks)}")
-        g, blocks = self.graph, []
-        done = _stacked({v: _block_and_support(u) for v, u in enumerate(self.blocks)
-                         if not (isinstance(u, GraphUnitary) and u.graph == g)}, g)
-        for v, u in enumerate(self.blocks):
-            try:
-                blocks.append(done[v] if v in done else certify_unitary(u, g))
-            except CertificationError as exc:
-                raise CertificationError(f"block {v}: {exc}", exc.report) from None
+        g, blocks = self.graph, list(self.blocks)
+        todo = [v for v, u in enumerate(blocks) if not isinstance(u, GraphUnitary) or u.graph != g]
+        items = [_block_and_support(blocks[v]) for v in todo]
+        try:
+            for v, u in zip(todo, certify_blocks([b for b, _ in items], g, [s for _, s in items])):
+                blocks[v] = u
+        except CertificationError as exc:  # the first bad block's own error: name that block
+            for v, (b, s) in zip(todo, items):
+                _, idx, b = _parsed(b, g, s)
+                if not _unitary_report(b, g, idx):
+                    raise CertificationError(f"block {v}: {exc}", exc.report) from None
+            raise
         object.__setattr__(self, "blocks", tuple(blocks))
 
     def apply(self, joint) -> np.ndarray:
         """Block v acts on row v (robber control) or column v of the (n, n) joint table."""
-        table = np.array(state_vector(joint), dtype=complex).reshape((self.graph.n,) * 2)
-        lines = table if self.control == "robber" else table.T  # .T is a view: writes land in table
+        n = self.graph.n
+        joint = np.array(state_vector(joint), dtype=complex)
+        if joint.size != n * n:
+            raise ValueError(f"joint state dimension {joint.size} does not match n^2 = {n * n}")
+        lines = joint.reshape(n, n) if self.control == "robber" else joint.reshape(n, n).T  # views
         for v, u in enumerate(self.blocks):
             lines[v] = u.apply(lines[v])
-        return table.reshape(-1)
+        return joint
 
 
 def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:

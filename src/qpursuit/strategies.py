@@ -81,15 +81,15 @@ def _recentred_collapse(amps: np.ndarray, target: int) -> np.ndarray:
     onto the requested target.
     """
     shift = (target - 1) % 4
-    dd = np.roll(amps, -shift)  # dd[j] = amps[j + shift]
+    dd = amps[(np.arange(4) + shift) % 4]  # dd[j] = amps[j + shift]
     trio = np.linalg.norm(dd[:3])
     params = (
         abs(dd[0]) / trio, float(np.angle(dd[0])),
         abs(dd[1]) / trio, float(np.angle(dd[1])),
         abs(dd[2]) / trio, float(np.angle(dd[2])),
     )
-    rot = np.roll(np.eye(4), shift, axis=0)  # the cycle rotation j -> j + shift
-    return rot @ _c4_collapse_matrix(params) @ rot.T
+    back = (np.arange(4) - shift) % 4  # entry (i, j) is the target-1 matrix's (i - shift, j - shift)
+    return _c4_collapse_matrix(params)[np.ix_(back, back)]
 
 
 class _AntipodalEvasion:

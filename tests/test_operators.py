@@ -58,6 +58,7 @@ from qpursuit.operators import (
     _ZERO_BLOCK,
     _Block,
     _fold_layers,
+    _gather_block,
     _is_unit,
     _stochastic_report,
     _unitary_report,
@@ -430,6 +431,52 @@ def test_gather_layers_match_the_dense_oracle(instance):
         GraphUnitary(forged, g, (v, tree.parent[v])).adjoint()
 
 
+def _dense_fold_layers(tree, vec):
+    """reach_sequence's fold as it was before layers were 2x2 stacks, kept as the oracle: yields
+    (support, block) per layer, block the dense k x k matrix of its disjoint gathers."""
+    mass = (np.abs(vec) ** 2).tolist()
+    kids = [[] for _ in mass]
+    b = [0] * len(mass)
+    for v in tree.order:  # children before parents
+        kids[v].sort(key=b.__getitem__, reverse=True)
+        b[v] = max((i + b[c] for i, c in enumerate(kids[v], 1)), default=0)
+        if v != tree.root and mass[v] > _SKIP * _SKIP:
+            mass[tree.parent[v]] += mass[v]
+            kids[tree.parent[v]].append(v)
+    t = [0] * len(mass)
+    layers = [[] for _ in range(b[tree.root])]
+    for v in reversed(tree.order):  # parents before children
+        for i, c in enumerate(kids[v], 1):
+            t[c] = t[v] + i
+            layers[b[tree.root] - t[c]] += (c, v)
+    cur = vec.astype(complex)
+    for support in layers:
+        block = np.zeros((len(support),) * 2, dtype=complex)
+        for k in range(0, len(support), 2):
+            x0, x1 = complex(cur[support[k]]), complex(cur[support[k + 1]])
+            block[k:k + 2, k:k + 2] = _gather_block(x0, x1, 0.0, np.hypot(abs(x0), abs(x1)))
+        cur[support] = block @ cur[support]
+        yield tuple(support), block
+
+
+@settings(max_examples=200, phases=_NO_SHRINK)
+@given(_transport_instances())
+def test_folded_layers_are_the_dense_fold_as_2x2_stacks(instance):
+    g, phi, psi, root, _ = instance
+    tree = spanning_tree(g, root)
+    for x in (phi, psi):
+        dense = list(_dense_fold_layers(tree, x))
+        layers = list(_fold_layers(tree, x))
+        assert [support for support, _ in layers] == [support for support, _ in dense]
+        for (support, block), (_, d) in zip(layers, dense):
+            (rows, cols, stack), = block.parts  # one (m, 2, 2) stack on consecutive pairs
+            assert block.k == len(support) and stack.shape == (len(support) // 2, 2, 2)
+            assert np.array_equal(rows, np.arange(block.k).reshape(-1, 2))
+            assert np.array_equal(cols, rows)
+            assert np.allclose(block.dense(), d, rtol=0.0, atol=1e-12)
+    assert abs(np.vdot(psi, apply_sequence(reach_sequence(g, phi, psi, root), phi))) >= 1.0 - ATOL
+
+
 def _light_cone_bound(g, phi, psi):
     """Fewest graph-preserving operations that can map phi to psi within ATOL of fidelity.
 
@@ -534,14 +581,19 @@ def test_a_block_certifies_exactly_as_its_dense_matrix(instance):
 
 
 @st.composite
-def _block_stacks(draw):
-    """A board and blocks on random supports, most of one size: unitary, scaled beyond ATOL,
-    with an entry on either side of ATOL (off the arcs or not) or a nan, dense or as Entries.
+def _block_lists(draw):
+    """A board and blocks with their supports for certify_blocks, of mixed sizes and kinds, and
+    for each block the certificate it came from, if any.
 
-    The board has every arc or random ones, and may miss loops, so blocks pass and fail
-    alike; a support covering the board is sometimes the default (None).
+    The board has 1 to 6 vertices, or a few past _DENSE_MAX so that a block may be split into
+    components, with every arc or random ones, and may miss loops, so blocks pass and fail alike.
+    A block has 0 to n vertices: Haar, phases or reversed phases, maybe scaled or with one entry
+    off.  It comes as a dense array, as Entries or as the block and support of its certificate on
+    the complete board; a support covering the board is sometimes the default (None), and now and
+    then a support is malformed: a vertex repeated or off the board, or one vertex too many.
     """
-    n = draw(st.integers(1, 6))
+    big = not draw(st.integers(0, 5))
+    n = draw(st.integers(_DENSE_MAX + 1, 80) if big else st.integers(1, 6))
     if draw(st.booleans()):
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
         arcs += [(u, u) for u in range(n) if draw(st.integers(0, 7))]  # a loop may be missing
@@ -550,13 +602,14 @@ def _block_stacks(draw):
         arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                              max_size=3 * n))
         g = digraph(n, arcs, undirected=draw(st.booleans()), reflexive=draw(st.booleans()))
+    other = complete_graph(n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # mostly one size and kind, the whole board half the time: a reversal there passes on a
     # complete board of even size that misses loops
     k = draw(st.sampled_from((n, draw(st.integers(1, n)))))
     kinds = ("haar", "diagonal", "reversal")
     kind = draw(st.sampled_from(kinds))
-    blocks, supports = [], []
+    blocks, supports, certificates = [], [], []
     for _ in range(draw(st.integers(1, 6))):
         size = k if draw(st.integers(0, 3)) else draw(st.integers(0, n))
         support = tuple(draw(st.permutations(range(n)))[:size])
@@ -569,13 +622,32 @@ def _block_stacks(draw):
         elif fault and size:
             b.flat[draw(st.integers(0, size * size - 1))] = \
                 np.nan if fault == "nan" else draw(st.sampled_from((1e-10, 1e-8)))
-        blocks.append(Entries.of_matrix(b) if draw(st.booleans()) else b)
-        supports.append(None if size == n and draw(st.booleans()) else support)
-    return g, blocks, supports
+        as_kind = draw(st.sampled_from(("dense", "entries", "certificate")))
+        certificate = None
+        if as_kind == "certificate" and fault is None:
+            certificate = GraphUnitary(b, other, support)
+            b = certificate._block
+        elif as_kind == "entries":
+            b = Entries.of_matrix(b)
+        malformed = certificate is None and draw(
+            st.sampled_from((None,) * 11 + ("repeat", "off", "long")))
+        if malformed == "repeat" and size > 1:
+            support = support[:-1] + support[:1]
+        elif malformed == "off" and size:
+            support = (n,) + support[1:]
+        elif malformed:
+            support += tuple(v for v in range(n + 1) if v not in support)[:1]
+        elif certificate is None and size == n and draw(st.booleans()):
+            support = None
+        blocks.append(b)
+        supports.append(support)
+        certificates.append(certificate)
+    return g, blocks, supports, certificates
 
 
 def _checked_alone(b, g, support):
-    """(certificate or None, report) of GraphUnitary(b, g, support) on its own."""
+    """(certificate or the error raised, report of its one check or None) of GraphUnitary(b, g,
+    support) on its own; a malformed input raises before any check."""
     reports = []
 
     def spy(*args):
@@ -585,65 +657,99 @@ def _checked_alone(b, g, support):
     check = _unitary_report
     with mock.patch("qpursuit.operators._unitary_report", spy):
         try:
-            return GraphUnitary(b, g, support), reports[0]
-        except CertificationError as err:
-            assert err.report is reports[0]
-            return None, reports[0]
+            u = GraphUnitary(b, g, support)
+        except Exception as err:  # CertificationError, or a malformed block's or support's error
+            u = err
+    assert len(reports) == (0 if isinstance(u, Exception) and not
+                            isinstance(u, CertificationError) else 1)
+    if isinstance(u, CertificationError):
+        assert u.report is reports[0]
+    return u, reports[0] if reports else None
+
+
+def _block_diag(blocks):
+    """The dense block-diagonal sum of dense arrays, Entries or _Blocks, in their order."""
+    dense = [b.dense() if isinstance(b, (Entries, _Block)) else np.asarray(b) for b in blocks]
+    out = np.zeros((sum(len(b) for b in dense),) * 2, dtype=complex)
+    at = np.cumsum([0] + [len(b) for b in dense])
+    for b, i in zip(dense, at):
+        out[i:i + len(b), i:i + len(b)] = b
+    return out
+
+
+def _spied_checks(run):
+    """(what run() returned or raised, [(block, idx, report) of each check it ran])."""
+    calls = []
+
+    def spy(b, graph, idx, *args):
+        calls.append((b, idx, check(b, graph, idx, *args)))
+        return calls[-1][2]
+
+    check = _unitary_report
+    with mock.patch("qpursuit.operators._unitary_report", spy):
+        try:
+            return run(), calls
+        except Exception as err:
+            return err, calls
 
 
 @settings(max_examples=300, phases=_NO_SHRINK)
-@given(_block_stacks())
+@given(_block_lists())
 def test_a_stack_certifies_each_block_exactly_as_it_certifies_alone(instance):
-    g, blocks, supports = instance
+    g, blocks, supports, certificates = instance
     alone = [_checked_alone(b, g, s) for b, s in zip(blocks, supports)]
-    sizes = [g.n if s is None else len(s) for s in supports]
-    stacks = []  # (supports, report) of each check on a stack
-
-    def spy(b, graph, idx, *args):
-        report = _unitary_report(b, graph, idx, *args)
-        if idx.ndim == 2:
-            stacks.append((idx, report))
-        return report
-
-    with mock.patch("qpursuit.operators._unitary_report", spy):
-        try:
-            got = certify_blocks(blocks, g, supports)
-        except CertificationError as err:
-            got = err
-    # a stack's report is the union of its blocks' reports, its residual their worst, bit for bit
-    for idx, report in stacks:
-        group = [i for i, size in enumerate(sizes) if size == idx.shape[1]]
-        assert idx.tolist() == [list(range(g.n)) if supports[i] is None else list(supports[i])
-                                for i in group]
-        worst = np.max([alone[i][1].residual for i in group])
+    got, calls = _spied_checks(lambda: certify_blocks(blocks, g, supports))
+    bad = next((i for i, (u, _) in enumerate(alone) if isinstance(u, Exception)), None)
+    if all(report is not None for _, report in alone):
+        # well-formed: one check on the direct sum, each block once on its own support, in order;
+        # its report is the union of the blocks' reports, its residual their worst, bit for bit
+        b, idx, report = calls.pop(0)
+        assert [list(s) for s in idx] == [list(range(g.n)) if s is None else list(s)
+                                          for s in supports]
+        assert np.array_equal(b.dense(), _block_diag(blocks), equal_nan=True)
+        worst = np.max([r.residual for _, r in alone])
         assert report.residual == worst or np.isnan(report.residual) and np.isnan(worst)
-        assert sorted(report.violations) == sorted(v for i in group for v in alone[i][1].violations)
-        assert report.ok == all(alone[i][1].ok for i in group)
-    assert len(stacks) == len({size for size in sizes if size})
-    failed = [i for i, (u, _) in enumerate(alone) if u is None]
-    if failed:  # the first bad block raises exactly what it raises alone
-        assert isinstance(got, CertificationError) and repr(got.report) == repr(alone[failed[0]][1])
-        with pytest.raises(CertificationError) as err:
-            GraphUnitary(blocks[failed[0]], g, supports[failed[0]])
-        assert str(got) == str(err.value)
-    else:
+        assert sorted(report.violations) == sorted(v for _, r in alone for v in r.violations)
+        assert report.ok == (bad is None)
+    if bad is None:
+        assert calls == []
         for u, (v, _) in zip(got, alone):
             assert u.graph == g and u.support == v.support and np.array_equal(u.block, v.block)
             x = np.arange(1.0, g.n + 1.0) * (1.0 - 0.5j)
             assert np.array_equal(u.apply(x), v.apply(x))
-    # ControlledOp certifies its whole-board blocks the same way and names the first bad one
-    whole = [i for i, s in enumerate(supports) if s is None][:g.n]
-    if whole:
-        order = [whole[v % len(whole)] for v in range(g.n)]
-        bad = [v for v, i in enumerate(order) if alone[i][0] is None]
-        try:
-            op = ControlledOp(tuple(blocks[i] for i in order), "cop", g)
-        except CertificationError as err:
-            assert bad and str(err).startswith(f"block {bad[0]}: matrix is not a graph-preserving")
-            assert repr(err.report) == repr(alone[order[bad[0]]][1])
+    else:
+        # then one at a time, in order, up to the first bad block, which raises what it raises alone
+        assert [repr(r) for _, _, r in calls] == \
+            [repr(r) for _, r in alone[:bad + 1] if r is not None]
+        assert type(got) is type(alone[bad][0]) and str(got) == str(alone[bad][0])
+        assert repr(getattr(got, "report", None)) == repr(alone[bad][1])
+    # ControlledOp certifies its blocks that are not certificates on g by one check, the same
+    # way, and names the first bad one
+    ops = [(i, u if u is not None else blocks[i]) for i, u in enumerate(certificates)
+           if u is not None or supports[i] is None]
+    if ops:
+        order = [ops[v % len(ops)] for v in range(g.n)]
+        todo = [i for i, u in order if not (isinstance(u, GraphUnitary) and u.graph == g)]
+        op, calls = _spied_checks(lambda: ControlledOp(tuple(u for _, u in order), "cop", g))
+        first = next((v for v, (i, _) in enumerate(order) if not alone[i][1].ok), None)
+        if first is None:
+            assert len(calls) == (1 if todo else 0)
+            assert all(len(idx) == len(todo) for _, idx, _ in calls)
+            assert all(np.array_equal(u.block, alone[i][0].block)
+                       for u, (i, _) in zip(op.blocks, order))
         else:
-            assert not bad
-            assert all(np.array_equal(u.block, alone[i][0].block) for u, i in zip(op.blocks, order))
+            assert isinstance(op, CertificationError)
+            assert str(op) == f"block {first}: {alone[order[first][0]][0]}"
+            assert repr(op.report) == repr(alone[order[first][0]][1])
+
+
+def test_certify_blocks_refuses_supports_of_another_length():
+    swap = np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="^3 blocks but 1 supports$"):
+        certify_blocks([swap] * 3, complete_graph(3), [(0, 1)])
+    with pytest.raises(ValueError, match="^1 blocks but 2 supports$"):
+        certify_blocks([swap], complete_graph(3), [(0, 1), (1, 2)])
+    assert certify_blocks([], complete_graph(3)) == certify_blocks([], complete_graph(3), []) == []
 
 
 def test_a_stack_checks_the_loops_outside_each_blocks_own_support():
@@ -742,7 +848,7 @@ def test_component_residual_matches_the_single_product(instance):
     b, g, support = instance
     idx = np.arange(g.n) if support is None else np.array(support)
     residual, violations = _dense_residual_and_violations(b, g, idx)
-    report = _unitary_report(b, g, idx)
+    report = _unitary_report(_Block.split(b), g, idx)
     assert report.violations == violations
     # only the summation order inside a component differs
     assert abs(report.residual - residual) <= 4 * np.finfo(float).eps * max(residual, 1.0)
@@ -885,10 +991,11 @@ def test_a_large_sparse_block_is_certified_without_its_gram():
     k = 1024
     b = _pairs_block(np.random.default_rng(k), np.arange(k), k // 2)
     g = path_graph(k)
-    _unitary_report(b, g, np.arange(k))  # builds the board's cached adjacency, and numpy's own state
+    # builds the board's cached adjacency, and numpy's own state
+    _unitary_report(_Block.split(b), g, np.arange(k))
     tracemalloc.start()
     try:
-        report = _unitary_report(b, g, np.arange(k))
+        report = _unitary_report(_Block.split(b), g, np.arange(k))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -986,9 +1093,9 @@ def test_reach_at_n512_holds_bound_and_fidelity():
         idx = np.array(u.support)
         pair = np.kron(np.eye(idx.size // 2, dtype=bool), np.ones((2, 2), dtype=bool))
         assert not (u.block.conj().T @ u.block)[~pair].any()
-        pairs = [_unitary_report(u.block[k:k + 2, k:k + 2], u.graph, idx[k:k + 2]).residual
-                 for k in range(0, idx.size, 2)]
-        residual = _unitary_report(u.block, u.graph, idx).residual
+        pairs = [_unitary_report(_Block.split(u.block[k:k + 2, k:k + 2]), u.graph,
+                                 idx[k:k + 2]).residual for k in range(0, idx.size, 2)]
+        residual = _unitary_report(_Block.split(u.block), u.graph, idx).residual
         assert abs(residual - max(pairs)) <= 2 * np.finfo(float).eps
 
 
@@ -999,16 +1106,36 @@ def test_reach_certifies_each_layer_once(monkeypatch):
     check = qpursuit.operators._unitary_report
 
     def spy(*args, **kwargs):  # the one certificate check
-        calls.append(tuple(args[2].tolist()))
+        calls.append(args[:3])
         return check(*args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("reach built a dense block or searched one for its components")
 
     monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy)
     rng = np.random.default_rng(64)
     g = random_connected_graph(64, rng, 0.1)
     phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    ops = reach_sequence(g, phi / np.linalg.norm(phi), uniform_state(64))
-    # fold and unfold layers alike, each once and in the order they are emitted
-    assert len(ops) > 2 and calls == [u.support for u in ops]
+    heap = digraph(255, [(i, (i - 1) // 2) for i in range(1, 255)], undirected=True, reflexive=True)
+    for g, phi, psi in ((g, phi / np.linalg.norm(phi), uniform_state(64)),
+                        (heap, uniform_state(255), basis_state(255, 254))):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            for owner, name in ((qpursuit.operators, "_components"), (Entries, "of_matrix"),
+                                (_Block, "split"), (_Block, "dense")):
+                patch.setattr(owner, name, never)
+            ops = reach_sequence(g, phi, psi)
+        # one check on the direct sum of all layers, fold and unfold alike, in the order emitted
+        (b, graph, idx), = calls
+        assert len(ops) > 2 and graph == spanning_tree(g, 0).as_digraph()
+        assert [tuple(s.tolist()) for s in idx] == [u.support for u in ops]
+        # whose one stack holds each layer's 2x2 gathers once, each on its own pair
+        gathers = [u.block[k:k + 2, k:k + 2] for u in ops for k in range(0, len(u.support), 2)]
+        (rows, cols, stack), = b.parts
+        assert b.k == 2 * len(gathers) and np.array_equal(stack, gathers)
+        assert np.array_equal(rows, np.arange(b.k).reshape(-1, 2)) and np.array_equal(cols, rows)
+    # the heap's widest layer is past _DENSE_MAX
+    assert len(ops) == 21 and max(len(u.support) for u in ops) == 102 > _DENSE_MAX
 
 
 def test_reach_preconditions():
@@ -1164,6 +1291,15 @@ def test_controlled_op_joint_layouts():
     expected = np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.array_equal(joint_matrix(op), expected)
     assert [b.support for b in op.blocks] == [(0, 1), ()]
+
+
+def test_controlled_apply_refuses_a_joint_state_of_another_dimension():
+    g = cycle_graph(3)
+    op = constant_controlled_op(g, identity_unitary(g), "robber")
+    for size in (8, 3, 10):
+        with pytest.raises(ValueError, match=rf"^joint state dimension {size} does not match "
+                                             r"n\^2 = 9$"):
+            op.apply(np.ones(size))
 
 
 def test_controlled_op_accepts_callables_and_raw_matrices():

@@ -209,7 +209,7 @@ def _reproduce_case(name: str, rng) -> list:
         dset = dominating_set(g)
 
         def robber_move(ctx):
-            options = sorted(w for w in range(g.n) if (ctx.robber_state, w) in g.arcs)
+            options = g.out_adj[ctx.robber_state]
             return options[int(rng.integers(len(options)))]
 
         robber = Strategy(init=int(rng.integers(g.n)), move=robber_move)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Digraph, GraphError, _is_int, dominates
+from .graphs import Digraph, GraphError, _is_int, dominates, has_arc
 from .operators import (
     CertificationError,
     ControlledOp,
@@ -245,7 +245,7 @@ def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
 
 def _arc_step(target, v: int, g: Digraph) -> int:
     target = v if target is None else target
-    if not (_is_int(target) and (v, target) in g.arcs):  # a float or a bool names no vertex
+    if not has_arc(g, v, target):  # a float or a bool names no vertex
         raise GameError(f"illegal move {v} -> {target!r}: no such arc")
     return int(target)
 
@@ -384,7 +384,7 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
     history = [("init", 0, {"follow": follow, "robber": r})]
     for k in range(1, rounds + 1):
         free = 1.0 - follow
-        caught = sum(1 for d in dset if (d, r) in g.arcs)
+        caught = sum(1 for d in dset if g.adjacency[d, r])
         follow += free * caught / len(dset)
         history.append(("cop", k, {"follow": follow, "robber": r}))
         free = 1.0 - follow

@@ -9,70 +9,100 @@ from functools import cached_property
 
 import numpy as np
 
+# The most vertices a board may have.  Every builder refuses a larger n before it allocates:
+# a board holds its n x n boolean matrix (16 MiB at the cap), so a declared n from JSON must
+# not size an unbounded allocation.
+MAX_VERTICES = 4096
+
 
 class GraphError(ValueError):
     """A graph value violates an operation's requirements."""
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """Directed graph on vertices 0..n-1 with an explicit arc set.
+    """Directed graph on vertices 0..n-1, stored as sorted compressed rows.
 
     Arcs are ordered pairs (u, v).  A loop (v, v) means the player standing
     at v may stay put, so game boards are always reflexive.  Undirected
-    graphs are represented by symmetric arc sets.  n and every arc endpoint
-    must be integers (_is_int); numpy integers are stored as int.
+    graphs are represented by symmetric arc sets.  Digraph(n, arcs) takes
+    any iterable of pairs, read once; n and every arc endpoint must be
+    integers (_is_int), with n at most MAX_VERTICES.
 
-    A Digraph is immutable, so its adjacency lists, bitsets, matrix,
-    connectivity and corner table are computed on first use and cached on
-    the instance; the builders of this module record the symmetry and
-    reflexivity they establish in the same cache.  Equality and hashing read
-    only n and arcs.
+    The out-neighbours of v are indices[indptr[v]:indptr[v + 1]], ascending
+    and without repeats (CSR form).  Both are read-only intp arrays, cut from
+    the read-only boolean matrix adjacency (a[u, v] true iff (u, v) is an
+    arc) that every builder makes first, by one scatter of the arc columns.
+    The arc set itself, arcs, is built only when something reads it.  A
+    Digraph is immutable, so its adjacency lists, bitsets, connectivity and
+    corner table are computed on first use and cached on the instance; the
+    builders of this module record the symmetry and reflexivity they
+    establish in the same cache.  Equality and hashing read only n and the
+    CSR arrays.
     """
 
-    n: int
-    arcs: frozenset
-
-    def __post_init__(self):
-        n = self.n
-        _check_arcs(n, self.arcs)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs))
+    def __init__(self, n, arcs):
+        tails, heads = _arc_columns(n, arcs)
+        a = np.zeros((int(n), int(n)), dtype=bool)
+        a[tails, heads] = True
+        self.__dict__.update(_compress(a))
 
     @classmethod
-    def _trusted(cls, n: int, arcs: frozenset, **flags) -> "Digraph":
-        """A Digraph of a plain-int n and plain-int arcs this module checked or built already
-        in 0..n-1, so __post_init__ is not run again.  flags (is_undirected, is_reflexive)
-        are facts of the arcs the builder knows by construction; they fill the cache."""
+    def _trusted(cls, a: np.ndarray, **flags) -> "Digraph":
+        """The Digraph whose matrix is a, a fresh n x n boolean array this module filled from
+        checked arcs, so __init__ is not run again.  flags (is_undirected, is_reflexive) are
+        facts of the arcs the builder knows by construction; they fill the cache."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "arcs", arcs)
-        g.__dict__.update(flags)
+        g.__dict__.update(_compress(a), **flags)
         return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Digraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Digraph is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.indptr, other.indptr) \
+            and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self):
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
+
+    def __repr__(self):
+        return f"Digraph({self.n}, {sorted(self.arcs)!r})"
+
+    @cached_property
+    def arcs(self) -> frozenset:
+        """The arc set as (u, v) tuples of plain ints."""
+        tails = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return frozenset(zip(tails.tolist(), self.indices.tolist()))
 
     @cached_property
     def out_adj(self) -> tuple:
         """Sorted out-neighbour tuple S(v) of every vertex v."""
-        rows = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            rows[u].append(v)
-        return tuple(tuple(sorted(row)) for row in rows)
+        flat, ends = self.indices.tolist(), self.indptr.tolist()
+        return tuple([tuple(flat[a:b]) for a, b in zip(ends, ends[1:])])
 
     @cached_property
     def out_bits(self) -> tuple:
         """S(v) of every vertex v as an int bitset, bit w set iff (v, w) is an arc."""
-        bits = [0] * self.n
-        for u, v in self.arcs:
-            bits[u] |= 1 << v
-        return tuple(bits)
+        rows = np.packbits(self.adjacency, axis=1, bitorder="little")
+        width, raw = rows.shape[1], rows.tobytes()
+        cuts = range(0, len(raw) + 1, width)
+        return tuple(map(int.from_bytes, map(raw.__getitem__, map(slice, cuts, cuts[1:])),
+                         itertools.repeat("little")))
 
     @cached_property
     def is_reflexive(self) -> bool:
-        return all((v, v) in self.arcs for v in range(self.n))
+        return bool(self.adjacency.diagonal().all())
 
     @cached_property
     def is_undirected(self) -> bool:
-        return all((v, u) in self.arcs for u, v in self.arcs)
+        return np.array_equal(self.adjacency, self.adjacency.T)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -104,24 +134,43 @@ class Digraph:
             table.append(_dominator(bits, v, sv, candidates))
         return tuple(table)
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only boolean matrix a with a[u, v] true iff (u, v) is an arc."""
-        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
-                           count=2 * len(self.arcs)).reshape(-1, 2)
-        a = np.zeros((self.n, self.n), dtype=bool)
-        a[ends[:, 0], ends[:, 1]] = True
-        a.setflags(write=False)
-        return a
+
+def _check_size(n):
+    """GraphError unless n is a positive integer of at most MAX_VERTICES."""
+    if not (_is_int(n) and n >= 1):
+        raise GraphError(f"a graph needs a positive integer vertex count, got {n!r}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"a graph has at most {MAX_VERTICES} vertices, got {n}")
 
 
 def _check_arcs(n, arcs):
-    """GraphError unless n is a positive integer and every arc joins two of its vertices."""
-    if not (_is_int(n) and n >= 1):
-        raise GraphError(f"a graph needs a positive integer vertex count, got {n!r}")
+    """GraphError unless n is a vertex count (_check_size) and each arc joins two vertices."""
+    _check_size(n)
     for u, v in arcs:
         if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
             raise GraphError(f"arc ({u!r}, {v!r}) references a vertex outside 0..{n - 1}")
+
+
+def _arc_columns(n, arcs):
+    """The tails and heads of arcs, any iterable of pairs, as intp arrays, once _check_arcs has
+    passed.  The pairs are read once, so a generator or a zip is not empty for the second pass."""
+    arcs = list(arcs)
+    _check_arcs(n, arcs)
+    ends = np.array([(u, v) for u, v in arcs], dtype=np.intp).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _compress(a: np.ndarray) -> dict:
+    """The stored fields of the Digraph whose matrix is a (a fresh C-contiguous n x n boolean
+    array, kept as adjacency): its non-zeros in row-major order are the arcs sorted by tail and
+    then head, each once, so they cut into the CSR rows.  All three arrays are read-only."""
+    n = len(a)
+    flat = np.flatnonzero(a)
+    indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    indices = flat % n
+    for x in (a, indptr, indices):
+        x.setflags(write=False)
+    return {"n": n, "indptr": indptr, "indices": indices, "adjacency": a}
 
 
 def digraph(n, arcs, *, undirected=False, reflexive=True) -> Digraph:
@@ -129,30 +178,37 @@ def digraph(n, arcs, *, undirected=False, reflexive=True) -> Digraph:
 
     n and the arcs are checked as given, before equal arcs such as (0, 1) and (0, 1.0) merge.
     """
-    arcs = list(arcs)
-    _check_arcs(n, arcs)
-    return _closure(int(n), {(int(u), int(v)) for u, v in arcs}, undirected, reflexive)
+    return _closure(int(n), *_arc_columns(n, arcs), undirected, reflexive)
 
 
-def _int_digraph(n: int, us, vs, *, undirected=False, reflexive=True) -> Digraph:
-    """digraph(n, zip(us, vs)) for a plain-int n and endpoints already known to be plain ints,
-    so only the range of each is left to check."""
-    if not (n >= 1 and (not us or min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n)):
-        _check_arcs(n, zip(us, vs))  # raises, naming the size or the first arc out of range
-    return _closure(n, set(zip(us, vs)), undirected, reflexive)
+def _int_digraph(n: int, ends: list, *, undirected=False, reflexive=True) -> Digraph:
+    """digraph(n, zip(ends[0::2], ends[1::2])) for a plain-int n and endpoints already known to
+    be plain ints, listed arc by arc, so only the size and their range are left to check."""
+    try:
+        a = np.array(ends, dtype=np.intp)
+    except OverflowError:  # beyond the machine range, so outside 0..n-1 too
+        a = None
+    if not (1 <= n <= MAX_VERTICES and a is not None
+            and (not a.size or 0 <= a.min() and a.max() < n)):
+        _check_arcs(n, zip(ends[0::2], ends[1::2]))  # raises, naming the size or the first bad arc
+    return _closure(n, a[0::2], a[1::2], undirected, reflexive)
 
 
-def _closure(n: int, arcs: set, undirected: bool, reflexive: bool) -> Digraph:
-    """The Digraph of checked plain-int arcs, closed symmetrically and with every loop as asked;
-    a closure it makes is recorded on the result, so no arc scan has to find it again."""
+def _closure(n: int, tails: np.ndarray, heads: np.ndarray, undirected: bool,
+             reflexive: bool) -> Digraph:
+    """The Digraph of the checked arcs (tails[i], heads[i]) on n vertices, closed symmetrically
+    and with every loop as asked, scattered into its matrix; a closure it makes is recorded on
+    the result, so no arc scan has to find it again."""
+    a = np.zeros((n, n), dtype=bool)
+    a[tails, heads] = True
     flags = {}
     if undirected:
-        arcs |= {(v, u) for u, v in arcs}
+        a[heads, tails] = True
         flags["is_undirected"] = True
     if reflexive:
-        arcs.update(zip(range(n), range(n)))
+        np.fill_diagonal(a, True)
         flags["is_reflexive"] = True
-    return Digraph._trusted(n, frozenset(arcs), **flags)
+    return Digraph._trusted(a, **flags)
 
 
 def path_graph(n: int) -> Digraph:
@@ -184,6 +240,13 @@ def _is_int(x) -> bool:
 def _check_vertex(g: Digraph, v: int):
     if not _is_int(v) or not 0 <= v < g.n:
         raise GraphError(f"vertex {v!r} outside 0..{g.n - 1}")
+
+
+def has_arc(g: Digraph, u, v) -> bool:
+    """True iff u and v are vertices of g (integers, _is_int, in 0..n-1) and (u, v) is an arc.
+    The range is checked first: a matrix index of -1 would name the last vertex."""
+    return _is_int(u) and _is_int(v) and 0 <= u < g.n and 0 <= v < g.n \
+        and bool(g.adjacency[u, v])
 
 
 def neighbors(g: Digraph, v: int) -> set:
@@ -332,12 +395,10 @@ def copwin_value_tables(g: Digraph, cap: int = 10):
     if g.n > cap:
         raise GraphError(f"game solver capped at {cap} vertices, got {g.n}")
     n = g.n
-    # S(v) is the segment cols[starts[v]:starts[v + 1]].  reduceat reads an empty segment as
-    # the element after it, but a board has every loop, so no segment is empty.
-    cols = np.fromiter(itertools.chain.from_iterable(g.out_adj), dtype=np.intp,
-                       count=len(g.arcs))
-    starts = np.zeros(n, dtype=np.intp)
-    np.cumsum([len(s) for s in g.out_adj[:-1]], out=starts[1:])
+    # S(v) is the segment cols[starts[v]:starts[v + 1]] of the board's CSR arrays.  reduceat
+    # reads an empty segment as the element after it, but a board has every loop, so no segment
+    # is empty.
+    cols, starts = g.indices, g.indptr[:-1]
     step = max(1, _GATHER_BUDGET // len(cols))
     blocks = [slice(b, b + step) for b in range(0, n, step)]
     eye = np.eye(n, dtype=bool)
@@ -421,9 +482,9 @@ class SpanningTree:
 
     def as_digraph(self) -> Digraph:
         """Reflexive digraph holding exactly the tree edges, both directions."""
-        n = len(self.parent)
-        return _closure(n, {(v, p) for v, p in enumerate(self.parent) if p != v},
-                        undirected=True, reflexive=True)
+        parent = np.array(self.parent, dtype=np.intp)
+        child = np.flatnonzero(parent != np.arange(parent.size))
+        return _closure(parent.size, child, parent[child], undirected=True, reflexive=True)
 
 
 def spanning_tree(g: Digraph, root: int) -> SpanningTree:
@@ -442,17 +503,16 @@ def disjoint_union(g: Digraph, k: int) -> Digraph:
     """k disjoint copies of g; copy j occupies the vertex block [j*n, (j+1)*n)."""
     if not (_is_int(k) and k >= 1):
         raise GraphError(f"disjoint union needs a positive integer copy count, got {k!r}")
-    n = g.n
-    return Digraph._trusted(int(k) * n, frozenset(
-        (u + j * n, v + j * n) for j in range(k) for u, v in g.arcs),
-        is_undirected=g.is_undirected, is_reflexive=g.is_reflexive)
+    _check_size(int(k) * g.n)
+    return Digraph._trusted(np.kron(np.eye(int(k), dtype=bool), g.adjacency),
+                            is_undirected=g.is_undirected, is_reflexive=g.is_reflexive)
 
 
 def reverse_digraph(g: Digraph) -> Digraph:
     if g.is_undirected:
         return g
-    return Digraph._trusted(g.n, frozenset((v, u) for u, v in g.arcs),
-                            is_undirected=False, is_reflexive=g.is_reflexive)
+    return Digraph._trusted(g.adjacency.T.copy(), is_undirected=False,
+                            is_reflexive=g.is_reflexive)
 
 
 def random_connected_graph(n: int, rng, extra_edge_prob: float = 0.3) -> Digraph:

@@ -18,6 +18,7 @@ from .graphs import (
     _check_vertex,
     _is_int,
     cycle_graph,
+    has_arc,
     is_reversible,
     neighbors,
     path_graph,
@@ -503,7 +504,7 @@ def _unitary_report(b, g: Digraph, idx, tau: float = ATOL) -> OpReport:
         residual = b.residual()
         violations = _violations(*b.where(lambda s: np.abs(s) > tau), g, np.concatenate(supports))
     if not g.is_reflexive:
-        missing = [u for u in range(g.n) if (u, u) not in g.arcs]
+        missing = np.flatnonzero(~g.adjacency.diagonal()).tolist()
         for inside in (set(s.tolist()) for s in supports if s.size < g.n):
             violations += tuple((u, u, 1.0) for u in missing if u not in inside)
     return OpReport(residual <= tau and not violations, violations, residual, "unitary")
@@ -610,7 +611,7 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:
     """
     if v == w:
         raise GraphError("gather needs two distinct vertices")
-    if (v, w) not in g.arcs or (w, v) not in g.arcs:
+    if not (has_arc(g, v, w) and has_arc(g, w, v)):
         raise GraphError(f"vertices {v} and {w} are not mutually adjacent")
     if not g.is_reflexive:
         raise GraphError("gather needs a reflexive graph")
@@ -717,7 +718,7 @@ def transposition_unitary(g: Digraph, v: int, w: int) -> GraphUnitary:
     _check_vertex(g, w)
     if v == w:
         return identity_unitary(g)
-    if (v, w) not in g.arcs or (w, v) not in g.arcs:
+    if not (has_arc(g, v, w) and has_arc(g, w, v)):
         raise GraphError(f"transposition needs mutually adjacent vertices, got {v}, {w}")
     return GraphUnitary([[0, 1], [1, 0]], g, (v, w))
 
@@ -830,7 +831,7 @@ def sample_graph_unitary(g: Digraph, rng) -> GraphUnitary:
     """Random certified member: a Haar 2x2 block on a random edge times diagonal phases."""
     if not g.is_reflexive:
         raise GraphError("sampler needs a reflexive graph")
-    edges = sorted({(u, v) for u, v in g.arcs if u < v and (v, u) in g.arcs})
+    edges = [(u, v) for u, row in enumerate(g.out_adj) for v in row if u < v and g.adjacency[v, u]]
     m = np.eye(g.n, dtype=complex)
     if edges:
         u, v = edges[int(rng.integers(len(edges)))]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -23,13 +24,8 @@ from .strategies import build_strategy
 def graph_to_json(g: Digraph) -> dict:
     undirected = g.is_undirected
     reflexive = g.is_reflexive
-    arcs = []
-    for u, v in sorted(g.arcs):
-        if reflexive and u == v:
-            continue
-        if undirected and u > v:
-            continue
-        arcs.append([u, v])
+    arcs = [[u, v] for u, row in enumerate(g.out_adj) for v in row
+            if not (reflexive and u == v or undirected and u > v)]
     return {"n": g.n, "arcs": arcs, "undirected": undirected, "reflexive": reflexive}
 
 
@@ -53,13 +49,12 @@ def graph_from_json(data: dict) -> Digraph:
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise ValueError(f"graph field '{key}' must be true or false, got {value!r}")
-    us, vs = zip(*arcs) if arcs else ((), ())
-    # JSON endpoints arrive as plain ints, checked a column at a time; any other type is
+    ends = list(itertools.chain.from_iterable(arcs))  # u0, v0, u1, v1, ...
+    # JSON endpoints arrive as plain ints, checked by one C-level type scan; any other type is
     # refused by name, or converted if it is a numpy integer
-    if (set(map(type, us)) | set(map(type, vs))) - {int}:
-        us, vs = zip(*[(_json_int(u, "arc endpoint"), _json_int(v, "arc endpoint"))
-                       for u, v in arcs])
-    return _int_digraph(n, us, vs, **flags)
+    if set(map(type, ends)) - {int}:
+        ends = [_json_int(x, "arc endpoint") for x in ends]
+    return _int_digraph(n, ends, **flags)
 
 
 def _row_major(u) -> tuple:

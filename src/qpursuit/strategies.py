@@ -52,7 +52,7 @@ def universal_vertex_catch(g: Digraph, vertex: int = None) -> Strategy:
         raise GraphError("graph has no universal vertex")
     if neighbors(g, hub) != set(range(g.n)):
         raise GraphError(f"vertex {hub} is not universal")
-    if bad := [v for v in range(g.n) if (v, hub) not in g.arcs]:
+    if bad := np.flatnonzero(~g.adjacency[:, hub]).tolist():
         raise GraphError(f"transposition needs mutually adjacent vertices, got {bad[0]}, {hub}")
     # the swaps of (v, hub) and the hub's identity, an empty block
     swap, none = np.array([[0, 1], [1, 0]]), np.zeros((0, 0))

@@ -679,6 +679,43 @@ def test_analyze_graph_builds_the_corner_table_once(tmp_path, capsys, monkeypatc
     assert report["corners"] == [[v, u] for v, u in enumerate(table(g)) if u is not None]
 
 
+def test_analyze_graph_and_reach_never_build_the_arc_set(tmp_path, capsys, monkeypatch):
+    # both read the board's arrays, adjacency lists and bitsets; the tuple set is for callers
+    g = random_connected_graph(40, np.random.default_rng(3), 0.1)
+    board = _write(tmp_path, "g.json", graph_to_json(g))
+    one_way = _write(tmp_path, "d.json", graph_to_json(directed_cycle(5)))
+    monkeypatch.setattr(graphs.Digraph, "arcs",
+                        property(lambda g: pytest.fail("Digraph.arcs was read")))
+    out = str(tmp_path / "ops.json")
+    for argv in (["analyze-graph", board, "--cap", "48"], ["analyze-graph", one_way],
+                 ["reach", board, "--from", "basis:0", "--to", "uniform", "--out", out],
+                 ["reach", board, "--from", "uniform", "--to", "basis:7", "--root", "3"]):
+        code, _, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["analyze-graph", "reach", "run", "verify-op"])
+def test_a_board_of_a_huge_declared_size_is_refused_before_it_is_built(tmp_path, capsys,
+                                                                        command):
+    n = 10**12
+    data = {"n": n, "arcs": [[0, 1], [1, n - 1]], "undirected": True, "reflexive": True}
+    board = _write(tmp_path, "g.json", data)
+    argv = {
+        "analyze-graph": ["analyze-graph", board],
+        "reach": ["reach", board, "--from", "basis:0", "--to", "uniform"],
+        "run": ["run", _write(tmp_path, "sc.json", {
+            "model": "classical", "graph": data, "rounds": 1, "cop": {"init": 0},
+            "robber": {"init": 1}})],
+        "verify-op": ["verify-op", _write(tmp_path, "op.json", {
+            "n": 2, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]}), board, "--unitary"],
+    }[command]
+    (code, out, err), peak = _traced_peak(lambda: _run(capsys, argv))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "GraphError", "message": f"a graph has at most "
+                               f"{graphs.MAX_VERTICES} vertices, got {n}"}
+    assert peak < 2**20
+
+
 def test_graph_json_rejects_non_boolean_flags_and_non_list_arcs(tmp_path, capsys):
     for key, value in (("undirected", "no"), ("reflexive", 1), ("undirected", None),
                        ("arcs", 5), ("arcs", None)):

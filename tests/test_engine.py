@@ -548,6 +548,18 @@ def test_a_move_must_name_a_vertex_along_an_arc():
         play_unfair_probabilistic(g, [1], robber, 1)
 
 
+@pytest.mark.parametrize("target", [-1, 3, True, 1.0])
+def test_a_move_off_the_board_keeps_its_refusal(target):
+    # -1 would index the last vertex's bitset and shift by a negative count, n runs off the
+    # board, and True and 1.0 equal vertex 1, a neighbour; each stays an illegal move
+    g = path_graph(3)
+    message = f"^illegal move 0 -> {target!r}: no such arc$"
+    with pytest.raises(GameError, match=message):
+        play("classical", g, Strategy(init=0, move=[target]), Strategy(init=2), 1)
+    with pytest.raises(GameError, match=message):  # the Robber's move in the unfair game
+        play_unfair_probabilistic(g, [1], Strategy(init=0, move=[target]), 1)
+
+
 @pytest.mark.parametrize("model", [m.value for m in GameModel])
 def test_a_boolean_is_not_an_initial_vertex(model):
     g = path_graph(3)

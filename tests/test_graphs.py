@@ -35,6 +35,7 @@ from qpursuit import (
     star_graph,
     universal_vertex,
 )
+from qpursuit.graphs import MAX_VERTICES, SpanningTree
 from qpursuit.scenario import graph_from_json
 
 INF = np.inf
@@ -48,6 +49,33 @@ def test_digraph_normalizes_and_validates():
         Digraph(0, frozenset())
     with pytest.raises(GraphError):
         Digraph(2, frozenset({(0, 2)}))
+
+
+def test_the_public_constructor_reads_a_one_shot_iterable_of_arcs():
+    # the arcs are materialised once, so the check does not leave an iterator empty for the build
+    loops = frozenset({(0, 0), (1, 1), (2, 2)})
+    for arcs in (((u, u) for u in range(3)), zip(range(3), range(3)),
+                 map(lambda u: (u, u), range(3)), dict.fromkeys(loops).keys()):
+        g = Digraph(3, arcs)
+        assert g.arcs == loops and g == Digraph(3, loops)
+    assert digraph(3, ((u, u) for u in range(3)), reflexive=False).arcs == loops
+
+
+def test_a_board_has_at_most_max_vertices():
+    # the JSON path of test_verify_op_certifies_the_entries_as_read reads a 2048-vertex board
+    assert MAX_VERTICES >= 2048
+    message = f"^a graph has at most {MAX_VERTICES} vertices, got {MAX_VERTICES + 1}$"
+    for build in (lambda: Digraph(MAX_VERTICES + 1, []),
+                  lambda: digraph(MAX_VERTICES + 1, [(0, 1)]),
+                  lambda: graph_from_json({"n": MAX_VERTICES + 1, "arcs": [[0, 1]]}),
+                  lambda: disjoint_union(path_graph(1), MAX_VERTICES + 1)):
+        with pytest.raises(GraphError, match=message):
+            build()
+    with pytest.raises(GraphError, match=f"^a graph has at most {MAX_VERTICES} vertices, "
+                                         f"got {10**12}$"):
+        graph_from_json({"n": 10**12, "arcs": [[0, 10**12 - 1]], "reflexive": True})
+    g = graph_from_json({"n": MAX_VERTICES, "arcs": [[0, MAX_VERTICES - 1]], "reflexive": True})
+    assert g.n == MAX_VERTICES and g.indices.size == MAX_VERTICES + 1
 
 
 @pytest.mark.parametrize("build", [
@@ -477,6 +505,64 @@ def test_internal_builders_match_the_public_constructor():
     h = digraph(4, [(0, 1), (2, 3)], undirected=True)
     assert not is_connected(h) and "is_connected" in vars(h)
     assert h == Digraph(h.n, h.arcs) and hash(h) == hash(Digraph(h.n, h.arcs))
+
+
+def _set_reference(g, n, arcs):
+    """Every cached view of g against the one arc set it should hold, each computed from it."""
+    assert g.n == n and g.arcs == arcs
+    assert g.out_adj == tuple(tuple(sorted(w for u, w in arcs if u == v)) for v in range(n))
+    assert g.out_bits == tuple(sum(1 << w for u, w in arcs if u == v) for v in range(n))
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in arcs:
+        a[u, v] = True
+    assert np.array_equal(g.adjacency, a)
+    assert g.is_reflexive == all((v, v) in arcs for v in range(n))
+    assert g.is_undirected == all((v, u) in arcs for u, v in arcs)
+    assert g.indptr.dtype == g.indices.dtype == np.intp
+    assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+
+
+@st.composite
+def _arc_lists(draw):
+    """n = 1..70, 63, 64 and 65 (bitsets cross a 64-bit word), with few enough arcs that
+    isolated vertices are common, plus a random rooted tree's parent list."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=70), st.sampled_from([63, 64, 65])))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    parent = [0] + [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
+    return n, arcs, draw(st.booleans()), draw(st.booleans()), parent
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arc_lists())
+def test_array_builders_match_the_set_built_board(case):
+    n, arcs, undirected, reflexive, parent = case
+    closed = set(arcs)
+    if undirected:
+        closed |= {(v, u) for u, v in arcs}
+    if reflexive:
+        closed |= {(v, v) for v in range(n)}
+    ref = Digraph(n, frozenset(closed))
+    _set_reference(ref, n, closed)
+    data = {"n": n, "arcs": [list(a) for a in arcs], "undirected": undirected,
+            "reflexive": reflexive}
+    tree_arcs = {(v, v) for v in range(n)} | {
+        a for v, p in enumerate(parent) if p != v for a in ((v, p), (p, v))}
+    cases = [
+        (digraph(n, arcs, undirected=undirected, reflexive=reflexive), n, closed),
+        (graph_from_json(data), n, closed),
+        (graphs._closure(n, np.array([u for u, _ in arcs], dtype=np.intp),
+                         np.array([v for _, v in arcs], dtype=np.intp), undirected, reflexive),
+         n, closed),
+        (reverse_digraph(ref), n, {(v, u) for u, v in closed}),
+        (disjoint_union(ref, 3), 3 * n, {(u + j * n, v + j * n) for j in range(3)
+                                         for u, v in closed}),
+        (SpanningTree(0, tuple(parent), (), ()).as_digraph(), n, tree_arcs),
+    ]
+    for g, size, expected in cases:
+        want = Digraph(size, frozenset(expected))
+        assert g == want and hash(g) == hash(want)
+        _set_reference(g, size, expected)
 
 
 def test_graph_json_arcs_are_pairs():

@@ -1179,6 +1179,23 @@ def test_transposition_unitary():
         transposition_unitary(g, 0, 2)
 
 
+def test_gathers_and_transpositions_off_an_edge_keep_their_refusals():
+    # a vertex off the board is no endpoint of an arc, and one direction of an edge is not enough
+    g = path_graph(3)
+    one_way = digraph(3, [(0, 1)])
+    for board, v, w in ((g, -1, 0), (g, 0, -1), (g, 0, 3), (g, 3, 2), (g, 0, 2), (one_way, 0, 1),
+                        (one_way, 1, 0)):
+        with pytest.raises(GraphError, match=f"^vertices {v} and {w} are not mutually adjacent$"):
+            gather_unitary(board, v, w, uniform_state(3), (1.0, 0.0))
+    not_mutual = "transposition needs mutually adjacent vertices, got {}, {}"
+    for board, v, w, message in ((g, -1, 0, "vertex -1 outside 0..2"),
+                                 (g, 0, 3, "vertex 3 outside 0..2"),
+                                 (g, 0, 2, not_mutual.format(0, 2)),
+                                 (one_way, 1, 0, not_mutual.format(1, 0))):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            transposition_unitary(board, v, w)
+
+
 def test_transposition_checks_both_vertices_before_the_no_op():
     g = path_graph(3)
     # each pair compares equal, so a v == w shortcut taken first would return the identity

@@ -17,6 +17,7 @@ from qpursuit import (
     complete_graph,
     copwin_value_tables,
     cycle_graph,
+    digraph,
     dominating_set_sweep,
     path_graph,
     play,
@@ -94,6 +95,18 @@ def test_universal_vertex_catch_accepts_an_explicit_hub(rng):
         universal_vertex_catch(path_graph(3), vertex=0)
     with pytest.raises(GraphError):
         universal_vertex_catch(path_graph(4))
+
+
+def test_a_named_hub_that_is_not_universal_keeps_its_refusal():
+    for vertex, message in ((0, "vertex 0 is not universal"), (-1, "vertex -1 outside 0..2"),
+                            (3, "vertex 3 outside 0..2")):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            universal_vertex_catch(path_graph(3), vertex=vertex)
+    # 0 reaches every vertex, but 1 and 2 have no arc back to it
+    fan = digraph(3, [(0, 1), (0, 2)])
+    with pytest.raises(GraphError, match="^transposition needs mutually adjacent vertices, "
+                                         "got 1, 0$"):
+        universal_vertex_catch(fan, vertex=0)
 
 
 def _assert_antipodal_support(trace):

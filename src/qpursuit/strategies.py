@@ -207,9 +207,12 @@ def dominating_set_sweep(g: Digraph, set=None) -> Strategy:
 def classical_pursuit(g: Digraph, cap: int = 10) -> Strategy:
     """Cop plan read off the backward-induction tables; wins on cop-win graphs.
 
-    From any cell the cop moves to minimise the robber-to-move capture time,
-    which drops by at least one per round, so capture lands within n*n rounds
-    against every robber.
+    The cop starts on a row of vc with the least largest value m and from
+    any cell moves to minimise the robber-to-move capture time.  Each
+    half-move takes the capture time down by at least one, so against every
+    robber the cop stands on the robber after ceil(m / 2) rounds, at most
+    ceil(max vc / 2); a robber who steps off the cop's cell stands at time
+    1 and is caught again by the next cop move.
     """
     vc, vr = copwin_value_tables(g, cap)
     start = int(np.argmin(vc.max(axis=1)))

@@ -232,6 +232,40 @@ def test_value_tables_finite_iff_copwin():
         copwin_value_tables(cycle_graph(11))
 
 
+def _sweep(g, vc, block=None):
+    """One Bellman sweep of the game: the Robber-to-move table from vc (the Robber maximises
+    the next Cop-to-move value over S(r)), then the Cop-to-move table from it (the Cop
+    minimises the next Robber-to-move value over S(c)), as reductions over the board's CSR
+    arrays gathered block rows or columns at a time (all at once by default).  reduceat reads
+    an empty segment as the element after it, but a board has every loop, so none is empty."""
+    n = g.n
+    block = block or n
+    cols, starts = g.indices, g.indptr[:-1]
+    eye = np.eye(n, dtype=bool)
+    worst = np.empty((n, n))
+    best = np.empty((n, n))
+    for b in range(0, n, block):
+        np.maximum.reduceat(vc[b:b + block, cols], starts, axis=1, out=worst[b:b + block])
+    vr = np.where(eye, 0.0, 1.0 + worst)
+    for b in range(0, n, block):
+        np.minimum.reduceat(vr[cols, b:b + block], starts, axis=0, out=best[:, b:b + block])
+    return np.where(eye, 0.0, 1.0 + best), vr
+
+
+def _sweep_value_tables(g, cap=10):
+    """copwin_value_tables as sweeps over the arcs from inf to the fixed point, O(n·|arcs|) a
+    sweep: max and min are exact, so the tables are those of any exact reduction."""
+    if g.n > cap:
+        raise GraphError(f"game solver capped at {cap} vertices, got {g.n}")
+    vc = np.where(np.eye(g.n, dtype=bool), 0.0, np.inf)
+    vr = vc.copy()
+    while True:
+        vc_new, vr_new = _sweep(g, vc)
+        if np.array_equal(vc_new, vc) and np.array_equal(vr_new, vr):
+            return vc, vr
+        vc, vr = vc_new, vr_new
+
+
 def _dense_value_tables(g, cap=10):
     """copwin_value_tables as masked reductions over broadcast (n, n, n) views: O(n^3) a sweep."""
     if g.n > cap:
@@ -285,6 +319,67 @@ def test_value_tables_match_the_dense_reduction(g):
     assert np.array_equal(vc, ref_vc) and np.array_equal(vr, ref_vr)
 
 
+@st.composite
+def _long_boards(draw, max_n):
+    """Boards with capture times up to about 2n, relabelled at random: paths, caterpillars (a
+    spine with legs hung on spine vertices) and random trees grown off a spine of at least
+    half the vertices, on 2..max_n vertices."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    kind = draw(st.sampled_from(["path", "caterpillar", "spine"]))
+    if kind == "path":
+        return path_graph(n)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    spine = max(2, round(n * draw(st.floats(min_value=0.5, max_value=1.0))))
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(v, int(rng.integers(spine if kind == "caterpillar" else v)))
+              for v in range(spine, n)]
+    return _relabelled(n, edges, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_boards(40), _long_boards(128)))
+def test_value_tables_match_the_sweep(g):
+    vc, vr = copwin_value_tables(g, 128)
+    ref_vc, ref_vr = _sweep_value_tables(g, 128)
+    # every cell, inf included, in the sweep's float64
+    assert vc.dtype == vr.dtype == np.float64
+    assert np.array_equal(vc, ref_vc) and np.array_equal(vr, ref_vr)
+
+
+def _dense_board(n, seed):
+    """G(n, 1/2) as a board, each pair an edge with probability one half."""
+    u, v = np.triu_indices(n, 1)
+    keep = np.random.default_rng(seed).random(u.size) < 0.5
+    return digraph(n, zip(u[keep].tolist(), v[keep].tolist()), undirected=True)
+
+
+@pytest.mark.parametrize("board", ["path", "dense"])
+def test_value_tables_at_512_are_a_fixed_point_of_one_sweep(board):
+    g = path_graph(512) if board == "path" else _dense_board(512, 909)
+    tracemalloc.start()
+    try:
+        vc, vr = copwin_value_tables(g, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two float64 tables are 4 MiB; with the float32 board and one product, both boards
+    # measured 9.5 MiB
+    assert peak < 12 * 2**20
+    off = ~np.eye(512, dtype=bool)
+    assert not vc.diagonal().any() and not vr.diagonal().any()
+    # the Cop moves first and makes the catch, so a finite Cop-to-move time off the diagonal
+    # is odd; the Robber's move comes on top, so a Robber-to-move time is even
+    assert (vc[off & np.isfinite(vc)] % 2 == 1).all()
+    assert (vr[off & np.isfinite(vr)] % 2 == 0).all()
+    if board == "path":  # cop-win; the Cop at one end reaches the Robber idling at the other
+        assert np.isfinite(vc).all() and (vc.max(), vr.max()) == (1021.0, 1022.0)
+    else:  # not cop-win: the Robber escapes every Cop start
+        assert not np.isfinite(vc).all(axis=1).any()
+    # blocks of 8 rows keep the dense board's gather, n·|arcs| floats, at 8 MiB
+    sweep_vc, sweep_vr = _sweep(g, vc, block=8)
+    assert np.array_equal(sweep_vc, vc) and np.array_equal(sweep_vr, vr)
+
+
 def test_value_tables_on_boards_the_oracle_knows():
     for g in (path_graph(1), cycle_graph(6), disjoint_union(path_graph(3), 2)):
         assert all(map(np.array_equal, copwin_value_tables(g), _dense_value_tables(g)))
@@ -292,17 +387,7 @@ def test_value_tables_on_boards_the_oracle_knows():
     assert not np.isfinite(copwin_value_tables(cycle_graph(6))[0]).all()
 
 
-@pytest.mark.parametrize("budget", [1, 50, 700])
-def test_value_tables_in_blocks_match_the_dense_reduction(monkeypatch, budget):
-    # a small gather budget splits the sweeps into blocks of one or a few rows
-    monkeypatch.setattr(graphs, "_GATHER_BUDGET", budget)
-    rng = np.random.default_rng(budget)
-    for g in (cycle_graph(7), random_connected_graph(23, rng, 0.2),
-              random_graph_with_universal_vertex(17, rng), disjoint_union(path_graph(4), 3)):
-        assert all(map(np.array_equal, copwin_value_tables(g, 30), _dense_value_tables(g, 30)))
-
-
-def test_value_tables_on_the_complete_board_at_256_stay_within_their_gather_budget():
+def test_value_tables_on_the_complete_board_at_256_stay_within_16_mib():
     g = complete_graph(256)
     tracemalloc.start()
     try:
@@ -310,8 +395,8 @@ def test_value_tables_on_the_complete_board_at_256_stay_within_their_gather_budg
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one gathered (n, |arcs|) array would be 128 MiB; an 8 MiB block plus the n x n tables
-    # measured 11.6 MiB
+    # one gathered (n, |arcs|) array would be 128 MiB; the level recursion holds a few n x n
+    # tables and products, measured 2.6 MiB
     assert peak < 16 * 2**20
     off = ~np.eye(256, dtype=bool)
     assert (vc[off] == 1.0).all() and (vr[off] == 2.0).all() and not vc.diagonal().any()

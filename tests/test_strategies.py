@@ -19,6 +19,7 @@ from qpursuit import (
     cycle_graph,
     digraph,
     dominating_set_sweep,
+    is_copwin_dismantle,
     path_graph,
     play,
     random_connected_graph,
@@ -239,6 +240,24 @@ def test_classical_pursuit_beats_the_evader():
         if needed > 1:
             assert play("classical", g, cop, classical_evader(g),
                         rounds=needed - 1).p_copwin == 0.0
+
+
+def test_classical_pursuit_catches_random_walks_within_half_the_largest_capture_time():
+    rng = np.random.default_rng(2121)
+    boards = 0
+    while boards < 20:
+        n = int(rng.integers(2, 33))
+        g = random_connected_graph(n, rng, float(rng.choice([0.0, 0.05, 0.2])))
+        if not is_copwin_dismantle(g):
+            continue
+        boards += 1
+        vc, _ = copwin_value_tables(g, n)
+        rounds = int(np.ceil(vc.max() / 2))
+        cop = classical_pursuit(g, cap=n)
+        for _ in range(5):
+            walk = Strategy(init=int(rng.integers(n)),
+                            move=lambda ctx: int(rng.choice(g.out_adj[ctx.robber_state])))
+            assert play("classical", g, cop, walk, rounds=rounds).p_copwin == 1.0
 
 
 def test_classical_pursuit_beats_every_walk():

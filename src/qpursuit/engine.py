@@ -23,7 +23,6 @@ from .operators import (
     basis_state,
     certify_stochastic,
     certify_unitary,
-    constant_controlled_op,
     state_vector,
     uniform_state,
 )
@@ -239,7 +238,7 @@ def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
         if op.graph != g:
             op = _certified(ControlledOp, op.blocks, op.control, g)
     else:
-        op = constant_controlled_op(g, _certified(certify_unitary, op, g), expected_control)
+        op = ControlledOp((_certified(certify_unitary, op, g),) * g.n, expected_control, g)
     return op.apply(joint)
 
 
@@ -305,7 +304,7 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
     moves = {"cop": _move_source(cop), "robber": _move_source(robber)}
     joint = model is GameModel.QUANTUM_CONTROLLED
     if joint:
-        state = {"joint": qc_initial_joint(g, cop, robber)}
+        state = {"joint": qc_initial_joint(g, cop, robber, rounds)}
     else:
         parse, step, capture = _LOCAL_RULES[model]
         c = _resolve_init(cop.init, MoveContext(0, "cop", g, rounds))
@@ -330,12 +329,13 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
     return GameTrace(model, rounds, p, history)
 
 
-def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy) -> np.ndarray:
-    """Initial joint state (layout r*n + c) from the two declared initial specs."""
+def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> np.ndarray:
+    """Initial joint state (layout r*n + c) from the two declared initial specs of a game of
+    the given round count."""
     n = g.n
-    cinit = _resolve_init(cop.init, MoveContext(0, "cop", g, 0))
+    cinit = _resolve_init(cop.init, MoveContext(0, "cop", g, rounds))
     sc = _amp_vector(_uncontrolled(cinit, GameModel.QUANTUM_CONTROLLED, "cop"), n)
-    rinit = _resolve_init(robber.init, MoveContext(0, "robber", g, 0))
+    rinit = _resolve_init(robber.init, MoveContext(0, "robber", g, rounds))
     if isinstance(rinit, ControlledInit):
         chi = rinit.states
         if chi.shape != (n, n):

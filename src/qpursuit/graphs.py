@@ -219,10 +219,6 @@ def cycle_graph(n: int) -> Digraph:
     return digraph(n, [(i, (i + 1) % n) for i in range(n)], undirected=True)
 
 
-def directed_cycle(n: int) -> Digraph:
-    return digraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def star_graph(leaves: int) -> Digraph:
     """Star with center 0 and the given number of leaves."""
     return digraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)], undirected=True)
@@ -491,15 +487,6 @@ def spanning_tree(g: Digraph, root: int) -> SpanningTree:
         raise GraphError("graph has no undirected spanning tree")
     order = sorted(range(g.n), key=lambda v: (-dist[v], v))
     return SpanningTree(root, tuple(parent), tuple(order), tuple(dist))
-
-
-def disjoint_union(g: Digraph, k: int) -> Digraph:
-    """k disjoint copies of g; copy j occupies the vertex block [j*n, (j+1)*n)."""
-    if not (_is_int(k) and k >= 1):
-        raise GraphError(f"disjoint union needs a positive integer copy count, got {k!r}")
-    _check_size(int(k) * g.n)
-    return Digraph._trusted(np.kron(np.eye(int(k), dtype=bool), g.adjacency),
-                            is_undirected=g.is_undirected, is_reflexive=g.is_reflexive)
 
 
 def reverse_digraph(g: Digraph) -> Digraph:

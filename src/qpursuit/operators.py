@@ -17,11 +17,9 @@ from .graphs import (
     GraphError,
     _check_vertex,
     _is_int,
-    cycle_graph,
     has_arc,
     is_reversible,
     neighbors,
-    path_graph,
     reverse_digraph,
     spanning_tree,
 )
@@ -339,6 +337,8 @@ class _Block:
 
 def _direct_sum(blocks: list) -> _Block:
     """The block-diagonal sum of blocks in their order, its stacks of one component shape joined."""
+    if len(blocks) == 1:
+        return blocks[0]
     shapes, at = {}, 0
     for b in blocks:
         for part in b.parts:
@@ -551,43 +551,46 @@ def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport
     return _stochastic_report(m, g, tau)
 
 
-def _block_and_support(op) -> tuple:
-    """What certify_unitary certifies of op: a certificate's block on its own support, else
-    op (or its .matrix), a matrix or Entries, on every vertex."""
-    return (op._block, op.support) if isinstance(op, GraphUnitary) else \
-        (getattr(op, "matrix", op), None)
-
-
 def certify_unitary(op, g: Digraph) -> GraphUnitary:
-    """op if it is a GraphUnitary on g, else its block certified against g on its support."""
-    if isinstance(op, GraphUnitary) and op.graph == g:
-        return op
-    block, support = _block_and_support(op)
-    return GraphUnitary(block, g, support)
+    """op if it is a GraphUnitary on g, else certified against g: see certify_blocks."""
+    return certify_blocks([op], g)[0]
 
 
 def certify_blocks(blocks, g: Digraph, supports=None) -> list:
-    """[GraphUnitary(b, g, s) for each block b and support s], every support the whole board by
-    default, by one check on the direct sum of the blocks, which passes iff each would alone.
-    If it fails, or a block is malformed, the blocks are certified one at a time in order, so the
-    first bad block raises exactly what it raises alone."""
+    """The blocks certified against g, every support the whole board by default.  A GraphUnitary
+    on g is trusted and returned as it is, one from another board is certified on its own
+    support, and anything else (a dense array, Entries, a _Block, or an object with .matrix) on
+    its given support.  Everything to certify takes one check on the direct sum of the blocks,
+    which passes iff each would alone.  If it fails, or a block is malformed, the blocks are
+    certified one at a time in order, so the first bad block raises exactly what it raises alone,
+    with its index in blocks as the error's position."""
     supports = [None] * len(blocks) if supports is None else list(supports)
     if len(supports) != len(blocks):
         raise ValueError(f"{len(blocks)} blocks but {len(supports)} supports")
-    parsed, error = [], None
-    for b, s in zip(blocks, supports):
+    out, parsed, error = list(blocks), [], None
+    for i, (b, s) in enumerate(zip(blocks, supports)):
+        if isinstance(b, GraphUnitary):
+            if b.graph == g:
+                continue
+            b, s = b._block, b.support
         try:
-            parsed.append(_parsed(b, g, s))
+            parsed.append((i, *_parsed(getattr(b, "matrix", b), g, s)))
         except Exception as exc:  # raised in its turn, once the blocks before it are certified
-            error = exc
+            error, exc.position = exc, i
             break
-    if error or parsed and not _unitary_report(_direct_sum([b for _, _, b in parsed]), g,
-                                               [idx for _, idx, _ in parsed]):
-        for _, idx, b in parsed:
-            _refuse(_unitary_report(b, g, idx))
+    if error or parsed and not _unitary_report(_direct_sum([b for _, _, _, b in parsed]), g,
+                                               [idx for _, _, idx, _ in parsed]):
+        for i, _, idx, b in parsed:
+            try:
+                _refuse(_unitary_report(b, g, idx))
+            except CertificationError as exc:
+                exc.position = i
+                raise
         if error:
             raise error
-    return [object.__new__(GraphUnitary)._fill(g, *p) for p in parsed]
+    for i, support, idx, b in parsed:
+        out[i] = object.__new__(GraphUnitary)._fill(g, support, idx, b)
+    return out
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -723,19 +726,15 @@ def transposition_unitary(g: Digraph, v: int, w: int) -> GraphUnitary:
     return GraphUnitary([[0, 1], [1, 0]], g, (v, w))
 
 
-def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> GraphUnitary:
-    """4x4 unitary on the reflexive 4-cycle collapsing a three-vertex superposition onto |1>.
+def _c4_collapse_matrix(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> np.ndarray:
+    """4x4 unitary matrix on the reflexive 4-cycle collapsing a three-vertex superposition onto
+    |1>, uncertified: its callers certify it with the other blocks of their move.
 
     amplitudes = (r_a, k_a, r_b, k_b, r_c, k_c) is the polar form of the
     source state r_a e^(i k_a)|0> + r_b e^(i k_b)|1> + r_c e^(i k_c)|2>,
     with r_a^2 + r_b^2 + r_c^2 = 1.  The image of that state is
     e^(i (k_c - psi))|1>; alpha is a free phase on the complementary block.
     """
-    return certify_unitary(_c4_collapse_matrix(amplitudes, psi, alpha), cycle_graph(4))
-
-
-def _c4_collapse_matrix(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> np.ndarray:
-    """The uncertified matrix of gather_unitary_c4, for callers that certify it on their own."""
     ra, ka, rb, kb, rc, kc = (float(x) for x in amplitudes)
     if not _is_unit((ra, rb, rc)):
         raise ValueError("source amplitudes must have unit norm")
@@ -763,8 +762,8 @@ class ControlledOp:
     The joint layout is robber-major: index r * n + c.  control='robber'
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
-    Building one certifies every block against graph as certify_unitary does, all by one check
-    (see certify_blocks); a bad block is named by its vertex.
+    Building one certifies every block against graph, all by one certify_blocks call; a bad
+    block's error is prefixed with its vertex.
     """
 
     blocks: tuple
@@ -776,17 +775,11 @@ class ControlledOp:
             raise ValueError("control must be 'cop' or 'robber'")
         if len(self.blocks) != self.graph.n:
             raise ValueError(f"need {self.graph.n} blocks, got {len(self.blocks)}")
-        g, blocks = self.graph, list(self.blocks)
-        todo = [v for v, u in enumerate(blocks) if not isinstance(u, GraphUnitary) or u.graph != g]
-        items = [_block_and_support(blocks[v]) for v in todo]
         try:
-            for v, u in zip(todo, certify_blocks([b for b, _ in items], g, [s for _, s in items])):
-                blocks[v] = u
-        except CertificationError as exc:  # the first bad block's own error: name that block
-            for v, (b, s) in zip(todo, items):
-                _, idx, b = _parsed(b, g, s)
-                if not _unitary_report(b, g, idx):
-                    raise CertificationError(f"block {v}: {exc}", exc.report) from None
+            blocks = certify_blocks(self.blocks, self.graph)
+        except Exception as exc:
+            if hasattr(exc, "position"):  # the first bad block's own error: name that block
+                exc.args = (f"block {exc.position}: {exc}",)
             raise
         object.__setattr__(self, "blocks", tuple(blocks))
 
@@ -800,21 +793,6 @@ class ControlledOp:
         for v, u in enumerate(self.blocks):
             lines[v] = u.apply(lines[v])
         return joint
-
-
-def controlled_op(g: Digraph, assignment, control: str) -> ControlledOp:
-    """Block operator sum_v |v><v| (x) U(v) with every block certified against g."""
-    blocks = []
-    for v in range(g.n):
-        try:
-            blocks.append(assignment(v) if callable(assignment) else assignment[v])
-        except (KeyError, IndexError):
-            raise ValueError(f"assignment misses vertex {v}") from None
-    return ControlledOp(tuple(blocks), control, g)
-
-
-def constant_controlled_op(g: Digraph, u: GraphUnitary, control: str) -> ControlledOp:
-    return controlled_op(g, [u] * g.n, control)
 
 
 def haar_unitary(dim: int, rng, stack: tuple = ()) -> np.ndarray:
@@ -857,11 +835,6 @@ def sample_path3_blocks(rng, count: int) -> np.ndarray:
     return m
 
 
-def sample_path3_unitary(rng) -> GraphUnitary:
-    """One random certified member over the path 0-1-2: sample_path3_blocks of one block."""
-    return certify_blocks(sample_path3_blocks(rng, 1), path_graph(3))[0]
-
-
 def sample_graph_stochastic(g: Digraph, rng) -> GraphStochastic:
     """Random column distributions, each supported on its vertex's out-neighbourhood."""
     m = np.zeros((g.n, g.n))
@@ -874,4 +847,4 @@ def sample_graph_stochastic(g: Digraph, rng) -> GraphStochastic:
 
 
 def sample_controlled_op(g: Digraph, rng, control: str) -> ControlledOp:
-    return controlled_op(g, [sample_graph_unitary(g, rng) for _ in range(g.n)], control)
+    return ControlledOp(tuple(sample_graph_unitary(g, rng) for _ in range(g.n)), control, g)

@@ -21,14 +21,6 @@ from .operators import ControlledOp, Entries
 from .strategies import build_strategy
 
 
-def graph_to_json(g: Digraph) -> dict:
-    undirected = g.is_undirected
-    reflexive = g.is_reflexive
-    arcs = [[u, v] for u, row in enumerate(g.out_adj) for v in row
-            if not (reflexive and u == v or undirected and u > v)]
-    return {"n": g.n, "arcs": arcs, "undirected": undirected, "reflexive": reflexive}
-
-
 def _json_int(value, what: str) -> int:
     """An integer read from JSON; booleans and non-integral numbers are refused, not coerced."""
     if not _is_int(value):

@@ -28,8 +28,8 @@ from .graphs import (
 )
 from .operators import (
     ATOL,
+    ControlledOp,
     certify_blocks,
-    controlled_op,
     identity_unitary,
     _c4_collapse_matrix,
 )
@@ -58,7 +58,7 @@ def universal_vertex_catch(g: Digraph, vertex: int = None) -> Strategy:
     swap, none = np.array([[0, 1], [1, 0]]), np.zeros((0, 0))
     blocks = certify_blocks([none if v == hub else swap for v in range(g.n)], g,
                             [() if v == hub else (v, hub) for v in range(g.n)])
-    entangler = controlled_op(g, blocks, control="robber")
+    entangler = ControlledOp(tuple(blocks), "robber", g)
 
     def move(ctx):
         return entangler if ctx.round == 1 else None
@@ -74,7 +74,7 @@ def _require_c4(g: Digraph):
 
 def _recentred_collapse(amps: np.ndarray, target: int) -> np.ndarray:
     """Unitary matrix on the 4-cycle sending the normalized amps (supported off target+2) onto
-    |target>, uncertified: controlled_op certifies it with the other blocks of its move.
+    |target>, uncertified: ControlledOp certifies it with the other blocks of its move.
 
     amps must live on the closed neighbourhood of target; the collapse matrix
     is written for target 1 and conjugated by the cycle rotation that moves 1
@@ -110,7 +110,7 @@ class _AntipodalEvasion:
     def prepare(self, ctx):
         self.opponent = ctx.opponent
         self.rounds = ctx.rounds
-        self.shadow = qc_initial_joint(self.g, ctx.opponent, self.strategy)
+        self.shadow = qc_initial_joint(self.g, ctx.opponent, self.strategy, ctx.rounds)
         self.next_round = 1
         self.ops = {}
 
@@ -130,7 +130,7 @@ class _AntipodalEvasion:
                     "left the expected neighbourhood, which signals an illegal cop move"
                 )
             blocks.append(_recentred_collapse(conditional, (c + 2) % 4))
-        return controlled_op(self.g, blocks, control="cop")
+        return ControlledOp(tuple(blocks), "cop", self.g)
 
     def _advance(self, upto: int):
         opp_move = _move_source(self.opponent)
@@ -177,7 +177,7 @@ def c4_unfair_cop(g: Digraph) -> Strategy:
     _require_c4(g)
     uniform = np.full(4, 0.5, dtype=complex)
     blocks = [_recentred_collapse(uniform, i) for i in range(4)]
-    op = controlled_op(g, blocks, control="robber")
+    op = ControlledOp(tuple(blocks), "robber", g)
 
     def move(ctx):
         return op if ctx.round == 1 else None

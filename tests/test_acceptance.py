@@ -14,10 +14,8 @@ from qpursuit import (
     c4_unfair_cop,
     cycle_graph,
     digraph,
-    disjoint_union,
     dominating_set,
     gather_unitary,
-    gather_unitary_c4,
     identity_unitary,
     is_connected,
     is_copwin_dismantle,
@@ -30,14 +28,13 @@ from qpursuit import (
     sample_controlled_op,
     sample_graph_stochastic,
     sample_graph_unitary,
-    sample_path3_unitary,
     solve_copwin_game,
     uniform_spread,
     universal_vertex_catch,
 )
-from test_graphs import _ref_support_ball, random_graph_with_universal_vertex
+from test_graphs import _ref_support_ball, disjoint_union, random_graph_with_universal_vertex
 from test_operators import (C4_ALPHA, C4_AMPS, C4_IMAGE_PHASE, C4_MATRIX, C4_PSI, _c4_source_state,
-                            joint_as_union_matrix)
+                            gather_unitary_c4, joint_as_union_matrix, sample_path3_unitary)
 
 
 def _verdict(number: int, name: str, ok: bool) -> bool:

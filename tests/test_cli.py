@@ -20,15 +20,14 @@ from qpursuit import (
     GameModel,
     GraphUnitary,
     MoveContext,
+    ControlledOp,
+    Digraph,
     Scenario,
     complete_graph,
-    controlled_op,
     controlled_op_from_json,
     cycle_graph,
     digraph,
-    directed_cycle,
     graph_from_json,
-    graph_to_json,
     haar_unitary,
     identity_unitary,
     is_graph_preserving_unitary,
@@ -51,6 +50,17 @@ from qpursuit import (
 )
 from qpursuit.cli import main
 from qpursuit.scenario import strategy_from_json
+from test_graphs import directed_cycle
+
+
+def graph_to_json(g: Digraph) -> dict:
+    """The graph JSON of g: its arcs listed once, without loops on a reflexive board and once
+    per edge on an undirected one."""
+    undirected = g.is_undirected
+    reflexive = g.is_reflexive
+    arcs = [[u, v] for u, row in enumerate(g.out_adj) for v in row
+            if not (reflexive and u == v or undirected and u > v)]
+    return {"n": g.n, "arcs": arcs, "undirected": undirected, "reflexive": reflexive}
 
 
 def _write(tmp_path, name, data):
@@ -892,7 +902,7 @@ def _certified_block(draw, g, rng):
 def test_operators_are_written_from_their_blocks_byte_for_byte(u):
     assert operators_to_text([u]) == json.dumps([_loop_operator_to_json(u.matrix)], sort_keys=True)
     g = u.graph
-    op = controlled_op(g, [u if v % 2 else identity_unitary(g) for v in range(g.n)], "cop")
+    op = ControlledOp(tuple(u if v % 2 else identity_unitary(g) for v in range(g.n)), "cop", g)
     data = json.dumps(_controlled_op_json(op), sort_keys=True)
     assert data == json.dumps({"n": g.n, "control": "cop", "blocks": [
         _loop_operator_to_json(b.matrix) for b in op.blocks]}, sort_keys=True)
@@ -990,8 +1000,8 @@ def test_a_controlled_block_of_a_huge_declared_size_is_refused_before_it_is_dens
     data = {"control": "robber", "blocks": [ident, ident, {"n": 1_000_000_000}, ident]}
 
     def refuse():
-        with pytest.raises(ValueError, match=r"^block shape \(1000000000, 1000000000\) does not "
-                                             r"match 4 support vertices$"):
+        with pytest.raises(ValueError, match=r"^block 2: block shape \(1000000000, 1000000000\) "
+                                             r"does not match 4 support vertices$"):
             controlled_op_from_json(data, c4)
 
     assert _traced_peak(refuse)[1] < 2**20

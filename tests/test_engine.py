@@ -12,16 +12,14 @@ from qpursuit import (
     GameError,
     GameModel,
     GraphError,
+    ControlledOp,
     Strategy,
     certify_stochastic,
     complete_graph,
-    constant_controlled_op,
-    controlled_op,
     cycle_graph,
     dominating_set,
     dominating_set_sweep,
     gather_unitary,
-    gather_unitary_c4,
     identity_unitary,
     neighbors,
     p_copwin_joint,
@@ -40,6 +38,8 @@ from qpursuit import (
     transposition_unitary,
     universal_vertex_catch,
 )
+from test_graphs import directed_cycle
+from test_operators import gather_unitary_c4
 
 
 def _random_amps(rng, n):
@@ -194,7 +194,7 @@ def test_constant_controlled_blocks_match_bare_lifts(rng):
     bare = play("quantum_controlled", g, Strategy(init=sc, move=[u]),
                 Strategy(init=sr), rounds=1)
     blocked = play("quantum_controlled", g,
-                   Strategy(init=sc, move=[constant_controlled_op(g, u, "robber")]),
+                   Strategy(init=sc, move=[ControlledOp((u,) * g.n, "robber", g)]),
                    Strategy(init=sr), rounds=1)
     assert np.allclose(bare.history[-1][2]["joint"], blocked.history[-1][2]["joint"])
 
@@ -217,7 +217,7 @@ def test_qc_step_lifts_and_validates():
     assert np.allclose(qc_step(u, x, g, "cop"), np.kron(np.eye(4), u.matrix) @ x)
     assert np.allclose(qc_step(u.matrix, x, g, "robber"), np.kron(u.matrix, np.eye(4)) @ x)
     assert np.array_equal(qc_step(None, x, g, "cop"), np.eye(16) @ x)
-    cop_controlled = constant_controlled_op(g, identity_unitary(g), "cop")
+    cop_controlled = ControlledOp((identity_unitary(g),) * g.n, "cop", g)
     with pytest.raises(GameError):  # a cop move must be controlled on the robber
         qc_step(cop_controlled, x, g, "cop")
     assert np.array_equal(qc_step(cop_controlled, x, g, "robber"), np.eye(16) @ x)
@@ -226,7 +226,7 @@ def test_qc_step_lifts_and_validates():
 def test_quantum_controlled_play_certifies_every_block_on_its_board():
     k4, c4 = complete_graph(4), cycle_graph(4)
     swap02 = transposition_unitary(k4, 0, 2)  # legal on K4, not on the 4-cycle
-    op = controlled_op(k4, [identity_unitary(k4)] * 3 + [swap02], control="robber")
+    op = ControlledOp((identity_unitary(k4),) * 3 + (swap02,), "robber", k4)
     with pytest.raises(GameError, match="block 3"):
         play("quantum_controlled", c4, Strategy(init=0, move=[op]), Strategy(init=1), 1)
     with pytest.raises(GameError):
@@ -235,19 +235,19 @@ def test_quantum_controlled_play_certifies_every_block_on_its_board():
 
 def test_qc_initial_joint_layouts():
     g = path_graph(3)
-    joint = qc_initial_joint(g, Strategy(init=1), Strategy(init=2))
+    joint = qc_initial_joint(g, Strategy(init=1), Strategy(init=2), 1)
     expected = np.zeros(9, dtype=complex)
     expected[2 * 3 + 1] = 1.0
     assert np.array_equal(joint, expected)
     chi = np.eye(3, dtype=complex)[:, ::-1]  # robber mirrors the cop's vertex
-    joint = qc_initial_joint(g, Strategy(init="uniform"), Strategy(init=ControlledInit(chi)))
+    joint = qc_initial_joint(g, Strategy(init="uniform"), Strategy(init=ControlledInit(chi)), 1)
     reshaped = joint.reshape(3, 3)
     for c in range(3):
         assert np.isclose(reshaped[2 - c, c], 1 / np.sqrt(3))
     with pytest.raises(GameError):
-        qc_initial_joint(g, Strategy(), Strategy(init=ControlledInit(np.eye(3) * 0.5)))
+        qc_initial_joint(g, Strategy(), Strategy(init=ControlledInit(np.eye(3) * 0.5)), 1)
     with pytest.raises(GameError):
-        qc_initial_joint(g, Strategy(), Strategy(init=ControlledInit(np.eye(2))))
+        qc_initial_joint(g, Strategy(), Strategy(init=ControlledInit(np.eye(2))), 1)
 
 
 def test_qc_initial_joint_weights_each_column_by_the_cop_amplitude(rng):
@@ -255,13 +255,13 @@ def test_qc_initial_joint_weights_each_column_by_the_cop_amplitude(rng):
     g = cycle_graph(n)
     sc, sr = _random_amps(rng, n), _random_amps(rng, n)
     chi = np.stack([_random_amps(rng, n) for _ in range(n)], axis=1)
-    joint = qc_initial_joint(g, Strategy(init=sc), Strategy(init=ControlledInit(chi)))
+    joint = qc_initial_joint(g, Strategy(init=sc), Strategy(init=ControlledInit(chi)), 1)
     expected = np.zeros(n * n, dtype=complex)
     for c in range(n):  # the per-column fill kept as the reference
         expected[np.arange(n) * n + c] = sc[c] * chi[:, c]
     # the factors are multiplied in the other order, which a fused multiply-add may round apart
     assert np.allclose(joint, expected, rtol=0.0, atol=1e-15)
-    product = qc_initial_joint(g, Strategy(init=sc), Strategy(init=sr))
+    product = qc_initial_joint(g, Strategy(init=sc), Strategy(init=sr), 1)
     assert np.allclose(product, np.kron(sr, sc), rtol=0.0, atol=1e-15)
 
 
@@ -304,7 +304,6 @@ def test_unfair_pursuit_validates_input():
         play_unfair_probabilistic(g, {0, 2}, Strategy(init="uniform"), 1)
     with pytest.raises(GameError):
         play_unfair_probabilistic(g, {0, 2}, Strategy(init=4, move=[1]), 1)
-    from qpursuit import directed_cycle
     with pytest.raises(GraphError):
         play_unfair_probabilistic(directed_cycle(4), {0, 2}, Strategy(init=1), 1)
 
@@ -448,7 +447,7 @@ def test_gather_rotation_plays_as_a_move_and_as_a_controlled_block():
     trace = play("classical_quantum", g, Strategy(init=0, move=[u]), Strategy(init=1), 1)
     assert trace.p_copwin == pytest.approx(1.0)
     # a robber on vertex 1 triggers the gather; on 0 or 2 the cop stays put
-    op = controlled_op(g, [identity_unitary(g), u, identity_unitary(g)], control="robber")
+    op = ControlledOp((identity_unitary(g), u, identity_unitary(g)), "robber", g)
     assert op.blocks[1] is u  # a gather block is kept as it is, not densified
     for robber, expected in ((1, 1.0), (0, 1.0), (2, 0.0)):
         qc = play("quantum_controlled", g, Strategy(init=0, move=[op]), Strategy(init=robber), 1)
@@ -543,7 +542,7 @@ def test_a_move_must_name_a_vertex_along_an_arc():
             play("classical", g, Strategy(init=0, move=[move]), Strategy(init=1), 1)
     trace = play("classical", g, Strategy(init=0, move=[np.int64(1)]), Strategy(init=1), 1)
     assert trace.p_copwin == 1.0
-    robber = Strategy(init=0, move=[constant_controlled_op(g, identity_unitary(g), "cop")])
+    robber = Strategy(init=0, move=[ControlledOp((identity_unitary(g),) * g.n, "cop", g)])
     with pytest.raises(GameError, match="no such arc"):
         play_unfair_probabilistic(g, [1], robber, 1)
 
@@ -615,3 +614,16 @@ def test_nan_inf_and_off_norm_inputs_are_refused(entry, kind):
     with pytest.raises(error) as info:
         call(*_BAD_INPUTS[kind])
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("model", ["classical", "open_probabilistic", "classical_quantum",
+                                   "quantum_controlled"])
+def test_every_init_callback_sees_the_round_count(model):
+    seen = []
+
+    def init(ctx):
+        seen.append((ctx.role, ctx.round, ctx.rounds))
+        return 0 if ctx.role == "cop" else 2
+
+    play(model, path_graph(3), Strategy(init=init), Strategy(init=init), 5)
+    assert seen == [("cop", 0, 5), ("robber", 0, 5)]

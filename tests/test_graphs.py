@@ -18,8 +18,6 @@ from qpursuit import (
     copwin_value_tables,
     cycle_graph,
     digraph,
-    directed_cycle,
-    disjoint_union,
     dominates,
     dominating_set,
     is_connected,
@@ -35,10 +33,24 @@ from qpursuit import (
     star_graph,
     universal_vertex,
 )
-from qpursuit.graphs import MAX_VERTICES, SpanningTree
+from qpursuit.graphs import MAX_VERTICES, SpanningTree, _check_size, _is_int
 from qpursuit.scenario import graph_from_json
 
 INF = np.inf
+
+
+def directed_cycle(n: int) -> Digraph:
+    """The reflexive one-way n-cycle i -> i + 1 (mod n)."""
+    return digraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def disjoint_union(g: Digraph, k: int) -> Digraph:
+    """k disjoint copies of g; copy j occupies the vertex block [j*n, (j+1)*n)."""
+    if not (_is_int(k) and k >= 1):
+        raise GraphError(f"disjoint union needs a positive integer copy count, got {k!r}")
+    _check_size(int(k) * g.n)
+    return Digraph._trusted(np.kron(np.eye(int(k), dtype=bool), g.adjacency),
+                            is_undirected=g.is_undirected, is_reflexive=g.is_reflexive)
 
 
 def test_digraph_normalizes_and_validates():

@@ -1,5 +1,6 @@
 """Graph-preserving operations: certification, gathers, reach chains, controlled blocks."""
 
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -24,14 +25,9 @@ from qpursuit import (
     certify_stochastic,
     certify_unitary,
     complete_graph,
-    constant_controlled_op,
-    controlled_op,
     cycle_graph,
     digraph,
-    directed_cycle,
-    disjoint_union,
     gather_unitary,
-    gather_unitary_c4,
     haar_unitary,
     identity_unitary,
     is_graph_preserving_stochastic,
@@ -44,7 +40,7 @@ from qpursuit import (
     sample_controlled_op,
     sample_graph_stochastic,
     sample_graph_unitary,
-    sample_path3_unitary,
+    sample_path3_blocks,
     spanning_tree,
     star_graph,
     state_vector,
@@ -57,12 +53,14 @@ from qpursuit.operators import (
     _SKIP,
     _ZERO_BLOCK,
     _Block,
+    _c4_collapse_matrix,
     _fold_layers,
     _gather_block,
     _is_unit,
     _stochastic_report,
     _unitary_report,
 )
+from test_graphs import directed_cycle, disjoint_union
 
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
@@ -77,6 +75,16 @@ def cycle_unitary(n, phases):
     m = np.zeros((n, n), dtype=complex)
     m[(np.arange(n) + 1) % n, np.arange(n)] = np.exp(1j * phases)
     return certify_unitary(m, directed_cycle(n))
+
+
+def gather_unitary_c4(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> GraphUnitary:
+    """The collapse of the 4-cycle (see _c4_collapse_matrix), certified on the reflexive 4-cycle."""
+    return certify_unitary(_c4_collapse_matrix(amplitudes, psi, alpha), cycle_graph(4))
+
+
+def sample_path3_unitary(rng) -> GraphUnitary:
+    """One random certified member over the path 0-1-2: sample_path3_blocks of one block."""
+    return certify_blocks(sample_path3_blocks(rng, 1), path_graph(3))[0]
 
 
 def joint_matrix(op):
@@ -723,24 +731,92 @@ def test_a_stack_certifies_each_block_exactly_as_it_certifies_alone(instance):
             [repr(r) for _, r in alone[:bad + 1] if r is not None]
         assert type(got) is type(alone[bad][0]) and str(got) == str(alone[bad][0])
         assert repr(getattr(got, "report", None)) == repr(alone[bad][1])
-    # ControlledOp certifies its blocks that are not certificates on g by one check, the same
-    # way, and names the first bad one
+        assert got.position == bad
+    # a mixed list: certificates from the complete board, whole-board blocks, and the
+    # certificates on g of the blocks that passed alone, which are trusted as they are
     ops = [(i, u if u is not None else blocks[i]) for i, u in enumerate(certificates)
            if u is not None or supports[i] is None]
+    ops += [(i, u) for i, (u, _) in enumerate(alone) if isinstance(u, GraphUnitary)]
     if ops:
         order = [ops[v % len(ops)] for v in range(g.n)]
-        todo = [i for i, u in order if not (isinstance(u, GraphUnitary) and u.graph == g)]
-        op, calls = _spied_checks(lambda: ControlledOp(tuple(u for _, u in order), "cop", g))
+        mixed = [u for _, u in order]
+        trusted = [isinstance(u, GraphUnitary) and u.graph == g for u in mixed]
         first = next((v for v, (i, _) in enumerate(order) if not alone[i][1].ok), None)
+        got, calls = _spied_checks(lambda: certify_blocks(mixed, g))
         if first is None:
-            assert len(calls) == (1 if todo else 0)
-            assert all(len(idx) == len(todo) for _, idx, _ in calls)
-            assert all(np.array_equal(u.block, alone[i][0].block)
-                       for u, (i, _) in zip(op.blocks, order))
+            # what is not trusted takes one check; a certificate on g comes back as itself
+            assert len(calls) == (0 if all(trusted) else 1)
+            assert all(len(idx) == trusted.count(False) for _, idx, _ in calls)
+            assert [u is v for u, v in zip(got, mixed)] == trusted
+            assert all(u.graph == g and np.array_equal(u.block, alone[i][0].block)
+                       for u, (i, _) in zip(got, order))
         else:
-            assert isinstance(op, CertificationError)
+            assert isinstance(got, CertificationError) and got.position == first
+            assert str(got) == str(alone[order[first][0]][0])
+            assert repr(got.report) == repr(alone[order[first][0]][1])
+        # ControlledOp makes that one call on its blocks, and names the first bad one
+        op, op_calls = _spied_checks(lambda: ControlledOp(tuple(mixed), "cop", g))
+        assert [repr(r) for *_, r in op_calls] == [repr(r) for *_, r in calls]
+        if first is None:
+            assert [u is v for u, v in zip(op.blocks, mixed)] == trusted
+            assert all(np.array_equal(u.block, v.block) for u, v in zip(op.blocks, got))
+        else:
+            assert isinstance(op, CertificationError) and op.position == first
             assert str(op) == f"block {first}: {alone[order[first][0]][0]}"
             assert repr(op.report) == repr(alone[order[first][0]][1])
+
+
+@pytest.mark.parametrize("bad", range(6))
+def test_a_bad_controlled_block_is_checked_once_and_nothing_after_it(bad):
+    # trusted identities, dense and Entries blocks and a certificate from K6 that is legal on the
+    # 6-cycle; block bad is refused, and so is the last block when bad is not last
+    g, k6 = cycle_graph(6), complete_graph(6)
+    blocks = [identity_unitary(g), np.eye(6), transposition_unitary(k6, 2, 3),
+              Entries.of_matrix(np.eye(6)), identity_unitary(g), np.eye(6)]
+    if bad < 5:
+        blocks[5] = np.eye(6)[[3, 1, 2, 0, 4, 5]]  # swaps the non-adjacent 0 and 3
+    # a certificate legal on K6 only: one check on the direct sum, then one per untrusted block
+    # up to and including block bad, and none after it
+    blocks[bad] = transposition_unitary(k6, 0, 2)
+    untrusted = [v for v, u in enumerate(blocks[:bad + 1])
+                 if not (isinstance(u, GraphUnitary) and u.graph == g)]
+    err, calls = _spied_checks(lambda: ControlledOp(tuple(blocks), "robber", g))
+    assert isinstance(err, CertificationError) and err.position == bad
+    assert str(err).startswith(f"block {bad}: matrix is not a graph-preserving unitary")
+    assert len(calls) == 1 + len(untrusted)
+    assert [bool(r) for *_, r in calls[1:]] == [True] * (len(calls) - 2) + [False]
+    assert err.report is calls[-1][2]
+    # a malformed block, of the wrong shape or a certificate off the board: no sum is checked,
+    # only the untrusted blocks before it, and its own error is prefixed with its vertex
+    for malformed, error, message in (
+            (np.eye(5), ValueError, r"block shape \(5, 5\) does not match 6 support vertices"),
+            (transposition_unitary(complete_graph(7), 0, 6), GraphError,
+             r"vertex 6 outside 0\.\.5")):
+        blocks[bad] = malformed
+        err, calls = _spied_checks(lambda: ControlledOp(tuple(blocks), "robber", g))
+        assert type(err) is error and err.position == bad
+        assert re.fullmatch(rf"block {bad}: {message}", str(err))
+        assert len(calls) == len([v for v in untrusted if v < bad]) and all(r for *_, r in calls)
+
+
+def test_certify_unitary_is_certify_blocks_of_one_block():
+    c4, k4 = cycle_graph(4), complete_graph(4)
+    u = transposition_unitary(c4, 0, 1)
+    for op in (u, transposition_unitary(k4, 0, 1), u.matrix, Entries.of_matrix(u.matrix)):
+        one, alone = certify_blocks([op], c4)[0], certify_unitary(op, c4)
+        assert (one is op) == (alone is op) == (op is u)
+        assert one.graph == alone.graph == c4 and one.support == alone.support
+        assert np.array_equal(one.block, alone.block)
+    swap02 = np.eye(4)[[2, 1, 0, 3]]  # 0 and 2 are adjacent on K4, not on the 4-cycle
+    for op in (transposition_unitary(k4, 0, 2), swap02, Entries.of_matrix(swap02)):
+        errors = []
+        for certify in (lambda: certify_blocks([op], c4), lambda: certify_unitary(op, c4)):
+            with pytest.raises(CertificationError) as err:
+                certify()
+            errors.append(err.value)
+        one, alone = errors
+        assert str(one) == str(alone) and repr(one.report) == repr(alone.report)
+        assert one.position == alone.position == 0
 
 
 def test_certify_blocks_refuses_supports_of_another_length():
@@ -1301,10 +1377,10 @@ def test_c4_collapse_validates_norm():
 def test_controlled_op_joint_layouts():
     g = complete_graph(2)
     x = transposition_unitary(g, 0, 1)
-    op = controlled_op(g, [x, identity_unitary(g)], control="robber")
+    op = ControlledOp((x, identity_unitary(g)), "robber", g)
     expected = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.array_equal(joint_matrix(op), expected)
-    op = controlled_op(g, [x, identity_unitary(g)], control="cop")
+    op = ControlledOp((x, identity_unitary(g)), "cop", g)
     expected = np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.array_equal(joint_matrix(op), expected)
     assert [b.support for b in op.blocks] == [(0, 1), ()]
@@ -1312,32 +1388,32 @@ def test_controlled_op_joint_layouts():
 
 def test_controlled_apply_refuses_a_joint_state_of_another_dimension():
     g = cycle_graph(3)
-    op = constant_controlled_op(g, identity_unitary(g), "robber")
+    op = ControlledOp((identity_unitary(g),) * g.n, "robber", g)
     for size in (8, 3, 10):
         with pytest.raises(ValueError, match=rf"^joint state dimension {size} does not match "
                                              r"n\^2 = 9$"):
             op.apply(np.ones(size))
 
 
-def test_controlled_op_accepts_callables_and_raw_matrices():
+def test_controlled_op_accepts_raw_matrices():
     g = path_graph(3)
-    op = controlled_op(g, lambda v: np.eye(3), control="robber")
+    op = ControlledOp((np.eye(3),) * 3, "robber", g)
     assert np.array_equal(joint_matrix(op), np.eye(9))
     with pytest.raises(ValueError):
-        controlled_op(g, {0: np.eye(3), 1: np.eye(3)}, control="robber")
+        ControlledOp((np.eye(3),) * 2, "robber", g)
     with pytest.raises(ValueError):
-        controlled_op(g, [np.eye(3)] * 3, control="both")
+        ControlledOp((np.eye(3),) * 3, "both", g)
     swap02 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     with pytest.raises(CertificationError):
-        controlled_op(g, [swap02, np.eye(3), np.eye(3)], control="robber")
+        ControlledOp((swap02, np.eye(3), np.eye(3)), "robber", g)
 
 
 def test_controlled_identity_and_constant():
     g = cycle_graph(4)
-    identity = constant_controlled_op(g, identity_unitary(g), "cop")
+    identity = ControlledOp((identity_unitary(g),) * g.n, "cop", g)
     assert np.array_equal(joint_matrix(identity), np.eye(16))
     u = sample_graph_unitary(g, np.random.default_rng(3))
-    op = constant_controlled_op(g, u, "robber")
+    op = ControlledOp((u,) * g.n, "robber", g)
     assert np.allclose(joint_matrix(op), np.kron(np.eye(4), u.matrix))
 
 
@@ -1356,13 +1432,13 @@ def test_controlled_joint_certifies_against_graph_copies(rng):
 def test_controlled_op_certifies_blocks_from_another_board():
     c4 = cycle_graph(4)
     with pytest.raises(CertificationError):  # 0 and 2 are adjacent on K4, not on the 4-cycle
-        controlled_op(c4, [transposition_unitary(complete_graph(4), 0, 2)] * 4, "robber")
+        ControlledOp((transposition_unitary(complete_graph(4), 0, 2),) * 4, "robber", c4)
     k4_swap = transposition_unitary(complete_graph(4), 0, 1)
-    op = controlled_op(c4, [k4_swap] * 4, "robber")
+    op = ControlledOp((k4_swap,) * 4, "robber", c4)
     assert all(b.graph == c4 and np.array_equal(b.matrix, k4_swap.matrix) for b in op.blocks)
     assert all(b.support == (0, 1) for b in op.blocks)
     own = transposition_unitary(cycle_graph(4), 0, 1)  # an equal board: kept as it is
-    assert all(b is own for b in controlled_op(c4, [own] * 4, "cop").blocks)
+    assert all(b is own for b in ControlledOp((own,) * 4, "cop", c4).blocks)
 
 
 def _dense_joint(op):
@@ -1403,7 +1479,7 @@ def _sample_block(g, rng):
 def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng, rng.choice([0.0, 0.3, 1.0]))
-    op = controlled_op(g, [_sample_block(g, rng) for _ in range(n)], control)
+    op = ControlledOp(tuple(_sample_block(g, rng) for _ in range(n)), control, g)
     x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
     x[rng.random(n * n) < 0.3] = 0.0
     x /= np.linalg.norm(x) or 1.0
@@ -1500,7 +1576,7 @@ def test_certificates_cannot_be_forged_or_edited():
     u = sample_path3_unitary(np.random.default_rng(0))
     s = certify_stochastic(np.eye(g.n), g)
     gather = gather_unitary(g, 0, 1, [1.0, 0.0, 0.0], (0.0, 1.0))
-    op = controlled_op(g, [ident, gather, u], "robber")
+    op = ControlledOp((ident, gather, u), "robber", g)
     for array in (u.block, s.matrix, gather.block, op.blocks[1].block, op.blocks[2].block):
         with pytest.raises(ValueError):
             array[0, 0] = 5.0

@@ -346,6 +346,24 @@ def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -
     return np.outer(_amp_vector(rinit, n), sc).reshape(-1)
 
 
+def replay_answers(g: Digraph, cop: Strategy, init, rounds: int, answer) -> list:
+    """The Robber's moves for rounds 1 .. rounds - 1 of a quantum controlled game against the
+    declared Cop, from the Robber's initial spec init: each is answer(joint) of the joint state
+    (layout r*n + c) right after the Cop's move of its round.
+
+    The model shows a move callback the round number only, so a Robber who plays on full
+    information replays the Cop in prepare.  The replay is the game by the model's rule that
+    the Cop's moves depend on the round index alone.
+    """
+    joint = qc_initial_joint(g, cop, Strategy(init=init), rounds)
+    cop_move, answers = _move_source(cop), []
+    for k in range(1, rounds):
+        joint = qc_step(cop_move(MoveContext(k, "cop", g, rounds)), joint, g, "cop")
+        answers.append(answer(joint))
+        joint = qc_step(answers[-1], joint, g, "robber")
+    return answers
+
+
 def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
                               rounds: int) -> GameTrace:
     """Open unfair pursuit: the Cop re-spreads on a dominating set and locks on.

@@ -381,7 +381,8 @@ def _parsed(block, graph: Digraph, support) -> tuple:
 
 @dataclass(frozen=True, eq=False, init=False)
 class GraphUnitary:
-    """Identity outside support and a unitary block on it, certified against graph when built.
+    """Identity outside support and a unitary block on it, certified against graph when built
+    by the one-block certify_blocks call.
 
     block is a dense array, block[i, j] being the entry at row support[i], column support[j],
     or Entries in those block coordinates.  The default support is every vertex; a gather is a
@@ -395,9 +396,8 @@ class GraphUnitary:
     support: tuple
 
     def __init__(self, block, graph: Digraph, support=None):
-        support, idx, block = _parsed(block, graph, support)
-        _refuse(_unitary_report(block, graph, idx))
-        self._fill(graph, support, idx, block)
+        done = certify_blocks([block], graph, [support])[0]
+        self._fill(graph, done.support, done._index, done._block)
 
     def _fill(self, graph: Digraph, support: tuple, idx: np.ndarray, block: _Block):
         """Set the fields; a certificate built bare and filled here skips the check."""
@@ -562,8 +562,9 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     support, and anything else (a dense array, Entries, a _Block, or an object with .matrix) on
     its given support.  Everything to certify takes one check on the direct sum of the blocks,
     which passes iff each would alone.  If it fails, or a block is malformed, the blocks are
-    certified one at a time in order, so the first bad block raises exactly what it raises alone,
-    with its index in blocks as the error's position."""
+    certified one at a time in order (a lone block by the sum's report, which is its own), so the
+    first bad block raises exactly what it raises alone, with its index in blocks as the error's
+    position."""
     supports = [None] * len(blocks) if supports is None else list(supports)
     if len(supports) != len(blocks):
         raise ValueError(f"{len(blocks)} blocks but {len(supports)} supports")
@@ -578,11 +579,11 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
         except Exception as exc:  # raised in its turn, once the blocks before it are certified
             error, exc.position = exc, i
             break
-    if error or parsed and not _unitary_report(_direct_sum([b for _, _, _, b in parsed]), g,
-                                               [idx for _, _, idx, _ in parsed]):
+    if error or parsed and not (report := _unitary_report(
+            _direct_sum([b for _, _, _, b in parsed]), g, [idx for _, _, idx, _ in parsed])):
         for i, _, idx, b in parsed:
-            try:
-                _refuse(_unitary_report(b, g, idx))
+            try:  # the sum of one block is that block, whose report is made
+                _refuse(report if len(parsed) == 1 and not error else _unitary_report(b, g, idx))
             except CertificationError as exc:
                 exc.position = i
                 raise

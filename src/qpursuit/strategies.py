@@ -10,11 +10,8 @@ from .engine import (
     ControlledInit,
     GameError,
     GameModel,
-    MoveContext,
     Strategy,
-    qc_initial_joint,
-    qc_step,
-    _move_source,
+    replay_answers,
 )
 from .graphs import (
     Digraph,
@@ -92,62 +89,25 @@ def _recentred_collapse(amps: np.ndarray, target: int) -> np.ndarray:
     return _c4_collapse_matrix(params)[np.ix_(back, back)]
 
 
-class _AntipodalEvasion:
-    """Robber bookkeeping for the 4-cycle: keep the joint state on pairs (i, i+2).
-
-    The strategy knows only the round number during play, so it replays the
-    Cop's declared operations on a private copy of the joint state; the Cop's
-    move callback must therefore be a pure function of the round index.
-    """
-
-    def __init__(self, g: Digraph):
-        self.g = g
-        self.opponent = None
-        self.shadow = None
-        self.next_round = 1
-        self.ops = {}
-
-    def prepare(self, ctx):
-        self.opponent = ctx.opponent
-        self.rounds = ctx.rounds
-        self.shadow = qc_initial_joint(self.g, ctx.opponent, self.strategy, ctx.rounds)
-        self.next_round = 1
-        self.ops = {}
-
-    def _respond(self):
-        joint = self.shadow.reshape(4, 4)
-        blocks = []
-        for c in range(4):
-            conditional = joint[:, c].copy()
-            weight = np.linalg.norm(conditional)
-            if weight <= 1e-12:
-                blocks.append(identity_unitary(self.g))
-                continue
-            conditional /= weight
-            if abs(conditional[c]) > ATOL:
-                raise GameError(
-                    "cop amplitude reached the robber's vertex: the conditional state "
-                    "left the expected neighbourhood, which signals an illegal cop move"
-                )
-            blocks.append(_recentred_collapse(conditional, (c + 2) % 4))
-        return ControlledOp(tuple(blocks), "cop", self.g)
-
-    def _advance(self, upto: int):
-        opp_move = _move_source(self.opponent)
-        while self.next_round <= upto:
-            k = self.next_round
-            cop_op = opp_move(MoveContext(k, "cop", self.g, self.rounds))
-            self.shadow = qc_step(cop_op, self.shadow, self.g, "cop")
-            mine = self._respond()
-            self.ops[k] = mine
-            self.shadow = mine.apply(self.shadow)
-            self.next_round += 1
-
-    def move(self, ctx):
-        if self.opponent is None:
-            raise GameError("antipodal evasion needs the pre-game prepare step")
-        self._advance(ctx.round)
-        return self.ops[ctx.round]
+def _antipodal_response(g: Digraph, joint: np.ndarray) -> ControlledOp:
+    """The Robber's move, controlled on the Cop, that collapses each column c of the joint table
+    [r, c] back onto r = c + 2; refused if the Cop's amplitude reached the Robber's vertex."""
+    table = joint.reshape(4, 4)
+    blocks = []
+    for c in range(4):
+        conditional = table[:, c].copy()
+        weight = np.linalg.norm(conditional)
+        if weight <= 1e-12:
+            blocks.append(identity_unitary(g))
+            continue
+        conditional /= weight
+        if abs(conditional[c]) > ATOL:
+            raise GameError(
+                "cop amplitude reached the robber's vertex: the conditional state "
+                "left the expected neighbourhood, which signals an illegal cop move"
+            )
+        blocks.append(_recentred_collapse(conditional, (c + 2) % 4))
+    return ControlledOp(tuple(blocks), "cop", g)
 
 
 def c4_antipodal_evasion(g: Digraph) -> Strategy:
@@ -156,15 +116,24 @@ def c4_antipodal_evasion(g: Digraph) -> Strategy:
     The initial preparation entangles antipodally (cop at v, robber at v+2).
     After each Cop move the conditional robber states sit on the neighbourhood
     of the antipode, and a re-centred collapse restores the antipodal form.
+    Its moves are the answers to the declared Cop, replayed in prepare.
     """
     _require_c4(g)
-    plan = _AntipodalEvasion(g)
-    chi = np.roll(np.eye(4), 2, axis=0)  # column v is |v + 2>
-    strategy = Strategy(init=ControlledInit(chi), move=plan.move, prepare=plan.prepare,
-                        role="robber", model=GameModel.QUANTUM_CONTROLLED,
-                        name="c4_antipodal_evasion")
-    plan.strategy = strategy
-    return strategy
+    init = ControlledInit(np.roll(np.eye(4), 2, axis=0))  # column v is |v + 2>
+    answers = []
+
+    def prepare(ctx):
+        answers.clear()  # a move asked for during the replay finds none
+        answers.extend(replay_answers(g, ctx.opponent, init, ctx.rounds,
+                                      lambda joint: _antipodal_response(g, joint)))
+
+    def move(ctx):
+        if not answers:
+            raise GameError("antipodal evasion needs the pre-game prepare step")
+        return answers[ctx.round - 1]
+
+    return Strategy(init=init, move=move, prepare=prepare, role="robber",
+                    model=GameModel.QUANTUM_CONTROLLED, name="c4_antipodal_evasion")
 
 
 def c4_unfair_cop(g: Digraph) -> Strategy:

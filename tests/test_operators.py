@@ -726,9 +726,11 @@ def test_a_stack_certifies_each_block_exactly_as_it_certifies_alone(instance):
             x = np.arange(1.0, g.n + 1.0) * (1.0 - 0.5j)
             assert np.array_equal(u.apply(x), v.apply(x))
     else:
-        # then one at a time, in order, up to the first bad block, which raises what it raises alone
-        assert [repr(r) for _, _, r in calls] == \
-            [repr(r) for _, r in alone[:bad + 1] if r is not None]
+        # then one at a time, in order, up to the first bad block, which raises what it raises
+        # alone; a lone block is refused from the sum's report, which is its own
+        assert [repr(r) for _, _, r in calls] == ([] if len(blocks) == 1 else
+                                                  [repr(r) for _, r in alone[:bad + 1]
+                                                   if r is not None])
         assert type(got) is type(alone[bad][0]) and str(got) == str(alone[bad][0])
         assert repr(getattr(got, "report", None)) == repr(alone[bad][1])
         assert got.position == bad
@@ -817,6 +819,22 @@ def test_certify_unitary_is_certify_blocks_of_one_block():
         one, alone = errors
         assert str(one) == str(alone) and repr(one.report) == repr(alone.report)
         assert one.position == alone.position == 0
+
+
+def test_a_refused_lone_unitary_is_checked_once():
+    # the swap of the non-adjacent 0 and 2, whole or on its support: one check, whose report the
+    # error carries, by every way in
+    c4, swap = cycle_graph(4), np.array([[0, 1], [1, 0]])
+    swap02 = np.eye(4)[[2, 1, 0, 3]]
+    for certify in (lambda: certify_unitary(swap02, c4), lambda: GraphUnitary(swap02, c4),
+                    lambda: certify_blocks([swap02], c4), lambda: GraphUnitary(swap, c4, (0, 2)),
+                    lambda: certify_blocks([swap], c4, [(0, 2)])):
+        err, calls = _spied_checks(certify)
+        assert isinstance(err, CertificationError) and err.position == 0
+        assert str(err) == ("matrix is not a graph-preserving unitary: residual=0.000e+00, "
+                            "2 forbidden entries")
+        assert len(calls) == 1 and err.report is calls[0][2]
+        assert err.report.violations == ((0, 2, 1.0), (2, 0, 1.0))
 
 
 def test_certify_blocks_refuses_supports_of_another_length():

@@ -8,6 +8,7 @@ from qpursuit import (
     GameError,
     GameModel,
     GraphError,
+    MoveContext,
     Strategy,
     BUILTINS,
     build_strategy,
@@ -182,6 +183,31 @@ def test_antipodal_evasion_preconditions():
     plan = c4_antipodal_evasion(cycle_graph(4))
     with pytest.raises(GameError):  # the replay needs the pre-game handshake
         plan.move(None)
+
+
+def test_one_evasion_plan_blanks_two_games_in_turn():
+    # each prepare replays the Cop of its own game: the first game's answers do not blank the second
+    g = cycle_graph(4)
+    plan = c4_antipodal_evasion(g)
+    for seed, rounds in ((0, 5), (1, 2)):
+        cop = _random_quantum(np.random.default_rng(seed), g, rounds)
+        trace = play("quantum_controlled", g, cop, plan, rounds)
+        assert trace.p_copwin <= 1e-12
+        _assert_antipodal_support(trace)
+
+
+def test_a_cop_asking_the_evader_for_a_move_before_its_replay_is_refused():
+    # a Cop who replays the evader in turn, in his prepare or in a move the replay asks for, finds
+    # no answer yet: a GameError, not a recursion
+    g = cycle_graph(4)
+    plan = c4_antipodal_evasion(g)
+
+    def ask(ctx):
+        return plan.move(MoveContext(1, "robber", g, ctx.rounds))
+
+    for cop in (Strategy(prepare=ask), Strategy(move=ask)):
+        with pytest.raises(GameError, match="^antipodal evasion needs the pre-game prepare step$"):
+            play("quantum_controlled", g, cop, plan, 3)
 
 
 def test_unfair_cop_collapses_to_three_quarters(rng):

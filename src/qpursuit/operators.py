@@ -36,10 +36,9 @@ ATOL = 1e-9
 _DENSE_MAX = 64
 # Looser tolerance for inequalities derived from certified quantities.
 ATOL_DERIVED = 1e-8
-# Below this block norm a gather rotation is underdetermined and we keep identity.
+# Below this block norm a gather rotation is underdetermined and we keep identity; a fold
+# moves no subtree whose amplitude is at most this.
 _ZERO_BLOCK = 1e-12
-# Amplitudes below this carry nothing worth a gather step.
-_SKIP = 1e-14
 
 
 class CertificationError(ValueError):
@@ -626,59 +625,99 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:
     sb = math.hypot(abs(y0), abs(y1))
     if not abs(sa * sa - sb * sb) <= ATOL:  # nan fails too
         raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
-    return GraphUnitary(_gather_block(x0, x1, y0, y1), g, (v, w))
+    return GraphUnitary(_gather_stack([x0], [x1], [y0], [y1])[0], g, (v, w))
 
 
-def _gather_block(x0: complex, x1: complex, y0: complex, y1: complex) -> list:
-    """The 2x2 rotation taking (x0, x1) to (y0, y1) of the same norm; the identity if that is ~0."""
-    sa = math.hypot(abs(x0), abs(x1))
-    if not sa > _ZERO_BLOCK:
-        return [[1, 0], [0, 1]]
-    sb = math.hypot(abs(y0), abs(y1))
-    # |b><a| + |b_perp><a_perp| with unit a = (x0, x1), b = (y0, y1) and
-    # a_perp = (-x1*, x0*), b_perp = (-y1*, y0*)
-    x0, x1, y0, y1 = x0 / sa, x1 / sa, y0 / sb, y1 / sb
-    return [[y0 * x0.conjugate() + y1.conjugate() * x1,
-             y0 * x1.conjugate() - y1.conjugate() * x0],
-            [y1 * x0.conjugate() - y0.conjugate() * x1,
-             y1 * x1.conjugate() + y0.conjugate() * x0]]
+def _gather_stack(x0, x1, y0, y1) -> np.ndarray:
+    """The (P, 2, 2) stack of 2x2 rotations, the i-th taking the unit vector of (x0[i], x1[i]) to
+    that of (y0[i], y1[i]), so a pair to a target of its norm; the identity where the source
+    norm is ~0.  One target (y0, y1 of length 1) serves every pair.
+
+    Rotation i is |b><a| + |b_perp><a_perp| for the unit a = (x0, x1), b = (y0, y1) and
+    a_perp = (-x1*, x0*), b_perp = (-y1*, y0*), which is [[u, v], [-v*, u*]] with
+    u = y0 x0* + y1* x1 and v = y0 x1* - y1* x0.  Each value is rounded as Python's scalar
+    complex arithmetic rounds it: abs is hypot of the parts, the pair norm math.hypot of the
+    two moduli, a division by it divides each part, and a complex product is two products and
+    a sum per part (numpy's complex multiply may fuse a multiply and an add).
+    """
+    x, y = (np.array(pair, dtype=complex).reshape(2, -1) for pair in ((x0, x1), (y0, y1)))
+    sa, sb = (np.fromiter(map(math.hypot, *np.hypot(p.real, p.imag).tolist()), float, p.shape[1])
+              for p in (x, y))
+    moved = sa > _ZERO_BLOCK
+    sa, sb = np.where(moved, sa, 1.0), np.where(moved, sb, 1.0)  # the identity's pairs untouched
+    (a, c), (b, d) = x.real / sa, x.imag / sa
+    (e, g), (f, h) = y.real / sb, y.imag / sb
+    # x0 = a + bi, x1 = c + di, y0 = e + fi, y1 = g + hi
+    u = (e * a + f * b) + (g * c + h * d), (f * a - e * b) + (g * d - h * c)
+    v = (e * c + f * d) - (g * a + h * b), (f * c - e * d) - (g * b - h * a)
+    stack = np.empty((x.shape[1], 2, 2), dtype=complex)  # [[u, v], [-v*, u*]] by parts
+    stack.real = np.array([[u[0], v[0]], [-v[0], u[0]]]).transpose(2, 0, 1)
+    stack.imag = np.array([[u[1], v[1]], [v[1], -u[1]]]).transpose(2, 0, 1)
+    stack[~moved] = np.eye(2)
+    return stack
 
 
-def _fold_layers(tree, vec: np.ndarray):
-    """Fold vec into the tree root; yields (support, block) per layer of disjoint child-to-parent
-    gathers, uncertified: block is a _Block of one (m, 2, 2) stack, the gather of pair i on
-    support[2i:2i + 2], and reach_sequence certifies all layers it emits at once.
+def _fold_schedule(tree, vec: np.ndarray) -> list:
+    """The layers of vec's fold into the tree root, each a list (c1, p1, c2, p2, ...) of disjoint
+    child-to-parent pairs; no block is built.
 
-    A child folds iff its subtree carries amplitude above _SKIP.  The layers run the optimal
-    tree broadcast in reverse: b(v) = max over i of i + b(c_i), over v's folding children c_i
-    by decreasing b, the broadcast reaches c_i at step t(c_i) = t(v) + i, and c_i folds in
-    layer T - t(c_i) (0-based) with T = b(root), so after its own children and at most once
-    per vertex and layer.  Each pair's block is computed from the state before its layer.
+    A child folds iff its subtree carries amplitude above _ZERO_BLOCK, so each gather moves
+    some.  The layers run the optimal tree broadcast in reverse: b(v) = max over i of
+    i + b(c_i), over v's folding children c_i by decreasing b, the broadcast reaches c_i at step
+    t(c_i) = t(v) + i, and c_i folds in layer T - t(c_i) (0-based) with T = b(root), so after
+    its own children and at most once per vertex and layer.
     """
     mass = (np.abs(vec) ** 2).tolist()
     kids = [[] for _ in mass]
     b = [0] * len(mass)
+    parent, root, floor = tree.parent, tree.root, _ZERO_BLOCK * _ZERO_BLOCK
+    inner = []  # the vertices with a folding child
     for v in tree.order:  # children before parents
-        kids[v].sort(key=b.__getitem__, reverse=True)
-        b[v] = max((i + b[c] for i, c in enumerate(kids[v], 1)), default=0)
-        if v != tree.root and mass[v] > _SKIP * _SKIP:
-            mass[tree.parent[v]] += mass[v]
-            kids[tree.parent[v]].append(v)
+        if kids[v]:
+            kids[v].sort(key=b.__getitem__, reverse=True)
+            b[v] = max(i + b[c] for i, c in enumerate(kids[v], 1))
+            inner.append(v)
+        if mass[v] > floor and v != root:
+            mass[parent[v]] += mass[v]
+            kids[parent[v]].append(v)
     t = [0] * len(mass)
-    layers = [[] for _ in range(b[tree.root])]
-    for v in reversed(tree.order):  # parents before children
+    layers = [[] for _ in range(b[root])]
+    for v in reversed(inner):  # parents before children
         for i, c in enumerate(kids[v], 1):
             t[c] = t[v] + i
-            layers[b[tree.root] - t[c]] += (c, v)
-    cur = vec.astype(complex)
+            layers[b[root] - t[c]] += (c, v)
+    return layers
+
+
+def _fold_layers(tree, vec: np.ndarray, adjoint: bool = False) -> list:
+    """Fold vec into the tree root: (support, block) per layer of _fold_schedule, uncertified,
+    block a _Block of one (m, 2, 2) stack, the gather of pair i on support[2i:2i + 2] computed
+    from the state before its layer; each block conjugate-transposed if adjoint.
+
+    A gather takes (x0, x1) to (0, hypot(|x0|, |x1|)), so the amplitudes are replayed pair by
+    pair in layer order, and every gather of the fold is built by one _gather_stack call, each
+    layer's block a slice of it.
+    """
+    layers = _fold_schedule(tree, vec)
+    pairs = [v for support in layers for v in support]
+    amps = vec.tolist()
+    x1 = []  # each parent's amplitude as its child folds in
+    for c, p in zip(pairs[::2], pairs[1::2]):
+        x1.append(amps[p])
+        s = math.hypot(abs(amps[c]), abs(amps[p]))
+        if s > _ZERO_BLOCK:  # else the gather is the identity
+            amps[p] = s
+    # a child folds after its own children and is left alone from then on
+    stack = _gather_stack([amps[c] for c in pairs[::2]], x1, [0.0], [1.0])
+    if adjoint:
+        stack = stack.conj().swapaxes(1, 2)
+    place = np.arange(2 * max(map(len, layers), default=0)).reshape(-1, 2)
+    out, at = [], 0
     for support in layers:
-        idx = np.array(support)
-        stack = np.array([_gather_block(x0, x1, 0.0, math.hypot(abs(x0), abs(x1)))
-                          for x0, x1 in cur[idx].reshape(-1, 2).tolist()], dtype=complex)
-        place = np.arange(idx.size).reshape(-1, 2)
-        block = _Block(idx.size, ((place, place, stack),))
-        cur[idx] = block @ cur[idx]
-        yield tuple(support), block
+        m = len(support) // 2
+        out.append((tuple(support), _Block(2 * m, ((place[:m], place[:m], stack[at:at + m]),))))
+        at += m
+    return out
 
 
 def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
@@ -687,8 +726,9 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     Phase 1 folds all of phi's amplitude into the root of a spanning tree,
     one block of disjoint 2x2 gathers per layer; phase 2 is the same fold
     run for psi, reversed, each block its adjoint.  The whole sequence is
-    certified by one check, against the tree's graph.  Subtrees carrying no
-    amplitude are not folded, so equal states yield an empty sequence.
+    certified by one check, against the tree's graph.  Subtrees carrying
+    amplitude at most _ZERO_BLOCK are not folded, so equal states yield an
+    empty sequence.
     """
     a = state_vector(phi)
     b = state_vector(psi)
@@ -703,8 +743,7 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     tree = spanning_tree(g, root)
     if abs(np.vdot(b, a)) >= 1.0 - ATOL:
         return []
-    layers = list(_fold_layers(tree, a))
-    layers += [(support, block.adjoint()) for support, block in list(_fold_layers(tree, b))[::-1]]
+    layers = _fold_layers(tree, a) + _fold_layers(tree, b, adjoint=True)[::-1]
     supports, blocks = zip(*layers)  # phi and psi differ, so at least one of them folds
     return certify_blocks(blocks, tree.as_digraph(), supports)
 

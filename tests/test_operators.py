@@ -1,5 +1,6 @@
 """Graph-preserving operations: certification, gathers, reach chains, controlled blocks."""
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -50,12 +51,11 @@ from qpursuit import (
 from qpursuit.graphs import _bfs
 from qpursuit.operators import (
     _DENSE_MAX,
-    _SKIP,
     _ZERO_BLOCK,
     _Block,
     _c4_collapse_matrix,
     _fold_layers,
-    _gather_block,
+    _gather_stack,
     _is_unit,
     _stochastic_report,
     _unitary_report,
@@ -303,6 +303,18 @@ def test_reach_folds_the_deepest_subtree_last():
     assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
 
 
+def test_reach_folds_no_subtree_too_light_to_gather():
+    # phi's 1e-13 at vertex 2 is at most _ZERO_BLOCK, so the fold leaves it: folding it cost two
+    # identity layers, (2, 1) and (1, 0), ahead of the unfold of psi
+    g, psi = path_graph(3), basis_state(3, 2)
+    phi = np.array([1.0, 0.0, 1e-13]) / np.hypot(1.0, 1e-13)
+    ops = reach_sequence(g, phi, psi)
+    assert [u.support for u in ops] == [(1, 0), (2, 1)]
+    assert not any(np.array_equal(u.block, np.eye(2)) for u in ops)
+    assert len(reach_sequence(g, basis_state(3, 0), psi)) == 2
+    assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - ATOL
+
+
 def test_reach_random_instances_hold_bound_and_fidelity(rng):
     for _ in range(30):
         n = int(rng.integers(2, 10))
@@ -319,6 +331,69 @@ def test_reach_random_instances_hold_bound_and_fidelity(rng):
             cur = u.apply(cur)
             assert abs(np.linalg.norm(cur) - 1.0) < 1e-9
         assert abs(np.vdot(psi, cur)) >= 1.0 - 1e-9
+
+
+def _gather_block(x0: complex, x1: complex, y0: complex, y1: complex) -> list:
+    """The 2x2 rotation taking (x0, x1) to (y0, y1) of the same norm, the identity if that is ~0,
+    in Python's scalar complex arithmetic: the oracle of _gather_stack, rounding included."""
+    sa = math.hypot(abs(x0), abs(x1))
+    if not sa > _ZERO_BLOCK:
+        return [[1, 0], [0, 1]]
+    sb = math.hypot(abs(y0), abs(y1))
+    # |b><a| + |b_perp><a_perp| with unit a = (x0, x1), b = (y0, y1) and
+    # a_perp = (-x1*, x0*), b_perp = (-y1*, y0*)
+    x0, x1, y0, y1 = x0 / sa, x1 / sa, y0 / sb, y1 / sb
+    return [[y0 * x0.conjugate() + y1.conjugate() * x1,
+             y0 * x1.conjugate() - y1.conjugate() * x0],
+            [y1 * x0.conjugate() - y0.conjugate() * x1,
+             y1 * x1.conjugate() + y0.conjugate() * x0]]
+
+
+# exact zeros of both signs, a subnormal, tiny and threshold-sized parts, then ordinary ones
+_PART = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e-300, -1e-300, _ZERO_BLOCK, -0.5e-12)),
+                  st.floats(-1e3, 1e3, allow_nan=False))
+_AMPLITUDE = st.one_of(st.builds(complex, _PART, _PART), st.builds(complex, _PART))  # real-only too
+
+# pairs on and below the identity threshold, and pairs of zeros and subnormals
+_EDGE_PAIRS = [(complex(_ZERO_BLOCK), 0j, 0j, complex(_ZERO_BLOCK)),
+               (0.6e-12 + 0j, 0.8e-12j, 0j, complex(_ZERO_BLOCK)),
+               (0.5e-12 - 0.5e-12j, -0.5e-12 + 0j, 1j, 0j),
+               (0j, complex(-0.0, -0.0), 0j, 0j),
+               (complex(5e-324), complex(0.0, -5e-324), 0.6 + 0j, 0.8 + 0j),
+               (1e-300 + 1e-300j, complex(-1e-300), 0j, complex(1e-300)),
+               (complex(-0.0, 0.6), complex(0.8, -0.0), complex(-0.0), 1 + 0j)]
+
+
+@st.composite
+def _gather_pairs(draw):
+    """A source pair and a target pair for a gather: the target is drawn or is a fold's (0, s),
+    and the source is sometimes scaled near or under _ZERO_BLOCK."""
+    x0, x1, y0, y1 = (draw(_AMPLITUDE) for _ in range(4))
+    sa = math.hypot(abs(x0), abs(x1))
+    if sa and not draw(st.integers(0, 3)):
+        norm = draw(st.sampled_from((0.5, 1.0, 2.0))) * _ZERO_BLOCK
+        x0, x1 = x0 / sa * norm, x1 / sa * norm
+        sa = math.hypot(abs(x0), abs(x1))
+    if draw(st.booleans()) or not math.hypot(abs(y0), abs(y1)):
+        y0, y1 = 0j, complex(sa)
+    return x0, x1, y0, y1
+
+
+@settings(max_examples=200)
+@given(st.lists(_gather_pairs(), max_size=30))
+def test_gather_stack_rounds_as_the_scalar_oracle(pairs):
+    pairs = _EDGE_PAIRS + pairs
+    stack = _gather_stack(*zip(*pairs))
+    assert stack.shape == (len(pairs), 2, 2)
+    assert np.array_equal(stack, np.array([_gather_block(*p) for p in pairs], dtype=complex))
+    for (x0, x1, _, _), block in zip(pairs, stack):
+        if not math.hypot(abs(x0), abs(x1)) > _ZERO_BLOCK:
+            assert np.array_equal(block, np.eye(2))
+    # one target for every pair, as a fold gathers each onto (0, its norm)
+    x0, x1 = [p[0] for p in pairs], [p[1] for p in pairs]
+    folds = [_gather_block(a, b, 0j, complex(math.hypot(abs(a), abs(b)))) for a, b in zip(x0, x1)]
+    assert np.array_equal(_gather_stack(x0, x1, [0.0], [1.0]), np.array(folds, dtype=complex))
+    assert _gather_stack([], [], [], []).shape == (0, 2, 2)
 
 
 def _dense_gather_unitary(g, v, w, phi, target, tau=ATOL):
@@ -359,7 +434,7 @@ def _dense_reach_sequence(g, phi, psi, root=0, tau=ATOL):
         ops = []
         for v in tree.order[:-1]:
             w = tree.parent[v]
-            if abs(cur[v]) <= _SKIP:
+            if abs(cur[v]) <= _ZERO_BLOCK:
                 continue
             s = float(np.hypot(abs(cur[v]), abs(cur[w])))
             u = _dense_gather_unitary(tree_graph, v, w, cur, (0.0, s), tau)
@@ -429,7 +504,10 @@ def test_gather_layers_match_the_dense_oracle(instance):
         u = gather_unitary(g, v, tree.parent[v], phi, target)
         d = _dense_gather_unitary(g, v, tree.parent[v], phi, target)
         assert np.allclose(u.matrix, d.matrix, rtol=0.0, atol=1e-12)
-        assert np.allclose(u.apply(phi)[[v, tree.parent[v]]], target, rtol=0.0, atol=1e-12)
+        if np.hypot(*np.abs(phi[[v, tree.parent[v]]])) > _ZERO_BLOCK:
+            assert np.allclose(u.apply(phi)[[v, tree.parent[v]]], target, rtol=0.0, atol=1e-12)
+        else:  # too little amplitude to fix a rotation: the gather is the identity
+            assert np.array_equal(u.matrix, np.eye(g.n))
     # a block scaled off the unit sphere is refused, built directly or through adjoint
     forged = (1.0 + eps) * haar_unitary(2, np.random.default_rng(v))
     with pytest.raises(CertificationError) as err:
@@ -448,7 +526,7 @@ def _dense_fold_layers(tree, vec):
     for v in tree.order:  # children before parents
         kids[v].sort(key=b.__getitem__, reverse=True)
         b[v] = max((i + b[c] for i, c in enumerate(kids[v], 1)), default=0)
-        if v != tree.root and mass[v] > _SKIP * _SKIP:
+        if v != tree.root and mass[v] > _ZERO_BLOCK * _ZERO_BLOCK:
             mass[tree.parent[v]] += mass[v]
             kids[tree.parent[v]].append(v)
     t = [0] * len(mass)
@@ -485,16 +563,40 @@ def test_folded_layers_are_the_dense_fold_as_2x2_stacks(instance):
     assert abs(np.vdot(psi, apply_sequence(reach_sequence(g, phi, psi, root), phi))) >= 1.0 - ATOL
 
 
+@pytest.mark.parametrize("board", [path_graph(512),
+                                   digraph(255, [(i, (i - 1) // 2) for i in range(1, 255)],
+                                           undirected=True, reflexive=True),
+                                   star_graph(255)], ids=["path512", "heap255", "star255"])
+def test_long_folds_match_the_dense_oracle(board):
+    rng = np.random.default_rng(board.n)
+    phi, psi = rng.standard_normal((2, board.n)) + 1j * rng.standard_normal((2, board.n))
+    phi, psi = phi / np.linalg.norm(phi), psi / np.linalg.norm(psi)
+    tree = spanning_tree(board, 0)
+    length = 0
+    for x in (phi, psi):
+        dense = list(_dense_fold_layers(tree, x))
+        layers = _fold_layers(tree, x)
+        assert [support for support, _ in layers] == [support for support, _ in dense]
+        for (_, block), (_, d) in zip(layers, dense):
+            assert np.allclose(block.dense(), d, rtol=0.0, atol=1e-12)
+        length += len(layers)
+    ops = reach_sequence(board, phi, psi)
+    assert len(ops) == length
+    if board.n == 512:  # the path: one gather per layer, 2n - 2 of them
+        assert len(ops) == 1022 and {len(u.support) for u in ops} == {2}
+    assert abs(np.vdot(psi, apply_sequence(ops, phi))) >= 1.0 - 1e-12
+
+
 def _light_cone_bound(g, phi, psi):
     """Fewest graph-preserving operations that can map phi to psi within ATOL of fidelity.
 
     One operation moves amplitude along at most one arc, so every vertex where psi's amplitude
     exceeds 1e-4 (its loss alone costs more fidelity than ATOL) must lie within the sequence's
-    length of a vertex where phi's amplitude exceeds _SKIP (what a fold moves at all); the
+    length of a vertex where phi's amplitude exceeds _ZERO_BLOCK (what a fold moves at all); the
     mirror term bounds the adjoint sequence, which maps psi to phi.
     """
     d = [_bfs(v, g.out_adj)[1] for v in range(g.n)]  # d[v][w]: arcs on a shortest walk v -> w
-    live = [np.flatnonzero(np.abs(x) > _SKIP) for x in (phi, psi)]
+    live = [np.flatnonzero(np.abs(x) > _ZERO_BLOCK) for x in (phi, psi)]
     must = [np.flatnonzero(np.abs(x) > 1e-4) for x in (phi, psi)]
     forward = max((min(d[v][w] for v in live[0]) for w in must[1]), default=0)
     mirror = max((min(d[v][w] for w in live[1]) for v in must[0]), default=0)
@@ -1204,7 +1306,7 @@ def test_reach_certifies_each_layer_once(monkeypatch):
         return check(*args, **kwargs)
 
     def never(*args, **kwargs):
-        raise AssertionError("reach built a dense block or searched one for its components")
+        raise AssertionError("reach built or applied a block, or searched one for its components")
 
     monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy)
     rng = np.random.default_rng(64)
@@ -1216,7 +1318,7 @@ def test_reach_certifies_each_layer_once(monkeypatch):
         calls.clear()
         with monkeypatch.context() as patch:
             for owner, name in ((qpursuit.operators, "_components"), (Entries, "of_matrix"),
-                                (_Block, "split"), (_Block, "dense")):
+                                (_Block, "split"), (_Block, "dense"), (_Block, "__matmul__")):
                 patch.setattr(owner, name, never)
             ops = reach_sequence(g, phi, psi)
         # one check on the direct sum of all layers, fold and unfold alike, in the order emitted

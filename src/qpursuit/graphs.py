@@ -108,8 +108,16 @@ class Digraph:
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph (arcs taken both ways)."""
         rev = reverse_digraph(self)
-        adjs = (self.out_adj,) if rev is self else (self.out_adj, rev.out_adj)
-        return min(_bfs(0, *adjs)[1]) >= 0
+        if rev is self:
+            return min(self._bfs_from_0[1]) >= 0
+        return min(_bfs(0, self.out_adj, rev.out_adj)[1]) >= 0
+
+    @cached_property
+    def _bfs_from_0(self) -> tuple:
+        """(parent, dist) of the BFS from vertex 0 along the out-arcs, as tuples: on a symmetric
+        board is_connected and spanning_tree(self, 0) read this one search."""
+        parent, dist = _bfs(0, self.out_adj)
+        return tuple(parent), tuple(dist)
 
     @cached_property
     def corners(self) -> tuple:
@@ -480,9 +488,11 @@ class SpanningTree:
 def spanning_tree(g: Digraph, root: int) -> SpanningTree:
     """BFS spanning tree over mutual arcs, lowest-index-first exploration."""
     _check_vertex(g, root)
-    sym = g.out_adj if g.is_undirected else \
-        [[v for v in g.out_adj[u] if g.out_bits[v] >> u & 1] for u in range(g.n)]
-    parent, dist = _bfs(root, sym)
+    if g.is_undirected:
+        parent, dist = g._bfs_from_0 if root == 0 else _bfs(root, g.out_adj)
+    else:
+        parent, dist = _bfs(root, [[v for v in g.out_adj[u] if g.out_bits[v] >> u & 1]
+                                   for u in range(g.n)])
     if min(dist) < 0:
         raise GraphError("graph has no undirected spanning tree")
     order = sorted(range(g.n), key=lambda v: (-dist[v], v))

@@ -610,7 +610,8 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:
 
     Needs both arcs (v, w) and (w, v) plus all loops, so the embedded
     rotation and the untouched identity part are both legal.  A zero-norm
-    block leaves the rotation underdetermined and yields the identity.
+    block leaves the rotation underdetermined and yields the identity; a
+    moving block and a zero target are refused.
     """
     if v == w:
         raise GraphError("gather needs two distinct vertices")
@@ -625,6 +626,8 @@ def gather_unitary(g: Digraph, v: int, w: int, phi, target) -> GraphUnitary:
     sb = math.hypot(abs(y0), abs(y1))
     if not abs(sa * sa - sb * sb) <= ATOL:  # nan fails too
         raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
+    if sa > _ZERO_BLOCK and sb == 0:  # the rotation would divide by the target's norm
+        raise ValueError(f"gather of a moving pair (|source|={sa:.3e}) onto a zero target")
     return GraphUnitary(_gather_stack([x0], [x1], [y0], [y1])[0], g, (v, w))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -49,38 +50,95 @@ def graph_from_json(data: dict) -> Digraph:
     return _int_digraph(n, ends, **flags)
 
 
-def _row_major(u) -> tuple:
-    """(rows, cols, vals) of a GraphUnitary's block: its non-zero entries in row-major order,
-    rows and cols in vertex coordinates; outside its support it is the identity."""
-    idx = u._index
-    rows, cols, vals = u._block.where(lambda s: s != 0)
-    rows, cols = idx[rows], idx[cols]
-    order = np.lexsort((cols, rows))  # over the block's entries only
-    return rows[order], cols[order], vals[order]
+@functools.lru_cache(maxsize=16)
+def _text_tables(n: int) -> tuple:
+    """The text operators_to_text reuses on boards of at most n vertices: the identity rows
+    ", [u, u, 1.0, 0.0]" of u = 0..n-1 as one string, where each of them starts in it (its
+    length last) and where its prefix ", [u, " ends, and the entry tokens ", [r, " and "c, " of
+    every r, c < n."""
+    loops = [f", [{u}, {u}, 1.0, 0.0]" for u in range(n)]
+    starts = np.cumsum([0] + list(map(len, loops)))
+    heads = np.array([f", [{u}, " for u in range(n)], dtype=object)
+    ends = starts[:-1] + list(map(len, heads))
+    for a in (starts, ends, heads):
+        a.setflags(write=False)
+    return "".join(loops), starts, ends, heads, tuple(f"{u}, " for u in range(n))
 
 
 def operators_to_text(ops) -> str:
     """The JSON text of a list of GraphUnitary operators, each {"entries", "n"} with its non-zero
     entries [row, col, re, im] in row-major order, as json.dumps(..., sort_keys=True) writes it.
 
-    The entry [u, u, 1.0, 0.0] of each vertex is formatted once; each operator replaces only the
-    rows of its support, formatted from its non-zero entries with repr, which is json's own float
-    format (certified blocks are finite).  No dense n x n matrix and no per-entry list is built.
+    The whole list is written in one pass, with no dense n x n matrix, no per-entry format and
+    no join per operator.  The non-zero entries of every block are gathered into vertex
+    coordinates and sorted once by (operator, row, column).  Each distinct float part, keyed by
+    its bits so that -0.0 and 0.0 stay apart, is formatted once with repr, which is json's own
+    float format (certified blocks are finite).  The text is then one join of six pieces per
+    entry, ", [r, ", "c, ", re, ", ", im and "]", where the first entry of a support row starts
+    instead with the identity rows since the support row before, and its own ", [r, ": one
+    slice of _text_tables' string.  Every row of a unitary block has a non-zero entry, so each
+    support row has a first entry.
     """
-    loops = [f"[{u}, {u}, 1.0, 0.0]" for u in range(max((op.graph.n for op in ops), default=0))]
-    out = []
+    ops = list(ops)
+    if not ops:
+        return "[]"
+    sizes = [op.graph.n for op in ops]
+    loops, starts, ends, heads, cols = _text_tables(max(sizes))
+    base = max(sizes) + 1  # the key op * base + row orders rows by operator, then row
+    # every support in one array; each block's components grouped by shape, each with the place
+    # of its operator's support in that array
+    index, groups, at = [], {}, 0
     for op in ops:
-        n = op.graph.n
-        line = loops[:n]
-        for u in op.support:
-            line[u] = ""
-        rows, cols, vals = _row_major(op)
-        rows = rows.tolist()
-        for r, t in zip(rows, map("[{}, {}, {!r}, {!r}]".format, rows, cols.tolist(),
-                                  vals.real.tolist(), vals.imag.tolist())):
-            line[r] = f"{line[r]}, {t}" if line[r] else t
-        out.append(f'{{"entries": [{", ".join(filter(None, line))}], "n": {n}}}')
-    return f"[{', '.join(out)}]"
+        index.append(op._index)
+        for part in op._block.parts:
+            groups.setdefault(part[2].shape[1:], []).append((at, *part))
+        at += len(op._index)
+    lengths = list(map(len, index))
+    flat = np.concatenate(index)
+    place = np.arange(0, len(ops) * base, base).repeat(lengths) + flat  # op * base + row
+    found = []
+    for shifts, rows, columns, stacks in map(lambda g: zip(*g), groups.values()):
+        shift = np.array(shifts).repeat(list(map(len, stacks)))[:, None]
+        stack = np.concatenate(stacks)
+        i, a, b = stack.nonzero()
+        found.append(((np.concatenate(rows) + shift)[i, a],
+                      (np.concatenate(columns) + shift)[i, b], stack[i, a, b]))
+    rows, columns, vals = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    row_key, col = place[rows], flat[columns]
+    order = (row_key * base + col).argsort()
+    row_key, col, vals = row_key[order], col[order].tolist(), vals[order]
+    # the first entry of each support row starts with the identity rows since the support row
+    # before it in its operator, or since row 0
+    place.sort()
+    row = place % base
+    first = place - row
+    lo = np.maximum(np.concatenate(([-1], place[:-1])) + 1, first) - first
+    head = heads[row_key % base]
+    firsts = row_key.searchsorted(place)
+    head[firsts] = list(map(loops.__getitem__, map(slice, starts[lo].tolist(),
+                                                   ends[row].tolist())))
+    bits = vals.view(np.float64).view(np.int64).tolist()  # re, im, re, im, ...
+    floats = dict(zip(bits, vals.view(np.float64).tolist()))  # each distinct part once
+    words = dict(zip(floats, map(repr, floats.values())))
+    parts = list(map(words.__getitem__, bits))
+    pieces = ["", "", "", ", ", "", "]"] * len(col)
+    pieces[::6], pieces[1::6] = head.tolist(), map(cols.__getitem__, col)
+    pieces[2::6], pieces[4::6] = parts[::2], parts[1::2]
+    # an operator opens on its first entry, less that entry's separator, and closes with the
+    # identity rows after its last support row
+    firsts, row = firsts.tolist(), row.tolist()
+    text, at = "[", 0
+    for j, (n, k) in enumerate(zip(sizes, lengths)):
+        text += ', {"entries": [' if j else '{"entries": ['
+        if k == 0:
+            text += f'{loops[2:starts[n]]}], "n": {n}}}'
+            continue
+        e = 6 * firsts[at]
+        pieces[e] = text + pieces[e][2:]
+        at += k
+        text = f'{loops[starts[row[at - 1] + 1]:starts[n]]}], "n": {n}}}'
+    pieces.append(text + "]")
+    return "".join(pieces)
 
 
 def _numbers(column, what: str) -> np.ndarray:
@@ -230,13 +288,9 @@ def run_scenario(sc: Scenario) -> GameTrace:
 
 
 def _snapshot_to_json(snap: dict) -> dict:
-    out = {}
-    for key, value in snap.items():
-        if np.ndim(value) == 0:  # a vertex or the unfair pursuit's following mass
-            out[key] = np.asarray(value).item()
-        else:
-            out[key] = state_to_json(value)
-    return out
+    # a vertex or the unfair pursuit's following mass is a plain int or float, written as it is
+    return {key: value if type(value) in (int, float) else state_to_json(value)
+            for key, value in snap.items()}
 
 
 def trace_to_json(trace: GameTrace) -> dict:

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from qpursuit import (
     ControlledOp,
     Digraph,
     Scenario,
+    basis_state,
     complete_graph,
     controlled_op_from_json,
     cycle_graph,
@@ -35,6 +37,7 @@ from qpursuit import (
     operators_to_text,
     path_graph,
     random_connected_graph,
+    reach_sequence,
     sample_controlled_op,
     sample_graph_stochastic,
     sample_graph_unitary,
@@ -44,6 +47,7 @@ from qpursuit import (
     state_to_json,
     trace_to_json,
     uniform_spread,
+    uniform_state,
     universal_vertex_catch,
     play,
     Strategy,
@@ -672,6 +676,21 @@ def test_analyze_graph_runs_one_bfs_on_a_connected_board(tmp_path, capsys, monke
     assert starts == [0]
 
 
+def test_reach_runs_one_bfs_on_a_symmetric_board_at_the_default_root(tmp_path, capsys,
+                                                                     monkeypatch):
+    # reversibility and the spanning tree read one BFS from vertex 0, cached on the board;
+    # another root takes a second search from that root
+    starts = []
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", lambda start, *adjs: starts.append(start) or bfs(start, *adjs))
+    board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
+        40, np.random.default_rng(40), 0.1)))
+    for root, searched in (([], [0]), (["--root", "3"], [0, 3])):
+        starts.clear()
+        code, out, _ = _run(capsys, ["reach", board, "--from", "basis:5", "--to", "uniform"] + root)
+        assert code == 0 and out.splitlines()[-1].startswith("length=") and starts == searched
+
+
 def test_analyze_graph_builds_the_corner_table_once(tmp_path, capsys, monkeypatch):
     # the report's corners and the dismantling read one table; no per-vertex is_corner call
     built = []
@@ -860,6 +879,28 @@ def _loop_operator_to_json(matrix):
     return {"n": int(m.shape[0]), "entries": entries}
 
 
+def _fragment_operators_to_text(ops):
+    """The writer operators_to_text replaced, kept as the reference: the identity row fragment of
+    every vertex formatted once, each operator's support rows replaced by its sorted non-zero
+    entries, one str.format each, and its n fragments joined."""
+    loops = [f"[{u}, {u}, 1.0, 0.0]" for u in range(max((op.graph.n for op in ops), default=0))]
+    out = []
+    for op in ops:
+        n = op.graph.n
+        line = loops[:n]
+        for u in op.support:
+            line[u] = ""
+        rows, cols, vals = op._block.where(lambda s: s != 0)
+        rows, cols = op._index[rows], op._index[cols]
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order].tolist(), cols[order], vals[order]
+        for r, t in zip(rows, map("[{}, {}, {!r}, {!r}]".format, rows, cols.tolist(),
+                                  vals.real.tolist(), vals.imag.tolist())):
+            line[r] = f"{line[r]}, {t}" if line[r] else t
+        out.append(f'{{"entries": [{", ".join(filter(None, line))}], "n": {n}}}')
+    return f"[{', '.join(out)}]"
+
+
 def _controlled_op_json(op):
     """Controlled operator JSON, its blocks written by operators_to_text."""
     return {"n": op.graph.n, "control": op.control,
@@ -913,17 +954,61 @@ def test_operators_are_written_from_their_blocks_byte_for_byte(u):
 
 @st.composite
 def _operator_sequences(draw):
-    """Certified operators on one board (see _certified_block); the sequence may be empty."""
-    n = draw(st.integers(1, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.4, 1.0))))
-    return [_certified_block(draw, g, rng) for _ in range(draw(st.integers(0, 4)))]
+    """Certified operators on up to three boards of sizes 1 to 9, in any order: blocks (see
+    _certified_block) and the layers reach_sequence writes between two random complex, basis or
+    uniform states; the sequence may be empty."""
+    ops = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 9))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.4, 1.0))))
+        if draw(st.booleans()):
+            ops += [_certified_block(draw, g, rng) for _ in range(draw(st.integers(0, 3)))]
+            continue
+        states = []
+        for kind in draw(st.lists(st.sampled_from(("random", "basis", "uniform")),
+                                  min_size=2, max_size=2)):
+            if kind == "random":
+                vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                states.append(vec / np.linalg.norm(vec))
+            else:
+                states.append(basis_state(n, draw(st.integers(0, n - 1))) if kind == "basis"
+                              else uniform_state(n))
+        ops += reach_sequence(g, *states, root=draw(st.integers(0, n - 1)))
+    return draw(st.permutations(ops))
 
 
 @given(_operator_sequences())
 def test_one_writer_gives_the_text_of_every_entry_writer(ops):
     text = operators_to_text(ops)
     assert text == json.dumps([_loop_operator_to_json(u.matrix) for u in ops], sort_keys=True)
+
+
+@given(_operator_sequences())
+def test_the_whole_sequence_pass_writes_the_fragment_writers_text(ops):
+    assert operators_to_text(ops) == _fragment_operators_to_text(ops)
+
+
+def test_parts_of_either_sign_and_zero_are_formatted_apart(rng):
+    # the parts 0.6, -0.6, 0.8 and -0.8 and zeros of both signs, each formatted once by its bits;
+    # the boards differ in size, so one list reads the tables of its largest board
+    a, b = 0.6, 0.8
+    signs = GraphUnitary(np.array(
+        [[complex(a, 0.0), complex(b, -0.0), 0, 0],
+         [complex(-b, 0.0), complex(a, -0.0), 0, 0],
+         [0, 0, complex(-0.0, a), complex(0.0, b)],
+         [0, 0, complex(-0.0, b), complex(-0.0, -a)]]), complete_graph(4))
+    board = random_connected_graph(80, rng, 0.05)
+    ops = [signs, identity_unitary(path_graph(1)), sample_graph_unitary(board, rng), signs,
+           identity_unitary(board)] + reach_sequence(board, basis_state(80, 3), uniform_state(80))
+    text = operators_to_text(ops)
+    assert text == _fragment_operators_to_text(ops) == json.dumps(
+        [_loop_operator_to_json(u.matrix) for u in ops], sort_keys=True)
+    assert text.startswith('[{"entries": [[0, 0, 0.6, 0.0], [0, 1, 0.8, -0.0], '
+                           '[1, 0, -0.8, 0.0], [1, 1, 0.6, -0.0], [2, 2, -0.0, 0.6], '
+                           '[2, 3, 0.0, 0.8], [3, 2, -0.0, 0.8], [3, 3, -0.0, -0.6]], "n": 4}, '
+                           '{"entries": [[0, 0, 1.0, 0.0]], "n": 1}, ')
+    assert operators_to_text([]) == "[]"
 
 
 def _matching_move(g, rng):
@@ -1029,6 +1114,27 @@ def test_trace_json_structure():
     quantum = play("classical_quantum", g, uniform_spread(g), uniform_spread(g), 1)
     encoded = trace_to_json(quantum)["history"][0]["state"]["cop"]
     assert state_from_json(encoded).shape == (3,)
+
+
+def test_unfair_trace_is_written_byte_for_byte(tmp_path, capsys):
+    # 401 snapshots of plain ints and floats, passed to json as they are: the digest pins the
+    # file's bytes, the same as when each scalar went through numpy
+    n, rounds = 128, 200
+    arcs = [[v, (v + 1) % n] for v in range(n)] + [[v, (5 * v + 3) % n] for v in range(0, n, 4)]
+    g = digraph(n, arcs, undirected=True)
+    walk, r = [], 0
+    for k in range(rounds):
+        r = g.out_adj[r][(7 * k + 3) % len(g.out_adj[r])]
+        walk.append(r)
+    scenario = _write(tmp_path, "unfair.json", {
+        "model": "unfair_probabilistic", "graph": graph_to_json(g), "rounds": rounds,
+        "cop": {"builtin": "dominating_set_sweep"}, "robber": {"init": 0, "moves": walk}})
+    out = tmp_path / "trace.json"
+    code, printed, _ = _run(capsys, ["run", scenario, "--out", str(out)])
+    assert code == 0 and printed == "model=unfair_probabilistic t=200 p_copwin=0.984485253\n"
+    assert len(json.loads(out.read_text())["history"]) == 2 * rounds + 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "8713f13b93dfb1a0004cf1c94c04fed6ba34e727c4c475be0c4a2c40976cce27"
 
 
 def _loop_state_to_json(vec):

@@ -249,6 +249,9 @@ def test_gather_rejects_bad_requests():
         gather_unitary(g, 0, 2, phi, (0.0, 1.0))
     with pytest.raises(ValueError):
         gather_unitary(g, 0, 1, phi, (0.0, 0.5))
+    # the norms agree within ATOL, but a zero target gives the rotation no direction
+    with pytest.raises(ValueError, match="onto a zero target"):
+        gather_unitary(g, 0, 1, [1e-5, 0.0, 0.0], (0.0, 0.0))
     loopless = digraph(2, [(0, 1)], undirected=True, reflexive=False)
     with pytest.raises(GraphError):
         gather_unitary(loopless, 0, 1, [1.0, 0.0], (0.0, 1.0))

@@ -54,7 +54,7 @@ from .scenario import (
     run_scenario,
     scenario_from_json,
     state_from_json,
-    trace_to_json,
+    trace_to_text,
 )
 from .strategies import (
     c4_antipodal_evasion,
@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
     sc = scenario_from_json(data, base_dir=os.path.dirname(os.path.abspath(args.scenario)))
     trace = run_scenario(sc)
     if args.out:
-        _dump_json(trace_to_json(trace), args.out)
+        _write_text(trace_to_text(trace), args.out)
     print(f"model={sc.model.value} t={sc.rounds} p_copwin={_fmt(trace.p_copwin)}")
     return 0
 

@@ -388,12 +388,12 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
     dset = sorted({int(d) for d in cop_dominating})
 
     robber_move = _move_source(robber)
+    hits = g.adjacency[dset].sum(axis=0).tolist()  # hits[v]: the set vertices next to v
 
     def cop_mass(follow, free, r):
         vec = np.zeros(g.n)
         vec[r] += follow
-        for d in dset:
-            vec[d] += free / len(dset)
+        vec[dset] += free / len(dset)
         return vec
 
     r = _vertex(_resolve_init(robber.init, MoveContext(0, "robber", g, rounds,
@@ -402,8 +402,7 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
     history = [("init", 0, {"follow": follow, "robber": r})]
     for k in range(1, rounds + 1):
         free = 1.0 - follow
-        caught = sum(1 for d in dset if g.adjacency[d, r])
-        follow += free * caught / len(dset)
+        follow += free * hits[r] / len(dset)
         history.append(("cop", k, {"follow": follow, "robber": r}))
         free = 1.0 - follow
         ctx = MoveContext(k, "robber", g, rounds, cop_state=cop_mass(follow, free, r), robber_state=r)

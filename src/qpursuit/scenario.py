@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -182,9 +183,11 @@ def operator_from_json(data: dict) -> Entries:
 
 
 def state_to_json(vec) -> list:
+    """A state as JSON data: a list of floats, or of [re, im] pairs if it is complex; a stack
+    of states gives a list of them."""
     a = np.asarray(vec)
     if np.iscomplexobj(a):
-        return np.stack((a.real, a.imag), axis=1).tolist()
+        return np.stack((a.real, a.imag), axis=-1).tolist()
     return a.astype(float).tolist()
 
 
@@ -287,19 +290,70 @@ def run_scenario(sc: Scenario) -> GameTrace:
     return play(sc.model, sc.graph, sc.cop, sc.robber, sc.rounds)
 
 
-def _snapshot_to_json(snap: dict) -> dict:
-    # a vertex or the unfair pursuit's following mass is a plain int or float, written as it is
-    return {key: value if type(value) in (int, float) else state_to_json(value)
-            for key, value in snap.items()}
+def _scalar_text(x) -> str:
+    """A plain int or float as json.dumps writes it: its repr, or json's names of nan and the
+    infinities."""
+    if type(x) is int:
+        return int.__repr__(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def trace_to_text(trace: GameTrace) -> str:
+    """The JSON text of a trace, {"history", "model", "p_copwin", "rounds"} with one
+    {"round", "stage", "state"} per snapshot, as json.dumps(..., sort_keys=True) writes it.
+
+    A snapshot repeats the state of the player who did not move, so each distinct state array,
+    keyed by its dtype, shape and bytes so that -0.0 and 0.0 stay apart, is encoded once and
+    its text spliced into every snapshot holding it.  The distinct states of one dtype and shape
+    go through state_to_json as one stack, and all of them through one json.dumps call.  A
+    plain int or float (a vertex, the unfair pursuit's following mass) is written by its repr,
+    json's own format, with no call into json.
+    """
+    names = {name: json.dumps(name) for name in {stage for stage, _, _ in trace.history}.union(
+        *(snap.keys() for _, _, snap in trace.history))}
+    # the text, with an empty piece wherever a state goes; places maps each distinct state to
+    # the indices of its pieces, and groups lists the distinct states by dtype and shape
+    pieces, places, groups = ['{"history": ['], {}, {}
+    for i, (stage, rnd, snap) in enumerate(trace.history):
+        text = (f'{", " if i else ""}{{"round": {_scalar_text(rnd)}, '
+                f'"stage": {names[stage]}, "state": {{')
+        sep = ""
+        for key in sorted(snap):
+            value = snap[key]
+            text += f"{sep}{names[key]}: "
+            sep = ", "
+            if type(value) is int or type(value) is float:
+                text += _scalar_text(value)
+                continue
+            a = np.asarray(value)
+            found = (a.dtype.str, a.shape, a.tobytes())
+            if found not in places:
+                places[found] = []
+                groups.setdefault(found[:2], []).append((a, places[found]))
+            places[found].append(len(pieces) + 1)
+            pieces += (text, "")
+            text = ""
+        pieces.append(text + "}}")
+    pieces.append(f'], "model": {json.dumps(trace.model.value)}, '
+                  f'"p_copwin": {_scalar_text(trace.p_copwin)}, '
+                  f'"rounds": {_scalar_text(trace.rounds)}}}')
+    at, lists = [], []
+    for group in groups.values():
+        arrays, indices = zip(*group)
+        lists += state_to_json(np.stack(arrays))
+        at += indices
+    # a list of numbers holds no quote, so an empty string between each two marks where the
+    # text of one ends
+    marked = [""] * (2 * len(lists) - 1)
+    marked[::2] = lists
+    for indices, text in zip(at, json.dumps(marked)[1:-1].split(', "", ')):
+        for k in indices:
+            pieces[k] = text
+    return "".join(pieces)
 
 
 def trace_to_json(trace: GameTrace) -> dict:
-    return {
-        "model": trace.model.value,
-        "rounds": trace.rounds,
-        "p_copwin": trace.p_copwin,
-        "history": [
-            {"stage": stage, "round": rnd, "state": _snapshot_to_json(snap)}
-            for stage, rnd, snap in trace.history
-        ],
-    }
+    """The trace as JSON data: trace_to_text's document, read back."""
+    return json.loads(trace_to_text(trace))

@@ -16,9 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpursuit
-from qpursuit import graphs
+from qpursuit import graphs, scenario
 from qpursuit import (
     GameModel,
+    GameTrace,
     GraphUnitary,
     MoveContext,
     ControlledOp,
@@ -29,6 +30,7 @@ from qpursuit import (
     controlled_op_from_json,
     cycle_graph,
     digraph,
+    dominating_set_sweep,
     graph_from_json,
     haar_unitary,
     identity_unitary,
@@ -46,6 +48,7 @@ from qpursuit import (
     state_from_json,
     state_to_json,
     trace_to_json,
+    trace_to_text,
     uniform_spread,
     uniform_state,
     universal_vertex_catch,
@@ -1135,6 +1138,231 @@ def test_unfair_trace_is_written_byte_for_byte(tmp_path, capsys):
     assert len(json.loads(out.read_text())["history"]) == 2 * rounds + 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "8713f13b93dfb1a0004cf1c94c04fed6ba34e727c4c475be0c4a2c40976cce27"
+
+
+def _dict_trace_to_json(trace):
+    """The trace as JSON data, built as a dict whose states go one by one through state_to_json:
+    the writer trace_to_text replaced, kept as the reference."""
+    return {
+        "model": trace.model.value,
+        "rounds": trace.rounds,
+        "p_copwin": trace.p_copwin,
+        "history": [
+            {"stage": stage, "round": rnd, "state": {
+                key: value if type(value) in (int, float) else state_to_json(value)
+                for key, value in snap.items()}}
+            for stage, rnd, snap in trace.history
+        ],
+    }
+
+
+def _signed_parts(draw, rng, n, complex_parts):
+    """n random parts, some of them 0.0 or -0.0 (each of re and im if complex_parts), and at
+    least one non-zero."""
+    kinds = st.sampled_from(("random", 0.0, -0.0))
+    parts = np.array([[rng.random() + 0.1 if kind == "random" else kind
+                       for kind in draw(st.lists(kinds, min_size=2, max_size=2))]
+                      for _ in range(n)])
+    if not np.any(parts[:, :1 + complex_parts]):
+        parts[0, 0] = 1.0
+    return parts[:, 0] + 1j * parts[:, 1] if complex_parts else parts[:, 0]
+
+
+def _init(draw, rng, model, n):
+    """An initial spec of the vector models: "uniform", a vertex, or a vector with signed
+    zeros among its parts."""
+    kind = draw(st.sampled_from(("uniform", "vertex", "vector")))
+    if kind == "uniform":
+        return "uniform"
+    if kind == "vertex":
+        return draw(st.integers(0, n - 1))
+    if model == "open_probabilistic":
+        p = _signed_parts(draw, rng, n, False)
+        return p / p.sum()
+    vec = _signed_parts(draw, rng, n, True)
+    return vec / np.linalg.norm(vec)
+
+
+@st.composite
+def _traces(draw):
+    """A played game of any of the five models on a random board of 1 to 9 vertices, each
+    move a sampled operation, the identity matrix or None (the identity matrix may flip the
+    sign of a zero part, so two states then differ only there)."""
+    model = draw(st.sampled_from([m.value for m in GameModel]))
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.4, 1.0))))
+    rounds = draw(st.integers(0 if model == "unfair_probabilistic" else 1, 4))
+    kinds = draw(st.lists(st.sampled_from(("idle", "identity", "sampled")), min_size=rounds,
+                          max_size=rounds))
+    idle = [kind != "sampled" for kind in kinds]
+
+    def moves(sample):
+        return [{"idle": None, "identity": np.eye(n)}.get(kind) if kind != "sampled" else sample()
+                for kind in kinds]
+
+    def walk(me):  # a classical player's or the unfair Robber's move: a random neighbour
+        return lambda ctx: None if idle[ctx.round - 1] else \
+            g.out_adj[getattr(ctx, me)][int(rng.integers(len(g.out_adj[getattr(ctx, me)])))]
+
+    if model == "unfair_probabilistic":
+        robber = Strategy(init=draw(st.integers(0, n - 1)), move=walk("robber_state"))
+        return play(model, g, dominating_set_sweep(g), robber, rounds)
+    if model == "classical":
+        players = [Strategy(init=draw(st.integers(0, n - 1)), move=walk(f"{me}_state"))
+                   for me in ("cop", "robber")]
+    elif model == "quantum_controlled":
+        players = [Strategy(init=_init(draw, rng, model, n), move=moves(
+            lambda control=control: sample_controlled_op(g, rng, control)))
+            for control in ("robber", "cop")]
+    else:
+        sample = sample_graph_stochastic if model == "open_probabilistic" else \
+            sample_graph_unitary
+        players = [Strategy(init=_init(draw, rng, model, n), move=moves(lambda: sample(g, rng)))
+                   for _ in range(2)]
+    return play(model, g, *players, rounds)
+
+
+@given(_traces())
+def test_the_trace_writer_gives_the_text_json_gives_of_the_dict(trace):
+    text = trace_to_text(trace)
+    assert text == json.dumps(_dict_trace_to_json(trace), sort_keys=True)
+    assert json.dumps(trace_to_json(trace), sort_keys=True) == text
+
+
+def test_states_that_differ_only_in_the_sign_of_a_zero_are_written_apart():
+    # the identity walk adds each entry to a 0.0, so the Cop's -0.0 comes back as 0.0
+    g = path_graph(2)
+    trace = play("open_probabilistic", g, Strategy(init=np.array([-0.0, 1.0]), move=[np.eye(2)]),
+                 Strategy(init=0), 1)
+    text = trace_to_text(trace)
+    assert text == json.dumps(_dict_trace_to_json(trace), sort_keys=True)
+    assert '"cop": [-0.0, 1.0]' in text and '"cop": [0.0, 1.0]' in text
+
+
+def test_non_finite_and_huge_scalars_are_written_as_json_writes_them():
+    history = [("init", 0, {"follow": value, "robber": 3})
+               for value in (float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**70)]
+    trace = GameTrace(GameModel.UNFAIR_PROBABILISTIC, 5, float("nan"), history)
+    assert trace_to_text(trace) == json.dumps(_dict_trace_to_json(trace), sort_keys=True)
+
+
+@pytest.mark.parametrize("model", ["open_probabilistic", "classical_quantum"])
+def test_an_open_game_trace_encodes_each_distinct_state_once(tmp_path, capsys, monkeypatch,
+                                                             model):
+    # 8 rounds are 15 half-moves, each of which changes one state: 2 + 15 distinct states,
+    # where the 16 snapshots hold 32
+    n, rounds = 12, 8
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(n, rng, 0.3)
+    if model == "open_probabilistic":
+        inits = [rng.dirichlet(np.ones(n)).tolist() for _ in range(2)]
+        moves = [[_loop_operator_to_json(sample_graph_stochastic(g, rng).matrix)
+                  for _ in range(rounds - k)] for k in range(2)]
+    else:
+        inits = [state_to_json(sample_graph_unitary(g, rng).apply(basis_state(n, v)))
+                 for v in (0, n - 1)]
+        moves = [json.loads(operators_to_text(
+            [sample_graph_unitary(g, rng) for _ in range(rounds - k)])) for k in range(2)]
+    path = _write(tmp_path, "open.json", {
+        "model": model, "graph": graph_to_json(g), "rounds": rounds,
+        "cop": {"init": inits[0], "moves": moves[0]},
+        "robber": {"init": inits[1], "moves": moves[1]}})
+    encoded = []
+
+    def spy(vec):  # a stack of states counts one per row
+        encoded.append(len(vec) if np.ndim(vec) == 2 else 1)
+        return state_to_json(vec)
+
+    monkeypatch.setattr(scenario, "state_to_json", spy)
+    out = tmp_path / "trace.json"
+    assert _run(capsys, ["run", path, "--out", str(out)])[0] == 0
+    history = json.loads(out.read_text())["history"]
+    assert len(history) == 2 * rounds
+    assert len({json.dumps(v) for entry in history for v in entry["state"].values()}) == 17
+    assert sum(encoded) == 17
+
+
+# The n = 128 board of the pinned traces: a cycle with a chord from every fourth vertex.
+N_PINNED = 128
+PINNED_BOARD = {"n": N_PINNED, "arcs": [[v, (v + 1) % N_PINNED] for v in range(N_PINNED)]
+                + [[v, (5 * v + 3) % N_PINNED] for v in range(0, N_PINNED, 4)],
+                "undirected": True, "reflexive": True}
+_ROOT_A, _ROOT_B = complex(0.5, 0.5), complex(0.5, -0.5)  # a root of the swap: [[A, B], [B, A]]
+
+
+def _gates(*gates):
+    """Operator JSON of gates (support, block) on disjoint supports of the pinned board, the
+    identity elsewhere."""
+    entries, free = [], set(range(N_PINNED))
+    for support, block in gates:
+        free -= set(support)
+        entries += [[u, v, complex(z).real, complex(z).imag] for u, row in zip(support, block)
+                    for v, z in zip(support, row) if z != 0]
+    return {"n": N_PINNED, "entries": sorted(entries + [[v, v, 1.0, 0.0] for v in free])}
+
+
+def _root_swap(u):
+    return (u, u + 1), [[_ROOT_A, _ROOT_B], [_ROOT_B, _ROOT_A]]
+
+
+def _phase(v, z):
+    return (v,), [[z]]
+
+
+def _lazy_walk(k, chords):
+    """Column-stochastic move of round k: each vertex keeps half its mass and sends the rest
+    one step along the cycle, forward in odd rounds; with chords a vertex on a chord sends a
+    quarter each way instead."""
+    entries = []
+    for v in range(N_PINNED):
+        step = (v + (1 if k % 2 else -1)) % N_PINNED
+        targets = {v: 0.5, step: 0.5}
+        if chords and v % 4 == 0:
+            targets = {v: 0.5, (5 * v + 3) % N_PINNED: 0.25, step: 0.25}
+        entries += [[w, v, p, 0.0] for w, p in targets.items()]
+    return {"n": N_PINNED, "entries": sorted(entries)}
+
+
+def _pinned_scenario(model):
+    """An 8-round open game on the pinned board.  Every amplitude, probability and move entry is
+    a dyadic fraction, so every product and sum of the game is exact and its floats are the same
+    bits on any machine."""
+    if model == "open_probabilistic":
+        robber = [0.0] * N_PINNED
+        robber[4], robber[5], robber[50], robber[90] = 0.25, -0.0, 0.25, 0.5
+        cop = [_lazy_walk(k, False) for k in range(8)]
+        moves = [_lazy_walk(k, True) for k in range(7)]
+    else:
+        robber = [[0.0, 0.0]] * N_PINNED
+        robber[3], robber[40], robber[41], robber[100] = \
+            [0.5, 0.0], [0.5, -0.0], [-0.0, 0.5], [-0.0, -0.0]
+        robber[60:64] = [0.25, 0.0], [-0.25, 0.0], [0.0, 0.25], [0.0, -0.25]
+        swap12 = (1, 2), [[0, 1], [1, 0]]
+        swap62 = (62, 63), [[0, 1], [1, 0]]
+        cop = [_gates(_root_swap(0)), _gates(_root_swap(0)), _gates(_phase(1, 1j)),
+               _gates(swap12), _gates(_root_swap(2)), _gates(_root_swap(2)),
+               _gates(_phase(3, -1j)), _gates(_phase(3, -1))]
+        moves = [_gates(_root_swap(40)), _gates(_phase(60, 1j)), _gates(_root_swap(60)),
+                 _gates(swap62), _gates(_root_swap(40), _root_swap(61)),
+                 _gates(_root_swap(61)), _gates(_phase(41, -1))]
+    return {"model": model, "graph": PINNED_BOARD, "rounds": 8,
+            "cop": {"init": 0, "moves": cop}, "robber": {"init": robber, "moves": moves}}
+
+
+@pytest.mark.parametrize("model, printed, digest", [
+    ("open_probabilistic", "p_copwin=0.004156113",
+     "718c8da00a7ff75ebae1190f89570ab93c6fed5dfcd8c7361c543897419efd94"),
+    ("classical_quantum", "p_copwin=0.250000000",
+     "1d968d13818518a5d53ad861fe60ca8aabe3943e20bd81d713628376ccff78ee"),
+])
+def test_open_game_traces_are_written_byte_for_byte(tmp_path, capsys, model, printed, digest):
+    # the digests were taken when each state of the trace was encoded as a dict by json.dumps
+    out = tmp_path / "trace.json"
+    code, text, _ = _run(capsys, ["run", _write(tmp_path, "pinned.json", _pinned_scenario(model)),
+                                  "--out", str(out)])
+    assert code == 0 and text == f"model={model} t=8 {printed}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _loop_state_to_json(vec):

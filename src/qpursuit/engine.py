@@ -224,8 +224,8 @@ def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
     """Joint state after one quantum controlled move, each block certified against g first.
 
     The mover's operation must be controlled on the opponent's register; one
-    built on another board has its blocks certified against g, and a bare
-    unitary is certified once and lifted to the constant controlled operation.
+    built on another board has its blocks certified against g, and a bare unitary is
+    certified once and applied to each row (Cop) or column (Robber) of the joint table.
     """
     if op is None:
         return joint
@@ -237,9 +237,12 @@ def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
             )
         if op.graph != g:
             op = _certified(ControlledOp, op.blocks, op.control, g)
-    else:
-        op = ControlledOp((_certified(certify_unitary, op, g),) * g.n, expected_control, g)
-    return op.apply(joint)
+        return op.apply(joint)
+    u, n = _certified(certify_unitary, op, g), g.n
+    table = np.array(state_vector(joint), dtype=complex).reshape(n, n)
+    for line in table if mover == "cop" else table.T:  # views of the table
+        line[:] = u.apply(line)
+    return table.reshape(-1)
 
 
 def _arc_step(target, v: int, g: Digraph) -> int:

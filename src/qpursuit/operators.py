@@ -806,7 +806,9 @@ class ControlledOp:
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
     Building one certifies every block against graph, all by one certify_blocks call; a bad
-    block's error is prefixed with its vertex.
+    block's error is prefixed with its vertex.  Beside the certified blocks it keeps their
+    direct sum and its joint index: block v's support s sits at v * n + s (robber control),
+    row v of the (n, n) joint table, or at s * n + v, column v.
     """
 
     blocks: tuple
@@ -824,7 +826,12 @@ class ControlledOp:
             if hasattr(exc, "position"):  # the first bad block's own error: name that block
                 exc.args = (f"block {exc.position}: {exc}",)
             raise
+        n, support = self.graph.n, np.concatenate([u._index for u in blocks])
+        line = np.arange(n).repeat([u._index.size for u in blocks])
         object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "_sum", _direct_sum([u._block for u in blocks]))
+        object.__setattr__(self, "_index", line * n + support if self.control == "robber"
+                           else support * n + line)
 
     def apply(self, joint) -> np.ndarray:
         """Block v acts on row v (robber control) or column v of the (n, n) joint table."""
@@ -832,9 +839,7 @@ class ControlledOp:
         joint = np.array(state_vector(joint), dtype=complex)
         if joint.size != n * n:
             raise ValueError(f"joint state dimension {joint.size} does not match n^2 = {n * n}")
-        lines = joint.reshape(n, n) if self.control == "robber" else joint.reshape(n, n).T  # views
-        for v, u in enumerate(self.blocks):
-            lines[v] = u.apply(lines[v])
+        joint[self._index] = self._sum @ joint[self._index]
         return joint
 
 

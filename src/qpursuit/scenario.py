@@ -19,7 +19,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _int_digraph, _is_int
-from .operators import ControlledOp, Entries
+from .operators import ControlledOp, Entries, _direct_sum
 from .strategies import build_strategy
 
 
@@ -86,25 +86,12 @@ def operators_to_text(ops) -> str:
     sizes = [op.graph.n for op in ops]
     loops, starts, ends, heads, cols = _text_tables(max(sizes))
     base = max(sizes) + 1  # the key op * base + row orders rows by operator, then row
-    # every support in one array; each block's components grouped by shape, each with the place
-    # of its operator's support in that array
-    index, groups, at = [], {}, 0
-    for op in ops:
-        index.append(op._index)
-        for part in op._block.parts:
-            groups.setdefault(part[2].shape[1:], []).append((at, *part))
-        at += len(op._index)
-    lengths = list(map(len, index))
-    flat = np.concatenate(index)
+    # every support in one array, and the non-zero entries of the blocks' direct sum, whose
+    # rows and columns index that array
+    lengths = [len(op._index) for op in ops]
+    flat = np.concatenate([op._index for op in ops])
     place = np.arange(0, len(ops) * base, base).repeat(lengths) + flat  # op * base + row
-    found = []
-    for shifts, rows, columns, stacks in map(lambda g: zip(*g), groups.values()):
-        shift = np.array(shifts).repeat(list(map(len, stacks)))[:, None]
-        stack = np.concatenate(stacks)
-        i, a, b = stack.nonzero()
-        found.append(((np.concatenate(rows) + shift)[i, a],
-                      (np.concatenate(columns) + shift)[i, b], stack[i, a, b]))
-    rows, columns, vals = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    rows, columns, vals = _direct_sum([op._block for op in ops]).where(lambda s: s != 0)
     row_key, col = place[rows], flat[columns]
     order = (row_key * base + col).argsort()
     row_key, col, vals = row_key[order], col[order].tolist(), vals[order]
@@ -157,6 +144,13 @@ def _numbers(column, what: str) -> np.ndarray:
     raise ValueError(f"{what} must be finite numbers")
 
 
+def _complex_numbers(re, im, what: str) -> np.ndarray:
+    """Complex values with each part set as written: re + 1j * im would turn a -0.0 into 0.0."""
+    vals = np.empty(len(re), dtype=complex)
+    vals.real, vals.imag = _numbers(re, what), _numbers(im, what)
+    return vals
+
+
 def operator_from_json(data: dict) -> Entries:
     """An operator's non-zero entries, read once into arrays (Entries sorts them and refuses a
     repeat); .dense() is its matrix."""
@@ -176,10 +170,7 @@ def operator_from_json(data: dict) -> Entries:
         rows, cols = (np.fromiter(a, dtype=np.intp, count=len(a)) for a in (rows, cols))
     except OverflowError:  # an index beyond the machine range
         raise ValueError("operator entry rows and columns must be in range") from None
-    vals = np.empty(len(entries), dtype=complex)
-    # each part as written: re + 1j * im would turn a -0.0 into 0.0
-    vals.real, vals.imag = (_numbers(a, "operator entry values") for a in (re, im))
-    return Entries(n, rows, cols, vals)
+    return Entries(n, rows, cols, _complex_numbers(re, im, "operator entry values"))
 
 
 def state_to_json(vec) -> list:
@@ -195,8 +186,7 @@ def state_from_json(data) -> np.ndarray:
     """A complex vector from a flat list of JSON numbers or a list of [re, im] pairs of them."""
     if isinstance(data, list) and data and set(map(type, data)) == {list} \
             and set(map(len, data)) == {2}:
-        re, im = zip(*data)
-        return _numbers(re, "state entries") + 1j * _numbers(im, "state entries")
+        return _complex_numbers(*zip(*data), "state entries")
     if not isinstance(data, list):
         raise ValueError("state JSON must be a flat list or a list of [re, im] pairs")
     return _numbers(data, "state entries").astype(complex)

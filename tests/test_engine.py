@@ -12,6 +12,7 @@ from qpursuit import (
     GameError,
     GameModel,
     GraphError,
+    GraphUnitary,
     ControlledOp,
     Strategy,
     certify_stochastic,
@@ -221,6 +222,34 @@ def test_qc_step_lifts_and_validates():
     with pytest.raises(GameError):  # a cop move must be controlled on the robber
         qc_step(cop_controlled, x, g, "cop")
     assert np.array_equal(qc_step(cop_controlled, x, g, "robber"), np.eye(16) @ x)
+
+
+def test_controlled_apply_is_one_product_and_a_bare_move_builds_no_controlled_op(monkeypatch):
+    g = cycle_graph(5)
+    rng = np.random.default_rng(5)
+    op = ControlledOp(tuple(sample_graph_unitary(g, rng) for _ in range(g.n)), "robber", g)
+    u = transposition_unitary(g, 0, 1)
+    x = _random_amps(rng, g.n ** 2)
+    calls = {"apply": 0, "controlled": 0}
+    apply, post_init = GraphUnitary.apply, ControlledOp.__post_init__
+
+    def counted_apply(self, state):
+        calls["apply"] += 1
+        return apply(self, state)
+
+    def counted_post_init(self):
+        calls["controlled"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(GraphUnitary, "apply", counted_apply)
+    monkeypatch.setattr(ControlledOp, "__post_init__", counted_post_init)
+    op.apply(x)
+    qc_step(op, x, g, "cop")
+    assert calls == {"apply": 0, "controlled": 0}  # the direct sum, no block's own apply
+    for mover in ("cop", "robber"):
+        qc_step(u, x, g, mover)
+        qc_step(u.matrix, x, g, mover)
+    assert calls == {"apply": 4 * g.n, "controlled": 0}  # one apply per line, no lift
 
 
 def test_quantum_controlled_play_certifies_every_block_on_its_board():

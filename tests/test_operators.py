@@ -1607,7 +1607,15 @@ def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     x[rng.random(n * n) < 0.3] = 0.0
     x /= np.linalg.norm(x) or 1.0
     dense = _dense_joint(op)
-    assert set(vars(op)) == {"blocks", "control", "graph"}  # no stored joint matrix
+    # no stored joint matrix: the direct sum holds exactly the blocks' stacks and non-zero
+    # entries, each where the dense joint has it, and the index one entry per support vertex
+    assert set(vars(op)) == {"blocks", "control", "graph", "_sum", "_index"}
+    assert op._index.size == sum(len(b.support) for b in op.blocks)
+    assert sum(s.size for _, _, s in op._sum.parts) == sum(
+        s.size for b in op.blocks for _, _, s in b._block.parts)
+    rows, cols, vals = op._sum.where(lambda s: s != 0)
+    assert vals.size == sum(np.count_nonzero(b.block) for b in op.blocks)
+    assert np.array_equal(dense[op._index[rows], op._index[cols]], vals)
     assert np.allclose(op.apply(x), dense @ x, rtol=0.0, atol=1e-12)
     assert np.allclose(joint_matrix(op), dense, rtol=0.0, atol=1e-12)
     mover = "cop" if control == "robber" else "robber"
@@ -1616,6 +1624,45 @@ def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     for who in ("cop", "robber"):
         assert np.allclose(qc_step(u, x, g, who), _dense_lift(u.matrix, who) @ x,
                            rtol=0.0, atol=1e-12)
+
+
+def _per_line(blocks, joint, n, rows):
+    """The loop ControlledOp.apply ran before it applied its direct sum, kept as the reference:
+    blocks[v].apply on row v (rows) or column v of the (n, n) joint table."""
+    joint = np.array(joint, dtype=complex)
+    lines = joint.reshape(n, n) if rows else joint.reshape(n, n).T  # views
+    for v, u in enumerate(blocks):
+        lines[v] = u.apply(lines[v])
+    return joint
+
+
+@settings(max_examples=40, phases=_NO_SHRINK)
+@given(st.one_of(st.integers(1, 8), st.integers(_DENSE_MAX + 1, _DENSE_MAX + 8)),
+       st.integers(0, 2**32 - 1))
+def test_controlled_and_bare_moves_match_the_per_line_loop(n, seed):
+    """A controlled move's direct sum and a bare move's lines give the per-line loop's joint
+    state bit for bit, for both controls and both movers.  Blocks are dense members, gathers,
+    transpositions and identities (empty blocks); past _DENSE_MAX a member is split into
+    components."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, rng, rng.choice([0.0, 0.3, 1.0]))
+
+    def block():
+        return identity_unitary(g) if rng.random() < 0.25 else _sample_block(g, rng)
+
+    x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    x[rng.random(n * n) < 0.3] = 0.0
+    x /= np.linalg.norm(x) or 1.0
+    for control, mover in (("robber", "cop"), ("cop", "robber")):
+        op = ControlledOp(tuple(block() for _ in range(n)), control, g)
+        expected = _per_line(op.blocks, x, n, control == "robber")
+        assert np.array_equal(op.apply(x), expected)
+        assert np.array_equal(qc_step(op, x, g, mover), expected)
+        u = block()
+        assert np.array_equal(qc_step(u, x, g, mover), _per_line((u,) * n, x, n, mover == "cop"))
+        dense = certify_unitary(u.matrix, g)
+        assert np.array_equal(qc_step(u.matrix, x, g, mover),
+                              _per_line((dense,) * n, x, n, mover == "cop"))
 
 
 def test_haar_unitary_statistics(rng):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -559,11 +560,16 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     """The blocks certified against g, every support the whole board by default.  A GraphUnitary
     on g is trusted and returned as it is, one from another board is certified on its own
     support, and anything else (a dense array, Entries, a _Block, or an object with .matrix) on
-    its given support.  Everything to certify takes one check on the direct sum of the blocks,
-    which passes iff each would alone.  If it fails, or a block is malformed, the blocks are
-    certified one at a time in order (a lone block by the sum's report, which is its own), so the
-    first bad block raises exactly what it raises alone, with its index in blocks as the error's
-    position."""
+    its given support.  The blocks to certify are parsed and their direct sum is built, then
+    checked once by _certify_parsed, as _certify_layers has a sum built already checked; the
+    check passes iff each block would alone.  If it fails, or a block is malformed, the blocks
+    are certified one at a time in order, so the first bad block raises exactly what it raises
+    alone, with its index in blocks as the error's position."""
+    return _certified(blocks, g, supports)[0]
+
+
+def _certified(blocks, g: Digraph, supports=None) -> tuple:
+    """(certify_blocks's list, the sum it checked, None if every block was trusted)."""
     supports = [None] * len(blocks) if supports is None else list(supports)
     if len(supports) != len(blocks):
         raise ValueError(f"{len(blocks)} blocks but {len(supports)} supports")
@@ -578,19 +584,50 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
         except Exception as exc:  # raised in its turn, once the blocks before it are certified
             error, exc.position = exc, i
             break
-    if error or parsed and not (report := _unitary_report(
-            _direct_sum([b for _, _, _, b in parsed]), g, [idx for _, _, idx, _ in parsed])):
-        for i, _, idx, b in parsed:
-            try:  # the sum of one block is that block, whose report is made
-                _refuse(report if len(parsed) == 1 and not error else _unitary_report(b, g, idx))
-            except CertificationError as exc:
+    total = _direct_sum([b for *_, b in parsed]) if parsed and not error else None
+    for (i, *_), u in zip(parsed, _certify_parsed(total, parsed, g)):
+        out[i] = u
+    if error:
+        raise error
+    return out, total
+
+
+def _certify_layers(stack: np.ndarray, supports, g: Digraph) -> list:
+    """certify_blocks of layers of 2x2 blocks on supports (tuples of ints), each layer the next
+    len(support) / 2 blocks of stack, checked as one direct sum built already: a _Block of the
+    whole stack, of which each layer's block is a slice.  The supports are checked once, as one
+    index array of which each _index is a slice: every vertex in range, none twice in a layer."""
+    sizes = [len(s) for s in supports]
+    flat = np.fromiter(chain(*supports), np.intp, sum(sizes))
+    # layer i's vertices shifted by i n: a vertex twice within a layer is a key twice
+    key = np.sort(flat + np.repeat(np.arange(len(sizes)) * g.n, sizes))
+    place, parsed, at = np.arange(flat.size).reshape(-1, 2), [], 0
+    for i, k in enumerate(sizes):
+        m = k // 2
+        parsed.append((i, supports[i], flat[2 * at:2 * at + k],
+                       _Block(k, ((place[:m], place[:m], stack[at:at + m]),))))
+        at += m
+    fits = not flat.size or 0 <= flat.min() and flat.max() < g.n and (np.diff(key) > 0).all()
+    return _certify_parsed(_Block(flat.size, ((place, place, stack),)) if fits else None,
+                           parsed, g)
+
+
+def _certify_parsed(total, parsed, g: Digraph) -> list:
+    """A GraphUnitary for each (position, support, index array, _Block) of parsed, after one
+    _unitary_report of total, their direct sum.  If it fails, or total is None (a block or
+    support is malformed), the blocks are parsed and checked one at a time (a lone block by
+    total's report, its own), and the first bad one raises with its position."""
+    report = None if total is None else _unitary_report(total, g, [at for _, _, at, _ in parsed])
+    if not report:
+        for i, s, _, b in parsed:
+            try:
+                _, at, b = _parsed(b, g, s)
+                _refuse(report if report is not None and len(parsed) == 1 else
+                        _unitary_report(b, g, at))
+            except Exception as exc:
                 exc.position = i
                 raise
-        if error:
-            raise error
-    for i, support, idx, b in parsed:
-        out[i] = object.__new__(GraphUnitary)._fill(g, support, idx, b)
-    return out
+    return [object.__new__(GraphUnitary)._fill(g, s, at, b) for _, s, at, b in parsed]
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -692,34 +729,18 @@ def _fold_schedule(tree, vec: np.ndarray) -> list:
     return layers
 
 
-def _fold_layers(tree, vec: np.ndarray, adjoint: bool = False) -> list:
-    """Fold vec into the tree root: (support, block) per layer of _fold_schedule, uncertified,
-    block a _Block of one (m, 2, 2) stack, the gather of pair i on support[2i:2i + 2] computed
-    from the state before its layer; each block conjugate-transposed if adjoint.
-
-    A gather takes (x0, x1) to (0, hypot(|x0|, |x1|)), so the amplitudes are replayed pair by
-    pair in layer order, and every gather of the fold is built by one _gather_stack call, each
-    layer's block a slice of it.
-    """
-    layers = _fold_schedule(tree, vec)
-    pairs = [v for support in layers for v in support]
-    amps = vec.tolist()
-    x1 = []  # each parent's amplitude as its child folds in
-    for c, p in zip(pairs[::2], pairs[1::2]):
-        x1.append(amps[p])
-        s = math.hypot(abs(amps[c]), abs(amps[p]))
-        if s > _ZERO_BLOCK:  # else the gather is the identity
-            amps[p] = s
-    # a child folds after its own children and is left alone from then on
-    stack = _gather_stack([amps[c] for c in pairs[::2]], x1, [0.0], [1.0])
-    if adjoint:
-        stack = stack.conj().swapaxes(1, 2)
-    place = np.arange(2 * max(map(len, layers), default=0)).reshape(-1, 2)
-    out, at = [], 0
-    for support in layers:
-        m = len(support) // 2
-        out.append((tuple(support), _Block(2 * m, ((place[:m], place[:m], stack[at:at + m]),))))
-        at += m
+def _fold_pairs(tree, vec: np.ndarray) -> list:
+    """Fold vec into the tree root: (support, x0, x1) per layer of _fold_schedule, x0[i] and
+    x1[i] pair i's amplitudes before its layer.  Its gather takes them to (0, hypot(|x0|, |x1|)),
+    so they are replayed pair by pair in layer order, and no block is built."""
+    amps, out = vec.tolist(), []
+    for support in _fold_schedule(tree, vec):
+        out.append((tuple(support), [amps[c] for c in support[::2]],
+                    [amps[p] for p in support[1::2]]))
+        for c, p in zip(support[::2], support[1::2]):
+            s = math.hypot(abs(amps[c]), abs(amps[p]))
+            if s > _ZERO_BLOCK:  # else the gather is the identity
+                amps[p] = s
     return out
 
 
@@ -728,10 +749,11 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
 
     Phase 1 folds all of phi's amplitude into the root of a spanning tree,
     one block of disjoint 2x2 gathers per layer; phase 2 is the same fold
-    run for psi, reversed, each block its adjoint.  The whole sequence is
-    certified by one check, against the tree's graph.  Subtrees carrying
-    amplitude at most _ZERO_BLOCK are not folded, so equal states yield an
-    empty sequence.
+    run for psi, reversed, each block its adjoint.  All gathers are one
+    _gather_stack call, psi's half conjugate-transposed once, and the whole
+    sequence, the sum of that stack, is one _certify_layers check against the
+    tree's graph.  Subtrees carrying amplitude at most _ZERO_BLOCK are not
+    folded, so equal states yield an empty sequence.
     """
     a = state_vector(phi)
     b = state_vector(psi)
@@ -746,9 +768,13 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     tree = spanning_tree(g, root)
     if abs(np.vdot(b, a)) >= 1.0 - ATOL:
         return []
-    layers = _fold_layers(tree, a) + _fold_layers(tree, b, adjoint=True)[::-1]
-    supports, blocks = zip(*layers)  # phi and psi differ, so at least one of them folds
-    return certify_blocks(blocks, tree.as_digraph(), supports)
+    fold = _fold_pairs(tree, a)
+    # phi and psi differ, so at least one of them folds
+    supports, x0, x1 = zip(*fold, *_fold_pairs(tree, b)[::-1])
+    stack = _gather_stack(list(chain(*x0)), list(chain(*x1)), [0.0], [1.0])
+    unfold = stack[sum(map(len, x0[:len(fold)])):]
+    unfold[...] = unfold.conj().swapaxes(1, 2)
+    return _certify_layers(stack, supports, tree.as_digraph())
 
 
 def apply_sequence(ops, state) -> np.ndarray:
@@ -807,8 +833,9 @@ class ControlledOp:
     (a Cop move); control='cop' is the mirror image (a Robber move).
     Building one certifies every block against graph, all by one certify_blocks call; a bad
     block's error is prefixed with its vertex.  Beside the certified blocks it keeps their
-    direct sum and its joint index: block v's support s sits at v * n + s (robber control),
-    row v of the (n, n) joint table, or at s * n + v, column v.
+    direct sum, the one that call checked unless a block was trusted, and its joint index:
+    block v's support s sits at v * n + s (robber control), row v of the (n, n) joint table, or
+    at s * n + v, column v.
     """
 
     blocks: tuple
@@ -821,15 +848,17 @@ class ControlledOp:
         if len(self.blocks) != self.graph.n:
             raise ValueError(f"need {self.graph.n} blocks, got {len(self.blocks)}")
         try:
-            blocks = certify_blocks(self.blocks, self.graph)
+            blocks, total = _certified(self.blocks, self.graph)
         except Exception as exc:
             if hasattr(exc, "position"):  # the first bad block's own error: name that block
                 exc.args = (f"block {exc.position}: {exc}",)
             raise
+        if any(u is v for u, v in zip(blocks, self.blocks)):  # a trusted block is not in the sum
+            total = _direct_sum([u._block for u in blocks])
         n, support = self.graph.n, np.concatenate([u._index for u in blocks])
         line = np.arange(n).repeat([u._index.size for u in blocks])
         object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_sum", _direct_sum([u._block for u in blocks]))
+        object.__setattr__(self, "_sum", total)
         object.__setattr__(self, "_index", line * n + support if self.control == "robber"
                            else support * n + line)
 

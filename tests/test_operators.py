@@ -54,7 +54,8 @@ from qpursuit.operators import (
     _ZERO_BLOCK,
     _Block,
     _c4_collapse_matrix,
-    _fold_layers,
+    _certify_layers,
+    _fold_pairs,
     _gather_stack,
     _is_unit,
     _stochastic_report,
@@ -518,6 +519,23 @@ def test_gather_layers_match_the_dense_oracle(instance):
     assert err.value.report.residual > ATOL and not err.value.report.violations
     with pytest.raises(CertificationError):
         GraphUnitary(forged, g, (v, tree.parent[v])).adjoint()
+
+
+def _layer_blocks(stack, supports):
+    """Each layer's block as reach_sequence lays it out: a _Block of one (m, 2, 2) slice of
+    stack, the layer's m pairs following the pairs of the layers before it."""
+    ends = np.cumsum([len(s) // 2 for s in supports])
+    return [_Block(2 * (e - a), ((np.arange(2 * (e - a)).reshape(-1, 2),) * 2 + (stack[a:e],),))
+            for a, e in zip([0, *ends[:-1]], ends)]
+
+
+def _fold_layers(tree, vec):
+    """(support, block) per layer of vec's fold, the blocks slices of one gather stack."""
+    layers = _fold_pairs(tree, vec)
+    stack = _gather_stack([x for _, x0, _ in layers for x in x0],
+                          [x for _, _, x1 in layers for x in x1], [0.0], [1.0])
+    supports = [support for support, _, _ in layers]
+    return list(zip(supports, _layer_blocks(stack, supports)))
 
 
 def _dense_fold_layers(tree, vec):
@@ -1301,40 +1319,121 @@ def test_reach_at_n512_holds_bound_and_fidelity():
 def test_reach_certifies_each_layer_once(monkeypatch):
     import qpursuit.operators
 
-    calls = []
-    check = qpursuit.operators._unitary_report
+    calls, stacks = [], []
+    check, gather = qpursuit.operators._unitary_report, qpursuit.operators._gather_stack
 
     def spy(*args, **kwargs):  # the one certificate check
         calls.append(args[:3])
         return check(*args, **kwargs)
 
+    def gather_spy(*args):  # the one call that builds every gather of both folds
+        stacks.append(gather(*args))
+        return stacks[-1]
+
     def never(*args, **kwargs):
-        raise AssertionError("reach built or applied a block, or searched one for its components")
+        raise AssertionError("reach built, parsed, re-joined or applied a block, or searched one "
+                             "for its components")
 
     monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy)
+    monkeypatch.setattr(qpursuit.operators, "_gather_stack", gather_spy)
     rng = np.random.default_rng(64)
     g = random_connected_graph(64, rng, 0.1)
     phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     heap = digraph(255, [(i, (i - 1) // 2) for i in range(1, 255)], undirected=True, reflexive=True)
+    # the second folds nothing for phi (basis:0 is the root), the third nothing for psi
     for g, phi, psi in ((g, phi / np.linalg.norm(phi), uniform_state(64)),
+                        (heap, basis_state(255, 0), basis_state(255, 254)),
+                        (g, uniform_state(64), basis_state(64, 0)),
                         (heap, uniform_state(255), basis_state(255, 254))):
         calls.clear()
+        stacks.clear()
         with monkeypatch.context() as patch:
             for owner, name in ((qpursuit.operators, "_components"), (Entries, "of_matrix"),
-                                (_Block, "split"), (_Block, "dense"), (_Block, "__matmul__")):
+                                (_Block, "split"), (_Block, "dense"), (_Block, "__matmul__"),
+                                (qpursuit.operators, "_parsed"),
+                                (qpursuit.operators, "_direct_sum")):
                 patch.setattr(owner, name, never)
             ops = reach_sequence(g, phi, psi)
         # one check on the direct sum of all layers, fold and unfold alike, in the order emitted
         (b, graph, idx), = calls
         assert len(ops) > 2 and graph == spanning_tree(g, 0).as_digraph()
         assert [tuple(s.tolist()) for s in idx] == [u.support for u in ops]
-        # whose one stack holds each layer's 2x2 gathers once, each on its own pair
+        # whose one stack, built by one call, holds each layer's 2x2 gathers once, each on its
+        # own pair; each layer's block and index are slices of the sum's stack and index array
         gathers = [u.block[k:k + 2, k:k + 2] for u in ops for k in range(0, len(u.support), 2)]
         (rows, cols, stack), = b.parts
+        assert len(stacks) == 1 and stacks[0] is stack
         assert b.k == 2 * len(gathers) and np.array_equal(stack, gathers)
         assert np.array_equal(rows, np.arange(b.k).reshape(-1, 2)) and np.array_equal(cols, rows)
+        assert all(u._block.parts[0][2].base is stack for u in ops)
+        assert idx[0].base is not None and all(u._index.base is idx[0].base for u in ops)
     # the heap's widest layer is past _DENSE_MAX
     assert len(ops) == 21 and max(len(u.support) for u in ops) == 102 > _DENSE_MAX
+
+
+@st.composite
+def _gather_layer_lists(draw):
+    """A tree board and layers of 2x2 blocks on disjoint pairs of its edges, laid out as
+    reach_sequence lays them out (one (P, 2, 2) stack, each layer a slice of it), with faults in
+    up to two distinct layers: a block scaled off the unit sphere, a pair off the tree, a vertex
+    twice in one layer, or a vertex out of range above or below; and the faulty layers."""
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = spanning_tree(random_connected_graph(n, rng, 0.3), 0)
+    board = tree.as_digraph()
+    supports = []
+    for _ in range(draw(st.integers(1, 5))):
+        free, layer = set(range(n)), []
+        for c in draw(st.permutations(range(1, n))):
+            if {c, tree.parent[c]} <= free and draw(st.booleans()):
+                layer += (c, tree.parent[c]) if draw(st.booleans()) else (tree.parent[c], c)
+                free -= {c, tree.parent[c]}
+        supports.append(layer or [1, tree.parent[1]])
+    stack = haar_unitary(2, rng, (sum(map(len, supports)) // 2,))
+    faulty = set()
+    for i in draw(st.lists(st.integers(0, len(supports) - 1), max_size=2, unique=True)):
+        layer, fault = supports[i], draw(st.sampled_from(("scale", "off", "repeat", "high", "low")))
+        k = draw(st.integers(0, len(layer) - 1))
+        if fault == "scale":
+            stack[sum(map(len, supports[:i])) // 2 + k // 2] *= 1.0 + 1e-6
+        elif fault == "off":
+            far = [w for w in range(n) if w not in layer and not board.adjacency[w, layer[k]]]
+            if not far:
+                continue
+            layer[k ^ 1] = draw(st.sampled_from(far))
+        elif fault == "repeat":
+            layer[k] = layer[draw(st.sampled_from([j for j in range(len(layer)) if j != k]))]
+        else:
+            layer[k] = n if fault == "high" else -1
+        faulty.add(i)
+    return board, stack, [tuple(layer) for layer in supports], faulty
+
+
+@settings(max_examples=300, phases=_NO_SHRINK)
+@given(_gather_layer_lists())
+def test_a_prebuilt_sum_certifies_as_certify_blocks_of_its_layers(instance):
+    board, stack, supports, faulty = instance
+    got, calls = _spied_checks(lambda: _certify_layers(stack, supports, board))
+    ref, ref_calls = _spied_checks(
+        lambda: certify_blocks(_layer_blocks(stack, supports), board, supports))
+    # the same checks, in order: the sum's, if every support is well formed, then one per layer
+    # up to the first bad one when a check fails
+    assert [[s.tolist() for s in idx] if isinstance(idx, list) else idx.tolist()
+            for _, idx, _ in calls] == \
+        [[s.tolist() for s in idx] if isinstance(idx, list) else idx.tolist()
+         for _, idx, _ in ref_calls]
+    assert [repr(r) for *_, r in calls] == [repr(r) for *_, r in ref_calls]
+    if not faulty:
+        assert len(calls) == 1 and len(got) == len(ref) == len(supports)
+        for u, v in zip(got, ref):
+            assert u.graph == v.graph == board and u.support == v.support
+            assert u._index.dtype == v._index.dtype and np.array_equal(u._index, v._index)
+            assert u._block.dense().tobytes() == v._block.dense().tobytes()
+    else:
+        # the first faulty layer raises what certify_blocks raises for it, with its position
+        assert isinstance(got, Exception) and type(got) is type(ref)
+        assert str(got) == str(ref) and got.position == ref.position == min(faulty)
+        assert repr(getattr(got, "report", None)) == repr(getattr(ref, "report", None))
 
 
 def test_reach_preconditions():
@@ -1516,6 +1615,42 @@ def test_controlled_apply_refuses_a_joint_state_of_another_dimension():
         with pytest.raises(ValueError, match=rf"^joint state dimension {size} does not match "
                                              r"n\^2 = 9$"):
             op.apply(np.ones(size))
+
+
+def test_a_controlled_move_keeps_the_sum_its_check_ran_on(monkeypatch):
+    import qpursuit.operators
+    from qpursuit.scenario import controlled_op_from_json
+
+    sums, checked = [], []
+    join, check = qpursuit.operators._direct_sum, qpursuit.operators._unitary_report
+
+    def join_spy(blocks):
+        sums.append(join(blocks))
+        return sums[-1]
+
+    def check_spy(b, *args):
+        checked.append(b)
+        return check(b, *args)
+
+    monkeypatch.setattr(qpursuit.operators, "_direct_sum", join_spy)
+    monkeypatch.setattr(qpursuit.operators, "_unitary_report", check_spy)
+    c4 = cycle_graph(4)
+    ident = {"n": 4, "entries": [[v, v, 1, 0] for v in range(4)]}
+    swap01 = {"n": 4, "entries": [[0, 1, 1, 0], [1, 0, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]}
+    # a JSON move and dense blocks are parsed: one sum is built, checked once and kept
+    for build in (lambda: controlled_op_from_json(
+                      {"control": "robber", "blocks": [ident, swap01, ident, ident]}, c4),
+                  lambda: ControlledOp((np.eye(4), np.eye(4)[[1, 0, 2, 3]]) * 2, "cop", c4)):
+        sums.clear()
+        checked.clear()
+        op = build()
+        assert len(sums) == 1 and checked == sums and op._sum is sums[0]
+    # a trusted rebuild checks nothing and builds its sum once
+    sums.clear()
+    checked.clear()
+    again = ControlledOp(op.blocks, "robber", c4)
+    assert len(sums) == 1 and checked == [] and again._sum is sums[0]
+    assert np.array_equal(joint_matrix(again), joint_as_union_matrix(op))
 
 
 def test_controlled_op_accepts_raw_matrices():

@@ -795,35 +795,6 @@ def transposition_unitary(g: Digraph, v: int, w: int) -> GraphUnitary:
     return GraphUnitary([[0, 1], [1, 0]], g, (v, w))
 
 
-def _c4_collapse_matrix(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> np.ndarray:
-    """4x4 unitary matrix on the reflexive 4-cycle collapsing a three-vertex superposition onto
-    |1>, uncertified: its callers certify it with the other blocks of their move.
-
-    amplitudes = (r_a, k_a, r_b, k_b, r_c, k_c) is the polar form of the
-    source state r_a e^(i k_a)|0> + r_b e^(i k_b)|1> + r_c e^(i k_c)|2>,
-    with r_a^2 + r_b^2 + r_c^2 = 1.  The image of that state is
-    e^(i (k_c - psi))|1>; alpha is a free phase on the complementary block.
-    """
-    ra, ka, rb, kb, rc, kc = (float(x) for x in amplitudes)
-    if not _is_unit((ra, rb, rc)):
-        raise ValueError("source amplitudes must have unit norm")
-
-    def e(x):
-        return np.exp(1j * x)
-
-    m = np.array(
-        [
-            [-e(kb - kc + psi) * rb, e(ka - kc + psi) * ra, 0.0,
-             e(-(-ka + kc + alpha + np.pi)) * rc],
-            [e(-(ka - kc + psi)) * ra, e(-(kb - kc + psi)) * rb, e(-psi) * rc, 0.0],
-            [0.0, e(psi) * rc, -e(kb - kc + psi) * rb, e(-alpha) * ra],
-            [-e(-(ka - kc - alpha)) * rc, 0.0, e(alpha) * ra, e(-(kb - kc + psi)) * rb],
-        ],
-        dtype=complex,
-    )
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class ControlledOp:
     """Two-register operator applying a block unitary chosen by the other register.
@@ -833,9 +804,9 @@ class ControlledOp:
     (a Cop move); control='cop' is the mirror image (a Robber move).
     Building one certifies every block against graph, all by one certify_blocks call; a bad
     block's error is prefixed with its vertex.  Beside the certified blocks it keeps their
-    direct sum, the one that call checked unless a block was trusted, and its joint index:
-    block v's support s sits at v * n + s (robber control), row v of the (n, n) joint table, or
-    at s * n + v, column v.
+    direct sum, the one that call checked unless a trusted block has a non-empty support, and
+    its joint index: block v's support s sits at v * n + s (robber control), row v of the (n, n)
+    joint table, or at s * n + v, column v.
     """
 
     blocks: tuple
@@ -853,7 +824,8 @@ class ControlledOp:
             if hasattr(exc, "position"):  # the first bad block's own error: name that block
                 exc.args = (f"block {exc.position}: {exc}",)
             raise
-        if any(u is v for u, v in zip(blocks, self.blocks)):  # a trusted block is not in the sum
+        # a trusted block is not in the checked sum; one on no vertex would add only an empty part
+        if total is None or any(u is v and u.support for u, v in zip(blocks, self.blocks)):
             total = _direct_sum([u._block for u in blocks])
         n, support = self.graph.n, np.concatenate([u._index for u in blocks])
         line = np.arange(n).repeat([u._index.size for u in blocks])

@@ -292,56 +292,33 @@ def _scalar_text(x) -> str:
 
 def trace_to_text(trace: GameTrace) -> str:
     """The JSON text of a trace, {"history", "model", "p_copwin", "rounds"} with one
-    {"round", "stage", "state"} per snapshot, as json.dumps(..., sort_keys=True) writes it.
+    {"round", "stage", "state"} per snapshot, as json.dumps(..., sort_keys=True) writes it,
+    written in one pass over the history.
 
-    A snapshot repeats the state of the player who did not move, so each distinct state array,
-    keyed by its dtype, shape and bytes so that -0.0 and 0.0 stay apart, is encoded once and
-    its text spliced into every snapshot holding it.  The distinct states of one dtype and shape
-    go through state_to_json as one stack, and all of them through one json.dumps call.  A
-    plain int or float (a vertex, the unfair pursuit's following mass) is written by its repr,
-    json's own format, with no call into json.
+    A snapshot repeats the state of the player who did not move, so the text of each distinct
+    state array, keyed by its dtype, shape and bytes so that -0.0 and 0.0 stay apart, is made
+    once, by json.dumps of its state_to_json, and reused in every snapshot holding it; so is
+    the text of each name.  A plain int or float (a vertex, the unfair pursuit's following
+    mass) is written by its repr, json's own format, with no call into json.
     """
-    names = {name: json.dumps(name) for name in {stage for stage, _, _ in trace.history}.union(
-        *(snap.keys() for _, _, snap in trace.history))}
-    # the text, with an empty piece wherever a state goes; places maps each distinct state to
-    # the indices of its pieces, and groups lists the distinct states by dtype and shape
-    pieces, places, groups = ['{"history": ['], {}, {}
-    for i, (stage, rnd, snap) in enumerate(trace.history):
-        text = (f'{", " if i else ""}{{"round": {_scalar_text(rnd)}, '
-                f'"stage": {names[stage]}, "state": {{')
-        sep = ""
+    texts, snapshots = {}, []  # the text of each name, and of each state by its key
+    for stage, rnd, snap in trace.history:
+        fields = []
         for key in sorted(snap):
             value = snap[key]
-            text += f"{sep}{names[key]}: "
-            sep = ", "
             if type(value) is int or type(value) is float:
-                text += _scalar_text(value)
-                continue
-            a = np.asarray(value)
-            found = (a.dtype.str, a.shape, a.tobytes())
-            if found not in places:
-                places[found] = []
-                groups.setdefault(found[:2], []).append((a, places[found]))
-            places[found].append(len(pieces) + 1)
-            pieces += (text, "")
-            text = ""
-        pieces.append(text + "}}")
-    pieces.append(f'], "model": {json.dumps(trace.model.value)}, '
-                  f'"p_copwin": {_scalar_text(trace.p_copwin)}, '
-                  f'"rounds": {_scalar_text(trace.rounds)}}}')
-    at, lists = [], []
-    for group in groups.values():
-        arrays, indices = zip(*group)
-        lists += state_to_json(np.stack(arrays))
-        at += indices
-    # a list of numbers holds no quote, so an empty string between each two marks where the
-    # text of one ends
-    marked = [""] * (2 * len(lists) - 1)
-    marked[::2] = lists
-    for indices, text in zip(at, json.dumps(marked)[1:-1].split(', "", ')):
-        for k in indices:
-            pieces[k] = text
-    return "".join(pieces)
+                value = _scalar_text(value)
+            else:
+                a = np.asarray(value)
+                found = (a.dtype.str, a.shape, a.tobytes())
+                value = texts.get(found) or texts.setdefault(found, json.dumps(state_to_json(a)))
+            fields.append(f"{texts.get(key) or texts.setdefault(key, json.dumps(key))}: {value}")
+        stage = texts.get(stage) or texts.setdefault(stage, json.dumps(stage))
+        snapshots.append(f'{{"round": {_scalar_text(rnd)}, "stage": {stage}, '
+                         f'"state": {{{", ".join(fields)}}}}}')
+    return (f'{{"history": [{", ".join(snapshots)}], "model": {json.dumps(trace.model.value)}, '
+            f'"p_copwin": {_scalar_text(trace.p_copwin)}, '
+            f'"rounds": {_scalar_text(trace.rounds)}}}')
 
 
 def trace_to_json(trace: GameTrace) -> dict:

@@ -28,7 +28,7 @@ from .operators import (
     ControlledOp,
     certify_blocks,
     identity_unitary,
-    _c4_collapse_matrix,
+    _is_unit,
 )
 
 
@@ -67,6 +67,35 @@ def universal_vertex_catch(g: Digraph, vertex: int = None) -> Strategy:
 def _require_c4(g: Digraph):
     if g != cycle_graph(4):
         raise GraphError("this strategy is specific to the reflexive 4-cycle on vertices 0..3")
+
+
+def _c4_collapse_matrix(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> np.ndarray:
+    """4x4 unitary matrix on the reflexive 4-cycle collapsing a three-vertex superposition onto
+    |1>, uncertified: its callers certify it with the other blocks of their move.
+
+    amplitudes = (r_a, k_a, r_b, k_b, r_c, k_c) is the polar form of the
+    source state r_a e^(i k_a)|0> + r_b e^(i k_b)|1> + r_c e^(i k_c)|2>,
+    with r_a^2 + r_b^2 + r_c^2 = 1.  The image of that state is
+    e^(i (k_c - psi))|1>; alpha is a free phase on the complementary block.
+    """
+    ra, ka, rb, kb, rc, kc = (float(x) for x in amplitudes)
+    if not _is_unit((ra, rb, rc)):
+        raise ValueError("source amplitudes must have unit norm")
+
+    def e(x):
+        return np.exp(1j * x)
+
+    m = np.array(
+        [
+            [-e(kb - kc + psi) * rb, e(ka - kc + psi) * ra, 0.0,
+             e(-(-ka + kc + alpha + np.pi)) * rc],
+            [e(-(ka - kc + psi)) * ra, e(-(kb - kc + psi)) * rb, e(-psi) * rc, 0.0],
+            [0.0, e(psi) * rc, -e(kb - kc + psi) * rb, e(-alpha) * ra],
+            [-e(-(ka - kc - alpha)) * rc, 0.0, e(alpha) * ra, e(-(kb - kc + psi)) * rb],
+        ],
+        dtype=complex,
+    )
+    return m
 
 
 def _recentred_collapse(amps: np.ndarray, target: int) -> np.ndarray:

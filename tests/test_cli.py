@@ -26,6 +26,7 @@ from qpursuit import (
     Digraph,
     Scenario,
     basis_state,
+    c4_antipodal_evasion,
     complete_graph,
     controlled_op_from_json,
     cycle_graph,
@@ -1236,6 +1237,36 @@ def test_the_trace_writer_gives_the_text_json_gives_of_the_dict(trace):
     text = trace_to_text(trace)
     assert text == json.dumps(_dict_trace_to_json(trace), sort_keys=True)
     assert json.dumps(trace_to_json(trace), sort_keys=True) == text
+
+
+def _long_trace(kind):
+    """A game longer or wider than _traces draws: 20 rounds of the C4 evasion against sampled
+    controlled Cop moves, 200 rounds of the unfair pursuit against a walking Robber on n = 128,
+    or 8 rounds of the quantum game on n = 256."""
+    rng = np.random.default_rng(30)
+    if kind == "c4_evasion":
+        g = cycle_graph(4)
+        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        cop = Strategy(init=vec / np.linalg.norm(vec),
+                       move=[sample_controlled_op(g, rng, "robber") for _ in range(20)])
+        return play("quantum_controlled", g, cop, c4_antipodal_evasion(g), 20)
+    if kind == "unfair":
+        g = random_connected_graph(128, rng, 0.1)
+        robber = Strategy(init=0, move=lambda ctx: g.out_adj[ctx.robber_state][
+            int(rng.integers(len(g.out_adj[ctx.robber_state])))])
+        return play("unfair_probabilistic", g, dominating_set_sweep(g), robber, 200)
+    g = random_connected_graph(256, rng, 0.05)
+    players = [Strategy(init=v, move=[sample_graph_unitary(g, rng) for _ in range(8)])
+               for v in (0, 255)]
+    return play("classical_quantum", g, *players, 8)
+
+
+@pytest.mark.parametrize("kind, snapshots", [("c4_evasion", 40), ("unfair", 401),
+                                             ("classical_quantum", 16)])
+def test_the_trace_writer_gives_the_text_json_gives_on_long_games(kind, snapshots):
+    trace = _long_trace(kind)
+    assert len(trace.history) == snapshots
+    assert trace_to_text(trace) == json.dumps(_dict_trace_to_json(trace), sort_keys=True)
 
 
 def test_states_that_differ_only_in_the_sign_of_a_zero_are_written_apart():

@@ -53,7 +53,6 @@ from qpursuit.operators import (
     _DENSE_MAX,
     _ZERO_BLOCK,
     _Block,
-    _c4_collapse_matrix,
     _certify_layers,
     _fold_pairs,
     _gather_stack,
@@ -61,6 +60,7 @@ from qpursuit.operators import (
     _stochastic_report,
     _unitary_report,
 )
+from qpursuit.strategies import _c4_collapse_matrix
 from test_graphs import directed_cycle, disjoint_union
 
 # Property tests below report their first failing example unshrunk: shrinking
@@ -1651,6 +1651,34 @@ def test_a_controlled_move_keeps_the_sum_its_check_ran_on(monkeypatch):
     again = ControlledOp(op.blocks, "robber", c4)
     assert len(sums) == 1 and checked == [] and again._sum is sums[0]
     assert np.array_equal(joint_matrix(again), joint_as_union_matrix(op))
+
+
+def test_an_antipodal_answer_with_an_empty_column_builds_one_sum(monkeypatch):
+    import qpursuit.operators
+    import qpursuit.strategies
+
+    sums, join = [], qpursuit.operators._direct_sum
+
+    def join_spy(blocks):
+        sums.append(join(blocks))
+        return sums[-1]
+
+    c4, rng = cycle_graph(4), np.random.default_rng(5)
+    # the Cop's columns 0 and 2 hold amplitude off the Robber's vertex, columns 1 and 3 none:
+    # their answers are trusted identities on empty supports, which add nothing to the sum
+    table = np.zeros((4, 4), dtype=complex)
+    for c in (0, 2):
+        rows = [(c + 1) % 4, (c + 2) % 4, (c + 3) % 4]
+        table[rows, c] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    ident = identity_unitary(c4)  # built before the spy: only the move's sums are counted
+    monkeypatch.setattr(qpursuit.strategies, "identity_unitary", lambda g: ident)
+    monkeypatch.setattr(qpursuit.operators, "_direct_sum", join_spy)
+    op = qpursuit.strategies._antipodal_response(c4, table.reshape(-1) / np.linalg.norm(table))
+    assert len(sums) == 1 and op._sum is sums[0]
+    again = ControlledOp(op.blocks, "cop", c4)  # every block trusted: the sum of all four
+    for _ in range(20):
+        joint = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        assert np.array_equal(op.apply(joint), again.apply(joint))
 
 
 def test_controlled_op_accepts_raw_matrices():

@@ -230,26 +230,35 @@ def _components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int) ->
     number = np.empty(count, dtype=np.intp)
     number[order] = np.arange(count)
     comp, row_comp = number[comp], number[row_comp]
+    # a batch of blocks (see _split_all) has about as many components as columns, so each
+    # per-component array is let go once used
+    del label, root, order, number
     height, width = np.divmod(shape, k + 1)
-    by_col, by_row = np.argsort(comp, kind="stable"), np.argsort(row_comp, kind="stable")
-    col_start, row_start = np.cumsum(width) - width, np.cumsum(height) - height
-    col_pos = np.empty(k, dtype=np.intp)  # each column's place in its component, and each row's
-    col_pos[by_col] = np.arange(k) - col_start[comp[by_col]]
-    row_pos = np.empty(starts.size, dtype=np.intp)
-    row_pos[by_row] = np.arange(starts.size) - row_start[row_comp[by_row]]
+    # each shape's components run from heads[i] up to ends[i]
+    ends = [*(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), count]
+    heads = [0, *ends[:-1]]
+    del shape
     size = height * width
-    offset = np.cumsum(size) - size
-    at = comp[cols]
-    buffer = np.zeros(int(size.sum()), dtype=complex)
-    buffer[offset[at] + row_pos[line] * width[at] + col_pos[cols]] = vals
+    col_start, row_start, offset = (np.cumsum(a) - a for a in (width, height, size))
+    total = int(offset[-1] + size[-1])
+    # each shape's (height, width, first row, first column, first buffer place, count)
+    groups = list(zip(*(a[heads].tolist() for a in (height, width, row_start, col_start, offset)),
+                      (b - a for a, b in zip(heads, ends))))
+    del height, size
+    by_col, by_row = np.argsort(comp, kind="stable"), np.argsort(row_comp, kind="stable")
+    # the buffer place of each column in its component's first row, and each row's step from it
+    col_at = np.empty(k, dtype=np.intp)
+    col_at[by_col] = np.arange(k) + (offset - col_start)[comp[by_col]]
+    del comp, col_start, offset
+    row_comp = row_comp[by_row]
+    row_at = np.empty(starts.size, dtype=np.intp)
+    row_at[by_row] = (np.arange(starts.size) - row_start[row_comp]) * width[row_comp]
+    del row_comp, row_start, width
+    buffer = np.zeros(total, dtype=complex)
+    buffer[col_at[cols] + row_at[line]] = vals
     line_rows = rows[starts][by_row]
-    parts = []
-    for i in np.flatnonzero(np.diff(shape, prepend=-1)).tolist():  # each shape's first component
-        h, w, m = int(height[i]), int(width[i]), int(np.count_nonzero(shape == shape[i]))
-        r0, c0, b0 = int(row_start[i]), int(col_start[i]), int(offset[i])
-        parts.append((line_rows[r0:r0 + m * h].reshape(m, h), by_col[c0:c0 + m * w].reshape(m, w),
-                      buffer[b0:b0 + m * h * w].reshape(m, h, w)))
-    return tuple(parts)
+    return tuple((line_rows[r0:r0 + m * h].reshape(m, h), by_col[c0:c0 + m * w].reshape(m, w),
+                  buffer[b0:b0 + m * h * w].reshape(m, h, w)) for h, w, r0, c0, b0, m in groups)
 
 
 class _Block:
@@ -276,17 +285,8 @@ class _Block:
 
     @classmethod
     def split(cls, block) -> "_Block":
-        """block, Entries or a dense square array, split into its components; a dense array past
-        _DENSE_MAX vertices is read as its Entries."""
-        if not isinstance(block, Entries):
-            block = np.asarray(block, dtype=complex)
-            if block.shape[0] <= _DENSE_MAX:
-                return cls._whole(block)
-            block = Entries.of_matrix(block)
-        k, rows, cols, vals = block.n, block.rows, block.cols, block.vals
-        if k <= _DENSE_MAX or (rows.size and np.bincount(rows).max() == k):
-            return cls._whole(block.dense().astype(complex, copy=False))
-        return cls(k, _components(rows, cols, vals, k))
+        """block, Entries or a dense square array, split into its components; see _split_all."""
+        return _split_all([block])[0]
 
     @classmethod
     def _whole(cls, b: np.ndarray) -> "_Block":
@@ -335,17 +335,76 @@ class _Block:
         return y
 
 
+def _stacked(entries: list) -> tuple:
+    """(the direct sum of a non-empty list of Entries as Entries, each one's offset in it and the
+    sum's size last): each operator's rows and columns shifted by the sizes of those before it."""
+    at = np.cumsum([0] + [e.n for e in entries])
+    shift = np.repeat(at[:-1], [e.rows.size for e in entries])
+    rows, cols, vals = (np.concatenate([getattr(e, name) for e in entries])
+                        for name in ("rows", "cols", "vals"))
+    return Entries._checked(int(at[-1]), rows + shift, cols + shift, vals), at.tolist()
+
+
+def _split_all(blocks) -> list:
+    """_Block.split of each of blocks (Entries, dense square arrays or _Blocks, which pass).
+
+    A block on at most _DENSE_MAX vertices, or with a full row, is kept whole; a dense array
+    past _DENSE_MAX vertices is read as its Entries.  Every other block is searched for its
+    components by one _components call over all of them, stacked (see _stacked), and its parts
+    are cut back out and shifted home.  No component spans two blocks, and the components of
+    one shape come in the order of their least columns, c[:, 0], so each block's cut holds its
+    own parts, as its own _components call lays them out."""
+    out, todo = list(blocks), []
+    for i, block in enumerate(out):
+        if isinstance(block, _Block):
+            continue
+        if not isinstance(block, Entries):
+            block = np.asarray(block, dtype=complex)
+            if block.shape[0] <= _DENSE_MAX:
+                out[i] = _Block._whole(block)
+                continue
+            block = Entries.of_matrix(block)
+        if block.n <= _DENSE_MAX or (block.rows.size and np.bincount(block.rows).max() == block.n):
+            out[i] = _Block._whole(block.dense().astype(complex, copy=False))
+        else:
+            todo.append(i)
+            out[i] = block
+    if len(todo) == 1:
+        e = out[todo[0]]
+        out[todo[0]] = _Block(e.n, _components(e.rows, e.cols, e.vals, e.n))
+    elif todo:
+        e, at = _stacked([out[i] for i in todo])
+        parts = _components(e.rows, e.cols, e.vals, e.n)
+        cuts = [np.searchsorted(c[:, 0], at).tolist() for _, c, _ in parts]
+        for j, i in enumerate(todo):
+            shift = at[j]
+            out[i] = _Block(at[j + 1] - shift, tuple(
+                (r[lo:hi] - shift, c[lo:hi] - shift, s[lo:hi])
+                for (r, c, s), cut in zip(parts, cuts) if (lo := cut[j]) < (hi := cut[j + 1])))
+    return out
+
+
 def _direct_sum(blocks: list) -> _Block:
-    """The block-diagonal sum of blocks in their order, its stacks of one component shape joined."""
+    """The block-diagonal sum of blocks in their order, its stacks of one component shape joined.
+    A shape whose components are all whole blocks (see _Block.whole), each on its own rows and
+    columns 0..h-1, is placed from the blocks' offsets alone: one arange when the blocks are
+    consecutive, as a controlled move's blocks of one size are."""
     if len(blocks) == 1:
         return blocks[0]
     shapes, at = {}, 0
     for b in blocks:
         for part in b.parts:
-            shapes.setdefault(part[2].shape[1:], []).append(part + (at,))
+            shapes.setdefault(part[2].shape[1:], []).append(part + (at, b.whole is not None))
         at += b.k
     parts = []
-    for rows, cols, stacks, starts in (zip(*group) for group in shapes.values()):
+    for (h, _), group in shapes.items():
+        rows, cols, stacks, starts, whole = zip(*group)
+        if all(whole):
+            m, first = len(starts), starts[0]
+            place = (np.arange(first, first + m * h).reshape(m, h)
+                     if starts[-1] - first == (m - 1) * h else np.add.outer(starts, np.arange(h)))
+            parts.append((place, place, np.concatenate(stacks)))
+            continue
         shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each component's place
         parts.append((np.concatenate(rows) + shift, np.concatenate(cols) + shift,
                       np.concatenate(stacks)))
@@ -354,7 +413,8 @@ def _direct_sum(blocks: list) -> _Block:
 
 def _parsed(block, graph: Digraph, support) -> tuple:
     """(support, idx, block) as a certificate holds them: support (every vertex if None) as ints
-    and as an index array, block as a _Block, a dense one copied; bad vertices or sizes refused."""
+    and as an index array, block as Entries, a dense copy or a _Block, to be split by
+    _split_all; bad vertices or sizes refused."""
     if support is None:
         idx, support = np.arange(graph.n), tuple(range(graph.n))
     else:
@@ -374,8 +434,6 @@ def _parsed(block, graph: Digraph, support) -> tuple:
     if block.shape != (len(support),) * 2:
         raise ValueError(f"block shape {block.shape} does not match "
                          f"{len(support)} support vertices")
-    if not isinstance(block, _Block):
-        block = _Block.split(block)
     return support, idx, block
 
 
@@ -448,12 +506,18 @@ class GraphStochastic:
             raise ValueError(f"matrix shape {matrix.shape} does not match graph size {graph.n}")
         _refuse(_stochastic_report(matrix, graph),
                 "matrix is not a graph-preserving stochastic operation")
+        self._fill(graph, matrix)
+
+    def _fill(self, graph: Digraph, matrix: Entries):
+        """Set the fields from entries that passed the check; a certificate built bare and
+        filled here skips it."""
         if np.iscomplexobj(matrix.vals):  # checked with its imaginary parts, stored without
             keep = matrix.vals.real != 0
             matrix = Entries._checked(matrix.n, matrix.rows[keep], matrix.cols[keep],
                                       matrix.vals.real[keep])
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "entries", matrix)
+        return self
 
     def apply(self, dist) -> np.ndarray:
         p = np.asarray(dist, dtype=float)
@@ -513,7 +577,9 @@ def _unitary_report(b, g: Digraph, idx, tau: float = ATOL) -> OpReport:
 def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
     """is_graph_preserving_stochastic of the operator with entries e, read from them in O(nnz):
     column sums by bincount, the least entry, and the arcs of the entries above tau.  A complex
-    operator is first refused if an imaginary part exceeds tau or is nan."""
+    operator is first refused if an imaginary part exceeds tau or is nan.  e may be the direct
+    sum of operators on g (see _stacked), each entry read at its vertices mod g.n: it passes iff
+    each operator would, its violations those vertices'."""
     vals = e.vals
     with np.errstate(all="ignore"):  # nan and inf give a residual that fails, not a warning
         if np.iscomplexobj(vals):
@@ -526,7 +592,7 @@ def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
         negativity = float(max(0.0, -vals.min())) if vals.size else 0.0
         residual = max(defect, negativity)  # a nan entry makes its column sum, so defect, nan
         above = np.abs(vals) > tau
-    violations = _violations(e.rows[above], e.cols[above], vals[above], g, np.arange(g.n))
+    violations = _violations(e.rows[above], e.cols[above], vals[above], g, np.arange(e.n) % g.n)
     return OpReport(residual <= tau and not violations, violations, residual, "stochastic")
 
 
@@ -560,11 +626,12 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     """The blocks certified against g, every support the whole board by default.  A GraphUnitary
     on g is trusted and returned as it is, one from another board is certified on its own
     support, and anything else (a dense array, Entries, a _Block, or an object with .matrix) on
-    its given support.  The blocks to certify are parsed and their direct sum is built, then
-    checked once by _certify_parsed, as _certify_layers has a sum built already checked; the
-    check passes iff each block would alone.  If it fails, or a block is malformed, the blocks
-    are certified one at a time in order, so the first bad block raises exactly what it raises
-    alone, with its index in blocks as the error's position."""
+    its given support.  The blocks to certify are parsed, split into their components by one
+    _split_all search and joined into their direct sum, which is checked once by _certify_parsed,
+    as _certify_layers has a sum built already checked; the check passes iff each block would
+    alone.  If it fails, or a block is malformed, the blocks are certified one at a time in
+    order, so the first bad block raises exactly what it raises alone, with its index in blocks
+    as the error's position."""
     return _certified(blocks, g, supports)[0]
 
 
@@ -584,7 +651,9 @@ def _certified(blocks, g: Digraph, supports=None) -> tuple:
         except Exception as exc:  # raised in its turn, once the blocks before it are certified
             error, exc.position = exc, i
             break
-    total = _direct_sum([b for *_, b in parsed]) if parsed and not error else None
+    split = _split_all([b for *_, b in parsed])
+    parsed = [(i, s, at, b) for (i, s, at, _), b in zip(parsed, split)]
+    total = _direct_sum(split) if parsed and not error else None
     for (i, *_), u in zip(parsed, _certify_parsed(total, parsed, g)):
         out[i] = u
     if error:

@@ -19,7 +19,15 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _int_digraph, _is_int
-from .operators import ControlledOp, Entries, _direct_sum
+from .operators import (
+    ControlledOp,
+    Entries,
+    GraphStochastic,
+    _direct_sum,
+    _stacked,
+    _stochastic_report,
+    certify_blocks,
+)
 from .strategies import build_strategy
 
 
@@ -192,11 +200,16 @@ def state_from_json(data) -> np.ndarray:
     return _numbers(data, "state entries").astype(complex)
 
 
-def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
+def _controlled_from_json(data: dict) -> tuple:
+    """(blocks, control) of a controlled operator, its blocks read and not yet certified."""
     blocks = data.get("blocks", [])
     if not isinstance(blocks, list):
         raise ValueError("controlled operator blocks must be a list")
-    return ControlledOp(tuple(map(operator_from_json, blocks)), str(data.get("control", "")), g)
+    return tuple(map(operator_from_json, blocks)), str(data.get("control", ""))
+
+
+def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
+    return ControlledOp(*_controlled_from_json(data), g)
 
 
 _DETERMINISTIC = (GameModel.CLASSICAL, GameModel.UNFAIR_PROBABILISTIC)
@@ -223,16 +236,58 @@ def _init_from_json(spec, model: GameModel, n: int):
     raise ValueError(f"unrecognised initial state spec: {spec!r}")
 
 
-def _move_from_json(spec, model: GameModel, g: Digraph):
+def _move_from_json(spec, model: GameModel):
+    """A move as read: a vertex, Entries, or a controlled move's (blocks, control) tuple."""
     if model in _DETERMINISTIC:
         return _json_int(spec, "a move of a deterministic model")
     if isinstance(spec, dict) and "control" in spec:
-        return controlled_op_from_json(spec, g)
-    return operator_from_json(spec)  # certified by the engine when it is played
+        return _controlled_from_json(spec)
+    return operator_from_json(spec)
+
+
+def _one_by_one(moves: list, g: Digraph) -> list:
+    """moves as read, each controlled move built, so certified and refused, in its turn."""
+    return [ControlledOp(*m, g) if isinstance(m, tuple) else m for m in moves]
+
+
+def _certified_moves(moves: list, g: Digraph, model: GameModel) -> list:
+    """moves with those as read from JSON (Entries, and controlled moves' (blocks, control)
+    tuples) certified against g by one check, so that the engine trusts each as it is played
+    (a certificate on g is trusted); the other moves are kept.
+
+    Stochastic moves are checked by one _stochastic_report of their direct sum.  Unitary moves
+    and the blocks of controlled moves are certified by one certify_blocks call, and each
+    controlled move is built from its trusted blocks.  If the check fails or raises, the moves
+    are kept as read and controlled moves are built one by one, so each move is certified, and
+    refused, as it would be alone: a controlled move here, any other when it is played, so a
+    bad move past the rounds played fails nothing."""
+    at = [i for i, m in enumerate(moves) if isinstance(m, (Entries, tuple))]
+    if model in _DETERMINISTIC or not at:
+        return moves
+    read, out = [moves[i] for i in at], list(moves)
+    try:
+        if model is not GameModel.OPEN_PROBABILISTIC:
+            done = iter(certify_blocks([b for m in read
+                                        for b in (m[0] if isinstance(m, tuple) else (m,))], g))
+            read = [ControlledOp(tuple(itertools.islice(done, len(m[0]))), m[1], g)
+                    if isinstance(m, tuple) else next(done) for m in read]
+        elif all(isinstance(m, Entries) and m.n == g.n for m in read) \
+                and _stochastic_report(_stacked(read)[0], g):
+            read = [object.__new__(GraphStochastic)._fill(g, m) for m in read]
+        else:
+            read = None
+    except ValueError:  # malformed or illegal somewhere, CertificationError among them
+        read = None
+    if read is None:  # the moves refuse it one by one
+        return _one_by_one(moves, g)
+    for i, m in zip(at, read):
+        out[i] = m
+    return out
 
 
 def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
-    """Strategy from a builtin reference or an inline init + per-round moves spec."""
+    """Strategy from a builtin reference or an inline init + per-round moves spec; the moves are
+    certified together (see _certified_moves)."""
     if not isinstance(spec, dict):
         raise ValueError("strategy spec must be a JSON object")
     if "builtin" in spec:
@@ -242,7 +297,14 @@ def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
     if moves is not None:
         if not isinstance(moves, list):
             raise ValueError("strategy moves must be a list, one entry per round")
-        moves = [_move_from_json(m, model, g) for m in moves]
+        read = []
+        try:
+            for m in moves:
+                read.append(_move_from_json(m, model))
+        except ValueError:  # the controlled moves before the bad one are built, and refused, first
+            _one_by_one(read, g)
+            raise
+        moves = _certified_moves(read, g, model)
     return Strategy(init=init, move=moves)
 
 

@@ -54,9 +54,12 @@ from qpursuit.operators import (
     _ZERO_BLOCK,
     _Block,
     _certify_layers,
+    _components,
+    _direct_sum,
     _fold_pairs,
     _gather_stack,
     _is_unit,
+    _split_all,
     _stochastic_report,
     _unitary_report,
 )
@@ -1953,3 +1956,68 @@ def test_certified_stochastic_checks_imaginary_parts_before_dropping_them():
     with pytest.raises(CertificationError) as err:
         certify_stochastic(np.eye(2) * (1 + 0.1j), g)
     assert np.isclose(err.value.report.residual, 0.1)
+
+
+def _same_parts(a: _Block, b: _Block) -> bool:
+    """a and b hold equal arrays, bit for bit and of one shape, in the same order."""
+    return a.k == b.k and len(a.parts) == len(b.parts) and all(
+        x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for p, q in zip(a.parts, b.parts) for x, y in zip(p, q))
+
+
+@settings(max_examples=60, phases=_NO_SHRINK)
+@given(st.lists(_patterned_blocks(), min_size=1, max_size=5), st.booleans())
+def test_blocks_split_together_are_each_split_alone(instances, sparse):
+    dense = [b for b, _, _ in instances]
+    blocks = [Entries.of_matrix(b) if sparse else b for b in dense]
+    for together, block, b in zip(_split_all(blocks), blocks, dense):
+        # one block is split by its own _components call
+        assert _same_parts(together, _Block.split(block))
+        # a block on at most _DENSE_MAX vertices, or with a full row, is kept whole
+        if len(b) <= _DENSE_MAX or np.count_nonzero(b, axis=1).max() == len(b):
+            assert together.whole is not None and np.array_equal(together.whole, b)
+
+
+def _repeat_direct_sum(blocks: list) -> _Block:
+    """The direct sum with each shape's components placed by an np.repeat of the block offsets
+    and two broadcast adds, whole blocks or not."""
+    if len(blocks) == 1:
+        return blocks[0]
+    shapes, at = {}, 0
+    for b in blocks:
+        for part in b.parts:
+            shapes.setdefault(part[2].shape[1:], []).append(part + (at,))
+        at += b.k
+    parts = []
+    for rows, cols, stacks, starts in (zip(*group) for group in shapes.values()):
+        shift = np.repeat(starts, [len(s) for s in stacks])[:, None]
+        parts.append((np.concatenate(rows) + shift, np.concatenate(cols) + shift,
+                      np.concatenate(stacks)))
+    return _Block(at, tuple(parts))
+
+
+@st.composite
+def _summands(draw):
+    """Blocks to sum: whole ones of a few sizes, maybe empty, runs of one size among them, and
+    blocks past _DENSE_MAX split into components."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(("whole", "run", "split")), min_size=1, max_size=8)):
+        if kind == "split":
+            k = draw(st.integers(_DENSE_MAX + 1, 90))
+            blocks.append(_Block.split(Entries.of_matrix(
+                _pairs_block(rng, rng.permutation(k), draw(st.integers(0, k // 2))))))
+        else:
+            k = draw(st.integers(0, 6))
+            for _ in range(draw(st.integers(2, 4)) if kind == "run" else 1):
+                blocks.append(_Block.split(haar_unitary(k, rng) if k else np.zeros((0, 0))))
+    return blocks
+
+
+@settings(max_examples=100)
+@given(_summands())
+def test_the_direct_sum_places_whole_blocks_as_the_repeat_construction(blocks):
+    total = _direct_sum(blocks)
+    assert _same_parts(total, _repeat_direct_sum(blocks))
+    x = np.random.default_rng(total.k).standard_normal(total.k) + 0j
+    assert np.array_equal(total @ x, _repeat_direct_sum(blocks) @ x)

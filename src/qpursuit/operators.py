@@ -387,8 +387,7 @@ def _split_all(blocks) -> list:
 def _direct_sum(blocks: list) -> _Block:
     """The block-diagonal sum of blocks in their order, its stacks of one component shape joined.
     A shape whose components are all whole blocks (see _Block.whole), each on its own rows and
-    columns 0..h-1, is placed from the blocks' offsets alone: one arange when the blocks are
-    consecutive, as a controlled move's blocks of one size are."""
+    columns 0..h-1, is placed by one outer sum of the blocks' offsets and 0..h-1."""
     if len(blocks) == 1:
         return blocks[0]
     shapes, at = {}, 0
@@ -400,9 +399,7 @@ def _direct_sum(blocks: list) -> _Block:
     for (h, _), group in shapes.items():
         rows, cols, stacks, starts, whole = zip(*group)
         if all(whole):
-            m, first = len(starts), starts[0]
-            place = (np.arange(first, first + m * h).reshape(m, h)
-                     if starts[-1] - first == (m - 1) * h else np.add.outer(starts, np.arange(h)))
+            place = np.add.outer(starts, np.arange(h))
             parts.append((place, place, np.concatenate(stacks)))
             continue
         shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each component's place

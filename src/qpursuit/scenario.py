@@ -250,10 +250,17 @@ def _one_by_one(moves: list, g: Digraph) -> list:
     return [ControlledOp(*m, g) if isinstance(m, tuple) else m for m in moves]
 
 
-def _certified_moves(moves: list, g: Digraph, model: GameModel) -> list:
+# The most dense cells (k*k for each block on k vertices) of the moves certified together when
+# a list is read; their certificates are kept until played, and later moves wait for their turn.
+_READ_CELLS = 1 << 20
+
+
+def _certified_moves(moves: list, g: Digraph, model: GameModel, played: int | None = None) -> list:
     """moves with those as read from JSON (Entries, and controlled moves' (blocks, control)
-    tuples) certified against g by one check, so that the engine trusts each as it is played
-    (a certificate on g is trusted); the other moves are kept.
+    tuples) among the first `played` (all if None) certified against g by one check, so that
+    the engine trusts each as it is played (a certificate on g is trusted).  The check stops
+    short of the move that would take it past _READ_CELLS; the moves after it are kept as read,
+    and controlled ones among them are built one by one.
 
     Stochastic moves are checked by one _stochastic_report of their direct sum.  Unitary moves
     and the blocks of controlled moves are certified by one certify_blocks call, and each
@@ -261,8 +268,22 @@ def _certified_moves(moves: list, g: Digraph, model: GameModel) -> list:
     are kept as read and controlled moves are built one by one, so each move is certified, and
     refused, as it would be alone: a controlled move here, any other when it is played, so a
     bad move past the rounds played fails nothing."""
+    if model in _DETERMINISTIC:
+        return moves
+    head, cells = 0, 0
+    for m in moves[:len(moves) if played is None else max(played, 0)]:
+        if isinstance(m, (Entries, tuple)):
+            cells += sum(b.n * b.n for b in (m[0] if isinstance(m, tuple) else (m,)))
+            if cells > _READ_CELLS:
+                break
+        head += 1
+    return _checked_together(moves[:head], g, model) + _one_by_one(moves[head:], g)
+
+
+def _checked_together(moves: list, g: Digraph, model: GameModel) -> list:
+    """moves with those read from JSON certified by one check (see _certified_moves)."""
     at = [i for i, m in enumerate(moves) if isinstance(m, (Entries, tuple))]
-    if model in _DETERMINISTIC or not at:
+    if not at:
         return moves
     read, out = [moves[i] for i in at], list(moves)
     try:
@@ -285,9 +306,9 @@ def _certified_moves(moves: list, g: Digraph, model: GameModel) -> list:
     return out
 
 
-def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
-    """Strategy from a builtin reference or an inline init + per-round moves spec; the moves are
-    certified together (see _certified_moves)."""
+def strategy_from_json(spec, g: Digraph, model: GameModel, played: int | None = None) -> Strategy:
+    """Strategy from a builtin reference or an inline init + per-round moves spec; the first
+    `played` moves (all if None) are certified together (see _certified_moves)."""
     if not isinstance(spec, dict):
         raise ValueError("strategy spec must be a JSON object")
     if "builtin" in spec:
@@ -304,7 +325,7 @@ def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
         except ValueError:  # the controlled moves before the bad one are built, and refused, first
             _one_by_one(read, g)
             raise
-        moves = _certified_moves(read, g, model)
+        moves = _certified_moves(read, g, model, played)
     return Strategy(init=init, move=moves)
 
 
@@ -332,8 +353,9 @@ def scenario_from_json(data: dict, base_dir: str = ".") -> Scenario:
             graph_spec = json.load(fh)
     g = graph_from_json(graph_spec)
     rounds = _json_int(data["rounds"], "rounds")
-    cop = strategy_from_json(data["cop"], g, model)
-    robber = strategy_from_json(data["robber"], g, model)
+    # the Cop moves in every round, the Robber in all but the last
+    cop = strategy_from_json(data["cop"], g, model, rounds)
+    robber = strategy_from_json(data["robber"], g, model, rounds - 1)
     return Scenario(model, g, rounds, cop, robber)
 
 

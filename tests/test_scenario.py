@@ -1,6 +1,7 @@
 """Inline scenario moves: certified together when read, played bit for bit as one by one."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpursuit.operators
+import qpursuit.scenario
 from qpursuit import (
     CertificationError,
     ControlledOp,
@@ -27,6 +29,7 @@ from qpursuit import (
     scenario_from_json,
     trace_to_text,
 )
+from qpursuit.operators import Entries
 from qpursuit.scenario import _certified_moves, _move_from_json
 from test_cli import graph_to_json
 
@@ -223,3 +226,57 @@ def test_a_move_list_is_split_and_checked_once_when_read_and_trusted_in_play(mon
     calls.update(dict.fromkeys(calls, 0))
     run_scenario(sc)
     assert calls == {"_components": 0, "_unitary_report": 0}
+
+
+def test_only_the_moves_played_are_certified_when_read_and_at_most_read_cells_of_them(
+        monkeypatch):
+    rng = np.random.default_rng(9)
+    g = random_connected_graph(10, rng, 0.3)
+    model, rounds = GameModel.QUANTUM_CONTROLLED, 3
+    pool = [sample_graph_unitary(g, rng) for _ in range(2)]
+    cop = {"init": _init_json(model, g.n, rng),
+           "moves": [_unitary_json(sample_graph_unitary(g, rng)) for _ in range(5)]}
+    robber = {"init": "uniform",
+              "moves": [_controlled_json([pool[(v + i) % 2] for v in range(g.n)], "cop")
+                        for i in range(5)]}
+    data = _scenario_json(g, model, rounds, cop, robber)
+    sc = scenario_from_json(data)
+    expected = trace_to_text(play(model, g, _per_move(sc.cop.init, _one_by_one(cop["moves"], g)),
+                                  _per_move("uniform", _one_by_one(robber["moves"], g)), rounds))
+    # the Cop plays 3 of its 5 moves; the 2 left wait as read; controlled moves are all built
+    assert [type(m) for m in sc.cop.move] == [GraphUnitary] * 3 + [Entries] * 2
+    assert all(isinstance(m, ControlledOp) for m in sc.robber.move)
+    assert trace_to_text(run_scenario(sc)) == expected
+    # a cap of two moves' cells: the third move played is certified when it is played
+    monkeypatch.setattr(qpursuit.scenario, "_READ_CELLS", 2 * g.n * g.n)
+    sc = scenario_from_json(data)
+    assert [type(m) for m in sc.cop.move] == [GraphUnitary] * 2 + [Entries] * 3
+    assert all(isinstance(m, ControlledOp) for m in sc.robber.move)
+    assert trace_to_text(run_scenario(sc)) == expected
+
+
+def test_the_certificates_a_read_keeps_are_bounded_by_read_cells(monkeypatch):
+    rng = np.random.default_rng(64)
+    g = random_connected_graph(64, rng, 3.0 / 64)
+    moves = [_unitary_json(sample_graph_unitary(g, rng)) for _ in range(48)]
+    data = json.loads(json.dumps(_scenario_json(g, GameModel.CLASSICAL_QUANTUM, 48,
+                                                {"init": "uniform", "moves": moves},
+                                                {"init": "uniform"})))
+
+    def read(cells: int) -> tuple:
+        """(moves certified, bytes kept, peak bytes) of reading data with _READ_CELLS cells."""
+        monkeypatch.setattr(qpursuit.scenario, "_READ_CELLS", cells)
+        tracemalloc.start()
+        try:
+            sc = scenario_from_json(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return sum(isinstance(u, GraphUnitary) for u in sc.cop.move), kept, peak
+
+    cells = 16 * g.n * g.n  # 16 moves kept whole, 1 MiB of complex numbers
+    none, capped = read(0), read(cells)
+    assert none[0] == 0 and capped[0] == 16
+    # a third of the list is certified when read, and the memory is the cap's, not the list's
+    assert capped[1] - none[1] < 1.5 * 16 * cells
+    assert capped[2] - none[2] < 6 * 16 * cells

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -315,12 +316,19 @@ def main(argv=None) -> int:
         "analyze-graph": _cmd_analyze_graph,
         "reproduce": _cmd_reproduce,
     }
+    # A decoded scenario, state or certificate holds no reference cycle, so the cyclic
+    # collector's passes over the decoded lists free nothing; reference counting frees them.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except (GraphError, GameError, CertificationError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -35,6 +35,9 @@ ATOL = 1e-9
 # Blocks on at most this many vertices take one k x k product b^H b: finding the
 # components costs more than the product there.
 _DENSE_MAX = 64
+# One _components search stacks at most this many entries (see _split_all), since its scratch
+# memory grows with them: the 65,536 of an n = 256 universal_vertex_catch move fit in one.
+_SPLIT_ENTRIES = 1 << 16
 # Looser tolerance for inequalities derived from certified quantities.
 ATOL_DERIVED = 1e-8
 # Below this block norm a gather rotation is underdetermined and we keep identity; a fold
@@ -298,7 +301,7 @@ class _Block:
         """max |b^H b - I|, its worst component's; nan or inf if an entry is."""
         if (b := self.whole) is not None:
             return float(_gram_defect(b))
-        worst = [_gram_defect(s).max() for _, _, s in self.parts]
+        worst = [_gram_defect(s).max(initial=0.0) for _, _, s in self.parts]
         # np.max keeps a nan; the builtin may drop it
         return float(worst[0] if len(worst) == 1 else np.max(worst, initial=0.0))
 
@@ -353,7 +356,8 @@ def _split_all(blocks) -> list:
     components by one _components call over all of them, stacked (see _stacked), and its parts
     are cut back out and shifted home.  No component spans two blocks, and the components of
     one shape come in the order of their least columns, c[:, 0], so each block's cut holds its
-    own parts, as its own _components call lays them out."""
+    own parts, as its own _components call lays them out.  A search stacks consecutive blocks
+    up to _SPLIT_ENTRIES entries, or one block past it, each counted as at least its columns."""
     out, todo = list(blocks), []
     for i, block in enumerate(out):
         if isinstance(block, _Block):
@@ -369,14 +373,23 @@ def _split_all(blocks) -> list:
         else:
             todo.append(i)
             out[i] = block
-    if len(todo) == 1:
-        e = out[todo[0]]
-        out[todo[0]] = _Block(e.n, _components(e.rows, e.cols, e.vals, e.n))
-    elif todo:
-        e, at = _stacked([out[i] for i in todo])
+    pieces, size = [], _SPLIT_ENTRIES
+    for i in todo:
+        cost = max(out[i].rows.size, out[i].n)
+        if size + cost > _SPLIT_ENTRIES:
+            pieces.append([])
+            size = 0
+        pieces[-1].append(i)
+        size += cost
+    for piece in pieces:
+        if len(piece) == 1:
+            e = out[piece[0]]
+            out[piece[0]] = _Block(e.n, _components(e.rows, e.cols, e.vals, e.n))
+            continue
+        e, at = _stacked([out[i] for i in piece])
         parts = _components(e.rows, e.cols, e.vals, e.n)
         cuts = [np.searchsorted(c[:, 0], at).tolist() for _, c, _ in parts]
-        for j, i in enumerate(todo):
+        for j, i in enumerate(piece):
             shift = at[j]
             out[i] = _Block(at[j + 1] - shift, tuple(
                 (r[lo:hi] - shift, c[lo:hi] - shift, s[lo:hi])
@@ -547,7 +560,8 @@ def _gram_defect(a: np.ndarray) -> np.ndarray:
     """max |a^H a - I| over the last two axes of a stack of blocks; nan or inf if an entry is."""
     gram = np.matmul(a.conj().swapaxes(-1, -2), a)
     cols = a.shape[-1]
-    gram.reshape(gram.shape[:-2] + (-1,))[..., ::cols + 1] -= 1.0
+    # cols * cols, not -1: a stack of no blocks has no size to infer it from
+    gram.reshape(gram.shape[:-2] + (cols * cols,))[..., ::cols + 1] -= 1.0
     return np.abs(gram).max(axis=(-1, -2), initial=0.0)
 
 
@@ -628,7 +642,13 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     as _certify_layers has a sum built already checked; the check passes iff each block would
     alone.  If it fails, or a block is malformed, the blocks are certified one at a time in
     order, so the first bad block raises exactly what it raises alone, with its index in blocks
-    as the error's position."""
+    as the error's position.  One (m, n, n) array of blocks on the whole board, given with no
+    supports, is such a sum already when each is kept whole (see _split_all), and goes to
+    _certify_layers as m layers of one block."""
+    if (supports is None and isinstance(blocks, np.ndarray) and blocks.dtype.kind in "biufc"
+            and blocks.shape[1:] == (g.n, g.n) and g.n <= _DENSE_MAX):
+        return _certify_layers(np.array(blocks, dtype=complex), [tuple(range(g.n))] * len(blocks),
+                               g)
     return _certified(blocks, g, supports)[0]
 
 
@@ -659,19 +679,24 @@ def _certified(blocks, g: Digraph, supports=None) -> tuple:
 
 
 def _certify_layers(stack: np.ndarray, supports, g: Digraph) -> list:
-    """certify_blocks of layers of 2x2 blocks on supports (tuples of ints), each layer the next
-    len(support) / 2 blocks of stack, checked as one direct sum built already: a _Block of the
-    whole stack, of which each layer's block is a slice.  The supports are checked once, as one
-    index array of which each _index is a slice: every vertex in range, none twice in a layer."""
+    """certify_blocks of layers of h x h blocks on supports (tuples of ints), for a (P, h, h)
+    stack, each layer the next len(support) / h blocks of stack, checked as one direct sum built
+    already: a _Block of the whole stack, of which each layer's block is a slice, and a layer on
+    no vertex the empty block.  The supports are checked once, as one index array of which each
+    _index is a slice: every vertex in range, none twice in a layer.  No layers certify as []."""
+    if not supports:
+        return []
+    h = stack.shape[-1]
     sizes = [len(s) for s in supports]
     flat = np.fromiter(chain(*supports), np.intp, sum(sizes))
     # layer i's vertices shifted by i n: a vertex twice within a layer is a key twice
     key = np.sort(flat + np.repeat(np.arange(len(sizes)) * g.n, sizes))
-    place, parsed, at = np.arange(flat.size).reshape(-1, 2), [], 0
+    place, parsed, at = np.arange(flat.size).reshape(-1, h), [], 0
     for i, k in enumerate(sizes):
-        m = k // 2
-        parsed.append((i, supports[i], flat[2 * at:2 * at + k],
-                       _Block(k, ((place[:m], place[:m], stack[at:at + m]),))))
+        m = k // h
+        block = _Block(k, ((place[:m], place[:m], stack[at:at + m]),)) if k else \
+            _Block._whole(np.zeros((0, 0), dtype=complex))
+        parsed.append((i, supports[i], flat[h * at:h * at + k], block))
         at += m
     fits = not flat.size or 0 <= flat.min() and flat.max() < g.n and (np.diff(key) > 0).all()
     return _certify_parsed(_Block(flat.size, ((place, place, stack),)) if fits else None,

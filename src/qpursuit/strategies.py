@@ -26,8 +26,8 @@ from .graphs import (
 from .operators import (
     ATOL,
     ControlledOp,
-    certify_blocks,
     identity_unitary,
+    _certify_layers,
     _is_unit,
 )
 
@@ -51,10 +51,10 @@ def universal_vertex_catch(g: Digraph, vertex: int = None) -> Strategy:
         raise GraphError(f"vertex {hub} is not universal")
     if bad := np.flatnonzero(~g.adjacency[:, hub]).tolist():
         raise GraphError(f"transposition needs mutually adjacent vertices, got {bad[0]}, {hub}")
-    # the swaps of (v, hub) and the hub's identity, an empty block
-    swap, none = np.array([[0, 1], [1, 0]]), np.zeros((0, 0))
-    blocks = certify_blocks([none if v == hub else swap for v in range(g.n)], g,
-                            [() if v == hub else (v, hub) for v in range(g.n)])
+    # the swaps of (v, hub), one stack checked as its sum, and the hub's identity, an empty layer
+    swaps = np.zeros((g.n - 1, 2, 2), dtype=complex)
+    swaps[:, [0, 1], [1, 0]] = 1.0
+    blocks = _certify_layers(swaps, [() if v == hub else (v, int(hub)) for v in range(g.n)], g)
     entangler = ControlledOp(tuple(blocks), "robber", g)
 
     def move(ctx):

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpursuit
-from qpursuit import graphs, scenario
+from qpursuit import cli, graphs, scenario
 from qpursuit import (
     GameModel,
     GameTrace,
@@ -265,6 +266,42 @@ def test_run_error_paths(tmp_path, capsys):
                "cop": {"init": True}, "robber": {"init": 2}}
     code, _, err = _run(capsys, ["run", _write(tmp_path, "bool.json", boolean)])
     assert code == 1 and json.loads(err)["error"] == "ValueError"
+
+
+def test_a_command_runs_with_the_cyclic_collector_paused(tmp_path, capsys, monkeypatch):
+    seen, run = [], cli._cmd_run
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return run(args)
+
+    monkeypatch.setattr(cli, "_cmd_run", spy)
+    scenario = {"model": "classical_quantum", "graph": graph_to_json(complete_graph(5)),
+                "rounds": 3, "cop": {"builtin": "uniform_spread"}, "robber": {"init": "uniform"}}
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])[0] == 0
+        assert seen == [False] and gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    good = {"model": "classical_quantum", "graph": graph_to_json(complete_graph(5)),
+            "rounds": 3, "cop": {"builtin": "uniform_spread"}, "robber": {"init": "uniform"}}
+    bad = dict(good, model="telepathic")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _run(capsys, ["run", _write(tmp_path, "good.json", good)])[0] == 0
+        assert gc.isenabled() is enabled
+        code, _, err = _run(capsys, ["run", _write(tmp_path, "bad.json", bad)])
+        assert code == 1 and json.loads(err)["error"] == "ValueError"
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_verify_op_pass_and_fail(tmp_path, capsys):

@@ -51,6 +51,7 @@ from qpursuit import (
 from qpursuit.graphs import _bfs
 from qpursuit.operators import (
     _DENSE_MAX,
+    _SPLIT_ENTRIES,
     _ZERO_BLOCK,
     _Block,
     _certify_layers,
@@ -525,10 +526,11 @@ def test_gather_layers_match_the_dense_oracle(instance):
 
 
 def _layer_blocks(stack, supports):
-    """Each layer's block as reach_sequence lays it out: a _Block of one (m, 2, 2) slice of
-    stack, the layer's m pairs following the pairs of the layers before it."""
-    ends = np.cumsum([len(s) // 2 for s in supports])
-    return [_Block(2 * (e - a), ((np.arange(2 * (e - a)).reshape(-1, 2),) * 2 + (stack[a:e],),))
+    """Each layer's block as reach_sequence lays it out: for a (P, h, h) stack, a _Block of one
+    (m, h, h) slice of it, the layer's m blocks following the blocks of the layers before it."""
+    h = stack.shape[-1]
+    ends = np.cumsum([len(s) // h for s in supports])
+    return [_Block(h * (e - a), ((np.arange(h * (e - a)).reshape(-1, h),) * 2 + (stack[a:e],),))
             for a, e in zip([0, *ends[:-1]], ends)]
 
 
@@ -1375,36 +1377,59 @@ def test_reach_certifies_each_layer_once(monkeypatch):
 
 
 @st.composite
-def _gather_layer_lists(draw):
-    """A tree board and layers of 2x2 blocks on disjoint pairs of its edges, laid out as
-    reach_sequence lays them out (one (P, 2, 2) stack, each layer a slice of it), with faults in
-    up to two distinct layers: a block scaled off the unit sphere, a pair off the tree, a vertex
-    twice in one layer, or a vertex out of range above or below; and the faulty layers."""
+def _layer_lists(draw):
+    """A board and layers laid out as _certify_layers takes them: one (P, h, h) stack of unitary
+    blocks, layer i the next len(supports[i]) / h of them.  Either h is 1 to 4 and each layer
+    lies on some of a fixed set of disjoint groups of h vertices, in any order, none in an empty
+    layer; or the stack is full-board, h = n, each layer one block on the vertices in order, the
+    direct sum of Haar blocks on groups of 1 to 3 vertices.  Each group is a clique of an
+    otherwise sparse board.  Up to two distinct layers get a fault: a block scaled off the unit
+    sphere, a vertex moved off its group's arcs, a vertex twice in one layer, or a vertex out of
+    range above or below.  Returns the board, the stack, the supports and the faulty layers."""
     n = draw(st.integers(3, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tree = spanning_tree(random_connected_graph(n, rng, 0.3), 0)
-    board = tree.as_digraph()
-    supports = []
+    full = draw(st.integers(0, 2)) == 0
+    h = n if full else draw(st.integers(1, 4))
+    order, groups = rng.permutation(n).tolist(), []
+    while len(order) >= (1 if full else h):
+        size = int(rng.integers(1, min(3, len(order)) + 1)) if full else h
+        groups.append(order[:size])
+        order = order[size:]
+    base = random_connected_graph(n, rng, 0.2)
+    board = digraph(n, [(u, v) for u, row in enumerate(base.out_adj) for v in row if u != v] +
+                    [(u, v) for grp in groups for u in grp for v in grp if u != v],
+                    undirected=True, reflexive=True)
+    supports, blocks = [], []
     for _ in range(draw(st.integers(1, 5))):
-        free, layer = set(range(n)), []
-        for c in draw(st.permutations(range(1, n))):
-            if {c, tree.parent[c]} <= free and draw(st.booleans()):
-                layer += (c, tree.parent[c]) if draw(st.booleans()) else (tree.parent[c], c)
-                free -= {c, tree.parent[c]}
-        supports.append(layer or [1, tree.parent[1]])
-    stack = haar_unitary(2, rng, (sum(map(len, supports)) // 2,))
+        if full:
+            b = np.zeros((n, n), dtype=complex)
+            for grp in groups:
+                b[np.ix_(grp, grp)] = haar_unitary(len(grp), rng)
+            supports.append(list(range(n)))
+            blocks.append(b)
+            continue
+        chosen = draw(st.lists(st.sampled_from(range(len(groups))), unique=True)) if groups else []
+        supports.append([v for j in chosen for v in groups[j]])
+        blocks += [haar_unitary(h, rng) for _ in chosen]
+    stack = np.array(blocks, dtype=complex).reshape(-1, h, h)
     faulty = set()
     for i in draw(st.lists(st.integers(0, len(supports) - 1), max_size=2, unique=True)):
         layer, fault = supports[i], draw(st.sampled_from(("scale", "off", "repeat", "high", "low")))
+        if not layer:
+            continue
         k = draw(st.integers(0, len(layer) - 1))
         if fault == "scale":
-            stack[sum(map(len, supports[:i])) // 2 + k // 2] *= 1.0 + 1e-6
+            stack[sum(map(len, supports[:i])) // h + k // h] *= 1.0 + 1e-6
         elif fault == "off":
-            far = [w for w in range(n) if w not in layer and not board.adjacency[w, layer[k]]]
-            if not far:
+            # a vertex outside the layer with no arc to a group mate of layer[k]
+            mates = [] if full else [u for u in layer[k - k % h:k - k % h + h] if u != layer[k]]
+            far = [w for w in range(n) if w not in layer and not board.adjacency[w, mates].all()]
+            if not (mates and far):
                 continue
-            layer[k ^ 1] = draw(st.sampled_from(far))
+            layer[k] = draw(st.sampled_from(far))
         elif fault == "repeat":
+            if len(layer) < 2:
+                continue
             layer[k] = layer[draw(st.sampled_from([j for j in range(len(layer)) if j != k]))]
         else:
             layer[k] = n if fault == "high" else -1
@@ -1412,14 +1437,10 @@ def _gather_layer_lists(draw):
     return board, stack, [tuple(layer) for layer in supports], faulty
 
 
-@settings(max_examples=300, phases=_NO_SHRINK)
-@given(_gather_layer_lists())
-def test_a_prebuilt_sum_certifies_as_certify_blocks_of_its_layers(instance):
-    board, stack, supports, faulty = instance
-    got, calls = _spied_checks(lambda: _certify_layers(stack, supports, board))
-    ref, ref_calls = _spied_checks(
-        lambda: certify_blocks(_layer_blocks(stack, supports), board, supports))
-    # the same checks, in order: the sum's, if every support is well formed, then one per layer
+def _assert_certified_alike(got, calls, ref, ref_calls, faulty):
+    """got and ref, what two certifications returned or raised with their checks (see
+    _spied_checks), are the same: bit for bit, check for check, error for error."""
+    # the same checks, in order: the sum's, if every support is well formed, then one per block
     # up to the first bad one when a check fails
     assert [[s.tolist() for s in idx] if isinstance(idx, list) else idx.tolist()
             for _, idx, _ in calls] == \
@@ -1427,16 +1448,56 @@ def test_a_prebuilt_sum_certifies_as_certify_blocks_of_its_layers(instance):
          for _, idx, _ in ref_calls]
     assert [repr(r) for *_, r in calls] == [repr(r) for *_, r in ref_calls]
     if not faulty:
-        assert len(calls) == 1 and len(got) == len(ref) == len(supports)
+        assert len(calls) == 1 and len(got) == len(ref)
         for u, v in zip(got, ref):
-            assert u.graph == v.graph == board and u.support == v.support
+            assert u.graph == v.graph and u.support == v.support
             assert u._index.dtype == v._index.dtype and np.array_equal(u._index, v._index)
             assert u._block.dense().tobytes() == v._block.dense().tobytes()
     else:
-        # the first faulty layer raises what certify_blocks raises for it, with its position
+        # the first faulty block raises what certify_blocks raises for it, with its position
         assert isinstance(got, Exception) and type(got) is type(ref)
         assert str(got) == str(ref) and got.position == ref.position == min(faulty)
         assert repr(getattr(got, "report", None)) == repr(getattr(ref, "report", None))
+
+
+@settings(max_examples=300, phases=_NO_SHRINK)
+@given(_layer_lists())
+def test_a_prebuilt_sum_certifies_as_certify_blocks_of_its_layers(instance):
+    board, stack, supports, faulty = instance
+    got, calls = _spied_checks(lambda: _certify_layers(stack, supports, board))
+    ref, ref_calls = _spied_checks(
+        lambda: certify_blocks(_layer_blocks(stack, supports), board, supports))
+    _assert_certified_alike(got, calls, ref, ref_calls, faulty)
+    if not faulty:  # one check, on the sum of every layer
+        assert calls[0][0].k == sum(map(len, supports)) and len(got) == len(supports)
+        assert all(u.graph == board for u in got)
+    n = board.n
+    if stack.shape[1:] == (n, n) and set(supports) == {tuple(range(n))}:
+        # one (m, n, n) array and no supports: the same sum, and each block as it is alone
+        routed, routed_calls = _spied_checks(lambda: certify_blocks(stack, board))
+        _assert_certified_alike(routed, routed_calls, got, calls, faulty)
+        ref, ref_calls = _spied_checks(lambda: certify_blocks(list(stack), board))
+        _assert_certified_alike(routed, routed_calls, ref, ref_calls, faulty)
+
+
+def test_an_empty_layer_certifies_as_the_empty_block_and_no_layers_as_none():
+    g = cycle_graph(4)
+    stack = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 2]]], dtype=complex)
+    # the empty layer passes, and the bad block after it raises with its own position
+    with pytest.raises(CertificationError) as err:
+        _certify_layers(stack, [(0, 1), (), (2, 3)], g)
+    assert err.value.position == 2 and err.value.report.residual == 3.0
+    stack[1, 1, 1] = 1.0
+    swap, none, ident = _certify_layers(stack, [(0, 1), (), (2, 3)], g)
+    assert none.support == () and none.block.shape == (0, 0)
+    assert np.array_equal(none.matrix, np.eye(4)) and none._block.whole is not None
+    assert np.array_equal(ident.matrix, np.eye(4)) and swap.support == (0, 1)
+    # a stack of no blocks: on layers of no vertices, on no layers, and given to certify_blocks
+    (u,) = _certify_layers(np.zeros((0, 2, 2)), [()], g)
+    assert u.support == () and np.array_equal(u.matrix, np.eye(4))
+    assert _certify_layers(np.zeros((0, 2, 2)), [], g) == []
+    assert certify_blocks(np.zeros((0, 4, 4)), g) == []
+    assert _Block(0, ((np.zeros((0, 3), int),) * 2 + (np.zeros((0, 3, 3)),),)).residual() == 0.0
 
 
 def test_reach_preconditions():
@@ -1976,6 +2037,41 @@ def test_blocks_split_together_are_each_split_alone(instances, sparse):
         # a block on at most _DENSE_MAX vertices, or with a full row, is kept whole
         if len(b) <= _DENSE_MAX or np.count_nonzero(b, axis=1).max() == len(b):
             assert together.whole is not None and np.array_equal(together.whole, b)
+
+
+def test_a_long_list_is_split_in_pieces_of_bounded_size(monkeypatch):
+    import qpursuit.operators
+
+    # four n = 256 universal_vertex_catch moves as read from JSON: 1,024 full-board swaps
+    n = 256
+    g = star_graph(n - 1)
+
+    def swap(v):
+        perm = np.arange(n)
+        perm[[0, v]] = perm[[v, 0]]
+        return Entries(n, perm, np.arange(n), np.ones(n))
+
+    blocks = [swap(v) for v in range(n)] * 4
+    searched, components = [], qpursuit.operators._components
+
+    def spy(rows, *args):
+        searched.append(rows.size)
+        return components(rows, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qpursuit.operators, "_components", spy)
+        certify_blocks(blocks, g)
+    # each move's 65,536 entries are one search, and no search takes more
+    assert searched == [n * n] * 4 and _SPLIT_ENTRIES == n * n
+    certify_blocks(blocks[:2], g)  # builds the board's cached adjacency, and numpy's own state
+    tracemalloc.start()
+    try:
+        out = certify_blocks(blocks, g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one search over all 262,144 entries peaked at 3.1 times what the certificates keep
+    assert len(out) == 1024 and peak < 3 * kept
 
 
 def _repeat_direct_sum(blocks: list) -> _Block:

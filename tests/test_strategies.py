@@ -111,6 +111,41 @@ def test_a_named_hub_that_is_not_universal_keeps_its_refusal():
         universal_vertex_catch(fan, vertex=0)
 
 
+@pytest.mark.parametrize("build", ["universal_vertex_catch", "reproduce star-impossibility"])
+def test_a_stack_of_blocks_is_one_check_of_its_prebuilt_sum(monkeypatch, capsys, build):
+    import qpursuit.operators
+    from qpursuit.cli import main
+
+    reports, parsed = [], []
+    check, parse = qpursuit.operators._unitary_report, qpursuit.operators._parsed
+
+    def spy_check(b, *args, **kwargs):
+        reports.append(b)
+        return check(b, *args, **kwargs)
+
+    def spy_parse(*args):
+        parsed.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy_check)
+    monkeypatch.setattr(qpursuit.operators, "_parsed", spy_parse)
+    if build == "universal_vertex_catch":
+        # the hub's n - 1 swaps are one (n - 1, 2, 2) stack, the hub itself an empty layer
+        g = star_graph(39)
+        entangler = universal_vertex_catch(g).move(MoveContext(1, "cop", g, 1))
+        (b,) = reports
+        assert b.k == 2 * (g.n - 1) and [s.shape for _, _, s in b.parts] == [(g.n - 1, 2, 2)]
+        assert [u.support for u in entangler.blocks] == \
+            [()] + [(v, 0) for v in range(1, g.n)]
+    else:
+        # the 200 path-3 members are one (200, 3, 3) stack, each block kept whole
+        assert main(["reproduce", "star-impossibility"]) == 0
+        assert capsys.readouterr().out.endswith("ok=yes\n")
+        (b,) = reports
+        assert [s.shape for _, _, s in b.parts] == [(200, 3, 3)]
+    assert parsed == []
+
+
 def _assert_antipodal_support(trace):
     for stage, _, snap in trace.history:
         if stage == "cop":

@@ -49,6 +49,7 @@ from .operators import (
     uniform_state,
 )
 from .scenario import (
+    _decoded,
     graph_from_json,
     operator_from_json,
     operators_to_text,
@@ -78,7 +79,7 @@ REPRODUCE_CASES = (
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _decoded(json.load, fh)
 
 
 def _dump_json(data, path: str = None):
@@ -131,7 +132,7 @@ def _parse_state(text: str, n: int) -> np.ndarray:
         if not (digits.isascii() and digits.isdigit()):  # int() also takes " 2", "+2", "1_0"
             raise ValueError(f"basis vertex must be written in decimal digits, got {digits!r}")
         return basis_state(n, int(digits))
-    vec = state_from_json(json.loads(text))
+    vec = state_from_json(_decoded(json.loads, text))
     if vec.shape != (n,):
         raise ValueError(f"state has dimension {vec.shape[0]}, graph has {n} vertices")
     return vec

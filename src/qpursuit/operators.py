@@ -279,8 +279,6 @@ class _Block:
     def __init__(self, k: int, parts: tuple):
         self.k = k
         self.parts = parts
-        # the block itself when it is kept whole, one component with its rows and columns in order
-        self.whole = parts[0][2][0] if len(parts) == 1 and parts[0][2].shape == (1, k, k) else None
 
     @property
     def shape(self) -> tuple:
@@ -299,17 +297,12 @@ class _Block:
 
     def residual(self) -> float:
         """max |b^H b - I|, its worst component's; nan or inf if an entry is."""
-        if (b := self.whole) is not None:
-            return float(_gram_defect(b))
         worst = [_gram_defect(s).max(initial=0.0) for _, _, s in self.parts]
         # np.max keeps a nan; the builtin may drop it
         return float(worst[0] if len(worst) == 1 else np.max(worst, initial=0.0))
 
     def where(self, mask) -> tuple:
         """(rows, cols, vals) in block coordinates of the entries where mask(stack) holds."""
-        if (b := self.whole) is not None:
-            rows, cols = np.nonzero(mask(b))
-            return rows, cols, b[rows, cols]
         found = []
         for r, c, s in self.parts:
             i, a, b = np.nonzero(mask(s))
@@ -317,8 +310,6 @@ class _Block:
         return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
     def dense(self) -> np.ndarray:
-        if (b := self.whole) is not None:
-            return b.copy()
         b = np.zeros(self.shape, dtype=complex)
         for r, c, s in self.parts:
             b[r[:, :, None], c[:, None, :]] = s
@@ -330,8 +321,6 @@ class _Block:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """b x for a vector x of length k; every row of a unitary block lies in a component."""
-        if (b := self.whole) is not None:
-            return b @ x
         y = np.zeros_like(x)
         for r, c, s in self.parts:
             y[r] = np.matmul(s, x[c][..., None])[..., 0]
@@ -382,10 +371,6 @@ def _split_all(blocks) -> list:
         pieces[-1].append(i)
         size += cost
     for piece in pieces:
-        if len(piece) == 1:
-            e = out[piece[0]]
-            out[piece[0]] = _Block(e.n, _components(e.rows, e.cols, e.vals, e.n))
-            continue
         e, at = _stacked([out[i] for i in piece])
         parts = _components(e.rows, e.cols, e.vals, e.n)
         cuts = [np.searchsorted(c[:, 0], at).tolist() for _, c, _ in parts]
@@ -399,14 +384,15 @@ def _split_all(blocks) -> list:
 
 def _direct_sum(blocks: list) -> _Block:
     """The block-diagonal sum of blocks in their order, its stacks of one component shape joined.
-    A shape whose components are all whole blocks (see _Block.whole), each on its own rows and
-    columns 0..h-1, is placed by one outer sum of the blocks' offsets and 0..h-1."""
+    A shape whose components are all whole blocks, each the one part (1, h, h) of its block and
+    so on rows and columns 0..h-1, is placed by one outer sum of the blocks' offsets and 0..h-1."""
     if len(blocks) == 1:
         return blocks[0]
     shapes, at = {}, 0
     for b in blocks:
         for part in b.parts:
-            shapes.setdefault(part[2].shape[1:], []).append(part + (at, b.whole is not None))
+            whole = part[2].shape == (1, b.k, b.k)
+            shapes.setdefault(part[2].shape[1:], []).append(part + (at, whole))
         at += b.k
     parts = []
     for (h, _), group in shapes.items():
@@ -516,18 +502,12 @@ class GraphStochastic:
             raise ValueError(f"matrix shape {matrix.shape} does not match graph size {graph.n}")
         _refuse(_stochastic_report(matrix, graph),
                 "matrix is not a graph-preserving stochastic operation")
-        self._fill(graph, matrix)
-
-    def _fill(self, graph: Digraph, matrix: Entries):
-        """Set the fields from entries that passed the check; a certificate built bare and
-        filled here skips it."""
         if np.iscomplexobj(matrix.vals):  # checked with its imaginary parts, stored without
             keep = matrix.vals.real != 0
             matrix = Entries._checked(matrix.n, matrix.rows[keep], matrix.cols[keep],
                                       matrix.vals.real[keep])
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "entries", matrix)
-        return self
 
     def apply(self, dist) -> np.ndarray:
         p = np.asarray(dist, dtype=float)
@@ -588,9 +568,7 @@ def _unitary_report(b, g: Digraph, idx, tau: float = ATOL) -> OpReport:
 def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
     """is_graph_preserving_stochastic of the operator with entries e, read from them in O(nnz):
     column sums by bincount, the least entry, and the arcs of the entries above tau.  A complex
-    operator is first refused if an imaginary part exceeds tau or is nan.  e may be the direct
-    sum of operators on g (see _stacked), each entry read at its vertices mod g.n: it passes iff
-    each operator would, its violations those vertices'."""
+    operator is first refused if an imaginary part exceeds tau or is nan."""
     vals = e.vals
     with np.errstate(all="ignore"):  # nan and inf give a residual that fails, not a warning
         if np.iscomplexobj(vals):
@@ -603,7 +581,7 @@ def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
         negativity = float(max(0.0, -vals.min())) if vals.size else 0.0
         residual = max(defect, negativity)  # a nan entry makes its column sum, so defect, nan
         above = np.abs(vals) > tau
-    violations = _violations(e.rows[above], e.cols[above], vals[above], g, np.arange(e.n) % g.n)
+    violations = _violations(e.rows[above], e.cols[above], vals[above], g, np.arange(g.n))
     return OpReport(residual <= tau and not violations, violations, residual, "stochastic")
 
 

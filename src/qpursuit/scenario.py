@@ -19,16 +19,17 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _int_digraph, _is_int
-from .operators import (
-    ControlledOp,
-    Entries,
-    GraphStochastic,
-    _direct_sum,
-    _stacked,
-    _stochastic_report,
-    certify_blocks,
-)
+from .operators import ControlledOp, Entries, _direct_sum, certify_blocks
 from .strategies import build_strategy
+
+
+def _decoded(read, source):
+    """read(source) for json.load or json.loads; input nested past the recursion limit is
+    refused with a ValueError, as other malformed JSON is, not a RecursionError."""
+    try:
+        return read(source)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _json_int(value, what: str) -> int:
@@ -256,20 +257,22 @@ _READ_CELLS = 1 << 20
 
 
 def _certified_moves(moves: list, g: Digraph, model: GameModel, played: int | None = None) -> list:
-    """moves with those as read from JSON (Entries, and controlled moves' (blocks, control)
-    tuples) among the first `played` (all if None) certified against g by one check, so that
-    the engine trusts each as it is played (a certificate on g is trusted).  The check stops
-    short of the move that would take it past _READ_CELLS; the moves after it are kept as read,
-    and controlled ones among them are built one by one.
+    """moves with the unitary and controlled ones as read from JSON (Entries, and controlled
+    moves' (blocks, control) tuples) among the first `played` (all if None) certified against g
+    by one check, so that the engine trusts each as it is played (a certificate on g is
+    trusted).  The check stops short of the move that would take it past _READ_CELLS; the moves
+    after it are kept as read, and controlled ones among them are built one by one.
 
-    Stochastic moves are checked by one _stochastic_report of their direct sum.  Unitary moves
-    and the blocks of controlled moves are certified by one certify_blocks call, and each
-    controlled move is built from its trusted blocks.  If the check fails or raises, the moves
-    are kept as read and controlled moves are built one by one, so each move is certified, and
-    refused, as it would be alone: a controlled move here, any other when it is played, so a
-    bad move past the rounds played fails nothing."""
+    Unitary moves and the blocks of controlled moves are certified by one certify_blocks call,
+    and each controlled move is built from its trusted blocks.  If the check fails or raises,
+    the moves are kept as read and controlled moves are built one by one, so each move is
+    certified, and refused, as it would be alone: a controlled move here, any other when it is
+    played, so a bad move past the rounds played fails nothing.  Stochastic moves are kept as
+    read and certified when played."""
     if model in _DETERMINISTIC:
         return moves
+    if model is GameModel.OPEN_PROBABILISTIC:
+        return _one_by_one(moves, g)
     head, cells = 0, 0
     for m in moves[:len(moves) if played is None else max(played, 0)]:
         if isinstance(m, (Entries, tuple)):
@@ -277,38 +280,31 @@ def _certified_moves(moves: list, g: Digraph, model: GameModel, played: int | No
             if cells > _READ_CELLS:
                 break
         head += 1
-    return _checked_together(moves[:head], g, model) + _one_by_one(moves[head:], g)
+    return _checked_together(moves[:head], g) + _one_by_one(moves[head:], g)
 
 
-def _checked_together(moves: list, g: Digraph, model: GameModel) -> list:
+def _checked_together(moves: list, g: Digraph) -> list:
     """moves with those read from JSON certified by one check (see _certified_moves)."""
     at = [i for i, m in enumerate(moves) if isinstance(m, (Entries, tuple))]
     if not at:
         return moves
     read, out = [moves[i] for i in at], list(moves)
     try:
-        if model is not GameModel.OPEN_PROBABILISTIC:
-            done = iter(certify_blocks([b for m in read
-                                        for b in (m[0] if isinstance(m, tuple) else (m,))], g))
-            read = [ControlledOp(tuple(itertools.islice(done, len(m[0]))), m[1], g)
-                    if isinstance(m, tuple) else next(done) for m in read]
-        elif all(isinstance(m, Entries) and m.n == g.n for m in read) \
-                and _stochastic_report(_stacked(read)[0], g):
-            read = [object.__new__(GraphStochastic)._fill(g, m) for m in read]
-        else:
-            read = None
+        done = iter(certify_blocks([b for m in read
+                                    for b in (m[0] if isinstance(m, tuple) else (m,))], g))
+        read = [ControlledOp(tuple(itertools.islice(done, len(m[0]))), m[1], g)
+                if isinstance(m, tuple) else next(done) for m in read]
     except ValueError:  # malformed or illegal somewhere, CertificationError among them
-        read = None
-    if read is None:  # the moves refuse it one by one
-        return _one_by_one(moves, g)
+        return _one_by_one(moves, g)  # the moves refuse it one by one
     for i, m in zip(at, read):
         out[i] = m
     return out
 
 
 def strategy_from_json(spec, g: Digraph, model: GameModel, played: int | None = None) -> Strategy:
-    """Strategy from a builtin reference or an inline init + per-round moves spec; the first
-    `played` moves (all if None) are certified together (see _certified_moves)."""
+    """Strategy from a builtin reference or an inline init + per-round moves spec; the unitary
+    and controlled moves among the first `played` (all if None) are certified together, and
+    stochastic moves when played (see _certified_moves)."""
     if not isinstance(spec, dict):
         raise ValueError("strategy spec must be a JSON object")
     if "builtin" in spec:
@@ -350,7 +346,7 @@ def scenario_from_json(data: dict, base_dir: str = ".") -> Scenario:
     graph_spec = data["graph"]
     if isinstance(graph_spec, str):
         with open(os.path.join(base_dir, graph_spec), encoding="utf-8") as fh:
-            graph_spec = json.load(fh)
+            graph_spec = _decoded(json.load, fh)
     g = graph_from_json(graph_spec)
     rounds = _json_int(data["rounds"], "rounds")
     # the Cop moves in every round, the Robber in all but the last

@@ -430,7 +430,36 @@ def test_verify_op_bad_input(tmp_path, capsys):
     assert code == 1 and json.loads(err)["error"] == "ValueError"
 
 
-_REPEATED_ENTRY = {"n": 2, "entries": [[0, 0, 5.0, 0], [0, 0, 1.0, 0], [1, 1, 1.0, 0]]}
+_NESTED = "[" * 100_000 + "]" * 100_000  # past json's recursion limit
+
+
+@pytest.mark.parametrize("where", ["analyze-graph", "verify-op operator", "verify-op graph",
+                                   "reach graph", "reach --from", "reach --to", "run scenario",
+                                   "run board file"])
+def test_json_nested_too_deeply_is_refused_as_malformed_input(tmp_path, capsys, where):
+    nested = tmp_path / "nested.json"
+    nested.write_text(_NESTED)
+    nested = str(nested)
+    graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
+    op = _write(tmp_path, "op.json", {"n": 3, "entries": [[v, v, 1.0, 0.0] for v in range(3)]})
+    board = _write(tmp_path, "sc.json", {"model": "classical", "graph": "nested.json",
+                                         "rounds": 1, "cop": {"init": 0}, "robber": {"init": 1}})
+    argv = {"analyze-graph": ["analyze-graph", nested],
+            "verify-op operator": ["verify-op", nested, graph, "--unitary"],
+            "verify-op graph": ["verify-op", op, nested, "--stochastic"],
+            "reach graph": ["reach", nested, "--from", "uniform", "--to", "basis:0"],
+            "reach --from": ["reach", graph, "--from", _NESTED, "--to", "basis:0"],
+            "reach --to": ["reach", graph, "--from", "uniform", "--to", _NESTED],
+            "run scenario": ["run", nested],
+            "run board file": ["run", board]}[where]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    # one JSON error record, no traceback
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "JSON input is nested too deeply"}
+
+
+_REPEATED_ENTRY ={"n": 2, "entries": [[0, 0, 5.0, 0], [0, 0, 1.0, 0], [1, 1, 1.0, 0]]}
 
 
 def test_operator_json_rejects_booleans_and_non_list_entries(tmp_path, capsys):

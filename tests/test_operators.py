@@ -1480,6 +1480,16 @@ def test_a_prebuilt_sum_certifies_as_certify_blocks_of_its_layers(instance):
         _assert_certified_alike(routed, routed_calls, ref, ref_calls, faulty)
 
 
+def _assert_kept_whole(b: _Block, block):
+    """b is block kept whole: one part of shape (1, k, k) on rows and columns 0..k-1, its stack
+    equal to the block."""
+    k = len(block)
+    assert b.k == k and len(b.parts) == 1
+    rows, cols, stack = b.parts[0]
+    assert stack.shape == (1, k, k) and np.array_equal(stack[0], block)
+    assert np.array_equal(rows, np.arange(k)[None]) and np.array_equal(cols, np.arange(k)[None])
+
+
 def test_an_empty_layer_certifies_as_the_empty_block_and_no_layers_as_none():
     g = cycle_graph(4)
     stack = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 2]]], dtype=complex)
@@ -1490,7 +1500,8 @@ def test_an_empty_layer_certifies_as_the_empty_block_and_no_layers_as_none():
     stack[1, 1, 1] = 1.0
     swap, none, ident = _certify_layers(stack, [(0, 1), (), (2, 3)], g)
     assert none.support == () and none.block.shape == (0, 0)
-    assert np.array_equal(none.matrix, np.eye(4)) and none._block.whole is not None
+    assert np.array_equal(none.matrix, np.eye(4))
+    _assert_kept_whole(none._block, np.zeros((0, 0)))
     assert np.array_equal(ident.matrix, np.eye(4)) and swap.support == (0, 1)
     # a stack of no blocks: on layers of no vertices, on no layers, and given to certify_blocks
     (u,) = _certify_layers(np.zeros((0, 2, 2)), [()], g)
@@ -2036,7 +2047,7 @@ def test_blocks_split_together_are_each_split_alone(instances, sparse):
         assert _same_parts(together, _Block.split(block))
         # a block on at most _DENSE_MAX vertices, or with a full row, is kept whole
         if len(b) <= _DENSE_MAX or np.count_nonzero(b, axis=1).max() == len(b):
-            assert together.whole is not None and np.array_equal(together.whole, b)
+            _assert_kept_whole(together, b)
 
 
 def test_a_long_list_is_split_in_pieces_of_bounded_size(monkeypatch):

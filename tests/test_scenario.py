@@ -207,25 +207,41 @@ def test_a_bad_controlled_block_is_refused_when_the_list_is_read():
         scenario_from_json(dict(data, rounds=1))
 
 
-@pytest.mark.parametrize("k", [1, 4])
-def test_a_move_list_is_split_and_checked_once_when_read_and_trusted_in_play(monkeypatch, k):
+@pytest.mark.parametrize("k, model", [
+    pytest.param(k, model, id=f"{prefix}{k}") for k in (1, 4) for prefix, model in (
+        ("", GameModel.CLASSICAL_QUANTUM), ("open-", GameModel.OPEN_PROBABILISTIC))])
+def test_a_move_list_is_split_and_checked_once_when_read_and_trusted_in_play(monkeypatch, k,
+                                                                            model):
     rng = np.random.default_rng(128)
     g = random_connected_graph(128, rng, 3.0 / 128)
-    moves = [_unitary_json(sample_graph_unitary(g, rng)) for _ in range(k)]
-    data = _scenario_json(g, GameModel.CLASSICAL_QUANTUM, k, {"init": "uniform", "moves": moves},
-                          {"init": "uniform"})
-    calls = {"_components": 0, "_unitary_report": 0}
+    stochastic = model is GameModel.OPEN_PROBABILISTIC
+    moves = [_stochastic_json(sample_graph_stochastic(g, rng)) if stochastic
+             else _unitary_json(sample_graph_unitary(g, rng)) for _ in range(k)]
+    data = _scenario_json(g, model, k, {"init": "uniform", "moves": moves}, {"init": "uniform"})
+    calls = dict.fromkeys(("_components", "_unitary_report", "_stochastic_report"), 0)
     for name in calls:
         def spy(*args, _name=name, _f=getattr(qpursuit.operators, name), **kwargs):
             calls[_name] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(qpursuit.operators, name, spy)
     sc = scenario_from_json(data)
-    assert calls == {"_components": 1, "_unitary_report": 1}
-    assert all(isinstance(u, GraphUnitary) and u.graph == g for u in sc.cop.move)
-    calls.update(dict.fromkeys(calls, 0))
+    none = dict.fromkeys(calls, 0)
+    if stochastic:
+        # stochastic moves are kept as the Entries read, and each is checked once when played
+        assert calls == none
+        for m, spec in zip(sc.cop.move, moves, strict=True):
+            read = operator_from_json(spec)
+            assert type(m) is Entries and m.n == read.n
+            assert all(np.array_equal(getattr(m, a), getattr(read, a))
+                       for a in ("rows", "cols", "vals"))
+        played = {"_stochastic_report": k}
+    else:
+        assert calls == {**none, "_components": 1, "_unitary_report": 1}
+        assert all(isinstance(u, GraphUnitary) and u.graph == g for u in sc.cop.move)
+        played = {}
+    calls.update(none)
     run_scenario(sc)
-    assert calls == {"_components": 0, "_unitary_report": 0}
+    assert calls == {**none, **played}
 
 
 def test_only_the_moves_played_are_certified_when_read_and_at_most_read_cells_of_them(

@@ -19,10 +19,10 @@ from .operators import (
     CertificationError,
     ControlledOp,
     _is_distribution,
-    _is_unit,
     basis_state,
     certify_stochastic,
     certify_unitary,
+    is_unit,
     state_vector,
     uniform_state,
 )
@@ -122,7 +122,7 @@ def p_copwin_joint(joint, n: int) -> float:
     a = state_vector(joint)
     if a.shape[0] != n * n:
         raise ValueError(f"joint dimension {a.shape[0]} is not {n}^2")
-    if not _is_unit(a):
+    if not is_unit(a):
         raise ValueError("joint state is not normalized")
     return float(np.sum(np.abs(a.reshape(n, n).diagonal()) ** 2))
 
@@ -133,7 +133,7 @@ def p_copwin_separable(robber, cop) -> float:
     c = state_vector(cop)
     if r.shape != c.shape:
         raise ValueError("state dimensions differ")
-    if not (_is_unit(r) and _is_unit(c)):
+    if not (is_unit(r) and is_unit(c)):
         raise ValueError("states must be normalized")
     return float(np.sum(np.abs(r * c) ** 2))
 
@@ -191,7 +191,7 @@ def _amp_vector(init, n: int) -> np.ndarray:
     if isinstance(init, (int, np.integer)):
         return basis_state(n, _vertex(init, n))
     vec = state_vector(init)
-    if vec.shape != (n,) or not _is_unit(vec):
+    if vec.shape != (n,) or not is_unit(vec):
         raise GameError("initial amplitudes are not a normalized vector of the right size")
     return vec
 
@@ -343,7 +343,7 @@ def qc_initial_joint(g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -
         chi = rinit.states
         if chi.shape != (n, n):
             raise GameError(f"controlled preparation needs an {n}x{n} column table")
-        if not _is_unit(chi, axis=0):
+        if not is_unit(chi, axis=0):
             raise GameError("every column of a controlled preparation must be normalized")
         return (chi * sc).reshape(-1)
     return np.outer(_amp_vector(rinit, n), sc).reshape(-1)

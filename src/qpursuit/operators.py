@@ -71,7 +71,7 @@ class OpReport:
         return self.ok
 
 
-def _is_unit(a, axis=None) -> bool:
+def is_unit(a, axis=None) -> bool:
     """True iff a (each slice along axis, if given) has unit 2-norm within ATOL; nan, inf fail."""
     with np.errstate(all="ignore"):  # a nan, inf or overflowing entry fails without a warning
         return bool(np.all(np.abs(np.linalg.norm(a, axis=axis) - 1.0) <= ATOL))
@@ -284,17 +284,6 @@ class _Block:
     def shape(self) -> tuple:
         return (self.k, self.k)
 
-    @classmethod
-    def split(cls, block) -> "_Block":
-        """block, Entries or a dense square array, split into its components; see _split_all."""
-        return _split_all([block])[0]
-
-    @classmethod
-    def _whole(cls, b: np.ndarray) -> "_Block":
-        k = b.shape[0]
-        whole = np.arange(k)[None]
-        return cls(k, ((whole, whole, b[None]),))
-
     def residual(self) -> float:
         """max |b^H b - I|, its worst component's; nan or inf if an entry is."""
         worst = [_gram_defect(s).max(initial=0.0) for _, _, s in self.parts]
@@ -327,80 +316,72 @@ class _Block:
         return y
 
 
-def _stacked(entries: list) -> tuple:
-    """(the direct sum of a non-empty list of Entries as Entries, each one's offset in it and the
-    sum's size last): each operator's rows and columns shifted by the sizes of those before it."""
-    at = np.cumsum([0] + [e.n for e in entries])
-    shift = np.repeat(at[:-1], [e.rows.size for e in entries])
-    rows, cols, vals = (np.concatenate([getattr(e, name) for e in entries])
-                        for name in ("rows", "cols", "vals"))
-    return Entries._checked(int(at[-1]), rows + shift, cols + shift, vals), at.tolist()
+def _split_all(blocks) -> tuple:
+    """(blocks split into their components as _Blocks, their direct sum or None if no blocks).
 
-
-def _split_all(blocks) -> list:
-    """_Block.split of each of blocks (Entries, dense square arrays or _Blocks, which pass).
-
-    A block on at most _DENSE_MAX vertices, or with a full row, is kept whole; a dense array
-    past _DENSE_MAX vertices is read as its Entries.  Every other block is searched for its
-    components by one _components call over all of them, stacked (see _stacked), and its parts
-    are cut back out and shifted home.  No component spans two blocks, and the components of
-    one shape come in the order of their least columns, c[:, 0], so each block's cut holds its
-    own parts, as its own _components call lays them out.  A search stacks consecutive blocks
-    up to _SPLIT_ENTRIES entries, or one block past it, each counted as at least its columns."""
-    out, todo = list(blocks), []
+    Entries and dense arrays on at most _DENSE_MAX vertices, or with a full row, are kept whole,
+    and _Blocks pass.  Each other run of consecutive blocks is searched by one _components call
+    over their entries stacked, each block's rows and columns shifted by the sizes of those
+    before it.  That is the run's direct sum, and each block's parts are cut from it: no
+    component spans two blocks, and the components of one shape come in the order of their least
+    columns, c[:, 0], so each cut holds the block's own parts as its own search lays them out.  A
+    run stacks up to _SPLIT_ENTRIES entries, or one block past it, each counted as at least its
+    columns; a run of one block is its own sum."""
+    out, items, runs, size = list(blocks), [], [], _SPLIT_ENTRIES
     for i, block in enumerate(out):
-        if isinstance(block, _Block):
-            continue
-        if not isinstance(block, Entries):
+        if not isinstance(block, (_Block, Entries)):
             block = np.asarray(block, dtype=complex)
-            if block.shape[0] <= _DENSE_MAX:
-                out[i] = _Block._whole(block)
-                continue
-            block = Entries.of_matrix(block)
-        if block.n <= _DENSE_MAX or (block.rows.size and np.bincount(block.rows).max() == block.n):
-            out[i] = _Block._whole(block.dense().astype(complex, copy=False))
-        else:
-            todo.append(i)
-            out[i] = block
-    pieces, size = [], _SPLIT_ENTRIES
-    for i in todo:
-        cost = max(out[i].rows.size, out[i].n)
+            if len(block) > _DENSE_MAX:
+                block = Entries.of_matrix(block)
+        if isinstance(block, Entries) and (block.n <= _DENSE_MAX or (
+                block.rows.size and np.bincount(block.rows).max() == block.n)):
+            block = block.dense().astype(complex, copy=False)
+        if isinstance(block, np.ndarray):  # kept whole: one part on rows and columns 0..k-1
+            whole = np.arange(len(block))[None]
+            block = _Block(len(block), ((whole, whole, block[None]),))
+        out[i] = block
+        if isinstance(block, _Block):
+            items.append(block)
+            size = _SPLIT_ENTRIES  # the next block to search starts a run
+            continue
+        cost = max(block.rows.size, block.n)
         if size + cost > _SPLIT_ENTRIES:
-            pieces.append([])
+            runs.append((len(items), []))  # its sum's place among the summands, its blocks
+            items.append(None)
             size = 0
-        pieces[-1].append(i)
+        runs[-1][1].append(i)
         size += cost
-    for piece in pieces:
-        e, at = _stacked([out[i] for i in piece])
-        parts = _components(e.rows, e.cols, e.vals, e.n)
+    for place, run in runs:
+        if len(run) == 1:  # searched on its own entries, uncopied
+            e = out[run[0]]
+            out[run[0]] = items[place] = _Block(e.n, _components(e.rows, e.cols, e.vals, e.n))
+            continue
+        at = np.cumsum([0] + [out[i].n for i in run]).tolist()
+        shift = np.repeat(at[:-1], [out[i].rows.size for i in run])
+        rows, cols, vals = (np.concatenate([getattr(out[i], name) for i in run])
+                            for name in ("rows", "cols", "vals"))
+        parts = _components(rows + shift, cols + shift, vals, at[-1])
+        items[place] = _Block(at[-1], parts)
         cuts = [np.searchsorted(c[:, 0], at).tolist() for _, c, _ in parts]
-        for j, i in enumerate(piece):
-            shift = at[j]
-            out[i] = _Block(at[j + 1] - shift, tuple(
-                (r[lo:hi] - shift, c[lo:hi] - shift, s[lo:hi])
+        for j, i in enumerate(run):
+            out[i] = _Block(at[j + 1] - at[j], tuple(
+                (r[lo:hi] - at[j], c[lo:hi] - at[j], s[lo:hi])
                 for (r, c, s), cut in zip(parts, cuts) if (lo := cut[j]) < (hi := cut[j + 1])))
-    return out
+    return out, _direct_sum(items) if items else None
 
 
 def _direct_sum(blocks: list) -> _Block:
-    """The block-diagonal sum of blocks in their order, its stacks of one component shape joined.
-    A shape whose components are all whole blocks, each the one part (1, h, h) of its block and
-    so on rows and columns 0..h-1, is placed by one outer sum of the blocks' offsets and 0..h-1."""
+    """The block-diagonal sum of blocks in their order, its stacks of one component shape joined,
+    each component's rows and columns shifted by the sizes of the blocks before its own."""
     if len(blocks) == 1:
         return blocks[0]
     shapes, at = {}, 0
     for b in blocks:
         for part in b.parts:
-            whole = part[2].shape == (1, b.k, b.k)
-            shapes.setdefault(part[2].shape[1:], []).append(part + (at, whole))
+            shapes.setdefault(part[2].shape[1:], []).append(part + (at,))
         at += b.k
     parts = []
-    for (h, _), group in shapes.items():
-        rows, cols, stacks, starts, whole = zip(*group)
-        if all(whole):
-            place = np.add.outer(starts, np.arange(h))
-            parts.append((place, place, np.concatenate(stacks)))
-            continue
+    for rows, cols, stacks, starts in (zip(*group) for group in shapes.values()):
         shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each component's place
         parts.append((np.concatenate(rows) + shift, np.concatenate(cols) + shift,
                       np.concatenate(stacks)))
@@ -550,7 +531,7 @@ def _unitary_report(b, g: Digraph, idx, tau: float = ATOL) -> OpReport:
     elsewhere, without building it: its m^H m differs from the identity only on the block, and
     its identity part needs the loops outside idx.
 
-    b is a _Block (see _Block.split); the residual is taken per component, which finds the
+    b is a _Block (see _split_all); the residual is taken per component, which finds the
     maximum of the one k x k product without it.  For the direct sum of several blocks (see
     certify_blocks), idx is the list of their supports' index arrays, in order, and the loops
     outside each block's own support are checked: it holds iff each block's report would."""
@@ -593,7 +574,7 @@ def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
         m = np.asarray(m, dtype=complex)
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
-    return _unitary_report(_Block.split(m), g, np.arange(g.n), tau)
+    return _unitary_report(_split_all([m])[1], g, np.arange(g.n), tau)
 
 
 def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport:
@@ -612,91 +593,88 @@ def certify_unitary(op, g: Digraph) -> GraphUnitary:
 
 
 def certify_blocks(blocks, g: Digraph, supports=None) -> list:
-    """The blocks certified against g, every support the whole board by default.  A GraphUnitary
-    on g is trusted and returned as it is, one from another board is certified on its own
-    support, and anything else (a dense array, Entries, a _Block, or an object with .matrix) on
-    its given support.  The blocks to certify are parsed, split into their components by one
-    _split_all search and joined into their direct sum, which is checked once by _certify_parsed,
-    as _certify_layers has a sum built already checked; the check passes iff each block would
-    alone.  If it fails, or a block is malformed, the blocks are certified one at a time in
-    order, so the first bad block raises exactly what it raises alone, with its index in blocks
-    as the error's position.  One (m, n, n) array of blocks on the whole board, given with no
-    supports, is such a sum already when each is kept whole (see _split_all), and goes to
-    _certify_layers as m layers of one block."""
-    if (supports is None and isinstance(blocks, np.ndarray) and blocks.dtype.kind in "biufc"
-            and blocks.shape[1:] == (g.n, g.n) and g.n <= _DENSE_MAX):
-        return _certify_layers(np.array(blocks, dtype=complex), [tuple(range(g.n))] * len(blocks),
-                               g)
+    """The blocks, a list or one (P, h, h) numeric stack, certified against g.  In a list, a
+    GraphUnitary on g is trusted and returned as it is, one from another board is certified on
+    its own support, and anything else (a dense array, Entries, a _Block, or an object with
+    .matrix) on its given support, every vertex by default; _split_all splits them and yields
+    their direct sum.  A stack is that sum built already (see _layers), layer i holding the next
+    len(supports[i]) / h blocks, or each block one layer on the whole board if supports is None.
+    The sum is checked by one _unitary_report, which passes iff each block would alone.  If it
+    fails, or a block or support is malformed, the blocks are certified one at a time in order,
+    so the first bad one raises what it raises alone, with its index as the error's position."""
     return _certified(blocks, g, supports)[0]
 
 
 def _certified(blocks, g: Digraph, supports=None) -> tuple:
     """(certify_blocks's list, the sum it checked, None if every block was trusted)."""
-    supports = [None] * len(blocks) if supports is None else list(supports)
-    if len(supports) != len(blocks):
-        raise ValueError(f"{len(blocks)} blocks but {len(supports)} supports")
-    out, parsed, error = list(blocks), [], None
-    for i, (b, s) in enumerate(zip(blocks, supports)):
-        if isinstance(b, GraphUnitary):
-            if b.graph == g:
-                continue
-            b, s = b._block, b.support
-        try:
-            parsed.append((i, *_parsed(getattr(b, "matrix", b), g, s)))
-        except Exception as exc:  # raised in its turn, once the blocks before it are certified
-            error, exc.position = exc, i
-            break
-    split = _split_all([b for *_, b in parsed])
-    parsed = [(i, s, at, b) for (i, s, at, _), b in zip(parsed, split)]
-    total = _direct_sum(split) if parsed and not error else None
-    for (i, *_), u in zip(parsed, _certify_parsed(total, parsed, g)):
-        out[i] = u
-    if error:
-        raise error
-    return out, total
-
-
-def _certify_layers(stack: np.ndarray, supports, g: Digraph) -> list:
-    """certify_blocks of layers of h x h blocks on supports (tuples of ints), for a (P, h, h)
-    stack, each layer the next len(support) / h blocks of stack, checked as one direct sum built
-    already: a _Block of the whole stack, of which each layer's block is a slice, and a layer on
-    no vertex the empty block.  The supports are checked once, as one index array of which each
-    _index is a slice: every vertex in range, none twice in a layer.  No layers certify as []."""
-    if not supports:
-        return []
-    h = stack.shape[-1]
-    sizes = [len(s) for s in supports]
-    flat = np.fromiter(chain(*supports), np.intp, sum(sizes))
-    # layer i's vertices shifted by i n: a vertex twice within a layer is a key twice
-    key = np.sort(flat + np.repeat(np.arange(len(sizes)) * g.n, sizes))
-    place, parsed, at = np.arange(flat.size).reshape(-1, h), [], 0
-    for i, k in enumerate(sizes):
-        m = k // h
-        block = _Block(k, ((place[:m], place[:m], stack[at:at + m]),)) if k else \
-            _Block._whole(np.zeros((0, 0), dtype=complex))
-        parsed.append((i, supports[i], flat[h * at:h * at + k], block))
-        at += m
-    fits = not flat.size or 0 <= flat.min() and flat.max() < g.n and (np.diff(key) > 0).all()
-    return _certify_parsed(_Block(flat.size, ((place, place, stack),)) if fits else None,
-                           parsed, g)
-
-
-def _certify_parsed(total, parsed, g: Digraph) -> list:
-    """A GraphUnitary for each (position, support, index array, _Block) of parsed, after one
-    _unitary_report of total, their direct sum.  If it fails, or total is None (a block or
-    support is malformed), the blocks are parsed and checked one at a time (a lone block by
-    total's report, its own), and the first bad one raises with its position."""
-    report = None if total is None else _unitary_report(total, g, [at for _, _, at, _ in parsed])
-    if not report:
-        for i, s, _, b in parsed:
+    error = None
+    if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.dtype.kind in "biufc":
+        parsed, total = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
+        out = [None] * len(parsed)
+    else:
+        supports = [None] * len(blocks) if supports is None else list(supports)
+        if len(supports) != len(blocks):
+            raise ValueError(f"{len(blocks)} blocks but {len(supports)} supports")
+        out, parsed = list(blocks), []
+        for i, (b, s) in enumerate(zip(blocks, supports)):
+            if isinstance(b, GraphUnitary):
+                if b.graph == g:
+                    continue
+                b, s = b._block, b.support
             try:
-                _, at, b = _parsed(b, g, s)
+                parsed.append((i, *_parsed(getattr(b, "matrix", b), g, s)))
+            except Exception as exc:  # raised in its turn, once the blocks before it are certified
+                error, exc.position = exc, i
+                break
+        split, total = _split_all([b for *_, b in parsed])
+        parsed = [(i, s, at, b) for (i, s, at, _), b in zip(parsed, split)]
+    if error or not parsed:
+        total = None
+    report = None if total is None else _unitary_report(total, g, [at for _, _, at, _ in parsed])
+    for i, s, at, b in parsed:
+        if not report:  # one at a time; a lone block is refused by the sum's report, its own
+            try:
+                s, at, b = _parsed(b, g, s)
                 _refuse(report if report is not None and len(parsed) == 1 else
                         _unitary_report(b, g, at))
             except Exception as exc:
                 exc.position = i
                 raise
-    return [object.__new__(GraphUnitary)._fill(g, s, at, b) for _, s, at, b in parsed]
+        out[i] = object.__new__(GraphUnitary)._fill(g, s, at, b)
+    if error:
+        raise error
+    return out, total
+
+
+def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
+    """(the (position, support, index array, _Block) of each layer, their direct sum) of a (P, h,
+    h) stack laid out as certify_blocks takes it.  The sum is a _Block of the whole stack, each
+    layer's block a slice of it and a layer on no vertex the empty block.  The supports are
+    checked once, as one index array of which each layer's is a slice (plain ints in range, none
+    twice in a layer); if they fail, the sum is None and each is checked with its layer's block.
+    A layout that does not fit the stack is refused."""
+    count, h, w = stack.shape
+    if h != w or supports is None and h != g.n:
+        raise ValueError(f"stack shape {stack.shape} is not (P, h, h), h = {g.n} if no supports")
+    supports = [tuple(s) for s in ([range(h)] * count if supports is None else supports)]
+    sizes = list(map(len, supports))
+    if not h and count or h and any(k % h for k in sizes) or sum(sizes) != count * h:
+        raise ValueError(f"supports of {sum(sizes)} vertices in {len(sizes)} layers do not hold "
+                         f"{count} blocks of {h} vertices")
+    flat = list(chain.from_iterable(supports))
+    fits = not set(map(type, flat)) - {int} and (not flat or 0 <= min(flat) and max(flat) < g.n)
+    if fits:
+        flat = np.array(flat, dtype=np.intp)
+        # layer i's vertices shifted by i n: a vertex twice within a layer is a key twice
+        key = np.sort(flat + np.repeat(np.arange(len(sizes)) * g.n, sizes))
+        fits = bool((np.diff(key) > 0).all())
+    place, parsed, at = np.arange(count * h).reshape(count, h), [], 0
+    for i, (s, k) in enumerate(zip(supports, sizes)):
+        m = k // h if h else 0
+        parsed.append((i, s, flat[h * at:h * at + k] if fits else None,
+                       _Block(k, ((place[:m], place[:m], stack[at:at + m]),))))
+        at += m
+    return parsed, _Block(count * h, ((place, place, stack),)) if fits else None
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -820,7 +798,7 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     one block of disjoint 2x2 gathers per layer; phase 2 is the same fold
     run for psi, reversed, each block its adjoint.  All gathers are one
     _gather_stack call, psi's half conjugate-transposed once, and the whole
-    sequence, the sum of that stack, is one _certify_layers check against the
+    sequence, the sum of that stack, is one certify_blocks check against the
     tree's graph.  Subtrees carrying amplitude at most _ZERO_BLOCK are not
     folded, so equal states yield an empty sequence.
     """
@@ -828,7 +806,7 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     b = state_vector(psi)
     if a.shape != (g.n,) or b.shape != (g.n,):
         raise ValueError("state dimension does not match the graph")
-    if not (_is_unit(a) and _is_unit(b)):
+    if not (is_unit(a) and is_unit(b)):
         raise ValueError("reach needs normalized states")
     if not g.is_reflexive:
         raise GraphError("reach needs a reflexive graph")
@@ -843,7 +821,7 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
     stack = _gather_stack(list(chain(*x0)), list(chain(*x1)), [0.0], [1.0])
     unfold = stack[sum(map(len, x0[:len(fold)])):]
     unfold[...] = unfold.conj().swapaxes(1, 2)
-    return _certify_layers(stack, supports, tree.as_digraph())
+    return certify_blocks(stack, tree.as_digraph(), supports)
 
 
 def apply_sequence(ops, state) -> np.ndarray:

@@ -24,12 +24,22 @@ from .strategies import build_strategy
 
 
 def _decoded(read, source):
-    """read(source) for json.load or json.loads; input nested past the recursion limit is
-    refused with a ValueError, as other malformed JSON is, not a RecursionError."""
+    """read(source) for json.load or json.loads; a key repeated in one object, and input nested
+    past the recursion limit, are refused with a ValueError, as other malformed JSON is."""
     try:
-        return read(source)
+        return read(source, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object, refused if it names a key twice (json would keep the last one)."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        seen.add(key)
+    return dict(pairs)
 
 
 def _json_int(value, what: str) -> int:
@@ -259,46 +269,33 @@ _READ_CELLS = 1 << 20
 def _certified_moves(moves: list, g: Digraph, model: GameModel, played: int | None = None) -> list:
     """moves with the unitary and controlled ones as read from JSON (Entries, and controlled
     moves' (blocks, control) tuples) among the first `played` (all if None) certified against g
-    by one check, so that the engine trusts each as it is played (a certificate on g is
-    trusted).  The check stops short of the move that would take it past _READ_CELLS; the moves
-    after it are kept as read, and controlled ones among them are built one by one.
-
-    Unitary moves and the blocks of controlled moves are certified by one certify_blocks call,
-    and each controlled move is built from its trusted blocks.  If the check fails or raises,
-    the moves are kept as read and controlled moves are built one by one, so each move is
-    certified, and refused, as it would be alone: a controlled move here, any other when it is
-    played, so a bad move past the rounds played fails nothing.  Stochastic moves are kept as
-    read and certified when played."""
+    by one certify_blocks call on all their blocks, each controlled one built from its trusted
+    blocks, so that the engine trusts each as it is played.  The check stops short of the move
+    that would take it past _READ_CELLS.  The moves after it, and all of them if it fails or
+    raises, are kept as read and controlled ones are built one by one, so each move is certified,
+    and refused, as it would be alone: a controlled move here, any other when it is played, so a
+    bad move past the rounds played fails nothing.  Stochastic moves are certified when played."""
     if model in _DETERMINISTIC:
         return moves
     if model is GameModel.OPEN_PROBABILISTIC:
         return _one_by_one(moves, g)
-    head, cells = 0, 0
+    head, cells, blocks = 0, 0, []
     for m in moves[:len(moves) if played is None else max(played, 0)]:
         if isinstance(m, (Entries, tuple)):
-            cells += sum(b.n * b.n for b in (m[0] if isinstance(m, tuple) else (m,)))
+            own = m[0] if isinstance(m, tuple) else (m,)
+            cells += sum(b.n * b.n for b in own)
             if cells > _READ_CELLS:
                 break
+            blocks += own
         head += 1
-    return _checked_together(moves[:head], g) + _one_by_one(moves[head:], g)
-
-
-def _checked_together(moves: list, g: Digraph) -> list:
-    """moves with those read from JSON certified by one check (see _certified_moves)."""
-    at = [i for i, m in enumerate(moves) if isinstance(m, (Entries, tuple))]
-    if not at:
-        return moves
-    read, out = [moves[i] for i in at], list(moves)
     try:
-        done = iter(certify_blocks([b for m in read
-                                    for b in (m[0] if isinstance(m, tuple) else (m,))], g))
-        read = [ControlledOp(tuple(itertools.islice(done, len(m[0]))), m[1], g)
-                if isinstance(m, tuple) else next(done) for m in read]
+        done = iter(certify_blocks(blocks, g))
+        checked = [ControlledOp(tuple(itertools.islice(done, len(m[0]))), m[1], g)
+                   if isinstance(m, tuple) else next(done) if isinstance(m, Entries) else m
+                   for m in moves[:head]]
     except ValueError:  # malformed or illegal somewhere, CertificationError among them
         return _one_by_one(moves, g)  # the moves refuse it one by one
-    for i, m in zip(at, read):
-        out[i] = m
-    return out
+    return checked + _one_by_one(moves[head:], g)
 
 
 def strategy_from_json(spec, g: Digraph, model: GameModel, played: int | None = None) -> Strategy:

@@ -26,9 +26,9 @@ from .graphs import (
 from .operators import (
     ATOL,
     ControlledOp,
+    certify_blocks,
     identity_unitary,
-    _certify_layers,
-    _is_unit,
+    is_unit,
 )
 
 
@@ -54,7 +54,7 @@ def universal_vertex_catch(g: Digraph, vertex: int = None) -> Strategy:
     # the swaps of (v, hub), one stack checked as its sum, and the hub's identity, an empty layer
     swaps = np.zeros((g.n - 1, 2, 2), dtype=complex)
     swaps[:, [0, 1], [1, 0]] = 1.0
-    blocks = _certify_layers(swaps, [() if v == hub else (v, int(hub)) for v in range(g.n)], g)
+    blocks = certify_blocks(swaps, g, [() if v == hub else (v, int(hub)) for v in range(g.n)])
     entangler = ControlledOp(tuple(blocks), "robber", g)
 
     def move(ctx):
@@ -79,7 +79,7 @@ def _c4_collapse_matrix(amplitudes, psi: float = 0.0, alpha: float = 0.0) -> np.
     e^(i (k_c - psi))|1>; alpha is a free phase on the complementary block.
     """
     ra, ka, rb, kb, rc, kc = (float(x) for x in amplitudes)
-    if not _is_unit((ra, rb, rc)):
+    if not is_unit((ra, rb, rc)):
         raise ValueError("source amplitudes must have unit norm")
 
     def e(x):

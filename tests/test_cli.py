@@ -459,6 +459,45 @@ def test_json_nested_too_deeply_is_refused_as_malformed_input(tmp_path, capsys, 
     assert json.loads(err) == {"error": "ValueError", "message": "JSON input is nested too deeply"}
 
 
+# the board n = 2 if the last key were kept, as json does
+_TWICE = '{"n": 3, "n": 2, "arcs": [[0, 1]], "undirected": true, "reflexive": true}'
+
+
+@pytest.mark.parametrize("where", ["analyze-graph", "verify-op operator", "verify-op graph",
+                                   "reach graph", "reach --from", "reach --to", "run scenario",
+                                   "run board file", "nested object"])
+def test_a_json_key_given_twice_is_refused_as_malformed_input(tmp_path, capsys, where):
+    twice = tmp_path / "twice.json"
+    twice.write_text(_TWICE)
+    twice = str(twice)
+    graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
+    op = _write(tmp_path, "op.json", {"n": 3, "entries": [[v, v, 1.0, 0.0] for v in range(3)]})
+    board = _write(tmp_path, "sc.json", {"model": "classical", "graph": "twice.json",
+                                         "rounds": 1, "cop": {"init": 0}, "robber": {"init": 1}})
+    # a key repeated in an object inside another is refused too
+    inner = tmp_path / "inner.json"
+    inner.write_text('{"model": "classical", "graph": ' + _TWICE + ', "rounds": 1, '
+                     '"cop": {"init": 0}, "robber": {"init": 1}}')
+    argv = {"analyze-graph": ["analyze-graph", twice],
+            "verify-op operator": ["verify-op", twice, graph, "--unitary"],
+            "verify-op graph": ["verify-op", op, twice, "--stochastic"],
+            "reach graph": ["reach", twice, "--from", "uniform", "--to", "basis:0"],
+            "reach --from": ["reach", graph, "--from", _TWICE, "--to", "basis:0"],
+            "reach --to": ["reach", graph, "--from", "uniform", "--to", _TWICE],
+            "run scenario": ["run", twice],
+            "run board file": ["run", board],
+            "nested object": ["run", str(inner)]}[where]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    # one JSON error record, no traceback
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "JSON object repeats the key 'n'"}
+    # each key once: the board is read
+    twice = tmp_path / "once.json"
+    twice.write_text(_TWICE.replace('"n": 2, ', ""))
+    assert _run(capsys, ["analyze-graph", str(twice)])[0] == 0
+
+
 _REPEATED_ENTRY ={"n": 2, "entries": [[0, 0, 5.0, 0], [0, 0, 1.0, 0], [1, 1, 1.0, 0]]}
 
 

@@ -1,0 +1,155 @@
+"""Cost facts of certification: how many checks and component searches a call makes, and what it
+copies.  Each test counts calls through the one `spy` fixture; what the calls return is tested
+through public calls beside the code's other tests."""
+
+import numpy as np
+import pytest
+
+import qpursuit.operators
+import qpursuit.strategies
+from qpursuit import (
+    Entries,
+    MoveContext,
+    Strategy,
+    c4_antipodal_evasion,
+    c4_unfair_cop,
+    certify_blocks,
+    cycle_graph,
+    is_graph_preserving_unitary,
+    path_graph,
+    play,
+    random_connected_graph,
+    reach_sequence,
+    sample_graph_unitary,
+    star_graph,
+    universal_vertex_catch,
+)
+from qpursuit.cli import main
+from qpursuit.operators import _Block
+from test_operators import _reach_cases
+
+OPS = qpursuit.operators
+
+
+class _Spy:
+    """Wraps functions of modules or classes for one test: calls[name] lists the (args, result)
+    of each call to a watched function, in order, and a forbidden one fails the test."""
+
+    def __init__(self, monkeypatch):
+        self.patch, self.calls = monkeypatch, {}
+
+    def watch(self, owner, *names):
+        for name in names:
+            log, f = self.calls.setdefault(name, []), getattr(owner, name)
+
+            def wrapped(*args, _f=f, _log=log, **kwargs):
+                _log.append((args, _f(*args, **kwargs)))
+                return _log[-1][1]
+
+            self.patch.setattr(owner, name, wrapped)
+
+    def forbid(self, owner, *names):
+        for name in names:
+            self.patch.setattr(owner, name, lambda *args, _name=name, **kwargs: pytest.fail(
+                f"{_name} was called"))
+
+    def clear(self):
+        for log in self.calls.values():
+            log.clear()
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    return _Spy(monkeypatch)
+
+
+def test_reach_makes_one_check_on_its_one_gather_stack(spy):
+    spy.watch(OPS, "_unitary_report", "_gather_stack")
+    # no block is built, parsed, re-joined or applied, nor searched for its components
+    spy.forbid(OPS, "_components", "_parsed", "_direct_sum")
+    spy.forbid(Entries, "of_matrix")
+    spy.forbid(_Block, "dense", "__matmul__")
+    for g, phi, psi in _reach_cases():
+        spy.clear()
+        ops = reach_sequence(g, phi, psi)
+        (((b, _, idx), _),) = spy.calls["_unitary_report"]
+        ((_, stack),) = spy.calls["_gather_stack"]
+        # one check, on the direct sum of all layers in the order emitted, whose one stack is a
+        # copy of the one gather stack; each layer's block and index are slices of the sum's
+        assert [tuple(s.tolist()) for s in idx] == [u.support for u in ops]
+        (rows, cols, checked), = b.parts
+        assert np.array_equal(checked, stack) and not np.shares_memory(checked, stack)
+        assert np.array_equal(rows, np.arange(b.k).reshape(-1, 2)) and np.array_equal(cols, rows)
+        assert all(u._block.parts[0][2].base is checked.base for u in ops)
+        assert idx[0].base is not None and all(u._index.base is idx[0].base for u in ops)
+
+
+@pytest.mark.parametrize("build", ["universal_vertex_catch", "reproduce star-impossibility"])
+def test_a_stack_of_blocks_is_one_report_of_its_prebuilt_sum(spy, capsys, build):
+    spy.watch(OPS, "_unitary_report")
+    spy.forbid(OPS, "_parsed", "_components")
+    if build == "universal_vertex_catch":
+        # the hub's n - 1 swaps are one (n - 1, 2, 2) stack, the hub itself an empty layer
+        g = star_graph(39)
+        universal_vertex_catch(g)
+        shapes = [(g.n - 1, 2, 2)]
+    else:
+        # the 200 path-3 members are one (200, 3, 3) stack, each block kept whole
+        assert main(["reproduce", "star-impossibility"]) == 0
+        assert capsys.readouterr().out.endswith("ok=yes\n")
+        shapes = [(200, 3, 3)]
+    (((b, *_), _),) = spy.calls["_unitary_report"]
+    assert [s.shape for _, _, s in b.parts] == shapes
+
+
+def test_the_c4_collapses_are_each_checked_once(spy):
+    spy.watch(OPS, "_unitary_report")
+    spy.watch(qpursuit.strategies, "_recentred_collapse")
+
+    def certified():
+        """The 4x4 blocks each check certified: a lone block's one part, a stack's parts."""
+        return [[m.tobytes() for _, _, stack in b.parts for m in stack if m.shape == (4, 4)]
+                for (b, *_), _ in spy.calls["_unitary_report"]]
+
+    def collapses():
+        return sorted(m.tobytes() for _, m in spy.calls["_recentred_collapse"])
+
+    g = cycle_graph(4)
+    c4_unfair_cop(g).move(MoveContext(1, "cop", g, 1))  # four collapses, checked together
+    (checked,) = certified()
+    assert len(checked) == 4 and sorted(checked) == collapses()
+    spy.clear()
+    # in play, against an idle Cop, every 4x4 block certified is a collapse, each certified once
+    play("quantum_controlled", g, Strategy(init=np.full(4, 0.5)), c4_antipodal_evasion(g), 4)
+    checks = certified()
+    assert collapses() and sorted(sum(checks, [])) == collapses()
+    assert len(checks) < len(collapses())
+
+
+def test_a_list_is_checked_on_the_sum_its_one_search_yields(spy):
+    # three sparse moves are one run of the search: the one check reads the search's parts, and
+    # no part is joined again after each block's are cut from them
+    rng = np.random.default_rng(128)
+    g = random_connected_graph(128, rng, 3.0 / 128)
+    moves = [Entries.of_matrix(sample_graph_unitary(g, rng).matrix) for _ in range(3)]
+    spy.watch(OPS, "_components", "_unitary_report", "_direct_sum")
+    certify_blocks(moves, g)
+    ((_, parts),) = spy.calls["_components"]
+    (((b, *_), _),) = spy.calls["_unitary_report"]
+    assert b.parts is parts
+    assert [len(blocks) for (blocks,), _ in spy.calls["_direct_sum"]] == [1]
+
+
+def test_a_lone_block_is_searched_on_its_own_entries(spy):
+    # a one-swap operator on a 2,048-vertex path: its own arrays are searched, uncopied, and the
+    # search's parts are the block checked
+    spy.watch(OPS, "_components", "_unitary_report")
+    n = 2048
+    perm = np.arange(n)
+    perm[[0, 1]] = [1, 0]
+    e = Entries(n, perm, np.arange(n), np.ones(n))
+    assert is_graph_preserving_unitary(e, path_graph(n)).ok
+    (((rows, cols, vals, k), parts),) = spy.calls["_components"]
+    assert rows is e.rows and cols is e.cols and vals is e.vals and k == n
+    (((b, *_), _),) = spy.calls["_unitary_report"]
+    assert b.parts is parts

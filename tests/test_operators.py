@@ -54,15 +54,13 @@ from qpursuit.operators import (
     _SPLIT_ENTRIES,
     _ZERO_BLOCK,
     _Block,
-    _certify_layers,
-    _components,
     _direct_sum,
     _fold_pairs,
     _gather_stack,
-    _is_unit,
     _split_all,
     _stochastic_report,
     _unitary_report,
+    is_unit,
 )
 from qpursuit.strategies import _c4_collapse_matrix
 from test_graphs import directed_cycle, disjoint_union
@@ -70,6 +68,12 @@ from test_graphs import directed_cycle, disjoint_union
 # Property tests below report their first failing example unshrunk: shrinking
 # the drawn boards and states took minutes and about 1 GB to reach a verdict.
 _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+def _split(block) -> _Block:
+    """block, Entries or a dense square array, split into its components as certification
+    splits it (see _split_all)."""
+    return _split_all([block])[1]
 
 
 def cycle_unitary(n, phases):
@@ -137,10 +141,10 @@ C4_IMAGE_PHASE = 0.9210609940028851 + 0.3894183423086505j
 def test_quantum_state_roundtrip_and_validation():
     # a quantum state is a flat complex array of unit norm
     s = state_vector([[1.0], [0.0]])
-    assert isinstance(s, np.ndarray) and s.shape == (2,) and _is_unit(s)
+    assert isinstance(s, np.ndarray) and s.shape == (2,) and is_unit(s)
     assert np.array_equal(state_vector(s), [1.0 + 0j, 0.0 + 0j])
     assert np.array_equal(state_vector([0, 1j]), [0, 1j])
-    assert not _is_unit(state_vector([1.0, 1.0]))
+    assert not is_unit(state_vector([1.0, 1.0]))
     assert np.array_equal(basis_state(3, 1), [0, 1, 0])
     assert np.allclose(uniform_state(4), 0.5)
 
@@ -1070,7 +1074,7 @@ def test_component_residual_matches_the_single_product(instance):
     b, g, support = instance
     idx = np.arange(g.n) if support is None else np.array(support)
     residual, violations = _dense_residual_and_violations(b, g, idx)
-    report = _unitary_report(_Block.split(b), g, idx)
+    report = _unitary_report(_split(b), g, idx)
     assert report.violations == violations
     # only the summation order inside a component differs
     assert abs(report.residual - residual) <= 4 * np.finfo(float).eps * max(residual, 1.0)
@@ -1154,7 +1158,7 @@ def test_an_entry_built_certificate_agrees_with_the_dense_check(instance):
         residual, violations = _dense_residual_and_violations(m, g, np.arange(n))
         certify = certify_unitary
         oracle = OpReport(residual <= ATOL and not violations, violations, residual, "unitary")
-        report = _unitary_report(_Block.split(entries), g, np.arange(n))
+        report = _unitary_report(_split(entries), g, np.arange(n))
     assert report.ok == oracle.ok and report.violations == oracle.violations
     # only the summation order inside a component differs
     assert abs(report.residual - oracle.residual) <= 4 * np.finfo(float).eps * max(oracle.residual,
@@ -1214,10 +1218,10 @@ def test_a_large_sparse_block_is_certified_without_its_gram():
     b = _pairs_block(np.random.default_rng(k), np.arange(k), k // 2)
     g = path_graph(k)
     # builds the board's cached adjacency, and numpy's own state
-    _unitary_report(_Block.split(b), g, np.arange(k))
+    _unitary_report(_split(b), g, np.arange(k))
     tracemalloc.start()
     try:
-        report = _unitary_report(_Block.split(b), g, np.arange(k))
+        report = _unitary_report(_split(b), g, np.arange(k))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1315,70 +1319,45 @@ def test_reach_at_n512_holds_bound_and_fidelity():
         idx = np.array(u.support)
         pair = np.kron(np.eye(idx.size // 2, dtype=bool), np.ones((2, 2), dtype=bool))
         assert not (u.block.conj().T @ u.block)[~pair].any()
-        pairs = [_unitary_report(_Block.split(u.block[k:k + 2, k:k + 2]), u.graph,
+        pairs = [_unitary_report(_split(u.block[k:k + 2, k:k + 2]), u.graph,
                                  idx[k:k + 2]).residual for k in range(0, idx.size, 2)]
-        residual = _unitary_report(_Block.split(u.block), u.graph, idx).residual
+        residual = _unitary_report(_split(u.block), u.graph, idx).residual
         assert abs(residual - max(pairs)) <= 2 * np.finfo(float).eps
 
 
-def test_reach_certifies_each_layer_once(monkeypatch):
-    import qpursuit.operators
-
-    calls, stacks = [], []
-    check, gather = qpursuit.operators._unitary_report, qpursuit.operators._gather_stack
-
-    def spy(*args, **kwargs):  # the one certificate check
-        calls.append(args[:3])
-        return check(*args, **kwargs)
-
-    def gather_spy(*args):  # the one call that builds every gather of both folds
-        stacks.append(gather(*args))
-        return stacks[-1]
-
-    def never(*args, **kwargs):
-        raise AssertionError("reach built, parsed, re-joined or applied a block, or searched one "
-                             "for its components")
-
-    monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy)
-    monkeypatch.setattr(qpursuit.operators, "_gather_stack", gather_spy)
+def _reach_cases():
+    """(board, phi, psi) of reach on a random 64-vertex board and on a 255-vertex heap, whose
+    widest layer is past _DENSE_MAX; the second folds nothing for phi (basis:0 is the root), the
+    third nothing for psi."""
     rng = np.random.default_rng(64)
     g = random_connected_graph(64, rng, 0.1)
     phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     heap = digraph(255, [(i, (i - 1) // 2) for i in range(1, 255)], undirected=True, reflexive=True)
-    # the second folds nothing for phi (basis:0 is the root), the third nothing for psi
-    for g, phi, psi in ((g, phi / np.linalg.norm(phi), uniform_state(64)),
-                        (heap, basis_state(255, 0), basis_state(255, 254)),
-                        (g, uniform_state(64), basis_state(64, 0)),
-                        (heap, uniform_state(255), basis_state(255, 254))):
-        calls.clear()
-        stacks.clear()
-        with monkeypatch.context() as patch:
-            for owner, name in ((qpursuit.operators, "_components"), (Entries, "of_matrix"),
-                                (_Block, "split"), (_Block, "dense"), (_Block, "__matmul__"),
-                                (qpursuit.operators, "_parsed"),
-                                (qpursuit.operators, "_direct_sum")):
-                patch.setattr(owner, name, never)
-            ops = reach_sequence(g, phi, psi)
-        # one check on the direct sum of all layers, fold and unfold alike, in the order emitted
-        (b, graph, idx), = calls
-        assert len(ops) > 2 and graph == spanning_tree(g, 0).as_digraph()
-        assert [tuple(s.tolist()) for s in idx] == [u.support for u in ops]
-        # whose one stack, built by one call, holds each layer's 2x2 gathers once, each on its
-        # own pair; each layer's block and index are slices of the sum's stack and index array
+    return ((g, phi / np.linalg.norm(phi), uniform_state(64)),
+            (heap, basis_state(255, 0), basis_state(255, 254)),
+            (g, uniform_state(64), basis_state(64, 0)),
+            (heap, uniform_state(255), basis_state(255, 254)))
+
+
+def test_reach_certifies_each_layer_once():
+    for g, phi, psi in _reach_cases():
+        ops = reach_sequence(g, phi, psi)
+        tree = spanning_tree(g, 0).as_digraph()
+        # each layer is certified on the tree as disjoint 2x2 gathers on consecutive pairs of its
+        # support, and the sequence is certify_blocks of the stack of all gathers, in order
         gathers = [u.block[k:k + 2, k:k + 2] for u in ops for k in range(0, len(u.support), 2)]
-        (rows, cols, stack), = b.parts
-        assert len(stacks) == 1 and stacks[0] is stack
-        assert b.k == 2 * len(gathers) and np.array_equal(stack, gathers)
-        assert np.array_equal(rows, np.arange(b.k).reshape(-1, 2)) and np.array_equal(cols, rows)
-        assert all(u._block.parts[0][2].base is stack for u in ops)
-        assert idx[0].base is not None and all(u._index.base is idx[0].base for u in ops)
-    # the heap's widest layer is past _DENSE_MAX
+        for u in ops:
+            pairs = np.kron(np.eye(len(u.support) // 2, dtype=bool), np.ones((2, 2), dtype=bool))
+            assert u.graph == tree and not u.block[~pairs].any()
+        again = certify_blocks(np.array(gathers), tree, [u.support for u in ops])
+        assert len(ops) > 2 and [u.support for u in again] == [u.support for u in ops]
+        assert all(u.block.tobytes() == v.block.tobytes() for u, v in zip(ops, again))
     assert len(ops) == 21 and max(len(u.support) for u in ops) == 102 > _DENSE_MAX
 
 
 @st.composite
 def _layer_lists(draw):
-    """A board and layers laid out as _certify_layers takes them: one (P, h, h) stack of unitary
+    """A board and layers laid out as certify_blocks takes a stack: one (P, h, h) stack of unitary
     blocks, layer i the next len(supports[i]) / h of them.  Either h is 1 to 4 and each layer
     lies on some of a fixed set of disjoint groups of h vertices, in any order, none in an empty
     layer; or the stack is full-board, h = n, each layer one block on the vertices in order, the
@@ -1464,7 +1443,7 @@ def _assert_certified_alike(got, calls, ref, ref_calls, faulty):
 @given(_layer_lists())
 def test_a_prebuilt_sum_certifies_as_certify_blocks_of_its_layers(instance):
     board, stack, supports, faulty = instance
-    got, calls = _spied_checks(lambda: _certify_layers(stack, supports, board))
+    got, calls = _spied_checks(lambda: certify_blocks(stack, board, supports))
     ref, ref_calls = _spied_checks(
         lambda: certify_blocks(_layer_blocks(stack, supports), board, supports))
     _assert_certified_alike(got, calls, ref, ref_calls, faulty)
@@ -1480,14 +1459,38 @@ def test_a_prebuilt_sum_certifies_as_certify_blocks_of_its_layers(instance):
         _assert_certified_alike(routed, routed_calls, ref, ref_calls, faulty)
 
 
-def _assert_kept_whole(b: _Block, block):
-    """b is block kept whole: one part of shape (1, k, k) on rows and columns 0..k-1, its stack
-    equal to the block."""
-    k = len(block)
-    assert b.k == k and len(b.parts) == 1
-    rows, cols, stack = b.parts[0]
-    assert stack.shape == (1, k, k) and np.array_equal(stack[0], block)
-    assert np.array_equal(rows, np.arange(k)[None]) and np.array_equal(cols, np.arange(k)[None])
+def test_a_stack_keeps_no_writable_reference_to_the_callers_array():
+    g, swap = cycle_graph(4), np.array([[0, 1], [1, 0]], dtype=complex)
+    stack = np.array([swap, swap])
+    first, second = certify_blocks(stack, g, [(0, 1), (2, 3)])
+    stack[...] = np.nan
+    assert np.array_equal(first.matrix, np.eye(4)[[1, 0, 2, 3]])
+    assert np.array_equal(second.matrix, np.eye(4)[[0, 1, 3, 2]])
+    for u in (first, second):
+        for _, _, s in u._block.parts:
+            assert not np.shares_memory(s, stack) and not s.flags.writeable
+
+
+@pytest.mark.parametrize("shape, supports, message", [
+    ((2, 2, 2), [(0, 1, 2), (3,)], r"supports of 4 vertices in 2 layers do not hold 2 blocks of "
+                                   r"2 vertices"),
+    ((2, 2, 2), [(0, 1)], r"supports of 2 vertices in 1 layers do not hold 2 blocks of 2 "
+                          r"vertices"),
+    ((2, 2, 2), [(0, 1), (2, 3), (1, 2)], r"supports of 6 vertices in 3 layers do not hold 2 "
+                                          r"blocks of 2 vertices"),
+    ((1, 0, 0), [()], r"supports of 0 vertices in 1 layers do not hold 1 blocks of 0 vertices"),
+    ((2, 2, 2), None, r"stack shape \(2, 2, 2\) is not \(P, h, h\), h = 4 if no supports"),
+    ((1, 4, 3), [(0, 1, 2, 3)], r"stack shape \(1, 4, 3\) is not \(P, h, h\), h = 4 if no "
+                                r"supports"),
+], ids=["not-whole-blocks", "blocks-left-over", "blocks-missing", "blocks-on-no-vertex",
+        "no-supports-and-h-not-n", "not-square"])
+def test_a_stack_whose_supports_do_not_hold_its_blocks_is_refused(shape, supports, message):
+    # a layer's support that is not whole blocks, blocks left over or missing, blocks on no
+    # vertex, no supports for blocks that do not fill the board, and blocks that are not square
+    stack = np.zeros(shape)
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        certify_blocks(stack, cycle_graph(4), supports)
+    assert type(err.value) is ValueError and not hasattr(err.value, "position")
 
 
 def test_an_empty_layer_certifies_as_the_empty_block_and_no_layers_as_none():
@@ -1495,20 +1498,25 @@ def test_an_empty_layer_certifies_as_the_empty_block_and_no_layers_as_none():
     stack = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 2]]], dtype=complex)
     # the empty layer passes, and the bad block after it raises with its own position
     with pytest.raises(CertificationError) as err:
-        _certify_layers(stack, [(0, 1), (), (2, 3)], g)
+        certify_blocks(stack, g, [(0, 1), (), (2, 3)])
     assert err.value.position == 2 and err.value.report.residual == 3.0
     stack[1, 1, 1] = 1.0
-    swap, none, ident = _certify_layers(stack, [(0, 1), (), (2, 3)], g)
-    assert none.support == () and none.block.shape == (0, 0)
-    assert np.array_equal(none.matrix, np.eye(4))
-    _assert_kept_whole(none._block, np.zeros((0, 0)))
+    swap, none, ident = certify_blocks(stack, g, [(0, 1), (), (2, 3)])
+    x = np.arange(1.0, 5.0) * (1.0 - 0.5j)
+    for u in (none, none.adjoint()):
+        assert u.support == () and u.block.shape == (0, 0)
+        assert np.array_equal(u.matrix, np.eye(4)) and np.array_equal(u.apply(x), x)
     assert np.array_equal(ident.matrix, np.eye(4)) and swap.support == (0, 1)
-    # a stack of no blocks: on layers of no vertices, on no layers, and given to certify_blocks
-    (u,) = _certify_layers(np.zeros((0, 2, 2)), [()], g)
+    # a stack of no blocks: on layers of no vertices, on no layers, and on no supports
+    (u,) = certify_blocks(np.zeros((0, 2, 2)), g, [()])
     assert u.support == () and np.array_equal(u.matrix, np.eye(4))
-    assert _certify_layers(np.zeros((0, 2, 2)), [], g) == []
+    assert certify_blocks(np.zeros((0, 2, 2)), g, []) == []
     assert certify_blocks(np.zeros((0, 4, 4)), g) == []
-    assert _Block(0, ((np.zeros((0, 3), int),) * 2 + (np.zeros((0, 3, 3)),),)).residual() == 0.0
+    # an empty layer on a board that misses a loop is refused for it
+    loopless = digraph(4, [(0, 1), (1, 0), (1, 1), (2, 2), (3, 3)], reflexive=False)
+    with pytest.raises(CertificationError) as err:
+        certify_blocks(np.zeros((0, 2, 2)), loopless, [()])
+    assert err.value.position == 0 and err.value.report.violations == ((0, 0, 1.0),)
 
 
 def test_reach_preconditions():
@@ -2037,14 +2045,24 @@ def _same_parts(a: _Block, b: _Block) -> bool:
         for p, q in zip(a.parts, b.parts) for x, y in zip(p, q))
 
 
+def _assert_kept_whole(b: _Block, block):
+    """b is block kept whole: one part of shape (1, k, k) on rows and columns 0..k-1, its stack
+    equal to the block."""
+    k = len(block)
+    assert b.k == k and len(b.parts) == 1
+    rows, cols, stack = b.parts[0]
+    assert stack.shape == (1, k, k) and np.array_equal(stack[0], block)
+    assert np.array_equal(rows, np.arange(k)[None]) and np.array_equal(cols, np.arange(k)[None])
+
+
 @settings(max_examples=60, phases=_NO_SHRINK)
 @given(st.lists(_patterned_blocks(), min_size=1, max_size=5), st.booleans())
 def test_blocks_split_together_are_each_split_alone(instances, sparse):
     dense = [b for b, _, _ in instances]
     blocks = [Entries.of_matrix(b) if sparse else b for b in dense]
-    for together, block, b in zip(_split_all(blocks), blocks, dense):
+    for together, block, b in zip(_split_all(blocks)[0], blocks, dense):
         # one block is split by its own _components call
-        assert _same_parts(together, _Block.split(block))
+        assert _same_parts(together, _split(block))
         # a block on at most _DENSE_MAX vertices, or with a full row, is kept whole
         if len(b) <= _DENSE_MAX or np.count_nonzero(b, axis=1).max() == len(b):
             _assert_kept_whole(together, b)
@@ -2085,24 +2103,6 @@ def test_a_long_list_is_split_in_pieces_of_bounded_size(monkeypatch):
     assert len(out) == 1024 and peak < 3 * kept
 
 
-def _repeat_direct_sum(blocks: list) -> _Block:
-    """The direct sum with each shape's components placed by an np.repeat of the block offsets
-    and two broadcast adds, whole blocks or not."""
-    if len(blocks) == 1:
-        return blocks[0]
-    shapes, at = {}, 0
-    for b in blocks:
-        for part in b.parts:
-            shapes.setdefault(part[2].shape[1:], []).append(part + (at,))
-        at += b.k
-    parts = []
-    for rows, cols, stacks, starts in (zip(*group) for group in shapes.values()):
-        shift = np.repeat(starts, [len(s) for s in stacks])[:, None]
-        parts.append((np.concatenate(rows) + shift, np.concatenate(cols) + shift,
-                      np.concatenate(stacks)))
-    return _Block(at, tuple(parts))
-
-
 @st.composite
 def _summands(draw):
     """Blocks to sum: whole ones of a few sizes, maybe empty, runs of one size among them, and
@@ -2112,19 +2112,23 @@ def _summands(draw):
     for kind in draw(st.lists(st.sampled_from(("whole", "run", "split")), min_size=1, max_size=8)):
         if kind == "split":
             k = draw(st.integers(_DENSE_MAX + 1, 90))
-            blocks.append(_Block.split(Entries.of_matrix(
+            blocks.append(_split(Entries.of_matrix(
                 _pairs_block(rng, rng.permutation(k), draw(st.integers(0, k // 2))))))
         else:
             k = draw(st.integers(0, 6))
             for _ in range(draw(st.integers(2, 4)) if kind == "run" else 1):
-                blocks.append(_Block.split(haar_unitary(k, rng) if k else np.zeros((0, 0))))
+                blocks.append(_split(haar_unitary(k, rng) if k else np.zeros((0, 0))))
     return blocks
 
 
 @settings(max_examples=100)
 @given(_summands())
-def test_the_direct_sum_places_whole_blocks_as_the_repeat_construction(blocks):
+def test_the_direct_sum_is_the_block_diagonal_sum_of_its_blocks(blocks):
     total = _direct_sum(blocks)
-    assert _same_parts(total, _repeat_direct_sum(blocks))
+    assert total.k == sum(b.k for b in blocks)
+    assert np.array_equal(total.dense(), _block_diag(blocks))
+    # each component acts as it does in its own block, bit for bit
     x = np.random.default_rng(total.k).standard_normal(total.k) + 0j
-    assert np.array_equal(total @ x, _repeat_direct_sum(blocks) @ x)
+    at = np.cumsum([0] + [b.k for b in blocks])
+    assert np.array_equal(total @ x, np.concatenate(
+        [b @ x[i:i + b.k] for b, i in zip(blocks, at)] + [x[:0]]))

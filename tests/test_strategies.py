@@ -14,6 +14,7 @@ from qpursuit import (
     build_strategy,
     c4_antipodal_evasion,
     c4_unfair_cop,
+    certify_blocks,
     classical_pursuit,
     complete_graph,
     copwin_value_tables,
@@ -26,6 +27,7 @@ from qpursuit import (
     random_connected_graph,
     sample_graph_stochastic,
     sample_graph_unitary,
+    sample_path3_blocks,
     star_graph,
     uniform_spread,
     universal_vertex_catch,
@@ -112,38 +114,25 @@ def test_a_named_hub_that_is_not_universal_keeps_its_refusal():
 
 
 @pytest.mark.parametrize("build", ["universal_vertex_catch", "reproduce star-impossibility"])
-def test_a_stack_of_blocks_is_one_check_of_its_prebuilt_sum(monkeypatch, capsys, build):
-    import qpursuit.operators
+def test_a_stack_of_blocks_is_one_check_of_its_prebuilt_sum(capsys, build):
     from qpursuit.cli import main
 
-    reports, parsed = [], []
-    check, parse = qpursuit.operators._unitary_report, qpursuit.operators._parsed
-
-    def spy_check(b, *args, **kwargs):
-        reports.append(b)
-        return check(b, *args, **kwargs)
-
-    def spy_parse(*args):
-        parsed.append(args)
-        return parse(*args)
-
-    monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy_check)
-    monkeypatch.setattr(qpursuit.operators, "_parsed", spy_parse)
     if build == "universal_vertex_catch":
-        # the hub's n - 1 swaps are one (n - 1, 2, 2) stack, the hub itself an empty layer
+        # the hub's n - 1 swaps, each on (v, hub), and the hub's identity, an empty block
         g = star_graph(39)
         entangler = universal_vertex_catch(g).move(MoveContext(1, "cop", g, 1))
-        (b,) = reports
-        assert b.k == 2 * (g.n - 1) and [s.shape for _, _, s in b.parts] == [(g.n - 1, 2, 2)]
         assert [u.support for u in entangler.blocks] == \
             [()] + [(v, 0) for v in range(1, g.n)]
+        assert all(u.graph == g for u in entangler.blocks)
+        assert all(np.array_equal(u.block, [[0, 1], [1, 0]]) for u in entangler.blocks[1:])
     else:
-        # the 200 path-3 members are one (200, 3, 3) stack, each block kept whole
+        # the 200 path-3 members certify as one stack exactly as the list of them
         assert main(["reproduce", "star-impossibility"]) == 0
         assert capsys.readouterr().out.endswith("ok=yes\n")
-        (b,) = reports
-        assert [s.shape for _, _, s in b.parts] == [(200, 3, 3)]
-    assert parsed == []
+        stack, p3 = sample_path3_blocks(np.random.default_rng(3), 200), path_graph(3)
+        for u, v in zip(certify_blocks(stack, p3), certify_blocks(list(stack), p3), strict=True):
+            assert u.support == v.support == (0, 1, 2) and u.graph == v.graph == p3
+            assert u.block.tobytes() == v.block.tobytes()
 
 
 def _assert_antipodal_support(trace):
@@ -176,38 +165,20 @@ def test_antipodal_evasion_blanks_random_cops():
         _assert_antipodal_support(trace)
 
 
-def test_each_c4_collapse_is_certified_once(monkeypatch, rng):
-    import qpursuit.operators
-    import qpursuit.strategies
-
-    reports, certified, collapses = [], [], []
-    check, collapse = qpursuit.operators._unitary_report, qpursuit.strategies._recentred_collapse
-
-    def spy_check(b, *args, **kwargs):  # the one certificate check, on one block or a stack
-        # the 4x4 blocks it certifies: a lone block is its one part, a stack's blocks its parts
-        blocks = [m for _, _, stack in b.parts for m in stack if m.shape == (4, 4)]
-        reports.append(len(blocks))
-        certified.extend(m.tobytes() for m in blocks)
-        return check(b, *args, **kwargs)
-
-    def spy_collapse(*args):
-        m = collapse(*args)
-        collapses.append(m.tobytes())
-        return m
-
-    monkeypatch.setattr(qpursuit.operators, "_unitary_report", spy_check)
-    monkeypatch.setattr(qpursuit.strategies, "_recentred_collapse", spy_collapse)
+def test_each_c4_collapse_is_certified_once(rng):
     g = cycle_graph(4)
-    c4_unfair_cop(g)  # four collapses, certified together by one check on their stack
-    assert reports == [4] and len(collapses) == 4 and sorted(certified) == sorted(collapses)
-    reports.clear()
-    certified.clear()
-    collapses.clear()
-    # in play, against an idle Cop, every 4x4 block certified is a collapse, each certified once
-    trace = play("quantum_controlled", g, Strategy(init=_random_amps(rng, 4)),
-                 c4_antipodal_evasion(g), rounds=4)
-    assert trace.p_copwin <= 1e-12 and collapses
-    assert sorted(certified) == sorted(collapses) and len(reports) < len(collapses)
+    # the Cop's four collapses, certified on the 4-cycle, each on the whole board
+    op = c4_unfair_cop(g).move(MoveContext(1, "cop", g, 1))
+    assert len(op.blocks) == 4
+    for u in op.blocks:
+        assert u.graph == g and u.support == (0, 1, 2, 3)
+        assert np.allclose(u.block.conj().T @ u.block, np.eye(4), rtol=0.0, atol=ATOL)
+    # in play, against an idle Cop, each answer is a move of collapses certified on the 4-cycle
+    evasion = c4_antipodal_evasion(g)
+    trace = play("quantum_controlled", g, Strategy(init=_random_amps(rng, 4)), evasion, rounds=4)
+    assert trace.p_copwin <= 1e-12
+    answers = [evasion.move(MoveContext(r, "robber", g, 4)) for r in range(1, 4)]
+    assert all(u.graph == g for a in answers for u in a.blocks)
 
 
 def test_antipodal_evasion_preconditions():

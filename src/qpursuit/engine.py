@@ -9,8 +9,10 @@ measurement.  The unfair pursuit lets the Robber move in the last round too.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -18,8 +20,11 @@ from .graphs import Digraph, GraphError, _is_int, dominates, has_arc
 from .operators import (
     CertificationError,
     ControlledOp,
+    Entries,
+    GraphUnitary,
     _is_distribution,
     basis_state,
+    certify_blocks,
     certify_stochastic,
     certify_unitary,
     is_unit,
@@ -149,12 +154,29 @@ def p_copwin_probabilistic(p_robber, p_cop) -> float:
     return float(pr @ pc)
 
 
-def _move_source(strategy: Strategy):
+# The most dense cells (k*k for each move on k vertices) of a list's bare moves certified
+# together when a game starts; their certificates are kept until played, later moves wait.
+_LIST_CELLS = 1 << 20
+
+
+def _move_source(strategy: Strategy, g: Digraph, model: GameModel, count: int):
+    """The strategy's moves as a callback.  In a unitary model, a list's bare moves among its
+    first count (Entries, arrays, certificates from another board) are certified against g by
+    one certify_blocks call that stops short of _LIST_CELLS, and trusted when played; if it
+    raises, the list is played as given, each move certified, and refused, in its turn."""
     if strategy.move is None:
         return lambda ctx: None
     if callable(strategy.move):
         return strategy.move
     seq = list(strategy.move)
+    if model in (GameModel.CLASSICAL_QUANTUM, GameModel.QUANTUM_CONTROLLED):
+        bare = [i for i, m in enumerate(seq[:max(count, 0)]) if isinstance(m, (Entries, np.ndarray))
+                or isinstance(m, GraphUnitary) and m.graph != g]
+        cells = accumulate(np.prod(getattr(seq[i], "_block", seq[i]).shape) for i in bare)
+        bare = [i for i, c in zip(bare, cells) if c <= _LIST_CELLS]
+        with suppress(Exception):  # any failure: each move is certified, and refused, in turn
+            for i, u in zip(bare, certify_blocks([seq[i] for i in bare], g)):
+                seq[i] = u
 
     def from_list(ctx):
         if ctx.round > len(seq):
@@ -304,7 +326,8 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
         return play_unfair_probabilistic(g, cop.params.get("dominating_set"), robber, rounds)
     if rounds < 1:
         raise GameError("a play needs at least one round")
-    moves = {"cop": _move_source(cop), "robber": _move_source(robber)}
+    moves = {"cop": _move_source(cop, g, model, rounds),
+             "robber": _move_source(robber, g, model, rounds - 1)}
     joint = model is GameModel.QUANTUM_CONTROLLED
     if joint:
         state = {"joint": qc_initial_joint(g, cop, robber, rounds)}
@@ -359,7 +382,7 @@ def replay_answers(g: Digraph, cop: Strategy, init, rounds: int, answer) -> list
     the Cop's moves depend on the round index alone.
     """
     joint = qc_initial_joint(g, cop, Strategy(init=init), rounds)
-    cop_move, answers = _move_source(cop), []
+    cop_move, answers = _move_source(cop, g, GameModel.QUANTUM_CONTROLLED, rounds - 1), []
     for k in range(1, rounds):
         joint = qc_step(cop_move(MoveContext(k, "cop", g, rounds)), joint, g, "cop")
         answers.append(answer(joint))
@@ -390,7 +413,7 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
         raise GraphError(f"set {cop_dominating!r} does not dominate the graph")
     dset = sorted({int(d) for d in cop_dominating})
 
-    robber_move = _move_source(robber)
+    robber_move = _move_source(robber, g, GameModel.UNFAIR_PROBABILISTIC, rounds)
     hits = g.adjacency[dset].sum(axis=0).tolist()  # hits[v]: the set vertices next to v
 
     def cop_mass(follow, free, r):

@@ -650,9 +650,9 @@ def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
     """(the (position, support, index array, _Block) of each layer, their direct sum) of a (P, h,
     h) stack laid out as certify_blocks takes it.  The sum is a _Block of the whole stack, each
     layer's block a slice of it and a layer on no vertex the empty block.  The supports are
-    checked once, as one index array of which each layer's is a slice (plain ints in range, none
-    twice in a layer); if they fail, the sum is None and each is checked with its layer's block.
-    A layout that does not fit the stack is refused."""
+    checked once, as one index array of which each layer's is a slice (_is_int's integers, in
+    range, none twice in a layer, held as plain ints); if they fail, the sum is None and each is
+    checked with its layer's block.  A layout that does not fit the stack is refused."""
     count, h, w = stack.shape
     if h != w or supports is None and h != g.n:
         raise ValueError(f"stack shape {stack.shape} is not (P, h, h), h = {g.n} if no supports")
@@ -662,12 +662,16 @@ def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
         raise ValueError(f"supports of {sum(sizes)} vertices in {len(sizes)} layers do not hold "
                          f"{count} blocks of {h} vertices")
     flat = list(chain.from_iterable(supports))
-    fits = not set(map(type, flat)) - {int} and (not flat or 0 <= min(flat) and max(flat) < g.n)
+    types = set(map(type, flat))
+    fits = all(issubclass(t, (int, np.integer)) and t is not bool for t in types) and (
+        not flat or 0 <= min(flat) and max(flat) < g.n)
     if fits:
         flat = np.array(flat, dtype=np.intp)
         # layer i's vertices shifted by i n: a vertex twice within a layer is a key twice
         key = np.sort(flat + np.repeat(np.arange(len(sizes)) * g.n, sizes))
         fits = bool((np.diff(key) > 0).all())
+        if fits and types - {int}:
+            supports = [tuple(a.tolist()) for a in np.split(flat, np.cumsum(sizes)[:-1])]
     place, parsed, at = np.arange(count * h).reshape(count, h), [], 0
     for i, (s, k) in enumerate(zip(supports, sizes)):
         m = k // h if h else 0

@@ -49,9 +49,21 @@ def _json_int(value, what: str) -> int:
     return int(value)
 
 
+def _fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """data if it is a JSON object with every required key and no key beyond required and
+    optional; otherwise a ValueError, which names a missing or an unknown key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    missing = [key for key in required if key not in data]
+    unknown = [key for key in data if key not in required and key not in optional]
+    if missing or unknown:
+        raise ValueError(f"{what} JSON misses the '{missing[0]}' field" if missing else
+                         f"{what} JSON has an unknown key {unknown[0]!r}")
+    return data
+
+
 def graph_from_json(data: dict) -> Digraph:
-    if not isinstance(data, dict) or "n" not in data:
-        raise ValueError("graph JSON needs an object with an 'n' field")
+    _fields(data, "graph", ("n",), ("arcs", "undirected", "reflexive"))
     n = _json_int(data["n"], "graph size n")
     arcs = data.get("arcs", [])
     # plain lists and tuples pass by C-level scans of types and lengths; subclasses by isinstance
@@ -173,8 +185,7 @@ def _complex_numbers(re, im, what: str) -> np.ndarray:
 def operator_from_json(data: dict) -> Entries:
     """An operator's non-zero entries, read once into arrays (Entries sorts them and refuses a
     repeat); .dense() is its matrix."""
-    if not isinstance(data, dict) or "n" not in data:
-        raise ValueError("operator JSON needs an object with an 'n' field")
+    _fields(data, "operator", ("n",), ("entries",))
     n = _json_int(data["n"], "operator size n")
     entries = data.get("entries", [])
     # JSON rows and columns arrive as plain ints and values as numbers; bools,
@@ -213,7 +224,7 @@ def state_from_json(data) -> np.ndarray:
 
 def _controlled_from_json(data: dict) -> tuple:
     """(blocks, control) of a controlled operator, its blocks read and not yet certified."""
-    blocks = data.get("blocks", [])
+    blocks = _fields(data, "controlled operator", (), ("blocks", "control")).get("blocks", [])
     if not isinstance(blocks, list):
         raise ValueError("controlled operator blocks must be a list")
     return tuple(map(operator_from_json, blocks)), str(data.get("control", ""))
@@ -231,10 +242,11 @@ def _init_from_json(spec, model: GameModel, n: int):
         return "uniform"
     if _is_int(spec):
         return int(spec)
-    if isinstance(spec, dict) and "controlled" in spec:
-        if not isinstance(spec["controlled"], list):
+    if isinstance(spec, dict):
+        cols = _fields(spec, "controlled preparation", ("controlled",))["controlled"]
+        if not isinstance(cols, list):
             raise ValueError("a controlled preparation must be a list of columns")
-        cols = [state_from_json(col) for col in spec["controlled"]]
+        cols = [state_from_json(col) for col in cols]
         if len(cols) != n:
             raise ValueError(f"controlled preparation needs {n} columns")
         return ControlledInit(np.stack(cols, axis=1))
@@ -256,69 +268,36 @@ def _move_from_json(spec, model: GameModel):
     return operator_from_json(spec)
 
 
-def _one_by_one(moves: list, g: Digraph) -> list:
-    """moves as read, each controlled move built, so certified and refused, in its turn."""
-    return [ControlledOp(*m, g) if isinstance(m, tuple) else m for m in moves]
-
-
-# The most dense cells (k*k for each block on k vertices) of the moves certified together when
-# a list is read; their certificates are kept until played, and later moves wait for their turn.
-_READ_CELLS = 1 << 20
-
-
-def _certified_moves(moves: list, g: Digraph, model: GameModel, played: int | None = None) -> list:
-    """moves with the unitary and controlled ones as read from JSON (Entries, and controlled
-    moves' (blocks, control) tuples) among the first `played` (all if None) certified against g
-    by one certify_blocks call on all their blocks, each controlled one built from its trusted
-    blocks, so that the engine trusts each as it is played.  The check stops short of the move
-    that would take it past _READ_CELLS.  The moves after it, and all of them if it fails or
-    raises, are kept as read and controlled ones are built one by one, so each move is certified,
-    and refused, as it would be alone: a controlled move here, any other when it is played, so a
-    bad move past the rounds played fails nothing.  Stochastic moves are certified when played."""
-    if model in _DETERMINISTIC:
-        return moves
-    if model is GameModel.OPEN_PROBABILISTIC:
-        return _one_by_one(moves, g)
-    head, cells, blocks = 0, 0, []
-    for m in moves[:len(moves) if played is None else max(played, 0)]:
-        if isinstance(m, (Entries, tuple)):
-            own = m[0] if isinstance(m, tuple) else (m,)
-            cells += sum(b.n * b.n for b in own)
-            if cells > _READ_CELLS:
-                break
-            blocks += own
-        head += 1
+def _built(moves: list, g: Digraph) -> list:
+    """moves as read, each controlled (blocks, control) built as a ControlledOp on g: all blocks by
+    one certify_blocks call or, if it raises, move by move, so a bad block is refused as alone."""
+    read = [m for m in moves if isinstance(m, tuple)]
     try:
-        done = iter(certify_blocks(blocks, g))
-        checked = [ControlledOp(tuple(itertools.islice(done, len(m[0]))), m[1], g)
-                   if isinstance(m, tuple) else next(done) if isinstance(m, Entries) else m
-                   for m in moves[:head]]
+        done = iter(certify_blocks([b for blocks, _ in read for b in blocks], g))
+        ops = iter([ControlledOp(tuple(itertools.islice(done, len(blocks))), control, g)
+                    for blocks, control in read])
     except ValueError:  # malformed or illegal somewhere, CertificationError among them
-        return _one_by_one(moves, g)  # the moves refuse it one by one
-    return checked + _one_by_one(moves[head:], g)
+        ops = (ControlledOp(*m, g) for m in read)
+    return [next(ops) if isinstance(m, tuple) else m for m in moves]
 
 
-def strategy_from_json(spec, g: Digraph, model: GameModel, played: int | None = None) -> Strategy:
-    """Strategy from a builtin reference or an inline init + per-round moves spec; the unitary
-    and controlled moves among the first `played` (all if None) are certified together, and
-    stochastic moves when played (see _certified_moves)."""
-    if not isinstance(spec, dict):
-        raise ValueError("strategy spec must be a JSON object")
-    if "builtin" in spec:
+def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
+    """Strategy from a builtin reference or an inline init + per-round moves spec.  Controlled
+    moves are built, so certified, as read (see _built); the engine certifies the others."""
+    if isinstance(spec, dict) and "builtin" in spec:
+        _fields(spec, "builtin strategy", ("builtin",), ("params",))
         return build_strategy(str(spec["builtin"]), g, spec.get("params"))
+    _fields(spec, "strategy", (), ("init", "moves"))
     init = _init_from_json(spec.get("init"), model, g.n)
     moves = spec.get("moves")
     if moves is not None:
         if not isinstance(moves, list):
             raise ValueError("strategy moves must be a list, one entry per round")
         read = []
-        try:
-            for m in moves:
-                read.append(_move_from_json(m, model))
-        except ValueError:  # the controlled moves before the bad one are built, and refused, first
-            _one_by_one(read, g)
-            raise
-        moves = _certified_moves(read, g, model, played)
+        try:  # if a move is malformed, the controlled moves before it are built, and refused, first
+            read.extend(_move_from_json(m, model) for m in moves)
+        finally:
+            moves = _built(read, g)
     return Strategy(init=init, move=moves)
 
 
@@ -334,22 +313,15 @@ class Scenario:
 
 
 def scenario_from_json(data: dict, base_dir: str = ".") -> Scenario:
-    if not isinstance(data, dict):
-        raise ValueError("scenario JSON must be an object")
-    for key in ("model", "graph", "rounds", "cop", "robber"):
-        if key not in data:
-            raise ValueError(f"scenario JSON misses the '{key}' field")
+    _fields(data, "scenario", ("model", "graph", "rounds", "cop", "robber"))
     model = GameModel(str(data["model"]))  # raises ValueError on unknown names
     graph_spec = data["graph"]
     if isinstance(graph_spec, str):
         with open(os.path.join(base_dir, graph_spec), encoding="utf-8") as fh:
             graph_spec = _decoded(json.load, fh)
     g = graph_from_json(graph_spec)
-    rounds = _json_int(data["rounds"], "rounds")
-    # the Cop moves in every round, the Robber in all but the last
-    cop = strategy_from_json(data["cop"], g, model, rounds)
-    robber = strategy_from_json(data["robber"], g, model, rounds - 1)
-    return Scenario(model, g, rounds, cop, robber)
+    return Scenario(model, g, _json_int(data["rounds"], "rounds"),
+                    *(strategy_from_json(data[role], g, model) for role in ("cop", "robber")))
 
 
 def run_scenario(sc: Scenario) -> GameTrace:

@@ -1020,8 +1020,7 @@ def _fragment_operators_to_text(ops):
 
 def _controlled_op_json(op):
     """Controlled operator JSON, its blocks written by operators_to_text."""
-    return {"n": op.graph.n, "control": op.control,
-            "blocks": json.loads(operators_to_text(op.blocks))}
+    return {"control": op.control, "blocks": json.loads(operators_to_text(op.blocks))}
 
 
 _EXACT = (1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(-1.0, -0.0), complex(0.0, -1.0))
@@ -1062,7 +1061,7 @@ def test_operators_are_written_from_their_blocks_byte_for_byte(u):
     g = u.graph
     op = ControlledOp(tuple(u if v % 2 else identity_unitary(g) for v in range(g.n)), "cop", g)
     data = json.dumps(_controlled_op_json(op), sort_keys=True)
-    assert data == json.dumps({"n": g.n, "control": "cop", "blocks": [
+    assert data == json.dumps({"control": "cop", "blocks": [
         _loop_operator_to_json(b.matrix) for b in op.blocks]}, sort_keys=True)
     # read back and written again it is the same, byte for byte
     back = controlled_op_from_json(json.loads(data), g)
@@ -1599,3 +1598,39 @@ def test_the_cli_never_imports_numpy_ma(tmp_path):
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0, 0, 0], [False, False, False]]
+
+
+_C3 = {"n": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "undirected": True, "reflexive": True}
+_IDENT3 = {"n": 3, "entries": [[v, v, 1.0, 0.0] for v in range(3)]}
+
+
+def _game(model="classical_quantum", cop=None, robber=None, **extra) -> dict:
+    return {"model": model, "graph": _C3, "rounds": 1, "cop": cop or {"init": "uniform"},
+            "robber": robber or {"init": "uniform"}, **extra}
+
+
+@pytest.mark.parametrize("key, command", [
+    pytest.param("undirectd", lambda: ["analyze-graph", {
+        "n": 3, "arcs": [[0, 1], [1, 2]], "undirectd": True, "reflexive": True}], id="graph"),
+    pytest.param("entry", lambda: ["verify-op", dict(_IDENT3, entry=[]), _C3, "--unitary"],
+              id="operator"),
+    pytest.param("n", lambda: ["run", _game("quantum_controlled", cop={"init": "uniform", "moves": [
+        {"control": "robber", "blocks": [_IDENT3] * 3, "n": 3}]})], id="controlled-operator"),
+    pytest.param("parms", lambda: ["run", _game(cop={"builtin": "uniform_spread", "parms": {}})],
+                 id="builtin-strategy"),
+    pytest.param("movez", lambda: ["run", _game(cop={"init": "uniform", "movez": [_IDENT3]})],
+                 id="inline-strategy"),
+    pytest.param("normalised", lambda: ["run", _game("quantum_controlled", robber={
+        "init": {"controlled": [[1.0, 0.0, 0.0]] * 3, "normalised": True}})],
+                 id="controlled-preparation"),
+    pytest.param("round", lambda: ["run", _game(round=2)], id="scenario"),
+])
+def test_an_unknown_key_is_refused_by_name(tmp_path, capsys, key, command):
+    argv = [_write(tmp_path, f"{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(command())]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValueError"
+    assert record["message"].endswith(f"has an unknown key {key!r}")

@@ -8,25 +8,34 @@ import pytest
 import qpursuit.operators
 import qpursuit.strategies
 from qpursuit import (
+    ControlledOp,
     Entries,
+    GameModel,
     MoveContext,
     Strategy,
     c4_antipodal_evasion,
     c4_unfair_cop,
     certify_blocks,
+    controlled_op_from_json,
     cycle_graph,
+    identity_unitary,
     is_graph_preserving_unitary,
+    operator_from_json,
     path_graph,
     play,
     random_connected_graph,
     reach_sequence,
+    run_scenario,
+    sample_graph_stochastic,
     sample_graph_unitary,
+    scenario_from_json,
     star_graph,
     universal_vertex_catch,
 )
 from qpursuit.cli import main
 from qpursuit.operators import _Block
-from test_operators import _reach_cases
+from test_operators import _antipodal_table, _reach_cases
+from test_scenario import _scenario_json, _stochastic_json, _unitary_json
 
 OPS = qpursuit.operators
 
@@ -153,3 +162,80 @@ def test_a_lone_block_is_searched_on_its_own_entries(spy):
     assert rows is e.rows and cols is e.cols and vals is e.vals and k == n
     (((b, *_), _),) = spy.calls["_unitary_report"]
     assert b.parts is parts
+
+
+def test_a_stack_on_numpy_integer_supports_is_one_report(spy):
+    # the hub's 255 swaps on supports of np.int64, as an index array yields them: one check
+    g = star_graph(255)
+    swaps = np.tile(np.array([[0, 1], [1, 0]], dtype=complex), (255, 1, 1))
+    spy.watch(OPS, "_unitary_report")
+    certify_blocks(swaps, g, [(np.int64(0), np.int64(v)) for v in range(1, 256)])
+    assert len(spy.calls["_unitary_report"]) == 1
+
+
+@pytest.mark.parametrize("k, model", [
+    pytest.param(k, model, id=f"{prefix}{k}") for k in (1, 4) for prefix, model in (
+        ("", GameModel.CLASSICAL_QUANTUM), ("open-", GameModel.OPEN_PROBABILISTIC))])
+def test_a_move_list_is_checked_once_when_the_game_starts(spy, k, model):
+    rng = np.random.default_rng(128)
+    g = random_connected_graph(128, rng, 3.0 / 128)
+    stochastic = model is GameModel.OPEN_PROBABILISTIC
+    moves = [_stochastic_json(sample_graph_stochastic(g, rng)) if stochastic
+             else _unitary_json(sample_graph_unitary(g, rng)) for _ in range(k)]
+    data = _scenario_json(g, model, k, {"init": "uniform", "moves": moves}, {"init": "uniform"})
+    spy.watch(OPS, "_components", "_unitary_report", "_stochastic_report")
+
+    def counts() -> dict:
+        return {name: len(log) for name, log in spy.calls.items()}
+
+    # reading checks nothing: the bare moves are kept as the Entries read
+    sc = scenario_from_json(data)
+    assert counts() == dict.fromkeys(spy.calls, 0)
+    for m, spec in zip(sc.cop.move, moves, strict=True):
+        read = operator_from_json(spec)
+        assert type(m) is Entries and m.n == read.n
+        assert all(np.array_equal(getattr(m, a), getattr(read, a))
+                   for a in ("rows", "cols", "vals"))
+    # in play, the unitary list is split and checked once when the game starts, and each
+    # certificate trusted when played; each stochastic move is checked when played
+    run_scenario(sc)
+    assert counts() == ({"_components": 0, "_unitary_report": 0, "_stochastic_report": k}
+                        if stochastic else
+                        {"_components": 1, "_unitary_report": 1, "_stochastic_report": 0})
+
+
+def test_a_controlled_move_builds_checks_and_keeps_one_sum(spy):
+    spy.watch(OPS, "_direct_sum", "_unitary_report")
+
+    def sums() -> tuple:
+        """(the sums built, the blocks checked) since the last clear."""
+        return ([total for _, total in spy.calls["_direct_sum"]],
+                [args[0] for args, _ in spy.calls["_unitary_report"]])
+
+    c4 = cycle_graph(4)
+    ident = {"n": 4, "entries": [[v, v, 1, 0] for v in range(4)]}
+    swap01 = {"n": 4, "entries": [[0, 1, 1, 0], [1, 0, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]}
+    # a JSON move and dense blocks are parsed: one sum is built, checked once and kept
+    for build in (lambda: controlled_op_from_json(
+                      {"control": "robber", "blocks": [ident, swap01, ident, ident]}, c4),
+                  lambda: ControlledOp((np.eye(4), np.eye(4)[[1, 0, 2, 3]]) * 2, "cop", c4)):
+        spy.clear()
+        op = build()
+        built, checked = sums()
+        assert len(built) == 1 and checked == built and op._sum is built[0]
+    # a trusted rebuild checks nothing and builds its sum once
+    spy.clear()
+    again = ControlledOp(op.blocks, "robber", c4)
+    built, checked = sums()
+    assert len(built) == 1 and checked == [] and again._sum is built[0]
+
+
+def test_an_antipodal_answer_builds_one_sum(spy):
+    # its empty columns' answers are trusted identities on empty supports, which add nothing
+    c4, rng = cycle_graph(4), np.random.default_rng(5)
+    ident = identity_unitary(c4)  # built before the spy: only the move's sums are counted
+    spy.patch.setattr(qpursuit.strategies, "identity_unitary", lambda g: ident)
+    spy.watch(OPS, "_direct_sum")
+    op = qpursuit.strategies._antipodal_response(c4, _antipodal_table(rng))
+    ((_, total),) = spy.calls["_direct_sum"]
+    assert op._sum is total

@@ -1493,6 +1493,24 @@ def test_a_stack_whose_supports_do_not_hold_its_blocks_is_refused(shape, support
     assert type(err.value) is ValueError and not hasattr(err.value, "position")
 
 
+def test_a_stack_on_numpy_integer_supports_certifies_as_on_plain_ints():
+    g = star_graph(9)
+    swaps = np.tile(np.array([[0, 1], [1, 0]], dtype=complex), (9, 1, 1))
+    plain = certify_blocks(swaps, g, [(0, v) for v in range(1, 10)])
+    for kind in (np.int64, np.int32, np.uint8):
+        got = certify_blocks(swaps, g, [(kind(0), kind(v)) for v in range(1, 10)])
+        assert [u.support for u in got] == [u.support for u in plain]
+        assert all(type(v) is int for u in got for v in u.support)
+        assert all(np.array_equal(u.matrix, w.matrix) for u, w in zip(got, plain))
+    # a boolean is no vertex: a True in a layer's support is refused as it is alone
+    for true in (True, np.True_):
+        with pytest.raises(GraphError) as stacked:
+            certify_blocks(swaps[:2], g, [(0, 1), (true, 2)])
+        with pytest.raises(GraphError) as alone:
+            GraphUnitary(swaps[1], g, (true, 2))
+        assert str(stacked.value) == str(alone.value) and stacked.value.position == 1
+
+
 def test_an_empty_layer_certifies_as_the_empty_block_and_no_layers_as_none():
     g = cycle_graph(4)
     stack = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 2]]], dtype=complex)
@@ -1700,65 +1718,44 @@ def test_controlled_apply_refuses_a_joint_state_of_another_dimension():
             op.apply(np.ones(size))
 
 
-def test_a_controlled_move_keeps_the_sum_its_check_ran_on(monkeypatch):
-    import qpursuit.operators
+def test_a_controlled_move_keeps_the_sum_its_check_ran_on():
     from qpursuit.scenario import controlled_op_from_json
 
-    sums, checked = [], []
-    join, check = qpursuit.operators._direct_sum, qpursuit.operators._unitary_report
-
-    def join_spy(blocks):
-        sums.append(join(blocks))
-        return sums[-1]
-
-    def check_spy(b, *args):
-        checked.append(b)
-        return check(b, *args)
-
-    monkeypatch.setattr(qpursuit.operators, "_direct_sum", join_spy)
-    monkeypatch.setattr(qpursuit.operators, "_unitary_report", check_spy)
     c4 = cycle_graph(4)
     ident = {"n": 4, "entries": [[v, v, 1, 0] for v in range(4)]}
     swap01 = {"n": 4, "entries": [[0, 1, 1, 0], [1, 0, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]}
-    # a JSON move and dense blocks are parsed: one sum is built, checked once and kept
-    for build in (lambda: controlled_op_from_json(
-                      {"control": "robber", "blocks": [ident, swap01, ident, ident]}, c4),
-                  lambda: ControlledOp((np.eye(4), np.eye(4)[[1, 0, 2, 3]]) * 2, "cop", c4)):
-        sums.clear()
-        checked.clear()
-        op = build()
-        assert len(sums) == 1 and checked == sums and op._sum is sums[0]
-    # a trusted rebuild checks nothing and builds its sum once
-    sums.clear()
-    checked.clear()
-    again = ControlledOp(op.blocks, "robber", c4)
-    assert len(sums) == 1 and checked == [] and again._sum is sums[0]
-    assert np.array_equal(joint_matrix(again), joint_as_union_matrix(op))
+    # a JSON move and dense blocks: the kept sum acts as the blocks' union, and so does a
+    # trusted rebuild of the same blocks (the sums built and checked: tests/test_costs.py)
+    for op in (controlled_op_from_json({"control": "robber",
+                                        "blocks": [ident, swap01, ident, ident]}, c4),
+               ControlledOp((np.eye(4), np.eye(4)[[1, 0, 2, 3]]) * 2, "cop", c4)):
+        union = np.zeros((16, 16), dtype=complex)
+        for v, b in enumerate(op.blocks):
+            union[4 * v:4 * v + 4, 4 * v:4 * v + 4] = b.matrix
+        assert np.array_equal(joint_as_union_matrix(op), union)
+        again = ControlledOp(op.blocks, op.control, c4)
+        assert np.array_equal(joint_matrix(again), joint_matrix(op))
 
 
-def test_an_antipodal_answer_with_an_empty_column_builds_one_sum(monkeypatch):
-    import qpursuit.operators
-    import qpursuit.strategies
-
-    sums, join = [], qpursuit.operators._direct_sum
-
-    def join_spy(blocks):
-        sums.append(join(blocks))
-        return sums[-1]
-
-    c4, rng = cycle_graph(4), np.random.default_rng(5)
-    # the Cop's columns 0 and 2 hold amplitude off the Robber's vertex, columns 1 and 3 none:
-    # their answers are trusted identities on empty supports, which add nothing to the sum
+def _antipodal_table(rng) -> np.ndarray:
+    """A joint state on the 4-cycle whose Cop columns 0 and 2 hold amplitude off the Robber's
+    vertex and columns 1 and 3 none, so their answers are identities on empty supports."""
     table = np.zeros((4, 4), dtype=complex)
     for c in (0, 2):
         rows = [(c + 1) % 4, (c + 2) % 4, (c + 3) % 4]
         table[rows, c] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    ident = identity_unitary(c4)  # built before the spy: only the move's sums are counted
-    monkeypatch.setattr(qpursuit.strategies, "identity_unitary", lambda g: ident)
-    monkeypatch.setattr(qpursuit.operators, "_direct_sum", join_spy)
-    op = qpursuit.strategies._antipodal_response(c4, table.reshape(-1) / np.linalg.norm(table))
-    assert len(sums) == 1 and op._sum is sums[0]
-    again = ControlledOp(op.blocks, "cop", c4)  # every block trusted: the sum of all four
+    return table.reshape(-1) / np.linalg.norm(table)
+
+
+def test_an_antipodal_answer_with_an_empty_column_builds_one_sum():
+    import qpursuit.strategies
+
+    c4, rng = cycle_graph(4), np.random.default_rng(5)
+    # the answer acts as its trusted rebuild, whose sum holds all four blocks (the one sum it
+    # builds: tests/test_costs.py)
+    op = qpursuit.strategies._antipodal_response(c4, _antipodal_table(rng))
+    assert [b.support for b in op.blocks][1::2] == [(), ()]
+    again = ControlledOp(op.blocks, "cop", c4)
     for _ in range(20):
         joint = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         assert np.array_equal(op.apply(joint), again.apply(joint))

@@ -1,4 +1,5 @@
-"""Inline scenario moves: certified together when read, played bit for bit as one by one."""
+"""Inline scenario moves: controlled ones built when read, bare ones certified together when the
+game starts, played bit for bit as one by one."""
 
 import json
 import tracemalloc
@@ -8,8 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import qpursuit.operators
-import qpursuit.scenario
+import qpursuit.engine
 from qpursuit import (
     CertificationError,
     ControlledOp,
@@ -17,8 +17,11 @@ from qpursuit import (
     GameModel,
     GraphStochastic,
     GraphUnitary,
+    MoveContext,
     Strategy,
+    complete_graph,
     controlled_op_from_json,
+    cycle_graph,
     operator_from_json,
     operators_to_text,
     play,
@@ -29,8 +32,8 @@ from qpursuit import (
     scenario_from_json,
     trace_to_text,
 )
+from qpursuit.engine import _move_source
 from qpursuit.operators import Entries
-from qpursuit.scenario import _certified_moves, _move_from_json
 from test_cli import graph_to_json
 
 
@@ -90,7 +93,8 @@ def _scenario_json(g, model: GameModel, rounds: int, cop: dict, robber: dict) ->
 def _games(draw):
     """A board of 2-12 or 65-96 vertices, a model with vector moves, and for each player an
     initial state and one legal JSON move per round played (maybe one more, never played), each
-    with a form for the mixed list: kept as read, None or a certificate on the board."""
+    with a form for the mixed list: as read, None or a certificate on the board, and a bare
+    unitary move also as its dense matrix or as a certificate on the complete board."""
     n = draw(st.one_of(st.integers(2, 12), st.integers(65, 96)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_connected_graph(n, rng, min(0.3, 3.0 / n))
@@ -115,10 +119,21 @@ def _games(draw):
                 move = _unitary_json(cert)
             moves.append(move)
             certs.append(cert)
-        forms = draw(st.lists(st.sampled_from(("json", "none", "certificate")),
-                              min_size=len(moves), max_size=len(moves)))
+        forms = [draw(st.sampled_from(("json", "none", "certificate") + (
+            ("array", "foreign") if isinstance(c, GraphUnitary) else ()))) for c in certs]
         players.append((_init_json(model, n, rng), moves, certs, forms))
     return g, model, rounds, players
+
+
+def _in_form(form: str, move: dict, cert, g):
+    """A JSON move with certificate cert on g, in the given form of a mixed list."""
+    if form == "json":
+        return _one_by_one([move], g)[0]
+    if form == "array":
+        return cert.matrix
+    if form == "foreign":
+        return GraphUnitary(cert.block, complete_graph(g.n), cert.support)
+    return {"none": None, "certificate": cert}[form]
 
 
 @given(_games())
@@ -132,17 +147,13 @@ def test_moves_certified_together_play_bit_for_bit_as_one_by_one(game):
                                 for init, (_, moves, _, _) in zip(inits, players)), rounds)
     text = trace_to_text(expected)
     assert trace_to_text(run_scenario(sc)) == text
-    # a list mixing moves as read, None and certificates on the board: the moves as read are
-    # certified together and the rest kept, as the engine takes each of them alone
+    # a list mixing moves as read, None and certificates handed to play: its bare moves are
+    # certified together when the game starts and the rest kept, as the engine takes each alone
     mixed, alone = [], []
     for init, (_, moves, certs, forms) in zip(inits, players):
-        picked = [{"json": m, "none": None, "certificate": c}[f]
-                  for m, c, f in zip(moves, certs, forms)]
-        read = [_move_from_json(m, model) if f == "json" else m
-                for m, f in zip(picked, forms)]
-        mixed.append(Strategy(init=init, move=_certified_moves(read, g, model)))
-        alone.append(_per_move(init, [_one_by_one([m], g)[0] if f == "json" else m
-                                      for m, f in zip(picked, forms)]))
+        picked = [_in_form(f, m, c, g) for m, c, f in zip(moves, certs, forms)]
+        mixed.append(Strategy(init=init, move=picked))
+        alone.append(_per_move(init, picked))
     assert trace_to_text(play(model, g, *mixed, rounds)) == \
         trace_to_text(play(model, g, *alone, rounds))
 
@@ -207,45 +218,30 @@ def test_a_bad_controlled_block_is_refused_when_the_list_is_read():
         scenario_from_json(dict(data, rounds=1))
 
 
-@pytest.mark.parametrize("k, model", [
-    pytest.param(k, model, id=f"{prefix}{k}") for k in (1, 4) for prefix, model in (
-        ("", GameModel.CLASSICAL_QUANTUM), ("open-", GameModel.OPEN_PROBABILISTIC))])
-def test_a_move_list_is_split_and_checked_once_when_read_and_trusted_in_play(monkeypatch, k,
-                                                                            model):
-    rng = np.random.default_rng(128)
-    g = random_connected_graph(128, rng, 3.0 / 128)
-    stochastic = model is GameModel.OPEN_PROBABILISTIC
-    moves = [_stochastic_json(sample_graph_stochastic(g, rng)) if stochastic
-             else _unitary_json(sample_graph_unitary(g, rng)) for _ in range(k)]
-    data = _scenario_json(g, model, k, {"init": "uniform", "moves": moves}, {"init": "uniform"})
-    calls = dict.fromkeys(("_components", "_unitary_report", "_stochastic_report"), 0)
-    for name in calls:
-        def spy(*args, _name=name, _f=getattr(qpursuit.operators, name), **kwargs):
-            calls[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(qpursuit.operators, name, spy)
-    sc = scenario_from_json(data)
-    none = dict.fromkeys(calls, 0)
-    if stochastic:
-        # stochastic moves are kept as the Entries read, and each is checked once when played
-        assert calls == none
-        for m, spec in zip(sc.cop.move, moves, strict=True):
-            read = operator_from_json(spec)
-            assert type(m) is Entries and m.n == read.n
-            assert all(np.array_equal(getattr(m, a), getattr(read, a))
-                       for a in ("rows", "cols", "vals"))
-        played = {"_stochastic_report": k}
-    else:
-        assert calls == {**none, "_components": 1, "_unitary_report": 1}
-        assert all(isinstance(u, GraphUnitary) and u.graph == g for u in sc.cop.move)
-        played = {}
-    calls.update(none)
-    run_scenario(sc)
-    assert calls == {**none, **played}
+def test_controlled_moves_read_before_a_malformed_move_are_refused_first():
+    c4 = cycle_graph(4)
+    ident = {"n": 4, "entries": [[v, v, 1.0, 0.0] for v in range(4)]}
+    bad = {"control": "robber", "blocks": [ident, ident, _swap_json(4, 0, 2), ident]}
+    malformed = {"n": 4, "entries": [[0, 0, "1", 0]]}
+
+    def read(moves):
+        return scenario_from_json(_scenario_json(
+            c4, GameModel.QUANTUM_CONTROLLED, 1, {"init": "uniform", "moves": moves},
+            {"init": "uniform"}))
+
+    with pytest.raises(CertificationError, match=r"^block 2: "):
+        read([ident, bad, malformed])
+    with pytest.raises(ValueError, match=r"^operator entry values must be JSON numbers$"):
+        read([ident, malformed, bad])
 
 
-def test_only_the_moves_played_are_certified_when_read_and_at_most_read_cells_of_them(
-        monkeypatch):
+def _started(strategy: Strategy, g, model: GameModel, count: int) -> list:
+    """The moves a game started on g hands over in rounds 1 .. len(strategy.move)."""
+    source = _move_source(strategy, g, model, count)
+    return [source(MoveContext(k, "cop", g, count)) for k in range(1, len(strategy.move) + 1)]
+
+
+def test_the_moves_played_are_certified_at_the_start_up_to_list_cells(monkeypatch):
     rng = np.random.default_rng(9)
     g = random_connected_graph(10, rng, 0.3)
     model, rounds = GameModel.QUANTUM_CONTROLLED, 3
@@ -259,40 +255,45 @@ def test_only_the_moves_played_are_certified_when_read_and_at_most_read_cells_of
     sc = scenario_from_json(data)
     expected = trace_to_text(play(model, g, _per_move(sc.cop.init, _one_by_one(cop["moves"], g)),
                                   _per_move("uniform", _one_by_one(robber["moves"], g)), rounds))
-    # the Cop plays 3 of its 5 moves; the 2 left wait as read; controlled moves are all built
-    assert [type(m) for m in sc.cop.move] == [GraphUnitary] * 3 + [Entries] * 2
+    # read, the bare moves are kept as read and the controlled ones built
+    assert [type(m) for m in sc.cop.move] == [Entries] * 5
     assert all(isinstance(m, ControlledOp) for m in sc.robber.move)
+    # the Cop plays 3 of its 5 moves: those are certified when the game starts, the 2 left wait
+    assert [type(m) for m in _started(sc.cop, g, model, rounds)] == [GraphUnitary] * 3 + \
+        [Entries] * 2
     assert trace_to_text(run_scenario(sc)) == expected
     # a cap of two moves' cells: the third move played is certified when it is played
-    monkeypatch.setattr(qpursuit.scenario, "_READ_CELLS", 2 * g.n * g.n)
-    sc = scenario_from_json(data)
-    assert [type(m) for m in sc.cop.move] == [GraphUnitary] * 2 + [Entries] * 3
-    assert all(isinstance(m, ControlledOp) for m in sc.robber.move)
+    monkeypatch.setattr(qpursuit.engine, "_LIST_CELLS", 2 * g.n * g.n)
+    assert [type(m) for m in _started(sc.cop, g, model, rounds)] == [GraphUnitary] * 2 + \
+        [Entries] * 3
     assert trace_to_text(run_scenario(sc)) == expected
 
 
-def test_the_certificates_a_read_keeps_are_bounded_by_read_cells(monkeypatch):
+def test_the_certificates_a_game_start_keeps_are_bounded_by_list_cells(monkeypatch):
     rng = np.random.default_rng(64)
     g = random_connected_graph(64, rng, 3.0 / 64)
     moves = [_unitary_json(sample_graph_unitary(g, rng)) for _ in range(48)]
-    data = json.loads(json.dumps(_scenario_json(g, GameModel.CLASSICAL_QUANTUM, 48,
-                                                {"init": "uniform", "moves": moves},
-                                                {"init": "uniform"})))
+    sc = scenario_from_json(json.loads(json.dumps(_scenario_json(
+        g, GameModel.CLASSICAL_QUANTUM, 48, {"init": "uniform", "moves": moves},
+        {"init": "uniform"}))))
 
-    def read(cells: int) -> tuple:
-        """(moves certified, bytes kept, peak bytes) of reading data with _READ_CELLS cells."""
-        monkeypatch.setattr(qpursuit.scenario, "_READ_CELLS", cells)
+    def start(cells: int) -> tuple:
+        """(moves certified, bytes kept, peak bytes) of starting the game with _LIST_CELLS
+        cells."""
+        monkeypatch.setattr(qpursuit.engine, "_LIST_CELLS", cells)
         tracemalloc.start()
         try:
-            sc = scenario_from_json(data)
+            source = _move_source(sc.cop, g, sc.model, sc.rounds)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return sum(isinstance(u, GraphUnitary) for u in sc.cop.move), kept, peak
+        played = [source(MoveContext(k, "cop", g, sc.rounds)) for k in range(1, 49)]
+        return sum(isinstance(u, GraphUnitary) for u in played), kept, peak
 
     cells = 16 * g.n * g.n  # 16 moves kept whole, 1 MiB of complex numbers
-    none, capped = read(0), read(cells)
+    none, capped = start(0), start(cells)
     assert none[0] == 0 and capped[0] == 16
-    # a third of the list is certified when read, and the memory is the cap's, not the list's
+    # a third of the list is certified when the game starts, and the memory is the cap's, not
+    # the list's
     assert capped[1] - none[1] < 1.5 * 16 * cells
     assert capped[2] - none[2] < 6 * 16 * cells

@@ -229,12 +229,11 @@ def _check_strategy(strategy: Strategy, role: str, model: GameModel):
     if strategy.role is not None and strategy.role != role:
         raise GameError(f"strategy '{strategy.name or '?'}' is for the {strategy.role}, used as {role}")
     if strategy.model is not None and strategy.model != model:
-        raise GameError(
-            f"strategy '{strategy.name or '?'}' targets model {strategy.model}, game is {model.value}"
-        )
+        raise GameError(f"strategy '{strategy.name or '?'}' targets model "
+                        f"{GameModel(strategy.model).value}, game is {model.value}")
 
 
-def _certified(build, *args):
+def _legal(build, *args):
     """build(*args), with a failed certificate refused as an illegal move carrying its report."""
     try:
         return build(*args)
@@ -258,9 +257,9 @@ def qc_step(op, joint: np.ndarray, g: Digraph, mover: str) -> np.ndarray:
                 f"the {mover}'s controlled operation must have control='{expected_control}'"
             )
         if op.graph != g:
-            op = _certified(ControlledOp, op.blocks, op.control, g)
+            op = _legal(ControlledOp, op.blocks, op.control, g)
         return op.apply(joint)
-    u, n = _certified(certify_unitary, op, g), g.n
+    u, n = _legal(certify_unitary, op, g), g.n
     table = np.array(state_vector(joint), dtype=complex).reshape(n, n)
     for line in table if mover == "cop" else table.T:  # views of the table
         line[:] = u.apply(line)
@@ -278,11 +277,11 @@ def _arc_step(target, v: int, g: Digraph) -> int:
 # They look the certifier up when a move is played, so a wrapper put on this module's
 # certify_stochastic or certify_unitary later (a profiler's, a test's) sees every move.
 def _stochastic_step(op, dist: np.ndarray, g: Digraph) -> np.ndarray:
-    return dist if op is None else _certified(certify_stochastic, op, g).apply(dist)
+    return dist if op is None else _legal(certify_stochastic, op, g).apply(dist)
 
 
 def _unitary_step(op, amps: np.ndarray, g: Digraph) -> np.ndarray:
-    return amps if op is None else _certified(certify_unitary, op, g).apply(amps)
+    return amps if op is None else _legal(certify_unitary, op, g).apply(amps)
 
 
 # Per model with local states: initial-state parser (init, n), move rule

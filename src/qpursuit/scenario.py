@@ -19,7 +19,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _int_digraph, _is_int
-from .operators import ControlledOp, Entries, _direct_sum, certify_blocks
+from .operators import ControlledOp, Entries, _direct_sum
 from .strategies import build_strategy
 
 
@@ -222,16 +222,12 @@ def state_from_json(data) -> np.ndarray:
     return _numbers(data, "state entries").astype(complex)
 
 
-def _controlled_from_json(data: dict) -> tuple:
-    """(blocks, control) of a controlled operator, its blocks read and not yet certified."""
+def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
+    """A controlled operator built on g, so its blocks certified together (ControlledOp)."""
     blocks = _fields(data, "controlled operator", (), ("blocks", "control")).get("blocks", [])
     if not isinstance(blocks, list):
         raise ValueError("controlled operator blocks must be a list")
-    return tuple(map(operator_from_json, blocks)), str(data.get("control", ""))
-
-
-def controlled_op_from_json(data: dict, g: Digraph) -> ControlledOp:
-    return ControlledOp(*_controlled_from_json(data), g)
+    return ControlledOp(tuple(map(operator_from_json, blocks)), str(data.get("control", "")), g)
 
 
 _DETERMINISTIC = (GameModel.CLASSICAL, GameModel.UNFAIR_PROBABILISTIC)
@@ -259,31 +255,19 @@ def _init_from_json(spec, model: GameModel, n: int):
     raise ValueError(f"unrecognised initial state spec: {spec!r}")
 
 
-def _move_from_json(spec, model: GameModel):
-    """A move as read: a vertex, Entries, or a controlled move's (blocks, control) tuple."""
+def _move_from_json(spec, model: GameModel, g: Digraph):
+    """A move as read: a vertex, Entries, or a controlled move built (so certified) on g."""
     if model in _DETERMINISTIC:
         return _json_int(spec, "a move of a deterministic model")
     if isinstance(spec, dict) and "control" in spec:
-        return _controlled_from_json(spec)
+        return controlled_op_from_json(spec, g)
     return operator_from_json(spec)
 
 
-def _built(moves: list, g: Digraph) -> list:
-    """moves as read, each controlled (blocks, control) built as a ControlledOp on g: all blocks by
-    one certify_blocks call or, if it raises, move by move, so a bad block is refused as alone."""
-    read = [m for m in moves if isinstance(m, tuple)]
-    try:
-        done = iter(certify_blocks([b for blocks, _ in read for b in blocks], g))
-        ops = iter([ControlledOp(tuple(itertools.islice(done, len(blocks))), control, g)
-                    for blocks, control in read])
-    except ValueError:  # malformed or illegal somewhere, CertificationError among them
-        ops = (ControlledOp(*m, g) for m in read)
-    return [next(ops) if isinstance(m, tuple) else m for m in moves]
-
-
 def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
-    """Strategy from a builtin reference or an inline init + per-round moves spec.  Controlled
-    moves are built, so certified, as read (see _built); the engine certifies the others."""
+    """Strategy from a builtin reference or an inline init + per-round moves spec.  Moves are
+    read in list order, each controlled move built, so certified, as it is read; the engine
+    certifies the others when the game starts."""
     if isinstance(spec, dict) and "builtin" in spec:
         _fields(spec, "builtin strategy", ("builtin",), ("params",))
         return build_strategy(str(spec["builtin"]), g, spec.get("params"))
@@ -293,11 +277,7 @@ def strategy_from_json(spec, g: Digraph, model: GameModel) -> Strategy:
     if moves is not None:
         if not isinstance(moves, list):
             raise ValueError("strategy moves must be a list, one entry per round")
-        read = []
-        try:  # if a move is malformed, the controlled moves before it are built, and refused, first
-            read.extend(_move_from_json(m, model) for m in moves)
-        finally:
-            moves = _built(read, g)
+        moves = [_move_from_json(m, model, g) for m in moves]
     return Strategy(init=init, move=moves)
 
 
@@ -368,8 +348,3 @@ def trace_to_text(trace: GameTrace) -> str:
     return (f'{{"history": [{", ".join(snapshots)}], "model": {json.dumps(trace.model.value)}, '
             f'"p_copwin": {_scalar_text(trace.p_copwin)}, '
             f'"rounds": {_scalar_text(trace.rounds)}}}')
-
-
-def trace_to_json(trace: GameTrace) -> dict:
-    """The trace as JSON data: trace_to_text's document, read back."""
-    return json.loads(trace_to_text(trace))

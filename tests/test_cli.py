@@ -1,7 +1,6 @@
 """Command line surface: subcommands, exit codes, JSON formats, determinism."""
 
 import ast
-import functools
 import gc
 import hashlib
 import json
@@ -17,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpursuit
-from qpursuit import cli, graphs, scenario
+from qpursuit import cli, graphs
 from qpursuit import (
     GameModel,
     GameTrace,
@@ -49,7 +48,6 @@ from qpursuit import (
     star_graph,
     state_from_json,
     state_to_json,
-    trace_to_json,
     trace_to_text,
     uniform_spread,
     uniform_state,
@@ -266,6 +264,18 @@ def test_run_error_paths(tmp_path, capsys):
                "cop": {"init": True}, "robber": {"init": 2}}
     code, _, err = _run(capsys, ["run", _write(tmp_path, "bool.json", boolean)])
     assert code == 1 and json.loads(err)["error"] == "ValueError"
+
+
+def test_a_builtin_used_in_another_model_is_refused_naming_both_models(tmp_path, capsys):
+    # the strategy's model by its value, as every Python version writes it
+    scenario = {"model": "classical_quantum", "graph": graph_to_json(cycle_graph(4)),
+                "rounds": 1, "cop": {"builtin": "c4_unfair_cop"}, "robber": {"init": "uniform"}}
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+    assert (code, out) == (1, "") and "Traceback" not in err
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "GameError"
+    assert record["message"].endswith("targets model quantum_controlled, game is classical_quantum")
 
 
 def test_a_command_runs_with_the_cyclic_collector_paused(tmp_path, capsys, monkeypatch):
@@ -771,59 +781,37 @@ def test_graph_json_rejects_booleans_and_fractions(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n", [40, 160])
-def test_analyze_graph_runs_one_bfs_on_a_connected_board(tmp_path, capsys, monkeypatch, n):
-    # connectivity is cached on the board, and reversibility of a symmetric board reads it
-    starts = []
-    bfs = graphs._bfs
-    monkeypatch.setattr(graphs, "_bfs", lambda start, *adjs: starts.append(start) or bfs(start, *adjs))
+def test_analyze_graph_reports_a_connected_reversible_board_past_and_within_the_cap(
+        tmp_path, capsys, n):
     board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
         n, np.random.default_rng(n), 0.1)))
     code, out, _ = _run(capsys, ["analyze-graph", board, "--cap", "48"])
     report = json.loads(out)
     assert code == 0 and report["connected"] and report["reversible"]
     assert (report["copwin_game"] is None) == (n > 48)
-    assert starts == [0]
 
 
-def test_reach_runs_one_bfs_on_a_symmetric_board_at_the_default_root(tmp_path, capsys,
-                                                                     monkeypatch):
-    # reversibility and the spanning tree read one BFS from vertex 0, cached on the board;
-    # another root takes a second search from that root
-    starts = []
-    bfs = graphs._bfs
-    monkeypatch.setattr(graphs, "_bfs", lambda start, *adjs: starts.append(start) or bfs(start, *adjs))
+def test_reach_transports_at_the_default_root_and_at_another_root(tmp_path, capsys):
     board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
         40, np.random.default_rng(40), 0.1)))
-    for root, searched in (([], [0]), (["--root", "3"], [0, 3])):
-        starts.clear()
+    for root in ([], ["--root", "3"]):
         code, out, _ = _run(capsys, ["reach", board, "--from", "basis:5", "--to", "uniform"] + root)
-        assert code == 0 and out.splitlines()[-1].startswith("length=") and starts == searched
+        assert code == 0 and out.splitlines()[-1].endswith(" fidelity=1.000000000")
 
 
-def test_analyze_graph_builds_the_corner_table_once(tmp_path, capsys, monkeypatch):
-    # the report's corners and the dismantling read one table; no per-vertex is_corner call
-    built = []
-    table = graphs.Digraph.__dict__["corners"].func
-    spy = functools.cached_property(lambda g: built.append(g.n) or table(g))
-    spy.__set_name__(graphs.Digraph, "corners")
-    monkeypatch.setattr(graphs.Digraph, "corners", spy)
-    for module in (graphs, sys.modules[main.__module__]):
-        monkeypatch.setattr(module, "is_corner", lambda g, v: pytest.fail("is_corner called"),
-                            raising=False)
+def test_analyze_graph_reports_each_corner_is_corner_finds(tmp_path, capsys):
     g = random_connected_graph(60, np.random.default_rng(7), 0.03)
     code, out, _ = _run(capsys, ["analyze-graph", _write(tmp_path, "g.json", graph_to_json(g))])
     report = json.loads(out)
-    assert code == 0 and built == [60] and "copwin_dismantle" in report and report["corners"]
-    assert report["corners"] == [[v, u] for v, u in enumerate(table(g)) if u is not None]
+    assert code == 0 and "copwin_dismantle" in report and report["corners"]
+    assert report["corners"] == [[v, u] for v in range(g.n)
+                                 if (u := graphs.is_corner(g, v)) is not None]
 
 
-def test_analyze_graph_and_reach_never_build_the_arc_set(tmp_path, capsys, monkeypatch):
-    # both read the board's arrays, adjacency lists and bitsets; the tuple set is for callers
+def test_analyze_graph_and_reach_run_on_symmetric_and_one_way_boards(tmp_path, capsys):
     g = random_connected_graph(40, np.random.default_rng(3), 0.1)
     board = _write(tmp_path, "g.json", graph_to_json(g))
     one_way = _write(tmp_path, "d.json", graph_to_json(directed_cycle(5)))
-    monkeypatch.setattr(graphs.Digraph, "arcs",
-                        property(lambda g: pytest.fail("Digraph.arcs was read")))
     out = str(tmp_path / "ops.json")
     for argv in (["analyze-graph", board, "--cap", "48"], ["analyze-graph", one_way],
                  ["reach", board, "--from", "basis:0", "--to", "uniform", "--out", out],
@@ -1223,12 +1211,12 @@ def test_trace_json_structure():
     g = path_graph(3)
     trace = play("classical", g, Strategy(init=0, move=[1, 2]),
                  Strategy(init=2, move=[2]), rounds=2)
-    data = trace_to_json(trace)
+    data = json.loads(trace_to_text(trace))
     assert data["model"] == "classical" and data["p_copwin"] == 1.0
     assert [entry["round"] for entry in data["history"]] == [0, 1, 1, 2]
     assert data["history"][0]["state"] == {"cop": 0, "robber": 2}
     quantum = play("classical_quantum", g, uniform_spread(g), uniform_spread(g), 1)
-    encoded = trace_to_json(quantum)["history"][0]["state"]["cop"]
+    encoded = json.loads(trace_to_text(quantum))["history"][0]["state"]["cop"]
     assert state_from_json(encoded).shape == (3,)
 
 
@@ -1340,7 +1328,7 @@ def _traces(draw):
 def test_the_trace_writer_gives_the_text_json_gives_of_the_dict(trace):
     text = trace_to_text(trace)
     assert text == json.dumps(_dict_trace_to_json(trace), sort_keys=True)
-    assert json.dumps(trace_to_json(trace), sort_keys=True) == text
+    assert json.dumps(json.loads(text), sort_keys=True) == text
 
 
 def _long_trace(kind):
@@ -1391,10 +1379,9 @@ def test_non_finite_and_huge_scalars_are_written_as_json_writes_them():
 
 
 @pytest.mark.parametrize("model", ["open_probabilistic", "classical_quantum"])
-def test_an_open_game_trace_encodes_each_distinct_state_once(tmp_path, capsys, monkeypatch,
-                                                             model):
+def test_an_open_game_trace_encodes_each_distinct_state_once(tmp_path, capsys, model):
     # 8 rounds are 15 half-moves, each of which changes one state: 2 + 15 distinct states,
-    # where the 16 snapshots hold 32
+    # where the 16 snapshots hold 32 (tests/test_costs.py counts the encodings)
     n, rounds = 12, 8
     rng = np.random.default_rng(8)
     g = random_connected_graph(n, rng, 0.3)
@@ -1411,19 +1398,11 @@ def test_an_open_game_trace_encodes_each_distinct_state_once(tmp_path, capsys, m
         "model": model, "graph": graph_to_json(g), "rounds": rounds,
         "cop": {"init": inits[0], "moves": moves[0]},
         "robber": {"init": inits[1], "moves": moves[1]}})
-    encoded = []
-
-    def spy(vec):  # a stack of states counts one per row
-        encoded.append(len(vec) if np.ndim(vec) == 2 else 1)
-        return state_to_json(vec)
-
-    monkeypatch.setattr(scenario, "state_to_json", spy)
     out = tmp_path / "trace.json"
     assert _run(capsys, ["run", path, "--out", str(out)])[0] == 0
     history = json.loads(out.read_text())["history"]
     assert len(history) == 2 * rounds
     assert len({json.dumps(v) for entry in history for v in entry["state"].values()}) == 17
-    assert sum(encoded) == 17
 
 
 # The n = 128 board of the pinned traces: a cycle with a chord from every fourth vertex.
@@ -1536,7 +1515,7 @@ def test_states_are_written_as_the_scalar_loop_wrote_them(rng):
     for vec in states + [robber, spread, np.array([-0.0, 1.0 + 0.0j])]:
         assert json.dumps(state_to_json(vec)) == json.dumps(_loop_state_to_json(vec))
     for trace in (quantum, mixed):  # and so are whole traces, signed zeros included
-        data = trace_to_json(trace)
+        data = json.loads(trace_to_text(trace))
         for entry, (_, _, snap) in zip(data["history"], trace.history):
             assert json.dumps(entry["state"]) == json.dumps(
                 {key: _loop_state_to_json(v) if np.ndim(v) else np.asarray(v).item()

@@ -1,18 +1,27 @@
-"""Cost facts of certification: how many checks and component searches a call makes, and what it
+"""Cost facts: how many searches, checks and encodings a call makes, and what it builds or
 copies.  Each test counts calls through the one `spy` fixture; what the calls return is tested
 through public calls beside the code's other tests."""
+
+import functools
+import json
 
 import numpy as np
 import pytest
 
+import qpursuit.cli
+import qpursuit.graphs
 import qpursuit.operators
+import qpursuit.scenario
 import qpursuit.strategies
 from qpursuit import (
     ControlledOp,
+    Digraph,
     Entries,
     GameModel,
+    GraphUnitary,
     MoveContext,
     Strategy,
+    basis_state,
     c4_antipodal_evasion,
     c4_unfair_cop,
     certify_blocks,
@@ -21,8 +30,10 @@ from qpursuit import (
     identity_unitary,
     is_graph_preserving_unitary,
     operator_from_json,
+    operators_to_text,
     path_graph,
     play,
+    qc_step,
     random_connected_graph,
     reach_sequence,
     run_scenario,
@@ -30,10 +41,14 @@ from qpursuit import (
     sample_graph_unitary,
     scenario_from_json,
     star_graph,
+    transposition_unitary,
+    uniform_state,
     universal_vertex_catch,
 )
 from qpursuit.cli import main
 from qpursuit.operators import _Block
+from test_cli import _loop_operator_to_json, _write, graph_to_json
+from test_graphs import directed_cycle
 from test_operators import _antipodal_table, _reach_cases
 from test_scenario import _scenario_json, _stochastic_json, _unitary_json
 
@@ -239,3 +254,134 @@ def test_an_antipodal_answer_builds_one_sum(spy):
     op = qpursuit.strategies._antipodal_response(c4, _antipodal_table(rng))
     ((_, total),) = spy.calls["_direct_sum"]
     assert op._sum is total
+
+
+def test_a_plain_int_support_is_checked_by_one_scan(spy):
+    # not vertex by vertex, for a support given as it is or for reach's gathers
+    spy.forbid(OPS, "_check_vertex")
+    g = path_graph(3)
+    GraphUnitary(np.eye(3), g, [2, 0, 1])
+    reach_sequence(g, basis_state(3, 0), uniform_state(3))
+
+
+def test_a_controlled_play_certifies_each_block_once(spy):
+    n = 32
+    g = star_graph(n - 1)
+    spy.watch(OPS, "_unitary_report")
+
+    def checked() -> list:
+        """(rows, board size, supports) of each certificate check since the last clear."""
+        return [(b.k, board.n, [tuple(s.tolist()) for s in (idx if isinstance(idx, list)
+                                                           else [idx])])
+                for (b, board, idx, *_), _ in spy.calls["_unitary_report"]]
+
+    cop = universal_vertex_catch(g)
+    # all n blocks once, by one check when it is built: the hub's identity is an empty block and
+    # every other block the swap of v and the hub, a gather
+    hub = cop.params["vertex"]
+    assert checked() == [(2 * (n - 1), n, [() if v == hub else (v, hub) for v in range(n)])]
+    spy.clear()
+    robber = Strategy(init=np.full(n, n ** -0.5))
+    play("quantum_controlled", g, cop, robber, 1)
+    assert checked() == []  # and none when it is played
+    # a bare unitary move is certified once, not once per block of its lift
+    swap = np.eye(n)[[1, 0] + list(range(2, n))]
+    play("quantum_controlled", g, Strategy(init=0, move=[swap]), robber, 1)
+    assert checked() == [(n, n, [tuple(range(n))])]
+
+
+def test_a_controlled_apply_is_one_product_and_a_bare_move_builds_no_controlled_op(spy):
+    g = cycle_graph(5)
+    rng = np.random.default_rng(5)
+    op = ControlledOp(tuple(sample_graph_unitary(g, rng) for _ in range(g.n)), "robber", g)
+    u = transposition_unitary(g, 0, 1)
+    x = rng.standard_normal(g.n ** 2) + 1j * rng.standard_normal(g.n ** 2)
+    spy.watch(GraphUnitary, "apply")
+    spy.watch(ControlledOp, "__post_init__")
+
+    def counts() -> tuple:
+        return len(spy.calls["apply"]), len(spy.calls["__post_init__"])
+
+    op.apply(x)
+    qc_step(op, x, g, "cop")
+    assert counts() == (0, 0)  # the direct sum, no block's own apply
+    for mover in ("cop", "robber"):
+        qc_step(u, x, g, mover)
+        qc_step(u.matrix, x, g, mover)
+    assert counts() == (4 * g.n, 0)  # one apply per line, no lift
+
+
+@pytest.mark.parametrize("n", [40, 160])
+def test_analyze_graph_runs_one_bfs_on_a_connected_board(tmp_path, capsys, spy, n):
+    # connectivity is cached on the board, and reversibility of a symmetric board reads it
+    spy.watch(qpursuit.graphs, "_bfs")
+    board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
+        n, np.random.default_rng(n), 0.1)))
+    assert main(["analyze-graph", board, "--cap", "48"]) == 0
+    assert [args[0] for args, _ in spy.calls["_bfs"]] == [0]
+
+
+def test_reach_runs_one_bfs_on_a_symmetric_board_at_the_default_root(tmp_path, capsys, spy):
+    # reversibility and the spanning tree read one BFS from vertex 0, cached on the board;
+    # another root takes a second search from that root
+    spy.watch(qpursuit.graphs, "_bfs")
+    board = _write(tmp_path, "board.json", graph_to_json(random_connected_graph(
+        40, np.random.default_rng(40), 0.1)))
+    for root, searched in (([], [0]), (["--root", "3"], [0, 3])):
+        spy.clear()
+        assert main(["reach", board, "--from", "basis:5", "--to", "uniform"] + root) == 0
+        assert [args[0] for args, _ in spy.calls["_bfs"]] == searched
+
+
+def test_analyze_graph_builds_the_corner_table_once(tmp_path, capsys, spy):
+    # the report's corners and the dismantling read one table; no per-vertex is_corner call
+    built = []
+    table = Digraph.__dict__["corners"].func
+    counted = functools.cached_property(lambda g: built.append(g.n) or table(g))
+    counted.__set_name__(Digraph, "corners")
+    spy.patch.setattr(Digraph, "corners", counted)
+    spy.forbid(qpursuit.graphs, "is_corner")
+    spy.patch.setattr(qpursuit.cli, "is_corner", lambda g, v: pytest.fail("is_corner called"),
+                      raising=False)
+    g = random_connected_graph(60, np.random.default_rng(7), 0.03)
+    assert main(["analyze-graph", _write(tmp_path, "g.json", graph_to_json(g))]) == 0
+    assert built == [60]
+
+
+def test_analyze_graph_and_reach_never_build_the_arc_set(tmp_path, capsys, spy):
+    # both read the board's arrays, adjacency lists and bitsets; the tuple set is for callers
+    g = random_connected_graph(40, np.random.default_rng(3), 0.1)
+    board = _write(tmp_path, "g.json", graph_to_json(g))
+    one_way = _write(tmp_path, "d.json", graph_to_json(directed_cycle(5)))
+    spy.patch.setattr(Digraph, "arcs", property(lambda g: pytest.fail("Digraph.arcs was read")))
+    out = str(tmp_path / "ops.json")
+    for argv in (["analyze-graph", board, "--cap", "48"], ["analyze-graph", one_way],
+                 ["reach", board, "--from", "basis:0", "--to", "uniform", "--out", out],
+                 ["reach", board, "--from", "uniform", "--to", "basis:7", "--root", "3"]):
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("model", ["open_probabilistic", "classical_quantum"])
+def test_a_trace_encodes_each_distinct_state_once(tmp_path, capsys, spy, model):
+    # 8 rounds are 15 half-moves, each of which changes one state: 2 + 15 distinct states,
+    # where the 16 snapshots hold 32; a stack of states counts one per row
+    n, rounds = 12, 8
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(n, rng, 0.3)
+    if model == "open_probabilistic":
+        inits = [rng.dirichlet(np.ones(n)).tolist() for _ in range(2)]
+        moves = [[_loop_operator_to_json(sample_graph_stochastic(g, rng).matrix)
+                  for _ in range(rounds - k)] for k in range(2)]
+    else:
+        inits = [qpursuit.scenario.state_to_json(sample_graph_unitary(g, rng).apply(
+            basis_state(n, v))) for v in (0, n - 1)]
+        moves = [json.loads(operators_to_text(
+            [sample_graph_unitary(g, rng) for _ in range(rounds - k)])) for k in range(2)]
+    path = _write(tmp_path, "open.json", {
+        "model": model, "graph": graph_to_json(g), "rounds": rounds,
+        "cop": {"init": inits[0], "moves": moves[0]},
+        "robber": {"init": inits[1], "moves": moves[1]}})
+    spy.watch(qpursuit.scenario, "state_to_json")
+    assert main(["run", path, "--out", str(tmp_path / "trace.json")]) == 0
+    assert sum(len(vec) if np.ndim(vec) == 2 else 1
+               for (vec,), _ in spy.calls["state_to_json"]) == 17

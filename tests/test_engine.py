@@ -12,8 +12,8 @@ from qpursuit import (
     GameError,
     GameModel,
     GraphError,
-    GraphUnitary,
     ControlledOp,
+    MoveContext,
     Strategy,
     certify_stochastic,
     complete_graph,
@@ -224,32 +224,23 @@ def test_qc_step_lifts_and_validates():
     assert np.array_equal(qc_step(cop_controlled, x, g, "robber"), np.eye(16) @ x)
 
 
-def test_controlled_apply_is_one_product_and_a_bare_move_builds_no_controlled_op(monkeypatch):
+def test_controlled_and_bare_moves_act_as_their_dense_lifts():
+    # joint index r * n + c: a Robber-controlled op is the block diagonal of its blocks, and a
+    # bare move acts on every row (Cop) or column (Robber) of the joint table
     g = cycle_graph(5)
-    rng = np.random.default_rng(5)
-    op = ControlledOp(tuple(sample_graph_unitary(g, rng) for _ in range(g.n)), "robber", g)
+    n, rng = g.n, np.random.default_rng(5)
+    op = ControlledOp(tuple(sample_graph_unitary(g, rng) for _ in range(n)), "robber", g)
     u = transposition_unitary(g, 0, 1)
-    x = _random_amps(rng, g.n ** 2)
-    calls = {"apply": 0, "controlled": 0}
-    apply, post_init = GraphUnitary.apply, ControlledOp.__post_init__
-
-    def counted_apply(self, state):
-        calls["apply"] += 1
-        return apply(self, state)
-
-    def counted_post_init(self):
-        calls["controlled"] += 1
-        post_init(self)
-
-    monkeypatch.setattr(GraphUnitary, "apply", counted_apply)
-    monkeypatch.setattr(ControlledOp, "__post_init__", counted_post_init)
-    op.apply(x)
-    qc_step(op, x, g, "cop")
-    assert calls == {"apply": 0, "controlled": 0}  # the direct sum, no block's own apply
-    for mover in ("cop", "robber"):
-        qc_step(u, x, g, mover)
-        qc_step(u.matrix, x, g, mover)
-    assert calls == {"apply": 4 * g.n, "controlled": 0}  # one apply per line, no lift
+    x = _random_amps(rng, n ** 2)
+    lifted = np.zeros((n * n, n * n), dtype=complex)
+    for v, block in enumerate(op.blocks):
+        lifted[v * n:(v + 1) * n, v * n:(v + 1) * n] = block.matrix
+    assert np.allclose(op.apply(x), lifted @ x, atol=1e-12)
+    assert np.array_equal(qc_step(op, x, g, "cop"), op.apply(x))
+    for mover, dense in (("cop", np.kron(np.eye(n), u.matrix)),
+                         ("robber", np.kron(u.matrix, np.eye(n)))):
+        assert np.array_equal(qc_step(u, x, g, mover), dense @ x)
+        assert np.array_equal(qc_step(u.matrix, x, g, mover), dense @ x)
 
 
 def test_quantum_controlled_play_certifies_every_block_on_its_board():
@@ -486,37 +477,22 @@ def test_gather_rotation_plays_as_a_move_and_as_a_controlled_block():
     assert qc.p_copwin == pytest.approx(1.0)
 
 
-def test_a_controlled_play_certifies_each_block_once(monkeypatch):
-    import qpursuit.engine
-    import qpursuit.operators
-
+def test_the_hub_catches_on_the_star_and_a_bare_swap_moves_the_cop():
     n = 32
     g = star_graph(n - 1)
-    calls = []
-
-    check = qpursuit.operators._unitary_report
-
-    def spy(*args, **kwargs):  # the one certificate check, on one block or a direct sum of blocks
-        supports = args[2] if isinstance(args[2], list) else [args[2]]
-        calls.append((args[0].k, args[1].n, [tuple(s.tolist()) for s in supports]))
-        return check(*args, **kwargs)
-
-    for module in (qpursuit.operators, qpursuit.engine):  # wherever the check is bound
-        monkeypatch.setattr(module, "_unitary_report", spy, raising=False)
     cop = universal_vertex_catch(g)
-    # all n blocks once, by one check when it is built: the hub's identity is an empty block and
-    # every other block the swap of v and the hub, a gather
     hub = cop.params["vertex"]
-    assert calls == [(2 * (n - 1), n, [() if v == hub else (v, hub) for v in range(n)])]
-    calls.clear()
-    robber = Strategy(init=_random_amps(np.random.default_rng(3), n))
-    trace = play("quantum_controlled", g, cop, robber, 1)
-    assert trace.p_copwin == pytest.approx(1.0)
-    assert calls == []  # and none when it is played
-    # a bare unitary move is certified once, not once per block of its lift
+    # block v of the hub's controlled move swaps v and the hub, and the hub's own is the identity
+    op = cop.move(MoveContext(1, "cop", g, 1))
+    assert [block.support for block in op.blocks] == [() if v == hub else (v, hub)
+                                                      for v in range(n)]
+    robber_amps = _random_amps(np.random.default_rng(3), n)
+    robber = Strategy(init=robber_amps)
+    assert play("quantum_controlled", g, cop, robber, 1).p_copwin == pytest.approx(1.0)
+    # a bare swap of 0 and 1, from 0, puts the Cop on 1
     swap = np.eye(n)[[1, 0] + list(range(2, n))]
-    play("quantum_controlled", g, Strategy(init=0, move=[swap]), robber, 1)
-    assert calls == [(n, n, [tuple(range(n))])]
+    trace = play("quantum_controlled", g, Strategy(init=0, move=[swap]), robber, 1)
+    assert trace.p_copwin == pytest.approx(abs(robber_amps[1]) ** 2)
 
 
 def test_vector_moves_call_the_certifiers_bound_in_the_engine_when_played(monkeypatch, rng):

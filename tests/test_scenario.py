@@ -1,5 +1,6 @@
-"""Inline scenario moves: controlled ones built when read, bare ones certified together when the
-game starts, played bit for bit as one by one."""
+"""Inline scenario moves: each controlled one built, so certified, as it is read in list order,
+the bare ones certified together when the game starts, and all played bit for bit as one by
+one."""
 
 import json
 import tracemalloc

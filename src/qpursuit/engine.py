@@ -159,6 +159,11 @@ def p_copwin_probabilistic(p_robber, p_cop) -> float:
 _LIST_CELLS = 1 << 20
 
 
+# The most bytes a play's history may keep, each of its 2 * rounds + 1 snapshots counted as its
+# states' bytes plus 512: a play that would keep more is refused before it starts.
+_HISTORY_BYTES = 1 << 30
+
+
 def _move_source(strategy: Strategy, g: Digraph, model: GameModel, count: int):
     """The strategy's moves as a callback.  In a unitary model, a list's bare moves among its
     first count (Entries, arrays, certificates from another board) are certified against g by
@@ -308,7 +313,8 @@ def _round_stages(rounds: int):
 def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> GameTrace:
     """Run one game of any model; see the module docstring for the order of play.
 
-    Both strategies' prepare hooks run first.  The quantum controlled model
+    A play whose history would keep more than _HISTORY_BYTES is refused, then both
+    strategies' prepare hooks run.  The quantum controlled model
     keeps one joint state and hides it from the move callbacks; the other
     fair models keep one local state per player and show both.
     """
@@ -318,6 +324,12 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
     model = GameModel(model)
     _check_strategy(cop, "cop", model)
     _check_strategy(robber, "robber", model)
+    n = g.n
+    size = {GameModel.QUANTUM_CONTROLLED: 16 * n * n, GameModel.CLASSICAL_QUANTUM: 32 * n,
+            GameModel.OPEN_PROBABILISTIC: 16 * n}.get(model, 0)  # a snapshot's state bytes
+    if (2 * rounds + 1) * (size + 512) > _HISTORY_BYTES:
+        raise GameError(f"{rounds} rounds on {n} vertices would keep over {_HISTORY_BYTES} "
+                        f"bytes of history")
     for me, other, role in ((cop, robber, "cop"), (robber, cop, "robber")):
         if me.prepare is not None:
             me.prepare(PrepareContext(g, rounds, role, other))

@@ -121,7 +121,7 @@ class Entries:
     read-only; a position out of range or given twice is refused.  scenario.operator_from_json
     reads a JSON operator into Entries.  certify_stochastic and is_graph_preserving_stochastic
     take them in place of a dense matrix and build no n x n array; certify_unitary and
-    is_graph_preserving_unitary do the same past _DENSE_MAX vertices unless a row is full.
+    is_graph_preserving_unitary do the same past _DENSE_MAX vertices.
     """
 
     n: int
@@ -271,9 +271,9 @@ class _Block:
     rows[i] and columns cols[i] (block coordinates, each ascending).  Two columns are in one
     component when they share a row, so b^H b is exactly zero between components and b x mixes
     entries only within one; an empty column is a component with no rows, an empty row lies in
-    none.  A block on at most _DENSE_MAX vertices, or with a full row, is kept whole as one
-    component: finding components costs more than the one k x k product there, and a full row
-    joins every column anyway.  No array of it leaves: what it returns is built afresh.
+    none.  A block on at most _DENSE_MAX vertices is kept whole as one component: finding
+    components costs more than the one k x k product there.  No array of it leaves: what it
+    returns is built afresh.
     """
 
     def __init__(self, k: int, parts: tuple):
@@ -319,22 +319,20 @@ class _Block:
 def _split_all(blocks) -> tuple:
     """(blocks split into their components as _Blocks, their direct sum or None if no blocks).
 
-    Entries and dense arrays on at most _DENSE_MAX vertices, or with a full row, are kept whole,
-    and _Blocks pass.  Each other run of consecutive blocks is searched by one _components call
-    over their entries stacked, each block's rows and columns shifted by the sizes of those
-    before it.  That is the run's direct sum, and each block's parts are cut from it: no
-    component spans two blocks, and the components of one shape come in the order of their least
-    columns, c[:, 0], so each cut holds the block's own parts as its own search lays them out.  A
-    run stacks up to _SPLIT_ENTRIES entries, or one block past it, each counted as at least its
-    columns; a run of one block is its own sum."""
+    Entries and dense arrays on at most _DENSE_MAX vertices are kept whole, and _Blocks pass.
+    Each other run of consecutive blocks is searched by one _components call over their entries
+    stacked, each block's rows and columns shifted by the sizes of those before it.  That is the
+    run's direct sum, and each block's parts are cut from it: no component spans two blocks, and
+    the components of one shape come in the order of their least columns, c[:, 0], so each cut
+    holds the block's own parts as its own search lays them out.  A run stacks up to
+    _SPLIT_ENTRIES entries, or one block past it, each counted as at least its columns."""
     out, items, runs, size = list(blocks), [], [], _SPLIT_ENTRIES
     for i, block in enumerate(out):
         if not isinstance(block, (_Block, Entries)):
             block = np.asarray(block, dtype=complex)
             if len(block) > _DENSE_MAX:
                 block = Entries.of_matrix(block)
-        if isinstance(block, Entries) and (block.n <= _DENSE_MAX or (
-                block.rows.size and np.bincount(block.rows).max() == block.n)):
+        if isinstance(block, Entries) and block.n <= _DENSE_MAX:
             block = block.dense().astype(complex, copy=False)
         if isinstance(block, np.ndarray):  # kept whole: one part on rows and columns 0..k-1
             whole = np.arange(len(block))[None]
@@ -352,10 +350,6 @@ def _split_all(blocks) -> tuple:
         runs[-1][1].append(i)
         size += cost
     for place, run in runs:
-        if len(run) == 1:  # searched on its own entries, uncopied
-            e = out[run[0]]
-            out[run[0]] = items[place] = _Block(e.n, _components(e.rows, e.cols, e.vals, e.n))
-            continue
         at = np.cumsum([0] + [out[i].n for i in run]).tolist()
         shift = np.repeat(at[:-1], [out[i].rows.size for i in run])
         rows, cols, vals = (np.concatenate([getattr(out[i], name) for i in run])
@@ -568,8 +562,7 @@ def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
 
 def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
     """Unitarity within tau plus zeros on all non-arcs, with a violation report.  m is a dense
-    matrix or Entries, checked without an n x n array past _DENSE_MAX vertices unless a row
-    is full."""
+    matrix or Entries, checked without an n x n array past _DENSE_MAX vertices."""
     if not isinstance(m, Entries):
         m = np.asarray(m, dtype=complex)
     if m.shape != (g.n, g.n):
@@ -595,18 +588,13 @@ def certify_unitary(op, g: Digraph) -> GraphUnitary:
 def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     """The blocks, a list or one (P, h, h) numeric stack, certified against g.  In a list, a
     GraphUnitary on g is trusted and returned as it is, one from another board is certified on
-    its own support, and anything else (a dense array, Entries, a _Block, or an object with
-    .matrix) on its given support, every vertex by default; _split_all splits them and yields
-    their direct sum.  A stack is that sum built already (see _layers), layer i holding the next
-    len(supports[i]) / h blocks, or each block one layer on the whole board if supports is None.
-    The sum is checked by one _unitary_report, which passes iff each block would alone.  If it
-    fails, or a block or support is malformed, the blocks are certified one at a time in order,
-    so the first bad one raises what it raises alone, with its index as the error's position."""
-    return _certified(blocks, g, supports)[0]
-
-
-def _certified(blocks, g: Digraph, supports=None) -> tuple:
-    """(certify_blocks's list, the sum it checked, None if every block was trusted)."""
+    its own support, and anything else (a dense array, Entries or a _Block) on its given support,
+    every vertex by default; _split_all splits them and yields their direct sum.  A stack is that
+    sum built already (see _layers), layer i holding the next len(supports[i]) / h blocks, or
+    each block one layer on the whole board if supports is None.  The sum is checked by one
+    _unitary_report, which passes iff each block would alone.  If it fails, or a block or support
+    is malformed, the blocks are certified one at a time in order, so the first bad one raises
+    what it raises alone, with its index as the error's position."""
     error = None
     if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.dtype.kind in "biufc":
         parsed, total = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
@@ -622,7 +610,7 @@ def _certified(blocks, g: Digraph, supports=None) -> tuple:
                     continue
                 b, s = b._block, b.support
             try:
-                parsed.append((i, *_parsed(getattr(b, "matrix", b), g, s)))
+                parsed.append((i, *_parsed(b, g, s)))
             except Exception as exc:  # raised in its turn, once the blocks before it are certified
                 error, exc.position = exc, i
                 break
@@ -643,7 +631,7 @@ def _certified(blocks, g: Digraph, supports=None) -> tuple:
         out[i] = object.__new__(GraphUnitary)._fill(g, s, at, b)
     if error:
         raise error
-    return out, total
+    return out
 
 
 def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
@@ -685,7 +673,7 @@ def certify_stochastic(op, g: Digraph) -> GraphStochastic:
     """op itself if it is a GraphStochastic on g, else certified against g."""
     if isinstance(op, GraphStochastic):
         return op if op.graph == g else GraphStochastic(op.entries, g)
-    return GraphStochastic(getattr(op, "matrix", op), g)
+    return GraphStochastic(op, g)
 
 
 def identity_unitary(g: Digraph) -> GraphUnitary:
@@ -854,10 +842,9 @@ class ControlledOp:
     means the robber register selects the block acting on the cop register
     (a Cop move); control='cop' is the mirror image (a Robber move).
     Building one certifies every block against graph, all by one certify_blocks call; a bad
-    block's error is prefixed with its vertex.  Beside the certified blocks it keeps their
-    direct sum, the one that call checked unless a trusted block has a non-empty support, and
-    its joint index: block v's support s sits at v * n + s (robber control), row v of the (n, n)
-    joint table, or at s * n + v, column v.
+    block's error is prefixed with its vertex.  Beside the certified blocks it keeps the direct
+    sum of their blocks and its joint index: block v's support s sits at v * n + s (robber
+    control), row v of the (n, n) joint table, or at s * n + v, column v.
     """
 
     blocks: tuple
@@ -870,18 +857,15 @@ class ControlledOp:
         if len(self.blocks) != self.graph.n:
             raise ValueError(f"need {self.graph.n} blocks, got {len(self.blocks)}")
         try:
-            blocks, total = _certified(self.blocks, self.graph)
+            blocks = certify_blocks(self.blocks, self.graph)
         except Exception as exc:
             if hasattr(exc, "position"):  # the first bad block's own error: name that block
                 exc.args = (f"block {exc.position}: {exc}",)
             raise
-        # a trusted block is not in the checked sum; one on no vertex would add only an empty part
-        if total is None or any(u is v and u.support for u, v in zip(blocks, self.blocks)):
-            total = _direct_sum([u._block for u in blocks])
         n, support = self.graph.n, np.concatenate([u._index for u in blocks])
         line = np.arange(n).repeat([u._index.size for u in blocks])
         object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_sum", total)
+        object.__setattr__(self, "_sum", _direct_sum([u._block for u in blocks]))
         object.__setattr__(self, "_index", line * n + support if self.control == "robber"
                            else support * n + line)
 

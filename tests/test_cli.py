@@ -588,6 +588,15 @@ def test_run_rejects_boolean_and_fractional_rounds(tmp_path, capsys):
         assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
 
 
+def test_run_refuses_a_game_whose_history_would_pass_its_bound(tmp_path, capsys):
+    # 2 * 10^9 + 1 classical snapshots of 512 bytes each, refused before the game starts
+    scenario = {"model": "classical", "graph": graph_to_json(path_graph(3)),
+                "rounds": 1_000_000_000, "cop": {"init": 0}, "robber": {"init": 2}}
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "sc.json", scenario)])
+    assert (code, out) == (1, "") and err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "GameError" and "history" in json.loads(err)["message"]
+
+
 def test_reach_path3(tmp_path, capsys):
     graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
     ops_path = tmp_path / "ops.json"

@@ -164,17 +164,16 @@ def test_a_list_is_checked_on_the_sum_its_one_search_yields(spy):
     assert [len(blocks) for (blocks,), _ in spy.calls["_direct_sum"]] == [1]
 
 
-def test_a_lone_block_is_searched_on_its_own_entries(spy):
-    # a one-swap operator on a 2,048-vertex path: its own arrays are searched, uncopied, and the
-    # search's parts are the block checked
+def test_a_lone_block_is_one_search_whose_parts_are_the_block_checked(spy):
+    # a one-swap operator on a 2,048-vertex path: one search, and its parts are the block checked
     spy.watch(OPS, "_components", "_unitary_report")
     n = 2048
     perm = np.arange(n)
     perm[[0, 1]] = [1, 0]
     e = Entries(n, perm, np.arange(n), np.ones(n))
     assert is_graph_preserving_unitary(e, path_graph(n)).ok
-    (((rows, cols, vals, k), parts),) = spy.calls["_components"]
-    assert rows is e.rows and cols is e.cols and vals is e.vals and k == n
+    (((*_, k), parts),) = spy.calls["_components"]
+    assert k == n
     (((b, *_), _),) = spy.calls["_unitary_report"]
     assert b.parts is parts
 
@@ -219,41 +218,41 @@ def test_a_move_list_is_checked_once_when_the_game_starts(spy, k, model):
                         {"_components": 1, "_unitary_report": 1, "_stochastic_report": 0})
 
 
-def test_a_controlled_move_builds_checks_and_keeps_one_sum(spy):
+def _kept_sum(spy, op) -> bool:
+    """op._sum is the last _direct_sum the spy saw, built of its certificates' blocks in order."""
+    (blocks,), total = spy.calls["_direct_sum"][-1]
+    return op._sum is total and len(blocks) == len(op.blocks) and all(
+        b is u._block for b, u in zip(blocks, op.blocks))
+
+
+def test_a_controlled_move_is_checked_once_and_sums_its_certificates_blocks(spy):
     spy.watch(OPS, "_direct_sum", "_unitary_report")
-
-    def sums() -> tuple:
-        """(the sums built, the blocks checked) since the last clear."""
-        return ([total for _, total in spy.calls["_direct_sum"]],
-                [args[0] for args, _ in spy.calls["_unitary_report"]])
-
     c4 = cycle_graph(4)
     ident = {"n": 4, "entries": [[v, v, 1, 0] for v in range(4)]}
     swap01 = {"n": 4, "entries": [[0, 1, 1, 0], [1, 0, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]}
-    # a JSON move and dense blocks are parsed: one sum is built, checked once and kept
+    # a JSON move and dense blocks are parsed: one check, and the sum kept is the one built
+    # last, of the certificates' blocks
     for build in (lambda: controlled_op_from_json(
                       {"control": "robber", "blocks": [ident, swap01, ident, ident]}, c4),
                   lambda: ControlledOp((np.eye(4), np.eye(4)[[1, 0, 2, 3]]) * 2, "cop", c4)):
         spy.clear()
         op = build()
-        built, checked = sums()
-        assert len(built) == 1 and checked == built and op._sum is built[0]
+        assert len(spy.calls["_unitary_report"]) == 1 and _kept_sum(spy, op)
     # a trusted rebuild checks nothing and builds its sum once
     spy.clear()
     again = ControlledOp(op.blocks, "robber", c4)
-    built, checked = sums()
-    assert len(built) == 1 and checked == [] and again._sum is built[0]
+    assert spy.calls["_unitary_report"] == [] and len(spy.calls["_direct_sum"]) == 1
+    assert _kept_sum(spy, again)
 
 
-def test_an_antipodal_answer_builds_one_sum(spy):
-    # its empty columns' answers are trusted identities on empty supports, which add nothing
+def test_an_antipodal_answer_is_checked_once_and_keeps_the_last_sum_built(spy):
+    # its empty columns' answers are trusted identities on empty supports
     c4, rng = cycle_graph(4), np.random.default_rng(5)
-    ident = identity_unitary(c4)  # built before the spy: only the move's sums are counted
+    ident = identity_unitary(c4)  # built before the spy: only the move's work is counted
     spy.patch.setattr(qpursuit.strategies, "identity_unitary", lambda g: ident)
-    spy.watch(OPS, "_direct_sum")
+    spy.watch(OPS, "_direct_sum", "_unitary_report")
     op = qpursuit.strategies._antipodal_response(c4, _antipodal_table(rng))
-    ((_, total),) = spy.calls["_direct_sum"]
-    assert op._sum is total
+    assert len(spy.calls["_unitary_report"]) == 1 and _kept_sum(spy, op)
 
 
 def test_a_plain_int_support_is_checked_by_one_scan(spy):

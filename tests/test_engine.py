@@ -345,6 +345,20 @@ def test_round_counts_must_be_integers(rounds):
         assert type(trace.rounds) is int and trace.rounds == 1
 
 
+def test_a_play_whose_history_would_pass_its_bound_is_refused_before_prepare(monkeypatch):
+    import qpursuit.engine
+
+    # a quantum controlled snapshot at n = 8 counts 16 * 8^2 + 512 = 1,536 bytes, and a play
+    # of k rounds 2k + 1 snapshots: 4,608 bytes for 1 round, 16,896 for 5
+    monkeypatch.setattr(qpursuit.engine, "_HISTORY_BYTES", 5000)
+    g, seen = complete_graph(8), []
+    cop = Strategy(init=0, prepare=seen.append)
+    with pytest.raises(GameError, match="5 rounds on 8 vertices would keep over 5000 bytes"):
+        play("quantum_controlled", g, cop, Strategy(), 5)
+    assert seen == []
+    assert len(play("quantum_controlled", g, cop, Strategy(), 1).history) == 2 and len(seen) == 1
+
+
 def test_unfair_pursuit_context_carries_cop_mass():
     g = cycle_graph(5)
     seen = []

@@ -1714,14 +1714,14 @@ def test_controlled_apply_refuses_a_joint_state_of_another_dimension():
             op.apply(np.ones(size))
 
 
-def test_a_controlled_move_keeps_the_sum_its_check_ran_on():
+def test_a_controlled_move_acts_as_the_union_of_its_blocks_as_does_a_trusted_rebuild():
     from qpursuit.scenario import controlled_op_from_json
 
     c4 = cycle_graph(4)
     ident = {"n": 4, "entries": [[v, v, 1, 0] for v in range(4)]}
     swap01 = {"n": 4, "entries": [[0, 1, 1, 0], [1, 0, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]}
     # a JSON move and dense blocks: the kept sum acts as the blocks' union, and so does a
-    # trusted rebuild of the same blocks (the sums built and checked: tests/test_costs.py)
+    # trusted rebuild of the same blocks (the checks made and the sum kept: tests/test_costs.py)
     for op in (controlled_op_from_json({"control": "robber",
                                         "blocks": [ident, swap01, ident, ident]}, c4),
                ControlledOp((np.eye(4), np.eye(4)[[1, 0, 2, 3]]) * 2, "cop", c4)):
@@ -1747,8 +1747,8 @@ def test_an_antipodal_answer_with_an_empty_column_builds_one_sum():
     import qpursuit.strategies
 
     c4, rng = cycle_graph(4), np.random.default_rng(5)
-    # the answer acts as its trusted rebuild, whose sum holds all four blocks (the one sum it
-    # builds: tests/test_costs.py)
+    # the answer acts as its trusted rebuild, whose sum holds all four blocks (its one check and
+    # the sum it keeps: tests/test_costs.py)
     op = qpursuit.strategies._antipodal_response(c4, _antipodal_table(rng))
     assert [b.support for b in op.blocks][1::2] == [(), ()]
     again = ControlledOp(op.blocks, "cop", c4)
@@ -2056,9 +2056,56 @@ def test_blocks_split_together_are_each_split_alone(instances, sparse):
     for together, block, b in zip(_split_all(blocks)[0], blocks, dense):
         # one block is split by its own _components call
         assert _same_parts(together, _split(block))
-        # a block on at most _DENSE_MAX vertices, or with a full row, is kept whole
-        if len(b) <= _DENSE_MAX or np.count_nonzero(b, axis=1).max() == len(b):
+        # a block on at most _DENSE_MAX vertices is kept whole
+        if len(b) <= _DENSE_MAX:
             _assert_kept_whole(together, b)
+
+
+@st.composite
+def _full_row_blocks(draw):
+    """A unitary block on k in (_DENSE_MAX, 160] vertices with a full row, and a board with an
+    arc for each of its entries: a dense Haar block, or two Haar blocks on the diagonal whose
+    first rows a Haar 2x2 mixes; then maybe one entry scaled, or one entry forbidden (its arc
+    dropped, or 1e-10 or 1e-8 put where the block is zero)."""
+    k = draw(st.integers(_DENSE_MAX + 1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        b = haar_unitary(k, rng)
+    else:
+        cut = draw(st.integers(1, k - 1))
+        b = np.zeros((k, k), dtype=complex)
+        b[:cut, :cut], b[cut:, cut:] = haar_unitary(cut, rng), haar_unitary(k - cut, rng)
+        b[[0, cut]] = haar_unitary(2, rng) @ b[[0, cut]]
+    rows, cols = np.nonzero(b)
+    arcs = list(zip(cols.tolist(), rows.tolist()))
+    fault = draw(st.sampled_from((None, "scale", "arc", "entry")))
+    if fault == "scale":
+        b.flat[draw(st.sampled_from(np.flatnonzero(b).tolist()))] *= draw(
+            st.sampled_from((1.0 + 1e-12, 1.0 + 1e-6)))
+    elif fault == "arc":
+        arcs.pop(draw(st.integers(0, len(arcs) - 1)))
+    elif fault == "entry" and (zeros := np.flatnonzero(b == 0).tolist()):
+        b.flat[draw(st.sampled_from(zeros))] = draw(st.sampled_from((1e-10, 1e-8)))
+    return b, digraph(k, arcs, reflexive=False)
+
+
+@settings(max_examples=30, phases=_NO_SHRINK)
+@given(_full_row_blocks())
+def test_a_block_with_a_full_row_certifies_and_applies_as_kept_whole(instance):
+    # such a block is searched for components, and finds one: its report and apply are those of
+    # the block kept whole as one part, bit for bit
+    b, g = instance
+    k = len(b)
+    whole = _Block(k, ((np.arange(k)[None], np.arange(k)[None], b[None]),))
+    ref = _unitary_report(whole, g, np.arange(k))
+    x = np.array([1.0, 1j]) @ np.random.default_rng(k).standard_normal((2, k))
+    bare = object.__new__(GraphUnitary)._fill(g, tuple(range(k)), np.arange(k), whole)
+    for m in (b, Entries.of_matrix(b)):
+        report = is_graph_preserving_unitary(m, g)
+        assert report.ok == ref.ok and report.violations == ref.violations
+        assert np.float64(report.residual).tobytes() == np.float64(ref.residual).tobytes()
+        if ref.ok:
+            assert GraphUnitary(m, g).apply(x).tobytes() == bare.apply(x).tobytes()
 
 
 def test_a_long_list_is_split_in_pieces_of_bounded_size(monkeypatch):

@@ -164,6 +164,16 @@ _LIST_CELLS = 1 << 20
 _HISTORY_BYTES = 1 << 30
 
 
+def _check_history(model: GameModel, n: int, rounds: int):
+    """GameError if a play of the model on n vertices would keep more than _HISTORY_BYTES of
+    history in the given number of rounds."""
+    size = {GameModel.QUANTUM_CONTROLLED: 16 * n * n, GameModel.CLASSICAL_QUANTUM: 32 * n,
+            GameModel.OPEN_PROBABILISTIC: 16 * n}.get(model, 0)  # a snapshot's state bytes
+    if (2 * rounds + 1) * (size + 512) > _HISTORY_BYTES:
+        raise GameError(f"{rounds} rounds on {n} vertices would keep over {_HISTORY_BYTES} "
+                        f"bytes of history")
+
+
 def _move_source(strategy: Strategy, g: Digraph, model: GameModel, count: int):
     """The strategy's moves as a callback.  In a unitary model, a list's bare moves among its
     first count (Entries, arrays, certificates from another board) are certified against g by
@@ -324,12 +334,7 @@ def play(model, g: Digraph, cop: Strategy, robber: Strategy, rounds: int) -> Gam
     model = GameModel(model)
     _check_strategy(cop, "cop", model)
     _check_strategy(robber, "robber", model)
-    n = g.n
-    size = {GameModel.QUANTUM_CONTROLLED: 16 * n * n, GameModel.CLASSICAL_QUANTUM: 32 * n,
-            GameModel.OPEN_PROBABILISTIC: 16 * n}.get(model, 0)  # a snapshot's state bytes
-    if (2 * rounds + 1) * (size + 512) > _HISTORY_BYTES:
-        raise GameError(f"{rounds} rounds on {n} vertices would keep over {_HISTORY_BYTES} "
-                        f"bytes of history")
+    _check_history(model, g.n, rounds)
     for me, other, role in ((cop, robber, "cop"), (robber, cop, "robber")):
         if me.prepare is not None:
             me.prepare(PrepareContext(g, rounds, role, other))
@@ -416,6 +421,7 @@ def play_unfair_probabilistic(g: Digraph, cop_dominating, robber: Strategy,
     if not (_is_int(rounds) and rounds >= 0):
         raise GameError(f"round count must be a non-negative integer, got {rounds!r}")
     rounds = int(rounds)
+    _check_history(GameModel.UNFAIR_PROBABILISTIC, g.n, rounds)
     if cop_dominating is None:
         raise GameError("the unfair model needs a cop strategy carrying a dominating set")
     if not g.is_undirected or not g.is_reflexive:

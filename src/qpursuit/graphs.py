@@ -10,8 +10,8 @@ from functools import cached_property
 import numpy as np
 
 # The most vertices a board may have.  Every builder refuses a larger n before it allocates:
-# a board holds its n x n boolean matrix (16 MiB at the cap), so a declared n from JSON must
-# not size an unbounded allocation.
+# a board keeps only its n x n boolean matrix (16 MiB at the cap), so a declared n from JSON
+# must not size an unbounded allocation.
 MAX_VERTICES = 4096
 
 
@@ -20,39 +20,37 @@ class GraphError(ValueError):
 
 
 class Digraph:
-    """Directed graph on vertices 0..n-1, stored as sorted compressed rows.
+    """Directed graph on vertices 0..n-1, stored as its boolean matrix.
 
     Arcs are ordered pairs (u, v).  A loop (v, v) means the player standing
     at v may stay put, so game boards are always reflexive.  Undirected
     graphs are represented by symmetric arc sets.  Digraph(n, arcs) takes
     any iterable of pairs, read once; n and every arc endpoint must be
-    integers (_is_int), with n at most MAX_VERTICES.
+    integers (_is_int), with n at most MAX_VERTICES.  It is the build of
+    digraph(n, arcs, reflexive=False).
 
-    The out-neighbours of v are indices[indptr[v]:indptr[v + 1]], ascending
-    and without repeats (CSR form).  Both are read-only intp arrays, cut from
-    the read-only boolean matrix adjacency (a[u, v] true iff (u, v) is an
-    arc) that every builder makes first, by one scatter of the arc columns.
-    The arc set itself, arcs, is built only when something reads it.  A
-    Digraph is immutable, so its adjacency lists, bitsets, connectivity and
-    corner table are computed on first use and cached on the instance; the
-    builders of this module record the symmetry and reflexivity they
-    establish in the same cache.  Equality and hashing read only n and the
-    CSR arrays.
+    A board stores n and the read-only n x n boolean matrix adjacency
+    (a[u, v] true iff (u, v) is an arc), which every builder scatters from
+    the arc columns; nothing else is kept.  A Digraph is immutable, so its
+    adjacency lists, arc set, bitsets, connectivity and corner table are cut
+    from the matrix on first use and cached on the instance; the builders of
+    this module record the symmetry and reflexivity they establish in the
+    same cache.  Equality compares the matrices, and hashing reads n and
+    their packed bits.
     """
 
     def __init__(self, n, arcs):
-        tails, heads = _arc_columns(n, arcs)
-        a = np.zeros((int(n), int(n)), dtype=bool)
-        a[tails, heads] = True
-        self.__dict__.update(_compress(a))
+        self.__dict__.update(vars(digraph(n, arcs, reflexive=False)))
 
     @classmethod
     def _trusted(cls, a: np.ndarray, **flags) -> "Digraph":
         """The Digraph whose matrix is a, a fresh n x n boolean array this module filled from
-        checked arcs, so __init__ is not run again.  flags (is_undirected, is_reflexive) are
-        facts of the arcs the builder knows by construction; they fill the cache."""
+        checked arcs, made read-only here, so no check runs again.  flags (is_undirected,
+        is_reflexive) are facts of the arcs the builder knows by construction; they fill the
+        cache."""
         g = object.__new__(cls)
-        g.__dict__.update(_compress(a), **flags)
+        a.setflags(write=False)
+        g.__dict__.update(n=len(a), adjacency=a, **flags)
         return g
 
     def __setattr__(self, name, value):
@@ -66,11 +64,10 @@ class Digraph:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.indptr, other.indptr) \
-            and np.array_equal(self.indices, other.indices)
+        return np.array_equal(self.adjacency, other.adjacency)
 
     def __hash__(self):
-        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
+        return hash((self.n, np.packbits(self.adjacency).tobytes()))
 
     def __repr__(self):
         return f"Digraph({self.n}, {sorted(self.arcs)!r})"
@@ -78,14 +75,18 @@ class Digraph:
     @cached_property
     def arcs(self) -> frozenset:
         """The arc set as (u, v) tuples of plain ints."""
-        tails = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return frozenset(zip(tails.tolist(), self.indices.tolist()))
+        tails, heads = np.divmod(np.flatnonzero(self.adjacency), self.n)
+        return frozenset(zip(tails.tolist(), heads.tolist()))
 
     @cached_property
     def out_adj(self) -> tuple:
-        """Sorted out-neighbour tuple S(v) of every vertex v."""
-        flat, ends = self.indices.tolist(), self.indptr.tolist()
-        return tuple([tuple(flat[a:b]) for a, b in zip(ends, ends[1:])])
+        """Sorted out-neighbour tuple S(v) of every vertex v: the matrix's non-zeros in row-major
+        order are the arcs sorted by tail and then head, each once, so they cut into the rows."""
+        n = self.n
+        flat = np.flatnonzero(self.adjacency)
+        ends = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
+        heads = (flat % n).tolist()
+        return tuple([tuple(heads[a:b]) for a, b in zip(ends, ends[1:])])
 
     @cached_property
     def out_bits(self) -> tuple:
@@ -160,25 +161,26 @@ def _check_arcs(n, arcs):
 
 
 def _arc_columns(n, arcs):
-    """The tails and heads of arcs, any iterable of pairs, as intp arrays, once _check_arcs has
-    passed.  The pairs are read once, so a generator or a zip is not empty for the second pass."""
+    """The tails and heads of arcs, any iterable of pairs read once (a generator or a zip keeps
+    all its arcs), as intp arrays, once n is a vertex count and each arc joins two vertices.
+    Lists and tuples of two plain ints in range, as JSON and this module's builders give them,
+    pass by C-level scans and one np.array; anything else goes through _check_arcs, which names
+    the size or the first bad arc, and then np.array, which refuses a pair it cannot read as a
+    sequence (a set or a dict, whose unpacking picks an order)."""
     arcs = list(arcs)
-    _check_arcs(n, arcs)
-    ends = np.array([(u, v) for u, v in arcs], dtype=np.intp).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
-
-
-def _compress(a: np.ndarray) -> dict:
-    """The stored fields of the Digraph whose matrix is a (a fresh C-contiguous n x n boolean
-    array, kept as adjacency): its non-zeros in row-major order are the arcs sorted by tail and
-    then head, each once, so they cut into the CSR rows.  All three arrays are read-only."""
-    n = len(a)
-    flat = np.flatnonzero(a)
-    indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
-    indices = flat % n
-    for x in (a, indptr, indices):
-        x.setflags(write=False)
-    return {"n": n, "indptr": indptr, "indices": indices, "adjacency": a}
+    ends = None
+    if type(n) is int and set(map(type, arcs)) <= {list, tuple} and set(map(len, arcs)) <= {2}:
+        flat = list(itertools.chain.from_iterable(arcs))  # u0, v0, u1, v1, ...
+        if set(map(type, flat)) <= {int}:
+            try:
+                ends = np.array(flat, dtype=np.intp)
+            except OverflowError:  # beyond the machine range, so outside 0..n-1 too
+                pass
+    if ends is None or not (1 <= n <= MAX_VERTICES
+                            and (not ends.size or 0 <= ends.min() and ends.max() < n)):
+        _check_arcs(n, arcs)
+        ends = np.array(arcs, dtype=np.intp).reshape(-1)
+    return ends[0::2], ends[1::2]
 
 
 def digraph(n, arcs, *, undirected=False, reflexive=True) -> Digraph:
@@ -186,20 +188,8 @@ def digraph(n, arcs, *, undirected=False, reflexive=True) -> Digraph:
 
     n and the arcs are checked as given, before equal arcs such as (0, 1) and (0, 1.0) merge.
     """
-    return _closure(int(n), *_arc_columns(n, arcs), undirected, reflexive)
-
-
-def _int_digraph(n: int, ends: list, *, undirected=False, reflexive=True) -> Digraph:
-    """digraph(n, zip(ends[0::2], ends[1::2])) for a plain-int n and endpoints already known to
-    be plain ints, listed arc by arc, so only the size and their range are left to check."""
-    try:
-        a = np.array(ends, dtype=np.intp)
-    except OverflowError:  # beyond the machine range, so outside 0..n-1 too
-        a = None
-    if not (1 <= n <= MAX_VERTICES and a is not None
-            and (not a.size or 0 <= a.min() and a.max() < n)):
-        _check_arcs(n, zip(ends[0::2], ends[1::2]))  # raises, naming the size or the first bad arc
-    return _closure(n, a[0::2], a[1::2], undirected, reflexive)
+    tails, heads = _arc_columns(n, arcs)  # checks n before int() could read it
+    return _closure(int(n), tails, heads, undirected, reflexive)
 
 
 def _closure(n: int, tails: np.ndarray, heads: np.ndarray, undirected: bool,

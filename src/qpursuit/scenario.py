@@ -18,7 +18,7 @@ from .engine import (
     Strategy,
     play,
 )
-from .graphs import Digraph, _int_digraph, _is_int
+from .graphs import Digraph, _is_int, digraph
 from .operators import ControlledOp, Entries, _direct_sum
 from .strategies import build_strategy
 
@@ -66,20 +66,22 @@ def graph_from_json(data: dict) -> Digraph:
     _fields(data, "graph", ("n",), ("arcs", "undirected", "reflexive"))
     n = _json_int(data["n"], "graph size n")
     arcs = data.get("arcs", [])
-    # plain lists and tuples pass by C-level scans of types and lengths; subclasses by isinstance
-    if not isinstance(arcs, list) or not (set(map(type, arcs)) <= {list, tuple} or all(
-            isinstance(a, (list, tuple)) for a in arcs)) or set(map(len, arcs)) - {2}:
+    if not isinstance(arcs, list):
         raise ValueError("graph arcs must be [u, v] pairs")
     flags = {key: data.get(key, False) for key in ("undirected", "reflexive")}
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise ValueError(f"graph field '{key}' must be true or false, got {value!r}")
-    ends = list(itertools.chain.from_iterable(arcs))  # u0, v0, u1, v1, ...
-    # JSON endpoints arrive as plain ints, checked by one C-level type scan; any other type is
-    # refused by name, or converted if it is a numpy integer
-    if set(map(type, ends)) - {int}:
-        ends = [_json_int(x, "arc endpoint") for x in ends]
-    return _int_digraph(n, ends, **flags)
+    try:
+        return digraph(n, arcs, **flags)
+    except (TypeError, ValueError):  # a GraphError is a ValueError
+        # the arcs are scanned again only when refused: a pair that is not two values, or an
+        # endpoint that is not an integer, is malformed JSON; otherwise the builder's error stands
+        if not all(isinstance(a, (list, tuple)) and len(a) == 2 for a in arcs):
+            raise ValueError("graph arcs must be [u, v] pairs") from None
+        for x in itertools.chain.from_iterable(arcs):
+            _json_int(x, "arc endpoint")
+        raise
 
 
 @functools.lru_cache(maxsize=16)

@@ -359,6 +359,17 @@ def test_a_play_whose_history_would_pass_its_bound_is_refused_before_prepare(mon
     assert len(play("quantum_controlled", g, cop, Strategy(), 1).history) == 2 and len(seen) == 1
 
 
+def test_a_direct_unfair_play_whose_history_would_pass_its_bound_is_refused(monkeypatch):
+    import qpursuit.engine
+
+    # an unfair snapshot counts 512 bytes, so 10 rounds keep 21 * 512 = 10,752; 4 keep 4,608
+    monkeypatch.setattr(qpursuit.engine, "_HISTORY_BYTES", 5000)
+    g = cycle_graph(5)
+    with pytest.raises(GameError, match="10 rounds on 5 vertices would keep over 5000 bytes"):
+        play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), 10)
+    assert len(play_unfair_probabilistic(g, {0, 2}, Strategy(init=4), 4).history) == 9
+
+
 def test_unfair_pursuit_context_carries_cop_mass():
     g = cycle_graph(5)
     seen = []

@@ -87,7 +87,7 @@ def test_a_board_has_at_most_max_vertices():
                                          f"got {10**12}$"):
         graph_from_json({"n": 10**12, "arcs": [[0, 10**12 - 1]], "reflexive": True})
     g = graph_from_json({"n": MAX_VERTICES, "arcs": [[0, MAX_VERTICES - 1]], "reflexive": True})
-    assert g.n == MAX_VERTICES and g.indices.size == MAX_VERTICES + 1
+    assert g.n == MAX_VERTICES and np.count_nonzero(g.adjacency) == MAX_VERTICES + 1
 
 
 @pytest.mark.parametrize("build", [
@@ -247,12 +247,14 @@ def test_value_tables_finite_iff_copwin():
 def _sweep(g, vc, block=None):
     """One Bellman sweep of the game: the Robber-to-move table from vc (the Robber maximises
     the next Cop-to-move value over S(r)), then the Cop-to-move table from it (the Cop
-    minimises the next Robber-to-move value over S(c)), as reductions over the board's CSR
-    arrays gathered block rows or columns at a time (all at once by default).  reduceat reads
-    an empty segment as the element after it, but a board has every loop, so none is empty."""
+    minimises the next Robber-to-move value over S(c)), as reductions over the board's arcs in
+    compressed-row form, cut here from its matrix, gathered block rows or columns at a time (all
+    at once by default).  reduceat reads an empty segment as the element after it, but a board
+    has every loop, so none is empty."""
     n = g.n
     block = block or n
-    cols, starts = g.indices, g.indptr[:-1]
+    rows, cols = np.nonzero(g.adjacency)
+    starts = np.searchsorted(rows, np.arange(n))
     eye = np.eye(n, dtype=bool)
     worst = np.empty((n, n))
     best = np.empty((n, n))
@@ -615,8 +617,7 @@ def _set_reference(g, n, arcs):
     assert np.array_equal(g.adjacency, a)
     assert g.is_reflexive == all((v, v) in arcs for v in range(n))
     assert g.is_undirected == all((v, u) in arcs for u, v in arcs)
-    assert g.indptr.dtype == g.indices.dtype == np.intp
-    assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+    assert not g.adjacency.flags.writeable
 
 
 @st.composite
@@ -662,6 +663,32 @@ def test_array_builders_match_the_set_built_board(case):
         _set_reference(g, size, expected)
 
 
+def test_a_board_keeps_only_its_matrix():
+    # a complete board at n = 512 has n^2 arcs; its matrix is n^2 bytes, and any second copy of
+    # the arcs as intp indices would add 8 bytes an arc (2 MiB)
+    n = 512
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    data = {"n": n, "arcs": [list(a) for a in pairs], "reflexive": True}
+    one_way = digraph(n, [a for a in pairs if a != (0, 1)])  # not symmetric, so reversed anew
+    builds = {"digraph": lambda: digraph(n, itertools.combinations(range(n), 2), undirected=True),
+              "Digraph": lambda: Digraph(n, pairs),
+              "graph_from_json": lambda: graph_from_json(data),
+              "reverse_digraph": lambda: reverse_digraph(one_way)}
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            g = build()
+            assert np.count_nonzero(g.adjacency) == n * n - (name == "reverse_digraph")
+            # what the board keeps is what dropping it frees, so neither the build's temporaries
+            # nor the pair tuples the interpreter keeps on its free list count
+            with_board = tracemalloc.get_traced_memory()[0]
+            del g
+            kept = with_board - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= n * n + 64 * 2**10, name
+
+
 def test_graph_json_arcs_are_pairs():
     arc = collections.namedtuple("Arc", "u v")
     g = graph_from_json({"n": 2, "arcs": [arc(0, 1), (1, 0), [0, 0]]})
@@ -669,6 +696,13 @@ def test_graph_json_arcs_are_pairs():
     for arcs in ([5], [[0]], [(0, 1, 1)], [[0, 1], "01"], [None], [[0, 1], {0: 1, 1: 0}]):
         with pytest.raises(ValueError, match=r"graph arcs must be \[u, v\] pairs"):
             graph_from_json({"n": 2, "arcs": arcs})
+
+
+def test_a_pair_numpy_cannot_read_as_a_sequence_is_refused():
+    # a set or a dict unpacks in an order of its own, so it is refused rather than read as an arc
+    for pair in ({1, 0}, {0: 1, 1: 0}):
+        with pytest.raises((TypeError, ValueError)):
+            Digraph(2, [pair])
 
 
 def test_reverse_digraph():

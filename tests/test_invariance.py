@@ -1,8 +1,9 @@
 """Relabelling invariance: renaming the vertices of a board by a permutation P changes no
 verdict.  A certificate check of P m P^T on the relabelled board reports the P-image of what
 the check of m reports, and a quantum controlled game played with every move and state
-relabelled ends with the same capture probability.  These guard the index arithmetic of the
-certifier and of the controlled moves' joint index."""
+relabelled ends with the same capture probability, and the graph layer's verdicts, corner
+table, value tables and dominating sets follow the relabelling.  These guard the index
+arithmetic of the certifier, of the controlled moves' joint index and of the board's matrix."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,25 +11,38 @@ from hypothesis import strategies as st
 
 from qpursuit import (
     ControlledOp,
+    Digraph,
+    GraphError,
     GraphUnitary,
     Strategy,
+    copwin_value_tables,
     digraph,
+    dominates,
+    dominating_set,
     haar_unitary,
+    is_connected,
+    is_copwin_dismantle,
     is_graph_preserving_unitary,
     play,
     random_connected_graph,
     sample_controlled_op,
     sample_graph_unitary,
+    universal_vertex,
 )
 
 
 @st.composite
-def _relabelled_boards(draw):
-    """(rng, a random connected board on 1 to 8 vertices, P as the list p with p[v] = P(v), the
-    board relabelled by P)."""
-    n = draw(st.integers(1, 8))
+def _relabelled_boards(draw, max_n=8, connected=True):
+    """(rng, a random board on 1 to max_n vertices, P as the list p with p[v] = P(v), the board
+    relabelled by P).  The board is connected, or if connected is false maybe a random connected
+    board with each edge kept at even odds."""
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_connected_graph(n, rng, draw(st.sampled_from((0.0, 0.3, 0.7))))
+    if not connected and draw(st.booleans()):
+        edges = [(u, v) for u, row in enumerate(g.out_adj) for v in row if u < v]
+        g = digraph(n, [e for e, keep in zip(edges, rng.random(len(edges)) < 0.5) if keep],
+                    undirected=True)
     p = draw(st.permutations(range(n)))
     arcs = [(p[u], p[v]) for u, row in enumerate(g.out_adj) for v in row]
     return rng, g, p, digraph(n, arcs, reflexive=False)
@@ -94,3 +108,28 @@ def test_a_relabelled_controlled_game_has_the_same_capture_probability(board, ro
     image = play("quantum_controlled", h, Strategy(init=c_image, move=cop_image),
                  Strategy(init=r_image, move=robber_image), rounds)
     assert abs(image.p_copwin - game.p_copwin) <= 1e-12
+
+
+def _outcome(f, g):
+    """f(g), or the message of the GraphError it raises (dismantling needs a connected board)."""
+    try:
+        return f(g)
+    except GraphError as e:
+        return str(e)
+
+
+@settings(max_examples=150)
+@given(_relabelled_boards(max_n=10, connected=False))
+def test_the_graph_layer_follows_a_relabelling(board):
+    _, g, p, h = board
+    n = g.n
+    assert is_connected(h) == is_connected(g)
+    assert _outcome(is_copwin_dismantle, h) == _outcome(is_copwin_dismantle, g)
+    assert (universal_vertex(h) is None) == (universal_vertex(g) is None)
+    assert {w for w in range(n) if h.corners[w] is not None} == {
+        p[v] for v in range(n) if g.corners[v] is not None}
+    for table, image in zip(copwin_value_tables(g), copwin_value_tables(h)):
+        assert np.array_equal(image, _relabel(table, p))
+    assert dominates(h, {p[v] for v in dominating_set(g)})
+    trusted = Digraph._trusted(_relabel(g.adjacency, p))
+    assert h == trusted and hash(h) == hash(trusted)

@@ -152,11 +152,20 @@ def _check_size(n):
         raise GraphError(f"a graph has at most {MAX_VERTICES} vertices, got {n}")
 
 
-def _check_arcs(n, arcs):
-    """GraphError unless n is a vertex count (_check_size) and each arc joins two vertices."""
+def _check_arcs(n, arcs: list):
+    """GraphError unless n is a vertex count (_check_size) and each arc joins two vertices, in
+    the JSON reader's words: a non-pair is named first, then an endpoint that is not an integer
+    (_is_int), each over all the arcs, and then the first arc out of range.  A pair is a list,
+    tuple or 1-D array of two values, never a set or a dict, whose unpacking picks an order."""
     _check_size(n)
+    if not all(isinstance(a, (list, tuple)) and len(a) == 2
+               or isinstance(a, np.ndarray) and a.shape == (2,) for a in arcs):
+        raise GraphError("graph arcs must be [u, v] pairs")
+    for x in itertools.chain.from_iterable(arcs):
+        if not _is_int(x):
+            raise GraphError(f"arc endpoint must be an integer, got {x!r}")
     for u, v in arcs:
-        if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+        if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"arc ({u!r}, {v!r}) references a vertex outside 0..{n - 1}")
 
 
@@ -165,8 +174,7 @@ def _arc_columns(n, arcs):
     all its arcs), as intp arrays, once n is a vertex count and each arc joins two vertices.
     Lists and tuples of two plain ints in range, as JSON and this module's builders give them,
     pass by C-level scans and one np.array; anything else goes through _check_arcs, which names
-    the size or the first bad arc, and then np.array, which refuses a pair it cannot read as a
-    sequence (a set or a dict, whose unpacking picks an order)."""
+    the size or the first bad arc, and then np.array."""
     arcs = list(arcs)
     ends = None
     if type(n) is int and set(map(type, arcs)) <= {list, tuple} and set(map(len, arcs)) <= {2}:

@@ -72,7 +72,14 @@ class OpReport:
 
 
 def is_unit(a, axis=None) -> bool:
-    """True iff a (each slice along axis, if given) has unit 2-norm within ATOL; nan, inf fail."""
+    """True iff a (each slice along axis, if given) has unit 2-norm within ATOL; nan, inf fail.
+    A vector's squared norm is one dot product, which raises no warning: a nan, inf or
+    overflowing entry makes it nan or inf, which fails."""
+    a = np.asarray(a)
+    if axis is None and a.ndim == 1:
+        if a.dtype.kind not in "fc":
+            a = a.astype(float)
+        return abs(math.sqrt(np.vdot(a, a).real) - 1.0) <= ATOL
     with np.errstate(all="ignore"):  # a nan, inf or overflowing entry fails without a warning
         return bool(np.all(np.abs(np.linalg.norm(a, axis=axis) - 1.0) <= ATOL))
 
@@ -428,10 +435,12 @@ class GraphUnitary:
         done = certify_blocks([block], graph, [support])[0]
         self._fill(graph, done.support, done._index, done._block)
 
-    def _fill(self, graph: Digraph, support: tuple, idx: np.ndarray, block: _Block):
-        """Set the fields; a certificate built bare and filled here skips the check."""
+    def _fill(self, graph: Digraph, support: tuple, idx: np.ndarray, block: _Block,
+              layer: tuple = None):
+        """Set the fields; a certificate built bare and filled here skips the check.  layer is
+        (its _Stack, its place there) for a layer certify_blocks certified from one stack."""
         for name, value in (("graph", graph), ("support", support), ("_index", idx),
-                            ("_block", block)):
+                            ("_block", block), ("_layer", layer)):
             object.__setattr__(self, name, value)
         return self
 
@@ -512,7 +521,30 @@ def _violations(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, g: Digraph
 
 
 def _gram_defect(a: np.ndarray) -> np.ndarray:
-    """max |a^H a - I| over the last two axes of a stack of blocks; nan or inf if an entry is."""
+    """max |a^H a - I| over the last two axes of a stack of blocks; nan or inf if an entry is.
+
+    A stack of 1 x 1 or 2 x 2 blocks takes it in closed form: each column's squared norm less 1
+    and, for 2 x 2, the modulus of the columns' inner product, within a few ulp of the product.
+    A block where that is not finite is taken by the product, so nan and inf fall as it puts them.
+    """
+    if a.shape[1:] == (1, 1):
+        defect = np.abs(a.real[:, 0, 0] ** 2 + a.imag[:, 0, 0] ** 2 - 1.0)
+    elif a.shape[1:] == (2, 2):  # elementwise on the columns: a reduction costs more here
+        square = a.real ** 2 + a.imag ** 2
+        norms = np.abs(square[:, 0] + square[:, 1] - 1.0)
+        inner = a[:, :, 0].conj() * a[:, :, 1]
+        defect = np.maximum(np.maximum(norms[:, 0], norms[:, 1]),
+                            np.abs(inner[:, 0] + inner[:, 1]))
+    else:
+        return _gram_product(a)
+    bad = ~np.isfinite(defect)
+    if bad.any():
+        defect[bad] = _gram_product(a[bad])
+    return defect
+
+
+def _gram_product(a: np.ndarray) -> np.ndarray:
+    """max |a^H a - I| over the last two axes, by one batched product."""
     gram = np.matmul(a.conj().swapaxes(-1, -2), a)
     cols = a.shape[-1]
     # cols * cols, not -1: a stack of no blocks has no size to infer it from
@@ -595,10 +627,10 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     _unitary_report, which passes iff each block would alone.  If it fails, or a block or support
     is malformed, the blocks are certified one at a time in order, so the first bad one raises
     what it raises alone, with its index as the error's position."""
-    error = None
+    error = stack = None
     if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.dtype.kind in "biufc":
-        parsed, total = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
-        out = [None] * len(parsed)
+        parsed, stack = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
+        total, out = stack and stack.block, [None] * len(parsed)
     else:
         supports = [None] * len(blocks) if supports is None else list(supports)
         if len(supports) != len(blocks):
@@ -628,19 +660,39 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
             except Exception as exc:
                 exc.position = i
                 raise
-        out[i] = object.__new__(GraphUnitary)._fill(g, s, at, b)
+        out[i] = object.__new__(GraphUnitary)._fill(g, s, at, b, stack and (stack, i))
     if error:
         raise error
     return out
 
 
+class _Stack:
+    """The layers of one (P, h, h) stack as certify_blocks takes it, whole: block, the _Block of
+    the stack, is their direct sum, index holds every layer's support in one array, in order,
+    and sizes each layer's vertex count.  Each layer's certificate is a slice of both, and keeps
+    the _Stack as its _layer, so a caller handed all of them in order reads it (_one_stack)."""
+
+    def __init__(self, block: _Block, index: np.ndarray, sizes: list):
+        self.block, self.index, self.sizes = block, index, sizes
+
+
+def _one_stack(ops):
+    """The _Stack of which the list ops holds every layer, in order, or None."""
+    layer = getattr(ops[0], "_layer", None) if isinstance(ops, list) and ops else None
+    stack = layer and layer[0]
+    if stack is None or len(ops) != len(stack.sizes) or any(
+            getattr(u, "_layer", None) != (stack, i) for i, u in enumerate(ops)):
+        return None
+    return stack
+
+
 def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
-    """(the (position, support, index array, _Block) of each layer, their direct sum) of a (P, h,
-    h) stack laid out as certify_blocks takes it.  The sum is a _Block of the whole stack, each
-    layer's block a slice of it and a layer on no vertex the empty block.  The supports are
-    checked once, as one index array of which each layer's is a slice (_is_int's integers, in
-    range, none twice in a layer, held as plain ints); if they fail, the sum is None and each is
-    checked with its layer's block.  A layout that does not fit the stack is refused."""
+    """(the (position, support, index array, _Block) of each layer, their _Stack) of a (P, h, h)
+    stack laid out as certify_blocks takes it.  Each layer's block is a slice of the _Stack's
+    and a layer on no vertex the empty block.  The supports are checked once, as one index
+    array of which each layer's is a slice (_is_int's integers, in range, none twice in a
+    layer, held as plain ints); if they fail, the _Stack is None and each is checked with its
+    layer's block.  A layout that does not fit the stack is refused."""
     count, h, w = stack.shape
     if h != w or supports is None and h != g.n:
         raise ValueError(f"stack shape {stack.shape} is not (P, h, h), h = {g.n} if no supports")
@@ -666,7 +718,8 @@ def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
         parsed.append((i, s, flat[h * at:h * at + k] if fits else None,
                        _Block(k, ((place[:m], place[:m], stack[at:at + m]),))))
         at += m
-    return parsed, _Block(count * h, ((place, place, stack),)) if fits else None
+    return parsed, _Stack(_Block(count * h, ((place, place, stack),)), flat, sizes) if fits \
+        else None
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -817,9 +870,26 @@ def reach_sequence(g: Digraph, phi, psi, root: int = 0) -> list:
 
 
 def apply_sequence(ops, state) -> np.ndarray:
-    cur = state_vector(state).copy()
-    for u in ops:
-        cur = u.apply(cur)
+    """state after each operator of ops in turn.  A list of every layer of one stack, in order,
+    as reach_sequence returns it, is applied from the stack (_one_stack): each layer by one
+    matmul of its blocks on its vertex groups, the product each layer's own apply makes."""
+    stack = _one_stack(ops)
+    if stack is None:
+        cur = state_vector(state).copy()
+        for u in ops:
+            cur = u.apply(cur)
+        return cur
+    n = ops[0].graph.n
+    cur = np.array(state_vector(state), dtype=complex)
+    if cur.shape != (n,):
+        raise ValueError(f"state dimension {cur.size} does not match graph size {n}")
+    ((_, _, blocks),) = stack.block.parts
+    h, v = blocks.shape[1], 0
+    for k in stack.sizes:
+        if k:  # a layer on no vertex is the identity
+            group = stack.index[v:v + k].reshape(-1, h)
+            cur[group] = np.matmul(blocks[v // h:(v + k) // h], cur[group][..., None])[..., 0]
+            v += k
     return cur
 
 

@@ -19,7 +19,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _is_int, digraph
-from .operators import ControlledOp, Entries, _direct_sum
+from .operators import ControlledOp, Entries, _direct_sum, _one_stack
 from .strategies import build_strategy
 
 
@@ -105,9 +105,11 @@ def operators_to_text(ops) -> str:
 
     The whole list is written in one pass, with no dense n x n matrix, no per-entry format and
     no join per operator.  The non-zero entries of every block are gathered into vertex
-    coordinates and sorted once by (operator, row, column).  Each distinct float part, keyed by
-    its bits so that -0.0 and 0.0 stay apart, is formatted once with repr, which is json's own
-    float format (certified blocks are finite).  The text is then one join of six pieces per
+    coordinates and sorted once by (operator, row, column); the layers of one stack, all of
+    them in order, are read from the stack (see operators._one_stack).  Each distinct magnitude
+    of a float part, keyed by its bits, is formatted once with repr, which is json's own float
+    format (certified blocks are finite), and a part with its sign bit set, -0.0 too, is that
+    text after a minus sign.  The text is then one join of six pieces per
     entry, ", [r, ", "c, ", re, ", ", im and "]", where the first entry of a support row starts
     instead with the identity rows since the support row before, and its own ", [r, ": one
     slice of _text_tables' string.  Every row of a unitary block has a non-zero entry, so each
@@ -120,11 +122,17 @@ def operators_to_text(ops) -> str:
     loops, starts, ends, heads, cols = _text_tables(max(sizes))
     base = max(sizes) + 1  # the key op * base + row orders rows by operator, then row
     # every support in one array, and the non-zero entries of the blocks' direct sum, whose
-    # rows and columns index that array
-    lengths = [len(op._index) for op in ops]
-    flat = np.concatenate([op._index for op in ops])
+    # rows and columns index that array: the layers of one stack, all of them in order, are
+    # both already (_one_stack)
+    stack = _one_stack(ops)
+    if stack is None:
+        lengths = [len(op._index) for op in ops]
+        flat = np.concatenate([op._index for op in ops])
+        block = _direct_sum([op._block for op in ops])
+    else:
+        lengths, flat, block = stack.sizes, stack.index, stack.block
     place = np.arange(0, len(ops) * base, base).repeat(lengths) + flat  # op * base + row
-    rows, columns, vals = _direct_sum([op._block for op in ops]).where(lambda s: s != 0)
+    rows, columns, vals = block.where(lambda s: s != 0)
     row_key, col = place[rows], flat[columns]
     order = (row_key * base + col).argsort()
     row_key, col, vals = row_key[order], col[order].tolist(), vals[order]
@@ -138,10 +146,11 @@ def operators_to_text(ops) -> str:
     firsts = row_key.searchsorted(place)
     head[firsts] = list(map(loops.__getitem__, map(slice, starts[lo].tolist(),
                                                    ends[row].tolist())))
-    bits = vals.view(np.float64).view(np.int64).tolist()  # re, im, re, im, ...
-    floats = dict(zip(bits, vals.view(np.float64).tolist()))  # each distinct part once
-    words = dict(zip(floats, map(repr, floats.values())))
-    parts = list(map(words.__getitem__, bits))
+    floats = vals.view(np.float64)  # re, im, re, im, ...
+    magnitudes, which = np.unique(np.abs(floats).view(np.int64), return_inverse=True)
+    words = list(map(repr, magnitudes.view(np.float64).tolist()))
+    words = np.array(words + ["-" + w for w in words], dtype=object)
+    parts = words[which + np.signbit(floats) * len(magnitudes)].tolist()
     pieces = ["", "", "", ", ", "", "]"] * len(col)
     pieces[::6], pieces[1::6] = head.tolist(), map(cols.__getitem__, col)
     pieces[2::6], pieces[4::6] = parts[::2], parts[1::2]

@@ -223,6 +223,44 @@ def test_run_refuses_controlled_preparation_columns_of_the_wrong_length(tmp_path
     assert code == 1 and out == "" and json.loads(err)["error"] == error
 
 
+def _refusal_argv(tmp_path, case: str) -> list:
+    """argv of a command whose input one JSON-contract refusal names."""
+    board = _write(tmp_path, "board.json", graph_to_json(complete_graph(3)))
+    if case in ("entry-out-of-range", "index-beyond-machine-range"):
+        entry = [2, 3, 1.0, 0.0] if case == "entry-out-of-range" else [2**70, 0, 1.0, 0.0]
+        op = {"n": 3, "entries": [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0], entry]}
+        return ["verify-op", _write(tmp_path, "op.json", op), board, "--unitary"]
+    if case == "state-neither-list-form":
+        return ["reach", board, "--from", "5", "--to", "uniform"]
+    if case == "reach-from-wrong-dimension":
+        return ["reach", board, "--from", "[1.0, 0.0]", "--to", "uniform"]
+    model, cop, robber = {
+        "strategy-not-an-object": ("classical_quantum", [0], {"init": 1}),
+        "controlled-preparation-column-count":
+            ("quantum_controlled", {"init": 0}, {"init": {"controlled": [[0.5] * 4] * 3}}),
+        "list-init-in-a-deterministic-model": ("classical", {"init": 0}, {"init": [0.0, 1.0]}),
+    }[case]
+    g = complete_graph(4 if model == "quantum_controlled" else 3)
+    scenario = {"model": model, "graph": graph_to_json(g), "rounds": 1, "cop": cop,
+                "robber": robber}
+    return ["run", _write(tmp_path, "sc.json", scenario)]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("entry-out-of-range", "operator entry (2, 3) out of range"),
+    ("index-beyond-machine-range", "operator entry rows and columns must be in range"),
+    ("strategy-not-an-object", "strategy JSON must be an object"),
+    ("state-neither-list-form", "state JSON must be a flat list or a list of [re, im] pairs"),
+    ("controlled-preparation-column-count", "controlled preparation needs 4 columns"),
+    ("list-init-in-a-deterministic-model", "deterministic models need an integer initial vertex"),
+    ("reach-from-wrong-dimension", "state has dimension 2, graph has 3 vertices"),
+])
+def test_each_json_contract_refusal_exits_1_with_its_record(tmp_path, capsys, case, message):
+    code, out, err = _run(capsys, _refusal_argv(tmp_path, case))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and json.loads(err) == {"error": "ValueError", "message": message}
+
+
 _CHASE = {"control": "robber",
           "blocks": [{"n": 2, "entries": [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]},
                      {"n": 2, "entries": [[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]}]}

@@ -606,6 +606,7 @@ _BAD_INPUTS = {
     "nan": ([np.nan, 0.0], [np.nan, 1.0]),
     "inf": ([np.inf, 0.0], [np.inf, -np.inf]),
     "off-norm": ([0.6, 0.6], [0.6, 0.6]),
+    "overflow": ([1e200, 1e200], [1e308, 1e308]),  # a sum of squares, or a sum, past the range
 }
 _P2 = path_graph(2)
 _E0 = [1.0, 0.0]
@@ -644,6 +645,22 @@ def test_nan_inf_and_off_norm_inputs_are_refused(entry, kind):
     with pytest.raises(error) as info:
         call(*_BAD_INPUTS[kind])
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("entry", [
+    "reach_sequence phi", "reach_sequence psi", "p_copwin_joint", "p_copwin_separable",
+    "classical_quantum init", "quantum_controlled init", "controlled preparation",
+    "p_copwin_probabilistic", "open_probabilistic init"])
+def test_unit_norm_and_distribution_checks_hold_atol_at_their_boundary(entry):
+    # ATOL is 1e-9: an amplitude pair whose norm is off 1 by twice it, or a distribution with an
+    # entry at minus twice it, is refused, and one off by half of it passes; the controlled
+    # preparation checks its columns (is_unit's axis=0 path), the other amplitudes are vectors
+    call, error = _REFUSERS[entry]
+    for off in (2e-9, -2e-9):
+        with pytest.raises(error):
+            call([0.6 * (1.0 + off), 0.8 * (1.0 + off)], [1.0 + abs(off), -abs(off)])
+    for off in (5e-10, -5e-10):
+        call([0.6 * (1.0 + off), 0.8 * (1.0 + off)], [1.0 + abs(off), -abs(off)])
 
 
 @pytest.mark.parametrize("model", ["classical", "open_probabilistic", "classical_quantum",

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import json
 import tracemalloc
 from collections import deque
 
@@ -698,11 +699,38 @@ def test_graph_json_arcs_are_pairs():
             graph_from_json({"n": 2, "arcs": arcs})
 
 
-def test_a_pair_numpy_cannot_read_as_a_sequence_is_refused():
-    # a set or a dict unpacks in an order of its own, so it is refused rather than read as an arc
-    for pair in ({1, 0}, {0: 1, 1: 0}):
-        with pytest.raises((TypeError, ValueError)):
-            Digraph(2, [pair])
+@pytest.mark.parametrize("arcs, message", [
+    ([5], "graph arcs must be [u, v] pairs"),
+    ([(0,)], "graph arcs must be [u, v] pairs"),
+    ([(0, 1, 2)], "graph arcs must be [u, v] pairs"),
+    ([{0, 1}], "graph arcs must be [u, v] pairs"),
+    ([{0: 1, 1: 0}], "graph arcs must be [u, v] pairs"),
+    (["01"], "graph arcs must be [u, v] pairs"),
+    ([(0, True)], "arc endpoint must be an integer, got True"),
+    ([("0", "1")], "arc endpoint must be an integer, got '0'"),
+    ([(0, 2), (0, 1.5)], "arc endpoint must be an integer, got 1.5"),
+    ([(0, True), (1, 2), (0,)], "graph arcs must be [u, v] pairs"),
+    ([(0, 3), (1, None)], "arc endpoint must be an integer, got None"),
+    ([(0, 1), (0, 3), (4, 0)], "arc (0, 3) references a vertex outside 0..2"),
+], ids=["int", "one-value", "three-values", "set", "dict", "string", "boolean-endpoint",
+        "string-endpoints", "float-endpoint-after-a-good-arc", "non-pair-before-a-type-fault",
+        "type-fault-before-a-range-fault", "range-fault"])
+def test_a_builder_names_a_bad_arc_as_the_json_reader_does(arcs, message):
+    # a non-pair over all arcs first, then a non-integer endpoint, then the first arc out of
+    # range; a set or a dict unpacks in an order of its own, so it is no pair
+    for build in (Digraph, digraph):
+        with pytest.raises(GraphError) as caught:
+            build(3, arcs)
+        assert str(caught.value) == message
+    try:
+        data = json.loads(json.dumps(arcs))
+    except TypeError:  # a set has no JSON form
+        return
+    # the JSON reader keeps its ValueError records for the type faults
+    with pytest.raises(ValueError) as caught:
+        graph_from_json({"n": 3, "arcs": data})
+    expected = GraphError if message.startswith("arc (") else ValueError
+    assert type(caught.value) is expected and str(caught.value) == message
 
 
 def test_reverse_digraph():

@@ -33,6 +33,7 @@ from qpursuit import (
     identity_unitary,
     is_graph_preserving_stochastic,
     is_graph_preserving_unitary,
+    operators_to_text,
     path_graph,
     qc_step,
     random_connected_graph,
@@ -48,6 +49,7 @@ from qpursuit import (
     transposition_unitary,
     uniform_state,
 )
+from qpursuit import operators, scenario
 from qpursuit.graphs import _bfs
 from qpursuit.operators import (
     _DENSE_MAX,
@@ -57,6 +59,9 @@ from qpursuit.operators import (
     _direct_sum,
     _fold_pairs,
     _gather_stack,
+    _gram_defect,
+    _gram_product,
+    _one_stack,
     _split_all,
     _stochastic_report,
     _unitary_report,
@@ -474,6 +479,35 @@ def _transport_instances(draw):
     phi = state()
     psi = phi * np.exp(1j * draw(part)) if draw(st.integers(0, 4)) == 0 else state()
     return g, phi, psi, draw(st.integers(0, n - 1)), draw(st.floats(1e-6, 1.0))
+
+
+def _each_on_its_own(call, *args):
+    """call(*args) with no list read as the layers of one stack: each operator on its own."""
+    with mock.patch.object(operators, "_one_stack", return_value=None), \
+            mock.patch.object(scenario, "_one_stack", return_value=None):
+        return call(*args)
+
+
+@settings(max_examples=150, phases=_NO_SHRINK)
+@given(_transport_instances())
+def test_a_reach_sequence_is_read_from_its_stack_bit_for_bit_as_layer_by_layer(instance):
+    g, phi, psi, root, _ = instance
+    ops = reach_sequence(g, phi, psi, root)
+    # its whole list in order is its stack; a part of it, a reordering or a longer list is not
+    assert (_one_stack(ops) is not None) == bool(ops)
+    for other in (ops[:-1], ops[1:], ops[::-1], ops + ops[:1], ops + reach_sequence(g, psi, phi)):
+        if other != ops:
+            assert _one_stack(other) is None
+    out = apply_sequence(ops, phi)
+    assert out.dtype == complex and out.tobytes() == \
+        _each_on_its_own(apply_sequence, list(ops), phi).tobytes()
+    assert operators_to_text(ops) == _each_on_its_own(operators_to_text, list(ops))
+    # the stack and any other list refuse a state of another dimension alike
+    for seq in (ops, ops[:-1], ops[::-1]):
+        if seq:
+            with pytest.raises(ValueError, match=f"^state dimension {g.n + 1} does not match "
+                                                 f"graph size {g.n}$"):
+                apply_sequence(seq, np.ones(g.n + 1))
 
 
 @settings(max_examples=200, phases=_NO_SHRINK)
@@ -1079,6 +1113,35 @@ def test_component_residual_matches_the_single_product(instance):
     # only the summation order inside a component differs
     assert abs(report.residual - residual) <= 4 * np.finfo(float).eps * max(residual, 1.0)
     assert report.ok == (residual <= ATOL and not violations)
+
+
+@settings(max_examples=200, phases=_NO_SHRINK)
+@given(st.sampled_from([1, 2]), st.integers(0, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from(["unitary", "near-unitary", "gaussian", "wide", "non-finite"]))
+def test_closed_form_gram_defects_match_the_batched_product(h, count, seed, kind):
+    rng = np.random.default_rng(seed)
+    shape = (count, h, h)
+    if kind in ("unitary", "near-unitary"):
+        a = haar_unitary(h, rng, (count,))
+        if kind == "near-unitary":
+            a = a * (1.0 + 1e-9 * rng.standard_normal((count, 1, 1)))
+    else:
+        # "wide" spans 10^-200 to 10^200, so squares underflow and overflow
+        scale = 10.0 ** rng.integers(-200, 200, (2, *shape)) if kind != "gaussian" else [1.0, 1.0]
+        a = rng.standard_normal(shape) * scale[0] + 1j * rng.standard_normal(shape) * scale[1]
+        if kind == "non-finite":
+            hit = rng.random(shape) < 0.3
+            a[hit] = rng.choice([np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                 complex(np.nan, 1.0)], int(hit.sum()))
+    with np.errstate(all="ignore"):
+        closed, product = _gram_defect(a), _gram_product(a)
+        # an ulp of b^H b is one at the scale of its largest entry, a column's squared norm
+        ulp = np.spacing(np.maximum(1.0, (np.abs(a) ** 2).sum(axis=1).max(axis=1, initial=0.0)))
+    assert closed.shape == product.shape == (count,)
+    assert np.array_equal(np.isnan(closed), np.isnan(product))
+    finite = np.isfinite(product)
+    assert np.array_equal(closed[~finite], product[~finite], equal_nan=True)
+    assert (np.abs(closed[finite] - product[finite]) <= 4 * ulp[finite]).all()
 
 
 def _dense_stochastic_report(m, g, tau=ATOL):

@@ -19,6 +19,10 @@ class GraphError(ValueError):
     """A graph value violates an operation's requirements."""
 
 
+class _ArcFormatError(GraphError):
+    """An arc that is not a pair of integers: malformed input, not a fact about a board."""
+
+
 class Digraph:
     """Directed graph on vertices 0..n-1, stored as its boolean matrix.
 
@@ -153,17 +157,18 @@ def _check_size(n):
 
 
 def _check_arcs(n, arcs: list):
-    """GraphError unless n is a vertex count (_check_size) and each arc joins two vertices, in
-    the JSON reader's words: a non-pair is named first, then an endpoint that is not an integer
-    (_is_int), each over all the arcs, and then the first arc out of range.  A pair is a list,
-    tuple or 1-D array of two values, never a set or a dict, whose unpacking picks an order."""
-    _check_size(n)
+    """GraphError unless each arc joins two vertices and n is a vertex count (_check_size): a
+    non-pair is named first, then an endpoint that is not an integer (_is_int), each over all
+    the arcs and as an _ArcFormatError, then the size, and then the first arc out of range.  A
+    pair is a list, tuple or 1-D array of two values, never a set or a dict, whose unpacking
+    picks an order."""
     if not all(isinstance(a, (list, tuple)) and len(a) == 2
                or isinstance(a, np.ndarray) and a.shape == (2,) for a in arcs):
-        raise GraphError("graph arcs must be [u, v] pairs")
+        raise _ArcFormatError("graph arcs must be [u, v] pairs")
     for x in itertools.chain.from_iterable(arcs):
         if not _is_int(x):
-            raise GraphError(f"arc endpoint must be an integer, got {x!r}")
+            raise _ArcFormatError(f"arc endpoint must be an integer, got {x!r}")
+    _check_size(n)
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"arc ({u!r}, {v!r}) references a vertex outside 0..{n - 1}")

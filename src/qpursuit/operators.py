@@ -25,19 +25,15 @@ from .graphs import (
     spanning_tree,
 )
 
-# Certification and fidelity tolerance.  A certificate's residual is max |b^H b - I|
-# of its k x k block, and b^H b is exactly zero between two connected components of
-# b's non-zero pattern, so the residual is its worst component's.  A gather's (k = 2)
-# holds at any board size, and so does a layer of disjoint gathers or a move of phases
-# and 2x2 blocks on a matching.  A component on m columns sums m-term products, which
-# is documented for m <= 256.
+# Certification and fidelity tolerance.  A certificate's residual is max |b^H b - I| of its
+# k x k block, and each entry of b^H b is the inner product of two columns over the rows they
+# share, one term per shared row.  A gather's (k = 2) holds at any board size, and so does a
+# layer of disjoint gathers or a move of phases and 2x2 blocks on a matching: no inner product
+# there has more than two terms.  An inner product of m terms is documented for m <= 256.
 ATOL = 1e-9
-# Blocks on at most this many vertices take one k x k product b^H b: finding the
-# components costs more than the product there.
+# Blocks on at most this many vertices take one k x k product b^H b: pairing their entries
+# costs more than the product there.
 _DENSE_MAX = 64
-# One _components search stacks at most this many entries (see _split_all), since its scratch
-# memory grows with them: the 65,536 of an n = 256 universal_vertex_catch move fit in one.
-_SPLIT_ENTRIES = 1 << 16
 # Looser tolerance for inequalities derived from certified quantities.
 ATOL_DERIVED = 1e-8
 # Below this block norm a gather rotation is underdetermined and we keep identity; a fold
@@ -196,104 +192,35 @@ class Entries:
         return m
 
 
-def _column_components(cols: np.ndarray, starts: np.ndarray, line: np.ndarray,
-                       k: int) -> np.ndarray:
-    """Label of each of k columns, constant on each connected component of columns and one of its
-    columns, where two columns are joined when they share a row.  cols holds the columns of the
-    non-zero entries in row-major order, starts the index of each non-empty row's first entry
-    and line the number of each entry's row among the non-empty rows.
-
-    Each pass hooks each column, and the column its label names, onto the least label in the
-    column's row, then jumps each column to its label's label (Shiloach-Vishkin).  Labels only
-    fall, so the passes stop: once every row holds one label, or every column reads label 0.
-    """
-    label = np.arange(k)
-    while cols.size and label.any():
-        seen = label[cols]
-        least = np.minimum.reduceat(seen, starts)[line]
-        if (seen == least).all():
-            break
-        np.minimum.at(label, seen, least)
-        np.minimum.at(label, cols, least)
-        label = label[label]
-    return label
-
-
-def _components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int) -> tuple:
-    """The parts (see _Block) of the k x k block with these non-zero entries, in row-major order.
-
-    The components are renumbered so that those of one shape are consecutive, and every
-    component's rows x columns block is laid out in one buffer in that order: each shape's
-    stack is then one slice of it, as are its rows and columns of the sorted row and column lists.
-    """
-    first = np.ones(rows.size, dtype=bool)  # the first entry of each non-empty row
-    first[1:] = rows[1:] != rows[:-1]
-    starts, line = np.flatnonzero(first), np.cumsum(first) - 1  # line: each entry's row number
-    label = _column_components(cols, starts, line, k)
-    root = label == np.arange(k)
-    comp = (np.cumsum(root) - 1)[label]  # components numbered in the order of their labels
-    count = int(np.count_nonzero(root))
-    row_comp = comp[cols[starts]]
-    shape = np.bincount(row_comp, minlength=count) * (k + 1) + np.bincount(comp, minlength=count)
-    order = np.argsort(shape, kind="stable")
-    shape = shape[order]
-    number = np.empty(count, dtype=np.intp)
-    number[order] = np.arange(count)
-    comp, row_comp = number[comp], number[row_comp]
-    # a batch of blocks (see _split_all) has about as many components as columns, so each
-    # per-component array is let go once used
-    del label, root, order, number
-    height, width = np.divmod(shape, k + 1)
-    # each shape's components run from heads[i] up to ends[i]
-    ends = [*(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), count]
-    heads = [0, *ends[:-1]]
-    del shape
-    size = height * width
-    col_start, row_start, offset = (np.cumsum(a) - a for a in (width, height, size))
-    total = int(offset[-1] + size[-1])
-    # each shape's (height, width, first row, first column, first buffer place, count)
-    groups = list(zip(*(a[heads].tolist() for a in (height, width, row_start, col_start, offset)),
-                      (b - a for a, b in zip(heads, ends))))
-    del height, size
-    by_col, by_row = np.argsort(comp, kind="stable"), np.argsort(row_comp, kind="stable")
-    # the buffer place of each column in its component's first row, and each row's step from it
-    col_at = np.empty(k, dtype=np.intp)
-    col_at[by_col] = np.arange(k) + (offset - col_start)[comp[by_col]]
-    del comp, col_start, offset
-    row_comp = row_comp[by_row]
-    row_at = np.empty(starts.size, dtype=np.intp)
-    row_at[by_row] = (np.arange(starts.size) - row_start[row_comp]) * width[row_comp]
-    del row_comp, row_start, width
-    buffer = np.zeros(total, dtype=complex)
-    buffer[col_at[cols] + row_at[line]] = vals
-    line_rows = rows[starts][by_row]
-    return tuple((line_rows[r0:r0 + m * h].reshape(m, h), by_col[c0:c0 + m * w].reshape(m, w),
-                  buffer[b0:b0 + m * h * w].reshape(m, h, w)) for h, w, r0, c0, b0, m in groups)
-
-
 class _Block:
-    """A k x k block stored as the connected components of its non-zero pattern, grouped by shape.
+    """A k x k block as its dense parts and at most one entries part.
 
-    parts holds one (rows, cols, stack) per component shape: stack[i] is the block on rows
-    rows[i] and columns cols[i] (block coordinates, each ascending).  Two columns are in one
-    component when they share a row, so b^H b is exactly zero between components and b x mixes
-    entries only within one; an empty column is a component with no rows, an empty row lies in
-    none.  A block on at most _DENSE_MAX vertices is kept whole as one component: finding
-    components costs more than the one k x k product there.  No array of it leaves: what it
-    returns is built afresh.
+    parts holds one (rows, cols, stack) per dense shape: stack[i] is the block on rows rows[i]
+    and columns cols[i] (block coordinates, each ascending).  A block on at most _DENSE_MAX
+    vertices is one part on rows and columns 0..k-1, and a stack of them (see _layers) one part
+    of many.  entries, if not None, holds (rows, cols, vals) of the other non-zero entries in
+    row-major order, vals complex, in rows and columns no part has: a block past _DENSE_MAX
+    vertices is kept so (see _split_all), and b^H b and b x are read from its entries.  No
+    writable array of it leaves: the entries are read-only, and all else it returns is built
+    afresh.
     """
 
-    def __init__(self, k: int, parts: tuple):
+    def __init__(self, k: int, parts: tuple, entries: tuple = None):
         self.k = k
         self.parts = parts
+        self.entries = entries
+        for a in entries or ():
+            a.setflags(write=False)
 
     @property
     def shape(self) -> tuple:
         return (self.k, self.k)
 
     def residual(self) -> float:
-        """max |b^H b - I|, its worst component's; nan or inf if an entry is."""
+        """max |b^H b - I|, its worst part's; nan or inf if an entry is."""
         worst = [_gram_defect(s).max(initial=0.0) for _, _, s in self.parts]
+        if self.entries is not None:
+            worst.append(_gram_entries(*self.entries, self.k, [c for _, c, _ in self.parts]))
         # np.max keeps a nan; the builtin may drop it
         return float(worst[0] if len(worst) == 1 else np.max(worst, initial=0.0))
 
@@ -303,96 +230,146 @@ class _Block:
         for r, c, s in self.parts:
             i, a, b = np.nonzero(mask(s))
             found.append((r[i, a], c[i, b], s[i, a, b]))
+        if self.entries is not None:
+            rows, cols, vals = self.entries
+            hit = mask(vals)
+            found.append(self.entries if hit.all() else (rows[hit], cols[hit], vals[hit]))
         return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
     def dense(self) -> np.ndarray:
         b = np.zeros(self.shape, dtype=complex)
         for r, c, s in self.parts:
             b[r[:, :, None], c[:, None, :]] = s
+        if self.entries is not None:
+            rows, cols, vals = self.entries
+            b[rows, cols] = vals
         return b
 
     def adjoint(self) -> "_Block":
-        """b^H: each component conjugate-transposed, its rows and columns swapped."""
-        return _Block(self.k, tuple((c, r, s.conj().swapaxes(1, 2)) for r, c, s in self.parts))
+        """b^H: each part conjugate-transposed, its rows and columns swapped; the entries
+        swapped, conjugated and put back in row-major order."""
+        entries = self.entries
+        if entries is not None:
+            rows, cols, vals = entries
+            order = np.lexsort((rows, cols))
+            entries = (cols[order], rows[order], vals[order].conj())
+        return _Block(self.k, tuple((c, r, s.conj().swapaxes(1, 2)) for r, c, s in self.parts),
+                      entries)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """b x for a vector x of length k; every row of a unitary block lies in a component."""
+        """b x for a vector x of length k: the entries by one scatter-add per real and imaginary
+        part, each part by one product; every row of a unitary block lies in a part or holds an
+        entry."""
         y = np.zeros_like(x)
+        if self.entries is not None:
+            rows, cols, vals = self.entries
+            terms = vals * x[cols]
+            y.real = np.bincount(rows, weights=terms.real, minlength=self.k)
+            y.imag = np.bincount(rows, weights=terms.imag, minlength=self.k)
         for r, c, s in self.parts:
             y[r] = np.matmul(s, x[c][..., None])[..., 0]
         return y
 
 
-def _split_all(blocks) -> tuple:
-    """(blocks split into their components as _Blocks, their direct sum or None if no blocks).
+def _row_pairs(rows: np.ndarray) -> tuple:
+    """(first, second): for row-major entries on these rows, the index of each pair of entries
+    that share a row, the first before the second, pairs in the order of their first entry and
+    then of their second."""
+    size = rows.size
+    head = np.ones(size, dtype=bool)  # the first entry of each row
+    head[1:] = rows[1:] != rows[:-1]
+    if head.all():  # one entry a row
+        return rows[:0], rows[:0]
+    starts = np.flatnonzero(head)
+    ends = np.append(starts[1:], size)
+    after = np.repeat(ends, ends - starts) - np.arange(size) - 1  # each entry's partners
+    first = np.repeat(np.arange(size), after)
+    step = np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
+    return first, first + step + 1
 
-    Entries and dense arrays on at most _DENSE_MAX vertices are kept whole, and _Blocks pass.
-    Each other run of consecutive blocks is searched by one _components call over their entries
-    stacked, each block's rows and columns shifted by the sizes of those before it.  That is the
-    run's direct sum, and each block's parts are cut from it: no component spans two blocks, and
-    the components of one shape come in the order of their least columns, c[:, 0], so each cut
-    holds the block's own parts as its own search lays them out.  A run stacks up to
-    _SPLIT_ENTRIES entries, or one block past it, each counted as at least its columns."""
-    out, items, runs, size = list(blocks), [], [], _SPLIT_ENTRIES
-    for i, block in enumerate(out):
+
+def _gram_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int,
+                  skip: list = ()) -> float:
+    """max |b^H b - I| of the k x k block b with these non-zero entries, in row-major order,
+    read from them, over its columns but those in the arrays skip (a _Block's parts): the
+    diagonal of b^H b is each column's sum of squared moduli (an empty column's is 0), and its
+    entry on columns a < c the sum of conj(b[r, a]) b[r, c] over the rows r holding both, so
+    only pairs of entries that share a row add to it; nan or inf if an entry is."""
+    square = vals.real ** 2 + vals.imag ** 2
+    norms = np.bincount(cols, weights=square, minlength=k)
+    for c in skip:
+        norms[c] = 1.0
+    worst = np.abs(norms - 1.0).max(initial=0.0)
+    first, second = _row_pairs(rows)
+    if first.size:
+        terms = vals[first].conj() * vals[second]
+        _, which = np.unique(cols[first] * k + cols[second], return_inverse=True)
+        inner = np.hypot(np.bincount(which, weights=terms.real),
+                         np.bincount(which, weights=terms.imag))
+        worst = np.max((worst, inner.max()))  # np.max keeps a nan
+    return worst
+
+
+def _split_all(blocks) -> tuple:
+    """(the blocks as _Blocks, their direct sum or None if no blocks).
+
+    A dense array or Entries on at most _DENSE_MAX vertices is kept whole, as one part, and so
+    is one past it whose rows pair up more entries than its k x k product has cells (the sum of
+    d (d - 1) / 2 over its rows' entry counts d above k^2), since those pairs would take more
+    memory than the product; any other past it is kept as its entries.  _Blocks pass."""
+    out = []
+    for block in blocks:
         if not isinstance(block, (_Block, Entries)):
             block = np.asarray(block, dtype=complex)
             if len(block) > _DENSE_MAX:
                 block = Entries.of_matrix(block)
-        if isinstance(block, Entries) and block.n <= _DENSE_MAX:
-            block = block.dense().astype(complex, copy=False)
+        if isinstance(block, Entries):
+            k, rows = block.n, block.rows
+            pairs = rows.size * (rows.size - 1) // 2  # at least the pairs that share a row
+            if pairs > k * k:
+                counts = np.bincount(rows)
+                pairs = int(counts @ (counts - 1)) // 2
+            if k > _DENSE_MAX and pairs <= k * k:
+                block = _Block(k, (), (rows, block.cols, block.vals.astype(complex, copy=False)))
+            else:
+                block = block.dense().astype(complex, copy=False)
         if isinstance(block, np.ndarray):  # kept whole: one part on rows and columns 0..k-1
             whole = np.arange(len(block))[None]
             block = _Block(len(block), ((whole, whole, block[None]),))
-        out[i] = block
-        if isinstance(block, _Block):
-            items.append(block)
-            size = _SPLIT_ENTRIES  # the next block to search starts a run
-            continue
-        cost = max(block.rows.size, block.n)
-        if size + cost > _SPLIT_ENTRIES:
-            runs.append((len(items), []))  # its sum's place among the summands, its blocks
-            items.append(None)
-            size = 0
-        runs[-1][1].append(i)
-        size += cost
-    for place, run in runs:
-        at = np.cumsum([0] + [out[i].n for i in run]).tolist()
-        shift = np.repeat(at[:-1], [out[i].rows.size for i in run])
-        rows, cols, vals = (np.concatenate([getattr(out[i], name) for i in run])
-                            for name in ("rows", "cols", "vals"))
-        parts = _components(rows + shift, cols + shift, vals, at[-1])
-        items[place] = _Block(at[-1], parts)
-        cuts = [np.searchsorted(c[:, 0], at).tolist() for _, c, _ in parts]
-        for j, i in enumerate(run):
-            out[i] = _Block(at[j + 1] - at[j], tuple(
-                (r[lo:hi] - at[j], c[lo:hi] - at[j], s[lo:hi])
-                for (r, c, s), cut in zip(parts, cuts) if (lo := cut[j]) < (hi := cut[j + 1])))
-    return out, _direct_sum(items) if items else None
+        out.append(block)
+    return out, _direct_sum(out) if out else None
 
 
 def _direct_sum(blocks: list) -> _Block:
-    """The block-diagonal sum of blocks in their order, its stacks of one component shape joined,
-    each component's rows and columns shifted by the sizes of the blocks before its own."""
+    """The block-diagonal sum of blocks in their order, its stacks of one shape joined and its
+    entries joined, each part's and entry's rows and columns shifted by the sizes of the blocks
+    before its own."""
     if len(blocks) == 1:
         return blocks[0]
-    shapes, at = {}, 0
+    shapes, entries, at = {}, [], 0
     for b in blocks:
         for part in b.parts:
             shapes.setdefault(part[2].shape[1:], []).append(part + (at,))
+        if b.entries is not None:
+            entries.append(b.entries + (at,))
         at += b.k
     parts = []
     for rows, cols, stacks, starts in (zip(*group) for group in shapes.values()):
-        shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each component's place
+        shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each part's place
         parts.append((np.concatenate(rows) + shift, np.concatenate(cols) + shift,
                       np.concatenate(stacks)))
-    return _Block(at, tuple(parts))
+    if entries:
+        rows, cols, vals, starts = zip(*entries)
+        shift = np.repeat(starts, [v.size for v in vals])
+        entries = (np.concatenate(rows) + shift, np.concatenate(cols) + shift,
+                   np.concatenate(vals))
+    return _Block(at, tuple(parts), entries or None)
 
 
 def _parsed(block, graph: Digraph, support) -> tuple:
     """(support, idx, block) as a certificate holds them: support (every vertex if None) as ints
-    and as an index array, block as Entries, a dense copy or a _Block, to be split by
-    _split_all; bad vertices or sizes refused."""
+    and as an index array, block as Entries, a dense copy or a _Block, for _split_all; bad
+    vertices or sizes refused."""
     if support is None:
         idx, support = np.arange(graph.n), tuple(range(graph.n))
     else:
@@ -422,10 +399,10 @@ class GraphUnitary:
 
     block is a dense array, block[i, j] being the entry at row support[i], column support[j],
     or Entries in those block coordinates.  The default support is every vertex; a gather is a
-    block on two vertices, the identity an empty block.  The block is stored split into the
-    components of its non-zero pattern (see _Block), which certification and apply both read,
-    so a sparse move past _DENSE_MAX vertices is certified and applied in O(nnz); .block and
-    .matrix are built on read.
+    block on two vertices, the identity an empty block.  The block is stored as a _Block, which
+    certification and apply both read: a sparse move past _DENSE_MAX vertices as its non-zero
+    entries, so it is certified and applied without a k x k array; .block and .matrix are
+    built on read.
     """
 
     graph: Digraph
@@ -557,10 +534,11 @@ def _unitary_report(b, g: Digraph, idx, tau: float = ATOL) -> OpReport:
     elsewhere, without building it: its m^H m differs from the identity only on the block, and
     its identity part needs the loops outside idx.
 
-    b is a _Block (see _split_all); the residual is taken per component, which finds the
-    maximum of the one k x k product without it.  For the direct sum of several blocks (see
-    certify_blocks), idx is the list of their supports' index arrays, in order, and the loops
-    outside each block's own support are checked: it holds iff each block's report would."""
+    b is a _Block (see _split_all); the residual is taken per part and from the entries, which
+    finds the maximum of the one k x k product without it.  For the direct sum of several
+    blocks (see certify_blocks), idx is the list of their supports' index arrays, in order, and
+    the loops outside each block's own support are checked: it holds iff each block's report
+    would."""
     supports = idx if isinstance(idx, list) else [idx]
     with np.errstate(all="ignore"):  # a nan or inf entry gives a residual that fails, not a warning
         residual = b.residual()
@@ -621,7 +599,8 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     """The blocks, a list or one (P, h, h) numeric stack, certified against g.  In a list, a
     GraphUnitary on g is trusted and returned as it is, one from another board is certified on
     its own support, and anything else (a dense array, Entries or a _Block) on its given support,
-    every vertex by default; _split_all splits them and yields their direct sum.  A stack is that
+    every vertex by default; _split_all makes each a _Block and yields their direct sum, whose
+    entries past _DENSE_MAX vertices are read as they are, with no search.  A stack is that
     sum built already (see _layers), layer i holding the next len(supports[i]) / h blocks, or
     each block one layer on the whole board if supports is None.  The sum is checked by one
     _unitary_report, which passes iff each block would alone.  If it fails, or a block or support

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from .engine import (
     Strategy,
     play,
 )
-from .graphs import Digraph, _is_int, digraph
+from .graphs import Digraph, _ArcFormatError, _is_int, digraph
 from .operators import ControlledOp, Entries, _direct_sum, _one_stack
 from .strategies import build_strategy
 
@@ -74,14 +73,8 @@ def graph_from_json(data: dict) -> Digraph:
             raise ValueError(f"graph field '{key}' must be true or false, got {value!r}")
     try:
         return digraph(n, arcs, **flags)
-    except (TypeError, ValueError):  # a GraphError is a ValueError
-        # the arcs are scanned again only when refused: a pair that is not two values, or an
-        # endpoint that is not an integer, is malformed JSON; otherwise the builder's error stands
-        if not all(isinstance(a, (list, tuple)) and len(a) == 2 for a in arcs):
-            raise ValueError("graph arcs must be [u, v] pairs") from None
-        for x in itertools.chain.from_iterable(arcs):
-            _json_int(x, "arc endpoint")
-        raise
+    except _ArcFormatError as exc:  # malformed JSON; any other refusal of the board stands
+        raise ValueError(str(exc)) from None
 
 
 @functools.lru_cache(maxsize=16)

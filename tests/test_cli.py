@@ -384,7 +384,7 @@ def test_verify_op_stochastic(tmp_path, capsys):
 
 def _pinned_operators():
     """The verify-op cases above plus two with non-zero residuals: a scaled 2x2 rotation and a
-    forbidden entry on a 70-vertex path (past the size where certificates take components),
+    forbidden entry on a 70-vertex path (past the size where certificates keep entries),
     and a lazy walk on C4 with one column off."""
     swap = np.zeros((3, 3))
     swap[0, 2] = swap[2, 0] = swap[1, 1] = 1.0

@@ -89,8 +89,8 @@ def spy(monkeypatch):
 
 def test_reach_makes_one_check_on_its_one_gather_stack(spy):
     spy.watch(OPS, "_unitary_report", "_gather_stack")
-    # no block is built, parsed, re-joined or applied, nor searched for its components
-    spy.forbid(OPS, "_components", "_parsed", "_direct_sum")
+    # no block is built, parsed, re-joined or applied, nor read as entries
+    spy.forbid(OPS, "_gram_entries", "_parsed", "_direct_sum")
     spy.forbid(Entries, "of_matrix")
     spy.forbid(_Block, "dense", "__matmul__")
     for g, phi, psi in _reach_cases():
@@ -102,7 +102,7 @@ def test_reach_makes_one_check_on_its_one_gather_stack(spy):
         # copy of the one gather stack; each layer's block and index are slices of the sum's
         assert [tuple(s.tolist()) for s in idx] == [u.support for u in ops]
         (rows, cols, checked), = b.parts
-        assert np.array_equal(checked, stack) and not np.shares_memory(checked, stack)
+        assert b.entries is None and np.array_equal(checked, stack) and not np.shares_memory(checked, stack)
         assert np.array_equal(rows, np.arange(b.k).reshape(-1, 2)) and np.array_equal(cols, rows)
         assert all(u._block.parts[0][2].base is checked.base for u in ops)
         assert idx[0].base is not None and all(u._index.base is idx[0].base for u in ops)
@@ -111,7 +111,7 @@ def test_reach_makes_one_check_on_its_one_gather_stack(spy):
 @pytest.mark.parametrize("build", ["universal_vertex_catch", "reproduce star-impossibility"])
 def test_a_stack_of_blocks_is_one_report_of_its_prebuilt_sum(spy, capsys, build):
     spy.watch(OPS, "_unitary_report")
-    spy.forbid(OPS, "_parsed", "_components")
+    spy.forbid(OPS, "_parsed", "_gram_entries")
     if build == "universal_vertex_catch":
         # the hub's n - 1 swaps are one (n - 1, 2, 2) stack, the hub itself an empty layer
         g = star_graph(39)
@@ -150,32 +150,41 @@ def test_the_c4_collapses_are_each_checked_once(spy):
     assert len(checks) < len(collapses())
 
 
-def test_a_list_is_checked_on_the_sum_its_one_search_yields(spy):
-    # three sparse moves are one run of the search: the one check reads the search's parts, and
-    # no part is joined again after each block's are cut from them
+def test_a_list_past_64_vertices_is_one_report_on_its_joined_entries(spy):
+    # three sparse moves: one report, whose sum is the moves' entries joined, read once, with
+    # no search per block and no k x k product
     rng = np.random.default_rng(128)
     g = random_connected_graph(128, rng, 3.0 / 128)
     moves = [Entries.of_matrix(sample_graph_unitary(g, rng).matrix) for _ in range(3)]
-    spy.watch(OPS, "_components", "_unitary_report", "_direct_sum")
+    spy.watch(OPS, "_gram_entries", "_unitary_report", "_direct_sum")
+    spy.forbid(OPS, "_gram_defect", "_gram_product")
     certify_blocks(moves, g)
-    ((_, parts),) = spy.calls["_components"]
     (((b, *_), _),) = spy.calls["_unitary_report"]
-    assert b.parts is parts
-    assert [len(blocks) for (blocks,), _ in spy.calls["_direct_sum"]] == [1]
+    assert b.parts == () and b.k == 3 * g.n
+    rows, cols, vals = b.entries
+    assert np.array_equal(rows, np.concatenate([m.rows + i * g.n for i, m in enumerate(moves)]))
+    assert np.array_equal(cols, np.concatenate([m.cols + i * g.n for i, m in enumerate(moves)]))
+    assert np.array_equal(vals, np.concatenate([m.vals for m in moves]))
+    (((*entries, k, _), _),) = spy.calls["_gram_entries"]
+    assert k == b.k and all(a is e for a, e in zip(entries, b.entries))
+    assert [len(blocks) for (blocks,), _ in spy.calls["_direct_sum"]] == [3]
 
 
-def test_a_lone_block_is_one_search_whose_parts_are_the_block_checked(spy):
-    # a one-swap operator on a 2,048-vertex path: one search, and its parts are the block checked
-    spy.watch(OPS, "_components", "_unitary_report")
+def test_a_lone_block_past_64_vertices_is_checked_on_its_own_entries(spy):
+    # a one-swap operator on a 2,048-vertex path: one report on the operator's own arrays, read
+    # once, with no k x k product
+    spy.watch(OPS, "_gram_entries", "_unitary_report")
+    spy.forbid(OPS, "_gram_defect", "_gram_product")
     n = 2048
     perm = np.arange(n)
     perm[[0, 1]] = [1, 0]
-    e = Entries(n, perm, np.arange(n), np.ones(n))
+    e = Entries(n, perm, np.arange(n), np.ones(n, dtype=complex))
     assert is_graph_preserving_unitary(e, path_graph(n)).ok
-    (((*_, k), parts),) = spy.calls["_components"]
-    assert k == n
     (((b, *_), _),) = spy.calls["_unitary_report"]
-    assert b.parts is parts
+    assert b.parts == () and b.k == n
+    assert all(a is getattr(e, name) for a, name in zip(b.entries, ("rows", "cols", "vals")))
+    (((*entries, k, _), _),) = spy.calls["_gram_entries"]
+    assert k == n and all(a is x for a, x in zip(entries, b.entries))
 
 
 def test_a_stack_on_numpy_integer_supports_is_one_report(spy):
@@ -197,7 +206,7 @@ def test_a_move_list_is_checked_once_when_the_game_starts(spy, k, model):
     moves = [_stochastic_json(sample_graph_stochastic(g, rng)) if stochastic
              else _unitary_json(sample_graph_unitary(g, rng)) for _ in range(k)]
     data = _scenario_json(g, model, k, {"init": "uniform", "moves": moves}, {"init": "uniform"})
-    spy.watch(OPS, "_components", "_unitary_report", "_stochastic_report")
+    spy.watch(OPS, "_gram_entries", "_unitary_report", "_stochastic_report")
 
     def counts() -> dict:
         return {name: len(log) for name, log in spy.calls.items()}
@@ -210,12 +219,12 @@ def test_a_move_list_is_checked_once_when_the_game_starts(spy, k, model):
         assert type(m) is Entries and m.n == read.n
         assert all(np.array_equal(getattr(m, a), getattr(read, a))
                    for a in ("rows", "cols", "vals"))
-    # in play, the unitary list is split and checked once when the game starts, and each
-    # certificate trusted when played; each stochastic move is checked when played
+    # in play, the unitary list's entries are read and checked once when the game starts, and
+    # each certificate trusted when played; each stochastic move is checked when played
     run_scenario(sc)
-    assert counts() == ({"_components": 0, "_unitary_report": 0, "_stochastic_report": k}
+    assert counts() == ({"_gram_entries": 0, "_unitary_report": 0, "_stochastic_report": k}
                         if stochastic else
-                        {"_components": 1, "_unitary_report": 1, "_stochastic_report": 0})
+                        {"_gram_entries": 1, "_unitary_report": 1, "_stochastic_report": 0})
 
 
 def _kept_sum(spy, op) -> bool:

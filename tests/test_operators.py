@@ -53,7 +53,6 @@ from qpursuit import operators, scenario
 from qpursuit.graphs import _bfs
 from qpursuit.operators import (
     _DENSE_MAX,
-    _SPLIT_ENTRIES,
     _ZERO_BLOCK,
     _Block,
     _direct_sum,
@@ -76,8 +75,8 @@ _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def _split(block) -> _Block:
-    """block, Entries or a dense square array, split into its components as certification
-    splits it (see _split_all)."""
+    """block, Entries or a dense square array, as the _Block certification makes of it (see
+    _split_all)."""
     return _split_all([block])[1]
 
 
@@ -759,8 +758,8 @@ def _block_lists(draw):
     """A board and blocks with their supports for certify_blocks, of mixed sizes and kinds, and
     for each block the certificate it came from, if any.
 
-    The board has 1 to 6 vertices, or a few past _DENSE_MAX so that a block may be split into
-    components, with every arc or random ones, and may miss loops, so blocks pass and fail alike.
+    The board has 1 to 6 vertices, or a few past _DENSE_MAX so that a block may be kept as its
+    entries, with every arc or random ones, and may miss loops, so blocks pass and fail alike.
     A block has 0 to n vertices: Haar, phases or reversed phases, maybe scaled or with one entry
     off.  It comes as a dense array, as Entries or as the block and support of its certificate on
     the complete board; a support covering the board is sometimes the default (None), and now and
@@ -1032,7 +1031,7 @@ def test_a_stack_checks_the_loops_outside_each_blocks_own_support():
 
 def _dense_residual_and_violations(b, g, idx, tau=ATOL):
     """The single k x k product b^H b and the entry scan _unitary_report ran on every block
-    before it took the residual per component, kept as the reference."""
+    before it took the residual per part and from the entries, kept as the reference."""
     with np.errstate(all="ignore"):
         defect = b.conj().T @ b
         defect.flat[::len(idx) + 1] -= 1.0
@@ -1054,11 +1053,12 @@ def _pairs_block(rng, order, pairs):
 
 @st.composite
 def _patterned_blocks(draw):
-    """A k x k block on both sides of the size where certification starts taking components,
+    """A k x k block on both sides of the size where certification starts keeping entries,
     its board reflexive with an arc for each entry of the block bar a few: unitary blocks of
     phases and 2x2 pairs, permuted block-diagonal, dense Haar or a chain of two layers of 2x2
     rotations, or random entries on a sparse pattern; then maybe with an empty row or column
-    (a component with more rows than columns), scaled or with one entry 1e-12 to 1e-8 off."""
+    (a column no row pairs with, or a row with no entry), scaled or with one entry 1e-12 to
+    1e-8 off."""
     k = draw(st.one_of(st.integers(1, _DENSE_MAX), st.integers(_DENSE_MAX + 1, 160)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(("pairs", "blocks", "haar", "chain", "sparse")))
@@ -1089,7 +1089,7 @@ def _patterned_blocks(draw):
     if cut is not None:
         np.moveaxis(b, cut, 0)[draw(st.integers(0, k - 1))] = 0.0
     b = b * draw(st.sampled_from((1.0, 1.0 + 1e-12, 1.0 + 1e-6)))
-    off = draw(st.sampled_from((None, 1e-12, 1e-10, 1e-8)))  # on a zero it joins two components
+    off = draw(st.sampled_from((None, 1e-12, 1e-10, 1e-8)))  # on a zero it pairs two columns
     if off is not None:
         b.flat[draw(st.integers(0, k * k - 1))] += off
     n = k + draw(st.integers(0, 2))
@@ -1102,17 +1102,68 @@ def _patterned_blocks(draw):
     return b, digraph(n, arcs), support
 
 
+@st.composite
+def _entry_blocks(draw):
+    """A k x k block on k in (_DENSE_MAX, 160] vertices, its board with an arc for each entry
+    bar a few, and a support: phases with Haar 2x2 and 3x3 blocks on disjoint vertex groups in a
+    random order, maybe with some rows replaced by dense ones (three or more, and the rows pair
+    up more entries than k^2, so the block is kept whole); then maybe an empty column, a scale,
+    an entry 1e-12 to 1e-8 off the board, or a nan or inf entry."""
+    k = draw(st.integers(_DENSE_MAX + 1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = np.diag(np.exp(2j * np.pi * rng.random(k)))
+    order, at = rng.permutation(k), 0
+    for size in draw(st.lists(st.sampled_from((2, 3)), max_size=k // 3)):
+        group = order[at:at + size]
+        b[np.ix_(group, group)] = haar_unitary(size, rng)
+        at += size
+    dense = draw(st.sampled_from((0, 0, 1, 2, 3, 8)))
+    b[rng.choice(k, dense, replace=False)] = haar_unitary(k, rng)[:dense]
+    if draw(st.booleans()):
+        b[:, draw(st.integers(0, k - 1))] = 0.0
+    b = b * draw(st.sampled_from((1.0, 1.0 + 1e-12, 1.0 + 1e-6)))
+    n = k + draw(st.integers(0, 2))
+    support = tuple(draw(st.permutations(range(n)))[:k]) if n > k or draw(st.booleans()) else None
+    idx = np.arange(n) if support is None else np.array(support)
+    rows, cols = np.nonzero(b)
+    arcs = list(zip(idx[cols].tolist(), idx[rows].tolist()))
+    for _ in range(min(len(arcs), draw(st.integers(0, 3)))):
+        arcs.pop(draw(st.integers(0, len(arcs) - 1)))
+    fault = draw(st.sampled_from((None, "off", "nan")))
+    zeros = np.flatnonzero(b == 0)
+    if fault == "off" and zeros.size:  # on a non-arc, unless it is a loop
+        b.flat[draw(st.sampled_from(zeros.tolist()))] = draw(st.sampled_from((1e-12, 3e-9, 1e-8)))
+    elif fault == "nan":
+        b.flat[draw(st.integers(0, k * k - 1))] = draw(st.sampled_from(
+            (np.nan, np.inf, complex(0.0, -np.inf), complex(0.5, np.nan))))
+    return b, digraph(n, arcs), support
+
+
 @settings(max_examples=150, phases=_NO_SHRINK)
-@given(_patterned_blocks())
-def test_component_residual_matches_the_single_product(instance):
+@given(_entry_blocks())
+def test_an_entries_block_reports_and_applies_as_the_dense_product(instance):
     b, g, support = instance
+    k = len(b)
     idx = np.arange(g.n) if support is None else np.array(support)
+    split = _split(b)
+    counts = np.count_nonzero(b, axis=1)
+    if (counts * (counts - 1) // 2).sum() > k * k:  # its dense rows pair up too many entries
+        _assert_kept_whole(split, b)
+    else:  # kept as its entries, in row-major order
+        e = Entries.of_matrix(b)
+        assert split.parts == () and all(np.array_equal(a, getattr(e, name), equal_nan=True)
+                                         for a, name in zip(split.entries, ("rows", "cols", "vals")))
     residual, violations = _dense_residual_and_violations(b, g, idx)
-    report = _unitary_report(_split(b), g, idx)
+    report = _unitary_report(split, g, idx)
     assert report.violations == violations
-    # only the summation order inside a component differs
-    assert abs(report.residual - residual) <= 4 * np.finfo(float).eps * max(residual, 1.0)
     assert report.ok == (residual <= ATOL and not violations)
+    if not np.isfinite(residual):
+        assert not np.isfinite(report.residual)
+        return
+    # only the summation order of each inner product differs
+    assert abs(report.residual - residual) <= 4 * np.finfo(float).eps * max(residual, 1.0)
+    x = np.random.default_rng(k).standard_normal((2, k)).T @ [1.0, 1j]
+    assert np.abs(split @ x - b @ x).max() <= 1e-15 * np.linalg.norm(x)
 
 
 @settings(max_examples=200, phases=_NO_SHRINK)
@@ -1166,7 +1217,7 @@ def _dense_stochastic_report(m, g, tau=ATOL):
 @st.composite
 def _entry_operators(draw):
     """An n x n operator as shuffled Entries and its dense matrix, n on both sides of the size
-    where unitary certificates take components: phases with 2x2 blocks on a matching, permuted
+    where unitary certificates keep entries: phases with 2x2 blocks on a matching, permuted
     Haar blocks, a dense Haar unitary or Dirichlet columns (stochastic); then maybe with an
     empty column and one entry 1e-12 or 1e-8 off, on a board with an arc for each entry bar
     maybe one, with explicit and signed zeros among the entries."""
@@ -1223,7 +1274,7 @@ def test_an_entry_built_certificate_agrees_with_the_dense_check(instance):
         oracle = OpReport(residual <= ATOL and not violations, violations, residual, "unitary")
         report = _unitary_report(_split(entries), g, np.arange(n))
     assert report.ok == oracle.ok and report.violations == oracle.violations
-    # only the summation order inside a component differs
+    # only the summation order of each inner product differs
     assert abs(report.residual - oracle.residual) <= 4 * np.finfo(float).eps * max(oracle.residual,
                                                                                   1.0)
     try:
@@ -1944,8 +1995,8 @@ def _per_line(blocks, joint, n, rows):
 def test_controlled_and_bare_moves_match_the_per_line_loop(n, seed):
     """A controlled move's direct sum and a bare move's lines give the per-line loop's joint
     state bit for bit, for both controls and both movers.  Blocks are dense members, gathers,
-    transpositions and identities (empty blocks); past _DENSE_MAX a member is split into
-    components."""
+    transpositions and identities (empty blocks); past _DENSE_MAX a member is kept as its
+    entries."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng, rng.choice([0.0, 0.3, 1.0]))
 
@@ -2096,9 +2147,11 @@ def test_certified_stochastic_checks_imaginary_parts_before_dropping_them():
 
 def _same_parts(a: _Block, b: _Block) -> bool:
     """a and b hold equal arrays, bit for bit and of one shape, in the same order."""
-    return a.k == b.k and len(a.parts) == len(b.parts) and all(
+    return a.k == b.k and len(a.parts) == len(b.parts) and (a.entries is None) == (
+        b.entries is None) and all(
         x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for p, q in zip(a.parts, b.parts) for x, y in zip(p, q))
+        for p, q in zip(a.parts + (a.entries or ()), b.parts + (b.entries or ()))
+        for x, y in zip(p, q))
 
 
 def _assert_kept_whole(b: _Block, block):
@@ -2107,7 +2160,7 @@ def _assert_kept_whole(b: _Block, block):
     k = len(block)
     assert b.k == k and len(b.parts) == 1
     rows, cols, stack = b.parts[0]
-    assert stack.shape == (1, k, k) and np.array_equal(stack[0], block)
+    assert stack.shape == (1, k, k) and np.array_equal(stack[0], block, equal_nan=True)
     assert np.array_equal(rows, np.arange(k)[None]) and np.array_equal(cols, np.arange(k)[None])
 
 
@@ -2117,7 +2170,7 @@ def test_blocks_split_together_are_each_split_alone(instances, sparse):
     dense = [b for b, _, _ in instances]
     blocks = [Entries.of_matrix(b) if sparse else b for b in dense]
     for together, block, b in zip(_split_all(blocks)[0], blocks, dense):
-        # one block is split by its own _components call
+        # each block is made a _Block as it is alone
         assert _same_parts(together, _split(block))
         # a block on at most _DENSE_MAX vertices is kept whole
         if len(b) <= _DENSE_MAX:
@@ -2155,8 +2208,8 @@ def _full_row_blocks(draw):
 @settings(max_examples=30, phases=_NO_SHRINK)
 @given(_full_row_blocks())
 def test_a_block_with_a_full_row_certifies_and_applies_as_kept_whole(instance):
-    # such a block is searched for components, and finds one: its report and apply are those of
-    # the block kept whole as one part, bit for bit
+    # such a block's rows pair up more entries than k^2, so it is kept whole: its report and
+    # apply are those of the block as one part, bit for bit
     b, g = instance
     k = len(b)
     whole = _Block(k, ((np.arange(k)[None], np.arange(k)[None], b[None]),))
@@ -2171,10 +2224,8 @@ def test_a_block_with_a_full_row_certifies_and_applies_as_kept_whole(instance):
             assert GraphUnitary(m, g).apply(x).tobytes() == bare.apply(x).tobytes()
 
 
-def test_a_long_list_is_split_in_pieces_of_bounded_size(monkeypatch):
-    import qpursuit.operators
-
-    # four n = 256 universal_vertex_catch moves as read from JSON: 1,024 full-board swaps
+def test_a_long_list_is_checked_in_a_constant_memory_per_entry():
+    # four n = 256 universal_vertex_catch moves as read from JSON: 1,020 full-board swaps
     n = 256
     g = star_graph(n - 1)
 
@@ -2183,33 +2234,23 @@ def test_a_long_list_is_split_in_pieces_of_bounded_size(monkeypatch):
         perm[[0, v]] = perm[[v, 0]]
         return Entries(n, perm, np.arange(n), np.ones(n))
 
-    blocks = [swap(v) for v in range(n)] * 4
-    searched, components = [], qpursuit.operators._components
-
-    def spy(rows, *args):
-        searched.append(rows.size)
-        return components(rows, *args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(qpursuit.operators, "_components", spy)
-        certify_blocks(blocks, g)
-    # each move's 65,536 entries are one search, and no search takes more
-    assert searched == [n * n] * 4 and _SPLIT_ENTRIES == n * n
+    blocks = [swap(v) for v in range(1, n)] * 4
     certify_blocks(blocks[:2], g)  # builds the board's cached adjacency, and numpy's own state
     tracemalloc.start()
     try:
         out = certify_blocks(blocks, g)
-        kept, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one search over all 262,144 entries peaked at 3.1 times what the certificates keep
-    assert len(out) == 1024 and peak < 3 * kept
+    # 261,120 entries: 91.5 bytes each at the peak, certificates included, where the component
+    # search took 140.8
+    assert len(out) == 1020 and peak < 112 * len(blocks) * n
 
 
 @st.composite
 def _summands(draw):
     """Blocks to sum: whole ones of a few sizes, maybe empty, runs of one size among them, and
-    blocks past _DENSE_MAX split into components."""
+    blocks past _DENSE_MAX kept as their entries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = []
     for kind in draw(st.lists(st.sampled_from(("whole", "run", "split")), min_size=1, max_size=8)):
@@ -2230,7 +2271,7 @@ def test_the_direct_sum_is_the_block_diagonal_sum_of_its_blocks(blocks):
     total = _direct_sum(blocks)
     assert total.k == sum(b.k for b in blocks)
     assert np.array_equal(total.dense(), _block_diag(blocks))
-    # each component acts as it does in its own block, bit for bit
+    # each part and entry acts as it does in its own block, bit for bit
     x = np.random.default_rng(total.k).standard_normal(total.k) + 0j
     at = np.cumsum([0] + [b.k for b in blocks])
     assert np.array_equal(total @ x, np.concatenate(

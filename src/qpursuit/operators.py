@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -26,10 +26,13 @@ from .graphs import (
 )
 
 # Certification and fidelity tolerance.  A certificate's residual is max |b^H b - I| of its
-# k x k block, and each entry of b^H b is the inner product of two columns over the rows they
-# share, one term per shared row.  A gather's (k = 2) holds at any board size, and so does a
-# layer of disjoint gathers or a move of phases and 2x2 blocks on a matching: no inner product
-# there has more than two terms.  An inner product of m terms is documented for m <= 256.
+# k x k block, and each entry of b^H b is the inner product x^H y of two columns over one
+# block's rows, at most graphs.MAX_VERTICES = 4096 terms (on the entries path, one per shared
+# row).  For complex vectors |fl(x^H y) - x^H y| <= gamma_(m+2) |x|^H |y| over m terms, with
+# gamma_j = j u / (1 - j u) and u = 2^-53 (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., SIAM 2002, sections 3.1 and 3.6), and |x|^H |y| <= 1 + ATOL for columns
+# whose squared norms pass.  That error is below ATOL for m <= 9,007,197, so rounding alone
+# neither fails a unitary block nor passes one whose exact residual exceeds 2 ATOL.
 ATOL = 1e-9
 # Blocks on at most this many vertices take one k x k product b^H b: pairing their entries
 # costs more than the product there.
@@ -195,14 +198,13 @@ class Entries:
 class _Block:
     """A k x k block as its dense parts and at most one entries part.
 
-    parts holds one (rows, cols, stack) per dense shape: stack[i] is the block on rows rows[i]
-    and columns cols[i] (block coordinates, each ascending).  A block on at most _DENSE_MAX
-    vertices is one part on rows and columns 0..k-1, and a stack of them (see _layers) one part
-    of many.  entries, if not None, holds (rows, cols, vals) of the other non-zero entries in
-    row-major order, vals complex, in rows and columns no part has: a block past _DENSE_MAX
-    vertices is kept so (see _split_all), and b^H b and b x are read from its entries.  No
-    writable array of it leaves: the entries are read-only, and all else it returns is built
-    afresh.
+    parts holds one (index, stack) per dense shape: stack[i] is the block on the rows and the
+    columns index[i] (block coordinates, ascending).  A block on at most _DENSE_MAX vertices is
+    one part on 0..k-1, and a stack of them (see _layers) one part of many.  entries, if not
+    None, holds (rows, cols, vals) of the other non-zero entries in row-major order, vals
+    complex, in rows and columns no part has: a block past _DENSE_MAX vertices is kept so (see
+    _as_block), and b^H b and b x are read from its entries.  No writable array of it leaves:
+    the entries are read-only, and all else it returns is built afresh.
     """
 
     def __init__(self, k: int, parts: tuple, entries: tuple = None):
@@ -218,18 +220,18 @@ class _Block:
 
     def residual(self) -> float:
         """max |b^H b - I|, its worst part's; nan or inf if an entry is."""
-        worst = [_gram_defect(s).max(initial=0.0) for _, _, s in self.parts]
+        worst = [_gram_defect(s).max(initial=0.0) for _, s in self.parts]
         if self.entries is not None:
-            worst.append(_gram_entries(*self.entries, self.k, [c for _, c, _ in self.parts]))
+            worst.append(_gram_entries(*self.entries, self.k, [x for x, _ in self.parts]))
         # np.max keeps a nan; the builtin may drop it
         return float(worst[0] if len(worst) == 1 else np.max(worst, initial=0.0))
 
     def where(self, mask) -> tuple:
         """(rows, cols, vals) in block coordinates of the entries where mask(stack) holds."""
         found = []
-        for r, c, s in self.parts:
+        for x, s in self.parts:
             i, a, b = np.nonzero(mask(s))
-            found.append((r[i, a], c[i, b], s[i, a, b]))
+            found.append((x[i, a], x[i, b], s[i, a, b]))
         if self.entries is not None:
             rows, cols, vals = self.entries
             hit = mask(vals)
@@ -238,23 +240,22 @@ class _Block:
 
     def dense(self) -> np.ndarray:
         b = np.zeros(self.shape, dtype=complex)
-        for r, c, s in self.parts:
-            b[r[:, :, None], c[:, None, :]] = s
+        for x, s in self.parts:
+            b[x[:, :, None], x[:, None, :]] = s
         if self.entries is not None:
             rows, cols, vals = self.entries
             b[rows, cols] = vals
         return b
 
     def adjoint(self) -> "_Block":
-        """b^H: each part conjugate-transposed, its rows and columns swapped; the entries
-        swapped, conjugated and put back in row-major order."""
+        """b^H: each part conjugate-transposed; the entries swapped, conjugated and put back in
+        row-major order."""
         entries = self.entries
         if entries is not None:
             rows, cols, vals = entries
             order = np.lexsort((rows, cols))
             entries = (cols[order], rows[order], vals[order].conj())
-        return _Block(self.k, tuple((c, r, s.conj().swapaxes(1, 2)) for r, c, s in self.parts),
-                      entries)
+        return _Block(self.k, tuple((x, s.conj().swapaxes(1, 2)) for x, s in self.parts), entries)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """b x for a vector x of length k: the entries by one scatter-add per real and imaginary
@@ -266,8 +267,8 @@ class _Block:
             terms = vals * x[cols]
             y.real = np.bincount(rows, weights=terms.real, minlength=self.k)
             y.imag = np.bincount(rows, weights=terms.imag, minlength=self.k)
-        for r, c, s in self.parts:
-            y[r] = np.matmul(s, x[c][..., None])[..., 0]
+        for i, s in self.parts:
+            y[i] = np.matmul(s, x[i][..., None])[..., 0]
         return y
 
 
@@ -310,54 +311,53 @@ def _gram_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int,
     return worst
 
 
-def _split_all(blocks) -> tuple:
-    """(the blocks as _Blocks, their direct sum or None if no blocks).
-
-    A dense array or Entries on at most _DENSE_MAX vertices is kept whole, as one part, and so
-    is one past it whose rows pair up more entries than its k x k product has cells (the sum of
-    d (d - 1) / 2 over its rows' entry counts d above k^2), since those pairs would take more
-    memory than the product; any other past it is kept as its entries.  _Blocks pass."""
-    out = []
-    for block in blocks:
-        if not isinstance(block, (_Block, Entries)):
-            block = np.asarray(block, dtype=complex)
-            if len(block) > _DENSE_MAX:
-                block = Entries.of_matrix(block)
-        if isinstance(block, Entries):
-            k, rows = block.n, block.rows
-            pairs = rows.size * (rows.size - 1) // 2  # at least the pairs that share a row
-            if pairs > k * k:
-                counts = np.bincount(rows)
-                pairs = int(counts @ (counts - 1)) // 2
-            if k > _DENSE_MAX and pairs <= k * k:
-                block = _Block(k, (), (rows, block.cols, block.vals.astype(complex, copy=False)))
-            else:
-                block = block.dense().astype(complex, copy=False)
-        if isinstance(block, np.ndarray):  # kept whole: one part on rows and columns 0..k-1
-            whole = np.arange(len(block))[None]
-            block = _Block(len(block), ((whole, whole, block[None]),))
-        out.append(block)
-    return out, _direct_sum(out) if out else None
+def _as_block(given, k: int) -> _Block:
+    """given, a dense array, Entries or a _Block, as the k x k _Block certification reads; any
+    other shape is refused, and a _Block passes.  A block on at most _DENSE_MAX vertices is kept
+    whole, as one part, and so is one past it whose rows pair up more entries than its k x k
+    product has cells (the sum of d (d - 1) / 2 over its rows' entry counts d above k^2), whose
+    pairs would take more memory than the product; any other is kept as its non-zero entries.
+    Only a caller's array kept whole is copied."""
+    block = given if isinstance(given, (_Block, Entries)) else np.asarray(given, dtype=complex)
+    if block.shape != (k, k):
+        raise ValueError(f"block shape {block.shape} does not match {k} support vertices")
+    if isinstance(block, _Block):
+        return block
+    entries = isinstance(block, Entries)
+    if k > _DENSE_MAX:
+        # the pairs of entries that share a row, counted by row only if all pairs exceed k^2
+        pairs = block.rows.size * (block.rows.size - 1) // 2 if entries else k * k + 1
+        if pairs > k * k:
+            counts = np.bincount(block.rows) if entries else np.count_nonzero(block, axis=1)
+            pairs = int(counts @ (counts - 1)) // 2
+        if pairs <= k * k:
+            rows, cols = (block.rows, block.cols) if entries else np.nonzero(block)
+            vals = block.vals if entries else block[rows, cols]
+            return _Block(k, (), (rows, cols, vals.astype(complex, copy=False)))
+    if entries:
+        block = block.dense().astype(complex, copy=False)
+    elif np.may_share_memory(block, given):  # the caller's memory: a private copy
+        block = np.array(block)
+    return _Block(k, ((np.arange(k)[None], block[None]),))
 
 
 def _direct_sum(blocks: list) -> _Block:
     """The block-diagonal sum of blocks in their order, its stacks of one shape joined and its
-    entries joined, each part's and entry's rows and columns shifted by the sizes of the blocks
-    before its own."""
+    entries joined, each part's index and entry's rows and columns shifted by the sizes of the
+    blocks before its own."""
     if len(blocks) == 1:
         return blocks[0]
     shapes, entries, at = {}, [], 0
     for b in blocks:
-        for part in b.parts:
-            shapes.setdefault(part[2].shape[1:], []).append(part + (at,))
+        for index, stack in b.parts:
+            shapes.setdefault(stack.shape[1:], []).append((index, stack, at))
         if b.entries is not None:
             entries.append(b.entries + (at,))
         at += b.k
     parts = []
-    for rows, cols, stacks, starts in (zip(*group) for group in shapes.values()):
+    for index, stacks, starts in (zip(*group) for group in shapes.values()):
         shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each part's place
-        parts.append((np.concatenate(rows) + shift, np.concatenate(cols) + shift,
-                      np.concatenate(stacks)))
+        parts.append((np.concatenate(index) + shift, np.concatenate(stacks)))
     if entries:
         rows, cols, vals, starts = zip(*entries)
         shift = np.repeat(starts, [v.size for v in vals])
@@ -366,30 +366,43 @@ def _direct_sum(blocks: list) -> _Block:
     return _Block(at, tuple(parts), entries or None)
 
 
-def _parsed(block, graph: Digraph, support) -> tuple:
-    """(support, idx, block) as a certificate holds them: support (every vertex if None) as ints
-    and as an index array, block as Entries, a dense copy or a _Block, for _split_all; bad
-    vertices or sizes refused."""
-    if support is None:
-        idx, support = np.arange(graph.n), tuple(range(graph.n))
-    else:
-        support = tuple(support)
-        # plain ints in range pass by one C-level type scan and their ends; anything else
-        # is checked vertex by vertex, which names the first bad one
-        if set(map(type, support)) - {int} or support and not (
-                0 <= min(support) and max(support) < graph.n):
-            for v in support:
-                _check_vertex(graph, v)
-        idx = np.array(support, dtype=np.intp)
-        support = tuple(idx.tolist())
-        if len(set(support)) < len(support):
-            raise GraphError(f"support {support} repeats a vertex")
-    if not isinstance(block, (_Block, Entries)):
-        block = np.array(block, dtype=complex)
-    if block.shape != (len(support),) * 2:
-        raise ValueError(f"block shape {block.shape} does not match "
-                         f"{len(support)} support vertices")
-    return support, idx, block
+def _indices(supports, g: Digraph) -> tuple:
+    """(flat, index, error) of one call's supports: index[i] is supports[i] as a read-only intp
+    array, a slice of flat, which holds every given support in order, or for None (every vertex)
+    one arange(n) shared by all.  They pass by one scan (_is_int's integers in range, none twice
+    in one support), else are checked one at a time, each vertex by _check_vertex: error is what
+    the first bad one raises, its index in supports as its position, and index holds those
+    before it.  error is None if none is bad."""
+    given, error = [], None
+    for s in supports:
+        try:
+            given.append(None if s is None else tuple(s))
+        except TypeError as exc:  # no sequence
+            error, exc.position = exc, len(given)
+            break
+    sizes = [len(s) for s in given if s is not None]
+    flat = list(chain.from_iterable(s for s in given if s is not None))
+    fits = all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat))) \
+        and (not flat or 0 <= min(flat) and max(flat) < g.n)
+    if fits and flat:
+        flat = np.array(flat, dtype=np.intp)
+        # support i's vertices shifted by i n: a vertex twice in one support is a key twice
+        key = np.sort(flat + np.repeat(np.arange(0, len(sizes) * g.n, g.n), sizes))
+        fits = bool((key[1:] > key[:-1]).all())
+    if not fits:
+        for i, s in enumerate(given):
+            try:
+                for v in s or ():
+                    _check_vertex(g, v)
+                if s is not None and len(set(s)) < len(s):
+                    raise GraphError(f"support {tuple(np.array(s, dtype=np.intp).tolist())} "
+                                     f"repeats a vertex")
+            except GraphError as exc:
+                exc.position = i
+                return *_indices(given[:i], g)[:2], exc
+    flat, every = _sealed(np.asarray(flat, dtype=np.intp)), _sealed(np.arange(g.n))
+    ends = accumulate(sizes)
+    return flat, [every if s is None else flat[(e := next(ends)) - len(s):e] for s in given], error
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -399,27 +412,28 @@ class GraphUnitary:
 
     block is a dense array, block[i, j] being the entry at row support[i], column support[j],
     or Entries in those block coordinates.  The default support is every vertex; a gather is a
-    block on two vertices, the identity an empty block.  The block is stored as a _Block, which
-    certification and apply both read: a sparse move past _DENSE_MAX vertices as its non-zero
-    entries, so it is certified and applied without a k x k array; .block and .matrix are
-    built on read.
+    block on two vertices, the identity an empty block.  The support is stored once, as the
+    read-only index array _index.  The block is stored as a _Block, which certification and
+    apply both read: a sparse move past _DENSE_MAX vertices as its non-zero entries, so it is
+    certified and applied without a k x k array; .support, .block and .matrix are built on read.
     """
 
     graph: Digraph
-    support: tuple
 
     def __init__(self, block, graph: Digraph, support=None):
         done = certify_blocks([block], graph, [support])[0]
-        self._fill(graph, done.support, done._index, done._block)
+        self._fill(graph, done._index, done._block)
 
-    def _fill(self, graph: Digraph, support: tuple, idx: np.ndarray, block: _Block,
-              layer: tuple = None):
+    def _fill(self, graph: Digraph, idx: np.ndarray, block: _Block, layer: tuple = None):
         """Set the fields; a certificate built bare and filled here skips the check.  layer is
         (its _Stack, its place there) for a layer certify_blocks certified from one stack."""
-        for name, value in (("graph", graph), ("support", support), ("_index", idx),
-                            ("_block", block), ("_layer", layer)):
-            object.__setattr__(self, name, value)
+        vars(self).update(graph=graph, _index=idx, _block=block, _layer=layer)
         return self
+
+    @property
+    def support(self) -> tuple:
+        """The support vertices as plain ints, built on every read."""
+        return tuple(self._index.tolist())
 
     def apply(self, state) -> np.ndarray:
         out = np.array(state_vector(state), dtype=complex)
@@ -534,7 +548,7 @@ def _unitary_report(b, g: Digraph, idx, tau: float = ATOL) -> OpReport:
     elsewhere, without building it: its m^H m differs from the identity only on the block, and
     its identity part needs the loops outside idx.
 
-    b is a _Block (see _split_all); the residual is taken per part and from the entries, which
+    b is a _Block (see _as_block); the residual is taken per part and from the entries, which
     finds the maximum of the one k x k product without it.  For the direct sum of several
     blocks (see certify_blocks), idx is the list of their supports' index arrays, in order, and
     the loops outside each block's own support are checked: it holds iff each block's report
@@ -573,11 +587,10 @@ def _stochastic_report(e: Entries, g: Digraph, tau: float = ATOL) -> OpReport:
 def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
     """Unitarity within tau plus zeros on all non-arcs, with a violation report.  m is a dense
     matrix or Entries, checked without an n x n array past _DENSE_MAX vertices."""
-    if not isinstance(m, Entries):
-        m = np.asarray(m, dtype=complex)
-    if m.shape != (g.n, g.n):
-        raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
-    return _unitary_report(_split_all([m])[1], g, np.arange(g.n), tau)
+    shape = m.shape if isinstance(m, Entries) else np.shape(m)
+    if shape != (g.n, g.n):
+        raise ValueError(f"matrix shape {shape} does not match graph size {g.n}")
+    return _unitary_report(_as_block(m, g.n), g, np.arange(g.n), tau)
 
 
 def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport:
@@ -598,48 +611,46 @@ def certify_unitary(op, g: Digraph) -> GraphUnitary:
 def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     """The blocks, a list or one (P, h, h) numeric stack, certified against g.  In a list, a
     GraphUnitary on g is trusted and returned as it is, one from another board is certified on
-    its own support, and anything else (a dense array, Entries or a _Block) on its given support,
-    every vertex by default; _split_all makes each a _Block and yields their direct sum, whose
-    entries past _DENSE_MAX vertices are read as they are, with no search.  A stack is that
-    sum built already (see _layers), layer i holding the next len(supports[i]) / h blocks, or
-    each block one layer on the whole board if supports is None.  The sum is checked by one
-    _unitary_report, which passes iff each block would alone.  If it fails, or a block or support
-    is malformed, the blocks are certified one at a time in order, so the first bad one raises
-    what it raises alone, with its index as the error's position."""
-    error = stack = None
+    its own support, and anything else (a dense array, Entries or a _Block) on its given
+    support, every vertex by default; _indices reads every support once, and _as_block each
+    block.  A stack is their direct sum built already (see _layers), layer i holding the next
+    len(supports[i]) / h blocks, or each block one layer on the whole board if supports is None.
+    The sum is checked by one _unitary_report, which passes iff each block would alone.  If it
+    fails, or a block or support is malformed, the _Blocks before the first malformed one are
+    checked one at a time in order, so the first bad block raises what it raises alone, with its
+    index as the error's position."""
+    stack = None
     if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.dtype.kind in "biufc":
-        parsed, stack = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
-        total, out = stack and stack.block, [None] * len(parsed)
+        parsed, stack, error = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
+        out, total = [None] * len(parsed), stack.block
     else:
         supports = [None] * len(blocks) if supports is None else list(supports)
         if len(supports) != len(blocks):
             raise ValueError(f"{len(blocks)} blocks but {len(supports)} supports")
         out, parsed = list(blocks), []
-        for i, (b, s) in enumerate(zip(blocks, supports)):
-            if isinstance(b, GraphUnitary):
-                if b.graph == g:
-                    continue
-                b, s = b._block, b.support
+        trusted = [isinstance(b, GraphUnitary) and b.graph == g for b in blocks]
+        _, index, error = _indices([None if t else b.support if isinstance(b, GraphUnitary) else s
+                                    for b, s, t in zip(blocks, supports, trusted)], g)
+        for i, (b, at) in enumerate(zip(blocks, index)):
+            if trusted[i]:
+                continue
             try:
-                parsed.append((i, *_parsed(b, g, s)))
+                parsed.append((i, at, _as_block(b._block if isinstance(b, GraphUnitary) else b,
+                                                at.size)))
             except Exception as exc:  # raised in its turn, once the blocks before it are certified
                 error, exc.position = exc, i
                 break
-        split, total = _split_all([b for *_, b in parsed])
-        parsed = [(i, s, at, b) for (i, s, at, _), b in zip(parsed, split)]
-    if error or not parsed:
-        total = None
-    report = None if total is None else _unitary_report(total, g, [at for _, _, at, _ in parsed])
-    for i, s, at, b in parsed:
+        total = None if error or not parsed else _direct_sum([b for *_, b in parsed])
+    report = None if error or not parsed else _unitary_report(total, g, [at for _, at, _ in parsed])
+    for i, at, b in parsed:
         if not report:  # one at a time; a lone block is refused by the sum's report, its own
             try:
-                s, at, b = _parsed(b, g, s)
                 _refuse(report if report is not None and len(parsed) == 1 else
                         _unitary_report(b, g, at))
             except Exception as exc:
                 exc.position = i
                 raise
-        out[i] = object.__new__(GraphUnitary)._fill(g, s, at, b, stack and (stack, i))
+        out[i] = object.__new__(GraphUnitary)._fill(g, at, b, stack and (stack, i))
     if error:
         raise error
     return out
@@ -666,12 +677,11 @@ def _one_stack(ops):
 
 
 def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
-    """(the (position, support, index array, _Block) of each layer, their _Stack) of a (P, h, h)
+    """(the (position, index array, _Block) of each layer, their _Stack, error) of a (P, h, h)
     stack laid out as certify_blocks takes it.  Each layer's block is a slice of the _Stack's
-    and a layer on no vertex the empty block.  The supports are checked once, as one index
-    array of which each layer's is a slice (_is_int's integers, in range, none twice in a
-    layer, held as plain ints); if they fail, the _Stack is None and each is checked with its
-    layer's block.  A layout that does not fit the stack is refused."""
+    and a layer on no vertex the empty block.  A layout that does not fit the stack is refused;
+    the supports are checked by _indices, and if one is bad, error is what it raises and the
+    layers are those before it."""
     count, h, w = stack.shape
     if h != w or supports is None and h != g.n:
         raise ValueError(f"stack shape {stack.shape} is not (P, h, h), h = {g.n} if no supports")
@@ -680,25 +690,13 @@ def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
     if not h and count or h and any(k % h for k in sizes) or sum(sizes) != count * h:
         raise ValueError(f"supports of {sum(sizes)} vertices in {len(sizes)} layers do not hold "
                          f"{count} blocks of {h} vertices")
-    flat = list(chain.from_iterable(supports))
-    types = set(map(type, flat))
-    fits = all(issubclass(t, (int, np.integer)) and t is not bool for t in types) and (
-        not flat or 0 <= min(flat) and max(flat) < g.n)
-    if fits:
-        flat = np.array(flat, dtype=np.intp)
-        # layer i's vertices shifted by i n: a vertex twice within a layer is a key twice
-        key = np.sort(flat + np.repeat(np.arange(len(sizes)) * g.n, sizes))
-        fits = bool((np.diff(key) > 0).all())
-        if fits and types - {int}:
-            supports = [tuple(a.tolist()) for a in np.split(flat, np.cumsum(sizes)[:-1])]
+    flat, index, error = _indices(supports, g)
     place, parsed, at = np.arange(count * h).reshape(count, h), [], 0
-    for i, (s, k) in enumerate(zip(supports, sizes)):
+    for i, (idx, k) in enumerate(zip(index, sizes)):
         m = k // h if h else 0
-        parsed.append((i, s, flat[h * at:h * at + k] if fits else None,
-                       _Block(k, ((place[:m], place[:m], stack[at:at + m]),))))
+        parsed.append((i, idx, _Block(k, ((place[:m], stack[at:at + m]),))))
         at += m
-    return parsed, _Stack(_Block(count * h, ((place, place, stack),)), flat, sizes) if fits \
-        else None
+    return parsed, _Stack(_Block(count * h, ((place, stack),)), flat, sizes), error
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -862,7 +860,7 @@ def apply_sequence(ops, state) -> np.ndarray:
     cur = np.array(state_vector(state), dtype=complex)
     if cur.shape != (n,):
         raise ValueError(f"state dimension {cur.size} does not match graph size {n}")
-    ((_, _, blocks),) = stack.block.parts
+    ((_, blocks),) = stack.block.parts
     h, v = blocks.shape[1], 0
     for k in stack.sizes:
         if k:  # a layer on no vertex is the identity

@@ -25,8 +25,11 @@ from qpursuit import (
     c4_antipodal_evasion,
     c4_unfair_cop,
     certify_blocks,
+    certify_unitary,
+    complete_graph,
     controlled_op_from_json,
     cycle_graph,
+    haar_unitary,
     identity_unitary,
     is_graph_preserving_unitary,
     operator_from_json,
@@ -90,7 +93,7 @@ def spy(monkeypatch):
 def test_reach_makes_one_check_on_its_one_gather_stack(spy):
     spy.watch(OPS, "_unitary_report", "_gather_stack")
     # no block is built, parsed, re-joined or applied, nor read as entries
-    spy.forbid(OPS, "_gram_entries", "_parsed", "_direct_sum")
+    spy.forbid(OPS, "_gram_entries", "_as_block", "_direct_sum")
     spy.forbid(Entries, "of_matrix")
     spy.forbid(_Block, "dense", "__matmul__")
     for g, phi, psi in _reach_cases():
@@ -101,17 +104,17 @@ def test_reach_makes_one_check_on_its_one_gather_stack(spy):
         # one check, on the direct sum of all layers in the order emitted, whose one stack is a
         # copy of the one gather stack; each layer's block and index are slices of the sum's
         assert [tuple(s.tolist()) for s in idx] == [u.support for u in ops]
-        (rows, cols, checked), = b.parts
+        (index, checked), = b.parts
         assert b.entries is None and np.array_equal(checked, stack) and not np.shares_memory(checked, stack)
-        assert np.array_equal(rows, np.arange(b.k).reshape(-1, 2)) and np.array_equal(cols, rows)
-        assert all(u._block.parts[0][2].base is checked.base for u in ops)
+        assert np.array_equal(index, np.arange(b.k).reshape(-1, 2))
+        assert all(u._block.parts[0][1].base is checked.base for u in ops)
         assert idx[0].base is not None and all(u._index.base is idx[0].base for u in ops)
 
 
 @pytest.mark.parametrize("build", ["universal_vertex_catch", "reproduce star-impossibility"])
 def test_a_stack_of_blocks_is_one_report_of_its_prebuilt_sum(spy, capsys, build):
     spy.watch(OPS, "_unitary_report")
-    spy.forbid(OPS, "_parsed", "_gram_entries")
+    spy.forbid(OPS, "_as_block", "_gram_entries")
     if build == "universal_vertex_catch":
         # the hub's n - 1 swaps are one (n - 1, 2, 2) stack, the hub itself an empty layer
         g = star_graph(39)
@@ -123,7 +126,7 @@ def test_a_stack_of_blocks_is_one_report_of_its_prebuilt_sum(spy, capsys, build)
         assert capsys.readouterr().out.endswith("ok=yes\n")
         shapes = [(200, 3, 3)]
     (((b, *_), _),) = spy.calls["_unitary_report"]
-    assert [s.shape for _, _, s in b.parts] == shapes
+    assert [s.shape for _, s in b.parts] == shapes
 
 
 def test_the_c4_collapses_are_each_checked_once(spy):
@@ -132,7 +135,7 @@ def test_the_c4_collapses_are_each_checked_once(spy):
 
     def certified():
         """The 4x4 blocks each check certified: a lone block's one part, a stack's parts."""
-        return [[m.tobytes() for _, _, stack in b.parts for m in stack if m.shape == (4, 4)]
+        return [[m.tobytes() for _, stack in b.parts for m in stack if m.shape == (4, 4)]
                 for (b, *_), _ in spy.calls["_unitary_report"]]
 
     def collapses():
@@ -185,6 +188,32 @@ def test_a_lone_block_past_64_vertices_is_checked_on_its_own_entries(spy):
     assert all(a is getattr(e, name) for a, name in zip(b.entries, ("rows", "cols", "vals")))
     (((*entries, k, _), _),) = spy.calls["_gram_entries"]
     assert k == n and all(a is x for a, x in zip(entries, b.entries))
+
+
+def test_a_dense_block_past_64_vertices_is_read_from_its_own_array(spy):
+    # a 96-vertex Haar unitary: its rows are full, so it is kept whole, copied once from the
+    # caller's array and never read into entries; a 96-vertex matching of Haar 2x2 blocks is
+    # read into the entries Entries.of_matrix makes of it and reports as they do
+    rng = np.random.default_rng(96)
+    haar, path = haar_unitary(96, rng), path_graph(96)
+    matching = np.zeros((96, 96), dtype=complex)
+    for v, block in zip(range(0, 96, 2), haar_unitary(2, rng, (48,))):
+        matching[v:v + 2, v:v + 2] = block
+    expected = Entries.of_matrix(matching)
+    ref = is_graph_preserving_unitary(expected, path)
+    spy.forbid(Entries, "of_matrix", "dense")
+    spy.watch(OPS, "_unitary_report")
+    u = certify_unitary(haar, complete_graph(96))
+    report = is_graph_preserving_unitary(matching, path)
+    (((whole, *_), _), ((split, *_), _)) = spy.calls["_unitary_report"]
+    (index, stack), = whole.parts
+    assert whole.entries is None and u._block is whole and stack.shape == (1, 96, 96)
+    assert np.array_equal(stack[0], haar) and not np.shares_memory(stack, haar)
+    assert np.array_equal(index, np.arange(96)[None])
+    assert split.parts == () and all(np.array_equal(a, getattr(expected, name)) for a, name in
+                                     zip(split.entries, ("rows", "cols", "vals")))
+    assert (report.ok, report.violations) == (ref.ok, ref.violations) and report.ok
+    assert np.float64(report.residual).tobytes() == np.float64(ref.residual).tobytes()
 
 
 def test_a_stack_on_numpy_integer_supports_is_one_report(spy):

@@ -1,11 +1,13 @@
 """Relabelling invariance: renaming the vertices of a board by a permutation P changes no
 verdict.  A certificate check of P m P^T on the relabelled board reports the P-image of what
-the check of m reports, and a quantum controlled game played with every move and state
-relabelled ends with the same capture probability, and the graph layer's verdicts, corner
-table, value tables and dominating sets follow the relabelling.  These guard the index
-arithmetic of the certifier, of the controlled moves' joint index and of the board's matrix."""
+the check of m reports, a game of any of the five models played with every move, state and
+dominating set relabelled ends with the same capture probability, and the graph layer's
+verdicts, corner table, value tables and dominating sets follow the relabelling.  These guard
+the index arithmetic of the certifier, of the controlled moves' joint index and of the board's
+matrix."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,7 @@ from qpursuit import (
     play,
     random_connected_graph,
     sample_controlled_op,
+    sample_graph_stochastic,
     sample_graph_unitary,
     universal_vertex,
 )
@@ -108,6 +111,59 @@ def test_a_relabelled_controlled_game_has_the_same_capture_probability(board, ro
     image = play("quantum_controlled", h, Strategy(init=c_image, move=cop_image),
                  Strategy(init=r_image, move=robber_image), rounds)
     assert abs(image.p_copwin - game.p_copwin) <= 1e-12
+
+
+def _walk(rng, g, start: int, count: int) -> list:
+    """The vertices a random walk on g's arcs from start reaches in count steps."""
+    out = [start]
+    for _ in range(count):
+        out.append(int(rng.choice(sorted(g.out_adj[out[-1]]))))
+    return out[1:]
+
+
+def _image(vec: np.ndarray, p: list) -> np.ndarray:
+    """P vec: the entry at v moved to p[v]."""
+    out = np.empty_like(vec)
+    out[p] = vec
+    return out
+
+
+@pytest.mark.parametrize("model", ["classical", "open_probabilistic", "classical_quantum",
+                                   "unfair_probabilistic"])
+@settings(max_examples=60)
+@given(board=_relabelled_boards(), rounds=st.integers(1, 4), dense=st.booleans())
+def test_a_relabelled_local_game_has_the_same_capture_probability(model, board, rounds, dense):
+    rng, g, p, h = board
+    n = g.n
+    if model in ("classical", "unfair_probabilistic"):
+        # walks along arcs; the unfair Cop spreads on a dominating set, and its Robber moves in
+        # the last round too
+        c, r = rng.integers(n, size=2).tolist()
+        cop, robber = _walk(rng, g, c, rounds), _walk(rng, g, r, rounds - (model == "classical"))
+        if model == "unfair_probabilistic":
+            plans = [Strategy(params={"dominating_set": d}) for d in
+                     (dominating_set(g), {p[v] for v in dominating_set(g)})]
+        else:
+            plans = [Strategy(init=c, move=cop), Strategy(init=p[c], move=[p[v] for v in cop])]
+        plans += [Strategy(init=r, move=robber), Strategy(init=p[r], move=[p[v] for v in robber])]
+    else:
+        # distributions and stochastic moves, or unit vectors and unitary moves, each relabelled
+        # as the dense P m P^T or, for a unitary, as its block on the support's image
+        inits = [rng.dirichlet(np.ones(n)) if model == "open_probabilistic" else _unit(rng, n)
+                 for _ in range(2)]
+        sample = sample_graph_stochastic if model == "open_probabilistic" else sample_graph_unitary
+        moves = [[sample(g, rng) for _ in range(rounds - k)] for k in range(2)]
+        plans = []
+        for init, ops in zip(inits, moves):
+            images = [_relabel(u.matrix, p) if dense or model == "open_probabilistic" else
+                      GraphUnitary(u.block, h, [p[s] for s in u.support]) for u in ops]
+            plans += [Strategy(init=init, move=ops), Strategy(init=_image(init, p), move=images)]
+    game = play(model, g, plans[0], plans[2], rounds)
+    image = play(model, h, plans[1], plans[3], rounds)
+    if model == "classical":
+        assert image.p_copwin == game.p_copwin
+    else:
+        assert abs(image.p_copwin - game.p_copwin) <= 1e-12
 
 
 def _outcome(f, g):

@@ -54,6 +54,7 @@ from qpursuit.graphs import _bfs
 from qpursuit.operators import (
     _DENSE_MAX,
     _ZERO_BLOCK,
+    _as_block,
     _Block,
     _direct_sum,
     _fold_pairs,
@@ -61,7 +62,6 @@ from qpursuit.operators import (
     _gram_defect,
     _gram_product,
     _one_stack,
-    _split_all,
     _stochastic_report,
     _unitary_report,
     is_unit,
@@ -76,8 +76,8 @@ _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 def _split(block) -> _Block:
     """block, Entries or a dense square array, as the _Block certification makes of it (see
-    _split_all)."""
-    return _split_all([block])[1]
+    _as_block)."""
+    return _as_block(block, block.n if isinstance(block, Entries) else len(block))
 
 
 def cycle_unitary(n, phases):
@@ -567,7 +567,7 @@ def _layer_blocks(stack, supports):
     (m, h, h) slice of it, the layer's m blocks following the blocks of the layers before it."""
     h = stack.shape[-1]
     ends = np.cumsum([len(s) // h for s in supports])
-    return [_Block(h * (e - a), ((np.arange(h * (e - a)).reshape(-1, h),) * 2 + (stack[a:e],),))
+    return [_Block(h * (e - a), ((np.arange(h * (e - a)).reshape(-1, h), stack[a:e]),))
             for a, e in zip([0, *ends[:-1]], ends)]
 
 
@@ -618,10 +618,9 @@ def test_folded_layers_are_the_dense_fold_as_2x2_stacks(instance):
         layers = list(_fold_layers(tree, x))
         assert [support for support, _ in layers] == [support for support, _ in dense]
         for (support, block), (_, d) in zip(layers, dense):
-            (rows, cols, stack), = block.parts  # one (m, 2, 2) stack on consecutive pairs
+            (index, stack), = block.parts  # one (m, 2, 2) stack on consecutive pairs
             assert block.k == len(support) and stack.shape == (len(support) // 2, 2, 2)
-            assert np.array_equal(rows, np.arange(block.k).reshape(-1, 2))
-            assert np.array_equal(cols, rows)
+            assert np.array_equal(index, np.arange(block.k).reshape(-1, 2))
             assert np.allclose(block.dense(), d, rtol=0.0, atol=1e-12)
     assert abs(np.vdot(psi, apply_sequence(reach_sequence(g, phi, psi, root), phi))) >= 1.0 - ATOL
 
@@ -1327,6 +1326,18 @@ def test_nan_and_inf_entries_are_refused_without_a_warning(k, bad):
         assert not err.value.report.residual <= ATOL
 
 
+@pytest.mark.parametrize("k", [2, 3, _DENSE_MAX + 2], ids=["closed-form", "product", "entries"])
+def test_the_unitary_verdict_holds_atol_at_its_boundary(k):
+    # a column whose squared norm is off 1 by twice ATOL is refused, and one off by half of it
+    # passes: through the 2 x 2 closed form, one k x k product and the entries past _DENSE_MAX
+    g = complete_graph(k)
+    for off, ok in ((2 * ATOL, False), (-2 * ATOL, False), (ATOL / 2, True), (-ATOL / 2, True)):
+        m = np.eye(k, dtype=complex)
+        m[0, 0] = np.sqrt(1.0 + off)
+        report = is_graph_preserving_unitary(m, g)
+        assert report.ok == ok and abs(report.residual - abs(off)) < 1e-15
+
+
 def test_a_large_sparse_block_is_certified_without_its_gram():
     k = 1024
     b = _pairs_block(np.random.default_rng(k), np.arange(k), k // 2)
@@ -1577,7 +1588,7 @@ def test_a_stack_keeps_no_writable_reference_to_the_callers_array():
     assert np.array_equal(first.matrix, np.eye(4)[[1, 0, 2, 3]])
     assert np.array_equal(second.matrix, np.eye(4)[[0, 1, 3, 2]])
     for u in (first, second):
-        for _, _, s in u._block.parts:
+        for _, s in u._block.parts:
             assert not np.shares_memory(s, stack) and not s.flags.writeable
 
 
@@ -1964,8 +1975,8 @@ def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     # entries, each where the dense joint has it, and the index one entry per support vertex
     assert set(vars(op)) == {"blocks", "control", "graph", "_sum", "_index"}
     assert op._index.size == sum(len(b.support) for b in op.blocks)
-    assert sum(s.size for _, _, s in op._sum.parts) == sum(
-        s.size for b in op.blocks for _, _, s in b._block.parts)
+    assert sum(s.size for _, s in op._sum.parts) == sum(
+        s.size for b in op.blocks for _, s in b._block.parts)
     rows, cols, vals = op._sum.where(lambda s: s != 0)
     assert vals.size == sum(np.count_nonzero(b.block) for b in op.blocks)
     assert np.array_equal(dense[op._index[rows], op._index[cols]], vals)
@@ -2159,9 +2170,26 @@ def _assert_kept_whole(b: _Block, block):
     equal to the block."""
     k = len(block)
     assert b.k == k and len(b.parts) == 1
-    rows, cols, stack = b.parts[0]
+    index, stack = b.parts[0]
     assert stack.shape == (1, k, k) and np.array_equal(stack[0], block, equal_nan=True)
-    assert np.array_equal(rows, np.arange(k)[None]) and np.array_equal(cols, np.arange(k)[None])
+    assert np.array_equal(index, np.arange(k)[None])
+
+
+def test_a_block_whose_rows_pair_up_k_squared_entries_is_kept_as_its_entries():
+    # past _DENSE_MAX a block is kept as its entries while its rows pair up at most k^2 of them:
+    # two full rows (2 x 2,080 pairs), a row of 11 entries (55) and one of 5 (10) make exactly
+    # 65^2 = 4,225; one entry more in the last row makes 4,230, and the block is kept whole
+    k = 65
+    for extra in (0, 1):
+        b = np.eye(k, dtype=complex)
+        b[:2] = 1.0
+        b[2, :11] = b[3, :5 + extra] = 0.5
+        for block in (b, Entries.of_matrix(b)):
+            if extra:
+                _assert_kept_whole(_split(block), b)
+            else:
+                e = Entries.of_matrix(b)
+                assert _same_parts(_split(block), _Block(k, (), (e.rows, e.cols, e.vals)))
 
 
 @settings(max_examples=60, phases=_NO_SHRINK)
@@ -2169,12 +2197,15 @@ def _assert_kept_whole(b: _Block, block):
 def test_blocks_split_together_are_each_split_alone(instances, sparse):
     dense = [b for b, _, _ in instances]
     blocks = [Entries.of_matrix(b) if sparse else b for b in dense]
-    for together, block, b in zip(_split_all(blocks)[0], blocks, dense):
-        # each block is made a _Block as it is alone
-        assert _same_parts(together, _split(block))
+    # the sum certify_blocks checks is the direct sum of each block made a _Block alone
+    board = complete_graph(max(map(len, dense)))
+    _, ((together, _, _), *_) = _spied_checks(
+        lambda: certify_blocks(blocks, board, [range(len(b)) for b in dense]))
+    assert _same_parts(together, _direct_sum([_split(block) for block in blocks]))
+    for block, b in zip(blocks, dense):
         # a block on at most _DENSE_MAX vertices is kept whole
         if len(b) <= _DENSE_MAX:
-            _assert_kept_whole(together, b)
+            _assert_kept_whole(_split(block), b)
 
 
 @st.composite
@@ -2212,10 +2243,10 @@ def test_a_block_with_a_full_row_certifies_and_applies_as_kept_whole(instance):
     # apply are those of the block as one part, bit for bit
     b, g = instance
     k = len(b)
-    whole = _Block(k, ((np.arange(k)[None], np.arange(k)[None], b[None]),))
+    whole = _Block(k, ((np.arange(k)[None], b[None]),))
     ref = _unitary_report(whole, g, np.arange(k))
     x = np.array([1.0, 1j]) @ np.random.default_rng(k).standard_normal((2, k))
-    bare = object.__new__(GraphUnitary)._fill(g, tuple(range(k)), np.arange(k), whole)
+    bare = object.__new__(GraphUnitary)._fill(g, np.arange(k), whole)
     for m in (b, Entries.of_matrix(b)):
         report = is_graph_preserving_unitary(m, g)
         assert report.ok == ref.ok and report.violations == ref.violations

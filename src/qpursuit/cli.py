@@ -6,7 +6,6 @@ import argparse
 import functools
 import gc
 import json
-import math
 import os
 import sys
 
@@ -261,11 +260,12 @@ def _decimal(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """A finite tolerance >= 0: inf would pass any operator, nan hide every entry, and a
-    negative one flag zero entries."""
+    """A tolerance in [0, 1): nan would hide every entry, a negative one flag zero entries, and
+    one of 1 or more (inf too) pass any operator, since no entry of a unitary or stochastic move
+    exceeds 1."""
     tau = float(text)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    if not 0 <= tau < 1:
+        raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1), got {text!r}")
     return tau
 
 

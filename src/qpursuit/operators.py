@@ -127,7 +127,8 @@ class Entries:
     read-only; a position out of range or given twice is refused.  scenario.operator_from_json
     reads a JSON operator into Entries.  certify_stochastic and is_graph_preserving_stochastic
     take them in place of a dense matrix and build no n x n array; certify_unitary and
-    is_graph_preserving_unitary do the same past _DENSE_MAX vertices.
+    is_graph_preserving_unitary do the same past _DENSE_MAX vertices, where a _Block keeps its
+    sparse part as Entries.  A GraphStochastic and a _Block both apply them by b @ x.
     """
 
     n: int
@@ -162,8 +163,7 @@ class Entries:
         if np.count_nonzero(vals) < vals.size:  # exact zeros are dropped; a nan is kept
             keep = vals != 0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        for name, a in (("rows", rows), ("cols", cols), ("vals", vals)):
-            object.__setattr__(self, name, _sealed(a))
+        vars(self).update(rows=_sealed(rows), cols=_sealed(cols), vals=_sealed(vals))
 
     @property
     def shape(self) -> tuple:
@@ -183,9 +183,7 @@ class Entries:
         """Entries of fresh arrays this module built already in the form __post_init__ makes:
         row-major, in range, each position once and no zero value."""
         e = object.__new__(cls)
-        for name, value in (("n", n), ("rows", _sealed(rows)), ("cols", _sealed(cols)),
-                            ("vals", _sealed(vals))):
-            object.__setattr__(e, name, value)
+        vars(e).update(n=n, rows=_sealed(rows), cols=_sealed(cols), vals=_sealed(vals))
         return e
 
     def dense(self) -> np.ndarray:
@@ -194,6 +192,23 @@ class Entries:
         m[self.rows, self.cols] = self.vals
         return m
 
+    def adjoint(self) -> "Entries":
+        """The conjugate transpose, its entries in row-major order."""
+        order = np.lexsort((self.rows, self.cols))
+        return Entries._checked(self.n, self.cols[order], self.rows[order],
+                                self.vals[order].conj())
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The operator times a vector x of length n: its terms vals[i] x[cols[i]] summed into
+        their rows by one scatter-add, one per real and imaginary part if they are complex."""
+        terms = self.vals * x[self.cols]
+        if not np.iscomplexobj(terms):
+            return np.bincount(self.rows, weights=terms, minlength=self.n)
+        y = np.empty(self.n, dtype=complex)
+        y.real = np.bincount(self.rows, weights=terms.real, minlength=self.n)
+        y.imag = np.bincount(self.rows, weights=terms.imag, minlength=self.n)
+        return y
+
 
 class _Block:
     """A k x k block as its dense parts and at most one entries part.
@@ -201,18 +216,14 @@ class _Block:
     parts holds one (index, stack) per dense shape: stack[i] is the block on the rows and the
     columns index[i] (block coordinates, ascending).  A block on at most _DENSE_MAX vertices is
     one part on 0..k-1, and a stack of them (see _layers) one part of many.  entries, if not
-    None, holds (rows, cols, vals) of the other non-zero entries in row-major order, vals
-    complex, in rows and columns no part has: a block past _DENSE_MAX vertices is kept so (see
-    _as_block), and b^H b and b x are read from its entries.  No writable array of it leaves:
-    the entries are read-only, and all else it returns is built afresh.
+    None, is the Entries of the other non-zero entries on the k vertices, vals complex, in rows
+    and columns no part has: a block past _DENSE_MAX vertices is kept so (see _as_block), and
+    b^H b and b x are read from its entries.  No writable array of it leaves: the entries are
+    read-only, and all else it returns is built afresh.
     """
 
-    def __init__(self, k: int, parts: tuple, entries: tuple = None):
-        self.k = k
-        self.parts = parts
-        self.entries = entries
-        for a in entries or ():
-            a.setflags(write=False)
+    def __init__(self, k: int, parts: tuple, entries: Entries = None):
+        self.k, self.parts, self.entries = k, parts, entries
 
     @property
     def shape(self) -> tuple:
@@ -222,7 +233,7 @@ class _Block:
         """max |b^H b - I|, its worst part's; nan or inf if an entry is."""
         worst = [_gram_defect(s).max(initial=0.0) for _, s in self.parts]
         if self.entries is not None:
-            worst.append(_gram_entries(*self.entries, self.k, [x for x, _ in self.parts]))
+            worst.append(_gram_entries(self.entries, [x for x, _ in self.parts]))
         # np.max keeps a nan; the builtin may drop it
         return float(worst[0] if len(worst) == 1 else np.max(worst, initial=0.0))
 
@@ -232,41 +243,27 @@ class _Block:
         for x, s in self.parts:
             i, a, b = np.nonzero(mask(s))
             found.append((x[i, a], x[i, b], s[i, a, b]))
-        if self.entries is not None:
-            rows, cols, vals = self.entries
-            hit = mask(vals)
-            found.append(self.entries if hit.all() else (rows[hit], cols[hit], vals[hit]))
+        if (e := self.entries) is not None:
+            hit = mask(e.vals)
+            found.append((e.rows, e.cols, e.vals) if hit.all() else
+                         (e.rows[hit], e.cols[hit], e.vals[hit]))
         return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
     def dense(self) -> np.ndarray:
-        b = np.zeros(self.shape, dtype=complex)
+        b = np.zeros(self.shape, dtype=complex) if self.entries is None else self.entries.dense()
         for x, s in self.parts:
             b[x[:, :, None], x[:, None, :]] = s
-        if self.entries is not None:
-            rows, cols, vals = self.entries
-            b[rows, cols] = vals
         return b
 
     def adjoint(self) -> "_Block":
-        """b^H: each part conjugate-transposed; the entries swapped, conjugated and put back in
-        row-major order."""
-        entries = self.entries
-        if entries is not None:
-            rows, cols, vals = entries
-            order = np.lexsort((rows, cols))
-            entries = (cols[order], rows[order], vals[order].conj())
-        return _Block(self.k, tuple((x, s.conj().swapaxes(1, 2)) for x, s in self.parts), entries)
+        """b^H: each part and the entries conjugate-transposed."""
+        return _Block(self.k, tuple((x, s.conj().swapaxes(1, 2)) for x, s in self.parts),
+                      None if self.entries is None else self.entries.adjoint())
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """b x for a vector x of length k: the entries by one scatter-add per real and imaginary
-        part, each part by one product; every row of a unitary block lies in a part or holds an
-        entry."""
-        y = np.zeros_like(x)
-        if self.entries is not None:
-            rows, cols, vals = self.entries
-            terms = vals * x[cols]
-            y.real = np.bincount(rows, weights=terms.real, minlength=self.k)
-            y.imag = np.bincount(rows, weights=terms.imag, minlength=self.k)
+        """b x for a complex vector x of length k: the entries by their own product, each part by
+        one product; every row of a unitary block lies in a part or holds an entry."""
+        y = np.zeros_like(x) if self.entries is None else self.entries @ x
         for i, s in self.parts:
             y[i] = np.matmul(s, x[i][..., None])[..., 0]
         return y
@@ -289,13 +286,13 @@ def _row_pairs(rows: np.ndarray) -> tuple:
     return first, first + step + 1
 
 
-def _gram_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int,
-                  skip: list = ()) -> float:
-    """max |b^H b - I| of the k x k block b with these non-zero entries, in row-major order,
-    read from them, over its columns but those in the arrays skip (a _Block's parts): the
-    diagonal of b^H b is each column's sum of squared moduli (an empty column's is 0), and its
-    entry on columns a < c the sum of conj(b[r, a]) b[r, c] over the rows r holding both, so
-    only pairs of entries that share a row add to it; nan or inf if an entry is."""
+def _gram_entries(e: Entries, skip: list = ()) -> float:
+    """max |b^H b - I| of the block b with the entries e, read from them, over its columns but
+    those in the arrays skip (a _Block's parts): the diagonal of b^H b is each column's sum of
+    squared moduli (an empty column's is 0), and its entry on columns a < c the sum of
+    conj(b[r, a]) b[r, c] over the rows r holding both, so only pairs of entries that share a
+    row add to it; nan or inf if an entry is."""
+    rows, cols, vals, k = e.rows, e.cols, e.vals, e.n
     square = vals.real ** 2 + vals.imag ** 2
     norms = np.bincount(cols, weights=square, minlength=k)
     for c in skip:
@@ -317,7 +314,7 @@ def _as_block(given, k: int) -> _Block:
     whole, as one part, and so is one past it whose rows pair up more entries than its k x k
     product has cells (the sum of d (d - 1) / 2 over its rows' entry counts d above k^2), whose
     pairs would take more memory than the product; any other is kept as its non-zero entries.
-    Only a caller's array kept whole is copied."""
+    Only a caller's array kept whole is copied; complex Entries kept as entries stay as given."""
     block = given if isinstance(given, (_Block, Entries)) else np.asarray(given, dtype=complex)
     if block.shape != (k, k):
         raise ValueError(f"block shape {block.shape} does not match {k} support vertices")
@@ -331,9 +328,9 @@ def _as_block(given, k: int) -> _Block:
             counts = np.bincount(block.rows) if entries else np.count_nonzero(block, axis=1)
             pairs = int(counts @ (counts - 1)) // 2
         if pairs <= k * k:
-            rows, cols = (block.rows, block.cols) if entries else np.nonzero(block)
-            vals = block.vals if entries else block[rows, cols]
-            return _Block(k, (), (rows, cols, vals.astype(complex, copy=False)))
+            e = block if entries else Entries.of_matrix(block)
+            return _Block(k, (), e if np.iscomplexobj(e.vals) else
+                          Entries._checked(k, e.rows, e.cols, e.vals.astype(complex)))
     if entries:
         block = block.dense().astype(complex, copy=False)
     elif np.may_share_memory(block, given):  # the caller's memory: a private copy
@@ -352,17 +349,18 @@ def _direct_sum(blocks: list) -> _Block:
         for index, stack in b.parts:
             shapes.setdefault(stack.shape[1:], []).append((index, stack, at))
         if b.entries is not None:
-            entries.append(b.entries + (at,))
+            entries.append((b.entries, at))
         at += b.k
     parts = []
     for index, stacks, starts in (zip(*group) for group in shapes.values()):
         shift = np.repeat(starts, [len(s) for s in stacks])[:, None]  # each part's place
         parts.append((np.concatenate(index) + shift, np.concatenate(stacks)))
     if entries:
-        rows, cols, vals, starts = zip(*entries)
-        shift = np.repeat(starts, [v.size for v in vals])
-        entries = (np.concatenate(rows) + shift, np.concatenate(cols) + shift,
-                   np.concatenate(vals))
+        es, starts = zip(*entries)
+        shift = np.repeat(starts, [e.vals.size for e in es])
+        entries = Entries._checked(at, np.concatenate([e.rows for e in es]) + shift,
+                                   np.concatenate([e.cols for e in es]) + shift,
+                                   np.concatenate([e.vals for e in es]))
     return _Block(at, tuple(parts), entries or None)
 
 
@@ -471,26 +469,21 @@ class GraphStochastic:
     entries: Entries
 
     def __init__(self, matrix, graph: Digraph):
-        if not isinstance(matrix, Entries):
-            matrix = Entries.of_matrix(matrix)
-        if matrix.n != graph.n:
-            raise ValueError(f"matrix shape {matrix.shape} does not match graph size {graph.n}")
+        matrix = _as_entries(matrix, graph)
         _refuse(_stochastic_report(matrix, graph),
                 "matrix is not a graph-preserving stochastic operation")
         if np.iscomplexobj(matrix.vals):  # checked with its imaginary parts, stored without
             keep = matrix.vals.real != 0
             matrix = Entries._checked(matrix.n, matrix.rows[keep], matrix.cols[keep],
                                       matrix.vals.real[keep])
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "entries", matrix)
+        vars(self).update(graph=graph, entries=matrix)
 
     def apply(self, dist) -> np.ndarray:
         p = np.asarray(dist, dtype=float)
         if p.shape != (self.graph.n,):
             raise ValueError(f"distribution dimension {p.size} does not match "
                              f"graph size {self.graph.n}")
-        e = self.entries
-        return np.bincount(e.rows, weights=e.vals * p[e.cols], minlength=e.n)
+        return self.entries @ p
 
     @property
     def matrix(self) -> np.ndarray:
@@ -593,14 +586,19 @@ def is_graph_preserving_unitary(m, g: Digraph, tau: float = ATOL) -> OpReport:
     return _unitary_report(_as_block(m, g.n), g, np.arange(g.n), tau)
 
 
+def _as_entries(m, g: Digraph) -> Entries:
+    """m, a dense matrix or Entries, as Entries on g's vertices; any other size is refused."""
+    if not isinstance(m, Entries):
+        m = Entries.of_matrix(m)
+    if m.n != g.n:
+        raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
+    return m
+
+
 def is_graph_preserving_stochastic(m, g: Digraph, tau: float = ATOL) -> OpReport:
     """Column-stochastic within tau plus zeros on all non-arcs, read from the non-zero entries
     of m, a dense matrix or Entries."""
-    if not isinstance(m, Entries):
-        m = Entries.of_matrix(m)
-    if m.shape != (g.n, g.n):
-        raise ValueError(f"matrix shape {m.shape} does not match graph size {g.n}")
-    return _stochastic_report(m, g, tau)
+    return _stochastic_report(_as_entries(m, g), g, tau)
 
 
 def certify_unitary(op, g: Digraph) -> GraphUnitary:

@@ -1,5 +1,6 @@
 """Mutation check for the code the paper's verdicts rest on: the certifier, the unit-norm and
-probability checks, the graph layer and the support and block readers.
+probability checks, the graph layer, the support and block readers, the JSON readers, the
+sparse operator form and verify-op's tolerance bound.
 
 Each mutant of the fixed catalogue below rewrites one expression or statement of one function
 (with the stdlib ast), in a fresh copy of src/, tests/ and the README, and runs pytest with -x on the test
@@ -73,6 +74,26 @@ CATALOGUE = [
      None),
     ("joint-index-layout", "operators", "ControlledOp.__post_init__",
      "self.control == 'robber'", "self.control == 'cop'", None),
+    # the JSON readers' type, key and repeat checks, the sparse form's checks and arithmetic,
+    # and the bound on verify-op's tolerance
+    ("numbers-accept-bool", "scenario", "_numbers",
+     "set(map(type, column)) - {int, float}", "set(map(type, column)) - {int, float, bool}",
+     None),
+    ("operator-index-bool", "scenario", "operator_from_json",
+     "(set(map(type, rows)) | set(map(type, cols))) - {int}",
+     "(set(map(type, rows)) | set(map(type, cols))) - {int, bool}", None),
+    ("fields-unknown-key", "scenario", "_fields", "missing or unknown", "missing", None),
+    ("unique-keys-repeat", "scenario", "_unique_keys", "key in seen", "False", None),
+    ("entries-repeat", "operators", "Entries.__post_init__", "twice.any()", "False", None),
+    ("entries-range", "operators", "Entries.__post_init__",
+     "rows.size and (rows[0] < 0 or rows[-1] >= n or cols.min() < 0 or cols.max() >= n)",
+     "False", None),
+    ("matmul-drops-imaginary", "operators", "Entries.__matmul__",
+     "y.imag = np.bincount(self.rows, weights=terms.imag, minlength=self.n)", "y.imag = 0.0",
+     None),
+    ("adjoint-drops-conjugate", "operators", "Entries.adjoint", "self.vals[order].conj()",
+     "self.vals[order]", None),
+    ("tau-bound", "cli", "_tolerance", "0 <= tau < 1", "0 <= tau", None),
 ]
 
 

@@ -363,9 +363,16 @@ def test_verify_op_pass_and_fail(tmp_path, capsys):
     code, out, _ = _run(capsys, ["verify-op", swap_path, graph, "--unitary"])
     assert code == 2 and out.startswith("FAIL unitary") and "violations=2" in out
     assert "forbidden entry (0, 2)" in out and "forbidden entry (2, 0)" in out
-    # a loose tolerance forgives the same matrix
-    code, out, _ = _run(capsys, ["verify-op", swap_path, graph, "--unitary", "--tau", "2.0"])
-    assert code == 0 and out.startswith("PASS")
+    # a tolerance of 1 or more, which would forgive the same matrix, is refused
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify-op", swap_path, graph, "--unitary", "--tau", "2.0"])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 2 and out == ""
+    assert err.endswith("argument --tau: must be a finite number in [0, 1), got '2.0'\n")
+    # the largest tolerance below 1 is taken, and flags both entries of magnitude 1
+    code, out, _ = _run(capsys, ["verify-op", swap_path, graph, "--unitary", "--tau",
+                                 "0.9999999999999999"])
+    assert code == 2 and out.startswith("FAIL unitary") and "violations=2" in out
 
 
 def test_verify_op_stochastic(tmp_path, capsys):
@@ -403,8 +410,7 @@ def _pinned_operators():
         (swap, p3, ["--unitary"], 2, "FAIL unitary residual=0.000e+00 violations=2\n"
          "  forbidden entry (0, 2) magnitude=1.000e+00\n"
          "  forbidden entry (2, 0) magnitude=1.000e+00\n"),
-        (swap, p3, ["--unitary", "--tau", "2.0"], 0,
-         "PASS unitary residual=0.000e+00 violations=0\n"),
+        (swap, p3, ["--unitary", "--tau", "2.0"], 2, ""),  # refused: tau >= 1
         (lazy, c4, ["--stochastic"], 0, "PASS stochastic residual=0.000e+00 violations=0\n"),
         (np.full((4, 4), 0.25), c4, ["--stochastic"], 2,
          "FAIL stochastic residual=0.000e+00 violations=4\n"
@@ -427,21 +433,26 @@ def test_verify_op_reports_are_pinned_byte_for_byte(tmp_path, capsys):
         data = op if isinstance(op, dict) else _loop_operator_to_json(op)
         argv = ["verify-op", _write(tmp_path, "op.json", data),
                 _write(tmp_path, "g.json", graph_to_json(g))] + flags
-        assert _run(capsys, argv)[:2] == (status, report)
+        try:
+            got = _run(capsys, argv)[:2]
+        except SystemExit as exc:  # the argument parser's refusal
+            got = exc.code, capsys.readouterr().out
+        assert got == (status, report)
 
 
-@pytest.mark.parametrize("tau", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("tau", ["inf", "nan", "-1", "1", "1.0", "2.0", "1e300"])
 def test_verify_op_tau_is_a_finite_tolerance(tmp_path, capsys, tau):
     # residual 33 and a forbidden entry (2, 0) of magnitude 3: inf passed it, nan printed
-    # violations=0, and -1 listed the zero entry (0, 2) as forbidden
+    # violations=0, -1 listed the zero entry (0, 2) as forbidden, and a tau of 1 or more passes
+    # any unitary or stochastic move, whose entries are at most 1
     op = _write(tmp_path, "op.json",
                 _loop_operator_to_json([[5.0, 0, 0], [0, 1.0, 0], [3.0, 0, 1.0]]))
     graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
     with pytest.raises(SystemExit) as exit_info:
         main(["verify-op", op, graph, "--unitary", "--tau", tau])
     out, err = capsys.readouterr()
-    assert exit_info.value.code != 0 and out == ""
-    assert err.endswith(f"argument --tau: must be a finite number >= 0, got {tau!r}\n")
+    assert exit_info.value.code == 2 and out == ""
+    assert err.endswith(f"argument --tau: must be a finite number in [0, 1), got {tau!r}\n")
     code, out, _ = _run(capsys, ["verify-op", op, graph, "--unitary", "--tau", "0"])
     assert code == 2 and out.startswith("FAIL unitary residual=3.300e+01 violations=1\n")
 

@@ -164,12 +164,13 @@ def test_a_list_past_64_vertices_is_one_report_on_its_joined_entries(spy):
     certify_blocks(moves, g)
     (((b, *_), _),) = spy.calls["_unitary_report"]
     assert b.parts == () and b.k == 3 * g.n
-    rows, cols, vals = b.entries
-    assert np.array_equal(rows, np.concatenate([m.rows + i * g.n for i, m in enumerate(moves)]))
-    assert np.array_equal(cols, np.concatenate([m.cols + i * g.n for i, m in enumerate(moves)]))
-    assert np.array_equal(vals, np.concatenate([m.vals for m in moves]))
-    (((*entries, k, _), _),) = spy.calls["_gram_entries"]
-    assert k == b.k and all(a is e for a, e in zip(entries, b.entries))
+    e = b.entries
+    assert e.n == b.k
+    assert np.array_equal(e.rows, np.concatenate([m.rows + i * g.n for i, m in enumerate(moves)]))
+    assert np.array_equal(e.cols, np.concatenate([m.cols + i * g.n for i, m in enumerate(moves)]))
+    assert np.array_equal(e.vals, np.concatenate([m.vals for m in moves]))
+    (((entries, _), _),) = spy.calls["_gram_entries"]
+    assert entries is e
     assert [len(blocks) for (blocks,), _ in spy.calls["_direct_sum"]] == [3]
 
 
@@ -185,15 +186,15 @@ def test_a_lone_block_past_64_vertices_is_checked_on_its_own_entries(spy):
     assert is_graph_preserving_unitary(e, path_graph(n)).ok
     (((b, *_), _),) = spy.calls["_unitary_report"]
     assert b.parts == () and b.k == n
-    assert all(a is getattr(e, name) for a, name in zip(b.entries, ("rows", "cols", "vals")))
-    (((*entries, k, _), _),) = spy.calls["_gram_entries"]
-    assert k == n and all(a is x for a, x in zip(entries, b.entries))
+    assert b.entries is e
+    (((entries, _), _),) = spy.calls["_gram_entries"]
+    assert entries is e
 
 
 def test_a_dense_block_past_64_vertices_is_read_from_its_own_array(spy):
     # a 96-vertex Haar unitary: its rows are full, so it is kept whole, copied once from the
     # caller's array and never read into entries; a 96-vertex matching of Haar 2x2 blocks is
-    # read into the entries Entries.of_matrix makes of it and reports as they do
+    # read into entries by one Entries.of_matrix call, and reports as those entries do
     rng = np.random.default_rng(96)
     haar, path = haar_unitary(96, rng), path_graph(96)
     matching = np.zeros((96, 96), dtype=complex)
@@ -201,17 +202,22 @@ def test_a_dense_block_past_64_vertices_is_read_from_its_own_array(spy):
         matching[v:v + 2, v:v + 2] = block
     expected = Entries.of_matrix(matching)
     ref = is_graph_preserving_unitary(expected, path)
-    spy.forbid(Entries, "of_matrix", "dense")
+    spy.forbid(Entries, "dense")
     spy.watch(OPS, "_unitary_report")
+    spy.watch(Entries, "of_matrix")
     u = certify_unitary(haar, complete_graph(96))
+    assert spy.calls["of_matrix"] == []
     report = is_graph_preserving_unitary(matching, path)
+    (((given,), made),) = spy.calls["of_matrix"]
     (((whole, *_), _), ((split, *_), _)) = spy.calls["_unitary_report"]
     (index, stack), = whole.parts
     assert whole.entries is None and u._block is whole and stack.shape == (1, 96, 96)
     assert np.array_equal(stack[0], haar) and not np.shares_memory(stack, haar)
     assert np.array_equal(index, np.arange(96)[None])
-    assert split.parts == () and all(np.array_equal(a, getattr(expected, name)) for a, name in
-                                     zip(split.entries, ("rows", "cols", "vals")))
+    assert np.array_equal(given, matching) and split.entries is made
+    assert split.parts == () and split.entries.n == 96 and all(
+        np.array_equal(getattr(split.entries, name), getattr(expected, name))
+        for name in ("rows", "cols", "vals"))
     assert (report.ok, report.violations) == (ref.ok, ref.violations) and report.ok
     assert np.float64(report.residual).tobytes() == np.float64(ref.residual).tobytes()
 

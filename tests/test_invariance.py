@@ -4,7 +4,10 @@ the check of m reports, a game of any of the five models played with every move,
 dominating set relabelled ends with the same capture probability, and the graph layer's
 verdicts, corner table, value tables and dominating sets follow the relabelling.  These guard
 the index arithmetic of the certifier, of the controlled moves' joint index and of the board's
-matrix."""
+matrix.  A reach sequence also reaches its target on a relabelled board, is undone by its
+reversed adjoints, and reads back from its own text bit for bit."""
+
+import json
 
 import numpy as np
 import pytest
@@ -24,14 +27,22 @@ from qpursuit import (
     haar_unitary,
     is_connected,
     is_copwin_dismantle,
+    apply_sequence,
+    basis_state,
     is_graph_preserving_unitary,
+    operator_from_json,
+    operators_to_text,
     play,
     random_connected_graph,
+    reach_sequence,
+    reverse_digraph,
     sample_controlled_op,
     sample_graph_stochastic,
     sample_graph_unitary,
+    uniform_state,
     universal_vertex,
 )
+from qpursuit.operators import ATOL
 
 
 @st.composite
@@ -189,3 +200,71 @@ def test_the_graph_layer_follows_a_relabelling(board):
     assert dominates(h, {p[v] for v in dominating_set(g)})
     trusted = Digraph._trusted(_relabel(g.adjacency, p))
     assert h == trusted and hash(h) == hash(trusted)
+
+
+@st.composite
+def _reach_instances(draw):
+    """(rng, a reversible board on 1 to 8 vertices, phi, psi, P as the list p, the board
+    relabelled by P): a random connected undirected board, maybe with one-way arcs added, and
+    two states each a random complex unit vector, a basis state or the uniform state."""
+    rng, g, p, h = draw(_relabelled_boards())
+    n = g.n
+    if draw(st.booleans()):  # one-way arcs keep it reversible: its undirected arcs join it
+        arcs = [(u, v) for u, row in enumerate(g.out_adj) for v in row]
+        arcs += [(int(u), int(v)) for u, v in rng.integers(0, n, (draw(st.integers(0, n)), 2))]
+        g = digraph(n, arcs, reflexive=False)
+        h = digraph(n, [(p[u], p[v]) for u, v in arcs], reflexive=False)
+
+    def state():
+        kind = draw(st.sampled_from(("random", "random", "basis", "uniform")))
+        return _unit(rng, n) if kind == "random" else uniform_state(n) if kind == "uniform" \
+            else basis_state(n, draw(st.integers(0, n - 1)))
+
+    return rng, g, state(), state(), p, h
+
+
+def _fidelity(psi: np.ndarray, out: np.ndarray) -> float:
+    return abs(np.vdot(psi, out))
+
+
+@settings(max_examples=100)
+@given(_reach_instances())
+def test_the_reversed_adjoints_of_a_reach_sequence_undo_it(instance):
+    _, g, phi, psi, _, _ = instance
+    ops = reach_sequence(g, phi, psi)
+    assert _fidelity(psi, apply_sequence(ops, phi)) >= 1.0 - ATOL
+    back = [u.adjoint() for u in reversed(ops)]
+    assert _fidelity(phi, apply_sequence(back, psi)) >= 1.0 - ATOL
+    for u, v in zip(reversed(ops), back):
+        # each adjoint is certified against the reverse of its layer's graph, whose arcs are
+        # the reverse board's
+        assert v.graph == reverse_digraph(u.graph) and v.support == u.support
+        assert np.array_equal(v.matrix, u.matrix.conj().T)
+        assert is_graph_preserving_unitary(v.matrix, reverse_digraph(g)).ok
+
+
+@settings(max_examples=100)
+@given(_reach_instances())
+def test_a_reach_sequence_reads_back_from_its_text_bit_for_bit(instance):
+    _, g, phi, psi, _, _ = instance
+    ops = reach_sequence(g, phi, psi)
+    layers = json.loads(operators_to_text(ops))
+    assert len(layers) == len(ops)
+    for u, data in zip(ops, layers):
+        # every non-zero entry bit for bit; the text omits zero entries, so one a gather holds
+        # as 0 - 0j reads back as 0 + 0j, equal but for the sign of zero
+        read, matrix = operator_from_json(data).dense(), u.matrix
+        written = matrix != 0
+        assert read.dtype == matrix.dtype and np.array_equal(read, matrix)
+        assert read[written].tobytes() == matrix[written].tobytes()
+
+
+@settings(max_examples=100)
+@given(_reach_instances())
+def test_a_relabelled_reach_reaches_its_target_with_certified_layers(instance):
+    # the length may differ: the spanning tree follows the labels
+    _, g, phi, psi, p, h = instance
+    ops = reach_sequence(h, _image(phi, p), _image(psi, p))
+    assert _fidelity(_image(psi, p), apply_sequence(ops, _image(phi, p))) >= 1.0 - ATOL
+    assert len(ops) <= 2 * h.n - 2
+    assert all(is_graph_preserving_unitary(u.matrix, h).ok for u in ops)

@@ -232,6 +232,15 @@ def test_adjoint_certifies_against_reverse_graph():
     v = gather_unitary(g, 0, 1, basis_state(3, 0), (0.0, 1.0))
     assert v.adjoint().graph == g
     assert np.allclose(v.adjoint().adjoint().matrix, v.matrix)
+    # past _DENSE_MAX vertices a block and its adjoint are kept as entries: the adjoint's are
+    # the conjugate transpose's, and it undoes the move
+    u = cycle_unitary(70, np.random.default_rng(70).uniform(0.0, 2.0 * np.pi, 70))
+    adj = u.adjoint()
+    assert u._block.parts == () and adj._block.parts == () and adj._block.entries is not None
+    assert adj.graph == reverse_digraph(directed_cycle(70))
+    assert np.array_equal(adj.matrix, u.matrix.conj().T)
+    x = np.random.default_rng(71).standard_normal((2, 70)).T @ [1.0, 1j]
+    assert np.allclose(adj.apply(u.apply(x)), x, atol=1e-14)
 
 
 def test_gather_moves_block_amplitude():
@@ -1150,8 +1159,9 @@ def test_an_entries_block_reports_and_applies_as_the_dense_product(instance):
         _assert_kept_whole(split, b)
     else:  # kept as its entries, in row-major order
         e = Entries.of_matrix(b)
-        assert split.parts == () and all(np.array_equal(a, getattr(e, name), equal_nan=True)
-                                         for a, name in zip(split.entries, ("rows", "cols", "vals")))
+        assert split.parts == () and split.entries.n == k and all(
+            np.array_equal(getattr(split.entries, name), getattr(e, name), equal_nan=True)
+            for name in ("rows", "cols", "vals"))
     residual, violations = _dense_residual_and_violations(b, g, idx)
     report = _unitary_report(split, g, idx)
     assert report.violations == violations
@@ -2158,11 +2168,14 @@ def test_certified_stochastic_checks_imaginary_parts_before_dropping_them():
 
 def _same_parts(a: _Block, b: _Block) -> bool:
     """a and b hold equal arrays, bit for bit and of one shape, in the same order."""
+    def arrays(c: _Block) -> tuple:
+        e = c.entries
+        return c.parts + (() if e is None else ((e.rows, e.cols, e.vals),))
+
     return a.k == b.k and len(a.parts) == len(b.parts) and (a.entries is None) == (
         b.entries is None) and all(
         x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for p, q in zip(a.parts + (a.entries or ()), b.parts + (b.entries or ()))
-        for x, y in zip(p, q))
+        for p, q in zip(arrays(a), arrays(b)) for x, y in zip(p, q))
 
 
 def _assert_kept_whole(b: _Block, block):
@@ -2189,7 +2202,7 @@ def test_a_block_whose_rows_pair_up_k_squared_entries_is_kept_as_its_entries():
                 _assert_kept_whole(_split(block), b)
             else:
                 e = Entries.of_matrix(b)
-                assert _same_parts(_split(block), _Block(k, (), (e.rows, e.cols, e.vals)))
+                assert _same_parts(_split(block), _Block(k, (), e))
 
 
 @settings(max_examples=60, phases=_NO_SHRINK)

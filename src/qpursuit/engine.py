@@ -187,7 +187,8 @@ def _move_source(strategy: Strategy, g: Digraph, model: GameModel, count: int):
     if model in (GameModel.CLASSICAL_QUANTUM, GameModel.QUANTUM_CONTROLLED):
         bare = [i for i, m in enumerate(seq[:max(count, 0)]) if isinstance(m, (Entries, np.ndarray))
                 or isinstance(m, GraphUnitary) and m.graph != g]
-        cells = accumulate(np.prod(getattr(seq[i], "_block", seq[i]).shape) for i in bare)
+        cells = accumulate(len(m.support) ** 2 if isinstance(m, GraphUnitary) else np.prod(m.shape)
+                           for m in map(seq.__getitem__, bare))
         bare = [i for i, c in zip(bare, cells) if c <= _LIST_CELLS]
         with suppress(Exception):  # any failure: each move is certified, and refused, in turn
             for i, u in zip(bare, certify_blocks([seq[i] for i in bare], g)):

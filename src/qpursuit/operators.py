@@ -322,11 +322,9 @@ def _as_block(given, k: int) -> _Block:
         return block
     entries = isinstance(block, Entries)
     if k > _DENSE_MAX:
-        # the pairs of entries that share a row, counted by row only if all pairs exceed k^2
-        pairs = block.rows.size * (block.rows.size - 1) // 2 if entries else k * k + 1
-        if pairs > k * k:
-            counts = np.bincount(block.rows) if entries else np.count_nonzero(block, axis=1)
-            pairs = int(counts @ (counts - 1)) // 2
+        # the pairs of entries that share a row, by each row's entry count
+        counts = np.bincount(block.rows) if entries else np.count_nonzero(block, axis=1)
+        pairs = int(counts @ (counts - 1)) // 2
         if pairs <= k * k:
             e = block if entries else Entries.of_matrix(block)
             return _Block(k, (), e if np.iscomplexobj(e.vals) else
@@ -507,20 +505,17 @@ def _violations(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, g: Digraph
 def _gram_defect(a: np.ndarray) -> np.ndarray:
     """max |a^H a - I| over the last two axes of a stack of blocks; nan or inf if an entry is.
 
-    A stack of 1 x 1 or 2 x 2 blocks takes it in closed form: each column's squared norm less 1
-    and, for 2 x 2, the modulus of the columns' inner product, within a few ulp of the product.
-    A block where that is not finite is taken by the product, so nan and inf fall as it puts them.
+    A stack of 2 x 2 blocks takes it in closed form: each column's squared norm less 1 and the
+    modulus of the columns' inner product, within a few ulp of the product.  A block where that
+    is not finite is taken by the product, so nan and inf fall as it puts them.
     """
-    if a.shape[1:] == (1, 1):
-        defect = np.abs(a.real[:, 0, 0] ** 2 + a.imag[:, 0, 0] ** 2 - 1.0)
-    elif a.shape[1:] == (2, 2):  # elementwise on the columns: a reduction costs more here
-        square = a.real ** 2 + a.imag ** 2
-        norms = np.abs(square[:, 0] + square[:, 1] - 1.0)
-        inner = a[:, :, 0].conj() * a[:, :, 1]
-        defect = np.maximum(np.maximum(norms[:, 0], norms[:, 1]),
-                            np.abs(inner[:, 0] + inner[:, 1]))
-    else:
+    if a.shape[1:] != (2, 2):
         return _gram_product(a)
+    # elementwise on the columns: a reduction costs more here
+    square = a.real ** 2 + a.imag ** 2
+    norms = np.abs(square[:, 0] + square[:, 1] - 1.0)
+    inner = a[:, :, 0].conj() * a[:, :, 1]
+    defect = np.maximum(np.maximum(norms[:, 0], norms[:, 1]), np.abs(inner[:, 0] + inner[:, 1]))
     bad = ~np.isfinite(defect)
     if bad.any():
         defect[bad] = _gram_product(a[bad])
@@ -672,6 +667,18 @@ def _one_stack(ops):
             getattr(u, "_layer", None) != (stack, i) for i, u in enumerate(ops)):
         return None
     return stack
+
+
+def _joined(certs: list) -> tuple:
+    """(sizes, index, block) of the list certs of certificates read as one: each one's support
+    size, their supports in one array, in order, and the direct sum of their blocks, whose rows
+    and columns index that array.  A list of every layer of one stack, in order, is its _Stack's
+    (see _one_stack), with no copy."""
+    stack = _one_stack(certs)
+    if stack is not None:
+        return stack.sizes, stack.index, stack.block
+    return ([u._index.size for u in certs], np.concatenate([u._index for u in certs]),
+            _direct_sum([u._block for u in certs]))
 
 
 def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
@@ -888,8 +895,8 @@ class ControlledOp:
     (a Cop move); control='cop' is the mirror image (a Robber move).
     Building one certifies every block against graph, all by one certify_blocks call; a bad
     block's error is prefixed with its vertex.  Beside the certified blocks it keeps the direct
-    sum of their blocks and its joint index: block v's support s sits at v * n + s (robber
-    control), row v of the (n, n) joint table, or at s * n + v, column v.
+    sum of their blocks (_joined) and its joint index: block v's support s sits at v * n + s
+    (robber control), row v of the (n, n) joint table, or at s * n + v, column v.
     """
 
     blocks: tuple
@@ -907,12 +914,10 @@ class ControlledOp:
             if hasattr(exc, "position"):  # the first bad block's own error: name that block
                 exc.args = (f"block {exc.position}: {exc}",)
             raise
-        n, support = self.graph.n, np.concatenate([u._index for u in blocks])
-        line = np.arange(n).repeat([u._index.size for u in blocks])
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_sum", _direct_sum([u._block for u in blocks]))
-        object.__setattr__(self, "_index", line * n + support if self.control == "robber"
-                           else support * n + line)
+        (sizes, support, total), n = _joined(blocks), self.graph.n
+        line = np.arange(n).repeat(sizes)
+        vars(self).update(blocks=tuple(blocks), _sum=total, _index=line * n + support
+                          if self.control == "robber" else support * n + line)
 
     def apply(self, joint) -> np.ndarray:
         """Block v acts on row v (robber control) or column v of the (n, n) joint table."""

@@ -18,7 +18,7 @@ from .engine import (
     play,
 )
 from .graphs import Digraph, _ArcFormatError, _is_int, digraph
-from .operators import ControlledOp, Entries, _direct_sum, _one_stack
+from .operators import ControlledOp, Entries, _joined
 from .strategies import build_strategy
 
 
@@ -98,8 +98,8 @@ def operators_to_text(ops) -> str:
 
     The whole list is written in one pass, with no dense n x n matrix, no per-entry format and
     no join per operator.  The non-zero entries of every block are gathered into vertex
-    coordinates and sorted once by (operator, row, column); the layers of one stack, all of
-    them in order, are read from the stack (see operators._one_stack).  Each distinct magnitude
+    coordinates and sorted once by (operator, row, column): the supports and blocks of the list
+    are read as one (see operators._joined).  Each distinct magnitude
     of a float part, keyed by its bits, is formatted once with repr, which is json's own float
     format (certified blocks are finite), and a part with its sign bit set, -0.0 too, is that
     text after a minus sign.  The text is then one join of six pieces per
@@ -115,15 +115,8 @@ def operators_to_text(ops) -> str:
     loops, starts, ends, heads, cols = _text_tables(max(sizes))
     base = max(sizes) + 1  # the key op * base + row orders rows by operator, then row
     # every support in one array, and the non-zero entries of the blocks' direct sum, whose
-    # rows and columns index that array: the layers of one stack, all of them in order, are
-    # both already (_one_stack)
-    stack = _one_stack(ops)
-    if stack is None:
-        lengths = [len(op._index) for op in ops]
-        flat = np.concatenate([op._index for op in ops])
-        block = _direct_sum([op._block for op in ops])
-    else:
-        lengths, flat, block = stack.sizes, stack.index, stack.block
+    # rows and columns index that array
+    lengths, flat, block = _joined(ops)
     place = np.arange(0, len(ops) * base, base).repeat(lengths) + flat  # op * base + row
     rows, columns, vals = block.where(lambda s: s != 0)
     row_key, col = place[rows], flat[columns]

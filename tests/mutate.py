@@ -1,6 +1,7 @@
 """Mutation check for the code the paper's verdicts rest on: the certifier, the unit-norm and
-probability checks, the graph layer, the support and block readers, the JSON readers, the
-sparse operator form and verify-op's tolerance bound.
+probability checks, the graph layer, the support and block readers, the rule that reads a list
+of certificates as one stack, the JSON readers, the sparse operator form and verify-op's
+tolerance bound.
 
 Each mutant of the fixed catalogue below rewrites one expression or statement of one function
 (with the stdlib ast), in a fresh copy of src/, tests/ and the README, and runs pytest with -x on the test
@@ -94,6 +95,9 @@ CATALOGUE = [
     ("adjoint-drops-conjugate", "operators", "Entries.adjoint", "self.vals[order].conj()",
      "self.vals[order]", None),
     ("tau-bound", "cli", "_tolerance", "0 <= tau < 1", "0 <= tau", None),
+    # a list holding only some of a stack's layers read as the whole stack (_joined's rule)
+    ("one-stack-partial", "operators", "_one_stack", "len(ops) != len(stack.sizes)", "False",
+     None),
 ]
 
 

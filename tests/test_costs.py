@@ -114,11 +114,12 @@ def test_reach_makes_one_check_on_its_one_gather_stack(spy):
 @pytest.mark.parametrize("build", ["universal_vertex_catch", "reproduce star-impossibility"])
 def test_a_stack_of_blocks_is_one_report_of_its_prebuilt_sum(spy, capsys, build):
     spy.watch(OPS, "_unitary_report")
-    spy.forbid(OPS, "_as_block", "_gram_entries")
+    spy.forbid(OPS, "_as_block", "_gram_entries", "_direct_sum")
     if build == "universal_vertex_catch":
-        # the hub's n - 1 swaps are one (n - 1, 2, 2) stack, the hub itself an empty layer
+        # the hub's n - 1 swaps are one (n - 1, 2, 2) stack, the hub itself an empty layer, and
+        # the controlled move keeps the stack's sum as its own, with no copy
         g = star_graph(39)
-        universal_vertex_catch(g)
+        kept = universal_vertex_catch(g).move(MoveContext(1, "cop", g, 1))._sum
         shapes = [(g.n - 1, 2, 2)]
     else:
         # the 200 path-3 members are one (200, 3, 3) stack, each block kept whole
@@ -127,6 +128,7 @@ def test_a_stack_of_blocks_is_one_report_of_its_prebuilt_sum(spy, capsys, build)
         shapes = [(200, 3, 3)]
     (((b, *_), _),) = spy.calls["_unitary_report"]
     assert [s.shape for _, s in b.parts] == shapes
+    assert build != "universal_vertex_catch" or kept is b
 
 
 def test_the_c4_collapses_are_each_checked_once(spy):

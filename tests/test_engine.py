@@ -172,20 +172,26 @@ def test_classical_quantum_play_basics():
         play("classical_quantum", g, Strategy(move=[swap02]), Strategy(), rounds=1)
 
 
-def test_quantum_models_agree_on_separable_strategies(rng):
-    g = random_connected_graph(4, rng)
-    rounds = 3
-    cop_ops = [sample_graph_unitary(g, rng).matrix for _ in range(rounds)]
-    robber_ops = [sample_graph_unitary(g, rng).matrix for _ in range(rounds - 1)]
-    sc, sr = _random_amps(rng, 4), _random_amps(rng, 4)
-    cq = play("classical_quantum", g, Strategy(init=sc, move=cop_ops),
-              Strategy(init=sr, move=robber_ops), rounds)
-    qc = play("quantum_controlled", g, Strategy(init=sc, move=cop_ops),
-              Strategy(init=sr, move=robber_ops), rounds)
-    assert np.isclose(cq.p_copwin, qc.p_copwin, atol=1e-12)
-    last = cq.history[-1][2]
-    assert np.allclose(qc.history[-1][2]["joint"], np.kron(last["robber"], last["cop"]),
-                       atol=1e-12)
+@given(st.integers(1, 8), st.integers(1, 3), st.sampled_from([0.0, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_quantum_models_agree_on_separable_strategies(n, rounds, density, seed, dense):
+    # classically controlled play embeds in quantum_controlled: uncontrolled members on both
+    # sides keep the joint state the product of the two local ones (Schmidt rank 1)
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, rng, density)
+    cop_ops, robber_ops = ([sample_graph_unitary(g, rng) for _ in range(k)]
+                           for k in (rounds, rounds - 1))
+    if dense:  # bare matrices, certified when the game starts
+        cop_ops, robber_ops = ([u.matrix for u in ops] for ops in (cop_ops, robber_ops))
+    sc, sr = _random_amps(rng, n), _random_amps(rng, n)
+    cq, qc = (play(model, g, Strategy(init=sc, move=cop_ops), Strategy(init=sr, move=robber_ops),
+                   rounds) for model in ("classical_quantum", "quantum_controlled"))
+    assert abs(cq.p_copwin - qc.p_copwin) <= 1e-12
+    assert len(cq.history) == len(qc.history) == 2 * rounds
+    for (stage, k, local), (joint_stage, joint_k, joint) in zip(cq.history, qc.history):
+        assert (stage, k) == (joint_stage, joint_k)
+        assert np.allclose(joint["joint"], np.kron(local["robber"], local["cop"]),
+                           rtol=0.0, atol=1e-12)
 
 
 def test_constant_controlled_blocks_match_bare_lifts(rng):

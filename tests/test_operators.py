@@ -49,7 +49,7 @@ from qpursuit import (
     transposition_unitary,
     uniform_state,
 )
-from qpursuit import operators, scenario
+from qpursuit import operators
 from qpursuit.graphs import _bfs
 from qpursuit.operators import (
     _DENSE_MAX,
@@ -491,9 +491,28 @@ def _transport_instances(draw):
 
 def _each_on_its_own(call, *args):
     """call(*args) with no list read as the layers of one stack: each operator on its own."""
-    with mock.patch.object(operators, "_one_stack", return_value=None), \
-            mock.patch.object(scenario, "_one_stack", return_value=None):
+    with mock.patch.object(operators, "_one_stack", return_value=None):
         return call(*args)
+
+
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.sampled_from(("robber", "cop")))
+def test_a_controlled_move_of_one_whole_stack_keeps_its_sum(n, seed, control):
+    # a hub's swaps, as universal_vertex_catch builds them: the n layers of one stack keep its
+    # sum with no copy, and the first n layers of a longer stack are joined one by one; both
+    # apply bit for bit as the same blocks read each on its own
+    rng = np.random.default_rng(seed)
+    g, hub = complete_graph(n), int(rng.integers(n))
+    supports = [() if v == hub else (v, hub) for v in range(n)]
+    stack = haar_unitary(2, rng, (n,))
+    whole = certify_blocks(stack[:-1], g, supports)
+    longer = certify_blocks(stack, g, supports + [(0, 1)])[:-1]
+    joint = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    for layers in (whole, longer):
+        op = ControlledOp(tuple(layers), control, g)
+        assert (op._sum is layers[0]._layer[0].block) == (layers is whole)
+        alone = _each_on_its_own(ControlledOp, tuple(layers), control, g)
+        assert op._index.tobytes() == alone._index.tobytes()
+        assert op.apply(joint).tobytes() == alone.apply(joint).tobytes()
 
 
 @settings(max_examples=150, phases=_NO_SHRINK)

@@ -203,7 +203,7 @@ def _move_source(strategy: Strategy, g: Digraph, model: GameModel, count: int):
 
 
 def _resolve_init(init, ctx):
-    return init(ctx) if callable(init) and not isinstance(init, ControlledInit) else init
+    return init(ctx) if callable(init) else init
 
 
 def _vertex(init, n: int) -> int:

@@ -422,7 +422,8 @@ class GraphUnitary:
 
     def _fill(self, graph: Digraph, idx: np.ndarray, block: _Block, layer: tuple = None):
         """Set the fields; a certificate built bare and filled here skips the check.  layer is
-        (its _Stack, its place there) for a layer certify_blocks certified from one stack."""
+        (its stack's join, its place there) for a layer certify_blocks certified from one stack:
+        see _layers."""
         vars(self).update(graph=graph, _index=idx, _block=block, _layer=layer)
         return self
 
@@ -612,10 +613,10 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     fails, or a block or support is malformed, the _Blocks before the first malformed one are
     checked one at a time in order, so the first bad block raises what it raises alone, with its
     index as the error's position."""
-    stack = None
+    join = None
     if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.dtype.kind in "biufc":
-        parsed, stack, error = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
-        out, total = [None] * len(parsed), stack.block
+        parsed, join, error = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
+        out, total = [None] * len(parsed), join[2]
     else:
         supports = [None] * len(blocks) if supports is None else list(supports)
         if len(supports) != len(blocks):
@@ -643,50 +644,43 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
             except Exception as exc:
                 exc.position = i
                 raise
-        out[i] = object.__new__(GraphUnitary)._fill(g, at, b, stack and (stack, i))
+        out[i] = object.__new__(GraphUnitary)._fill(g, at, b, join and (join, i))
     if error:
         raise error
     return out
 
 
-class _Stack:
-    """The layers of one (P, h, h) stack as certify_blocks takes it, whole: block, the _Block of
-    the stack, is their direct sum, index holds every layer's support in one array, in order,
-    and sizes each layer's vertex count.  Each layer's certificate is a slice of both, and keeps
-    the _Stack as its _layer, so a caller handed all of them in order reads it (_one_stack)."""
-
-    def __init__(self, block: _Block, index: np.ndarray, sizes: list):
-        self.block, self.index, self.sizes = block, index, sizes
-
-
 def _one_stack(ops):
-    """The _Stack of which the list ops holds every layer, in order, or None."""
+    """The join (see _joined) of the stack of which the list ops holds every layer, in order, or
+    None.  A layer is matched to the join by identity, not by ==, which would compare two joins'
+    index arrays."""
     layer = getattr(ops[0], "_layer", None) if isinstance(ops, list) and ops else None
-    stack = layer and layer[0]
-    if stack is None or len(ops) != len(stack.sizes) or any(
-            getattr(u, "_layer", None) != (stack, i) for i, u in enumerate(ops)):
+    join = layer and layer[0]
+    if join is None or len(ops) != len(join[0]) or not all(
+            (at := getattr(u, "_layer", None)) and at[0] is join and at[1] == i
+            for i, u in enumerate(ops)):
         return None
-    return stack
+    return join
 
 
 def _joined(certs: list) -> tuple:
     """(sizes, index, block) of the list certs of certificates read as one: each one's support
     size, their supports in one array, in order, and the direct sum of their blocks, whose rows
-    and columns index that array.  A list of every layer of one stack, in order, is its _Stack's
-    (see _one_stack), with no copy."""
-    stack = _one_stack(certs)
-    if stack is not None:
-        return stack.sizes, stack.index, stack.block
-    return ([u._index.size for u in certs], np.concatenate([u._index for u in certs]),
-            _direct_sum([u._block for u in certs]))
+    and columns index that array.  A list of every layer of one stack, in order, is the stack's
+    own join, which its layers keep (see _one_stack), with no copy."""
+    return _one_stack(certs) or ([u._index.size for u in certs],
+                                 np.concatenate([u._index for u in certs]),
+                                 _direct_sum([u._block for u in certs]))
 
 
 def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
-    """(the (position, index array, _Block) of each layer, their _Stack, error) of a (P, h, h)
-    stack laid out as certify_blocks takes it.  Each layer's block is a slice of the _Stack's
-    and a layer on no vertex the empty block.  A layout that does not fit the stack is refused;
-    the supports are checked by _indices, and if one is bad, error is what it raises and the
-    layers are those before it."""
+    """(the (position, index array, _Block) of each layer, their join, error) of a (P, h, h)
+    stack laid out as certify_blocks takes it.  The join is (sizes, index, block), as _joined
+    gives it: each layer's vertex count, every layer's support in one array, in order, and the
+    _Block of the whole stack, their direct sum.  Each layer's index and block are slices of
+    the join's, and a layer on no vertex has the empty block.  A layout that does not fit the
+    stack is refused; the supports are checked by _indices, and if one is bad, error is what it
+    raises and the layers are those before it."""
     count, h, w = stack.shape
     if h != w or supports is None and h != g.n:
         raise ValueError(f"stack shape {stack.shape} is not (P, h, h), h = {g.n} if no supports")
@@ -701,7 +695,7 @@ def _layers(stack: np.ndarray, g: Digraph, supports) -> tuple:
         m = k // h if h else 0
         parsed.append((i, idx, _Block(k, ((place[:m], stack[at:at + m]),))))
         at += m
-    return parsed, _Stack(_Block(count * h, ((place, stack),)), flat, sizes), error
+    return parsed, (sizes, flat, _Block(count * h, ((place, stack),))), error
 
 
 def certify_stochastic(op, g: Digraph) -> GraphStochastic:
@@ -855,8 +849,8 @@ def apply_sequence(ops, state) -> np.ndarray:
     """state after each operator of ops in turn.  A list of every layer of one stack, in order,
     as reach_sequence returns it, is applied from the stack (_one_stack): each layer by one
     matmul of its blocks on its vertex groups, the product each layer's own apply makes."""
-    stack = _one_stack(ops)
-    if stack is None:
+    join = _one_stack(ops)
+    if join is None:
         cur = state_vector(state).copy()
         for u in ops:
             cur = u.apply(cur)
@@ -865,11 +859,12 @@ def apply_sequence(ops, state) -> np.ndarray:
     cur = np.array(state_vector(state), dtype=complex)
     if cur.shape != (n,):
         raise ValueError(f"state dimension {cur.size} does not match graph size {n}")
-    ((_, blocks),) = stack.block.parts
+    sizes, index, block = join
+    ((_, blocks),) = block.parts
     h, v = blocks.shape[1], 0
-    for k in stack.sizes:
+    for k in sizes:
         if k:  # a layer on no vertex is the identity
-            group = stack.index[v:v + k].reshape(-1, h)
+            group = index[v:v + k].reshape(-1, h)
             cur[group] = np.matmul(blocks[v // h:(v + k) // h], cur[group][..., None])[..., 0]
             v += k
     return cur

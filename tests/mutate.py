@@ -96,8 +96,10 @@ CATALOGUE = [
      "self.vals[order]", None),
     ("tau-bound", "cli", "_tolerance", "0 <= tau < 1", "0 <= tau", None),
     # a list holding only some of a stack's layers read as the whole stack (_joined's rule)
-    ("one-stack-partial", "operators", "_one_stack", "len(ops) != len(stack.sizes)", "False",
+    ("one-stack-partial", "operators", "_one_stack", "len(ops) != len(join[0])", "False",
      None),
+    # a list holding one stack's layers in another order read as the stack
+    ("one-stack-any-order", "operators", "_one_stack", "at[1] == i", "True", None),
 ]
 
 

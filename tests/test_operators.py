@@ -509,7 +509,7 @@ def test_a_controlled_move_of_one_whole_stack_keeps_its_sum(n, seed, control):
     joint = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
     for layers in (whole, longer):
         op = ControlledOp(tuple(layers), control, g)
-        assert (op._sum is layers[0]._layer[0].block) == (layers is whole)
+        assert (op._sum is layers[0]._layer[0][2]) == (layers is whole)
         alone = _each_on_its_own(ControlledOp, tuple(layers), control, g)
         assert op._index.tobytes() == alone._index.tobytes()
         assert op.apply(joint).tobytes() == alone.apply(joint).tobytes()
@@ -535,6 +535,27 @@ def test_a_reach_sequence_is_read_from_its_stack_bit_for_bit_as_layer_by_layer(i
             with pytest.raises(ValueError, match=f"^state dimension {g.n + 1} does not match "
                                                  f"graph size {g.n}$"):
                 apply_sequence(seq, np.ones(g.n + 1))
+
+
+@settings(max_examples=100, phases=_NO_SHRINK)
+@given(_transport_instances(), st.data())
+def test_layers_spliced_from_two_stacks_of_one_layout_read_as_no_stack(instance, data):
+    # the same transport certified twice is two stacks whose joins have equal sizes and indices,
+    # so == between them would compare index arrays; a list mixing the layers of both is no
+    # stack, and reads bit for bit as its layers each on its own
+    g, phi, psi, root, _ = instance
+    first, second = reach_sequence(g, phi, psi, root), reach_sequence(g, phi, psi, root)
+    assume(len(first) > 1)
+    layouts = [(sizes, index.tobytes()) for sizes, index, _ in map(_one_stack, (first, second))]
+    assert layouts[0] == layouts[1]
+    at = data.draw(st.integers(1, len(first) - 1), label="at")
+    one = data.draw(st.integers(0, len(first) - 1), label="one")
+    for spliced in (first[:at] + second[at:], second[:at] + first[at:],
+                    first[:one] + second[one:one + 1] + first[one + 1:]):
+        assert _one_stack(spliced) is None
+        assert apply_sequence(spliced, phi).tobytes() == \
+            _each_on_its_own(apply_sequence, spliced, phi).tobytes()
+        assert operators_to_text(spliced) == _each_on_its_own(operators_to_text, spliced)
 
 
 @settings(max_examples=200, phases=_NO_SHRINK)
@@ -1195,7 +1216,7 @@ def test_an_entries_block_reports_and_applies_as_the_dense_product(instance):
 
 
 @settings(max_examples=200, phases=_NO_SHRINK)
-@given(st.sampled_from([1, 2]), st.integers(0, 40), st.integers(0, 2**32 - 1),
+@given(st.just(2), st.integers(0, 40), st.integers(0, 2**32 - 1),
        st.sampled_from(["unitary", "near-unitary", "gaussian", "wide", "non-finite"]))
 def test_closed_form_gram_defects_match_the_batched_product(h, count, seed, kind):
     rng = np.random.default_rng(seed)

@@ -95,6 +95,8 @@ def state_vector(x) -> np.ndarray:
 
 
 def basis_state(n: int, v: int) -> np.ndarray:
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"state size must be an integer of at least 1, got {n!r}")
     if not _is_int(v) or not 0 <= v < n:
         raise ValueError(f"basis vertex {v!r} outside 0..{n - 1}")
     a = np.zeros(n, dtype=complex)
@@ -103,7 +105,16 @@ def basis_state(n: int, v: int) -> np.ndarray:
 
 
 def uniform_state(n: int) -> np.ndarray:
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"state size must be an integer of at least 1, got {n!r}")
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+
+
+def _numeric(a, dtype=None) -> np.ndarray:
+    """a as an array (cast to dtype if given), refused unless its dtype kind is i, u, f or c."""
+    if (a := np.asarray(a)).dtype.kind not in "iufc":  # bool, str and object values are refused
+        raise ValueError(f"operator values must be numbers, got dtype {a.dtype}")
+    return a if dtype is None else a.astype(dtype, copy=False)
 
 
 def _sealed(a: np.ndarray) -> np.ndarray:
@@ -144,7 +155,8 @@ class Entries:
         if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
             raise ValueError("entry rows and columns must be integers")
         rows, cols = rows.astype(np.intp).reshape(-1), cols.astype(np.intp).reshape(-1)
-        vals = np.array(self.vals, dtype=complex if np.iscomplexobj(self.vals) else float)
+        vals = _numeric(self.vals)
+        vals = np.array(vals, dtype=complex if vals.dtype.kind == "c" else float)
         vals = vals.reshape(-1)
         if not rows.size == cols.size == vals.size:
             raise ValueError("entries need one row, one column and one value each")
@@ -172,7 +184,7 @@ class Entries:
     @classmethod
     def of_matrix(cls, m) -> "Entries":
         """The non-zero entries of a dense square matrix."""
-        m = np.asarray(m)
+        m = _numeric(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix shape {m.shape} is not square")
         rows, cols = np.nonzero(m)
@@ -315,7 +327,7 @@ def _as_block(given, k: int) -> _Block:
     product has cells (the sum of d (d - 1) / 2 over its rows' entry counts d above k^2), whose
     pairs would take more memory than the product; any other is kept as its non-zero entries.
     Only a caller's array kept whole is copied; complex Entries kept as entries stay as given."""
-    block = given if isinstance(given, (_Block, Entries)) else np.asarray(given, dtype=complex)
+    block = given if isinstance(given, (_Block, Entries)) else _numeric(given, complex)
     if block.shape != (k, k):
         raise ValueError(f"block shape {block.shape} does not match {k} support vertices")
     if isinstance(block, _Block):
@@ -614,7 +626,7 @@ def certify_blocks(blocks, g: Digraph, supports=None) -> list:
     checked one at a time in order, so the first bad block raises what it raises alone, with its
     index as the error's position."""
     join = None
-    if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.dtype.kind in "biufc":
+    if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.dtype.kind in "iufc":
         parsed, join, error = _layers(_sealed(np.array(blocks, dtype=complex)), g, supports)
         out, total = [None] * len(parsed), join[2]
     else:

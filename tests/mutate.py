@@ -100,6 +100,12 @@ CATALOGUE = [
      None),
     # a list holding one stack's layers in another order read as the stack
     ("one-stack-any-order", "operators", "_one_stack", "at[1] == i", "True", None),
+    # operator values of any dtype read as the numbers numpy casts them to
+    ("numeric-any-kind", "operators", "_numeric", "(a := np.asarray(a)).dtype.kind not in 'iufc'",
+     "(a := np.asarray(a)) is None", None),
+    # a state of size 0, or of a size that is not an integer, built
+    ("state-size-any", "operators", "uniform_state", "not (_is_int(n) and n >= 1)", "False",
+     None),
 ]
 
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -674,14 +675,35 @@ def test_reach_trivial_and_rooted(tmp_path, capsys):
     assert code == 0 and out == "length=2 bound=6 fidelity=1.000000000\n"
 
 
+def _board(n: int, arcs: list) -> dict:
+    return {"n": n, "arcs": arcs, "undirected": True, "reflexive": True}
+
+
+# A heap-shaped binary tree on 255 vertices (arcs i - (i - 1) // 2), and a seeded random complex
+# state on it as reach's --from text: the basis and uniform states have real amplitudes, so only
+# such a state makes reach build complex gathers.
+_HEAP = _board(255, [[i, (i - 1) // 2] for i in range(1, 255)])
+
+
+def _heap_phi() -> str:
+    r = np.random.default_rng(255)
+    v = r.standard_normal(255) + 1j * r.standard_normal(255)
+    v /= np.linalg.norm(v)
+    return json.dumps([[z.real, z.imag] for z in v.tolist()])
+
+
+_HEAP_PHI = _heap_phi()
+
+
 def test_reach_inline_state_and_default_stdout(tmp_path, capsys):
-    graph = _write(tmp_path, "p3.json", graph_to_json(path_graph(3)))
-    phi = json.dumps([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]])
-    code, out, _ = _run(capsys, ["reach", graph, "--from", phi, "--to", "basis:2"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1].startswith("length=") and lines[-1].endswith("fidelity=1.000000000")
-    json.loads("\n".join(lines[:-1]))  # without --out the sequence itself precedes the summary
+    # without --out, the text --out writes goes to stdout before the summary line, byte for byte
+    argv = ["reach", _write(tmp_path, "heap.json", _HEAP), "--from", _HEAP_PHI, "--to", "uniform"]
+    code, out, err = _run(capsys, argv)
+    *body, summary = out.splitlines(keepends=True)
+    assert (code, err, summary) == (0, "", "length=28 bound=508 fidelity=1.000000000\n")
+    assert _run(capsys, argv + ["--out", str(tmp_path / "ops.json")]) == (0, summary, "")
+    text = (tmp_path / "ops.json").read_text()
+    assert "".join(body) == text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_reach_rejects_bad_boards_and_states(tmp_path, capsys):
@@ -1702,3 +1724,212 @@ def test_an_unknown_key_is_refused_by_name(tmp_path, capsys, key, command):
     record = json.loads(line)
     assert record["error"] == "ValueError"
     assert record["message"].endswith(f"has an unknown key {key!r}")
+
+
+_C4 = _board(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+_ID4 = {"n": 4, "entries": [[0, 0, 1, 0], [1, 1, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]}
+_SWAP01 = {"n": 4, "entries": [[0, 1, 1, 0], [1, 0, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]}
+_SWAP02 = {"n": 4, "entries": [[0, 2, 1, 0], [1, 1, 1, 0], [2, 0, 1, 0], [3, 3, 1, 0]]}
+_WALK4 = {"n": 4, "entries": [[0, 0, 0.5, 0], [1, 0, 0.5, 0], [1, 1, 0.5, 0], [2, 1, 0.5, 0],
+                              [2, 2, 0.5, 0], [3, 2, 0.5, 0], [3, 3, 0.5, 0], [0, 3, 0.5, 0]]}
+_B7 = _board(7, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [0, 6], [1, 5], [2, 6]])
+_K96 = _board(96, [[u, v] for u in range(96) for v in range(u + 1, 96)])
+_P96 = _board(96, [[v, v + 1] for v in range(95)])
+
+
+def _haar96() -> dict:
+    """A dense Haar unitary on 96 vertices, from a seeded QR, as JSON entries."""
+    r = np.random.default_rng(96)
+    q = np.linalg.qr(r.standard_normal((96, 96)) + 1j * r.standard_normal((96, 96)))[0]
+    return {"n": 96, "entries": [[i, j, z.real, z.imag] for i, row in enumerate(q.tolist())
+                                 for j, z in enumerate(row)]}
+
+
+_HAAR96 = _haar96()
+
+
+def _matching96() -> dict:
+    """48 seeded Haar 2 x 2 blocks on the path's edges (2i, 2i + 1), the first scaled by
+    1 + 1e-6, as JSON entries."""
+    r = np.random.default_rng(48)
+    q = np.linalg.qr(r.standard_normal((48, 2, 2)) + 1j * r.standard_normal((48, 2, 2)))[0]
+    q[0] *= 1 + 1e-6
+    return {"n": 96, "entries": [[2 * b + i, 2 * b + j, z.real, z.imag]
+                                 for b, m in enumerate(q.tolist())
+                                 for i, row in enumerate(m) for j, z in enumerate(row)]}
+
+
+def _cycle80(model: str, rounds: int) -> dict:
+    """A game on the 80-cycle whose Cop's 2nd move takes vertex 0 to the non-adjacent 2: a swap
+    in classical_quantum, whose moves to be played are certified as one list when the game
+    starts, and a step of 0's mass in open_probabilistic, whose moves are certified as played."""
+    n, swap = 80, model == "classical_quantum"
+
+    def move(u, w):
+        moved = [[u, w], [w, u]] if swap else [[w, u]]
+        return {"n": n, "entries": sorted([[r, c, 1.0, 0.0] for r, c in moved] + [
+            [v, v, 1.0, 0.0] for v in range(n) if v != u and not (swap and v == w)])}
+
+    return _game(model, {"init": "uniform" if swap else 0,
+                         "moves": [move(0, 1), move(0, 2), move(5, 6)]},
+                 {"init": 3, "moves": [move(3, 4), move(4, 5)]},
+                 graph=_board(n, [[v, (v + 1) % n] for v in range(n)]), rounds=rounds)
+
+
+def _row(name, argv, docs, code, line, record=None, widest=None):
+    return pytest.param(argv, docs, code, line, record, widest, id=name)
+
+
+def _refused(error: str, message: str) -> dict:
+    return {"error": error, "message": message}
+
+
+_ILLEGAL_SWAP02 = ("illegal move: matrix is not a graph-preserving unitary: residual=0.000e+00, "
+                   "2 forbidden entries, OpReport(ok=False, violations=((0, 2, 1.0), (2, 0, "
+                   "1.0)), residual=0.0, kind='unitary')")
+
+
+# One row per CLI fact that no other test pins: argv, whose items ending in .json are files in
+# the test's directory; the documents written there first; the exit code; stdout's first line,
+# exact or a pattern where it prints a residual whose last digits are the platform's LAPACK's;
+# and stderr's one record, if any.  Every --out file must be the text json.dumps writes of
+# what it reads back, and every layer reach writes must pass verify-op --unitary on the board;
+# widest, where given, is the most vertices one of those layers moves.
+@pytest.mark.parametrize("argv, docs, code, line, record, widest", [
+    # the board reader: a directed, loop-free path is read as given, with no corner table, and a
+    # boolean endpoint and an arc that is not a pair are each one record naming the fault
+    _row("analyze-directed-path", ["analyze-graph", "path.json"],
+         {"path.json": {"n": 3, "arcs": [[0, 1], [1, 2]]}}, 0,
+         '{"connected": true, "n": 3, "reflexive": false, "reversible": false, '
+         '"undirected": false}'),
+    _row("analyze-boolean-endpoint", ["analyze-graph", "bad.json"],
+         {"bad.json": {"n": 3, "arcs": [[0, True]]}}, 1, None,
+         _refused("ValueError", "arc endpoint must be an integer, got True")),
+    _row("analyze-arc-not-a-pair", ["analyze-graph", "bad.json"],
+         {"bad.json": {"n": 3, "arcs": [5]}}, 1, None,
+         _refused("ValueError", "graph arcs must be [u, v] pairs")),
+    # reach at the root 2, and from or to the root, where phi's fold or psi's unfold is empty
+    _row("reach-7", ["reach", "board.json", "--from", "basis:3", "--to", "uniform", "--root", "2",
+                     "--out", "ops.json"],
+         {"board.json": _B7}, 0, "length=4 bound=12 fidelity=1.000000000"),
+    _row("reach-7-from-the-root", ["reach", "board.json", "--from", "basis:2", "--to", "uniform",
+                                   "--root", "2", "--out", "ops.json"],
+         {"board.json": _B7}, 0, "length=3 bound=12 fidelity=1.000000000"),
+    _row("reach-7-to-the-root", ["reach", "board.json", "--from", "uniform", "--to", "basis:2",
+                                 "--root", "2", "--out", "ops.json"],
+         {"board.json": _B7}, 0, "length=3 bound=12 fidelity=1.000000000"),
+    # the heap's widest layer moves 102 vertices, past the 64 up to which a block is kept whole,
+    # so verify-op reads each layer by the entries path
+    _row("reach-heap", ["reach", "heap.json", "--from", "uniform", "--to", "basis:254",
+                        "--out", "ops.json"],
+         {"heap.json": _HEAP}, 0, "length=21 bound=508 fidelity=1.000000000", widest=102),
+    _row("reach-heap-complex", ["reach", "heap.json", "--from", _HEAP_PHI, "--to", "uniform",
+                                "--out", "ops.json"],
+         {"heap.json": _HEAP}, 0, "length=28 bound=508 fidelity=1.000000000"),
+    # a dense Haar unitary on 96 vertices pairs up more entries than 96^2, so it is kept whole:
+    # it passes on the complete board, and each of its 96^2 - 286 entries off the path fails
+    _row("verify-haar-96-complete", ["verify-op", "haar.json", "board.json", "--unitary"],
+         {"haar.json": _HAAR96, "board.json": _K96}, 0,
+         re.compile(r"PASS unitary residual=\S+ violations=0")),
+    _row("verify-haar-96-path", ["verify-op", "haar.json", "board.json", "--unitary"],
+         {"haar.json": _HAAR96, "board.json": _P96}, 2,
+         re.compile(r"FAIL unitary residual=\S+ violations=8930")),
+    # a sparse unitary past 64 vertices, read from its entries, refused for its residual alone
+    _row("verify-scaled-matching-96", ["verify-op", "matching.json", "board.json", "--unitary"],
+         {"matching.json": _matching96(), "board.json": _P96}, 2,
+         "FAIL unitary residual=2.000e-06 violations=0"),
+    # a controlled move whose block 2 swaps the non-adjacent 0 and 2 is refused naming block 2
+    _row("controlled-block-2", ["run", "game.json"],
+         {"game.json": _game("quantum_controlled", {"init": [1, 0, 0, 0], "moves": [
+             {"control": "robber", "blocks": [_ID4, _SWAP01, _SWAP02, _ID4]}]},
+             {"init": "uniform"}, graph=_C4)}, 1, None,
+         _refused("CertificationError", "block 2: matrix is not a graph-preserving unitary: "
+                                        "residual=0.000e+00, 2 forbidden entries")),
+    # a bare Cop move acts on every row of the joint table: the swap of 0 and 1 catches a
+    # uniform Robber with probability 1/4, and the swap of 0 and 2 is an illegal move
+    _row("bare-cop-swap", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _game("quantum_controlled", {"init": [1, 0, 0, 0], "moves": [_SWAP01]},
+                             {"init": "uniform"}, graph=_C4)}, 0,
+         "model=quantum_controlled t=1 p_copwin=0.250000000"),
+    _row("bare-cop-illegal", ["run", "game.json"],
+         {"game.json": _game("quantum_controlled", {"init": [1, 0, 0, 0], "moves": [_SWAP02]},
+                             {"init": "uniform"}, graph=_C4)}, 1, None,
+         _refused("GameError", _ILLEGAL_SWAP02)),
+    # a bare Robber move acts on every column: its swap of 0 and 1 moves it onto the idle Cop
+    _row("bare-robber-swap", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _game("quantum_controlled", {"init": [1, 0, 0, 0], "moves": [_ID4] * 2},
+                             {"init": 1, "moves": [_SWAP01]}, graph=_C4, rounds=2)}, 0,
+         "model=quantum_controlled t=2 p_copwin=1.000000000"),
+    # the antipodal Robber replays the Cop's declared moves in its prepare step
+    _row("antipodal-4-moves", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _game("quantum_controlled", {"init": [1, 0, 0, 0], "moves": [_ID4] * 4},
+                             {"builtin": "c4_antipodal_evasion"}, graph=_C4, rounds=4)}, 0,
+         "model=quantum_controlled t=4 p_copwin=0.000000000"),
+    _row("antipodal-2-moves", ["run", "game.json"],
+         {"game.json": _game("quantum_controlled", {"init": [1, 0, 0, 0], "moves": [_ID4] * 2},
+                             {"builtin": "c4_antipodal_evasion"}, graph=_C4, rounds=4)}, 1, None,
+         _refused("GameError", "strategy provides 2 moves but round 3 was requested")),
+    # three tiny games whose traces hold signed zeros, complex pairs and vertices
+    _row("open-trace", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _game("open_probabilistic", {"init": 0, "moves": [_WALK4] * 3},
+                             {"init": [0, -0.0, 0.5, 0.5], "moves": [_WALK4] * 2},
+                             graph=_C4, rounds=3)}, 0,
+         "model=open_probabilistic t=3 p_copwin=0.187500000"),
+    _row("classical-quantum-trace", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _game("classical_quantum",
+                             {"init": "uniform", "moves": [_SWAP01, _ID4, _SWAP01]},
+                             {"init": [[0.6, 0], [0, 0.8], [-0.0, 0], [0, -0.0]],
+                              "moves": [_SWAP01] * 2}, graph=_C4, rounds=3)}, 0,
+         "model=classical_quantum t=3 p_copwin=0.250000000"),
+    _row("classical-trace", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _game("classical", {"init": 0, "moves": [1, 1, 2]},
+                             {"init": 2, "moves": [3, 3]}, graph=_C4, rounds=3)}, 0,
+         "model=classical t=3 p_copwin=0.000000000"),
+    # past 64 vertices an illegal 2nd Cop move fails the game in 3 rounds, and in 1 round,
+    # where it is never played, the game passes
+    _row("cycle80-swap-illegal", ["run", "game.json"],
+         {"game.json": _cycle80("classical_quantum", 3)}, 1, None,
+         _refused("GameError", _ILLEGAL_SWAP02)),
+    _row("cycle80-swap-unplayed", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _cycle80("classical_quantum", 1)}, 0,
+         "model=classical_quantum t=1 p_copwin=0.012500000"),
+    _row("cycle80-step-illegal", ["run", "game.json"],
+         {"game.json": _cycle80("open_probabilistic", 3)}, 1, None,
+         _refused("GameError", "illegal move: matrix is not a graph-preserving stochastic "
+                               "operation: residual=0.000e+00, 1 forbidden entries, "
+                               "OpReport(ok=False, violations=((2, 0, 1.0),), residual=0.0, "
+                               "kind='stochastic')")),
+    _row("cycle80-step-unplayed", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _cycle80("open_probabilistic", 1)}, 0,
+         "model=open_probabilistic t=1 p_copwin=0.000000000"),
+    # the hub's 39 swaps on a 40-vertex star, certified as one stack when the builtin is built
+    _row("universal-vertex-star-40", ["run", "game.json", "--out", "trace.json"],
+         {"game.json": _game("quantum_controlled", {"builtin": "universal_vertex_catch"},
+                             {"init": "uniform"},
+                             graph=_board(40, [[0, v] for v in range(1, 40)]))}, 0,
+         "model=quantum_controlled t=1 p_copwin=1.000000000"),
+])
+def test_cli_table(tmp_path, capsys, argv, docs, code, line, record, widest):
+    for name, data in docs.items():
+        _write(tmp_path, name, data)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    got, out, err = _run(capsys, argv)
+    assert got == code, err
+    # verify-op lists forbidden entries after its verdict; every other command prints one line
+    first, *rest = out.splitlines() or [None]
+    assert first == line or isinstance(line, re.Pattern) and line.fullmatch(first), out[:300]
+    assert all(more.startswith("  forbidden entry ") for more in rest)
+    assert [json.loads(entry) for entry in err.splitlines()] == ([record] if record else [])
+    outs = [argv[i + 1] for i, a in enumerate(argv) if a == "--out"]
+    for path in outs:  # reach and run write their JSON text by hand
+        text = Path(path).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    if argv[0] == "reach":  # tree arcs are board arcs, so every layer certifies on the board
+        layers = json.loads(Path(outs[0]).read_text())
+        moved = [len({v for r, c, re_, im in op["entries"] if (r, c, re_, im) != (r, r, 1.0, 0.0)
+                      for v in (r, c)}) for op in layers]
+        assert widest in (None, max(moved))
+        for layer in layers:
+            verdict = _run(capsys, ["verify-op", _write(tmp_path, "layer.json", layer), argv[1],
+                                    "--unitary"])
+            assert verdict[0] == 0 and verdict[1].startswith("PASS unitary "), verdict

@@ -151,6 +151,12 @@ def test_quantum_state_roundtrip_and_validation():
     assert not is_unit(state_vector([1.0, 1.0]))
     assert np.array_equal(basis_state(3, 1), [0, 1, 0])
     assert np.allclose(uniform_state(4), 0.5)
+    assert np.allclose(uniform_state(np.int64(4)), 0.5) and np.array_equal(uniform_state(1), [1])
+    # 0 divided by zero and -1 took a square root of it; True and 2.0 failed in np.full
+    for n in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"state size must be an integer of at least 1, got {n!r}")):
+            uniform_state(n)
 
 
 def test_basis_state_checks_the_vertex_range():
@@ -161,6 +167,31 @@ def test_basis_state_checks_the_vertex_range():
         with pytest.raises(ValueError, match="basis vertex"):
             basis_state(3, v)
     assert np.array_equal(basis_state(3, np.int64(2)), [0, 0, 1])
+    # the size is checked first: basis_state(0, 0) named vertex 0 outside 0..-1
+    for n in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"state size must be an integer of at least 1, got {n!r}")):
+            basis_state(n, 0)
+    assert np.array_equal(basis_state(np.int64(1), 0), [1])
+
+
+@pytest.mark.parametrize("values", [np.array([["1", "0"], ["0", "1"]]),
+                                    np.array([[True, False], [False, True]]),
+                                    np.array([[1, 0], [0, 1]], dtype=object)],
+                         ids=["str", "bool", "object"])
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda m: certify_unitary(m, path_graph(2)), id="certify_unitary"),
+    pytest.param(lambda m: GraphUnitary(m, path_graph(2)), id="GraphUnitary"),
+    pytest.param(lambda m: certify_stochastic(m, path_graph(2)), id="certify_stochastic"),
+    pytest.param(lambda m: Entries(2, [0, 1], [0, 1], m.diagonal()), id="Entries"),
+    pytest.param(lambda m: certify_blocks(m[None], path_graph(2)), id="certify_blocks-stack"),
+])
+def test_operator_values_that_are_not_numbers_are_refused_by_dtype(values, read):
+    # each read the string, boolean or object identity as the numbers numpy casts it to
+    with pytest.raises(ValueError, match=re.escape(
+            f"operator values must be numbers, got dtype {values.dtype}")):
+        read(values)
+    read(values.astype(int))  # the same identity written as numbers is read
 
 
 @pytest.mark.parametrize("g", [path_graph(3), cycle_graph(5), star_graph(4), directed_cycle(3)])

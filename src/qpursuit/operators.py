@@ -111,7 +111,11 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 def _numeric(a, dtype=None) -> np.ndarray:
-    """a as an array (cast to dtype if given), refused unless its dtype kind is i, u, f or c."""
+    """a as an array (cast to dtype if given), refused unless its dtype kind is i, u, f or c.  A
+    value that is not an array is refused too if it holds a bool, which numpy reads as 0 or 1."""
+    if not isinstance(a, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(a, dtype=object).flat):
+        raise ValueError("operator values must be numbers, got a bool")
     if (a := np.asarray(a)).dtype.kind not in "iufc":  # bool, str and object values are refused
         raise ValueError(f"operator values must be numbers, got dtype {a.dtype}")
     return a if dtype is None else a.astype(dtype, copy=False)

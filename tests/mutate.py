@@ -1,7 +1,8 @@
 """Mutation check for the code the paper's verdicts rest on: the certifier, the unit-norm and
-probability checks, the graph layer, the support and block readers, the rule that reads a list
-of certificates as one stack, the JSON readers, the sparse operator form and verify-op's
-tolerance bound.
+probability checks, the graph layer and game solver, the support and block readers, the rule
+that reads a list of certificates as one stack, the JSON readers and writer, the sparse operator
+form, reach's gathers and fold, the controlled and bare joint moves and verify-op's tolerance
+bound.
 
 Each mutant of the fixed catalogue below rewrites one expression or statement of one function
 (with the stdlib ast), in a fresh copy of src/, tests/ and the README, and runs pytest with -x on the test
@@ -103,9 +104,29 @@ CATALOGUE = [
     # operator values of any dtype read as the numbers numpy casts them to
     ("numeric-any-kind", "operators", "_numeric", "(a := np.asarray(a)).dtype.kind not in 'iufc'",
      "(a := np.asarray(a)) is None", None),
+    # a list mixing numbers and bools read as the numbers numpy casts it to
+    ("numeric-mixed-bool", "operators", "_numeric",
+     "not isinstance(a, np.ndarray) and any((isinstance(x, (bool, np.bool_)) "
+     "for x in np.asarray(a, dtype=object).flat))", "False", None),
     # a state of size 0, or of a size that is not an integer, built
     ("state-size-any", "operators", "uniform_state", "not (_is_int(n) and n >= 1)", "False",
      None),
+    # the functions each checked against one test reference: the writer's signs, a gather of no
+    # amplitude, the fold's order, the controlled and bare moves, the game solver and connectivity
+    ("text-drops-sign", "scenario", "operators_to_text", "np.signbit(floats) * len(magnitudes)",
+     "0 * len(magnitudes)", None),
+    ("gather-zero-moved", "operators", "_gather_stack", "stack[~moved] = np.eye(2)", "pass",
+     None),
+    ("fold-shallowest-last", "operators", "_fold_schedule",
+     "kids[v].sort(key=b.__getitem__, reverse=True)", "kids[v].sort(key=b.__getitem__)", None),
+    ("controlled-adjoint", "operators", "ControlledOp.apply", "self._sum @ joint[self._index]",
+     "self._sum.adjoint() @ joint[self._index]", None),
+    ("bare-move-transposed", "engine", "qc_step", "table if mover == 'cop' else table.T",
+     "table.T if mover == 'cop' else table", None),
+    ("value-tables-late", "graphs", "copwin_value_tables", "vr_near[new] = level",
+     "vr_near[new] = level + 1", None),
+    ("connected-forward-only", "graphs", "Digraph.is_connected",
+     "_bfs(0, self.out_adj, rev.out_adj)", "_bfs(0, self.out_adj)", None),
 ]
 
 

@@ -34,7 +34,8 @@ from qpursuit import (
 )
 from test_graphs import _ref_support_ball, disjoint_union, random_graph_with_universal_vertex
 from test_operators import (C4_ALPHA, C4_AMPS, C4_IMAGE_PHASE, C4_MATRIX, C4_PSI, _c4_source_state,
-                            gather_unitary_c4, joint_as_union_matrix, sample_path3_unitary)
+                            _random_amps, gather_unitary_c4, joint_as_union_matrix,
+                            sample_path3_unitary)
 
 
 def _verdict(number: int, name: str, ok: bool) -> bool:
@@ -42,11 +43,6 @@ def _verdict(number: int, name: str, ok: bool) -> bool:
     conftest.ACCEPTANCE_LINES.append(line)
     print(line)
     return ok
-
-
-def _random_amps(rng, n):
-    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return vec / np.linalg.norm(vec)
 
 
 def test_criterion_1_uniform_baseline():

@@ -163,7 +163,7 @@ def _operator_documents(draw, n: int = None, mutations: int = None) -> dict:
     return doc
 
 
-def _board(n: int) -> dict:
+def _complete_board(n: int) -> dict:
     """The complete reflexive board on n vertices, as JSON data."""
     return {"n": n, "arcs": [[u, v] for u in range(n) for v in range(u + 1, n)],
             "undirected": True, "reflexive": True}
@@ -176,7 +176,7 @@ def test_a_mutated_operator_exits_0_1_or_2_with_at_most_one_record(tmp_path_fact
     op, board = base / "contract-op.json", base / "contract-op-board.json"
     op.write_text(json.dumps(doc))
     n = doc["n"] if type(doc.get("n")) is int and 1 <= doc["n"] <= 4 else 4
-    board.write_text(json.dumps(_board(n)))
+    board.write_text(json.dumps(_complete_board(n)))
     code, out, err = _main(["verify-op", str(op), str(board), kind])
     _assert_contract(code, out, err, (0, 2))
     if code != 1:
@@ -208,7 +208,7 @@ def _controlled_scenarios(draw) -> dict:
             good = blocks if isinstance(blocks, list) else []
             move["blocks"] = draw(st.sampled_from((None, {}, "x", [], good[:-1], good + good[:1],
                                                    good[:-1] + [None], [good] if good else [1])))
-    return {"model": "quantum_controlled", "rounds": 1, "graph": _board(n),
+    return {"model": "quantum_controlled", "rounds": 1, "graph": _complete_board(n),
             "cop": {"init": "uniform", "moves": [move]}, "robber": {"init": "uniform"}}
 
 
@@ -295,7 +295,7 @@ def _reach_calls(draw):
 def test_a_mutated_state_exits_0_1_or_2_with_at_most_one_record(tmp_path_factory, call):
     n, phi, psi = call
     board = tmp_path_factory.getbasetemp() / f"contract-reach-{n}.json"
-    board.write_text(json.dumps(_board(n)))
+    board.write_text(json.dumps(_complete_board(n)))
     code, out, err = _main(["reach", str(board), f"--from={phi}", f"--to={psi}"])
     _assert_contract(code, out, err, (0, 2))
     if code != 1:
@@ -356,7 +356,7 @@ def _model_scenarios(draw) -> dict:
         roles[role] = {"init": init, "moves": [_valid_move(draw, model, n) for _ in range(count)]}
     if model == "unfair_probabilistic":
         roles["cop"] = {"builtin": "dominating_set_sweep", "params": {"set": [0]}}
-    data = {"model": model, "rounds": rounds, "graph": _board(n), **roles}
+    data = {"model": model, "rounds": rounds, "graph": _complete_board(n), **roles}
     for _ in range(draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(("init", "moves", "move", "move", "rounds")))
         player = data[draw(st.sampled_from(("cop", "robber")))]

@@ -40,12 +40,7 @@ from qpursuit import (
     universal_vertex_catch,
 )
 from test_graphs import directed_cycle
-from test_operators import gather_unitary_c4
-
-
-def _random_amps(rng, n):
-    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return vec / np.linalg.norm(vec)
+from test_operators import _random_amps, gather_unitary_c4
 
 
 def test_p_copwin_joint_reads_the_diagonal():

@@ -4,7 +4,6 @@ import collections
 import itertools
 import json
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -120,6 +119,8 @@ def test_digraph_factory_closures():
 
 def test_digraph_equality_ignores_arc_order():
     assert digraph(2, [(0, 1)], undirected=True) == digraph(2, [(1, 0)], undirected=True)
+    # another type is left to Python, which falls back to identity
+    assert path_graph(2).__eq__(5) is NotImplemented and not path_graph(2) == 5
 
 
 def test_named_graph_shapes():
@@ -281,29 +282,6 @@ def _sweep_value_tables(g, cap=10):
         vc, vr = vc_new, vr_new
 
 
-def _dense_value_tables(g, cap=10):
-    """copwin_value_tables as masked reductions over broadcast (n, n, n) views: O(n^3) a sweep."""
-    if g.n > cap:
-        raise GraphError(f"game solver capped at {cap} vertices, got {g.n}")
-    a = g.adjacency
-    n = g.n
-    eye = np.eye(n, dtype=bool)
-    vc = np.where(eye, 0.0, np.inf)
-    vr = vc.copy()
-    cube = (n, n, n)
-    for _ in range(4 * n * n + 4):
-        worst = np.max(np.broadcast_to(vc[:, None, :], cube), axis=2,
-                       where=a[None, :, :], initial=-np.inf)
-        vr_new = np.where(eye, 0.0, 1.0 + worst)
-        best = np.min(np.broadcast_to(vr_new[None, :, :], cube), axis=1,
-                      where=a[:, :, None], initial=np.inf)
-        vc_new = np.where(eye, 0.0, 1.0 + best)
-        if np.array_equal(vc_new, vc) and np.array_equal(vr_new, vr):
-            break
-        vc, vr = vc_new, vr_new
-    return vc, vr
-
-
 @st.composite
 def _boards(draw, max_n):
     """Undirected reflexive boards on 1..max_n vertices: paths, cycles, random trees and
@@ -328,9 +306,16 @@ def _boards(draw, max_n):
 @settings(max_examples=150, deadline=None)
 @given(_boards(40))
 def test_value_tables_match_the_dense_reduction(g):
-    vc, vr = copwin_value_tables(g, 40)
-    ref_vc, ref_vr = _dense_value_tables(g, 40)
-    # every cell, inf included, since max and min are exact
+    # the sweep reduces one (n, |arcs|) gather of the table at a time; boards of every kind
+    # here, boards with long capture times in the next test
+    _assert_value_tables_match_the_sweep(g)
+
+
+def _assert_value_tables_match_the_sweep(g):
+    vc, vr = copwin_value_tables(g, 128)
+    ref_vc, ref_vr = _sweep_value_tables(g, 128)
+    # every cell, inf included, in the sweep's float64: max and min are exact
+    assert vc.dtype == vr.dtype == np.float64
     assert np.array_equal(vc, ref_vc) and np.array_equal(vr, ref_vr)
 
 
@@ -352,13 +337,9 @@ def _long_boards(draw, max_n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_boards(40), _long_boards(128)))
+@given(_long_boards(128))
 def test_value_tables_match_the_sweep(g):
-    vc, vr = copwin_value_tables(g, 128)
-    ref_vc, ref_vr = _sweep_value_tables(g, 128)
-    # every cell, inf included, in the sweep's float64
-    assert vc.dtype == vr.dtype == np.float64
-    assert np.array_equal(vc, ref_vc) and np.array_equal(vr, ref_vr)
+    _assert_value_tables_match_the_sweep(g)
 
 
 def _dense_board(n, seed):
@@ -397,7 +378,7 @@ def test_value_tables_at_512_are_a_fixed_point_of_one_sweep(board):
 
 def test_value_tables_on_boards_the_oracle_knows():
     for g in (path_graph(1), cycle_graph(6), disjoint_union(path_graph(3), 2)):
-        assert all(map(np.array_equal, copwin_value_tables(g), _dense_value_tables(g)))
+        assert all(map(np.array_equal, copwin_value_tables(g), _sweep_value_tables(g)))
     # cycle_graph(6) is not cop-win and the union is not connected: some cells stay inf
     assert not np.isfinite(copwin_value_tables(cycle_graph(6))[0]).all()
 
@@ -422,7 +403,7 @@ def test_value_tables_on_the_complete_board_at_256_stay_within_16_mib():
 def test_corner_table_and_dismantling_match_the_references(g):
     ref = [_ref_is_corner(g, v) for v in range(g.n)]
     assert list(g.corners) == ref == [is_corner(g, v) for v in range(g.n)]
-    if _ref_is_connected(g):
+    if is_connected(g):
         assert is_copwin_dismantle(g) == _ref_is_copwin_dismantle(g)
     else:
         with pytest.raises(GraphError):
@@ -775,38 +756,6 @@ def _ref_neighbors(g, v):
     return {w for u, w in g.arcs if u == v}
 
 
-def _ref_bfs_reach(g, start, forward):
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for a, b in g.arcs:
-            s, t = (a, b) if forward else (b, a)
-            if s == u and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
-
-
-def _ref_is_reversible(g):
-    if g.n == 1:
-        return True
-    return len(_ref_bfs_reach(g, 0, True)) == g.n and len(_ref_bfs_reach(g, 0, False)) == g.n
-
-
-def _ref_is_connected(g):
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for a, b in g.arcs:
-            for s, t in ((a, b), (b, a)):
-                if s == u and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return len(seen) == g.n
-
-
 def _ref_is_corner(g, v):
     sv = _ref_neighbors(g, v)
     for u in range(g.n):
@@ -892,8 +841,6 @@ def test_cached_primitives_match_arc_scanning_reference(g):
     fresh = Digraph(g.n, g.arcs)
     for v in range(g.n):
         assert neighbors(g, v) == _ref_neighbors(g, v)
-    assert is_connected(g) == _ref_is_connected(g)
-    assert is_reversible(g) == _ref_is_reversible(g)
     if g.is_undirected:
         assert [is_corner(g, v) for v in range(g.n)] == \
             [_ref_is_corner(g, v) for v in range(g.n)]
@@ -907,7 +854,7 @@ def test_cached_primitives_match_arc_scanning_reference(g):
         for d in ds:
             assert dominates(g, ds - {d}) == _ref_dominates(g, ds - {d})
         assert universal_vertex(g) == _ref_universal_vertex(g)
-        if _ref_is_connected(g):
+        if is_connected(g):
             assert is_copwin_dismantle(g) == _ref_is_copwin_dismantle(g)
     # the filled caches leave equality and hashing to n and arcs
     assert "out_adj" in vars(g) and "out_adj" not in vars(fresh)

@@ -43,6 +43,7 @@ from qpursuit import (
     universal_vertex,
 )
 from qpursuit.operators import ATOL
+from test_operators import _random_amps
 
 
 @st.composite
@@ -88,11 +89,6 @@ def test_a_relabelled_check_reports_the_image_of_the_check(board, kind, fault, d
     assert abs(image.residual - report.residual) <= 1e-12
 
 
-def _unit(rng, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 @settings(max_examples=100)
 @given(_relabelled_boards(), st.integers(1, 3), st.booleans())
 def test_a_relabelled_controlled_game_has_the_same_capture_probability(board, rounds, dense):
@@ -114,7 +110,7 @@ def test_a_relabelled_controlled_game_has_the_same_capture_probability(board, ro
 
     cop, cop_image = moves(rounds, "robber")
     robber, robber_image = moves(rounds - 1, "cop")
-    c, r = _unit(rng, n), _unit(rng, n)
+    c, r = _random_amps(rng, n), _random_amps(rng, n)
     c_image, r_image = np.empty_like(c), np.empty_like(r)
     c_image[p], r_image[p] = c, r
     game = play("quantum_controlled", g, Strategy(init=c, move=cop), Strategy(init=r, move=robber),
@@ -160,8 +156,8 @@ def test_a_relabelled_local_game_has_the_same_capture_probability(model, board, 
     else:
         # distributions and stochastic moves, or unit vectors and unitary moves, each relabelled
         # as the dense P m P^T or, for a unitary, as its block on the support's image
-        inits = [rng.dirichlet(np.ones(n)) if model == "open_probabilistic" else _unit(rng, n)
-                 for _ in range(2)]
+        inits = [rng.dirichlet(np.ones(n)) if model == "open_probabilistic"
+                 else _random_amps(rng, n) for _ in range(2)]
         sample = sample_graph_stochastic if model == "open_probabilistic" else sample_graph_unitary
         moves = [[sample(g, rng) for _ in range(rounds - k)] for k in range(2)]
         plans = []
@@ -217,7 +213,7 @@ def _reach_instances(draw):
 
     def state():
         kind = draw(st.sampled_from(("random", "random", "basis", "uniform")))
-        return _unit(rng, n) if kind == "random" else uniform_state(n) if kind == "uniform" \
+        return _random_amps(rng, n) if kind == "random" else uniform_state(n) if kind == "uniform" \
             else basis_state(n, draw(st.integers(0, n - 1)))
 
     return rng, g, state(), state(), p, h

@@ -16,6 +16,7 @@ from qpursuit import (
     CertificationError,
     ControlledOp,
     Entries,
+    GameError,
     GraphError,
     GraphStochastic,
     GraphUnitary,
@@ -66,7 +67,7 @@ from qpursuit.operators import (
     _unitary_report,
     is_unit,
 )
-from qpursuit.strategies import _c4_collapse_matrix
+from qpursuit.strategies import _antipodal_response, _c4_collapse_matrix
 from test_graphs import directed_cycle, disjoint_union
 
 # Property tests below report their first failing example unshrunk: shrinking
@@ -113,6 +114,12 @@ def joint_as_union_matrix(op):
     """
     return joint_matrix(ControlledOp(op.blocks, "robber", op.graph))
 
+
+def _random_amps(rng, n):
+    """A random unit vector of n complex amplitudes: normalised complex Gaussian entries."""
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return vec / np.linalg.norm(vec)
+
 # regression point for the 4-cycle collapse: polar amplitudes and free phases
 C4_AMPS = (0.6, 0.3, 0.48, -0.2, 0.64, 1.1)
 C4_PSI = 0.7
@@ -149,6 +156,7 @@ def test_quantum_state_roundtrip_and_validation():
     assert np.array_equal(state_vector(s), [1.0 + 0j, 0.0 + 0j])
     assert np.array_equal(state_vector([0, 1j]), [0, 1j])
     assert not is_unit(state_vector([1.0, 1.0]))
+    assert is_unit(np.array([1, 0])) and not is_unit(np.array([1, 1]))  # integers read as floats
     assert np.array_equal(basis_state(3, 1), [0, 1, 0])
     assert np.allclose(uniform_state(4), 0.5)
     assert np.allclose(uniform_state(np.int64(4)), 0.5) and np.array_equal(uniform_state(1), [1])
@@ -175,23 +183,68 @@ def test_basis_state_checks_the_vertex_range():
     assert np.array_equal(basis_state(np.int64(1), 0), [1])
 
 
-@pytest.mark.parametrize("values", [np.array([["1", "0"], ["0", "1"]]),
-                                    np.array([[True, False], [False, True]]),
-                                    np.array([[1, 0], [0, 1]], dtype=object)],
-                         ids=["str", "bool", "object"])
-@pytest.mark.parametrize("read", [
-    pytest.param(lambda m: certify_unitary(m, path_graph(2)), id="certify_unitary"),
-    pytest.param(lambda m: GraphUnitary(m, path_graph(2)), id="GraphUnitary"),
-    pytest.param(lambda m: certify_stochastic(m, path_graph(2)), id="certify_stochastic"),
-    pytest.param(lambda m: Entries(2, [0, 1], [0, 1], m.diagonal()), id="Entries"),
-    pytest.param(lambda m: certify_blocks(m[None], path_graph(2)), id="certify_blocks-stack"),
-])
-def test_operator_values_that_are_not_numbers_are_refused_by_dtype(values, read):
+_NOT_NUMBERS = {"str": np.array([["1", "0"], ["0", "1"]]),
+                "bool": np.array([[True, False], [False, True]]),
+                "object": np.array([[1, 0], [0, 1]], dtype=object)}
+_VALUE_READS = {"certify_unitary": lambda m: certify_unitary(m, path_graph(2)),
+                "GraphUnitary": lambda m: GraphUnitary(m, path_graph(2)),
+                "certify_stochastic": lambda m: certify_stochastic(m, path_graph(2)),
+                "Entries": lambda m: Entries(2, [0, 1], [0, 1], m.diagonal()),
+                "certify_blocks-stack": lambda m: certify_blocks(m[None], path_graph(2))}
+
+
+@pytest.mark.parametrize("read, values", [
+    *(pytest.param(read, values, id=f"{r}-{v}")
+      for r, read in _VALUE_READS.items() for v, values in _NOT_NUMBERS.items()),
+    # lists mixing numbers and bools, whose dtype numpy infers as a number's
+    pytest.param(_VALUE_READS["certify_unitary"], [[1, False], [False, True]],
+                 id="certify_unitary-mixed-list"),
+    pytest.param(lambda v: Entries(2, [0, 1], [0, 1], v), [1, True], id="Entries-mixed-list"),
+    pytest.param(lambda m: is_graph_preserving_stochastic(m, path_graph(2)),
+                 [[1.0, False], [0, np.True_]], id="is_graph_preserving_stochastic-mixed-list")])
+def test_operator_values_that_are_not_numbers_are_refused_by_dtype(read, values):
     # each read the string, boolean or object identity as the numbers numpy casts it to
-    with pytest.raises(ValueError, match=re.escape(
-            f"operator values must be numbers, got dtype {values.dtype}")):
+    what = f"dtype {values.dtype}" if isinstance(values, np.ndarray) else "a bool"
+    with pytest.raises(ValueError, match=re.escape(f"operator values must be numbers, got {what}")):
         read(values)
-    read(values.astype(int))  # the same identity written as numbers is read
+    read(np.array(values).astype(int))  # the same identity written as numbers is read
+
+
+_LOOP_FREE = digraph(2, [(0, 1)], undirected=True, reflexive=False)  # reversible, no loops
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Entries(2, [0.0], [0], [1.0]), ValueError, "entry rows and columns must be integers"),
+    (lambda: Entries(2, [0, 1], [0], [1.0, 1.0]), ValueError,
+     "entries need one row, one column and one value each"),
+    (lambda: Entries.of_matrix(np.ones((2, 3))), ValueError, "matrix shape (2, 3) is not square"),
+    (lambda: certify_blocks([np.eye(2)], path_graph(2), [5]), TypeError,
+     "'int' object is not iterable"),
+    (lambda: certify_stochastic(np.eye(2), path_graph(2)).apply(np.ones(3)), ValueError,
+     "distribution dimension 3 does not match graph size 2"),
+    (lambda: reach_sequence(_LOOP_FREE, basis_state(2, 0), basis_state(2, 1)), GraphError,
+     "reach needs a reflexive graph"),
+    (lambda: sample_graph_unitary(_LOOP_FREE, np.random.default_rng(0)), GraphError,
+     "sampler needs a reflexive graph"),
+    # past the machine's integers, so read by the arc checks
+    (lambda: digraph(3, [(0, 2**70)]), GraphError,
+     f"arc (0, {2**70}) references a vertex outside 0..2"),
+    (lambda: setattr(path_graph(2), "n", 3), AttributeError,
+     "a Digraph is immutable; cannot set 'n'"),
+    (lambda: delattr(path_graph(2), "n"), AttributeError,
+     "a Digraph is immutable; cannot delete 'n'"),
+    # the Cop's amplitude on the Robber's vertex 0 (joint index r * 4 + c)
+    (lambda: _antipodal_response(cycle_graph(4), np.eye(16)[0]), GameError,
+     "cop amplitude reached the robber's vertex: the conditional state left the expected "
+     "neighbourhood, which signals an illegal cop move"),
+], ids=["entries-float-rows", "entries-lengths", "of-matrix-not-square", "support-not-a-sequence",
+        "stochastic-apply-size", "reach-loop-free", "sampler-loop-free", "arc-past-intp",
+        "digraph-set", "digraph-delete", "antipodal-cop-on-robber"])
+def test_refusals_raise_their_type_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        call()
+    if error is TypeError:  # the malformed support's index in the call
+        assert err.value.position == 0
 
 
 @pytest.mark.parametrize("g", [path_graph(3), cycle_graph(5), star_graph(4), directed_cycle(3)])
@@ -452,53 +505,22 @@ def test_gather_stack_rounds_as_the_scalar_oracle(pairs):
     assert _gather_stack([], [], [], []).shape == (0, 2, 2)
 
 
-def _dense_gather_unitary(g, v, w, phi, target, tau=ATOL):
-    """The dense gather reach_sequence used before gathers were 2-vertex blocks, kept as the oracle."""
-    if v == w:
-        raise GraphError("gather needs two distinct vertices")
-    if (v, w) not in g.arcs or (w, v) not in g.arcs:
-        raise GraphError(f"vertices {v} and {w} are not mutually adjacent")
-    if not g.is_reflexive:
-        raise GraphError("gather needs a reflexive graph")
-    amps = state_vector(phi)
-    a = np.array([amps[v], amps[w]], dtype=complex)
-    b = np.array([target[0], target[1]], dtype=complex)
-    sa = float(np.linalg.norm(a))
-    sb = float(np.linalg.norm(b))
-    if abs(sa * sa - sb * sb) > tau:
-        raise ValueError(f"gather norms differ: |source|^2={sa * sa:.3e}, |target|^2={sb * sb:.3e}")
-    m = np.eye(g.n, dtype=complex)
-    if sa > _ZERO_BLOCK:
-        ua = a / sa
-        ub = b / sb
-        ua_perp = np.array([-ua[1].conj(), ua[0].conj()])
-        ub_perp = np.array([-ub[1].conj(), ub[0].conj()])
-        m[np.ix_([v, w], [v, w])] = np.outer(ub, ua.conj()) + np.outer(ub_perp, ua_perp.conj())
-    return certify_unitary(m, g)
-
-
-def _dense_reach_sequence(g, phi, psi, root=0, tau=ATOL):
-    """reach_sequence's fold-and-unfold chain built from dense gathers and dense adjoints."""
-    a, b = state_vector(phi), state_vector(psi)
-    tree = spanning_tree(g, root)
-    if abs(np.vdot(b, a)) >= 1.0 - tau:
-        return []
-    tree_graph = tree.as_digraph()
-
-    def fold(vec):
-        cur = vec.astype(complex).copy()
-        ops = []
+def _chain_length(g, phi, psi, root=0) -> int:
+    """Length of the chain of one gather a step from phi to psi: 0 for equal states, else each
+    vertex but the root of the spanning tree, children first, gathered onto its parent by
+    _gather_block of the state before it unless it holds no amplitude, in phi's fold and psi's."""
+    if abs(np.vdot(psi, phi)) >= 1.0 - ATOL:
+        return 0
+    tree, length = spanning_tree(g, root), 0
+    for vec in (phi, psi):
+        cur = vec.astype(complex)
         for v in tree.order[:-1]:
             w = tree.parent[v]
-            if abs(cur[v]) <= _ZERO_BLOCK:
-                continue
-            s = float(np.hypot(abs(cur[v]), abs(cur[w])))
-            u = _dense_gather_unitary(tree_graph, v, w, cur, (0.0, s), tau)
-            cur = u.apply(cur)
-            ops.append(u)
-        return ops
-
-    return fold(a) + [u.adjoint() for u in reversed(fold(b))]
+            if abs(cur[v]) > _ZERO_BLOCK:
+                s = complex(math.hypot(abs(cur[v]), abs(cur[w])))
+                cur[[v, w]] = np.array(_gather_block(cur[v], cur[w], 0j, s)) @ cur[[v, w]]
+                length += 1
+    return length
 
 
 @st.composite
@@ -594,29 +616,17 @@ def test_layers_spliced_from_two_stacks_of_one_layout_read_as_no_stack(instance,
 def test_gather_layers_match_the_dense_oracle(instance):
     g, phi, psi, root, eps = instance
     ops = reach_sequence(g, phi, psi, root)
-    dense = _dense_reach_sequence(g, phi, psi, root)
-    assert len(ops) <= len(dense) <= 2 * g.n - 2
     tree = spanning_tree(g, root)
+    # no longer than the chain of one gather a step (the layers' blocks: the next test)
+    chain = _chain_length(g, phi, psi, root)
+    assert len(ops) <= chain <= 2 * g.n - 2
     tree_graph = tree.as_digraph()
     # the raw layers, certified here: the unfold's conjugate-transposed blocks equal the adjoints
     folds = [[GraphUnitary(block, tree_graph, support) for support, block in _fold_layers(tree, x)]
              for x in (phi, psi)]
-    if dense:
+    if chain:
         assert [(u.support, u.block.tolist()) for u in ops] == \
             [(u.support, u.block.tolist()) for u in folds[0] + [f.adjoint() for f in folds[1][::-1]]]
-    for cur, layers in zip((phi, psi), folds):
-        for u in layers:
-            # disjoint child-to-parent tree edges, each block the dense gather of the state before
-            pairs = list(zip(u.support[::2], u.support[1::2]))
-            assert u.graph == tree_graph and len(set(u.support)) == len(u.support) == 2 * len(pairs)
-            assert all(tree.parent[c] == p != c for c, p in pairs)
-            expected = np.zeros_like(u.block)
-            for k, (c, p) in enumerate(pairs):
-                s = float(np.hypot(abs(cur[c]), abs(cur[p])))
-                d = _dense_gather_unitary(tree_graph, c, p, cur, (0.0, s))
-                expected[2 * k:2 * k + 2, 2 * k:2 * k + 2] = d.matrix[np.ix_([c, p], [c, p])]
-            assert np.allclose(u.block, expected, rtol=0.0, atol=1e-12)
-            cur = u.apply(cur)
     for u in ops:
         assert np.allclose(u.adjoint().matrix, u.matrix.conj().T, rtol=0.0, atol=1e-12)
         assert is_graph_preserving_unitary(u.matrix, g).ok
@@ -627,8 +637,10 @@ def test_gather_layers_match_the_dense_oracle(instance):
     if np.linalg.norm(aim) > 1e-6:
         target = aim * np.linalg.norm(phi[[v, tree.parent[v]]]) / np.linalg.norm(aim)
         u = gather_unitary(g, v, tree.parent[v], phi, target)
-        d = _dense_gather_unitary(g, v, tree.parent[v], phi, target)
-        assert np.allclose(u.matrix, d.matrix, rtol=0.0, atol=1e-12)
+        expected = np.eye(g.n, dtype=complex)
+        expected[np.ix_([v, tree.parent[v]], [v, tree.parent[v]])] = \
+            _gather_block(*phi[[v, tree.parent[v]]], *target)
+        assert np.allclose(u.matrix, expected, rtol=0.0, atol=1e-12)
         if np.hypot(*np.abs(phi[[v, tree.parent[v]]])) > _ZERO_BLOCK:
             assert np.allclose(u.apply(phi)[[v, tree.parent[v]]], target, rtol=0.0, atol=1e-12)
         else:  # too little amplitude to fix a rotation: the gather is the identity
@@ -660,32 +672,25 @@ def _fold_layers(tree, vec):
     return list(zip(supports, _layer_blocks(stack, supports)))
 
 
-def _dense_fold_layers(tree, vec):
-    """reach_sequence's fold as it was before layers were 2x2 stacks, kept as the oracle: yields
-    (support, block) per layer, block the dense k x k matrix of its disjoint gathers."""
-    mass = (np.abs(vec) ** 2).tolist()
-    kids = [[] for _ in mass]
-    b = [0] * len(mass)
-    for v in tree.order:  # children before parents
-        kids[v].sort(key=b.__getitem__, reverse=True)
-        b[v] = max((i + b[c] for i, c in enumerate(kids[v], 1)), default=0)
-        if v != tree.root and mass[v] > _ZERO_BLOCK * _ZERO_BLOCK:
-            mass[tree.parent[v]] += mass[v]
-            kids[tree.parent[v]].append(v)
-    t = [0] * len(mass)
-    layers = [[] for _ in range(b[tree.root])]
-    for v in reversed(tree.order):  # parents before children
-        for i, c in enumerate(kids[v], 1):
-            t[c] = t[v] + i
-            layers[b[tree.root] - t[c]] += (c, v)
+def _fold_gathers(tree, vec) -> int:
+    """Checks each layer of vec's fold and returns their number: disjoint child-to-parent tree
+    edges as one (m, 2, 2) stack on consecutive pairs, each 2x2 block _gather_block of the state
+    before the layer onto (0, its norm); the last layer leaves all the mass on the root."""
     cur = vec.astype(complex)
-    for support in layers:
-        block = np.zeros((len(support),) * 2, dtype=complex)
-        for k in range(0, len(support), 2):
-            x0, x1 = complex(cur[support[k]]), complex(cur[support[k + 1]])
-            block[k:k + 2, k:k + 2] = _gather_block(x0, x1, 0.0, np.hypot(abs(x0), abs(x1)))
-        cur[support] = block @ cur[support]
-        yield tuple(support), block
+    layers = _fold_layers(tree, vec)
+    for support, block in layers:
+        pairs = np.reshape(support, (-1, 2))
+        assert len(set(support)) == len(support) == 2 * len(pairs)
+        assert all(tree.parent[c] == p != c for c, p in pairs)
+        (index, stack), = block.parts
+        assert block.k == len(support) and stack.shape == (len(pairs), 2, 2)
+        assert np.array_equal(index, np.arange(block.k).reshape(-1, 2))
+        expected = [_gather_block(x0, x1, 0j, complex(math.hypot(abs(x0), abs(x1))))
+                    for x0, x1 in cur[pairs].tolist()]
+        assert np.allclose(stack, np.array(expected, dtype=complex), rtol=0.0, atol=1e-12)
+        cur[pairs] = np.einsum("mij,mj->mi", stack, cur[pairs])
+    assert abs(abs(cur[tree.root]) - 1.0) <= 1e-9
+    return len(layers)
 
 
 @settings(max_examples=200, phases=_NO_SHRINK)
@@ -694,15 +699,7 @@ def test_folded_layers_are_the_dense_fold_as_2x2_stacks(instance):
     g, phi, psi, root, _ = instance
     tree = spanning_tree(g, root)
     for x in (phi, psi):
-        dense = list(_dense_fold_layers(tree, x))
-        layers = list(_fold_layers(tree, x))
-        assert [support for support, _ in layers] == [support for support, _ in dense]
-        for (support, block), (_, d) in zip(layers, dense):
-            (index, stack), = block.parts  # one (m, 2, 2) stack on consecutive pairs
-            assert block.k == len(support) and stack.shape == (len(support) // 2, 2, 2)
-            assert np.array_equal(index, np.arange(block.k).reshape(-1, 2))
-            assert np.allclose(block.dense(), d, rtol=0.0, atol=1e-12)
-    assert abs(np.vdot(psi, apply_sequence(reach_sequence(g, phi, psi, root), phi))) >= 1.0 - ATOL
+        _fold_gathers(tree, x)
 
 
 @pytest.mark.parametrize("board", [path_graph(512),
@@ -714,14 +711,7 @@ def test_long_folds_match_the_dense_oracle(board):
     phi, psi = rng.standard_normal((2, board.n)) + 1j * rng.standard_normal((2, board.n))
     phi, psi = phi / np.linalg.norm(phi), psi / np.linalg.norm(psi)
     tree = spanning_tree(board, 0)
-    length = 0
-    for x in (phi, psi):
-        dense = list(_dense_fold_layers(tree, x))
-        layers = _fold_layers(tree, x)
-        assert [support for support, _ in layers] == [support for support, _ in dense]
-        for (_, block), (_, d) in zip(layers, dense):
-            assert np.allclose(block.dense(), d, rtol=0.0, atol=1e-12)
-        length += len(layers)
+    length = _fold_gathers(tree, phi) + _fold_gathers(tree, psi)
     ops = reach_sequence(board, phi, psi)
     assert len(ops) == length
     if board.n == 512:  # the path: one gather per layer, 2n - 2 of them
@@ -759,7 +749,7 @@ def test_reach_length_is_at_least_the_light_cone_bound(instance, data):
     layered = len(reach_sequence(g, phi, psi, root))
     bound = _light_cone_bound(g, phi, psi)
     assert layered >= bound, (f"n={g.n}: {layered} layers below the light-cone bound {bound} "
-                              f"(sequential chain {len(_dense_reach_sequence(g, phi, psi, root))})")
+                              f"(sequential chain {_chain_length(g, phi, psi, root)})")
 
 
 def test_gather_rotation_reports_missing_arcs_and_loops():
@@ -1247,13 +1237,13 @@ def test_an_entries_block_reports_and_applies_as_the_dense_product(instance):
 
 
 @settings(max_examples=200, phases=_NO_SHRINK)
-@given(st.just(2), st.integers(0, 40), st.integers(0, 2**32 - 1),
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1),
        st.sampled_from(["unitary", "near-unitary", "gaussian", "wide", "non-finite"]))
-def test_closed_form_gram_defects_match_the_batched_product(h, count, seed, kind):
+def test_closed_form_gram_defects_match_the_batched_product(count, seed, kind):
     rng = np.random.default_rng(seed)
-    shape = (count, h, h)
+    shape = (count, 2, 2)
     if kind in ("unitary", "near-unitary"):
-        a = haar_unitary(h, rng, (count,))
+        a = haar_unitary(2, rng, (count,))
         if kind == "near-unitary":
             a = a * (1.0 + 1e-9 * rng.standard_normal((count, 1, 1)))
     else:
@@ -2009,28 +1999,6 @@ def test_controlled_op_certifies_blocks_from_another_board():
     assert all(b is own for b in ControlledOp((own,) * 4, "cop", c4).blocks)
 
 
-def _dense_joint(op):
-    """The kron assembly ControlledOp used to store as its joint matrix, kept as the reference."""
-    n = op.graph.n
-    joint = np.zeros((n * n, n * n), dtype=complex)
-    for v, u in enumerate(op.blocks):
-        sel = np.zeros((n, n))
-        sel[v, v] = 1.0
-        if op.control == "robber":
-            joint += np.kron(sel, u.matrix)
-        else:
-            joint += np.kron(u.matrix, sel)
-    return joint
-
-
-def _dense_lift(m, mover):
-    """The kron lift of a bare move onto the joint register, kept as the reference."""
-    n = m.shape[0]
-    if mover == "cop":
-        return np.kron(np.eye(n), m)
-    return np.kron(m, np.eye(n))
-
-
 def _sample_block(g, rng):
     """A dense member, a gather with a Haar block, or a transposition, on a random edge."""
     edges = sorted((v, w) for v, w in g.arcs if v < w)
@@ -2048,10 +2016,9 @@ def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng, rng.choice([0.0, 0.3, 1.0]))
     op = ControlledOp(tuple(_sample_block(g, rng) for _ in range(n)), control, g)
-    x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-    x[rng.random(n * n) < 0.3] = 0.0
-    x /= np.linalg.norm(x) or 1.0
-    dense = _dense_joint(op)
+    # the dense oracle: the per-line loop's n^2 x n^2 matrix, one basis state per column
+    dense = np.stack([_per_line(op.blocks, e, n, control == "robber") for e in np.eye(n * n)],
+                     axis=1)
     # no stored joint matrix: the direct sum holds exactly the blocks' stacks and non-zero
     # entries, each where the dense joint has it, and the index one entry per support vertex
     assert set(vars(op)) == {"blocks", "control", "graph", "_sum", "_index"}
@@ -2061,14 +2028,6 @@ def test_controlled_blocks_match_the_dense_oracle(n, control, seed):
     rows, cols, vals = op._sum.where(lambda s: s != 0)
     assert vals.size == sum(np.count_nonzero(b.block) for b in op.blocks)
     assert np.array_equal(dense[op._index[rows], op._index[cols]], vals)
-    assert np.allclose(op.apply(x), dense @ x, rtol=0.0, atol=1e-12)
-    assert np.allclose(joint_matrix(op), dense, rtol=0.0, atol=1e-12)
-    mover = "cop" if control == "robber" else "robber"
-    assert np.allclose(qc_step(op, x, g, mover), dense @ x, rtol=0.0, atol=1e-12)
-    u = _sample_block(g, rng)
-    for who in ("cop", "robber"):
-        assert np.allclose(qc_step(u, x, g, who), _dense_lift(u.matrix, who) @ x,
-                           rtol=0.0, atol=1e-12)
 
 
 def _per_line(blocks, joint, n, rows):

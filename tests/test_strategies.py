@@ -32,11 +32,7 @@ from qpursuit import (
     uniform_spread,
     universal_vertex_catch,
 )
-
-
-def _random_amps(rng, n):
-    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return vec / np.linalg.norm(vec)
+from test_operators import _random_amps
 
 
 def _random_quantum(rng, g, rounds):

@@ -1,4 +1,7 @@
-"""Command line front door: run games, verify operators, transport states, analyze graphs."""
+"""Command line front door: run games, verify operators, transport states, analyze graphs.
+
+Every command reads or builds boards, so the graphs layer is imported here; each handler imports the other
+layers it runs, so a command loads only those (analyze-graph none of them)."""
 
 from __future__ import annotations
 
@@ -11,17 +14,12 @@ import sys
 
 import numpy as np
 
-from .engine import (
-    GameError,
-    GameModel,
-    Strategy,
-    play,
-)
 from .graphs import (
-    GraphError,
+    _decoded,
     complete_graph,
     cycle_graph,
     dominating_set,
+    graph_from_json,
     is_connected,
     is_copwin_dismantle,
     is_reversible,
@@ -30,39 +28,6 @@ from .graphs import (
     solve_copwin_game,
     star_graph,
     universal_vertex,
-)
-from .operators import (
-    ATOL,
-    ATOL_DERIVED,
-    CertificationError,
-    apply_sequence,
-    basis_state,
-    certify_blocks,
-    is_graph_preserving_stochastic,
-    is_graph_preserving_unitary,
-    reach_sequence,
-    sample_controlled_op,
-    sample_graph_stochastic,
-    sample_graph_unitary,
-    sample_path3_blocks,
-    uniform_state,
-)
-from .scenario import (
-    _decoded,
-    graph_from_json,
-    operator_from_json,
-    operators_to_text,
-    run_scenario,
-    scenario_from_json,
-    state_from_json,
-    trace_to_text,
-)
-from .strategies import (
-    c4_antipodal_evasion,
-    c4_unfair_cop,
-    dominating_set_sweep,
-    uniform_spread,
-    universal_vertex_catch,
 )
 
 REPRODUCE_CASES = (
@@ -99,6 +64,8 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_run(args) -> int:
+    from .scenario import run_scenario, scenario_from_json, trace_to_text
+
     data = _load_json(args.scenario)
     sc = scenario_from_json(data, base_dir=os.path.dirname(os.path.abspath(args.scenario)))
     trace = run_scenario(sc)
@@ -109,12 +76,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_op(args) -> int:
+    from .operators import ATOL, is_graph_preserving_stochastic, is_graph_preserving_unitary
+    from .scenario import operator_from_json
+
     entries = operator_from_json(_load_json(args.operator))
     g = graph_from_json(_load_json(args.graph))
+    tau = ATOL if args.tau is None else args.tau
     if args.stochastic:
-        report = is_graph_preserving_stochastic(entries, g, args.tau)
+        report = is_graph_preserving_stochastic(entries, g, tau)
     else:
-        report = is_graph_preserving_unitary(entries, g, args.tau)
+        report = is_graph_preserving_unitary(entries, g, tau)
     status = "PASS" if report.ok else "FAIL"
     print(f"{status} {report.kind} residual={report.residual:.3e} "
           f"violations={len(report.violations)}")
@@ -124,6 +95,9 @@ def _cmd_verify_op(args) -> int:
 
 
 def _parse_state(text: str, n: int) -> np.ndarray:
+    from .operators import basis_state, uniform_state
+    from .scenario import state_from_json
+
     if text == "uniform":
         return uniform_state(n)
     if text.startswith("basis:"):
@@ -138,6 +112,9 @@ def _parse_state(text: str, n: int) -> np.ndarray:
 
 
 def _cmd_reach(args) -> int:
+    from .operators import ATOL, apply_sequence, reach_sequence
+    from .scenario import operators_to_text
+
     g = graph_from_json(_load_json(args.graph))
     phi = _parse_state(getattr(args, "from"), g.n)
     psi = _parse_state(args.to, g.n)
@@ -173,13 +150,23 @@ def _cmd_analyze_graph(args) -> int:
     return 0
 
 
-def _random_qc_cop(g, rng, rounds) -> Strategy:
+def _random_qc_cop(g, rng, rounds):
+    from .engine import Strategy
+    from .operators import basis_state, sample_controlled_op, sample_graph_unitary
+
     ops = [sample_controlled_op(g, rng, "robber") for _ in range(rounds)]
     init = sample_graph_unitary(g, rng).apply(basis_state(g.n, 0))
     return Strategy(init=init, move=ops)
 
 
 def _reproduce_case(name: str, rng) -> list:
+    from .engine import GameModel, Strategy, play
+    from .operators import (ATOL, ATOL_DERIVED, apply_sequence, basis_state, certify_blocks,
+                            reach_sequence, sample_graph_stochastic, sample_graph_unitary,
+                            sample_path3_blocks)
+    from .strategies import (c4_antipodal_evasion, c4_unfair_cop, dominating_set_sweep,
+                             uniform_spread, universal_vertex_catch)
+
     rows = []
     if name == "uniform-1-over-n":
         g = complete_graph(5)
@@ -286,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p_verify.add_mutually_exclusive_group(required=True)
     kind.add_argument("--unitary", action="store_true")
     kind.add_argument("--stochastic", action="store_true")
-    p_verify.add_argument("--tau", type=_tolerance, default=ATOL)
+    p_verify.add_argument("--tau", type=_tolerance)  # None: operators.ATOL
 
     p_reach = sub.add_parser("reach", help="operator sequence mapping one state to another")
     p_reach.add_argument("graph")
@@ -323,8 +310,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return handlers[args.command](args)
-    except (GraphError, GameError, CertificationError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    # GraphError, GameError, CertificationError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     finally:

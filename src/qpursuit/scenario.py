@@ -1,4 +1,5 @@
-"""JSON formats for graphs, operators, states, scenarios and traces."""
+"""JSON formats for operators, states, scenarios and traces; graphs.graph_from_json reads
+boards."""
 
 from __future__ import annotations
 
@@ -17,64 +18,9 @@ from .engine import (
     Strategy,
     play,
 )
-from .graphs import Digraph, _ArcFormatError, _is_int, digraph
+from .graphs import Digraph, _decoded, _fields, _is_int, _json_int, graph_from_json
 from .operators import ControlledOp, Entries, _joined
 from .strategies import build_strategy
-
-
-def _decoded(read, source):
-    """read(source) for json.load or json.loads; a key repeated in one object, and input nested
-    past the recursion limit, are refused with a ValueError, as other malformed JSON is."""
-    try:
-        return read(source, object_pairs_hook=_unique_keys)
-    except RecursionError:
-        raise ValueError("JSON input is nested too deeply") from None
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A decoded JSON object, refused if it names a key twice (json would keep the last one)."""
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ValueError(f"JSON object repeats the key {key!r}")
-        seen.add(key)
-    return dict(pairs)
-
-
-def _json_int(value, what: str) -> int:
-    """An integer read from JSON; booleans and non-integral numbers are refused, not coerced."""
-    if not _is_int(value):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
-    """data if it is a JSON object with every required key and no key beyond required and
-    optional; otherwise a ValueError, which names a missing or an unknown key."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} JSON must be an object")
-    missing = [key for key in required if key not in data]
-    unknown = [key for key in data if key not in required and key not in optional]
-    if missing or unknown:
-        raise ValueError(f"{what} JSON misses the '{missing[0]}' field" if missing else
-                         f"{what} JSON has an unknown key {unknown[0]!r}")
-    return data
-
-
-def graph_from_json(data: dict) -> Digraph:
-    _fields(data, "graph", ("n",), ("arcs", "undirected", "reflexive"))
-    n = _json_int(data["n"], "graph size n")
-    arcs = data.get("arcs", [])
-    if not isinstance(arcs, list):
-        raise ValueError("graph arcs must be [u, v] pairs")
-    flags = {key: data.get(key, False) for key in ("undirected", "reflexive")}
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"graph field '{key}' must be true or false, got {value!r}")
-    try:
-        return digraph(n, arcs, **flags)
-    except _ArcFormatError as exc:  # malformed JSON; any other refusal of the board stands
-        raise ValueError(str(exc)) from None
 
 
 @functools.lru_cache(maxsize=16)

@@ -7,7 +7,7 @@ bound.
 Each mutant of the fixed catalogue below rewrites one expression or statement of one function
 (with the stdlib ast), in a fresh copy of src/, tests/ and the README, and runs pytest with -x on the test
 files that import the mutated module: by name (qpursuit.operators, from qpursuit import
-operators) or through a name the package re-exports from it.  The module's own test file runs
+operators) or through a name the package exports from it.  The module's own test file runs
 first.  Before the mutants, the same files must pass on the unmutated copy.  One row is printed
 per mutant; the script exits 1 if a mutant survives that the catalogue does not name equivalent
 with a reason, or if the unmutated copy fails.  Hypothesis runs at a fixed seed, so a run is
@@ -84,8 +84,8 @@ CATALOGUE = [
     ("operator-index-bool", "scenario", "operator_from_json",
      "(set(map(type, rows)) | set(map(type, cols))) - {int}",
      "(set(map(type, rows)) | set(map(type, cols))) - {int, bool}", None),
-    ("fields-unknown-key", "scenario", "_fields", "missing or unknown", "missing", None),
-    ("unique-keys-repeat", "scenario", "_unique_keys", "key in seen", "False", None),
+    ("fields-unknown-key", "graphs", "_fields", "missing or unknown", "missing", None),
+    ("unique-keys-repeat", "graphs", "_unique_keys", "key in seen", "False", None),
     ("entries-repeat", "operators", "Entries.__post_init__", "twice.any()", "False", None),
     ("entries-range", "operators", "Entries.__post_init__",
      "rows.size and (rows[0] < 0 or rows[-1] >= n or cols.min() < 0 or cols.max() >= n)",
@@ -162,10 +162,12 @@ def mutated(module: str, function: str, original: str, replacement: str) -> str:
 
 
 def _exports() -> dict:
-    """The module each name re-exported by the package comes from."""
+    """The module each name the package exports comes from: its _EXPORTS table, read as the
+    literal it is."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name: node.module for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and list(map(ast.unparse, node.targets)) == ["_EXPORTS"]]
+    return ast.literal_eval(table)
 
 
 def selected_files(module: str) -> list:

@@ -3,6 +3,8 @@
 import ast
 import gc
 import hashlib
+import importlib
+import itertools
 import json
 import os
 import re
@@ -1629,15 +1631,27 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         (0, PAPER_VERDICTS, "")
 
 
-# Runs the commands given as JSON through cli.main, then prints which of numpy.ma, scipy and
-# networkx were imported.
+# Imports the package, runs the commands given as JSON through cli.main (so cli is imported only
+# if there is one), then prints their exit codes and which of the modules named after them were
+# imported.
 _MODULES_PROBE = """
-import contextlib, io, json, sys
-from qpursuit import cli
+import contextlib, importlib, io, json, sys
+import qpursuit
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, [m in sys.modules for m in ("numpy.ma", "scipy", "networkx")]]))
+    codes = [importlib.import_module("qpursuit.cli").main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, [m in sys.modules for m in sys.argv[2:]]]))
 """
+
+
+def _probe(commands: list, *modules) -> list:
+    """[the exit codes of commands, whether each of modules was imported], both as the probe
+    prints them from a fresh interpreter that imports this checkout's package."""
+    src = str(Path(qpursuit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(commands), *modules],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_the_cli_never_imports_numpy_ma(tmp_path):
@@ -1652,12 +1666,69 @@ def test_the_cli_never_imports_numpy_ma(tmp_path):
                 ["analyze-graph", board, "--cap", "48"],  # so the value tables run too
                 ["run", scenario, "--out", str(tmp_path / "trace.json")],
                 ["reproduce", "--all"]]
-    src = str(Path(qpursuit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(commands)],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0], [False, False, False]]
+    assert _probe(commands, "numpy.ma", "scipy", "networkx") == \
+        [[0, 0, 0, 0], [False, False, False]]
+
+
+_LAYERS = ("cli", "graphs", "operators", "engine", "strategies", "scenario", "__main__")
+
+
+def _loaded(commands: list) -> tuple:
+    """The exit codes of commands run in one fresh interpreter, and the set of the package's
+    modules (_LAYERS) it imported."""
+    codes, found = _probe(commands, *(f"qpursuit.{m}" for m in _LAYERS))
+    return codes, {m for m, hit in zip(_LAYERS, found) if hit}
+
+
+def test_a_fresh_process_loads_only_the_layers_its_command_runs(tmp_path):
+    # analyze-graph runs the graphs layer alone, and reproduce every layer but the JSON formats
+    board = _write(tmp_path, "c4.json", graph_to_json(cycle_graph(4)))
+    assert _loaded([["analyze-graph", board, "--cap", "48"]]) == ([0], {"cli", "graphs"})
+    assert _loaded([["reproduce", "--all"]]) == \
+        ([0], {"cli", "graphs", "operators", "engine", "strategies"})
+
+
+# The package's 82 public names, by the module that defines each: qpursuit.__init__'s table
+# (_EXPORTS) must list each and resolve it to that module's own object.
+_EXPORTED = {
+    "engine": ("ControlledInit", "GameError", "GameModel", "GameTrace", "MoveContext",
+               "PrepareContext", "Strategy", "p_copwin_joint", "p_copwin_probabilistic",
+               "p_copwin_separable", "play", "play_unfair_probabilistic", "qc_initial_joint",
+               "qc_step", "replay_answers"),
+    "graphs": ("Digraph", "GraphError", "MAX_VERTICES", "SpanningTree", "complete_graph",
+               "copwin_value_tables", "cycle_graph", "digraph", "dominates", "dominating_set",
+               "graph_from_json", "has_arc", "is_connected", "is_copwin_dismantle", "is_corner",
+               "is_reversible", "neighbors", "path_graph", "random_connected_graph",
+               "reverse_digraph", "solve_copwin_game", "spanning_tree", "star_graph",
+               "universal_vertex"),
+    "operators": ("ATOL", "ATOL_DERIVED", "CertificationError", "ControlledOp", "Entries",
+                  "GraphStochastic", "GraphUnitary", "OpReport", "apply_sequence", "basis_state",
+                  "certify_blocks", "certify_stochastic", "certify_unitary", "gather_unitary",
+                  "haar_unitary", "identity_unitary", "is_graph_preserving_stochastic",
+                  "is_graph_preserving_unitary", "reach_sequence", "sample_controlled_op",
+                  "sample_graph_stochastic", "sample_graph_unitary", "sample_path3_blocks",
+                  "state_vector", "transposition_unitary", "uniform_state"),
+    "scenario": ("Scenario", "controlled_op_from_json", "operator_from_json",
+                 "operators_to_text", "run_scenario", "scenario_from_json", "state_from_json",
+                 "state_to_json", "trace_to_text"),
+    "strategies": ("BUILTINS", "build_strategy", "c4_antipodal_evasion", "c4_unfair_cop",
+                   "classical_pursuit", "dominating_set_sweep", "uniform_spread",
+                   "universal_vertex_catch"),
+}
+
+
+def test_the_package_resolves_each_public_name_to_its_home_object():
+    listed = dir(qpursuit)
+    for home, names in _EXPORTED.items():
+        defined = vars(importlib.import_module(f"qpursuit.{home}"))
+        for name in names:
+            assert name in qpursuit.__all__ and name in listed
+            assert getattr(qpursuit, name) is defined[name], name
+    assert sorted(qpursuit.__all__) == sorted(itertools.chain(*_EXPORTED.values()))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        qpursuit.no_such_name
+    # importing the package alone loads none of its modules
+    assert _loaded([]) == ([], set())
 
 
 _C3 = {"n": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "undirected": True, "reflexive": True}
